@@ -7,7 +7,6 @@ reweighting, and two-level macro-F1 evaluation.
 """
 
 from .catalog import (
-    QuadratRecord,
     RegionRegistry,
     SpeciesCatalog,
     load_catalog,
@@ -76,7 +75,6 @@ __all__ = [
     "PriorsOptions",
     "Projection",
     "ProjectorConfig",
-    "QuadratRecord",
     "RegionRegistry",
     "RunConfig",
     "RunResult",

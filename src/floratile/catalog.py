@@ -9,9 +9,7 @@ mapping overrides the rule.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from .errors import InputError, UnknownRegionError
@@ -56,28 +54,14 @@ class SpeciesCatalog:
 
 def load_catalog(path) -> SpeciesCatalog:
     """Load a species catalog from a CSV with header ``species_id``."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"{path}: file not found")
+    from .io import csv_rows
+
     ids: List[int] = []
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["species_id"]:
-            raise InputError(f"{path}:1: expected header 'species_id', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 1:
-                raise InputError(f"{path}:{lineno}: expected a single species_id column")
-            try:
-                ids.append(int(row[0]))
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: species_id {row[0]!r} is not an integer") from None
+    for lineno, (species_id,) in csv_rows(path, ("species_id",)):
+        try:
+            ids.append(int(species_id))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: species_id {species_id!r} is not an integer") from None
     if not ids:
         raise InputError(f"{path}: catalog file has no species rows")
     try:
@@ -110,24 +94,6 @@ class RegionRegistry:
 
     def __len__(self) -> int:
         return len(self.regions)
-
-
-@dataclass(frozen=True)
-class QuadratRecord:
-    """Metadata for one quadrat image."""
-
-    quadrat_id: str
-    region: str
-    transect_id: str
-    width_px: int
-    height_px: int
-
-    def __post_init__(self):
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise InputError(
-                f"quadrat {self.quadrat_id!r}: pixel dimensions must be positive, "
-                f"got {self.width_px}x{self.height_px}"
-            )
 
 
 def parse_region(quadrat_id: str, registry: RegionRegistry) -> str:

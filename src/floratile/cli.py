@@ -19,14 +19,11 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-import numpy as np
-
 from . import io as fio
 from .catalog import load_catalog, parse_region
-from .clustering import dominant_cluster, estimate_priors, kmeans, reweight
+from .clustering import dominant_cluster, kmeans
 from .errors import FloratileError, InputError, InvariantViolation
-from .geo import nearest_per_species, build_mask, DEFAULT_REFERENCE_POINT
-from .metrics import final_score
+from .geo import DEFAULT_REFERENCE_POINT
 from .pipeline import (
     GeoOptions,
     PriorsOptions,
@@ -34,15 +31,17 @@ from .pipeline import (
     aggregate_predictions,
     apply_geo_mask,
     apply_priors,
-    image_probability_vectors,
+    compute_geo_mask,
+    estimate_cluster_priors,
+    flatten,
     run,
+    score_submission,
     validate_grid,
 )
 from .projection import ProjectorConfig, fit
 from .svgplot import save_projection_plot
 from .synth import SynthSpec, generate, write_bundle
 from .tiling import make_grid, parse_grid_spec
-from .voting import TilePrediction
 
 CONFIG_ENV_VAR = "FLORATILE_CONFIG"
 
@@ -97,24 +96,22 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_geofilter(args) -> int:
     catalog = load_catalog(args.catalog)
-    observations = fio.read_observations(args.observations)
-    regions = fio.read_geo_regions(args.regions)
-    nearest = nearest_per_species(observations, (args.ref_lat, args.ref_lon))
-    mask = build_mask(nearest, regions, catalog)
+    options = GeoOptions(
+        enabled=True,
+        reference=(args.ref_lat, args.ref_lon),
+        observations_path=args.observations,
+        regions_path=args.regions,
+    )
+    mask = compute_geo_mask(options, catalog)
     if args.out:
         fio.write_species_mask(args.out, mask, catalog)
     else:
-        sys.stdout.write("species_id,allowed\n")
-        for i, sid in enumerate(catalog.species_ids):
-            sys.stdout.write(f"{sid},{1 if mask.allowed[i] else 0}\n")
+        sys.stdout.write(fio.format_species_mask(mask, catalog))
     if args.predictions:
         if not args.out_predictions:
             raise InputError("--predictions needs --out-predictions")
-        grouped = _read_grouped(args.predictions)
-        filtered = apply_geo_mask(grouped, mask)
-        fio.write_tile_predictions(
-            args.out_predictions, [t for tiles in filtered.values() for t in tiles]
-        )
+        filtered = apply_geo_mask(_read_grouped(args.predictions), mask)
+        fio.write_tile_predictions(args.out_predictions, flatten(filtered))
     return 0
 
 
@@ -153,12 +150,7 @@ def _cmd_priors(args) -> int:
     catalog = load_catalog(args.catalog)
     grouped = _read_grouped(args.predictions)
     assign_map = fio.read_assignments(args.assignments)
-    ids, vectors = image_probability_vectors(grouped, len(catalog))
-    missing = [i for i in ids if i not in assign_map]
-    if missing:
-        raise InputError(f"no cluster assignment for image(s): {missing[:5]}")
-    assignments = [assign_map[i] for i in ids]
-    priors = estimate_priors(vectors, assignments, args.k, epsilon=args.epsilon, n_species=len(catalog))
+    priors = estimate_cluster_priors(grouped, assign_map, len(catalog), args.k, args.epsilon)
     fio.write_priors(args.out, priors)
     return 0
 
@@ -169,16 +161,14 @@ def _cmd_reweight(args) -> int:
     region_map = fio.read_region_cluster_map(args.region_clusters)
     registry = fio.read_region_registry(args.registry)
     reweighted = apply_priors(grouped, priors, region_map, registry)
-    fio.write_tile_predictions(args.out, [t for tiles in reweighted.values() for t in tiles])
+    fio.write_tile_predictions(args.out, flatten(reweighted))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     rows = fio.read_submission(args.submission)
     transect_map = fio.read_transect_map(args.transect_map) if args.transect_map else None
-    truth = fio.read_ground_truth(args.truth, transect_map=transect_map)
-    predictions = {row.quadrat_id: set(row.species_ids) for row in rows}
-    report = final_score(predictions, truth)
+    report = score_submission(rows, args.truth, transect_map)
     if args.out:
         fio.write_score_report(args.out, report)
     sys.stdout.write(f"final macro-F1: {report.final!r}\n")

@@ -11,7 +11,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,39 @@ def _open_read(path):
         return open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def csv_rows(path, header: Sequence[str]) -> Iterator[Tuple[int, List[str]]]:
+    """Check a CSV file's header and yield its non-blank ``(lineno, row)`` pairs.
+
+    Every row must have one field per header column.
+    """
+    columns = ",".join(header)
+    with _open_read(path) as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got is None or [h.strip() for h in got] != list(header):
+            raise InputError(f"{path}:1: expected header '{columns}', got {got!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise InputError(f"{path}:{lineno}: expected '{columns}'")
+            yield lineno, row
+
+
+def ndjson_records(path) -> Iterator[Tuple[int, object]]:
+    """Yield the ``(lineno, record)`` pairs of the non-blank lines of an NDJSON file."""
+    with _open_read(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            yield lineno, record
 
 
 def _fmt_float(x: float) -> str:
@@ -70,19 +103,12 @@ def write_region_registry(path, registry: RegionRegistry):
 
 def read_transect_map(path) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["quadrat_id", "transect_id"]:
-            raise InputError(f"{path}:1: expected header 'quadrat_id,transect_id'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 or not row[0] or not row[1]:
-                raise InputError(f"{path}:{lineno}: expected 'quadrat_id,transect_id'")
-            if row[0] in out:
-                raise InputError(f"{path}:{lineno}: duplicate quadrat_id {row[0]!r}")
-            out[row[0]] = row[1]
+    for lineno, (quadrat_id, transect_id) in csv_rows(path, ("quadrat_id", "transect_id")):
+        if not quadrat_id or not transect_id:
+            raise InputError(f"{path}:{lineno}: expected 'quadrat_id,transect_id'")
+        if quadrat_id in out:
+            raise InputError(f"{path}:{lineno}: duplicate quadrat_id {quadrat_id!r}")
+        out[quadrat_id] = transect_id
     return out
 
 
@@ -90,29 +116,21 @@ def read_transect_map(path) -> Dict[str, str]:
 
 def read_tile_predictions(path) -> List[TilePrediction]:
     preds: List[TilePrediction] = []
-    with _open_read(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            try:
-                preds.append(
-                    TilePrediction(
-                        image_id=rec["image_id"],
-                        row=int(rec["row"]),
-                        col=int(rec["col"]),
-                        probs=[(int(i), float(p)) for i, p in rec["probs"]],
-                        complete=bool(rec.get("complete", False)),
-                    )
+    for lineno, rec in ndjson_records(path):
+        try:
+            preds.append(
+                TilePrediction(
+                    image_id=rec["image_id"],
+                    row=int(rec["row"]),
+                    col=int(rec["col"]),
+                    probs=[(int(i), float(p)) for i, p in rec["probs"]],
+                    complete=bool(rec.get("complete", False)),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{path}:{lineno}: bad tile prediction record ({exc})") from None
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}:{lineno}: bad tile prediction record ({exc})") from None
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
     if not preds:
         raise InputError(f"{path}: no tile prediction records")
     return preds
@@ -144,22 +162,13 @@ def group_by_image(preds: Sequence[TilePrediction]) -> Dict[str, List[TilePredic
 
 def read_observations(path) -> List[Observation]:
     out: List[Observation] = []
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["species_id", "lat", "lon"]:
-            raise InputError(f"{path}:1: expected header 'species_id,lat,lon'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InputError(f"{path}:{lineno}: expected 'species_id,lat,lon'")
-            try:
-                out.append(Observation(species_id=int(row[0]), lat=float(row[1]), lon=float(row[2])))
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: malformed observation {row!r}") from None
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+    for lineno, row in csv_rows(path, ("species_id", "lat", "lon")):
+        try:
+            out.append(Observation(species_id=int(row[0]), lat=float(row[1]), lon=float(row[2])))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: malformed observation {row!r}") from None
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -200,35 +209,29 @@ def write_geo_regions(path, regions: Iterable[GeoRegion]):
 
 # --- species mask ------------------------------------------------------
 
+def format_species_mask(mask: SpeciesMask, catalog: SpeciesCatalog) -> str:
+    rows = (f"{sid},{1 if mask.allowed[i] else 0}\n" for i, sid in enumerate(catalog.species_ids))
+    return "species_id,allowed\n" + "".join(rows)
+
+
 def write_species_mask(path, mask: SpeciesMask, catalog: SpeciesCatalog):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("species_id,allowed\n")
-        for i, sid in enumerate(catalog.species_ids):
-            fh.write(f"{sid},{1 if mask.allowed[i] else 0}\n")
+        fh.write(format_species_mask(mask, catalog))
 
 
 def read_species_mask(path, catalog: SpeciesCatalog) -> SpeciesMask:
     allowed = np.zeros(len(catalog), dtype=bool)
     seen = np.zeros(len(catalog), dtype=bool)
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["species_id", "allowed"]:
-            raise InputError(f"{path}:1: expected header 'species_id,allowed'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InputError(f"{path}:{lineno}: expected 'species_id,allowed'")
-            try:
-                idx = catalog.dense_index(int(row[0]))
-                flag = int(row[1])
-            except (ValueError, InputError):
-                raise InputError(f"{path}:{lineno}: malformed mask row {row!r}") from None
-            if flag not in (0, 1):
-                raise InputError(f"{path}:{lineno}: allowed must be 0 or 1")
-            allowed[idx] = bool(flag)
-            seen[idx] = True
+    for lineno, row in csv_rows(path, ("species_id", "allowed")):
+        try:
+            idx = catalog.dense_index(int(row[0]))
+            flag = int(row[1])
+        except (ValueError, InputError):
+            raise InputError(f"{path}:{lineno}: malformed mask row {row!r}") from None
+        if flag not in (0, 1):
+            raise InputError(f"{path}:{lineno}: allowed must be 0 or 1")
+        allowed[idx] = bool(flag)
+        seen[idx] = True
     if not seen.all():
         raise InputError(f"{path}: mask does not cover every catalog species")
     return SpeciesMask(allowed=allowed, allowed_count=int(allowed.sum()))
@@ -240,22 +243,17 @@ def read_embeddings(path) -> EmbeddingMatrix:
     ids: List[str] = []
     rows: List[List[float]] = []
     width = None
-    with _open_read(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                ids.append(rec["image_id"])
-                vec = [float(x) for x in rec["vector"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{path}:{lineno}: bad embedding record ({exc})") from None
-            if width is None:
-                width = len(vec)
-            elif len(vec) != width:
-                raise InputError(f"{path}:{lineno}: vector length {len(vec)} != {width}")
-            rows.append(vec)
+    for lineno, rec in ndjson_records(path):
+        try:
+            ids.append(rec["image_id"])
+            vec = [float(x) for x in rec["vector"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}:{lineno}: bad embedding record ({exc})") from None
+        if width is None:
+            width = len(vec)
+        elif len(vec) != width:
+            raise InputError(f"{path}:{lineno}: vector length {len(vec)} != {width}")
+        rows.append(vec)
     if not rows:
         raise InputError(f"{path}: no embedding records")
     try:
@@ -282,21 +280,12 @@ def write_projection(path, projection: Projection):
 def read_projection(path) -> Projection:
     ids: List[str] = []
     pts: List[Tuple[float, float]] = []
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["image_id", "x", "y"]:
-            raise InputError(f"{path}:1: expected header 'image_id,x,y'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InputError(f"{path}:{lineno}: expected 'image_id,x,y'")
-            try:
-                ids.append(row[0])
-                pts.append((float(row[1]), float(row[2])))
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: malformed projection row {row!r}") from None
+    for lineno, row in csv_rows(path, ("image_id", "x", "y")):
+        try:
+            pts.append((float(row[1]), float(row[2])))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: malformed projection row {row!r}") from None
+        ids.append(row[0])
     if not ids:
         raise InputError(f"{path}: no projection rows")
     return Projection(image_ids=ids, points=np.asarray(pts))
@@ -315,18 +304,13 @@ def write_assignments(path, image_ids: Sequence[str], assignments: Sequence[int]
 
 def read_assignments(path) -> Dict[str, int]:
     out: Dict[str, int] = {}
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["image_id", "cluster"]:
-            raise InputError(f"{path}:1: expected header 'image_id,cluster'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                out[row[0]] = int(row[1])
-            except (IndexError, ValueError):
-                raise InputError(f"{path}:{lineno}: malformed assignment row {row!r}") from None
+    for lineno, row in csv_rows(path, ("image_id", "cluster")):
+        if row[0] in out:
+            raise InputError(f"{path}:{lineno}: duplicate image_id {row[0]!r}")
+        try:
+            out[row[0]] = int(row[1])
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: malformed assignment row {row!r}") from None
     if not out:
         raise InputError(f"{path}: no assignment rows")
     return out
@@ -341,20 +325,15 @@ def write_region_cluster_map(path, mapping: Mapping[str, int]):
 
 def read_region_cluster_map(path) -> Dict[str, int]:
     out: Dict[str, int] = {}
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["region", "cluster"]:
-            raise InputError(f"{path}:1: expected header 'region,cluster'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 or not row[0]:
-                raise InputError(f"{path}:{lineno}: expected 'region,cluster'")
-            try:
-                out[row[0]] = int(row[1])
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: cluster {row[1]!r} is not an integer") from None
+    for lineno, (region, cluster) in csv_rows(path, ("region", "cluster")):
+        if not region:
+            raise InputError(f"{path}:{lineno}: expected 'region,cluster'")
+        if region in out:
+            raise InputError(f"{path}:{lineno}: duplicate region {region!r}")
+        try:
+            out[region] = int(cluster)
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: cluster {cluster!r} is not an integer") from None
     if not out:
         raise InputError(f"{path}: no region rows")
     return out
@@ -368,16 +347,15 @@ def write_priors(path, priors: ClusterPriors):
 
 def read_priors(path) -> ClusterPriors:
     rows: Dict[int, List[float]] = {}
-    with _open_read(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                rows[int(rec["cluster"])] = [float(x) for x in rec["prior"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{path}:{lineno}: bad prior record ({exc})") from None
+    for lineno, rec in ndjson_records(path):
+        try:
+            cluster = int(rec["cluster"])
+            prior = [float(x) for x in rec["prior"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}:{lineno}: bad prior record ({exc})") from None
+        if cluster in rows:
+            raise InputError(f"{path}:{lineno}: duplicate cluster {cluster}")
+        rows[cluster] = prior
     if not rows:
         raise InputError(f"{path}: no prior records")
     if sorted(rows) != list(range(len(rows))):
@@ -397,30 +375,23 @@ def read_ground_truth(path, transect_map: Mapping[str, str] | None = None) -> Gr
 
     truth: Dict[str, frozenset] = {}
     transects: Dict[str, str] = {}
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["quadrat_id", "transect_id", "species_ids"]:
-            raise InputError(f"{path}:1: expected header 'quadrat_id,transect_id,species_ids'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 or not row[0]:
-                raise InputError(f"{path}:{lineno}: expected 'quadrat_id,transect_id,species_ids'")
-            quadrat_id = row[0]
-            if quadrat_id in truth:
-                raise InputError(f"{path}:{lineno}: duplicate quadrat_id {quadrat_id!r}")
-            try:
-                species = frozenset(int(tok) for tok in row[2].split())
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: species_ids must be space-separated integers") from None
-            truth[quadrat_id] = species
-            if transect_map is not None and quadrat_id in transect_map:
-                transects[quadrat_id] = transect_map[quadrat_id]
-            elif row[1]:
-                transects[quadrat_id] = row[1]
-            else:
-                transects[quadrat_id] = transect_of(quadrat_id)
+    for lineno, (quadrat_id, transect_id, species_ids) in csv_rows(
+        path, ("quadrat_id", "transect_id", "species_ids")
+    ):
+        if not quadrat_id:
+            raise InputError(f"{path}:{lineno}: expected 'quadrat_id,transect_id,species_ids'")
+        if quadrat_id in truth:
+            raise InputError(f"{path}:{lineno}: duplicate quadrat_id {quadrat_id!r}")
+        try:
+            truth[quadrat_id] = frozenset(int(tok) for tok in species_ids.split())
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: species_ids must be space-separated integers") from None
+        if transect_map is not None and quadrat_id in transect_map:
+            transects[quadrat_id] = transect_map[quadrat_id]
+        elif transect_id:
+            transects[quadrat_id] = transect_id
+        else:
+            transects[quadrat_id] = transect_of(quadrat_id)
     if not truth:
         raise InputError(f"{path}: no ground truth rows")
     return GroundTruth(truth=truth, transects=transects)
@@ -439,18 +410,14 @@ def write_ground_truth(path, truth: GroundTruth):
 
 def read_training_counts(path) -> Dict[int, int]:
     out: Dict[int, int] = {}
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["species_id", "count"]:
-            raise InputError(f"{path}:1: expected header 'species_id,count'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                out[int(row[0])] = int(row[1])
-            except (IndexError, ValueError):
-                raise InputError(f"{path}:{lineno}: malformed count row {row!r}") from None
+    for lineno, row in csv_rows(path, ("species_id", "count")):
+        try:
+            species_id, count = int(row[0]), int(row[1])
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: malformed count row {row!r}") from None
+        if species_id in out:
+            raise InputError(f"{path}:{lineno}: duplicate species_id {species_id}")
+        out[species_id] = count
     if not out:
         raise InputError(f"{path}: no count rows")
     return out

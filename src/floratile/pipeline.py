@@ -31,6 +31,7 @@ from .geo import DEFAULT_REFERENCE_POINT, SpeciesMask, apply_mask, build_mask, n
 from .io import (
     SubmissionRow,
     group_by_image,
+    read_embeddings,
     read_geo_regions,
     read_ground_truth,
     read_observations,
@@ -151,6 +152,11 @@ class RunResult:
 
 # --- stage functions (shared by `run` and the per-stage CLI commands) ----
 
+def flatten(grouped: Mapping[str, Sequence[TilePrediction]]) -> List[TilePrediction]:
+    """The tiles of every image, in image order, as one stream."""
+    return [t for tiles in grouped.values() for t in tiles]
+
+
 def validate_grid(grouped: Mapping[str, Sequence[TilePrediction]], grid: GridSpec):
     """Every tile must sit inside the grid; no duplicate cells per image."""
     for image_id, tiles in grouped.items():
@@ -240,18 +246,27 @@ def compute_priors_artifacts(
     regions = [parse_region(image_id, registry) for image_id in embeddings.image_ids]
     region_map = dominant_cluster(model.assignments, regions)
 
-    cluster_of_image = {
-        image_id: int(model.assignments[i]) for i, image_id in enumerate(embeddings.image_ids)
-    }
-    ids, vectors = image_probability_vectors(grouped, len(catalog))
-    missing = [i for i in ids if i not in cluster_of_image]
-    if missing:
-        raise InputError(f"no embedding for predicted image(s): {missing[:5]}")
-    assignments = [cluster_of_image[i] for i in ids]
-    priors = estimate_priors(
-        vectors, assignments, options.k, epsilon=options.epsilon, n_species=len(catalog)
+    cluster_of_image = dict(zip(embeddings.image_ids, model.assignments.tolist()))
+    priors = estimate_cluster_priors(
+        grouped, cluster_of_image, len(catalog), options.k, options.epsilon
     )
     return PriorsArtifacts(projection=projection, model=model, region_map=region_map, priors=priors)
+
+
+def estimate_cluster_priors(
+    grouped: Mapping[str, Sequence[TilePrediction]],
+    cluster_of_image: Mapping[str, int],
+    n_species: int,
+    k: int,
+    epsilon: float,
+) -> ClusterPriors:
+    """One species prior per cluster, from the images' mean tile distributions."""
+    ids, vectors = image_probability_vectors(grouped, n_species)
+    missing = [i for i in ids if i not in cluster_of_image]
+    if missing:
+        raise InputError(f"no cluster assignment for predicted image(s): {missing[:5]}")
+    assignments = [cluster_of_image[i] for i in ids]
+    return estimate_priors(vectors, assignments, k, epsilon=epsilon, n_species=n_species)
 
 
 def apply_priors(
@@ -349,12 +364,10 @@ def run(config: RunConfig) -> RunResult:
                 write_species_mask(out_dir / "mask.csv", mask, catalog)
             grouped = apply_geo_mask(grouped, mask)
             if config.keep_intermediates:
-                write_tile_predictions(out_dir / "masked_predictions.ndjson", _flatten(grouped))
+                write_tile_predictions(out_dir / "masked_predictions.ndjson", flatten(grouped))
 
         if config.priors.enabled:
             registry = read_region_registry(config.registry_path)
-            from .io import read_embeddings
-
             embeddings = read_embeddings(config.priors.embeddings_path)
             artifacts = compute_priors_artifacts(
                 embeddings, grouped, registry, catalog, config.priors, config.seed
@@ -370,9 +383,7 @@ def run(config: RunConfig) -> RunResult:
                 write_priors(out_dir / "priors.ndjson", artifacts.priors)
             grouped = apply_priors(grouped, artifacts.priors, artifacts.region_map, registry)
             if config.keep_intermediates:
-                write_tile_predictions(
-                    out_dir / "reweighted_predictions.ndjson", _flatten(grouped)
-                )
+                write_tile_predictions(out_dir / "reweighted_predictions.ndjson", flatten(grouped))
 
         rows = aggregate_predictions(
             grouped,
@@ -396,7 +407,3 @@ def run(config: RunConfig) -> RunResult:
     return RunResult(
         submission=rows, report=report, submission_path=submission_path, report_path=report_path
     )
-
-
-def _flatten(grouped: Mapping[str, Sequence[TilePrediction]]) -> List[TilePrediction]:
-    return [t for tiles in grouped.values() for t in tiles]

@@ -1,13 +1,15 @@
 """Shared fixtures plus a terminal summary of the acceptance criteria.
 
-Tests marked ``@pytest.mark.acceptance(num, title)`` get one PASS/FAIL
-line each in a dedicated section at the end of the run.
+Tests marked ``@pytest.mark.acceptance(num, title)`` get one PASS/FAIL/SKIP
+line each in a dedicated section at the end of the run (SKIP for a skip
+raised in setup or in the test body).
 """
 
 import pytest
 
 _criteria = {}
 _results = {}
+_STATUS = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}
 
 
 def pytest_collection_modifyitems(items):
@@ -21,11 +23,10 @@ def pytest_collection_modifyitems(items):
 def pytest_runtest_makereport(item, call):
     outcome = yield
     report = outcome.get_result()
-    if item.nodeid in _criteria:
-        if report.when == "call":
-            _results[item.nodeid] = "PASS" if report.passed else "FAIL"
-        elif report.when == "setup" and not report.passed:
-            _results[item.nodeid] = "FAIL" if report.failed else "SKIP"
+    if item.nodeid not in _criteria:
+        return
+    if report.when == "call" or (report.when == "setup" and not report.passed):
+        _results[item.nodeid] = _STATUS[report.outcome]
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -194,6 +194,45 @@ def test_stage_chain_matches_single_run(fixture_dir, tmp_path, capsys):
     assert reweighted.read_bytes() == (run_dir / "reweighted_predictions.ndjson").read_bytes()
 
 
+def test_geofilter_and_evaluate_match_run(fixture_dir, tmp_path, capsys):
+    """geofilter and evaluate write the same bytes as run --geo --keep-intermediates."""
+    run_dir = tmp_path / "single"
+    assert main(["run",
+                 "--catalog", str(fixture_dir / "catalog.csv"),
+                 "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
+                 "--out", str(run_dir),
+                 "--mode", "tiling", "--grid", "3x3",
+                 "--geo",
+                 "--observations", str(fixture_dir / "observations.csv"),
+                 "--geo-regions", str(fixture_dir / "geo_regions.json"),
+                 "--truth", str(fixture_dir / "truth.csv"),
+                 "--keep-intermediates"]) == 0
+    geofilter = ["geofilter",
+                 "--observations", str(fixture_dir / "observations.csv"),
+                 "--regions", str(fixture_dir / "geo_regions.json"),
+                 "--catalog", str(fixture_dir / "catalog.csv")]
+    capsys.readouterr()
+    assert main(geofilter) == 0
+    mask_stdout = capsys.readouterr().out
+    assert main(geofilter + [
+        "--out", str(tmp_path / "mask.csv"),
+        "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
+        "--out-predictions", str(tmp_path / "masked.ndjson"),
+    ]) == 0
+    assert main(["evaluate",
+                 "--submission", str(run_dir / "submission.csv"),
+                 "--truth", str(fixture_dir / "truth.csv"),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+
+    assert (tmp_path / "mask.csv").read_bytes() == (run_dir / "mask.csv").read_bytes()
+    assert mask_stdout.encode("utf-8") == (tmp_path / "mask.csv").read_bytes()
+    assert (tmp_path / "masked.ndjson").read_bytes() == (
+        run_dir / "masked_predictions.ndjson"
+    ).read_bytes()
+    assert (tmp_path / "report.json").read_bytes() == (run_dir / "score_report.json").read_bytes()
+
+
 def test_run_config_file_and_env_and_flag_precedence(fixture_dir, tmp_path, capsys, monkeypatch):
     config = {
         "catalog": str(fixture_dir / "catalog.csv"),

@@ -260,12 +260,21 @@ def test_assignments_round_trip(tmp_path):
     assert read_assignments(path) == {"a": 2, "b": 0, "c": 1}
     with pytest.raises(InputError):
         write_assignments(path, ["a"], [1, 2])
+    path.write_text("image_id,cluster\na,2\na,0\n")
+    with pytest.raises(InputError, match=r":3: duplicate image_id 'a'"):
+        read_assignments(path)
+    path.write_text("image_id,cluster\na,2,7\n")
+    with pytest.raises(InputError, match=r":2: expected 'image_id,cluster'"):
+        read_assignments(path)
 
 
 def test_region_cluster_map_round_trip(tmp_path):
     path = tmp_path / "rc.csv"
     write_region_cluster_map(path, {"CBN-Pla": 3, "RNNB": 1})
     assert read_region_cluster_map(path) == {"CBN-Pla": 3, "RNNB": 1}
+    path.write_text("region,cluster\nRNNB,1\nCBN-Pla,3\nRNNB,0\n")
+    with pytest.raises(InputError, match=r":4: duplicate region 'RNNB'"):
+        read_region_cluster_map(path)
 
 
 def test_priors_round_trip_and_contiguity(tmp_path):
@@ -282,6 +291,13 @@ def test_priors_round_trip_and_contiguity(tmp_path):
         + "\n"
     )
     with pytest.raises(InputError, match="contiguous"):
+        read_priors(path)
+
+    # clusters 0,1,1 must not load as k=2
+    path.write_text(
+        "".join(json.dumps({"cluster": c, "prior": [1.0]}) + "\n" for c in (0, 1, 1))
+    )
+    with pytest.raises(InputError, match=r":3: duplicate cluster 1"):
         read_priors(path)
 
 
@@ -337,6 +353,12 @@ def test_training_counts_round_trip(tmp_path):
     assert read_training_counts(path) == {1400101: 2000, 42: 3}
     path.write_text("species_id,count\n42,many\n")
     with pytest.raises(InputError, match=r":2: malformed"):
+        read_training_counts(path)
+    path.write_text("species_id,count\n42,3\n7,1\n42,5\n")
+    with pytest.raises(InputError, match=r":4: duplicate species_id 42"):
+        read_training_counts(path)
+    path.write_text("species_id,count\n42,3,extra\n")
+    with pytest.raises(InputError, match=r":2: expected 'species_id,count'"):
         read_training_counts(path)
 
 
