@@ -22,7 +22,7 @@ three while the near weight relaxes from 2 to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -36,6 +36,7 @@ _ADAM_EPS = 1e-7
 _PCA_INIT_SCALE = 0.01
 _RANDOM_INIT_SCALE = 1e-4
 _PCA_TARGET_DIM = 100
+_KNN_BLOCK = 256  # rows per distance block in the kNN pass
 
 
 @dataclass
@@ -119,114 +120,148 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def _pairwise_sq_dists(data: np.ndarray) -> np.ndarray:
-    norms = (data * data).sum(axis=1)
-    d2 = norms[:, None] + norms[None, :] - 2.0 * (data @ data.T)
+def _block_sq_dists(data: np.ndarray, norms: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Squared distances from rows lo:hi to every row; a row's distance to
+    itself is inf, so it is never its own neighbor."""
+    d2 = norms[lo:hi, None] + norms[None, :] - 2.0 * (data[lo:hi] @ data.T)
     np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
+    d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
     return d2
 
 
-def _local_scales(dist: np.ndarray) -> np.ndarray:
+def _row_blocks(n: int):
+    for lo in range(0, n, _KNN_BLOCK):
+        yield lo, min(lo + _KNN_BLOCK, n)
+
+
+def _local_scales(data: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """sigma_i = mean distance to the 4th-6th nearest neighbors, floored.
 
     With fewer than four other points the mean over all available
     neighbors is used instead.
     """
-    n = dist.shape[0]
-    masked = dist.copy()
-    np.fill_diagonal(masked, np.inf)
-    ordered = np.sort(masked, axis=1)[:, : n - 1]
-    if n - 1 >= 4:
-        band = ordered[:, 3 : min(6, n - 1)]
-    else:
-        band = ordered
-    sig = band.mean(axis=1)
+    n = data.shape[0]
+    band = range(3 if n - 1 >= 4 else 0, min(6, n - 1))
+    sig = np.empty(n)
+    for lo, hi in _row_blocks(n):
+        d2 = _block_sq_dists(data, norms, lo, hi)
+        nearest = np.partition(d2, list(band), axis=1)[:, band.start : band.stop]
+        sig[lo:hi] = np.sqrt(nearest).mean(axis=1)
     return np.maximum(sig, _SIGMA_FLOOR)
 
 
+def _near_neighbors(data: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) nearest neighbors under d2 / (sigma_i * sigma_j), per row
+    ordered by (scaled distance, index)."""
+    n = data.shape[0]
+    norms = (data * data).sum(axis=1)
+    sig = _local_scales(data, norms)
+    near = np.empty((n, k), dtype=np.int64)
+    for lo, hi in _row_blocks(n):
+        scaled = _block_sq_dists(data, norms, lo, hi) / (sig[lo:hi, None] * sig[None, :])
+        kth = np.partition(scaled, k - 1, axis=1)[:, k - 1 : k]
+        below = scaled < kth
+        tied = scaled == kth
+        # of the entries tied with the k-th value, keep the lowest indices
+        room = k - below.sum(axis=1, keepdims=True)
+        cols = np.nonzero(below | (tied & (np.cumsum(tied, axis=1) <= room)))[1].reshape(-1, k)
+        order = np.argsort(np.take_along_axis(scaled, cols, axis=1), axis=1, kind="stable")
+        near[lo:hi] = np.take_along_axis(cols, order, axis=1)
+    return near
+
+
+def _distinct_draws(rng: np.random.Generator, n: int, avoid: np.ndarray, size: int) -> np.ndarray:
+    """Per row of ``avoid``, ``size`` distinct points of range(n) outside that
+    row; entries that clash are redrawn.
+
+    The caller guarantees each row leaves at least ``size`` points eligible.
+    """
+    first = avoid.shape[1]
+    seen = np.empty((avoid.shape[0], first + size), dtype=np.int64)
+    seen[:, :first] = avoid
+    for c in range(first, first + size):
+        todo = np.arange(seen.shape[0])
+        while todo.size:
+            draw = rng.integers(n, size=todo.size)
+            seen[todo, c] = draw
+            todo = todo[(seen[todo, :c] == draw[:, None]).any(axis=1)]
+    return seen[:, first:]
+
+
 def build_pairs(data: np.ndarray, cfg: ProjectorConfig, rng: np.random.Generator) -> PairSets:
-    """Construct near, mid-near, and further pairs for the loss."""
+    """Construct near, mid-near, and further pairs for the loss.
+
+    Distances are computed in row blocks, so memory is O(n * block), never
+    a dense n x n matrix.
+    """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     if n <= cfg.n_neighbors:
         raise InputError(f"need more than n_neighbors={cfg.n_neighbors} points, got {n}")
 
-    d2 = _pairwise_sq_dists(data)
-    dist = np.sqrt(d2)
-    sig = _local_scales(dist)
-    scaled = d2 / np.outer(sig, sig)
-    np.fill_diagonal(scaled, np.inf)
+    k = cfg.n_neighbors
+    near_idx = _near_neighbors(data, k)
+    anchors = np.arange(n)
 
-    order = np.argsort(scaled, axis=1, kind="stable")
-    near_idx = order[:, : cfg.n_neighbors]
-    near = np.empty((n * cfg.n_neighbors, 2), dtype=np.int64)
-    near[:, 0] = np.repeat(np.arange(n), cfg.n_neighbors)
-    near[:, 1] = near_idx.reshape(-1)
+    # mid-near: per pair, the 2nd closest of min(6, n - 1) sampled points
+    n_mn = _round_half_up(k * cfg.mn_ratio)
+    sample = min(6, n - 1)
+    drawn = _distinct_draws(rng, n, np.repeat(anchors, n_mn)[:, None], sample)
+    drawn = drawn.reshape(n, n_mn, sample)
+    d2 = np.empty(drawn.shape)
+    for c in range(sample):
+        diff = data[drawn[:, :, c]] - data[:, None, :]
+        d2[:, :, c] = (diff * diff).sum(axis=2)
+    rank = np.argsort(d2, axis=2, kind="stable")[:, :, 1 if sample >= 2 else 0]
+    mid = np.take_along_axis(drawn, rank[:, :, None], axis=2).reshape(n, n_mn)
 
-    n_mn = _round_half_up(cfg.n_neighbors * cfg.mn_ratio)
-    n_fp = _round_half_up(cfg.n_neighbors * cfg.fp_ratio)
+    # further: distinct points outside the anchor's near set, capped at the pool
+    n_fp = min(_round_half_up(k * cfg.fp_ratio), n - 1 - k)
+    far = _distinct_draws(rng, n, np.column_stack([anchors, near_idx]), n_fp)
 
-    mid_pairs = []
-    sample_size = min(6, n - 1)
-    for i in range(n):
-        for _ in range(n_mn):
-            drawn = rng.choice(n - 1, size=sample_size, replace=False)
-            drawn = drawn + (drawn >= i)  # skip the anchor
-            ranks = np.argsort(d2[i, drawn], kind="stable")
-            pick = drawn[ranks[1]] if sample_size >= 2 else drawn[ranks[0]]
-            mid_pairs.append((i, int(pick)))
+    def pairs(cols: np.ndarray) -> np.ndarray:
+        return np.stack([np.repeat(anchors, cols.shape[1]), cols.reshape(-1)], axis=1)
 
-    far_pairs = []
-    for i in range(n):
-        if n_fp == 0:
-            continue
-        blocked = np.zeros(n, dtype=bool)
-        blocked[i] = True
-        blocked[near_idx[i]] = True
-        eligible = np.flatnonzero(~blocked)
-        if eligible.size == 0:
-            continue
-        count = min(n_fp, eligible.size)
-        drawn = rng.choice(eligible, size=count, replace=False)
-        for j in drawn:
-            far_pairs.append((i, int(j)))
-
-    return PairSets(
-        near=near,
-        mid_near=np.asarray(mid_pairs, dtype=np.int64).reshape(-1, 2),
-        further=np.asarray(far_pairs, dtype=np.int64).reshape(-1, 2),
-    )
-
-
-def _pair_term(Y, pairs, denom, attract, weight, grad):
-    """Accumulate one loss term and its exact gradient. Returns the loss."""
-    if pairs.shape[0] == 0 or weight == 0.0:
-        return 0.0
-    I, J = pairs[:, 0], pairs[:, 1]
-    diff = Y[I] - Y[J]
-    dt = (diff * diff).sum(axis=1) + 1.0
-    if attract:
-        loss = weight * (dt / (denom + dt)).sum()
-        coef = weight * 2.0 * denom / (denom + dt) ** 2
-    else:
-        loss = weight * (1.0 / (1.0 + dt)).sum()
-        coef = -weight * 2.0 / (1.0 + dt) ** 2
-    contrib = coef[:, None] * diff
-    np.add.at(grad, I, contrib)
-    np.add.at(grad, J, -contrib)
-    return float(loss)
+    return PairSets(near=pairs(near_idx), mid_near=pairs(mid), further=pairs(far))
 
 
 def loss_and_grad(Y: np.ndarray, pairs: PairSets, w: Tuple[float, float, float]):
-    """Loss and analytic gradient of the three-term pairwise objective."""
+    """Loss and analytic gradient of the three-term pairwise objective.
+
+    One gather over all active pairs, per-term coefficients on contiguous
+    segments, and one bincount scatter per endpoint and axis.
+    """
     Y = np.asarray(Y, dtype=np.float64)
+    n = Y.shape[0]
     w_nb, w_mn, w_fp = w
+    # (pairs, weight, denominator); denominator None marks the repulsive term
+    terms = ((pairs.near, w_nb, 10.0), (pairs.mid_near, w_mn, 10000.0), (pairs.further, w_fp, None))
+    terms = [term for term in terms if term[0].shape[0] and term[1] != 0.0]
     grad = np.zeros_like(Y)
+    if not terms:
+        return 0.0, grad
+    I = np.concatenate([p[:, 0] for p, _, _ in terms])
+    J = np.concatenate([p[:, 1] for p, _, _ in terms])
+    dx = np.take(Y[:, 0], I) - np.take(Y[:, 0], J)
+    dy = np.take(Y[:, 1], I) - np.take(Y[:, 1], J)
+    dt = dx * dx + dy * dy + 1.0
+
+    coef = np.empty_like(dt)
     loss = 0.0
-    loss += _pair_term(Y, pairs.near, 10.0, True, w_nb, grad)
-    loss += _pair_term(Y, pairs.mid_near, 10000.0, True, w_mn, grad)
-    loss += _pair_term(Y, pairs.further, 1.0, False, w_fp, grad)
+    lo = 0
+    for p, weight, denom in terms:
+        hi = lo + p.shape[0]
+        seg = dt[lo:hi]
+        if denom is None:
+            loss += float(weight * (1.0 / (1.0 + seg)).sum())
+            coef[lo:hi] = -weight * 2.0 / (1.0 + seg) ** 2
+        else:
+            loss += float(weight * (seg / (denom + seg)).sum())
+            coef[lo:hi] = weight * 2.0 * denom / (denom + seg) ** 2
+        lo = hi
+    for axis, diff in enumerate((dx, dy)):
+        contrib = coef * diff
+        grad[:, axis] = np.bincount(I, contrib, minlength=n) - np.bincount(J, contrib, minlength=n)
     return loss, grad
 
 

@@ -274,6 +274,22 @@ def test_run_missing_required_paths_exits_1(capsys):
     assert "needs --catalog" in capsys.readouterr().err
 
 
+def test_run_priors_on_too_few_images_exits_1(tmp_path, capsys):
+    spec = SynthSpec(n_images=8, grid_rows=3, grid_cols=3, n_species=40, n_clusters=2, noise=0.5)
+    bundle = write_bundle(generate(spec, seed=21), tmp_path / "tiny")
+    out = tmp_path / "out"
+    rc = main(["run",
+               "--catalog", str(bundle / "catalog.csv"),
+               "--predictions", str(bundle / "tile_predictions.ndjson"),
+               "--out", str(out),
+               "--mode", "tiling", "--grid", "3x3",
+               "--registry", str(bundle / "regions.txt"),
+               "--priors", "--embeddings", str(bundle / "embeddings.ndjson")])
+    assert rc == 1
+    assert "need more than n_neighbors=10 points, got 8" in capsys.readouterr().err
+    assert not (out / "submission.csv").exists()
+
+
 def test_run_bad_config_json_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -1,8 +1,13 @@
 """2-D projection: preprocessing, pair construction, loss, optimizer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from floratile import projection
 from floratile.errors import InputError
 from floratile.projection import (
     EmbeddingMatrix,
@@ -82,7 +87,8 @@ def test_preprocess_keeps_dimension_at_100_or_below():
     assert out.data.shape == (12, 100)
 
 
-def _brute_force_near_sets(data, n_neighbors):
+def _brute_force_scaled(data):
+    """Dense (sigma, scaled distance matrix) from explicit differences."""
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     d2 = np.array(
@@ -96,7 +102,12 @@ def _brute_force_near_sets(data, n_neighbors):
     sig = np.maximum(band.mean(axis=1), 1e-10)
     scaled = d2 / np.outer(sig, sig)
     np.fill_diagonal(scaled, np.inf)
-    return [set(np.argsort(scaled[i], kind="stable")[:n_neighbors]) for i in range(n)]
+    return sig, scaled
+
+
+def _brute_force_near_sets(data, n_neighbors):
+    _, scaled = _brute_force_scaled(data)
+    return [set(np.argsort(row, kind="stable")[:n_neighbors]) for row in scaled]
 
 
 def test_build_pairs_near_matches_scaled_distance_oracle():
@@ -309,3 +320,203 @@ def test_fit_preserves_ring_neighborhoods_across_seeds():
         cfg = ProjectorConfig(n_neighbors=5, phase_iters=(40, 40, 80), seed=seed)
         pts = fit(X, cfg).points
         assert _neighbor_preservation(data, pts) >= 0.6
+
+
+# --- blocked kNN, pair sampling and memory --------------------------------
+
+
+def _ragged_block_cases():
+    lattice = np.array([(x, y) for x in range(6) for y in range(6)], dtype=np.float64)
+    small = np.array([(x, y) for x in range(6) for y in range(5)], dtype=np.float64)
+    # repeated points tie at distance 0; seven copies of one point put its
+    # 4th-6th neighbors at distance 0, so its sigma is the floor
+    duplicates = np.vstack([small, small[[0, 0, 7, 7, 13]], np.repeat(small[[20]], 6, axis=0)])
+    random = np.random.default_rng(71).normal(size=(53, 4))
+    return {"lattice": lattice, "duplicates": duplicates, "random": random}
+
+
+@pytest.mark.parametrize("case", ["lattice", "duplicates", "random"])
+def test_blocked_knn_matches_brute_force_with_ragged_blocks(monkeypatch, case):
+    monkeypatch.setattr(projection, "_KNN_BLOCK", 7)
+    data = _ragged_block_cases()[case]
+    n = data.shape[0]
+    assert 30 <= n <= 60 and n % 7 != 0
+    sig, scaled = _brute_force_scaled(data)
+    got_sig = projection._local_scales(data, (data * data).sum(axis=1))
+    for k in (1, 4, 10):
+        pairs = build_pairs(data, ProjectorConfig(n_neighbors=k), np.random.default_rng(0))
+        near = pairs.near[:, 1].reshape(n, k)
+        assert np.array_equal(pairs.near[:, 0], np.repeat(np.arange(n), k))
+        if case == "random":
+            assert np.allclose(got_sig, sig, rtol=1e-12, atol=0.0)
+            expected = _brute_force_near_sets(data, k)
+            assert [set(row.tolist()) for row in near] == expected
+        else:
+            # integer coordinates make every distance exact, so ties are
+            # real and the (scaled distance, index) order is pinned
+            assert np.array_equal(got_sig, sig)
+            expected = np.argsort(scaled, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(near, expected)
+
+
+def test_build_pairs_memory_stays_below_one_dense_matrix():
+    n = 3000
+    data = np.random.default_rng(4).normal(size=(n, 8))
+    tracemalloc.start()
+    try:
+        build_pairs(data, ProjectorConfig(), np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8  # one dense n x n float64 matrix: 72 MB
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_build_pairs_smallest_inputs(k):
+    rng = np.random.default_rng(100 + k)
+    n_mn = int(np.floor(k * 0.5 + 0.5))
+    n_fp = int(np.floor(k * 2.0 + 0.5))
+    for n in range(k + 1, 8):
+        data = rng.normal(size=(n, 3))
+        cfg = ProjectorConfig(n_neighbors=k, mn_ratio=0.5, fp_ratio=2.0)
+        pairs = build_pairs(data, cfg, np.random.default_rng(n))
+        assert pairs.near.shape == (n * k, 2)
+        assert pairs.mid_near.shape == (n * n_mn, 2)
+        assert pairs.further.shape == (n * min(n_fp, n - 1 - k), 2)
+        assert np.array_equal(pairs.mid_near[:, 0], np.repeat(np.arange(n), n_mn))
+        # with n <= 7 all n - 1 other points are drawn; only if they are
+        # distinct is the pick always the 2nd closest of them
+        for i, j in pairs.mid_near:
+            others = [o for o in range(n) if o != i]
+            d2 = [np.sum((data[o] - data[i]) ** 2) for o in others]
+            ranked = [others[r] for r in np.argsort(d2, kind="stable")]
+            assert j != i
+            assert j == ranked[1 if n - 1 >= 2 else 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), n_avoid=st.integers(1, 12), size=st.integers(0, 11),
+       seed=st.integers(0, 2**32 - 1))
+def test_distinct_draws_avoid_listed_points_and_repeats(n, n_avoid, size, seed):
+    n_avoid = min(n_avoid, n)
+    size = min(size, n - n_avoid)
+    rng = np.random.default_rng(seed)
+    avoid = np.array([rng.permutation(n)[:n_avoid] for _ in range(5)], dtype=np.int64)
+    drawn = projection._distinct_draws(rng, n, avoid, size)
+    assert drawn.shape == (5, size)
+    for row, banned in zip(drawn, avoid):
+        assert len(set(row.tolist())) == size
+        assert not set(row.tolist()) & set(banned.tolist())
+        assert np.all((0 <= row) & (row < n))
+
+
+# --- gradient against the reference scatter -------------------------------
+
+
+def _reference_pair_term(Y, pairs, denom, attract, weight, grad):
+    """Accumulate one loss term and its exact gradient. Returns the loss."""
+    if pairs.shape[0] == 0 or weight == 0.0:
+        return 0.0
+    I, J = pairs[:, 0], pairs[:, 1]
+    diff = Y[I] - Y[J]
+    dt = (diff * diff).sum(axis=1) + 1.0
+    if attract:
+        loss = weight * (dt / (denom + dt)).sum()
+        coef = weight * 2.0 * denom / (denom + dt) ** 2
+    else:
+        loss = weight * (1.0 / (1.0 + dt)).sum()
+        coef = -weight * 2.0 / (1.0 + dt) ** 2
+    contrib = coef[:, None] * diff
+    np.add.at(grad, I, contrib)
+    np.add.at(grad, J, -contrib)
+    return float(loss)
+
+
+def _reference_loss_and_grad(Y, pairs, w):
+    """The per-term np.add.at scatter the bincount gradient replaced."""
+    Y = np.asarray(Y, dtype=np.float64)
+    w_nb, w_mn, w_fp = w
+    grad = np.zeros_like(Y)
+    loss = 0.0
+    loss += _reference_pair_term(Y, pairs.near, 10.0, True, w_nb, grad)
+    loss += _reference_pair_term(Y, pairs.mid_near, 10000.0, True, w_mn, grad)
+    loss += _reference_pair_term(Y, pairs.further, 1.0, False, w_fp, grad)
+    return loss, grad
+
+
+def _assert_matches_reference(Y, pairs, w):
+    loss, grad = loss_and_grad(Y, pairs, w)
+    ref_loss, ref_grad = _reference_loss_and_grad(Y, pairs, w)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+    scale = np.abs(ref_grad).max() if ref_grad.size else 0.0
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * scale)
+
+
+_PHASE_WEIGHTS = [phase_weights(t, ProjectorConfig()) for t in (0, 50, 150, 300)]
+
+
+def test_loss_and_grad_matches_reference_scatter():
+    rng = np.random.default_rng(61)
+    n = 12
+    Y = rng.normal(size=(n, 2))
+
+    def random_pairs(m):
+        i = rng.integers(n, size=m)
+        return np.stack([i, (i + rng.integers(1, n, size=m)) % n], axis=1)
+
+    repeated = [(0, 1)] * 5 + [(1, 0)] * 3 + [(2, 3)] * 2
+    hub = [(0, j) for j in range(1, n)] + [(j, 0) for j in range(1, n)]
+    cases = [
+        _pairsets(near=repeated, mid=hub, far=random_pairs(40)),
+        _pairsets(near=hub, far=repeated),
+        _pairsets(mid=random_pairs(30)),
+        _pairsets(),
+        _pairsets(near=random_pairs(50), mid=random_pairs(25), far=random_pairs(100)),
+    ]
+    assert (2.0, 1000.0, 1.0) in _PHASE_WEIGHTS and (1.0, 0.0, 1.0) in _PHASE_WEIGHTS
+    for pairs in cases:
+        for w in _PHASE_WEIGHTS:
+            _assert_matches_reference(Y, pairs, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_loss_and_grad_matches_reference_property(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    pair_lists = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)
+    near, mid, far = (data.draw(pair_lists, label=name) for name in ("near", "mid", "far"))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    w = data.draw(st.one_of(st.sampled_from(_PHASE_WEIGHTS), st.tuples(weight, weight, weight)),
+                  label="w")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    Y = np.random.default_rng(seed).normal(size=(n, 2)) * 3.0
+    _assert_matches_reference(Y, _pairsets(near=near, mid=mid, far=far), w)
+
+
+# --- microbenchmarks at the priors workload's size ------------------------
+
+
+@pytest.fixture(scope="module")
+def priors_sized():
+    """600 points in 64 dimensions and their 21k pairs (10 + 5 + 20 per point)."""
+    data = np.random.default_rng(600).normal(size=(600, 64))
+    cfg = ProjectorConfig()
+    pairs = build_pairs(data, cfg, np.random.default_rng(cfg.seed))
+    assert sum(len(p) for p in (pairs.near, pairs.mid_near, pairs.further)) == 21000
+    return data, cfg, pairs
+
+
+def test_bench_loss_and_grad(benchmark, priors_sized):
+    _, _, pairs = priors_sized
+    Y = np.random.default_rng(1).normal(size=(600, 2))
+    loss, _ = benchmark.pedantic(loss_and_grad, args=(Y, pairs, (2.0, 3.0, 1.0)),
+                                 rounds=20, iterations=5)
+    assert np.isfinite(loss)
+
+
+def test_bench_build_pairs(benchmark, priors_sized):
+    data, cfg, _ = priors_sized
+    pairs = benchmark.pedantic(
+        build_pairs, setup=lambda: ((data, cfg, np.random.default_rng(cfg.seed)), {}), rounds=5
+    )
+    assert pairs.near.shape == (6000, 2)
