@@ -6,6 +6,7 @@ masks, 2-D embedding projection with k-means cluster priors, Bayesian
 reweighting, and two-level macro-F1 evaluation.
 """
 
+from .batch import TileBatch
 from .catalog import (
     RegionRegistry,
     SpeciesCatalog,
@@ -84,6 +85,7 @@ __all__ = [
     "SubmissionRow",
     "SynthBundle",
     "SynthSpec",
+    "TileBatch",
     "TilePrediction",
     "TileRect",
     "UnknownRegionError",

@@ -1,0 +1,320 @@
+"""Tile predictions: one record per tile, and the columnar batch every stage runs on.
+
+``TilePrediction`` is one tile's sparse class-probability vector, the
+record the synthetic generator builds and the tests write by hand.
+``TileBatch`` holds many tiles in flat arrays. Per tile: the image code (an
+index into ``image_ids``), grid row and col, the ``complete`` flag and the
+source line (0 when the tile was not read from a file). Tile ``t`` owns the
+entries ``offsets[t]:offsets[t + 1]`` of ``idx`` (dense species index) and
+``prob``. Two invariants hold:
+
+* each image's tiles are contiguous, images in first-appearance order and
+  tiles in input order within an image;
+* within a tile, entries are sorted by (-prob, idx), as in
+  ``TilePrediction.probs``.
+
+Every float sum that reaches an output is taken with
+``np.bincount(keys, weights=...)`` over entries in batch order. bincount
+adds in array order, as the per-tile Python loops did, so sums are
+bit-identical to theirs; ``np.add.reduceat`` and ``.sum()`` add pairwise
+and can flip a last bit, and with it a tie.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from .errors import InputError, InvariantViolation
+
+SparseVector = List[Tuple[int, float]]
+
+_MASS_TOL = 1e-6
+
+
+@dataclass
+class TilePrediction:
+    """Sparse class-probability vector for one tile of one image.
+
+    ``probs`` is kept sorted by descending probability (ties by lower dense
+    index). A record flagged ``complete`` carries a full distribution and
+    must sum to one.
+    """
+
+    image_id: str
+    row: int
+    col: int
+    probs: SparseVector
+    complete: bool = False
+
+    def __post_init__(self):
+        if not self.image_id:
+            raise InputError("tile prediction must carry a non-empty image_id")
+        if self.row < 0 or self.col < 0:
+            raise InputError(f"tile ({self.row}, {self.col}) of {self.image_id!r}: negative grid coordinates")
+        entries = [(int(idx), float(prob)) for idx, prob in self.probs]
+        if not entries:
+            raise InputError(f"tile of {self.image_id!r} carries no probability entries")
+        seen = set()
+        for idx, prob in entries:
+            if idx < 0:
+                raise InputError(f"tile of {self.image_id!r}: negative dense index {idx}")
+            if idx in seen:
+                raise InputError(f"tile of {self.image_id!r}: duplicate dense index {idx}")
+            seen.add(idx)
+            if not 0.0 < prob <= 1.0:
+                raise InputError(f"tile of {self.image_id!r}: probability {prob} outside (0, 1]")
+        entries.sort(key=lambda e: (-e[1], e[0]))
+        mass = sum(p for _, p in entries)
+        if self.complete and abs(mass - 1.0) > _MASS_TOL:
+            raise InputError(
+                f"tile of {self.image_id!r} declared complete but probabilities sum to {mass!r}"
+            )
+        if mass > 1.0 + _MASS_TOL:
+            raise InputError(f"tile of {self.image_id!r}: probability mass {mass!r} exceeds 1")
+        self.probs = entries
+
+    @classmethod
+    def _trusted(cls, image_id, row, col, probs, complete):
+        """A tile built from batch columns that already passed the checks."""
+        tile = object.__new__(cls)
+        tile.__dict__.update(image_id=image_id, row=row, col=col, probs=probs, complete=complete)
+        return tile
+
+
+def rejection(image_id, row, col, entries, complete=False) -> InputError:
+    """The error ``TilePrediction`` raises for these fields.
+
+    The vectorised checks only find the failing tile; its message comes from
+    here, so there is one wording. A tile the vectorised checks flag but
+    ``TilePrediction`` accepts is a bug in the checks.
+    """
+    try:
+        TilePrediction(image_id, row, col, entries, complete)
+    except InputError as exc:
+        return exc
+    raise InvariantViolation(
+        f"tile ({row}, {col}) of {image_id!r} passes TilePrediction but not the batch checks"
+    )
+
+
+def first(flags: np.ndarray) -> Optional[int]:
+    """Position of the first true flag, or None."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else None
+
+
+def raise_first(*failures):
+    """Raise the exception of the failure at the earliest tile.
+
+    Each failure is a ``(tile, exception)`` pair, ``tile`` None when its
+    check passed. On a tie the earlier-listed check wins, so callers list
+    checks in the order the per-tile loops ran them.
+    """
+    found = [(tile, i) for i, (tile, _) in enumerate(failures) if tile is not None]
+    if found:
+        raise failures[min(found)[1]][1]
+
+
+def _entry_order(tile: np.ndarray, idx: np.ndarray, prob: np.ndarray) -> Optional[np.ndarray]:
+    """The permutation sorting entries by (tile, -prob, idx); None when they already are."""
+    same = tile[1:] == tile[:-1]
+    swapped = (prob[1:] > prob[:-1]) | ((prob[1:] == prob[:-1]) & (idx[1:] < idx[:-1]))
+    if not np.any(same & swapped):
+        return None
+    return np.lexsort((idx, -prob, tile))
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+@dataclass(frozen=True, eq=False)
+class TileBatch:
+    """Tiles of many images in flat columns; see the module docstring."""
+
+    image_ids: list
+    image: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    complete: np.ndarray
+    line: np.ndarray
+    offsets: np.ndarray
+    idx: np.ndarray
+    prob: np.ndarray
+
+    @classmethod
+    def from_columns(cls, image_ids, image, row, col, complete, line, counts, idx, prob) -> "TileBatch":
+        """Group per-tile columns by image code and sort each tile's entries.
+
+        ``image`` holds codes into ``image_ids`` in first-appearance order;
+        tiles keep their relative order within an image.
+        """
+        image = np.asarray(image, dtype=np.int64)
+        row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
+        complete, line = np.asarray(complete, dtype=bool), np.asarray(line, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        idx, prob = np.asarray(idx, dtype=np.int64), np.asarray(prob, dtype=np.float64)
+        offsets = _offsets(counts)
+        if np.any(image[1:] < image[:-1]):
+            perm = np.argsort(image, kind="stable")
+            starts, counts = offsets[perm], counts[perm]
+            offsets = _offsets(counts)
+            entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+            idx, prob = idx[entries], prob[entries]
+            image, row, col, complete, line = (a[perm] for a in (image, row, col, complete, line))
+        order = _entry_order(np.repeat(np.arange(counts.shape[0]), counts), idx, prob)
+        if order is not None:
+            idx, prob = idx[order], prob[order]
+        return cls(list(image_ids), image, row, col, complete, line, offsets, idx, prob)
+
+    @classmethod
+    def from_tiles(
+        cls, tiles: Iterable[TilePrediction], image_keys: Optional[Sequence] = None
+    ) -> "TileBatch":
+        """Batch already-checked tiles, grouped by ``image_keys`` (default: each tile's image_id)."""
+        tiles = list(tiles)
+        keys = [t.image_id for t in tiles] if image_keys is None else image_keys
+        codes: dict = {}
+        image = [codes.setdefault(key, len(codes)) for key in keys]
+        return cls.from_columns(
+            list(codes),
+            image,
+            [t.row for t in tiles],
+            [t.col for t in tiles],
+            [t.complete for t in tiles],
+            np.zeros(len(tiles), dtype=np.int64),
+            [len(t.probs) for t in tiles],
+            [i for t in tiles for i, _ in t.probs],
+            [p for t in tiles for _, p in t.probs],
+        )
+
+    def __len__(self) -> int:
+        return self.row.shape[0]
+
+    def __iter__(self):
+        return self.tiles(0, len(self))
+
+    def tiles(self, lo: int, hi: int):
+        """Tiles ``lo`` to ``hi`` as ``TilePrediction`` objects, in batch order."""
+        start, stop = self.offsets[lo], self.offsets[hi]
+        pairs = list(zip(self.idx[start:stop].tolist(), self.prob[start:stop].tolist()))
+        bounds = (self.offsets[lo:hi + 1] - start).tolist()
+        columns = zip(self.image[lo:hi].tolist(), self.row[lo:hi].tolist(), self.col[lo:hi].tolist(),
+                      self.complete[lo:hi].tolist(), bounds, bounds[1:])
+        for image, row, col, complete, a, b in columns:
+            yield TilePrediction._trusted(self.image_ids[image], row, col, pairs[a:b], complete)
+
+    @cached_property
+    def tile_of_entry(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    @cached_property
+    def image_of_entry(self) -> np.ndarray:
+        return self.image[self.tile_of_entry]
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Each entry's position within its tile (0 = most probable)."""
+        return np.arange(self.idx.shape[0]) - self.offsets[self.tile_of_entry]
+
+    @cached_property
+    def image_offsets(self) -> np.ndarray:
+        """Image ``i`` owns the tiles ``image_offsets[i]:image_offsets[i + 1]``."""
+        return np.searchsorted(self.image, np.arange(len(self.image_ids) + 1))
+
+    def invalid_tiles(self) -> np.ndarray:
+        """Per tile, whether ``TilePrediction`` would reject it."""
+        tile = self.tile_of_entry
+        bad = np.array([not i for i in self.image_ids], dtype=bool)[self.image]
+        bad |= (self.row < 0) | (self.col < 0) | (np.diff(self.offsets) == 0)
+        entry_bad = (self.idx < 0) | ~((self.prob > 0.0) & (self.prob <= 1.0))
+        by_index = np.lexsort((self.idx, tile))
+        tiles, idx = tile[by_index], self.idx[by_index]
+        repeated = (tiles[1:] == tiles[:-1]) & (idx[1:] == idx[:-1])
+        bad[tile[entry_bad]] = True
+        bad[tiles[1:][repeated]] = True
+        mass = np.bincount(tile, weights=self.prob, minlength=len(self))
+        bad |= (self.complete & (np.abs(mass - 1.0) > _MASS_TOL)) | (mass > 1.0 + _MASS_TOL)
+        return bad
+
+    def prob_failure(self, prob: np.ndarray):
+        """``raise_first`` failure for the first tile whose new ``prob`` leaves (0, 1]."""
+        j = first(~((prob > 0.0) & (prob <= 1.0)))
+        if j is None:
+            return None, None
+        t = int(self.tile_of_entry[j])
+        lo, hi = self.offsets[t], self.offsets[t + 1]
+        entries = list(zip(self.idx[lo:hi].tolist(), prob[lo:hi].tolist()))
+        return t, rejection(self.image_ids[self.image[t]], int(self.row[t]), int(self.col[t]), entries)
+
+    def derive(self, keep: Optional[np.ndarray], prob: np.ndarray) -> "TileBatch":
+        """The batch of the kept entries (all when ``keep`` is None) with new
+        probabilities: tiles left without entries drop out, entries are
+        re-sorted, and no tile is complete any more. Every image must keep a tile."""
+        idx, tile = self.idx, self.tile_of_entry
+        if keep is not None:
+            idx, tile = idx[keep], tile[keep]
+        counts = np.bincount(tile, minlength=len(self))
+        live = counts > 0
+        order = _entry_order(tile, idx, prob)
+        if order is not None:
+            idx, prob = idx[order], prob[order]
+        return TileBatch(
+            self.image_ids,
+            self.image[live],
+            self.row[live],
+            self.col[live],
+            np.zeros(np.count_nonzero(live), dtype=bool),
+            self.line[live],
+            _offsets(counts[live]),
+            idx,
+            prob,
+        )
+
+
+class ImageTiles(Mapping):
+    """Image id -> list of tiles, read-only, over a batch; what ``group_by_image`` returns."""
+
+    def __init__(self, batch: TileBatch):
+        self.batch = batch
+
+    @cached_property
+    def _position(self) -> dict:
+        return {image_id: i for i, image_id in enumerate(self.batch.image_ids)}
+
+    def __getitem__(self, image_id) -> List[TilePrediction]:
+        i = self._position[image_id]
+        return list(self.batch.tiles(int(self.batch.image_offsets[i]), int(self.batch.image_offsets[i + 1])))
+
+    def __iter__(self):
+        return iter(self.batch.image_ids)
+
+    def __len__(self) -> int:
+        return len(self.batch.image_ids)
+
+
+def as_batch(tiles) -> TileBatch:
+    """The batch behind a stage input: a batch, an ``ImageTiles``, a mapping
+    of image id -> tiles (the key is the tile's image), or an iterable of tiles."""
+    if isinstance(tiles, TileBatch):
+        return tiles
+    if isinstance(tiles, ImageTiles):
+        return tiles.batch
+    if isinstance(tiles, Mapping):
+        keys = [key for key, group in tiles.items() for _ in group]
+        return TileBatch.from_tiles([t for group in tiles.values() for t in group], keys)
+    return TileBatch.from_tiles(tiles)
+
+
+def entry_arrays(probs) -> Tuple[np.ndarray, np.ndarray]:
+    """Index and probability arrays of a sparse vector."""
+    pairs = [(int(i), float(p)) for i, p in probs]
+    idx = np.array([i for i, _ in pairs], dtype=np.int64)
+    return idx, np.array([p for _, p in pairs], dtype=np.float64)

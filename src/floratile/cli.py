@@ -33,7 +33,6 @@ from .pipeline import (
     apply_priors,
     compute_geo_mask,
     estimate_cluster_priors,
-    flatten,
     run,
     score_submission,
     validate_grid,
@@ -44,6 +43,7 @@ from .synth import SynthSpec, generate, write_bundle
 from .tiling import make_grid, parse_grid_spec
 
 CONFIG_ENV_VAR = "FLORATILE_CONFIG"
+THREADS_HELP = "accepted for compatibility; has no effect (must be >= 1 in run)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +111,7 @@ def _cmd_geofilter(args) -> int:
         if not args.out_predictions:
             raise InputError("--predictions needs --out-predictions")
         filtered = apply_geo_mask(_read_grouped(args.predictions), mask)
-        fio.write_tile_predictions(args.out_predictions, flatten(filtered))
+        fio.write_tile_predictions(args.out_predictions, filtered.batch)
     return 0
 
 
@@ -161,7 +161,7 @@ def _cmd_reweight(args) -> int:
     region_map = fio.read_region_cluster_map(args.region_clusters)
     registry = fio.read_region_registry(args.registry)
     reweighted = apply_priors(grouped, priors, region_map, registry)
-    fio.write_tile_predictions(args.out, flatten(reweighted))
+    fio.write_tile_predictions(args.out, reweighted.batch)
     return 0
 
 
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-votes", type=int, default=2)
     p.add_argument("--max-labels", type=int, default=10)
     p.add_argument("--grid")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser("geofilter", help="build a species mask from observations")
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--priors-k", type=int)
     p.add_argument("--priors-epsilon", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=THREADS_HELP)
     p.add_argument("--keep-intermediates", action="store_true", default=None)
     p.set_defaults(func=_cmd_run)
 

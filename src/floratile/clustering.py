@@ -10,10 +10,11 @@ before renormalizing over the tile's support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .batch import entry_arrays, first, raise_first
 from .errors import InputError, InvariantViolation
 
 _CONVERGENCE_TOL = 1e-6
@@ -203,6 +204,37 @@ def estimate_priors(
     return ClusterPriors(priors=priors)
 
 
+def prior_sum_error(prior: np.ndarray) -> Optional[InvariantViolation]:
+    """The error for a prior row that does not sum to one, or None."""
+    total = float(prior.sum())
+    if abs(total - 1.0) > _PRIOR_SUM_TOL:
+        return InvariantViolation(f"prior sums to {total!r}; expected 1 +/- {_PRIOR_SUM_TOL}")
+    return None
+
+
+def reweight_entries(idx, prob, tile, n_tiles: int, priors: np.ndarray, cluster_of_tile: np.ndarray):
+    """Prior reweighting over flat entries grouped by ``tile``.
+
+    Each probability is multiplied by ``priors[cluster_of_tile[tile], idx]``
+    and renormalised over its tile. Returns ``(prob, failures)``: the
+    ``raise_first`` failures of an index outside the prior and of a tile
+    whose reweighted mass is zero, in the order the checks run per tile.
+    """
+    size = priors.shape[1]
+    outside = (idx < 0) | (idx >= size)
+    weighted = prob * priors[cluster_of_tile[tile], np.where(outside, 0, idx)]
+    total = np.bincount(tile, weights=weighted, minlength=n_tiles)
+    j = first(outside)
+    range_failure = (None, None)
+    if j is not None:
+        range_failure = (int(tile[j]), InputError(f"dense index {int(idx[j])} outside prior of size {size}"))
+    zero_failure = (
+        first(total <= 0.0), InvariantViolation("reweighted mass is zero; prior must be epsilon-smoothed")
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return weighted / total[tile], (range_failure, zero_failure)
+
+
 def reweight(tile_probs, prior: np.ndarray):
     """Multiply sparse tile probabilities by the prior and renormalize.
 
@@ -210,16 +242,13 @@ def reweight(tile_probs, prior: np.ndarray):
     prior guarantees a non-empty result.
     """
     prior = np.asarray(prior, dtype=np.float64)
-    if abs(float(prior.sum()) - 1.0) > _PRIOR_SUM_TOL:
-        raise InvariantViolation(f"prior sums to {float(prior.sum())!r}; expected 1 +/- {_PRIOR_SUM_TOL}")
+    error = prior_sum_error(prior)
+    if error is not None:
+        raise error
     if not tile_probs:
         return []
-    weighted = []
-    for idx, prob in tile_probs:
-        if not 0 <= idx < prior.shape[0]:
-            raise InputError(f"dense index {idx} outside prior of size {prior.shape[0]}")
-        weighted.append((int(idx), float(prob) * float(prior[idx])))
-    total = sum(wp for _, wp in weighted)
-    if total <= 0.0:
-        raise InvariantViolation("reweighted mass is zero; prior must be epsilon-smoothed")
-    return [(idx, wp / total) for idx, wp in weighted]
+    idx, prob = entry_arrays(tile_probs)
+    tile = np.zeros(idx.shape[0], dtype=np.int64)
+    out, failures = reweight_entries(idx, prob, tile, 1, prior[None, :], np.zeros(1, dtype=np.int64))
+    raise_first(*failures)
+    return list(zip(idx.tolist(), out.tolist()))

@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .batch import entry_arrays, first, raise_first
 from .catalog import SpeciesCatalog
 from .errors import InputError, InvariantViolation
 
@@ -173,23 +174,36 @@ def build_mask(
     return SpeciesMask(allowed=allowed, allowed_count=count)
 
 
+def mask_entries(idx, prob, tile, n_tiles: int, allowed: np.ndarray, renormalize: bool = True):
+    """The mask over flat entries grouped by ``tile``.
+
+    Returns ``(keep, prob, failure)``: which entries the mask allows, their
+    probabilities, renormalised over each tile's kept entries when asked,
+    and the ``raise_first`` failure of the first index outside the mask.
+    """
+    size = allowed.shape[0]
+    outside = (idx < 0) | (idx >= size)
+    j = first(outside)
+    failure = (None, None)
+    if j is not None:
+        failure = (int(tile[j]), InputError(f"dense index {int(idx[j])} outside mask of size {size}"))
+    keep = allowed[np.where(outside, 0, idx)] & ~outside
+    kept = prob[keep]
+    if renormalize:
+        total = np.bincount(tile[keep], weights=kept, minlength=n_tiles)[tile[keep]]
+        kept = np.divide(kept, total, out=kept.copy(), where=total > 0.0)
+    return keep, kept, failure
+
+
 def apply_mask(probs, mask: SpeciesMask, renormalize: bool = True):
     """Drop masked-out entries from a sparse vector, optionally renormalizing.
 
-    Returns an empty vector when nothing survives; the caller decides the
-    fallback (typically unmasked top-1).
+    Returns an empty vector when nothing survives. ``apply_geo_mask`` drops
+    such a tile, and rejects an image that loses every tile.
     """
-    size = mask.allowed.shape[0]
-    kept = []
-    for idx, prob in probs:
-        if not 0 <= idx < size:
-            raise InputError(f"dense index {idx} outside mask of size {size}")
-        if mask.allowed[idx]:
-            kept.append((int(idx), float(prob)))
-    if not kept:
-        return []
-    if renormalize:
-        total = sum(p for _, p in kept)
-        if total > 0.0:
-            kept = [(idx, p / total) for idx, p in kept]
-    return kept
+    idx, prob = entry_arrays(probs)
+    keep, kept, failure = mask_entries(
+        idx, prob, np.zeros(idx.shape[0], dtype=np.int64), 1, mask.allowed, renormalize
+    )
+    raise_first(failure)
+    return list(zip(idx[keep].tolist(), kept.tolist()))

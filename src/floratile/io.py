@@ -8,6 +8,7 @@ raise InputError with file and line diagnostics.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,13 +16,13 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .batch import ImageTiles, TileBatch, TilePrediction, as_batch, rejection
 from .catalog import RegionRegistry, SpeciesCatalog
 from .errors import InputError
 from .geo import GeoRegion, Observation, SpeciesMask
 from .metrics import GroundTruth, ScoreReport
 from .projection import EmbeddingMatrix, Projection
 from .clustering import ClusterPriors
-from .voting import TilePrediction
 
 
 def _open_read(path):
@@ -53,6 +54,9 @@ def csv_rows(path, header: Sequence[str]) -> Iterator[Tuple[int, List[str]]]:
             yield lineno, row
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def ndjson_records(path) -> Iterator[Tuple[int, object]]:
     """Yield the ``(lineno, record)`` pairs of the non-blank lines of an NDJSON file."""
     with _open_read(path) as fh:
@@ -61,9 +65,14 @@ def ndjson_records(path) -> Iterator[Tuple[int, object]]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+                record, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):  # json.loads words the error as it always has
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
             yield lineno, record
 
 
@@ -114,29 +123,63 @@ def read_transect_map(path) -> Dict[str, str]:
 
 # --- tile predictions (NDJSON) -----------------------------------------
 
-def read_tile_predictions(path) -> List[TilePrediction]:
-    preds: List[TilePrediction] = []
-    for lineno, rec in ndjson_records(path):
-        try:
-            preds.append(
-                TilePrediction(
-                    image_id=rec["image_id"],
-                    row=int(rec["row"]),
-                    col=int(rec["col"]),
-                    probs=[(int(i), float(p)) for i, p in rec["probs"]],
-                    complete=bool(rec.get("complete", False)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}:{lineno}: bad tile prediction record ({exc})") from None
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
-    if not preds:
+def read_tile_predictions(path) -> TileBatch:
+    """Read tile prediction records into one batch.
+
+    Every record is checked as ``TilePrediction`` checks it, by vectorised
+    tests over the whole file; the first bad record in file order is
+    reported with ``path:line``, ahead of any later unreadable line.
+    """
+    codes: dict = {}
+    image, rows, cols, completes, lines, counts, idxs, probs = [], [], [], [], [], [], [], []
+    add_idx, add_prob = idxs.append, probs.append
+    failure = None
+    collecting = gc.isenabled()
+    gc.disable()  # records leave no cycles; collector passes over the growing lists only cost time
+    try:
+        for lineno, rec in ndjson_records(path):
+            start = len(idxs)
+            try:
+                key, row, col = rec["image_id"], int(rec["row"]), int(rec["col"])
+                for i, p in rec["probs"]:
+                    add_idx(int(i))
+                    add_prob(float(p))
+                complete = bool(rec.get("complete", False))
+                image.append(codes.setdefault(key, len(codes)))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                del idxs[start:], probs[start:]
+                failure = InputError(f"{path}:{lineno}: bad tile prediction record ({exc})")
+                break
+            rows.append(row)
+            cols.append(col)
+            completes.append(complete)
+            lines.append(lineno)
+            counts.append(len(idxs) - start)
+    except InputError as exc:
+        failure = exc
+    finally:
+        if collecting:
+            gc.enable()
+    try:
+        batch = TileBatch.from_columns(list(codes), image, rows, cols, completes, lines, counts, idxs, probs)
+    except OverflowError:
+        raise InputError(f"{path}: an integer field does not fit in 64 bits") from None
+    bad = np.flatnonzero(batch.invalid_tiles())
+    if bad.size:
+        r = lines.index(int(batch.line[bad].min()))
+        start = sum(counts[:r])
+        entries = list(zip(idxs[start:start + counts[r]], probs[start:start + counts[r]]))
+        exc = rejection(list(codes)[image[r]], rows[r], cols[r], entries, completes[r])
+        raise InputError(f"{path}:{lines[r]}: {exc}")
+    if failure is not None:
+        raise failure
+    if not len(batch):
         raise InputError(f"{path}: no tile prediction records")
-    return preds
+    return batch
 
 
 def write_tile_predictions(path, preds: Iterable[TilePrediction]):
+    """Write one record per tile, in iteration order; ``preds`` may be a ``TileBatch``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for p in preds:
             rec = {
@@ -150,12 +193,10 @@ def write_tile_predictions(path, preds: Iterable[TilePrediction]):
             fh.write(json.dumps(rec) + "\n")
 
 
-def group_by_image(preds: Sequence[TilePrediction]) -> Dict[str, List[TilePrediction]]:
-    """Group tiles by image, preserving first-appearance order."""
-    grouped: Dict[str, List[TilePrediction]] = {}
-    for p in preds:
-        grouped.setdefault(p.image_id, []).append(p)
-    return grouped
+def group_by_image(preds) -> ImageTiles:
+    """Tiles by image id, images in first-appearance order; ``preds`` is a
+    ``TileBatch`` or a sequence of tiles."""
+    return ImageTiles(as_batch(preds))
 
 
 # --- observations ------------------------------------------------------

@@ -17,17 +17,25 @@ run seed, so a single-threaded run is bitwise reproducible.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .batch import ImageTiles, TilePrediction, as_batch, first, raise_first
 from .catalog import RegionRegistry, SpeciesCatalog, load_catalog, parse_region
-from .clustering import ClusterModel, ClusterPriors, dominant_cluster, estimate_priors, kmeans, reweight
-from .errors import InputError, InvariantViolation
-from .geo import DEFAULT_REFERENCE_POINT, SpeciesMask, apply_mask, build_mask, nearest_per_species
+from .clustering import (
+    ClusterModel,
+    ClusterPriors,
+    dominant_cluster,
+    estimate_priors,
+    kmeans,
+    prior_sum_error,
+    reweight_entries,
+)
+from .errors import InputError
+from .geo import DEFAULT_REFERENCE_POINT, SpeciesMask, build_mask, mask_entries, nearest_per_species
 from .io import (
     SubmissionRow,
     group_by_image,
@@ -50,7 +58,7 @@ from .io import (
 from .metrics import ScoreReport, final_score
 from .projection import EmbeddingMatrix, Projection, ProjectorConfig, fit
 from .tiling import GridSpec
-from .voting import TilePrediction, naive_baseline, select_labels, tally_votes
+from .voting import naive_baseline, rank_labels, tally_batch
 
 MODES = ("baseline", "no-tiling", "tiling")
 
@@ -152,23 +160,29 @@ class RunResult:
 
 # --- stage functions (shared by `run` and the per-stage CLI commands) ----
 
-def flatten(grouped: Mapping[str, Sequence[TilePrediction]]) -> List[TilePrediction]:
-    """The tiles of every image, in image order, as one stream."""
-    return [t for tiles in grouped.values() for t in tiles]
-
-
 def validate_grid(grouped: Mapping[str, Sequence[TilePrediction]], grid: GridSpec):
     """Every tile must sit inside the grid; no duplicate cells per image."""
-    for image_id, tiles in grouped.items():
-        seen = set()
-        for t in tiles:
-            if t.row >= grid.rows or t.col >= grid.cols:
-                raise InputError(
-                    f"tile ({t.row},{t.col}) of {image_id!r} outside {grid.rows}x{grid.cols} grid"
-                )
-            if (t.row, t.col) in seen:
-                raise InputError(f"duplicate tile ({t.row},{t.col}) for {image_id!r}")
-            seen.add((t.row, t.col))
+    batch = as_batch(grouped)
+
+    def where(t):
+        return int(batch.row[t]), int(batch.col[t]), batch.image_ids[batch.image[t]]
+
+    outside = first((batch.row >= grid.rows) | (batch.col >= grid.cols))
+    cells = np.lexsort((batch.col, batch.row, batch.image))  # stable: a repeat sorts after its first
+    keys = np.stack([batch.image, batch.row, batch.col])[:, cells]
+    repeated = np.zeros(len(batch), dtype=bool)
+    repeated[cells[1:]] = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
+    repeat = first(repeated)
+    outside_failure, repeat_failure = (None, None), (None, None)
+    if outside is not None:
+        row, col, image_id = where(outside)
+        outside_failure = (
+            outside, InputError(f"tile ({row},{col}) of {image_id!r} outside {grid.rows}x{grid.cols} grid")
+        )
+    if repeat is not None:
+        row, col, image_id = where(repeat)
+        repeat_failure = (repeat, InputError(f"duplicate tile ({row},{col}) for {image_id!r}"))
+    raise_first(outside_failure, repeat_failure)
 
 
 def image_probability_vectors(
@@ -180,20 +194,20 @@ def image_probability_vectors(
     not), so each tile is renormalized before entering the mean; the
     resulting rows sum to one exactly as the prior estimator requires.
     """
-    ids = list(grouped)
-    vectors = np.zeros((len(ids), n_species))
-    for r, image_id in enumerate(ids):
-        tiles = grouped[image_id]
-        for t in tiles:
-            total = sum(p for _, p in t.probs)
-            for idx, p in t.probs:
-                if idx >= n_species:
-                    raise InputError(
-                        f"species index {idx} in {image_id!r} exceeds catalog size {n_species}"
-                    )
-                vectors[r, idx] += p / total
-        vectors[r] /= len(tiles)
-    return ids, vectors
+    batch = as_batch(grouped)
+    j = first(batch.idx >= n_species)
+    if j is not None:
+        image_id = batch.image_ids[batch.image_of_entry[j]]
+        raise InputError(
+            f"species index {int(batch.idx[j])} in {image_id!r} exceeds catalog size {n_species}"
+        )
+    tile, n_images = batch.tile_of_entry, len(batch.image_ids)
+    total = np.bincount(tile, weights=batch.prob, minlength=len(batch))
+    cells = batch.image_of_entry * n_species + batch.idx
+    vectors = np.bincount(cells, weights=batch.prob / total[tile], minlength=n_images * n_species)
+    vectors = vectors.reshape(n_images, n_species)
+    vectors /= np.diff(batch.image_offsets)[:, None]
+    return list(batch.image_ids), vectors
 
 
 def compute_geo_mask(options: GeoOptions, catalog: SpeciesCatalog) -> SpeciesMask:
@@ -203,23 +217,21 @@ def compute_geo_mask(options: GeoOptions, catalog: SpeciesCatalog) -> SpeciesMas
     return build_mask(nearest, regions, catalog)
 
 
-def apply_geo_mask(
-    grouped: Dict[str, List[TilePrediction]], mask: SpeciesMask
-) -> Dict[str, List[TilePrediction]]:
-    """Filter every tile through the mask; tiles losing all species drop out."""
-    out: Dict[str, List[TilePrediction]] = {}
-    for image_id, tiles in grouped.items():
-        kept: List[TilePrediction] = []
-        for t in tiles:
-            filtered = apply_mask(t.probs, mask, renormalize=True)
-            if filtered:
-                kept.append(TilePrediction(t.image_id, t.row, t.col, filtered, complete=False))
-        if not kept:
-            raise InvariantViolation(
-                f"geolocation mask removed every species of every tile of {image_id!r}"
-            )
-        out[image_id] = kept
-    return out
+def apply_geo_mask(grouped: Mapping[str, Sequence[TilePrediction]], mask: SpeciesMask) -> ImageTiles:
+    """Filter every tile through the mask and renormalize; tiles losing all
+    species drop out, and an image losing every tile is an input error."""
+    batch = as_batch(grouped)
+    keep, prob, failure = mask_entries(batch.idx, batch.prob, batch.tile_of_entry, len(batch), mask.allowed)
+    emptied = first(np.bincount(batch.image_of_entry[keep], minlength=len(batch.image_ids)) == 0)
+    empty_failure = (None, None)
+    if emptied is not None:
+        image_id = batch.image_ids[emptied]
+        empty_failure = (
+            int(batch.image_offsets[emptied + 1]) - 1,
+            InputError(f"geolocation mask removed every species of every tile of {image_id!r}"),
+        )
+    raise_first(failure, empty_failure)
+    return ImageTiles(batch.derive(keep, prob))
 
 
 @dataclass
@@ -270,38 +282,35 @@ def estimate_cluster_priors(
 
 
 def apply_priors(
-    grouped: Dict[str, List[TilePrediction]],
+    grouped: Mapping[str, Sequence[TilePrediction]],
     priors: ClusterPriors,
     region_map: Mapping[str, int],
     registry: RegionRegistry,
-) -> Dict[str, List[TilePrediction]]:
+) -> ImageTiles:
     """Reweight every tile by the prior of its region's dominant cluster."""
-    out: Dict[str, List[TilePrediction]] = {}
-    for image_id, tiles in grouped.items():
-        region = parse_region(image_id, registry)
-        if region not in region_map:
-            raise InputError(f"region {region!r} has no dominant cluster in the map")
-        prior = priors.priors[region_map[region]]
-        out[image_id] = [
-            TilePrediction(t.image_id, t.row, t.col, reweight(t.probs, prior), complete=False)
-            for t in tiles
-        ]
-    return out
-
-
-def _aggregate_one(
-    image_id: str,
-    tiles: Sequence[TilePrediction],
-    catalog: SpeciesCatalog,
-    k: int,
-    min_votes: int,
-    max_labels: int,
-) -> SubmissionRow:
-    tally = tally_votes(tiles, k)
-    labels = select_labels(tally, min_votes=min_votes, max_labels=max_labels)
-    return SubmissionRow(
-        quadrat_id=image_id, species_ids=tuple(catalog.species_id(i) for i in labels)
+    batch = as_batch(grouped)
+    clusters: List[int] = []
+    region_failure = (None, None)
+    for i, image_id in enumerate(batch.image_ids):
+        try:
+            region = parse_region(image_id, registry)
+            if region not in region_map:
+                raise InputError(f"region {region!r} has no dominant cluster in the map")
+        except InputError as exc:
+            region_failure = (int(batch.image_offsets[i]), exc)
+            break
+        clusters.append(region_map[region])
+    # images after a region failure never reach the output; any row stands in
+    clusters += [0] * (len(batch.image_ids) - len(clusters))
+    cluster_of_tile = np.asarray(clusters, dtype=np.int64)[batch.image]
+    row_errors = [prior_sum_error(row) for row in priors.priors]
+    bad_row = first(np.array([e is not None for e in row_errors])[cluster_of_tile])
+    row_failure = (None, None) if bad_row is None else (bad_row, row_errors[cluster_of_tile[bad_row]])
+    prob, failures = reweight_entries(
+        batch.idx, batch.prob, batch.tile_of_entry, len(batch), priors.priors, cluster_of_tile
     )
+    raise_first(region_failure, row_failure, *failures, batch.prob_failure(prob))
+    return ImageTiles(batch.derive(None, prob))
 
 
 def aggregate_predictions(
@@ -314,21 +323,32 @@ def aggregate_predictions(
 ) -> List[SubmissionRow]:
     """One submission row per image, sorted by quadrat id.
 
-    Aggregation is pure per image, so the thread count cannot change the
-    result; it only changes wall time on large runs.
+    ``threads`` is accepted for compatibility and has no effect: the vote
+    runs as array operations over the whole batch.
     """
-    ids = sorted(grouped)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(
-                    lambda i: _aggregate_one(i, grouped[i], catalog, k, min_votes, max_labels),
-                    ids,
-                )
-            )
-    else:
-        rows = [_aggregate_one(i, grouped[i], catalog, k, min_votes, max_labels) for i in ids]
-    return rows
+    batch = as_batch(grouped)
+    if not batch.image_ids:
+        return []
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    if min_votes < 1 or max_labels < 1:
+        raise InputError("min_votes and max_labels must be >= 1")
+    image, idx, votes, mass, _ = tally_batch(batch, k)
+    chosen = rank_labels(image, idx, votes, mass, min_votes, max_labels)
+    image, idx = image[chosen], idx[chosen]
+    order = sorted(range(len(batch.image_ids)), key=batch.image_ids.__getitem__)
+    outside = np.flatnonzero(idx >= len(catalog))
+    if outside.size:
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order))
+        catalog.species_id(int(idx[outside[np.argmin(position[image[outside]])]]))
+    species_ids = catalog.species_ids
+    labels = [species_ids[i] for i in idx.tolist()]
+    bounds = np.searchsorted(image, np.arange(len(batch.image_ids) + 1)).tolist()
+    return [
+        SubmissionRow(quadrat_id=batch.image_ids[i], species_ids=tuple(labels[bounds[i]:bounds[i + 1]]))
+        for i in order
+    ]
 
 
 def score_submission(
@@ -350,12 +370,10 @@ def run(config: RunConfig) -> RunResult:
     if config.mode == "baseline":
         counts = read_training_counts(config.training_counts_path)
         labels = naive_baseline(counts, config.baseline_k)
-        preds = read_tile_predictions(config.predictions_path)
-        quadrats = sorted(group_by_image(preds))
+        quadrats = sorted(read_tile_predictions(config.predictions_path).image_ids)
         rows = [SubmissionRow(quadrat_id=q, species_ids=tuple(labels)) for q in quadrats]
     else:
-        preds = read_tile_predictions(config.predictions_path)
-        grouped = group_by_image(preds)
+        grouped = group_by_image(read_tile_predictions(config.predictions_path))
         validate_grid(grouped, config.grid)
 
         if config.geo.enabled:
@@ -364,7 +382,7 @@ def run(config: RunConfig) -> RunResult:
                 write_species_mask(out_dir / "mask.csv", mask, catalog)
             grouped = apply_geo_mask(grouped, mask)
             if config.keep_intermediates:
-                write_tile_predictions(out_dir / "masked_predictions.ndjson", flatten(grouped))
+                write_tile_predictions(out_dir / "masked_predictions.ndjson", grouped.batch)
 
         if config.priors.enabled:
             registry = read_region_registry(config.registry_path)
@@ -383,7 +401,7 @@ def run(config: RunConfig) -> RunResult:
                 write_priors(out_dir / "priors.ndjson", artifacts.priors)
             grouped = apply_priors(grouped, artifacts.priors, artifacts.region_map, registry)
             if config.keep_intermediates:
-                write_tile_predictions(out_dir / "reweighted_predictions.ndjson", flatten(grouped))
+                write_tile_predictions(out_dir / "reweighted_predictions.ndjson", grouped.batch)
 
         rows = aggregate_predictions(
             grouped,

@@ -225,11 +225,12 @@ def build_pairs(data: np.ndarray, cfg: ProjectorConfig, rng: np.random.Generator
     return PairSets(near=pairs(near_idx), mid_near=pairs(mid), further=pairs(far))
 
 
-def loss_and_grad(Y: np.ndarray, pairs: PairSets, w: Tuple[float, float, float]):
-    """Loss and analytic gradient of the three-term pairwise objective.
+def _objective(Y: np.ndarray, pairs: PairSets, w: Tuple[float, float, float], with_loss: bool):
+    """Gradient of the three-term pairwise objective, and its loss when asked.
 
     One gather over all active pairs, per-term coefficients on contiguous
-    segments, and one bincount scatter per endpoint and axis.
+    segments, and one bincount scatter per endpoint and axis. The loss sums
+    do not feed the gradient, so skipping them leaves it bit-identical.
     """
     Y = np.asarray(Y, dtype=np.float64)
     n = Y.shape[0]
@@ -253,16 +254,23 @@ def loss_and_grad(Y: np.ndarray, pairs: PairSets, w: Tuple[float, float, float])
         hi = lo + p.shape[0]
         seg = dt[lo:hi]
         if denom is None:
-            loss += float(weight * (1.0 / (1.0 + seg)).sum())
+            if with_loss:
+                loss += float(weight * (1.0 / (1.0 + seg)).sum())
             coef[lo:hi] = -weight * 2.0 / (1.0 + seg) ** 2
         else:
-            loss += float(weight * (seg / (denom + seg)).sum())
+            if with_loss:
+                loss += float(weight * (seg / (denom + seg)).sum())
             coef[lo:hi] = weight * 2.0 * denom / (denom + seg) ** 2
         lo = hi
     for axis, diff in enumerate((dx, dy)):
         contrib = coef * diff
         grad[:, axis] = np.bincount(I, contrib, minlength=n) - np.bincount(J, contrib, minlength=n)
     return loss, grad
+
+
+def loss_and_grad(Y: np.ndarray, pairs: PairSets, w: Tuple[float, float, float]):
+    """Loss and analytic gradient of the three-term pairwise objective."""
+    return _objective(Y, pairs, w, with_loss=True)
 
 
 def phase_weights(t: int, cfg: ProjectorConfig) -> Tuple[float, float, float]:
@@ -304,7 +312,7 @@ def fit(X: EmbeddingMatrix, cfg: ProjectorConfig = ProjectorConfig()) -> Project
     total = sum(cfg.phase_iters)
     for t in range(total):
         w = phase_weights(t, cfg)
-        _, grad = loss_and_grad(Y, pairs, w)
+        _, grad = _objective(Y, pairs, w, with_loss=False)
         m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
         v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad * grad
         m_hat = m / (1.0 - _ADAM_BETA1 ** (t + 1))

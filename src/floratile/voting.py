@@ -2,70 +2,19 @@
 
 Each tile contributes its top-K species as votes; species are ranked by
 (vote count, summed probability, dense index) and filtered by a minimum
-vote count. The naive frequency baseline lives here too.
+vote count. The kernels work on a whole ``TileBatch`` at once; the
+per-image helpers wrap them. The naive frequency baseline lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
+import numpy as np
+
+from .batch import SparseVector, TileBatch, TilePrediction
 from .errors import InputError, InvariantViolation
-
-SparseVector = List[Tuple[int, float]]
-
-_MASS_TOL = 1e-6
-
-
-def _normalize_entries(entries) -> SparseVector:
-    out = []
-    for item in entries:
-        idx, prob = item
-        out.append((int(idx), float(prob)))
-    return out
-
-
-@dataclass
-class TilePrediction:
-    """Sparse class-probability vector for one tile of one image.
-
-    ``probs`` is kept sorted by descending probability (ties by lower dense
-    index). A record flagged ``complete`` carries a full distribution and
-    must sum to one.
-    """
-
-    image_id: str
-    row: int
-    col: int
-    probs: SparseVector
-    complete: bool = False
-
-    def __post_init__(self):
-        if not self.image_id:
-            raise InputError("tile prediction must carry a non-empty image_id")
-        if self.row < 0 or self.col < 0:
-            raise InputError(f"tile ({self.row}, {self.col}) of {self.image_id!r}: negative grid coordinates")
-        entries = _normalize_entries(self.probs)
-        if not entries:
-            raise InputError(f"tile of {self.image_id!r} carries no probability entries")
-        seen = set()
-        for idx, prob in entries:
-            if idx < 0:
-                raise InputError(f"tile of {self.image_id!r}: negative dense index {idx}")
-            if idx in seen:
-                raise InputError(f"tile of {self.image_id!r}: duplicate dense index {idx}")
-            seen.add(idx)
-            if not 0.0 < prob <= 1.0:
-                raise InputError(f"tile of {self.image_id!r}: probability {prob} outside (0, 1]")
-        entries.sort(key=lambda e: (-e[1], e[0]))
-        mass = sum(p for _, p in entries)
-        if self.complete and abs(mass - 1.0) > _MASS_TOL:
-            raise InputError(
-                f"tile of {self.image_id!r} declared complete but probabilities sum to {mass!r}"
-            )
-        if mass > 1.0 + _MASS_TOL:
-            raise InputError(f"tile of {self.image_id!r}: probability mass {mass!r} exceeds 1")
-        self.probs = entries
 
 
 @dataclass
@@ -84,8 +33,47 @@ def top_k_of_tile(pred: TilePrediction, k: int) -> SparseVector:
     """The k highest-probability entries of a tile; ties favor lower index."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    ordered = sorted(pred.probs, key=lambda e: (-e[1], e[0]))
-    return ordered[:k]
+    return pred.probs[:k]
+
+
+def tally_batch(batch: TileBatch, k: int):
+    """Votes and mass per (image, species) over every tile's top-k entries.
+
+    Returns ``(image, idx, votes, mass, key)``: one row per key sorted by
+    (image, idx), and ``key``, the row of each voting entry in batch order.
+    Mass is summed in batch order, tile by tile, as ``tally_votes`` did.
+    """
+    voted = batch.rank < k
+    image, idx = batch.image_of_entry[voted], batch.idx[voted]
+    order = np.lexsort((idx, image))
+    image, idx = image[order], idx[order]
+    new = np.ones(order.shape[0], dtype=bool)
+    new[1:] = (image[1:] != image[:-1]) | (idx[1:] != idx[:-1])
+    key = np.empty_like(order)
+    key[order] = np.cumsum(new) - 1
+    votes = np.bincount(key)
+    mass = np.bincount(key, weights=batch.prob[voted])
+    return image[new], idx[new], votes, mass, key
+
+
+def rank_labels(image, idx, votes, mass, min_votes: int, max_labels: int):
+    """Pick each image's labels from tallied keys sorted by image.
+
+    Keys rank by (votes desc, mass desc, index asc); an image keeps its keys
+    with at least ``min_votes`` votes, at most ``max_labels`` of them, or
+    else its single best key. Returns the chosen key rows, grouped by image
+    in rank order.
+    """
+    order = np.lexsort((idx, -mass, -votes, image))
+    kept = votes[order] >= min_votes
+    starts = np.flatnonzero(np.r_[True, image[order][1:] != image[order][:-1]])
+    before = np.cumsum(kept) - kept  # kept keys ranked ahead, over all images
+    first_kept = before[starts]
+    within = before - np.repeat(first_kept, np.diff(np.append(starts, order.shape[0])))
+    chosen = kept & (within < max_labels)
+    none_kept = np.diff(np.append(first_kept, np.count_nonzero(kept))) == 0
+    chosen[starts[none_kept]] = True
+    return order[chosen]
 
 
 def tally_votes(preds: Sequence[TilePrediction], k: int) -> VoteTally:
@@ -95,16 +83,12 @@ def tally_votes(preds: Sequence[TilePrediction], k: int) -> VoteTally:
     image_ids = {p.image_id for p in preds}
     if len(image_ids) != 1:
         raise InvariantViolation(f"tally_votes got tiles from multiple images: {sorted(image_ids)}")
-    tally = VoteTally(n_tiles=len(preds))
-    for pred in preds:
-        for idx, prob in top_k_of_tile(pred, k):
-            tally.votes[idx] = tally.votes.get(idx, 0) + 1
-            tally.mass[idx] = tally.mass.get(idx, 0.0) + prob
-    return tally
-
-
-def _rank_key(tally: VoteTally):
-    return lambda idx: (-tally.votes[idx], -tally.mass[idx], idx)
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    _, idx, votes, mass, key = tally_batch(TileBatch.from_tiles(preds), k)
+    first_seen = np.argsort(np.unique(key, return_index=True)[1])
+    idx, votes, mass = idx[first_seen].tolist(), votes[first_seen].tolist(), mass[first_seen].tolist()
+    return VoteTally(votes=dict(zip(idx, votes)), mass=dict(zip(idx, mass)), n_tiles=len(preds))
 
 
 def select_labels(tally: VoteTally, min_votes: int = 2, max_labels: int = 10) -> List[int]:
@@ -118,11 +102,11 @@ def select_labels(tally: VoteTally, min_votes: int = 2, max_labels: int = 10) ->
         raise InputError("min_votes and max_labels must be >= 1")
     if not tally.votes:
         raise InvariantViolation("select_labels needs a non-empty tally")
-    ranked = sorted(tally.votes, key=_rank_key(tally))
-    kept = [idx for idx in ranked if tally.votes[idx] >= min_votes]
-    if not kept:
-        return [ranked[0]]
-    return kept[:max_labels]
+    idx = np.array(list(tally.votes), dtype=np.int64)
+    votes = np.array([tally.votes[i] for i in tally.votes], dtype=np.int64)
+    mass = np.array([tally.mass[i] for i in tally.votes], dtype=np.float64)
+    chosen = rank_labels(np.zeros_like(idx), idx, votes, mass, min_votes, max_labels)
+    return idx[chosen].tolist()
 
 
 def naive_baseline(training_freq: Mapping[int, int], k: int) -> List[int]:

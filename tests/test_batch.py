@@ -1,0 +1,604 @@
+"""TileBatch against the per-tile list code it replaced.
+
+The ``_ref_*`` functions are the list-based reader, geolocation mask, prior
+reweighting, image vectors and vote aggregation as they stood before the
+batch, kept verbatim except where a comment says otherwise. The batch
+stages must match them exactly: float ``==``, row ``==``, written bytes
+``==``, and on bad input the same exception type and message.
+"""
+
+import json
+from typing import Dict, List, Mapping, Sequence
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from floratile import io as fio
+from floratile.batch import TileBatch, TilePrediction
+from floratile.catalog import RegionRegistry, SpeciesCatalog, parse_region
+from floratile.clustering import ClusterPriors, reweight
+from floratile.errors import InputError, InvariantViolation
+from floratile.geo import DEFAULT_REFERENCE_POINT, SpeciesMask, apply_mask, build_mask, nearest_per_species
+from floratile.io import SubmissionRow, group_by_image, read_tile_predictions, write_tile_predictions
+from floratile.pipeline import (
+    aggregate_predictions,
+    apply_geo_mask,
+    apply_priors,
+    image_probability_vectors,
+    validate_grid,
+)
+from floratile.synth import SynthSpec, generate, write_bundle
+from floratile.tiling import GridSpec
+from floratile.voting import VoteTally, select_labels, tally_votes
+
+
+# --- reference implementations (list-based) -------------------------------
+
+def _ref_ndjson_records(path):
+    with fio._open_read(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            yield lineno, record
+
+
+def _ref_read_tile_predictions(path) -> List[TilePrediction]:
+    preds: List[TilePrediction] = []
+    for lineno, rec in _ref_ndjson_records(path):
+        try:
+            preds.append(
+                TilePrediction(
+                    image_id=rec["image_id"],
+                    row=int(rec["row"]),
+                    col=int(rec["col"]),
+                    probs=[(int(i), float(p)) for i, p in rec["probs"]],
+                    complete=bool(rec.get("complete", False)),
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}:{lineno}: bad tile prediction record ({exc})") from None
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+    if not preds:
+        raise InputError(f"{path}: no tile prediction records")
+    return preds
+
+
+def _ref_group_by_image(preds: Sequence[TilePrediction]) -> Dict[str, List[TilePrediction]]:
+    grouped: Dict[str, List[TilePrediction]] = {}
+    for p in preds:
+        grouped.setdefault(p.image_id, []).append(p)
+    return grouped
+
+
+def _ref_flatten(grouped):
+    return [t for tiles in grouped.values() for t in tiles]
+
+
+def _ref_validate_grid(grouped: Mapping[str, Sequence[TilePrediction]], grid: GridSpec):
+    for image_id, tiles in grouped.items():
+        seen = set()
+        for t in tiles:
+            if t.row >= grid.rows or t.col >= grid.cols:
+                raise InputError(
+                    f"tile ({t.row},{t.col}) of {image_id!r} outside {grid.rows}x{grid.cols} grid"
+                )
+            if (t.row, t.col) in seen:
+                raise InputError(f"duplicate tile ({t.row},{t.col}) for {image_id!r}")
+            seen.add((t.row, t.col))
+
+
+def _ref_apply_mask(probs, mask: SpeciesMask, renormalize: bool = True):
+    size = mask.allowed.shape[0]
+    kept = []
+    for idx, prob in probs:
+        if not 0 <= idx < size:
+            raise InputError(f"dense index {idx} outside mask of size {size}")
+        if mask.allowed[idx]:
+            kept.append((int(idx), float(prob)))
+    if not kept:
+        return []
+    if renormalize:
+        total = sum(p for _, p in kept)
+        if total > 0.0:
+            kept = [(idx, p / total) for idx, p in kept]
+    return kept
+
+
+def _ref_apply_geo_mask(grouped, mask):
+    out: Dict[str, List[TilePrediction]] = {}
+    for image_id, tiles in grouped.items():
+        kept: List[TilePrediction] = []
+        for t in tiles:
+            filtered = _ref_apply_mask(t.probs, mask, renormalize=True)
+            if filtered:
+                kept.append(TilePrediction(t.image_id, t.row, t.col, filtered, complete=False))
+        if not kept:
+            # InvariantViolation before an all-masked image became an input error
+            raise InputError(
+                f"geolocation mask removed every species of every tile of {image_id!r}"
+            )
+        out[image_id] = kept
+    return out
+
+
+def _ref_reweight(tile_probs, prior: np.ndarray):
+    prior = np.asarray(prior, dtype=np.float64)
+    if abs(float(prior.sum()) - 1.0) > 1e-9:
+        raise InvariantViolation(f"prior sums to {float(prior.sum())!r}; expected 1 +/- {1e-9}")
+    if not tile_probs:
+        return []
+    weighted = []
+    for idx, prob in tile_probs:
+        if not 0 <= idx < prior.shape[0]:
+            raise InputError(f"dense index {idx} outside prior of size {prior.shape[0]}")
+        weighted.append((int(idx), float(prob) * float(prior[idx])))
+    total = sum(wp for _, wp in weighted)
+    if total <= 0.0:
+        raise InvariantViolation("reweighted mass is zero; prior must be epsilon-smoothed")
+    return [(idx, wp / total) for idx, wp in weighted]
+
+
+def _ref_apply_priors(grouped, priors, region_map, registry):
+    out: Dict[str, List[TilePrediction]] = {}
+    for image_id, tiles in grouped.items():
+        region = parse_region(image_id, registry)
+        if region not in region_map:
+            raise InputError(f"region {region!r} has no dominant cluster in the map")
+        prior = priors.priors[region_map[region]]
+        out[image_id] = [
+            TilePrediction(t.image_id, t.row, t.col, _ref_reweight(t.probs, prior), complete=False)
+            for t in tiles
+        ]
+    return out
+
+
+def _ref_image_probability_vectors(grouped, n_species):
+    ids = list(grouped)
+    vectors = np.zeros((len(ids), n_species))
+    for r, image_id in enumerate(ids):
+        tiles = grouped[image_id]
+        for t in tiles:
+            total = sum(p for _, p in t.probs)
+            for idx, p in t.probs:
+                if idx >= n_species:
+                    raise InputError(
+                        f"species index {idx} in {image_id!r} exceeds catalog size {n_species}"
+                    )
+                vectors[r, idx] += p / total
+        vectors[r] /= len(tiles)
+    return ids, vectors
+
+
+def _ref_top_k_of_tile(pred, k):
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    ordered = sorted(pred.probs, key=lambda e: (-e[1], e[0]))
+    return ordered[:k]
+
+
+def _ref_tally_votes(preds, k):
+    if not preds:
+        raise InvariantViolation("tally_votes needs at least one tile")
+    image_ids = {p.image_id for p in preds}
+    if len(image_ids) != 1:
+        raise InvariantViolation(f"tally_votes got tiles from multiple images: {sorted(image_ids)}")
+    tally = VoteTally(n_tiles=len(preds))
+    for pred in preds:
+        for idx, prob in _ref_top_k_of_tile(pred, k):
+            tally.votes[idx] = tally.votes.get(idx, 0) + 1
+            tally.mass[idx] = tally.mass.get(idx, 0.0) + prob
+    return tally
+
+
+def _ref_select_labels(tally, min_votes=2, max_labels=10):
+    if min_votes < 1 or max_labels < 1:
+        raise InputError("min_votes and max_labels must be >= 1")
+    if not tally.votes:
+        raise InvariantViolation("select_labels needs a non-empty tally")
+    ranked = sorted(tally.votes, key=lambda idx: (-tally.votes[idx], -tally.mass[idx], idx))
+    kept = [idx for idx in ranked if tally.votes[idx] >= min_votes]
+    if not kept:
+        return [ranked[0]]
+    return kept[:max_labels]
+
+
+def _ref_aggregate_predictions(grouped, catalog, k, min_votes, max_labels):
+    # the thread-pool branch is left out: results never depended on it
+    rows = []
+    for image_id in sorted(grouped):
+        tally = _ref_tally_votes(grouped[image_id], k)
+        labels = _ref_select_labels(tally, min_votes=min_votes, max_labels=max_labels)
+        rows.append(
+            SubmissionRow(quadrat_id=image_id, species_ids=tuple(catalog.species_id(i) for i in labels))
+        )
+    return rows
+
+
+# --- comparison helpers ------------------------------------------------------
+
+def _outcome(fn, *args, **kwargs):
+    """``("ok", value)`` or ``("error", type name, message)``."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except (InputError, InvariantViolation) as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def _tiles(grouped):
+    return [(key, t.image_id, t.row, t.col, t.probs, t.complete)
+            for key, tiles in grouped.items() for t in tiles]
+
+
+def _assert_same_tiles(new, ref):
+    assert new[0] == ref[0], (new, ref)
+    if new[0] == "ok":
+        assert list(new[1]) == list(ref[1])
+        assert _tiles(new[1]) == _tiles(ref[1])
+    else:
+        assert new == ref
+
+
+def _bytes(tmp_path, name, tiles):
+    path = tmp_path / name
+    write_tile_predictions(path, tiles)
+    return path.read_bytes()
+
+
+def _catalog(n):
+    return SpeciesCatalog([100 + 3 * i for i in range(n)])
+
+
+# --- differential tests on synthetic bundles ----------------------------------
+
+SPECS = {noise: SynthSpec(n_images=30, grid_rows=3, grid_cols=3, n_species=40, n_clusters=2, noise=noise)
+         for noise in (0.0, 0.5, 1.0)}
+
+
+@pytest.fixture(scope="module", params=sorted(SPECS), ids=lambda noise: f"noise{noise}")
+def synth_bundle(request, tmp_path_factory):
+    bundle = generate(SPECS[request.param], seed=int(request.param * 10) + 3)
+    return bundle, write_bundle(bundle, tmp_path_factory.mktemp("batch"))
+
+
+def _priors_for(bundle, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.full(len(bundle.catalog), 0.3), size=2) + 1e-6
+    priors = ClusterPriors(rows / rows.sum(axis=1, keepdims=True))
+    return priors, {region: i % 2 for i, region in enumerate(bundle.registry)}
+
+
+@pytest.mark.parametrize("predictions,grid,k,min_votes,max_labels", [
+    ("tile_predictions.ndjson", GridSpec(3, 3), 9, 2, 10),
+    ("image_predictions.ndjson", GridSpec(1, 1), 20, 1, 20),
+])
+def test_stage_chain_matches_list_reference(
+    synth_bundle, tmp_path, predictions, grid, k, min_votes, max_labels
+):
+    bundle, directory = synth_bundle
+    path = directory / predictions
+    batch = read_tile_predictions(path)
+    ref_preds = _ref_read_tile_predictions(path)
+    assert len(batch) == len(ref_preds)
+    ref = _ref_group_by_image(ref_preds)
+    grouped = group_by_image(batch)
+    assert _tiles(grouped) == _tiles(ref)
+    validate_grid(grouped, grid)
+    _ref_validate_grid(ref, grid)
+
+    geo_mask = build_mask(
+        nearest_per_species(bundle.observations, DEFAULT_REFERENCE_POINT), bundle.geo_regions, bundle.catalog
+    )
+    masked, ref_masked = apply_geo_mask(grouped, geo_mask), _ref_apply_geo_mask(ref, geo_mask)
+    assert _tiles(masked) == _tiles(ref_masked)
+    assert _bytes(tmp_path, "a", masked.batch) == _bytes(tmp_path, "b", _ref_flatten(ref_masked))
+
+    priors, region_map = _priors_for(bundle, seed=len(batch))
+    weighted = apply_priors(masked, priors, region_map, bundle.registry)
+    ref_weighted = _ref_apply_priors(ref_masked, priors, region_map, bundle.registry)
+    assert _tiles(weighted) == _tiles(ref_weighted)
+    assert _bytes(tmp_path, "c", weighted.batch) == _bytes(tmp_path, "d", _ref_flatten(ref_weighted))
+
+    for stage, ref_stage in ((grouped, ref), (masked, ref_masked), (weighted, ref_weighted)):
+        ids, vectors = image_probability_vectors(stage, len(bundle.catalog))
+        ref_ids, ref_vectors = _ref_image_probability_vectors(ref_stage, len(bundle.catalog))
+        assert ids == ref_ids
+        assert np.array_equal(vectors, ref_vectors)
+        rows = aggregate_predictions(stage, bundle.catalog, k, min_votes, max_labels)
+        assert rows == _ref_aggregate_predictions(ref_stage, bundle.catalog, k, min_votes, max_labels)
+        for image_id in list(ref_stage)[:5]:
+            tally, ref_tally = tally_votes(stage[image_id], k), _ref_tally_votes(ref_stage[image_id], k)
+            assert list(tally.votes.items()) == list(ref_tally.votes.items())
+            assert list(tally.mass.items()) == list(ref_tally.mass.items())
+
+
+def _tp(image_id, col, probs, row=0):
+    return TilePrediction(image_id=image_id, row=row, col=col, probs=probs)
+
+
+def test_equal_probabilities_within_a_tile():
+    grouped = {"a": [_tp("a", 0, [(4, 0.25), (1, 0.25), (7, 0.25), (2, 0.25)]),
+                     _tp("a", 1, [(7, 0.25), (4, 0.25), (2, 0.25), (1, 0.25)])]}
+    catalog = _catalog(8)
+    for k in (1, 2, 3):
+        got = aggregate_predictions(grouped, catalog, k, 1, 3)
+        assert got == _ref_aggregate_predictions(grouped, catalog, k, 1, 3)
+    assert aggregate_predictions(grouped, catalog, 1, 1, 3)[0].species_ids == (103,)
+
+
+def test_equal_votes_and_mass_across_species():
+    grouped = {"b": [_tp("b", c, [(6, 0.4), (3, 0.4), (5, 0.2)]) for c in range(3)]}
+    catalog = _catalog(8)
+    for min_votes, max_labels in ((1, 1), (1, 3), (4, 2)):
+        got = aggregate_predictions(grouped, catalog, 2, min_votes, max_labels)
+        assert got == _ref_aggregate_predictions(grouped, catalog, 2, min_votes, max_labels)
+    assert aggregate_predictions(grouped, catalog, 2, 1, 3)[0].species_ids == (109, 118)
+
+
+def test_probabilities_that_tie_only_after_renormalisation(tmp_path):
+    p1, p2, q = 0.2381040339713582, 0.23810403397135818, 0.040832664363250094
+    total = p1 + p2 + q
+    assert p1 > p2 and p1 / total == p2 / total  # distinct before, equal after dividing
+    grouped = {"c": [_tp("c", 0, [(5, p1), (2, p2), (8, q), (9, 0.1)]), _tp("c", 1, [(5, 0.6), (2, 0.3)])]}
+    mask = SpeciesMask(allowed=np.arange(10) != 9, allowed_count=9)
+    masked, ref_masked = apply_geo_mask(grouped, mask), _ref_apply_geo_mask(grouped, mask)
+    assert [i for i, _ in masked["c"][0].probs] == [2, 5, 8]  # the tie re-sorts by index
+    assert _tiles(masked) == _tiles(ref_masked)
+    assert _bytes(tmp_path, "a", masked.batch) == _bytes(tmp_path, "b", _ref_flatten(ref_masked))
+    catalog = _catalog(10)
+    got = aggregate_predictions(masked, catalog, 1, 1, 3)
+    assert got == _ref_aggregate_predictions(ref_masked, catalog, 1, 1, 3)
+
+    # reweighting can tie entries too: 0.5 * 0.25 == 0.25 * 0.5
+    prior = np.full(10, 0.25 / 8)
+    prior[[3, 4]] = 0.25, 0.5
+    priors = ClusterPriors(prior[None, :] / prior.sum())
+    registry = RegionRegistry(regions=("c",))
+    tied = {"c": [_tp("c", 0, [(3, 0.5), (4, 0.25), (1, 0.25)])]}
+    weighted = apply_priors(tied, priors, {"c": 0}, registry)
+    assert _tiles(weighted) == _tiles(_ref_apply_priors(tied, priors, {"c": 0}, registry))
+    assert [i for i, _ in weighted["c"][0].probs] == [3, 4, 1]
+
+
+def test_wrappers_match_reference_on_one_tile():
+    probs = [(3, 0.5), (1, 0.3), (2, 0.2)]
+    mask = SpeciesMask(allowed=np.array([True, False, True, True]), allowed_count=3)
+    assert apply_mask(probs, mask) == _ref_apply_mask(probs, mask)
+    assert apply_mask(probs, mask, renormalize=False) == _ref_apply_mask(probs, mask, renormalize=False)
+    prior = np.array([0.1, 0.2, 0.3, 0.4])
+    assert reweight(probs, prior) == _ref_reweight(probs, prior)
+    tiles = [_tp("d", c, probs) for c in range(3)]
+    tally = tally_votes(tiles, 2)
+    ref_tally = _ref_tally_votes(tiles, 2)
+    assert (tally.votes, tally.mass) == (ref_tally.votes, ref_tally.mass)
+    assert select_labels(tally, 2, 1) == _ref_select_labels(ref_tally, 2, 1)
+
+
+def test_stage_errors_follow_the_per_tile_order():
+    priors = ClusterPriors(np.array([[0.0, 0.5, 0.5]]))
+    registry = RegionRegistry(regions=("img",))
+    cases = [
+        # an index outside the prior and a zero mass in one tile: the index check ran first
+        {"img0": [_tp("img0", 0, [(0, 0.5), (5, 0.5)])]},
+        # a zero-mass tile ahead of an image with no region
+        {"img0": [_tp("img0", 0, [(0, 0.5)])], "zz1": [_tp("zz1", 0, [(1, 0.5)])]},
+        # an image with no region ahead of a zero-mass tile
+        {"zz1": [_tp("zz1", 0, [(1, 0.5)])], "img0": [_tp("img0", 0, [(0, 0.5)])]},
+    ]
+    for grouped in cases:
+        got = _outcome(apply_priors, grouped, priors, {"img": 0}, registry)
+        assert got[0] == "error"
+        assert got == _outcome(_ref_apply_priors, grouped, priors, {"img": 0}, registry)
+    mask = SpeciesMask(allowed=np.array([True, False]), allowed_count=1)
+    for grouped in ({"a": [_tp("a", 0, [(1, 0.5)])], "b": [_tp("b", 0, [(4, 0.5)])]},
+                    {"a": [_tp("a", 0, [(1, 0.5)]), _tp("a", 1, [(4, 0.5)])]}):
+        got = _outcome(apply_geo_mask, grouped, mask)
+        assert got[0] == "error"
+        assert got == _outcome(_ref_apply_geo_mask, grouped, mask)
+
+
+def test_group_by_image_keeps_tiles_of_interleaved_images_in_order():
+    tiles = [_tp("b", 0, [(1, 0.5)]), _tp("a", 0, [(2, 0.5)]),
+             _tp("b", 1, [(3, 0.5)]), _tp("a", 1, [(1, 0.5)])]
+    batch = TileBatch.from_tiles(tiles)
+    assert batch.image_ids == ["b", "a"]
+    assert [(t.image_id, t.col) for t in batch] == [("b", 0), ("b", 1), ("a", 0), ("a", 1)]
+    assert _tiles(group_by_image(tiles)) == _tiles(_ref_group_by_image(tiles))
+
+
+# --- hypothesis properties -------------------------------------------------------
+
+N_SPECIES = 8
+
+
+@st.composite
+def tile_lists(draw, prefixes=("img",)):
+    """Tiles of a few images, interleaved, with coarse (tie-prone) or fine probabilities."""
+    tiles = []
+    for i in range(draw(st.integers(1, 4))):
+        image_id = f"{draw(st.sampled_from(prefixes))}{i}"
+        for t in range(draw(st.integers(1, 4))):
+            support = draw(st.integers(1, N_SPECIES))
+            idxs = draw(st.permutations(range(N_SPECIES)))[:support]
+            if draw(st.booleans()):
+                quarters = draw(st.lists(st.integers(1, 4), min_size=support, max_size=support))
+                probs = [q / (4.0 * support) for q in quarters]
+            else:
+                raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=support, max_size=support))
+                scale = draw(st.floats(0.05, 1.0)) / sum(raw)
+                probs = [min(r * scale, 1.0) for r in raw]
+            tiles.append(TilePrediction(image_id, t // 2, t % 2, list(zip(idxs, probs))))
+    return draw(st.permutations(tiles))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiles=tile_lists(), data=st.data())
+def test_geo_mask_matches_reference_property(tiles, data):
+    size = data.draw(st.integers(1, N_SPECIES), label="mask size")
+    allowed = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size), label="allowed"))
+    allowed[data.draw(st.integers(0, size - 1), label="one allowed")] = True
+    mask = SpeciesMask(allowed=allowed, allowed_count=int(allowed.sum()))
+    _assert_same_tiles(_outcome(apply_geo_mask, group_by_image(tiles), mask),
+                       _outcome(_ref_apply_geo_mask, _ref_group_by_image(tiles), mask))
+    for t in tiles[:3]:
+        assert _outcome(apply_mask, t.probs, mask) == _outcome(_ref_apply_mask, t.probs, mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiles=tile_lists(prefixes=("img", "imgx", "zz")), data=st.data())
+def test_reweight_matches_reference_property(tiles, data):
+    k = data.draw(st.integers(1, 3), label="k")
+    size = data.draw(st.integers(N_SPECIES - 1, N_SPECIES), label="prior size")
+    rows = np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, 1e-6, 0.1, 0.5, 1.0, 3.0]),
+                                                  min_size=size, max_size=size), min_size=k, max_size=k)))
+    rows[:, 0] += 1e-3  # keep every row's mass positive
+    priors = ClusterPriors(rows / rows.sum(axis=1, keepdims=True))
+    registry = RegionRegistry(regions=("img", "imgx"))
+    regions = data.draw(st.lists(st.sampled_from(["img", "imgx"]), unique=True), label="mapped")
+    region_map = {r: data.draw(st.integers(0, k - 1)) for r in regions}
+    _assert_same_tiles(_outcome(apply_priors, group_by_image(tiles), priors, region_map, registry),
+                       _outcome(_ref_apply_priors, _ref_group_by_image(tiles), priors, region_map, registry))
+    for t in tiles[:3]:
+        prior = priors.priors[0]
+        assert _outcome(reweight, t.probs, prior) == _outcome(_ref_reweight, t.probs, prior)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiles=tile_lists(), data=st.data())
+def test_vote_matches_reference_property(tiles, data):
+    k = data.draw(st.integers(0, 5), label="k")
+    min_votes = data.draw(st.integers(0, 3), label="min_votes")
+    max_labels = data.draw(st.integers(1, 5), label="max_labels")
+    catalog = _catalog(data.draw(st.integers(N_SPECIES - 2, N_SPECIES), label="catalog size"))
+    grouped, ref = group_by_image(tiles), _ref_group_by_image(tiles)
+    assert _outcome(aggregate_predictions, grouped, catalog, k, min_votes, max_labels) == \
+        _outcome(_ref_aggregate_predictions, ref, catalog, k, min_votes, max_labels)
+    assert _outcome(image_probability_vectors, grouped, N_SPECIES)[0] == "ok"
+    ids, vectors = image_probability_vectors(grouped, N_SPECIES)
+    ref_ids, ref_vectors = _ref_image_probability_vectors(ref, N_SPECIES)
+    assert ids == ref_ids and np.array_equal(vectors, ref_vectors)
+    if k >= 1:
+        for image_id in ref:
+            tally, ref_tally = tally_votes(grouped[image_id], k), _ref_tally_votes(ref[image_id], k)
+            assert list(tally.votes.items()) == list(ref_tally.votes.items())
+            assert list(tally.mass.items()) == list(ref_tally.mass.items())
+
+
+def _often(good, bad):
+    """Mostly ``good``, sometimes one of the ``bad`` values (an inner value, as
+    hypothesis favours the ends of a range)."""
+    return st.integers(0, 15).flatmap(lambda r: st.sampled_from(bad) if r == 7 else good)
+
+
+_INDEX = _often(st.integers(0, 5), [-1, 1.5, "3", "x", None, True, [1], float("inf"), 2])
+_PROB = _often(st.sampled_from([0.125, 0.25, 0.5, 1.0, 0.1]),
+               [0.0, 1.5, -0.25, "0.5", "p", None, float("nan"), 1])
+_ENTRY = _often(st.tuples(_INDEX, _PROB).map(list), [[1], [1, 0.5, 2], 7, "ab", {"1": 0.5}])
+_RECORD = st.fixed_dictionaries(
+    {
+        "image_id": _often(st.sampled_from(["a", "b", "c"]), ["", 0, 5]),
+        "row": _often(st.integers(0, 2), [-1, "1", 1.7, None, "r"]),
+        "col": _often(st.integers(0, 2), [-1, 2.0, "c"]),
+        "probs": st.lists(_ENTRY, max_size=4),
+    },
+    optional={"complete": st.sampled_from([True, False, "yes", 0])},
+)
+_LINE = _often(
+    st.tuples(_RECORD, _often(st.just(()), [("image_id",), ("row",), ("col",), ("probs",)])).map(
+        lambda rd: json.dumps({key: v for key, v in rd[0].items() if key not in rd[1]})
+    ),
+    ["{broken", "", "   ", "[1, 2]", "7", '"text"', "{} {}", "\ufeff{}", "null"],
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_LINE, min_size=0, max_size=6))
+def test_batch_reader_rejects_exactly_what_tile_prediction_rejects(tmp_path, lines):
+    path = tmp_path / "preds.ndjson"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    try:
+        ref = ("ok", _ref_group_by_image(_ref_read_tile_predictions(path)))
+    except (InputError, InvariantViolation) as exc:
+        ref = ("error", type(exc).__name__, str(exc))
+    except OverflowError as exc:
+        # int(inf) used to escape as a crash; the reader reports it as a bad record
+        ref = ("error", "InputError", str(exc))
+    new = _outcome(read_tile_predictions, path)
+    if ref[0] == "ok":
+        assert new[0] == "ok", new
+        assert [(t.image_id, t.row, t.col, t.probs, t.complete) for t in new[1]] == \
+            [(t.image_id, t.row, t.col, t.probs, t.complete) for t in _ref_flatten(ref[1])]
+    elif ref[2].startswith("cannot convert float infinity"):
+        assert new[:2] == ref[:2] and new[2].endswith(f"bad tile prediction record ({ref[2]})"), new
+    else:
+        assert new == ref
+
+
+def test_reader_reports_first_bad_record_before_later_invalid_json(tmp_path):
+    good = {"image_id": "a", "row": 0, "col": 0, "probs": [[1, 0.5]]}
+    lines = [
+        json.dumps(good),
+        json.dumps(dict(good, col=1, probs=[[2, 0.7], [3, 0.7]])),  # mass 1.4
+        json.dumps(dict(good, col=2, probs=[[4, 1.5]])),
+        "{broken",
+    ]
+    path = tmp_path / "preds.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match=r":2: tile of 'a': probability mass 1\.4 exceeds 1"):
+        read_tile_predictions(path)
+    path.write_text("\n".join([lines[0], lines[3], lines[1]]) + "\n")
+    with pytest.raises(InputError, match=r":2: invalid JSON"):
+        read_tile_predictions(path)
+    # the batch groups image a's tiles ahead of b's; the error still follows the file
+    later_image = json.dumps(dict(good, image_id="b", probs=[[5, 0.0]]))
+    path.write_text("\n".join([lines[0], later_image, lines[2]]) + "\n")
+    with pytest.raises(InputError, match=r":2: tile of 'b': probability 0.0 outside"):
+        read_tile_predictions(path)
+
+
+def test_validate_grid_matches_reference():
+    tiles = [_tp("a", 0, [(1, 0.5)]), _tp("b", 0, [(1, 0.5)]),
+             _tp("a", 0, [(2, 0.5)]), _tp("b", 5, [(1, 0.5)])]
+    for grid in (GridSpec(2, 2), GridSpec(2, 6)):
+        assert _outcome(validate_grid, group_by_image(tiles), grid) == \
+            _outcome(_ref_validate_grid, _ref_group_by_image(tiles), grid)
+
+
+# --- microbenchmarks at ~500 images ------------------------------------------------
+
+@pytest.fixture(scope="module")
+def bench_bundle(tmp_path_factory):
+    spec = SynthSpec(n_images=500, n_species=200, noise=0.5)
+    bundle = generate(spec, seed=5)
+    directory = write_bundle(bundle, tmp_path_factory.mktemp("bench"))
+    mask = build_mask(
+        nearest_per_species(bundle.observations, DEFAULT_REFERENCE_POINT), bundle.geo_regions, bundle.catalog
+    )
+    return directory / "tile_predictions.ndjson", bundle.catalog, mask
+
+
+def test_bench_read_tile_predictions(benchmark, bench_bundle):
+    path, _, _ = bench_bundle
+    batch = benchmark.pedantic(read_tile_predictions, args=(path,), rounds=4)
+    assert len(batch) == 8000
+
+
+def test_bench_apply_geo_mask(benchmark, bench_bundle):
+    path, _, mask = bench_bundle
+    grouped = group_by_image(read_tile_predictions(path))
+    masked = benchmark.pedantic(apply_geo_mask, args=(grouped, mask), rounds=20, iterations=10)
+    assert len(masked) == 500
+
+
+def test_bench_aggregate(benchmark, bench_bundle):
+    path, catalog, _ = bench_bundle
+    grouped = group_by_image(read_tile_predictions(path))
+    rows = benchmark.pedantic(aggregate_predictions, args=(grouped, catalog, 9, 2, 10), rounds=20)
+    assert len(rows) == 500

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from floratile.catalog import load_catalog
 from floratile.cli import main
 from floratile.io import read_submission, read_tile_predictions
+from floratile.pipeline import GeoOptions, compute_geo_mask
 from floratile.synth import SynthSpec, generate, write_bundle
 
 
@@ -104,6 +106,37 @@ def test_geofilter_all_offshore_exits_2(fixture_dir, tmp_path, capsys):
     ])
     assert rc == 2
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_run_geo_all_masked_image_exits_1(fixture_dir, tmp_path, capsys):
+    catalog = load_catalog(fixture_dir / "catalog.csv")
+    geo = GeoOptions(
+        enabled=True,
+        observations_path=str(fixture_dir / "observations.csv"),
+        regions_path=str(fixture_dir / "geo_regions.json"),
+    )
+    disallowed = np.flatnonzero(~compute_geo_mask(geo, catalog).allowed)
+    assert disallowed.size
+    lines = (fixture_dir / "tile_predictions.ndjson").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    victim = records[0]["image_id"]
+    for rec in records:
+        if rec["image_id"] == victim:
+            rec["probs"] = [[int(disallowed[0]), 1.0]]
+    preds = tmp_path / "preds.ndjson"
+    preds.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    out = tmp_path / "out"
+    rc = main([
+        "run", "--mode", "tiling", "--grid", "3x3", "--geo",
+        "--catalog", str(fixture_dir / "catalog.csv"),
+        "--predictions", str(preds),
+        "--observations", geo.observations_path,
+        "--geo-regions", geo.regions_path,
+        "--out", str(out),
+    ])
+    assert rc == 1
+    assert f"removed every species of every tile of {victim!r}" in capsys.readouterr().err
+    assert not (out / "submission.csv").exists()
 
 
 def test_synth_then_run_then_evaluate(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from floratile.clustering import ClusterPriors
-from floratile.errors import InputError, InvariantViolation
+from floratile.errors import InputError
 from floratile.geo import SpeciesMask
 from floratile.io import group_by_image, read_submission
 from floratile.pipeline import (
@@ -160,7 +160,7 @@ def test_apply_geo_mask_drops_emptied_tiles():
 
 def test_apply_geo_mask_all_tiles_empty_is_fatal():
     grouped = {"a": [_tp("a", 0, 0, [(1, 1.0)])]}
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InputError, match="every tile of 'a'"):
         apply_geo_mask(grouped, _mask_of(2, [0]))
 
 

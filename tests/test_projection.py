@@ -493,6 +493,27 @@ def test_loss_and_grad_matches_reference_property(data):
     _assert_matches_reference(Y, _pairsets(near=near, mid=mid, far=far), w)
 
 
+def test_fit_matches_adam_loop_on_loss_and_grad():
+    """fit computes only the gradient; its layout must equal, bit for bit,
+    the same Adam steps driven by loss_and_grad's gradient."""
+    X = _matrix(np.random.default_rng(5).normal(size=(80, 12)))
+    cfg = ProjectorConfig(phase_iters=(20, 20, 30), seed=3)
+    prepped = preprocess(X)
+    rng = np.random.default_rng(cfg.seed)
+    pairs = build_pairs(prepped.data, cfg, rng)
+    Y = projection._initial_layout(prepped.data, rng)
+    b1, b2 = projection._ADAM_BETA1, projection._ADAM_BETA2
+    m, v = np.zeros_like(Y), np.zeros_like(Y)
+    for t in range(sum(cfg.phase_iters)):
+        _, grad = loss_and_grad(Y, pairs, phase_weights(t, cfg))
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        m_hat = m / (1.0 - b1 ** (t + 1))
+        v_hat = v / (1.0 - b2 ** (t + 1))
+        Y = Y - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + projection._ADAM_EPS)
+    assert np.array_equal(fit(X, cfg).points, Y)
+
+
 # --- microbenchmarks at the priors workload's size ------------------------
 
 
