@@ -201,15 +201,25 @@ class TileBatch:
     def __iter__(self):
         return self.tiles(0, len(self))
 
-    def tiles(self, lo: int, hi: int):
-        """Tiles ``lo`` to ``hi`` as ``TilePrediction`` objects, in batch order."""
+    def columns(self, lo: int, hi: int):
+        """Tiles ``lo`` to ``hi`` as Python columns, in batch order: image ids,
+        rows, cols, a generator of each tile's ``(idx, prob)`` list
+        and the ``complete`` flags."""
         start, stop = self.offsets[lo], self.offsets[hi]
         pairs = list(zip(self.idx[start:stop].tolist(), self.prob[start:stop].tolist()))
         bounds = (self.offsets[lo:hi + 1] - start).tolist()
-        columns = zip(self.image[lo:hi].tolist(), self.row[lo:hi].tolist(), self.col[lo:hi].tolist(),
-                      self.complete[lo:hi].tolist(), bounds, bounds[1:])
-        for image, row, col, complete, a, b in columns:
-            yield TilePrediction._trusted(self.image_ids[image], row, col, pairs[a:b], complete)
+        return (
+            [self.image_ids[i] for i in self.image[lo:hi].tolist()],
+            self.row[lo:hi].tolist(),
+            self.col[lo:hi].tolist(),
+            (pairs[a:b] for a, b in zip(bounds, bounds[1:])),
+            self.complete[lo:hi].tolist(),
+        )
+
+    def tiles(self, lo: int, hi: int):
+        """Tiles ``lo`` to ``hi`` as ``TilePrediction`` objects, in batch order."""
+        for fields in zip(*self.columns(lo, hi)):
+            yield TilePrediction._trusted(*fields)
 
     @cached_property
     def tile_of_entry(self) -> np.ndarray:

@@ -224,11 +224,32 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+_JSON_KINDS = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "an object"
+}
+
+
+def _typed(path, key: str, value, kind):
+    """``value`` of config ``key`` if it has the JSON type ``kind``; null stands for unset."""
+    if value is None:
+        return None
+    if not isinstance(value, (int, float) if kind is float else kind) or (
+        isinstance(value, bool) and kind is not bool
+    ):
+        raise InputError(f"{path}: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{path}: {key} must be a number, got an integer too large for a float") from None
+
+
 def _load_run_config(args) -> RunConfig:
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    path = Path(config_path) if config_path else None
     data = {}
-    if config_path:
-        path = Path(config_path)
+    if path is not None:
         if not path.exists():
             raise InputError(f"{path}: config file not found")
         try:
@@ -238,33 +259,43 @@ def _load_run_config(args) -> RunConfig:
         if not isinstance(data, dict):
             raise InputError(f"{path}: config must be a JSON object")
 
-    def pick(flag_value, key, default=None):
+    sections = {
+        name: _typed(path, name, data.get(name), dict) or {} for name in ("geo", "priors")
+    }
+
+    def pick(flag_value, kind, *keys, default=None):
+        """The flag, else the first config key set, else ``default``; a key
+        is ``name`` or ``section.name``."""
         if flag_value is not None:
             return flag_value
-        return data.get(key, default)
+        for key in keys:
+            section, _, name = key.rpartition(".")
+            got = _typed(path, key, (sections[section] if section else data).get(name), kind)
+            if got is not None:
+                return got
+        return default
 
-    geo_cfg = data.get("geo", {}) or {}
-    priors_cfg = data.get("priors", {}) or {}
-
-    geo_enabled = args.geo or bool(geo_cfg.get("enabled", False))
-    priors_enabled = args.priors or bool(priors_cfg.get("enabled", False))
+    geo_enabled = args.geo or pick(None, bool, "geo.enabled", default=False)
+    priors_enabled = args.priors or pick(None, bool, "priors.enabled", default=False)
 
     reference = DEFAULT_REFERENCE_POINT
     if args.reference is not None:
         reference = _parse_reference(args.reference)
-    elif "reference" in geo_cfg:
-        ref = geo_cfg["reference"]
-        reference = (float(ref[0]), float(ref[1]))
+    elif sections["geo"].get("reference") is not None:
+        ref = sections["geo"]["reference"]
+        if not isinstance(ref, list) or len(ref) != 2 or None in ref:
+            raise InputError(f"{path}: geo.reference must be [lat, lon], got {ref!r}")
+        reference = tuple(_typed(path, "geo.reference", v, float) for v in ref)
 
-    mode = pick(args.mode, "mode", "tiling")
-    catalog = pick(args.catalog, "catalog")
-    predictions = pick(args.predictions, "predictions")
-    out_dir = pick(args.out, "out")
+    mode = pick(args.mode, str, "mode", default="tiling")
+    catalog = pick(args.catalog, str, "catalog")
+    predictions = pick(args.predictions, str, "predictions")
+    out_dir = pick(args.out, str, "out")
     if not catalog or not predictions or not out_dir:
         raise InputError("run needs --catalog, --predictions, and --out (flags or config file)")
 
-    grid = pick(args.grid, "grid")
-    keep = args.keep_intermediates or bool(data.get("keep_intermediates", False))
+    grid = pick(args.grid, str, "grid")
+    keep = args.keep_intermediates or pick(None, bool, "keep_intermediates", default=False)
 
     return RunConfig(
         catalog_path=catalog,
@@ -272,27 +303,27 @@ def _load_run_config(args) -> RunConfig:
         out_dir=out_dir,
         mode=mode,
         grid=parse_grid_spec(grid) if grid else None,
-        k_per_tile=pick(args.k_per_tile, "k_per_tile"),
-        min_votes=pick(args.min_votes, "min_votes"),
-        max_labels=pick(args.max_labels, "max_labels"),
-        baseline_k=int(pick(args.baseline_k, "baseline_k", 10)),
-        registry_path=pick(args.registry, "registry"),
-        training_counts_path=pick(args.training_counts, "training_counts"),
-        truth_path=pick(args.truth, "truth"),
+        k_per_tile=pick(args.k_per_tile, int, "k_per_tile"),
+        min_votes=pick(args.min_votes, int, "min_votes"),
+        max_labels=pick(args.max_labels, int, "max_labels"),
+        baseline_k=pick(args.baseline_k, int, "baseline_k", default=10),
+        registry_path=pick(args.registry, str, "registry"),
+        training_counts_path=pick(args.training_counts, str, "training_counts"),
+        truth_path=pick(args.truth, str, "truth"),
         geo=GeoOptions(
             enabled=geo_enabled,
             reference=reference,
-            observations_path=pick(args.observations, "observations", geo_cfg.get("observations")),
-            regions_path=pick(args.geo_regions, "geo_regions", geo_cfg.get("regions")),
+            observations_path=pick(args.observations, str, "observations", "geo.observations"),
+            regions_path=pick(args.geo_regions, str, "geo_regions", "geo.regions"),
         ),
         priors=PriorsOptions(
             enabled=priors_enabled,
-            k=int(pick(args.priors_k, "priors_k", priors_cfg.get("k", 3))),
-            epsilon=float(pick(args.priors_epsilon, "priors_epsilon", priors_cfg.get("epsilon", 1e-6))),
-            embeddings_path=pick(args.embeddings, "embeddings", priors_cfg.get("embeddings")),
+            k=pick(args.priors_k, int, "priors_k", "priors.k", default=3),
+            epsilon=pick(args.priors_epsilon, float, "priors_epsilon", "priors.epsilon", default=1e-6),
+            embeddings_path=pick(args.embeddings, str, "embeddings", "priors.embeddings"),
         ),
-        seed=int(pick(args.seed, "seed", 42)),
-        threads=int(pick(args.threads, "threads", 1)),
+        seed=pick(args.seed, int, "seed", default=42),
+        threads=pick(args.threads, int, "threads", default=1),
         keep_intermediates=keep,
     )
 

@@ -1,6 +1,6 @@
 """Readers and writers for every file format the pipeline speaks.
 
-All floats are serialized with ``repr`` (via json), which round-trips
+All floats are serialized with ``repr``, as json does, which round-trips
 float64 exactly; all text is UTF-8 with LF line endings. Schema violations
 raise InputError with file and line diagnostics.
 """
@@ -11,6 +11,7 @@ import csv
 import gc
 import json
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -178,19 +179,37 @@ def read_tile_predictions(path) -> TileBatch:
     return batch
 
 
+_WRITE_CHUNK = 4096  # tiles formatted per write, so the text held at once stays bounded
+_COMPLETE = ', "complete": true'
+
+
+def _tile_lines(tiles) -> str:
+    """NDJSON lines of ``(image_id, row, col, probs, complete)`` tuples, each
+    byte for byte ``json.dumps`` of the record ``write_tile_predictions`` documents."""
+    return "".join(
+        f'{{"image_id": {json.dumps(image)}, "row": {row}, "col": {col}, '
+        f'"probs": [[{"], [".join([f"{i}, {p!r}" for i, p in pairs])}]]'
+        f'{_COMPLETE if complete else ""}}}\n'
+        for image, row, col, pairs, complete in tiles
+    )
+
+
 def write_tile_predictions(path, preds: Iterable[TilePrediction]):
-    """Write one record per tile, in iteration order; ``preds`` may be a ``TileBatch``."""
+    """Write one record per tile, in iteration order; ``preds`` may be a ``TileBatch``.
+
+    Each line is ``json.dumps`` of ``{"image_id", "row", "col", "probs"}``
+    plus ``"complete": true`` on a complete tile, formatted ``_WRITE_CHUNK``
+    tiles at a time; a batch is read by columns, never as ``TilePrediction``s.
+    """
+    if isinstance(preds, TileBatch):
+        chunks = (zip(*preds.columns(lo, min(lo + _WRITE_CHUNK, len(preds))))
+                  for lo in range(0, len(preds), _WRITE_CHUNK))
+    else:
+        tiles = ((t.image_id, t.row, t.col, t.probs, t.complete) for t in preds)
+        chunks = iter(lambda: list(islice(tiles, _WRITE_CHUNK)), [])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in preds:
-            rec = {
-                "image_id": p.image_id,
-                "row": p.row,
-                "col": p.col,
-                "probs": [[idx, prob] for idx, prob in p.probs],
-            }
-            if p.complete:
-                rec["complete"] = True
-            fh.write(json.dumps(rec) + "\n")
+        for chunk in chunks:
+            fh.write(_tile_lines(chunk))
 
 
 def group_by_image(preds) -> ImageTiles:
@@ -424,7 +443,7 @@ def read_ground_truth(path, transect_map: Mapping[str, str] | None = None) -> Gr
         if quadrat_id in truth:
             raise InputError(f"{path}:{lineno}: duplicate quadrat_id {quadrat_id!r}")
         try:
-            truth[quadrat_id] = frozenset(int(tok) for tok in species_ids.split())
+            truth[quadrat_id] = frozenset(map(int, species_ids.split()))
         except ValueError:
             raise InputError(f"{path}:{lineno}: species_ids must be space-separated integers") from None
         if transect_map is not None and quadrat_id in transect_map:
@@ -487,6 +506,13 @@ class SubmissionRow:
             raise InputError(f"submission for {self.quadrat_id!r} has no species")
         if len(set(ids)) != len(ids):
             raise InputError(f"submission for {self.quadrat_id!r} repeats a species")
+
+    @classmethod
+    def _trusted(cls, quadrat_id, species_ids: tuple) -> "SubmissionRow":
+        """A row the vote built: a non-empty tuple of distinct catalog ids."""
+        row = object.__new__(cls)
+        row.__dict__.update(quadrat_id=quadrat_id, species_ids=species_ids)
+        return row
 
 
 def write_submission(path, rows: Sequence[SubmissionRow]):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Set
+from typing import Dict, FrozenSet, Iterable, List, Mapping
 
 from .errors import InputError
 
@@ -42,25 +42,21 @@ class ScoreReport:
     unknown_predictions: List[str] = field(default_factory=list)
 
 
-def image_f1(pred: Set[int], truth: Set[int], both_empty_value: float = 1.0) -> float:
+def image_f1(pred: Iterable[int], truth: Iterable[int], both_empty_value: float = 1.0) -> float:
     """Harmonic mean of precision and recall for one image.
 
     Two empty sets score ``both_empty_value`` (default 1: a correctly
     predicted absence); when precision + recall is zero the score is 0.
     """
-    pred = set(pred)
-    truth = set(truth)
+    pred, truth = frozenset(pred), frozenset(truth)  # no copy of a frozenset
     if not pred and not truth:
         return both_empty_value
     tp = len(pred & truth)
-    fp = len(pred - truth)
-    fn = len(truth - pred)
-    denom = 2 * tp + fp + fn
-    return 2.0 * tp / denom if denom else 0.0
+    return 2.0 * tp / (len(pred) + len(truth))  # the denominator is 2 tp + fp + fn
 
 
 def final_score(
-    predictions: Mapping[str, Set[int]],
+    predictions: Mapping[str, Iterable[int]],
     truth: GroundTruth,
     both_empty_value: float = 1.0,
 ) -> ScoreReport:
@@ -77,7 +73,7 @@ def final_score(
     per_image: Dict[str, float] = {}
     grouped: Dict[str, List[str]] = {}
     for quadrat_id in sorted(truth.truth):
-        pred = set(predictions.get(quadrat_id, ()))
+        pred = predictions.get(quadrat_id, ())
         per_image[quadrat_id] = image_f1(pred, truth.truth[quadrat_id], both_empty_value)
         grouped.setdefault(truth.transects[quadrat_id], []).append(quadrat_id)
 

@@ -7,7 +7,6 @@ the number of circles in the document always equals the number of points.
 from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -23,6 +22,11 @@ PALETTE = (
 )
 
 _UNLABELED_COLOR = "#404040"
+
+
+def escape(text: str) -> str:
+    """``xml.sax.saxutils.escape`` without its import of ``urllib`` and ``ssl``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _spans(points: np.ndarray):

@@ -57,16 +57,20 @@ def tally_batch(batch: TileBatch, k: int):
 
 
 def rank_labels(image, idx, votes, mass, min_votes: int, max_labels: int):
-    """Pick each image's labels from tallied keys sorted by image.
+    """Pick each image's labels from tallied keys sorted by (image, index).
 
     Keys rank by (votes desc, mass desc, index asc); an image keeps its keys
     with at least ``min_votes`` votes, at most ``max_labels`` of them, or
     else its single best key. Returns the chosen key rows, grouped by image
-    in rank order.
+    in rank order. The keys must arrive sorted by (image, index), each once,
+    as ``tally_batch`` returns them: the sort is stable, so the index
+    tie-break is the input order.
     """
-    order = np.lexsort((idx, -mass, -votes, image))
+    if np.any((image[1:] < image[:-1]) | ((image[1:] == image[:-1]) & (idx[1:] <= idx[:-1]))):
+        raise InvariantViolation("rank_labels needs keys sorted by (image, index), each once")
+    order = np.lexsort((-mass, -votes, image))
     kept = votes[order] >= min_votes
-    starts = np.flatnonzero(np.r_[True, image[order][1:] != image[order][:-1]])
+    starts = np.flatnonzero(np.r_[True, image[1:] != image[:-1]])  # image[order] is image
     before = np.cumsum(kept) - kept  # kept keys ranked ahead, over all images
     first_kept = before[starts]
     within = before - np.repeat(first_kept, np.diff(np.append(starts, order.shape[0])))
@@ -102,9 +106,9 @@ def select_labels(tally: VoteTally, min_votes: int = 2, max_labels: int = 10) ->
         raise InputError("min_votes and max_labels must be >= 1")
     if not tally.votes:
         raise InvariantViolation("select_labels needs a non-empty tally")
-    idx = np.array(list(tally.votes), dtype=np.int64)
-    votes = np.array([tally.votes[i] for i in tally.votes], dtype=np.int64)
-    mass = np.array([tally.mass[i] for i in tally.votes], dtype=np.float64)
+    idx = np.array(sorted(tally.votes), dtype=np.int64)
+    votes = np.array([tally.votes[i] for i in idx.tolist()], dtype=np.int64)
+    mass = np.array([tally.mass[i] for i in idx.tolist()], dtype=np.float64)
     chosen = rank_labels(np.zeros_like(idx), idx, votes, mass, min_votes, max_labels)
     return idx[chosen].tolist()
 

@@ -2,9 +2,11 @@
 
 The ``_ref_*`` functions are the list-based reader, geolocation mask, prior
 reweighting, image vectors and vote aggregation as they stood before the
-batch, kept verbatim except where a comment says otherwise. The batch
-stages must match them exactly: float ``==``, row ``==``, written bytes
-``==``, and on bad input the same exception type and message.
+batch, and the ``json.dumps`` tile writer and three-set image F1 as they
+stood before the column writer, kept verbatim except where a comment says
+otherwise. The batch stages must match them exactly: float ``==``, row
+``==``, written bytes ``==``, and on bad input the same exception type and
+message.
 """
 
 import json
@@ -22,6 +24,7 @@ from floratile.clustering import ClusterPriors, reweight
 from floratile.errors import InputError, InvariantViolation
 from floratile.geo import DEFAULT_REFERENCE_POINT, SpeciesMask, apply_mask, build_mask, nearest_per_species
 from floratile.io import SubmissionRow, group_by_image, read_tile_predictions, write_tile_predictions
+from floratile.metrics import image_f1
 from floratile.pipeline import (
     aggregate_predictions,
     apply_geo_mask,
@@ -220,6 +223,32 @@ def _ref_aggregate_predictions(grouped, catalog, k, min_votes, max_labels):
             SubmissionRow(quadrat_id=image_id, species_ids=tuple(catalog.species_id(i) for i in labels))
         )
     return rows
+
+
+def _ref_write_tile_predictions(path, preds):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for p in preds:
+            rec = {
+                "image_id": p.image_id,
+                "row": p.row,
+                "col": p.col,
+                "probs": [[idx, prob] for idx, prob in p.probs],
+            }
+            if p.complete:
+                rec["complete"] = True
+            fh.write(json.dumps(rec) + "\n")
+
+
+def _ref_image_f1(pred, truth, both_empty_value=1.0):
+    pred = set(pred)
+    truth = set(truth)
+    if not pred and not truth:
+        return both_empty_value
+    tp = len(pred & truth)
+    fp = len(pred - truth)
+    fn = len(truth - pred)
+    denom = 2 * tp + fp + fn
+    return 2.0 * tp / denom if denom else 0.0
 
 
 # --- comparison helpers ------------------------------------------------------
@@ -491,6 +520,48 @@ def test_vote_matches_reference_property(tiles, data):
             assert list(tally.mass.items()) == list(ref_tally.mass.items())
 
 
+_WRITE_IDS = st.sampled_from(["a", "b", "é", 'q"t', "back\\slash", "\u2603\U0001f33f", "tab\tx", "\x01"])
+_WRITE_PROBS = st.sampled_from([5e-324, 1e-05, 0.1, 0.25]) | st.floats(5e-324, 0.25)
+_COMPLETE_PROBS = st.sampled_from([[1.0], [0.5, 0.5], [0.25] * 4, [0.1] * 10, [1e-05, 0.99999]])
+
+
+@st.composite
+def written_tiles(draw):
+    """Tiles whose images interleave, with escaped ids, extreme floats and 64-bit indices."""
+    tiles = []
+    for _ in range(draw(st.integers(0, 12))):
+        complete = draw(st.booleans())
+        probs = draw(_COMPLETE_PROBS if complete else st.lists(_WRITE_PROBS, min_size=1, max_size=4))
+        idxs = draw(st.lists(st.integers(0, 2**63 - 1) | st.sampled_from([0, 1, 2**63 - 1]),
+                             min_size=len(probs), max_size=len(probs), unique=True))
+        row, col = draw(st.integers(0, 2**63 - 1)), draw(st.integers(0, 3))
+        tiles.append(TilePrediction(draw(_WRITE_IDS), row, col, list(zip(idxs, probs)), complete))
+    return tiles
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tiles=written_tiles(), chunk=st.integers(1, 5))
+def test_tile_writer_matches_json_dumps_property(tmp_path, monkeypatch, tiles, chunk):
+    monkeypatch.setattr(fio, "_WRITE_CHUNK", chunk)
+    ref = tmp_path / "ref.ndjson"
+    _ref_write_tile_predictions(ref, tiles)
+    assert _bytes(tmp_path, "list", tiles) == ref.read_bytes()
+    assert _bytes(tmp_path, "iter", iter(tiles)) == ref.read_bytes()
+    if tiles:
+        batch = TileBatch.from_tiles(tiles)
+        _ref_write_tile_predictions(ref, batch)
+        assert _bytes(tmp_path, "batch", batch) == ref.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pred=st.lists(st.integers(0, 6)), truth=st.frozensets(st.integers(0, 6)),
+       both_empty_value=st.sampled_from([0.0, 1.0]))
+def test_image_f1_matches_three_set_reference_property(pred, truth, both_empty_value):
+    for p in (pred, set(pred), frozenset(pred)):
+        assert image_f1(p, truth, both_empty_value) == _ref_image_f1(p, truth, both_empty_value)
+        assert image_f1(p, list(truth)) == _ref_image_f1(p, list(truth))
+
+
 def _often(good, bad):
     """Mostly ``good``, sometimes one of the ``bad`` values (an inner value, as
     hypothesis favours the ends of a range)."""
@@ -602,3 +673,11 @@ def test_bench_aggregate(benchmark, bench_bundle):
     grouped = group_by_image(read_tile_predictions(path))
     rows = benchmark.pedantic(aggregate_predictions, args=(grouped, catalog, 9, 2, 10), rounds=20)
     assert len(rows) == 500
+
+
+def test_bench_write_tile_predictions(benchmark, bench_bundle, tmp_path):
+    path, _, _ = bench_bundle
+    batch = read_tile_predictions(path)
+    out = tmp_path / "written.ndjson"
+    benchmark.pedantic(write_tile_predictions, args=(out, batch), rounds=4)
+    assert out.read_bytes() == path.read_bytes()

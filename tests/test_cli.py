@@ -330,6 +330,70 @@ def test_run_bad_config_json_exits_1(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"baseline_k": "x"}, "baseline_k must be an integer, got 'x'"),
+    ({"k_per_tile": "9"}, "k_per_tile must be an integer, got '9'"),
+    ({"priors": True}, "priors must be an object, got True"),
+    ({"geo": {"reference": 5}}, "geo.reference must be [lat, lon], got 5"),
+    ({"geo": {"reference": [1.0, "2"]}}, "geo.reference must be a number, got '2'"),
+    ({"geo": {"reference": [None, 4.0]}}, "geo.reference must be [lat, lon], got [None, 4.0]"),
+    ({"priors": {"k": 2.5}}, "priors.k must be an integer, got 2.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"keep_intermediates": "yes"}, "keep_intermediates must be true or false, got 'yes'"),
+    ({"priors": {"epsilon": 10**400}}, "priors.epsilon must be a number, got an integer too large for a float"),
+    ({"geo": {"reference": [10**400, 4.0]}},
+     "geo.reference must be a number, got an integer too large for a float"),
+])
+def test_run_mistyped_config_value_exits_1(fixture_dir, tmp_path, capsys, config, message):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({
+        "catalog": str(fixture_dir / "catalog.csv"),
+        "predictions": str(fixture_dir / "tile_predictions.ndjson"),
+        "out": str(tmp_path / "out"),
+        "grid": "3x3",
+        **config,
+    }))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"floratile: error: {config_path}: {message}\n"
+    assert not (tmp_path / "out" / "submission.csv").exists()
+
+
+def test_run_mistyped_config_value_names_the_file_as_read(fixture_dir, tmp_path, monkeypatch, capsys):
+    (tmp_path / "run.json").write_text(json.dumps({
+        "catalog": str(fixture_dir / "catalog.csv"),
+        "predictions": str(fixture_dir / "tile_predictions.ndjson"),
+        "out": str(tmp_path / "out"),
+        "seed": "42",
+    }))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "./run.json"]) == 1
+    assert capsys.readouterr().err == "floratile: error: run.json: seed must be an integer, got '42'\n"
+
+
+def test_run_config_null_means_unset(fixture_dir, tmp_path, capsys):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({
+        "catalog": str(fixture_dir / "catalog.csv"),
+        "predictions": str(fixture_dir / "tile_predictions.ndjson"),
+        "out": str(tmp_path / "out"),
+        "grid": "3x3",
+        "seed": None,
+        "k_per_tile": None,
+        "priors": None,
+        "geo": {"reference": None, "enabled": False},
+    }))
+    assert main(["run", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+
+
+def test_import_leaves_network_modules_unloaded():
+    code = ("import sys, floratile.cli; "
+            "print(sorted({'ssl', 'urllib.request', 'http.client'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_plot_svg_circle_count(fixture_dir, tmp_path, capsys):
     proj = tmp_path / "proj.csv"
     assign = tmp_path / "assign.csv"

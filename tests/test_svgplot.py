@@ -91,3 +91,12 @@ def test_save_projection_plot(tmp_path):
     save_projection_plot(path, np.array([[0.0, 0.0], [2.0, 2.0]]), labels=[0, 1])
     text = path.read_text()
     assert len(_circles(text)) == 2
+
+
+def test_escape_matches_saxutils():
+    from xml.sax.saxutils import escape as sax_escape
+
+    from floratile.svgplot import escape
+
+    for text in ("", "plain", "&<>\"'", "a&amp;b", "<<&>>", "'q' & \"d\" < > &lt;", "é & ☃"):
+        assert escape(text) == sax_escape(text)

@@ -4,7 +4,9 @@ import pytest
 from floratile.errors import InputError, InvariantViolation
 from floratile.voting import (
     TilePrediction,
+    VoteTally,
     naive_baseline,
+    rank_labels,
     select_labels,
     tally_votes,
     top_k_of_tile,
@@ -82,6 +84,24 @@ def test_select_labels_fallback_single_best():
     tally = tally_votes([a, b], 2)
     # all votes are 1: fall back to the single best by (mass, index)
     assert select_labels(tally, min_votes=2, max_labels=10) == [4]
+
+
+def test_select_labels_ties_favour_lower_index_in_any_key_order():
+    # keys arrive in dict order, highest index first; only the index separates them
+    tally = VoteTally(votes={9: 2, 4: 2, 7: 2, 1: 1}, mass={9: 0.5, 4: 0.5, 7: 0.5, 1: 0.9})
+    assert select_labels(tally, min_votes=2, max_labels=2) == [4, 7]
+    assert select_labels(tally, min_votes=3, max_labels=2) == [4]
+
+
+@pytest.mark.parametrize("image,idx", [
+    ([0, 0, 0], [1, 3, 2]),  # index order broken within an image
+    ([0, 1, 0], [1, 2, 3]),  # images not grouped
+    ([0, 0, 1], [2, 2, 0]),  # a key twice
+])
+def test_rank_labels_rejects_unsorted_keys(image, idx):
+    ones = np.ones(3)
+    with pytest.raises(InvariantViolation, match="sorted by"):
+        rank_labels(np.array(image), np.array(idx), ones.astype(np.int64), ones, 1, 5)
 
 
 def test_vote_monotonicity_in_k():
