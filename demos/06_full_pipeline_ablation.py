@@ -16,12 +16,15 @@ one-off junk never collects two votes, so voting filters it out, while
 a fixed-size whole-image prediction has to carry the junk along.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
 from floratile import PriorsOptions, RunConfig, SynthSpec, generate, run, write_bundle
 
 work = Path(tempfile.mkdtemp(prefix="floratile_demo_"))
+atexit.register(shutil.rmtree, work, ignore_errors=True)  # fixture and run outputs
 fixture = write_bundle(generate(SynthSpec(), seed=42), work / "fixture")
 print("fixture written to", fixture)
 

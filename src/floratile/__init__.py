@@ -37,7 +37,6 @@ from .geo import (
     apply_mask,
     build_mask,
     contains,
-    nearest_observation,
     nearest_per_species,
     sq_dist,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "load_catalog",
     "make_grid",
     "naive_baseline",
-    "nearest_observation",
     "nearest_per_species",
     "parse_grid_spec",
     "parse_region",

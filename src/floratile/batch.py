@@ -1,7 +1,7 @@
 """Tile predictions: one record per tile, and the columnar batch every stage runs on.
 
 ``TilePrediction`` is one tile's sparse class-probability vector, the
-record the synthetic generator builds and the tests write by hand.
+record the tests write by hand and the one wording of record errors.
 ``TileBatch`` holds many tiles in flat arrays. Per tile: the image code (an
 index into ``image_ids``), grid row and col, the ``complete`` flag and the
 source line (0 when the tile was not read from a file). Tile ``t`` owns the

@@ -252,10 +252,7 @@ def _load_run_config(args) -> RunConfig:
     if path is not None:
         if not path.exists():
             raise InputError(f"{path}: config file not found")
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+        data = fio.read_json(path)
         if not isinstance(data, dict):
             raise InputError(f"{path}: config must be a JSON object")
 

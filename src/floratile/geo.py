@@ -113,13 +113,6 @@ def sq_dist(a: Point, b: Point) -> float:
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
-def nearest_observation(obs: Sequence[Observation], ref: Point) -> Observation:
-    """The observation minimizing sq_dist to ref; ties keep input order."""
-    if not obs:
-        raise InputError("species has no geotagged observations")
-    return min(obs, key=lambda o: sq_dist((o.lat, o.lon), ref))
-
-
 def nearest_per_species(observations: Iterable[Observation], ref: Point) -> Dict[int, Observation]:
     """Group observations by species and keep each species' nearest to ref."""
     best: Dict[int, Observation] = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -26,14 +27,21 @@ from .projection import EmbeddingMatrix, Projection
 from .clustering import ClusterPriors
 
 
+@contextmanager
 def _open_read(path):
+    """The text file at ``path``; bytes that are not UTF-8 are an InputError naming it."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"{path}: file not found")
     try:
-        return open(path, encoding="utf-8", newline="")
+        fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: not valid UTF-8 text") from None
 
 
 def csv_rows(path, header: Sequence[str]) -> Iterator[Tuple[int, List[str]]]:
@@ -55,6 +63,30 @@ def csv_rows(path, header: Sequence[str]) -> Iterator[Tuple[int, List[str]]]:
             yield lineno, row
 
 
+def _loads(text: str, path, lineno=None):
+    """``json.loads(text)``, failing with an InputError at ``path:line``.
+
+    The line is ``lineno`` (an NDJSON line) or else the decoder's. An integer
+    past the int-string conversion limit, or nesting past the recursion limit,
+    fails without a decoder line and is reported at ``path`` when no
+    ``lineno`` is given.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{lineno or exc.lineno}: invalid JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:
+        where = path if lineno is None else f"{path}:{lineno}"
+        raise InputError(f"{where}: invalid JSON ({exc})") from None
+
+
+def read_json(path):
+    """The one JSON document in the file at ``path``."""
+    with _open_read(path) as fh:
+        text = fh.read()
+    return _loads(text, path)
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -67,13 +99,10 @@ def ndjson_records(path) -> Iterator[Tuple[int, object]]:
                 continue
             try:
                 record, end = _raw_decode(line)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 end = None
             if end != len(line):  # json.loads words the error as it always has
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+                record = _loads(line, path, lineno)
             yield lineno, record
 
 
@@ -242,11 +271,7 @@ def write_observations(path, observations: Iterable[Observation]):
 # --- geographic regions (polygons) -------------------------------------
 
 def read_geo_regions(path) -> List[GeoRegion]:
-    with _open_read(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+    data = read_json(path)
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: expected a non-empty JSON list of regions")
     regions = []

@@ -27,16 +27,16 @@ import json
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
+from .batch import TileBatch, first, rejection
 from .catalog import RegionRegistry, SpeciesCatalog
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 from .geo import GeoRegion, Observation
 from .metrics import GroundTruth
 from .projection import EmbeddingMatrix
-from .voting import TilePrediction
 from . import io as fio
 
 # Mass kept by a tile's dominant species is 1 - SMEAR_SCALE * noise.
@@ -134,8 +134,8 @@ class SynthBundle:
     cluster_labels: List[int]
     truth: GroundTruth
     embeddings: EmbeddingMatrix
-    tile_predictions: List[TilePrediction]
-    image_predictions: List[TilePrediction]
+    tile_predictions: TileBatch
+    image_predictions: TileBatch
     observations: List[Observation]
     geo_regions: List[GeoRegion]
     manifest: dict = field(default_factory=dict)
@@ -145,25 +145,31 @@ def _region_names(n: int) -> List[str]:
     return [f"SYN-{letter}{letter}" for letter in string.ascii_uppercase[:n]]
 
 
-def _allocate_tiles(rng, n_tiles: int, truth: np.ndarray, missed: int | None) -> List[int]:
+def _allocate_tiles(rng, n_tiles: int, truth: List[int], missed: int | None) -> List[int]:
     """One dominant species per tile; every non-missed species gets >= 2 tiles."""
-    counts = {int(s): 0 for s in truth}
+    counts = {s: 0 for s in truth}
     slots = n_tiles
     if missed is not None:
         counts[missed] = 1
         slots -= 1
-    active = [int(s) for s in truth if int(s) != missed]
+    active = [s for s in truth if s != missed]
     base, extra = divmod(slots, len(active))
     order = rng.permutation(len(active))
-    for pos, idx in enumerate(order):
+    for pos, idx in enumerate(order.tolist()):
         counts[active[idx]] = base + (1 if pos < extra else 0)
     assignment = [s for s, c in counts.items() for _ in range(c)]
     rng.shuffle(assignment)
     return assignment
 
 
-def _tile_record(image_id, row, col, entries) -> TilePrediction:
-    return TilePrediction(image_id=image_id, row=row, col=col, probs=entries, complete=True)
+def _checked(batch: TileBatch) -> TileBatch:
+    """``batch``, after proving that ``TilePrediction`` accepts every tile."""
+    t = first(batch.invalid_tiles())
+    if t is not None:
+        tile = next(batch.tiles(t, t + 1))
+        exc = rejection(tile.image_id, tile.row, tile.col, tile.probs, tile.complete)
+        raise InvariantViolation(f"synth built an invalid tile: {exc}")
+    return batch
 
 
 def generate(spec: SynthSpec, seed: int) -> SynthBundle:
@@ -184,8 +190,8 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
 
     freq_order = rng.permutation(spec.n_species)
     training_counts = {}
-    for rank, dense in enumerate(freq_order):
-        training_counts[species_ids[int(dense)]] = max(1, 2000 // (rank + 1))
+    for rank, dense in enumerate(freq_order.tolist()):
+        training_counts[species_ids[dense]] = max(1, 2000 // (rank + 1))
     training_counts = {sid: training_counts[sid] for sid in species_ids}
 
     region_names = _region_names(spec.n_clusters)
@@ -197,9 +203,13 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
     truth_sets: Dict[str, frozenset] = {}
     transects: Dict[str, str] = {}
     embeddings = np.empty((spec.n_images, spec.embed_dim))
-    tile_preds: List[TilePrediction] = []
-    image_preds: List[TilePrediction] = []
     per_region_count = [0] * spec.n_clusters
+    # Tile entry columns; every tile carries the same probabilities, in rank order.
+    tile_idx: List[int] = []
+    tile_prob = [1.0] if smear == 0.0 else [1.0 - smear, 0.6 * smear, 0.4 * smear]
+    # Full-image entry columns, one image per element.
+    img_idx: List[np.ndarray] = []
+    img_prob: List[np.ndarray] = []
 
     lo = spec.min_truth_species
     hi = spec.max_truth_species
@@ -220,71 +230,76 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
 
         n_truth = int(rng.integers(lo, hi + 1))
         truth_dense = rng.choice(pools[c], size=n_truth, replace=False)
-        truth_sets[quadrat_id] = frozenset(species_ids[int(s)] for s in truth_dense)
+        truth = truth_dense.tolist()
+        truth_sets[quadrat_id] = frozenset(species_ids[s] for s in truth)
+        free = np.ones(spec.n_species, dtype=bool)
+        free[truth_dense] = False
 
         missed = None
         if n_truth > lo and rng.random() < miss_rate:
-            missed = int(truth_dense[rng.integers(n_truth)])
+            missed = truth[rng.integers(n_truth)]
 
-        dominants = _allocate_tiles(rng, n_tiles, truth_dense, missed)
+        dominants = _allocate_tiles(rng, n_tiles, truth, missed)
 
-        confuser_pool = vagrants[~np.isin(vagrants, truth_dense)]
-        confusers = rng.choice(confuser_pool, size=n_confusers, replace=False) if n_confusers else np.empty(0, int)
+        confusers: List[int] = []
         flip_tiles: Dict[int, int] = {}
         if n_confusers:
+            confusers = rng.choice(vagrants[free[vagrants]], size=n_confusers, replace=False).tolist()
             chosen = rng.choice(n_tiles, size=min(n_tiles, CONFUSER_TILES * n_confusers), replace=False)
-            for pos, tile in enumerate(chosen):
-                flip_tiles[int(tile)] = int(confusers[pos % n_confusers])
+            for pos, tile in enumerate(chosen.tolist()):
+                flip_tiles[tile] = confusers[pos % n_confusers]
 
-        blocked = set(int(s) for s in truth_dense) | set(int(c_) for c_ in confusers)
-        junk_pool = [s for s in rng.permutation(spec.n_species) if int(s) not in blocked]
-        junk_iter = iter(int(s) for s in junk_pool)
+        blocked = set(truth).union(confusers)
+        junk = iter([s for s in rng.permutation(spec.n_species).tolist() if s not in blocked]).__next__
 
-        for tile in range(n_tiles):
-            row, col = divmod(tile, spec.grid_cols)
-            dom = dominants[tile]
+        for tile, dom in enumerate(dominants):
             if smear == 0.0:
-                entries = [(dom, 1.0)]
+                tile_idx.append(dom)
             elif tile in flip_tiles:
-                entries = [
-                    (flip_tiles[tile], 1.0 - smear),
-                    (dom, 0.6 * smear),
-                    (next(junk_iter), 0.4 * smear),
-                ]
+                tile_idx += (flip_tiles[tile], dom, junk())
             else:
-                entries = [
-                    (dom, 1.0 - smear),
-                    (next(junk_iter), 0.6 * smear),
-                    (next(junk_iter), 0.4 * smear),
-                ]
-            tile_preds.append(_tile_record(quadrat_id, row, col, entries))
+                tile_idx += (dom, junk(), junk())
 
         truth_share = IMG_TRUTH_BASE - IMG_TRUTH_DROP * spec.noise
         truth_w = truth_share * rng.dirichlet(np.full(n_truth, 8.0))
         n_junk_img = min(25, spec.n_species - n_truth)
-        junk_species = rng.choice(
-            [s for s in range(spec.n_species) if s not in set(int(x) for x in truth_dense)],
-            size=n_junk_img,
-            replace=False,
-        )
+        junk_species = rng.choice(np.flatnonzero(free), size=n_junk_img, replace=False)
         junk_w = (1.0 - truth_share) * rng.dirichlet(np.full(n_junk_img, 1.5))
-        dense_entries = list(zip((int(s) for s in truth_dense), truth_w))
-        dense_entries += list(zip((int(s) for s in junk_species), junk_w))
-        dense_entries.sort(key=lambda e: (-e[1], e[0]))
-        image_preds.append(
-            TilePrediction(
-                image_id=quadrat_id,
-                row=0,
-                col=0,
-                probs=[(s, float(p)) for s, p in dense_entries[:IMG_SUPPORT]],
-                complete=False,
-            )
-        )
+        idx = np.concatenate((truth_dense, junk_species))
+        prob = np.concatenate((truth_w, junk_w))
+        top = np.lexsort((idx, -prob))[:IMG_SUPPORT]
+        img_idx.append(idx[top])
+        img_prob.append(prob[top])
+
+    n_all = spec.n_images * n_tiles
+    rows, cols = np.divmod(np.arange(n_tiles), spec.grid_cols)
+    tile_preds = _checked(TileBatch.from_columns(
+        quadrat_ids,
+        np.repeat(np.arange(spec.n_images), n_tiles),
+        np.tile(rows, spec.n_images),
+        np.tile(cols, spec.n_images),
+        np.ones(n_all, dtype=bool),
+        np.zeros(n_all, dtype=np.int64),
+        np.full(n_all, len(tile_prob)),
+        tile_idx,
+        np.tile(tile_prob, n_all),
+    ))
+    image_preds = _checked(TileBatch.from_columns(
+        quadrat_ids,
+        np.arange(spec.n_images),
+        np.zeros(spec.n_images),
+        np.zeros(spec.n_images),
+        np.zeros(spec.n_images, dtype=bool),
+        np.zeros(spec.n_images),
+        [a.shape[0] for a in img_idx],
+        np.concatenate(img_idx),
+        np.concatenate(img_prob),
+    ))
 
     observations: List[Observation] = []
-    vagrant_set = set(int(v) for v in vagrants)
+    offshore_set = set(vagrants[1::2].tolist())
     for dense, sid in enumerate(species_ids):
-        offshore = dense in vagrant_set and (sorted(vagrant_set).index(dense) % 2 == 1)
+        offshore = dense in offshore_set
         n_obs = 1 + int(rng.integers(0, 3))
         for _ in range(n_obs):
             if offshore:

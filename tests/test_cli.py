@@ -330,6 +330,13 @@ def test_run_bad_config_json_exits_1(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_run_config_integer_past_digit_limit_exits_1(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text('{"seed": %s}' % ("9" * 5000))
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith(f"floratile: error: {config}: invalid JSON (Exceeds the limit")
+
+
 @pytest.mark.parametrize("config,message", [
     ({"baseline_k": "x"}, "baseline_k must be an integer, got 'x'"),
     ({"k_per_tile": "9"}, "k_per_tile must be an integer, got '9'"),

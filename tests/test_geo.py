@@ -14,7 +14,6 @@ from floratile.geo import (
     apply_mask,
     build_mask,
     contains,
-    nearest_observation,
     nearest_per_species,
     sq_dist,
 )
@@ -34,6 +33,14 @@ def test_sq_dist_symmetry_property():
         assert sq_dist(a, b) == sq_dist(b, a)
         assert sq_dist(a, b) >= 0.0
         assert sq_dist(a, a) == 0.0
+
+
+def nearest_observation(obs, ref):
+    """The observation minimizing sq_dist to ref, ties to the first; the oracle
+    for ``nearest_per_species``."""
+    if not obs:
+        raise InputError("species has no geotagged observations")
+    return min(obs, key=lambda o: sq_dist((o.lat, o.lon), ref))
 
 
 def test_nearest_observation_picks_minimum():

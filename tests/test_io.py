@@ -1,6 +1,7 @@
 """File format round-trips and diagnostics."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from floratile.catalog import RegionRegistry, SpeciesCatalog, load_catalog
 from floratile.clustering import ClusterPriors
 from floratile.errors import InputError
 from floratile.geo import GeoRegion, Observation, SpeciesMask
+from floratile.cli import _load_run_config, build_parser
 from floratile.io import (
     SubmissionRow,
+    csv_rows,
     group_by_image,
+    ndjson_records,
     read_assignments,
     read_embeddings,
     read_geo_regions,
@@ -108,6 +112,47 @@ def test_tile_predictions_bad_json_line_number(tmp_path):
     path.write_text(good + "\n{broken\n")
     with pytest.raises(InputError, match=r":2: invalid JSON"):
         read_tile_predictions(path)
+
+
+BIG_INT = "9" * 5000  # past the int-string conversion limit of 4300 digits
+
+
+def test_ndjson_integer_past_digit_limit_is_input_error(tmp_path):
+    path = tmp_path / "preds.ndjson"
+    path.write_text('{"row": 0}\n{"row": %s}\n' % BIG_INT)
+    with pytest.raises(InputError, match=r"preds\.ndjson:2: invalid JSON \(Exceeds the limit"):
+        list(ndjson_records(path))
+
+
+@pytest.mark.parametrize("text,reason", [
+    ('[{"name": "x", "polygon": [[%s, 1]]}]' % BIG_INT, "Exceeds the limit"),
+    ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+], ids=["integer_past_digit_limit", "nesting_past_recursion_limit"])
+def test_geo_regions_undecodable_json_is_input_error(tmp_path, text, reason):
+    path = tmp_path / "regions.json"
+    path.write_text(text)
+    with pytest.raises(InputError, match=rf"regions\.json: invalid JSON \({reason}"):
+        read_geo_regions(path)
+
+
+def _read_config(path):
+    return _load_run_config(build_parser().parse_args(["run", "--config", str(path)]))
+
+
+@pytest.mark.parametrize("name,data,reader", [
+    ("catalog.csv", b"species_id\n1\n2\xff\n", lambda p: list(csv_rows(p, ("species_id",)))),
+    ("preds.ndjson", b'{"image_id": "a\xff", "row": 0, "col": 0, "probs": [[1, 1.0]]}\n',
+     lambda p: list(ndjson_records(p))),
+    ("regions.txt", b"SYN-AA\n\xffB\n", read_region_registry),
+    ("geo.json", b'[{"name": "\xff", "polygon": []}]', read_geo_regions),
+    ("submission.csv", b"quadrat_id;species_ids\nQ\xff;[1]\n", read_submission),
+    ("run.json", b'{"seed": 1, "out": "\xff"}', _read_config),
+], ids=["csv_rows", "ndjson_records", "read_region_registry", "read_geo_regions", "read_submission", "config"])
+def test_readers_reject_invalid_utf8_naming_the_file(tmp_path, name, data, reader):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: not valid UTF-8 text$"):
+        reader(path)
 
 
 def test_tile_predictions_empty_probs_rejected(tmp_path):

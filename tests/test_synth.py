@@ -1,11 +1,14 @@
 """Synthetic fixture generator."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from floratile.errors import InputError
+from floratile import synth
+from floratile.batch import TilePrediction
+from floratile.errors import InputError, InvariantViolation
 from floratile.io import (
     read_embeddings,
     read_ground_truth,
@@ -143,3 +146,44 @@ def test_write_bundle_round_trips_through_readers(tmp_path):
 
     obs = read_observations(out / "observations.csv")
     assert obs == bundle.observations
+
+
+# sha256 over (file name, bytes) of every file ``write_bundle`` writes, in name order.
+GOLDEN_BUNDLES = [
+    (SynthSpec(n_images=30, noise=0.0), "c7cd622708902f2e894742670c440a06d5ba8fe01e50d3411bee6ae00ac5d3e7"),
+    (SynthSpec(n_images=30, noise=0.5), "fbdeb4d9f5ff3dd9d2e5239924d783aa302620f35ad78a198471fae8472ff7ca"),
+    (SynthSpec(n_images=30, noise=1.0), "bd192fe5b36b1a1841c63c69042380f8916ac73d6a4ca606c043f06c8aa84dd7"),
+    (SynthSpec(n_images=30, grid_rows=2, grid_cols=3, noise=0.5),
+     "edd8f7a942f2109ca1d1dec003fdc13485c3a3db30b99837877eb166a3860a43"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", GOLDEN_BUNDLES, ids=["noise0", "noise0.5", "noise1", "grid2x3"])
+def test_write_bundle_bytes_are_pinned(tmp_path, spec, digest):
+    out = write_bundle(generate(spec, seed=3), tmp_path / "bundle")
+    h = hashlib.sha256()
+    for f in sorted(out.iterdir()):
+        h.update(f.name.encode())
+        h.update(f.read_bytes())
+    assert h.hexdigest() == digest
+
+
+def test_generate_builds_no_checked_tile(monkeypatch):
+    calls = []
+    check = TilePrediction.__post_init__
+    monkeypatch.setattr(TilePrediction, "__post_init__", lambda self: calls.append(1) or check(self))
+    bundle = generate(SMALL, seed=7)
+    assert len(bundle.tile_predictions) == SMALL.n_images * SMALL.n_tiles
+    assert calls == []
+
+
+def test_generate_rejects_an_invalid_tile(monkeypatch):
+    monkeypatch.setattr(synth, "SMEAR_SCALE", -0.5)  # pushes the dominant mass past 1
+    with pytest.raises(InvariantViolation, match=r"synth built an invalid tile: .*outside \(0, 1\]"):
+        generate(SMALL, seed=7)
+
+
+def test_bench_synth_generate(benchmark):
+    spec = SynthSpec(n_images=200, n_species=200, noise=0.5)
+    bundle = benchmark.pedantic(generate, args=(spec, 5), rounds=5)
+    assert len(bundle.tile_predictions) == 200 * 16
