@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Mapping, NamedTuple, Optional
 
 from . import io as fio
 from .catalog import load_catalog, parse_region
@@ -25,6 +25,8 @@ from .clustering import dominant_cluster, kmeans
 from .errors import FloratileError, InputError, InvariantViolation
 from .geo import DEFAULT_REFERENCE_POINT
 from .pipeline import (
+    MODE_PRESETS,
+    MODES,
     GeoOptions,
     PriorsOptions,
     RunConfig,
@@ -44,6 +46,8 @@ from .tiling import make_grid, parse_grid_spec
 
 CONFIG_ENV_VAR = "FLORATILE_CONFIG"
 THREADS_HELP = "accepted for compatibility; has no effect (must be >= 1 in run)"
+# grid, k per tile, min votes and max labels of the default mode
+_GRID, _K_PER_TILE, _MIN_VOTES, _MAX_LABELS = MODE_PRESETS[RunConfig.mode]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,15 +65,25 @@ def _parse_reference(text: str):
         raise InputError(f"reference must be 'lat,lon', got {text!r}") from None
 
 
-def _read_grouped(path):
-    return fio.group_by_image(fio.read_tile_predictions(path))
+def _parse_iters(text: str):
+    try:
+        iters = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        iters = ()
+    if len(iters) != 3:
+        raise InputError("--iters must be three comma-separated integers")
+    return iters
+
+
+def _given(args, *names) -> dict:
+    """The flags among ``names`` that were given; the others keep the library's defaults."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 # --- subcommand implementations ------------------------------------------
 
 def _cmd_tile_plan(args) -> int:
-    spec = parse_grid_spec(args.grid)
-    tiles = make_grid(args.width, args.height, spec)
+    tiles = make_grid(args.width, args.height, args.grid)
     lines = [
         json.dumps({"row": t.row, "col": t.col, "x0": t.x0, "y0": t.y0, "x1": t.x1, "y1": t.y1})
         for t in tiles
@@ -84,12 +98,10 @@ def _cmd_tile_plan(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     catalog = load_catalog(args.catalog)
-    grouped = _read_grouped(args.predictions)
+    tiles = fio.read_tile_predictions(args.predictions)
     if args.grid:
-        validate_grid(grouped, parse_grid_spec(args.grid))
-    rows = aggregate_predictions(
-        grouped, catalog, args.k, args.min_votes, args.max_labels, threads=args.threads
-    )
+        validate_grid(tiles, parse_grid_spec(args.grid))
+    rows = aggregate_predictions(tiles, catalog, args.k, args.min_votes, args.max_labels)
     fio.write_submission(args.out, rows)
     return 0
 
@@ -110,23 +122,15 @@ def _cmd_geofilter(args) -> int:
     if args.predictions:
         if not args.out_predictions:
             raise InputError("--predictions needs --out-predictions")
-        filtered = apply_geo_mask(_read_grouped(args.predictions), mask)
+        filtered = apply_geo_mask(fio.read_tile_predictions(args.predictions), mask)
         fio.write_tile_predictions(args.out_predictions, filtered.batch)
     return 0
 
 
 def _cmd_project(args) -> int:
     emb = fio.read_embeddings(args.embeddings)
-    iters = tuple(int(x) for x in args.iters.split(","))
-    if len(iters) != 3:
-        raise InputError("--iters must be three comma-separated integers")
     config = ProjectorConfig(
-        n_neighbors=args.neighbors,
-        mn_ratio=args.mn_ratio,
-        fp_ratio=args.fp_ratio,
-        phase_iters=iters,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
+        **_given(args, "n_neighbors", "mn_ratio", "fp_ratio", "phase_iters", "learning_rate", "seed")
     )
     projection = fit(emb, config)
     fio.write_projection(args.out, projection)
@@ -148,19 +152,19 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_priors(args) -> int:
     catalog = load_catalog(args.catalog)
-    grouped = _read_grouped(args.predictions)
+    tiles = fio.read_tile_predictions(args.predictions)
     assign_map = fio.read_assignments(args.assignments)
-    priors = estimate_cluster_priors(grouped, assign_map, len(catalog), args.k, args.epsilon)
+    priors = estimate_cluster_priors(tiles, assign_map, len(catalog), args.k, args.epsilon)
     fio.write_priors(args.out, priors)
     return 0
 
 
 def _cmd_reweight(args) -> int:
-    grouped = _read_grouped(args.predictions)
+    tiles = fio.read_tile_predictions(args.predictions)
     priors = fio.read_priors(args.priors)
     region_map = fio.read_region_cluster_map(args.region_clusters)
     registry = fio.read_region_registry(args.registry)
-    reweighted = apply_priors(grouped, priors, region_map, registry)
+    reweighted = apply_priors(tiles, priors, region_map, registry)
     fio.write_tile_predictions(args.out, reweighted.batch)
     return 0
 
@@ -199,31 +203,62 @@ def _cmd_plot(args) -> int:
         projection.points,
         labels=labels,
         label_names=label_names,
-        width=args.width,
-        height=args.height,
-        title=args.title,
+        **_given(args, "width", "height", "title"),
     )
     return 0
 
 
 def _cmd_synth(args) -> int:
-    grid = parse_grid_spec(args.grid)
+    grid = {} if args.grid is None else {"grid_rows": args.grid.rows, "grid_cols": args.grid.cols}
     spec = SynthSpec(
-        n_images=args.n_images,
-        grid_rows=grid.rows,
-        grid_cols=grid.cols,
-        n_species=args.n_species,
-        n_clusters=args.n_clusters,
-        noise=args.noise,
-        separation=args.separation,
-        embed_dim=args.embed_dim,
-        transect_size=args.transect_size,
+        **_given(args, "n_images", "n_species", "n_clusters", "noise", "separation", "embed_dim", "transect_size"),
+        **grid,
     )
     bundle = generate(spec, args.seed)
     write_bundle(bundle, args.out)
     return 0
 
 
+class _Option(NamedTuple):
+    """One `run` option: the flag's dest (the flag is ``--dest`` with ``-``
+    for ``_``), the JSON type of its config value, its config key (``geo.x``
+    and ``priors.x`` sit in that object) and the field it sets: a RunConfig
+    field, or a GeoOptions/PriorsOptions field for a section key."""
+
+    dest: str
+    kind: type
+    key: str
+    field: str
+    flag: Mapping = {}  # more add_argument keywords
+
+
+_RUN_OPTIONS = (
+    _Option("mode", str, "mode", "mode", {"choices": MODES}),
+    _Option("catalog", str, "catalog", "catalog_path"),
+    _Option("predictions", str, "predictions", "predictions_path"),
+    _Option("out", str, "out", "out_dir"),
+    _Option("registry", str, "registry", "registry_path"),
+    _Option("training_counts", str, "training_counts", "training_counts_path"),
+    _Option("truth", str, "truth", "truth_path"),
+    _Option("grid", str, "grid", "grid"),
+    _Option("k_per_tile", int, "k_per_tile", "k_per_tile"),
+    _Option("min_votes", int, "min_votes", "min_votes"),
+    _Option("max_labels", int, "max_labels", "max_labels"),
+    _Option("baseline_k", int, "baseline_k", "baseline_k"),
+    _Option("geo", bool, "geo.enabled", "enabled"),
+    _Option("observations", str, "geo.observations", "observations_path"),
+    _Option("geo_regions", str, "geo.regions", "regions_path"),
+    _Option("reference", list, "geo.reference", "reference", {"type": _parse_reference}),
+    _Option("priors", bool, "priors.enabled", "enabled"),
+    _Option("embeddings", str, "priors.embeddings", "embeddings_path"),
+    _Option("priors_k", int, "priors.k", "k"),
+    _Option("priors_epsilon", float, "priors.epsilon", "epsilon"),
+    _Option("seed", int, "seed", "seed"),
+    _Option("threads", int, "threads", "threads", {"help": THREADS_HELP}),
+    _Option("keep_intermediates", bool, "keep_intermediates", "keep_intermediates"),
+)
+_SECTIONS = {"geo": GeoOptions, "priors": PriorsOptions}
+_FLAG_KEYWORDS = {bool: {"action": "store_true", "default": None}, int: {"type": int}, float: {"type": float}}
 _JSON_KINDS = {
     bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "an object"
 }
@@ -233,6 +268,10 @@ def _typed(path, key: str, value, kind):
     """``value`` of config ``key`` if it has the JSON type ``kind``; null stands for unset."""
     if value is None:
         return None
+    if kind is list:  # geo.reference, the one list option
+        if not isinstance(value, list) or len(value) != 2 or None in value:
+            raise InputError(f"{path}: {key} must be [lat, lon], got {value!r}")
+        return tuple(_typed(path, key, v, float) for v in value)
     if not isinstance(value, (int, float) if kind is float else kind) or (
         isinstance(value, bool) and kind is not bool
     ):
@@ -246,6 +285,8 @@ def _typed(path, key: str, value, kind):
 
 
 def _load_run_config(args) -> RunConfig:
+    """Each `run` option from its flag, else its config key, else the
+    library's default; a config key outside the table is an input error."""
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     path = Path(config_path) if config_path else None
     data = {}
@@ -256,73 +297,30 @@ def _load_run_config(args) -> RunConfig:
         if not isinstance(data, dict):
             raise InputError(f"{path}: config must be a JSON object")
 
-    sections = {
-        name: _typed(path, name, data.get(name), dict) or {} for name in ("geo", "priors")
-    }
+    config = {"": data}
+    config.update((section, _typed(path, section, data.get(section), dict) or {}) for section in _SECTIONS)
+    known = {option.key.rpartition(".")[::2] for option in _RUN_OPTIONS} | {("", s) for s in _SECTIONS}
+    for section, entries in config.items():
+        for name in entries:
+            if (section, name) not in known:
+                key = f"{section}.{name}" if section else name
+                raise InputError(f"{path}: unknown config key {key!r}")
 
-    def pick(flag_value, kind, *keys, default=None):
-        """The flag, else the first config key set, else ``default``; a key
-        is ``name`` or ``section.name``."""
-        if flag_value is not None:
-            return flag_value
-        for key in keys:
-            section, _, name = key.rpartition(".")
-            got = _typed(path, key, (sections[section] if section else data).get(name), kind)
-            if got is not None:
-                return got
-        return default
-
-    geo_enabled = args.geo or pick(None, bool, "geo.enabled", default=False)
-    priors_enabled = args.priors or pick(None, bool, "priors.enabled", default=False)
-
-    reference = DEFAULT_REFERENCE_POINT
-    if args.reference is not None:
-        reference = _parse_reference(args.reference)
-    elif sections["geo"].get("reference") is not None:
-        ref = sections["geo"]["reference"]
-        if not isinstance(ref, list) or len(ref) != 2 or None in ref:
-            raise InputError(f"{path}: geo.reference must be [lat, lon], got {ref!r}")
-        reference = tuple(_typed(path, "geo.reference", v, float) for v in ref)
-
-    mode = pick(args.mode, str, "mode", default="tiling")
-    catalog = pick(args.catalog, str, "catalog")
-    predictions = pick(args.predictions, str, "predictions")
-    out_dir = pick(args.out, str, "out")
-    if not catalog or not predictions or not out_dir:
+    fields = {section: {} for section in config}
+    for option in _RUN_OPTIONS:
+        section, _, name = option.key.rpartition(".")
+        value = getattr(args, option.dest)
+        if value is None:
+            value = _typed(path, option.key, config[section].get(name), option.kind)
+        if value is not None:
+            fields[section][option.field] = value
+    run_fields = fields.pop("")
+    if not all(run_fields.get(name) for name in ("catalog_path", "predictions_path", "out_dir")):
         raise InputError("run needs --catalog, --predictions, and --out (flags or config file)")
-
-    grid = pick(args.grid, str, "grid")
-    keep = args.keep_intermediates or pick(None, bool, "keep_intermediates", default=False)
-
-    return RunConfig(
-        catalog_path=catalog,
-        predictions_path=predictions,
-        out_dir=out_dir,
-        mode=mode,
-        grid=parse_grid_spec(grid) if grid else None,
-        k_per_tile=pick(args.k_per_tile, int, "k_per_tile"),
-        min_votes=pick(args.min_votes, int, "min_votes"),
-        max_labels=pick(args.max_labels, int, "max_labels"),
-        baseline_k=pick(args.baseline_k, int, "baseline_k", default=10),
-        registry_path=pick(args.registry, str, "registry"),
-        training_counts_path=pick(args.training_counts, str, "training_counts"),
-        truth_path=pick(args.truth, str, "truth"),
-        geo=GeoOptions(
-            enabled=geo_enabled,
-            reference=reference,
-            observations_path=pick(args.observations, str, "observations", "geo.observations"),
-            regions_path=pick(args.geo_regions, str, "geo_regions", "geo.regions"),
-        ),
-        priors=PriorsOptions(
-            enabled=priors_enabled,
-            k=pick(args.priors_k, int, "priors_k", "priors.k", default=3),
-            epsilon=pick(args.priors_epsilon, float, "priors_epsilon", "priors.epsilon", default=1e-6),
-            embeddings_path=pick(args.embeddings, str, "embeddings", "priors.embeddings"),
-        ),
-        seed=pick(args.seed, int, "seed", default=42),
-        threads=pick(args.threads, int, "threads", default=1),
-        keep_intermediates=keep,
-    )
+    grid = run_fields.pop("grid", None)
+    if grid:
+        run_fields["grid"] = parse_grid_spec(grid)
+    return RunConfig(**run_fields, **{s: cls(**fields[s]) for s, cls in _SECTIONS.items()})
 
 
 def _cmd_run(args) -> int:
@@ -344,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tile-plan", help="print the tile rectangles of an N x M grid")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--grid", default="4x4")
+    p.add_argument("--grid", type=parse_grid_spec, default=_GRID)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_tile_plan)
 
@@ -352,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=9)
-    p.add_argument("--min-votes", type=int, default=2)
-    p.add_argument("--max-labels", type=int, default=10)
+    p.add_argument("--k", type=int, default=_K_PER_TILE)
+    p.add_argument("--min-votes", type=int, default=_MIN_VOTES)
+    p.add_argument("--max-labels", type=int, default=_MAX_LABELS)
     p.add_argument("--grid")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    p.add_argument("--threads", type=int, help=THREADS_HELP)
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser("geofilter", help="build a species mask from observations")
@@ -373,19 +371,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project embeddings to 2-D")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--neighbors", type=int, default=10)
-    p.add_argument("--mn-ratio", type=float, default=0.5)
-    p.add_argument("--fp-ratio", type=float, default=2.0)
-    p.add_argument("--iters", default="100,100,250")
-    p.add_argument("--learning-rate", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--neighbors", dest="n_neighbors", type=int)
+    p.add_argument("--mn-ratio", type=float)
+    p.add_argument("--fp-ratio", type=float)
+    p.add_argument("--iters", dest="phase_iters", type=_parse_iters)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("cluster", help="k-means over a 2-D projection")
     p.add_argument("--projection", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--k", type=int, default=PriorsOptions.k)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--registry")
     p.add_argument("--region-map-out")
     p.set_defaults(func=_cmd_cluster)
@@ -395,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignments", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--k", type=int, default=PriorsOptions.k)
+    p.add_argument("--epsilon", type=float, default=PriorsOptions.epsilon)
     p.set_defaults(func=_cmd_priors)
 
     p = sub.add_parser("reweight", help="reweight predictions by cluster priors")
@@ -419,49 +417,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--assignments")
     p.add_argument("--registry")
-    p.add_argument("--width", type=int, default=800)
-    p.add_argument("--height", type=int, default=600)
-    p.add_argument("--title", default="")
+    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=int)
+    p.add_argument("--title")
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset bundle")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-images", type=int, default=100)
-    p.add_argument("--grid", default="4x4")
-    p.add_argument("--n-species", type=int, default=50)
-    p.add_argument("--n-clusters", type=int, default=3)
-    p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--separation", type=float, default=8.0)
-    p.add_argument("--embed-dim", type=int, default=64)
-    p.add_argument("--transect-size", type=int, default=8)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--n-images", type=int)
+    p.add_argument("--grid", type=parse_grid_spec)
+    p.add_argument("--n-species", type=int)
+    p.add_argument("--n-clusters", type=int)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--separation", type=float)
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--transect-size", type=int)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("run", help="run the pipeline end to end")
     p.add_argument("--config", help=f"JSON config path (default from ${CONFIG_ENV_VAR})")
-    p.add_argument("--mode", choices=["baseline", "no-tiling", "tiling"])
-    p.add_argument("--catalog")
-    p.add_argument("--predictions")
-    p.add_argument("--out")
-    p.add_argument("--registry")
-    p.add_argument("--training-counts")
-    p.add_argument("--truth")
-    p.add_argument("--grid")
-    p.add_argument("--k-per-tile", type=int)
-    p.add_argument("--min-votes", type=int)
-    p.add_argument("--max-labels", type=int)
-    p.add_argument("--baseline-k", type=int)
-    p.add_argument("--geo", action="store_true", default=None)
-    p.add_argument("--observations")
-    p.add_argument("--geo-regions")
-    p.add_argument("--reference")
-    p.add_argument("--priors", action="store_true", default=None)
-    p.add_argument("--embeddings")
-    p.add_argument("--priors-k", type=int)
-    p.add_argument("--priors-epsilon", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, help=THREADS_HELP)
-    p.add_argument("--keep-intermediates", action="store_true", default=None)
+    for option in _RUN_OPTIONS:
+        flag = "--" + option.dest.replace("_", "-")
+        p.add_argument(flag, **_FLAG_KEYWORDS.get(option.kind, {}), **option.flag)
     p.set_defaults(func=_cmd_run)
 
     return parser

@@ -180,8 +180,8 @@ def estimate_priors(
         raise InputError(f"image probability vectors must be n x S, got {vectors.shape}")
     if n_species is not None and vectors.shape[1] != n_species:
         raise InputError(f"vectors have {vectors.shape[1]} species, catalog has {n_species}")
-    if epsilon < 0:
-        raise InputError("epsilon must be >= 0")
+    if not 0 <= epsilon < np.inf:
+        raise InputError(f"epsilon must be finite and >= 0, got {epsilon}")
     assignments = np.asarray(assignments, dtype=np.int64)
     if assignments.shape[0] != vectors.shape[0]:
         raise InputError(f"{assignments.shape[0]} assignments for {vectors.shape[0]} vectors")

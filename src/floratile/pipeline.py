@@ -38,7 +38,6 @@ from .errors import InputError
 from .geo import DEFAULT_REFERENCE_POINT, SpeciesMask, build_mask, mask_entries, nearest_per_species
 from .io import (
     SubmissionRow,
-    group_by_image,
     read_embeddings,
     read_geo_regions,
     read_ground_truth,
@@ -81,6 +80,9 @@ class GeoOptions:
     regions_path: Optional[str] = None
 
     def __post_init__(self):
+        lat, lon = self.reference
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):  # also false for NaN
+            raise InputError(f"reference ({lat}, {lon}) outside lat [-90, 90], lon [-180, 180]")
         if self.enabled and (self.observations_path is None or self.regions_path is None):
             raise InputError("geo filtering needs --observations and --geo-regions")
 
@@ -95,8 +97,8 @@ class PriorsOptions:
     def __post_init__(self):
         if self.k < 1:
             raise InputError("priors k must be >= 1")
-        if self.epsilon <= 0:
-            raise InputError("priors epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise InputError(f"priors epsilon must be positive and finite, got {self.epsilon}")
         if self.enabled and self.embeddings_path is None:
             raise InputError("prior reweighting needs --embeddings")
 
@@ -371,22 +373,22 @@ def run(config: RunConfig) -> RunResult:
         quadrats = sorted(read_tile_predictions(config.predictions_path).image_ids)
         rows = [SubmissionRow(quadrat_id=q, species_ids=tuple(labels)) for q in quadrats]
     else:
-        grouped = group_by_image(read_tile_predictions(config.predictions_path))
-        validate_grid(grouped, config.grid)
+        tiles = read_tile_predictions(config.predictions_path)
+        validate_grid(tiles, config.grid)
 
         if config.geo.enabled:
             mask = compute_geo_mask(config.geo, catalog)
             if config.keep_intermediates:
                 write_species_mask(out_dir / "mask.csv", mask, catalog)
-            grouped = apply_geo_mask(grouped, mask)
+            tiles = apply_geo_mask(tiles, mask)
             if config.keep_intermediates:
-                write_tile_predictions(out_dir / "masked_predictions.ndjson", grouped.batch)
+                write_tile_predictions(out_dir / "masked_predictions.ndjson", tiles.batch)
 
         if config.priors.enabled:
             registry = read_region_registry(config.registry_path)
             embeddings = read_embeddings(config.priors.embeddings_path)
             artifacts = compute_priors_artifacts(
-                embeddings, grouped, registry, catalog, config.priors, config.seed
+                embeddings, tiles, registry, catalog, config.priors, config.seed
             )
             if config.keep_intermediates:
                 write_projection(out_dir / "projection.csv", artifacts.projection)
@@ -397,12 +399,12 @@ def run(config: RunConfig) -> RunResult:
                 )
                 write_region_cluster_map(out_dir / "region_clusters.csv", artifacts.region_map)
                 write_priors(out_dir / "priors.ndjson", artifacts.priors)
-            grouped = apply_priors(grouped, artifacts.priors, artifacts.region_map, registry)
+            tiles = apply_priors(tiles, artifacts.priors, artifacts.region_map, registry)
             if config.keep_intermediates:
-                write_tile_predictions(out_dir / "reweighted_predictions.ndjson", grouped.batch)
+                write_tile_predictions(out_dir / "reweighted_predictions.ndjson", tiles.batch)
 
         rows = aggregate_predictions(
-            grouped,
+            tiles,
             catalog,
             config.k_per_tile,
             config.min_votes,

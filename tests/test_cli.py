@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -171,7 +172,22 @@ def test_synth_then_run_then_evaluate(tmp_path, capsys):
     assert eval_out.splitlines()[0] == [l for l in run_out.splitlines() if "macro-F1" in l][0]
 
 
-def test_stage_chain_matches_single_run(fixture_dir, tmp_path, capsys):
+# The flags each command of the stage chain gets on top of its required ones:
+# all of them set, or none, so the CLI defaults must match the library's.
+_CHAIN_FLAGS = {
+    "explicit": {
+        "project": ["--seed", "42"],
+        "cluster": ["--k", "2", "--seed", "42"],
+        "priors": ["--k", "2"],
+        "aggregate": ["--k", "9", "--min-votes", "2", "--max-labels", "10"],
+        "run": ["--mode", "tiling", "--priors-k", "2", "--seed", "42"],
+    },
+    "defaults": {},
+}
+
+
+@pytest.mark.parametrize("flags", _CHAIN_FLAGS.values(), ids=_CHAIN_FLAGS.keys())
+def test_stage_chain_matches_single_run(fixture_dir, tmp_path, capsys, flags):
     """project | cluster | priors | reweight | aggregate == run --priors."""
     out = tmp_path
     proj = out / "projection.csv"
@@ -183,8 +199,8 @@ def test_stage_chain_matches_single_run(fixture_dir, tmp_path, capsys):
 
     assert main(["project",
                  "--embeddings", str(fixture_dir / "embeddings.ndjson"),
-                 "--out", str(proj), "--seed", "42"]) == 0
-    assert main(["cluster", "--projection", str(proj), "--k", "2", "--seed", "42",
+                 "--out", str(proj), *flags.get("project", [])]) == 0
+    assert main(["cluster", "--projection", str(proj), *flags.get("cluster", []),
                  "--out", str(assign),
                  "--registry", str(fixture_dir / "regions.txt"),
                  "--region-map-out", str(region_map)]) == 0
@@ -192,7 +208,7 @@ def test_stage_chain_matches_single_run(fixture_dir, tmp_path, capsys):
                  "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
                  "--assignments", str(assign),
                  "--catalog", str(fixture_dir / "catalog.csv"),
-                 "--k", "2", "--out", str(priors)]) == 0
+                 *flags.get("priors", []), "--out", str(priors)]) == 0
     assert main(["reweight",
                  "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
                  "--priors", str(priors),
@@ -203,18 +219,18 @@ def test_stage_chain_matches_single_run(fixture_dir, tmp_path, capsys):
                  "--predictions", str(reweighted),
                  "--catalog", str(fixture_dir / "catalog.csv"),
                  "--out", str(staged_sub),
-                 "--k", "9", "--min-votes", "2", "--max-labels", "10"]) == 0
+                 *flags.get("aggregate", [])]) == 0
 
     run_dir = out / "single"
     assert main(["run",
                  "--catalog", str(fixture_dir / "catalog.csv"),
                  "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
                  "--out", str(run_dir),
-                 "--mode", "tiling", "--grid", "3x3",
+                 "--grid", "3x3",
                  "--registry", str(fixture_dir / "regions.txt"),
-                 "--priors", "--priors-k", "2",
+                 "--priors",
                  "--embeddings", str(fixture_dir / "embeddings.ndjson"),
-                 "--seed", "42",
+                 *flags.get("run", []),
                  "--keep-intermediates"]) == 0
     capsys.readouterr()
 
@@ -350,6 +366,9 @@ def test_run_config_integer_past_digit_limit_exits_1(tmp_path, capsys):
     ({"priors": {"epsilon": 10**400}}, "priors.epsilon must be a number, got an integer too large for a float"),
     ({"geo": {"reference": [10**400, 4.0]}},
      "geo.reference must be a number, got an integer too large for a float"),
+    ({"k_per_tiles": 1}, "unknown config key 'k_per_tiles'"),
+    ({"geo": {"enable": True}}, "unknown config key 'geo.enable'"),
+    ({"observations": "observations.csv"}, "unknown config key 'observations'"),  # only geo.observations
 ])
 def test_run_mistyped_config_value_exits_1(fixture_dir, tmp_path, capsys, config, message):
     config_path = tmp_path / "run.json"
@@ -363,6 +382,67 @@ def test_run_mistyped_config_value_exits_1(fixture_dir, tmp_path, capsys, config
     assert main(["run", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err == f"floratile: error: {config_path}: {message}\n"
     assert not (tmp_path / "out" / "submission.csv").exists()
+
+
+@pytest.mark.parametrize("flags,geo,shown", [
+    (["--reference", "nan,4"], {}, "(nan, 4.0)"),
+    (["--reference", "500,4"], {}, "(500.0, 4.0)"),
+    ([], {"reference": [44.0, 200.0]}, "(44.0, 200.0)"),
+], ids=["flag_nan", "flag_lat_500", "config_lon_200"])
+def test_run_reference_outside_bounds_exits_1(fixture_dir, tmp_path, capsys, flags, geo, shown):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"geo": geo}))
+    out = tmp_path / "out"
+    rc = main([
+        "run", "--config", str(config_path), "--grid", "3x3", "--geo",
+        "--catalog", str(fixture_dir / "catalog.csv"),
+        "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
+        "--observations", str(fixture_dir / "observations.csv"),
+        "--geo-regions", str(fixture_dir / "geo_regions.json"),
+        "--out", str(out), "--keep-intermediates", *flags,
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"floratile: error: reference {shown} outside lat [-90, 90], lon [-180, 180]\n"
+    )
+    assert not (out / "mask.csv").exists()
+
+
+@pytest.mark.parametrize("flags,shown", [
+    (["--ref-lat", "nan"], "(nan, 4.0)"),
+    (["--ref-lon", "-180.5"], "(44.0, -180.5)"),
+], ids=["lat_nan", "lon_past_180"])
+def test_geofilter_reference_outside_bounds_exits_1(fixture_dir, capsys, flags, shown):
+    rc = main([
+        "geofilter",
+        "--observations", str(fixture_dir / "observations.csv"),
+        "--regions", str(fixture_dir / "geo_regions.json"),
+        "--catalog", str(fixture_dir / "catalog.csv"),
+        *flags,
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"floratile: error: reference {shown} outside lat [-90, 90], lon [-180, 180]\n"
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_run_non_finite_priors_epsilon_exits_1(fixture_dir, tmp_path, capsys, epsilon):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["run",
+                   "--catalog", str(fixture_dir / "catalog.csv"),
+                   "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
+                   "--out", str(out), "--grid", "3x3",
+                   "--registry", str(fixture_dir / "regions.txt"),
+                   "--priors", "--embeddings", str(fixture_dir / "embeddings.ndjson"),
+                   "--priors-epsilon", epsilon])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"floratile: error: priors epsilon must be positive and finite, got {float(epsilon)}\n"
+    )
+    assert not out.exists()
 
 
 def test_run_mistyped_config_value_names_the_file_as_read(fixture_dir, tmp_path, monkeypatch, capsys):
@@ -399,6 +479,13 @@ def test_import_leaves_network_modules_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("iters", ["a,b,c", "1,2"])
+def test_project_bad_iters_exits_1(fixture_dir, tmp_path, capsys, iters):
+    assert main(["project", "--embeddings", str(fixture_dir / "embeddings.ndjson"),
+                 "--out", str(tmp_path / "proj.csv"), "--iters", iters]) == 1
+    assert capsys.readouterr().err == "floratile: error: --iters must be three comma-separated integers\n"
 
 
 def test_plot_svg_circle_count(fixture_dir, tmp_path, capsys):

@@ -154,6 +154,12 @@ def test_estimate_priors_validation():
         estimate_priors(np.array([0.5, 0.5]), [0], k=1)  # not 2-D
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+def test_estimate_priors_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(InputError, match=rf"^epsilon must be finite and >= 0, got {epsilon}$"):
+        estimate_priors(np.array([[0.5, 0.5]]), [0], k=1, epsilon=epsilon)
+
+
 def test_cluster_priors_validation():
     with pytest.raises(InvariantViolation):
         ClusterPriors(np.array([[0.5, 0.6]]))

@@ -5,12 +5,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from floratile.catalog import RegionRegistry, SpeciesCatalog, load_catalog
 from floratile.clustering import ClusterPriors
 from floratile.errors import InputError
 from floratile.geo import GeoRegion, Observation, SpeciesMask
-from floratile.cli import _load_run_config, build_parser
+from floratile.pipeline import RunConfig
+from floratile.cli import _RUN_OPTIONS, _load_run_config, build_parser
 from floratile.io import (
     SubmissionRow,
     csv_rows,
@@ -137,6 +140,46 @@ def test_geo_regions_undecodable_json_is_input_error(tmp_path, text, reason):
 
 def _read_config(path):
     return _load_run_config(build_parser().parse_args(["run", "--config", str(path)]))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# values of each option's own JSON type, so the checks behind the type check run too
+_TYPED_VALUES = {
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats() | st.integers(),
+    str: st.sampled_from(["tiling", "no-tiling", "baseline", "3x3", "0x2", "x", ""]) | st.text(max_size=6),
+    list: st.lists(st.floats() | st.integers(), min_size=2, max_size=2),
+}
+
+
+def _option_values(section):
+    """Config objects holding any subset of the options of ``section`` ("" for top level)."""
+    options = [o for o in _RUN_OPTIONS if o.key.rpartition(".")[0] == section]
+    values = {o.key.rpartition(".")[2]: _TYPED_VALUES[o.kind] | _JSON_VALUES for o in options}
+    return st.fixed_dictionaries({}, optional=values)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    top=_option_values(""),
+    geo=_option_values("geo") | _JSON_VALUES,
+    priors=_option_values("priors") | _JSON_VALUES,
+)
+def test_config_loader_returns_config_or_input_error_property(tmp_path, top, geo, priors):
+    """Any JSON value under any config key loads or is an InputError, never another exception."""
+    path = tmp_path / "run.json"
+    paths = {"catalog": "c", "predictions": "p", "out": "o"}
+    path.write_text(json.dumps({**paths, **top, "geo": geo, "priors": priors}))
+    try:
+        config = _read_config(path)
+    except InputError:
+        return
+    assert isinstance(config, RunConfig)
 
 
 @pytest.mark.parametrize("name,data,reader", [

@@ -100,6 +100,20 @@ def test_run_config_validation():
         RunConfig(catalog_path="c", predictions_path="p", out_dir="o", threads=0)
 
 
+@pytest.mark.parametrize("options", [
+    lambda: PriorsOptions(epsilon=float("nan")),
+    lambda: PriorsOptions(epsilon=float("inf")),
+    lambda: GeoOptions(reference=(float("nan"), 4.0)),
+    lambda: GeoOptions(reference=(44.0, float("-inf"))),
+    lambda: GeoOptions(reference=(90.5, 4.0)),
+    lambda: GeoOptions(reference=(44.0, 180.5)),
+], ids=["epsilon_nan", "epsilon_inf", "lat_nan", "lon_inf", "lat_past_90", "lon_past_180"])
+def test_options_reject_non_finite_or_out_of_range_values(options):
+    with pytest.raises(InputError):
+        options()
+    GeoOptions(reference=(-90.0, 180.0))  # the bounds themselves are valid
+
+
 def _tp(img, row, col, probs):
     return TilePrediction(image_id=img, row=row, col=col, probs=probs, complete=False)
 
