@@ -53,7 +53,6 @@ from .voting import (
     naive_baseline,
     select_labels,
     tally_votes,
-    top_k_of_tile,
 )
 
 __version__ = "0.1.0"
@@ -113,7 +112,6 @@ __all__ = [
     "select_labels",
     "sq_dist",
     "tally_votes",
-    "top_k_of_tile",
     "transect_of",
     "write_bundle",
     "write_submission",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -175,14 +175,11 @@ class TileBatch:
         return cls(list(image_ids), image, row, col, complete, line, offsets, idx, prob)
 
     @classmethod
-    def from_tiles(
-        cls, tiles: Iterable[TilePrediction], image_keys: Optional[Sequence] = None
-    ) -> "TileBatch":
-        """Batch already-checked tiles, grouped by ``image_keys`` (default: each tile's image_id)."""
+    def from_tiles(cls, tiles: Iterable[TilePrediction]) -> "TileBatch":
+        """Batch already-checked tiles, grouped by image id."""
         tiles = list(tiles)
-        keys = [t.image_id for t in tiles] if image_keys is None else image_keys
         codes: dict = {}
-        image = [codes.setdefault(key, len(codes)) for key in keys]
+        image = [codes.setdefault(t.image_id, len(codes)) for t in tiles]
         return cls.from_columns(
             list(codes),
             image,
@@ -311,15 +308,11 @@ class ImageTiles(Mapping):
 
 
 def as_batch(tiles) -> TileBatch:
-    """The batch behind a stage input: a batch, an ``ImageTiles``, a mapping
-    of image id -> tiles (the key is the tile's image), or an iterable of tiles."""
+    """The batch behind a stage input: a batch, an ``ImageTiles`` or an iterable of tiles."""
     if isinstance(tiles, TileBatch):
         return tiles
     if isinstance(tiles, ImageTiles):
         return tiles.batch
-    if isinstance(tiles, Mapping):
-        keys = [key for key, group in tiles.items() for _ in group]
-        return TileBatch.from_tiles([t for group in tiles.values() for t in group], keys)
     return TileBatch.from_tiles(tiles)
 
 

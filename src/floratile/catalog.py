@@ -14,8 +14,6 @@ from typing import Dict, List, Sequence
 
 from .errors import InputError, UnknownRegionError
 
-DEFAULT_TRANSECT_DELIMITER = "-"
-
 
 class SpeciesCatalog:
     """Bijection between external species ids and dense indices 0..S-1."""
@@ -107,12 +105,12 @@ def parse_region(quadrat_id: str, registry: RegionRegistry) -> str:
     return best
 
 
-def transect_of(quadrat_id: str, delimiter: str = DEFAULT_TRANSECT_DELIMITER) -> str:
-    """Derive a transect key by dropping the final delimiter-separated token.
+def transect_of(quadrat_id: str) -> str:
+    """Derive a transect key by dropping the final ``-``-separated token.
 
-    A quadrat id without the delimiter is its own transect.
+    A quadrat id without a ``-`` is its own transect.
     """
     if not quadrat_id:
         raise InputError("quadrat_id must be non-empty")
-    head, sep, _ = quadrat_id.rpartition(delimiter)
+    head, sep, _ = quadrat_id.rpartition("-")
     return head if sep else quadrat_id

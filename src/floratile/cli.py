@@ -45,7 +45,6 @@ from .synth import SynthSpec, generate, write_bundle
 from .tiling import make_grid, parse_grid_spec
 
 CONFIG_ENV_VAR = "FLORATILE_CONFIG"
-THREADS_HELP = "accepted for compatibility; has no effect (must be >= 1 in run)"
 # grid, k per tile, min votes and max labels of the default mode
 _GRID, _K_PER_TILE, _MIN_VOTES, _MAX_LABELS = MODE_PRESETS[RunConfig.mode]
 
@@ -154,7 +153,8 @@ def _cmd_priors(args) -> int:
     catalog = load_catalog(args.catalog)
     tiles = fio.read_tile_predictions(args.predictions)
     assign_map = fio.read_assignments(args.assignments)
-    priors = estimate_cluster_priors(tiles, assign_map, len(catalog), args.k, args.epsilon)
+    options = PriorsOptions(k=args.k, epsilon=args.epsilon)
+    priors = estimate_cluster_priors(tiles, assign_map, len(catalog), options.k, options.epsilon)
     fio.write_priors(args.out, priors)
     return 0
 
@@ -254,7 +254,8 @@ _RUN_OPTIONS = (
     _Option("priors_k", int, "priors.k", "k"),
     _Option("priors_epsilon", float, "priors.epsilon", "epsilon"),
     _Option("seed", int, "seed", "seed"),
-    _Option("threads", int, "threads", "threads", {"help": THREADS_HELP}),
+    _Option("threads", int, "threads", "threads",
+            {"help": "accepted for compatibility; has no effect (must be >= 1)"}),
     _Option("keep_intermediates", bool, "keep_intermediates", "keep_intermediates"),
 )
 _SECTIONS = {"geo": GeoOptions, "priors": PriorsOptions}
@@ -354,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-votes", type=int, default=_MIN_VOTES)
     p.add_argument("--max-labels", type=int, default=_MAX_LABELS)
     p.add_argument("--grid")
-    p.add_argument("--threads", type=int, help=THREADS_HELP)
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser("geofilter", help="build a species mask from observations")

@@ -112,7 +112,6 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterModel:
     rng = np.random.default_rng(seed)
     centroids = _plusplus_init(points, k, rng)
     history: List[float] = []
-    assign = _assign(points, centroids)
 
     for _ in range(_MAX_LLOYD_ITERS):
         assign = _assign(points, centroids)

@@ -163,16 +163,16 @@ def build_mask(
         allowed[i] = any(contains(region, point) for region in regions)
     count = int(allowed.sum())
     if count < 1:
-        raise InvariantViolation("geolocation mask would disallow every species; check regions file")
+        raise InputError("geolocation mask would disallow every species; check regions file")
     return SpeciesMask(allowed=allowed, allowed_count=count)
 
 
-def mask_entries(idx, prob, tile, n_tiles: int, allowed: np.ndarray, renormalize: bool = True):
+def mask_entries(idx, prob, tile, n_tiles: int, allowed: np.ndarray):
     """The mask over flat entries grouped by ``tile``.
 
     Returns ``(keep, prob, failure)``: which entries the mask allows, their
-    probabilities, renormalised over each tile's kept entries when asked,
-    and the ``raise_first`` failure of the first index outside the mask.
+    probabilities renormalised over each tile's kept entries, and the
+    ``raise_first`` failure of the first index outside the mask.
     """
     size = allowed.shape[0]
     outside = (idx < 0) | (idx >= size)
@@ -182,21 +182,18 @@ def mask_entries(idx, prob, tile, n_tiles: int, allowed: np.ndarray, renormalize
         failure = (int(tile[j]), InputError(f"dense index {int(idx[j])} outside mask of size {size}"))
     keep = allowed[np.where(outside, 0, idx)] & ~outside
     kept = prob[keep]
-    if renormalize:
-        total = np.bincount(tile[keep], weights=kept, minlength=n_tiles)[tile[keep]]
-        kept = np.divide(kept, total, out=kept.copy(), where=total > 0.0)
+    total = np.bincount(tile[keep], weights=kept, minlength=n_tiles)[tile[keep]]
+    kept = np.divide(kept, total, out=kept.copy(), where=total > 0.0)
     return keep, kept, failure
 
 
-def apply_mask(probs, mask: SpeciesMask, renormalize: bool = True):
-    """Drop masked-out entries from a sparse vector, optionally renormalizing.
+def apply_mask(probs, mask: SpeciesMask):
+    """Drop masked-out entries from a sparse vector and renormalize the rest.
 
     Returns an empty vector when nothing survives. ``apply_geo_mask`` drops
     such a tile, and rejects an image that loses every tile.
     """
     idx, prob = entry_arrays(probs)
-    keep, kept, failure = mask_entries(
-        idx, prob, np.zeros(idx.shape[0], dtype=np.int64), 1, mask.allowed, renormalize
-    )
+    keep, kept, failure = mask_entries(idx, prob, np.zeros(idx.shape[0], dtype=np.int64), 1, mask.allowed)
     raise_first(failure)
     return list(zip(idx[keep].tolist(), kept.tolist()))

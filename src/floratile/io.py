@@ -24,7 +24,7 @@ from .errors import InputError
 from .geo import GeoRegion, Observation, SpeciesMask
 from .metrics import GroundTruth, ScoreReport
 from .projection import EmbeddingMatrix, Projection
-from .clustering import ClusterPriors
+from .clustering import ClusterPriors, prior_sum_error
 
 
 @contextmanager
@@ -304,24 +304,6 @@ def write_species_mask(path, mask: SpeciesMask, catalog: SpeciesCatalog):
         fh.write(format_species_mask(mask, catalog))
 
 
-def read_species_mask(path, catalog: SpeciesCatalog) -> SpeciesMask:
-    allowed = np.zeros(len(catalog), dtype=bool)
-    seen = np.zeros(len(catalog), dtype=bool)
-    for lineno, row in csv_rows(path, ("species_id", "allowed")):
-        try:
-            idx = catalog.dense_index(int(row[0]))
-            flag = int(row[1])
-        except (ValueError, InputError):
-            raise InputError(f"{path}:{lineno}: malformed mask row {row!r}") from None
-        if flag not in (0, 1):
-            raise InputError(f"{path}:{lineno}: allowed must be 0 or 1")
-        allowed[idx] = bool(flag)
-        seen[idx] = True
-    if not seen.all():
-        raise InputError(f"{path}: mask does not cover every catalog species")
-    return SpeciesMask(allowed=allowed, allowed_count=int(allowed.sum()))
-
-
 # --- embeddings --------------------------------------------------------
 
 def read_embeddings(path) -> EmbeddingMatrix:
@@ -431,21 +413,30 @@ def write_priors(path, priors: ClusterPriors):
 
 
 def read_priors(path) -> ClusterPriors:
-    rows: Dict[int, List[float]] = {}
+    """Prior rows by cluster id 0..k-1: one width, entries finite and > 0, each row summing to 1."""
+    rows: Dict[int, np.ndarray] = {}
     for lineno, rec in ndjson_records(path):
         try:
             cluster = int(rec["cluster"])
-            prior = [float(x) for x in rec["prior"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            prior = np.array([float(x) for x in rec["prior"]])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}:{lineno}: bad prior record ({exc})") from None
         if cluster in rows:
             raise InputError(f"{path}:{lineno}: duplicate cluster {cluster}")
+        if not np.all(np.isfinite(prior) & (prior > 0.0)):
+            raise InputError(f"{path}:{lineno}: prior entries must be finite and > 0")
+        error = prior_sum_error(prior)
+        if error is not None:
+            raise InputError(f"{path}:{lineno}: {error}")
         rows[cluster] = prior
     if not rows:
         raise InputError(f"{path}: no prior records")
     if sorted(rows) != list(range(len(rows))):
         raise InputError(f"{path}: cluster ids must be contiguous 0..k-1, got {sorted(rows)}")
-    return ClusterPriors(priors=np.asarray([rows[c] for c in range(len(rows))]))
+    widths = sorted({row.shape[0] for row in rows.values()})
+    if len(widths) > 1:
+        raise InputError(f"{path}: prior rows must have one width, got {widths}")
+    return ClusterPriors(priors=np.stack([rows[c] for c in range(len(rows))]))
 
 
 # --- ground truth ------------------------------------------------------

@@ -42,24 +42,20 @@ class ScoreReport:
     unknown_predictions: List[str] = field(default_factory=list)
 
 
-def image_f1(pred: Iterable[int], truth: Iterable[int], both_empty_value: float = 1.0) -> float:
+def image_f1(pred: Iterable[int], truth: Iterable[int]) -> float:
     """Harmonic mean of precision and recall for one image.
 
-    Two empty sets score ``both_empty_value`` (default 1: a correctly
-    predicted absence); when precision + recall is zero the score is 0.
+    Two empty sets score 1 (a correctly predicted absence); when
+    precision + recall is zero the score is 0.
     """
     pred, truth = frozenset(pred), frozenset(truth)  # no copy of a frozenset
     if not pred and not truth:
-        return both_empty_value
+        return 1.0
     tp = len(pred & truth)
     return 2.0 * tp / (len(pred) + len(truth))  # the denominator is 2 tp + fp + fn
 
 
-def final_score(
-    predictions: Mapping[str, Iterable[int]],
-    truth: GroundTruth,
-    both_empty_value: float = 1.0,
-) -> ScoreReport:
+def final_score(predictions: Mapping[str, Iterable[int]], truth: GroundTruth) -> ScoreReport:
     """Average image F1 within transects, then average the transect means.
 
     Quadrats without a prediction score as empty sets and are flagged;
@@ -74,7 +70,7 @@ def final_score(
     grouped: Dict[str, List[str]] = {}
     for quadrat_id in sorted(truth.truth):
         pred = predictions.get(quadrat_id, ())
-        per_image[quadrat_id] = image_f1(pred, truth.truth[quadrat_id], both_empty_value)
+        per_image[quadrat_id] = image_f1(pred, truth.truth[quadrat_id])
         grouped.setdefault(truth.transects[quadrat_id], []).append(quadrat_id)
 
     per_transect = {

@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import ImageTiles, TilePrediction, as_batch, first, raise_first
+from .batch import ImageTiles, TileBatch, as_batch, first, raise_first
 from .catalog import RegionRegistry, SpeciesCatalog, load_catalog, parse_region
 from .clustering import (
     ClusterModel,
@@ -31,7 +31,6 @@ from .clustering import (
     dominant_cluster,
     estimate_priors,
     kmeans,
-    prior_sum_error,
     reweight_entries,
 )
 from .errors import InputError
@@ -162,9 +161,9 @@ class RunResult:
 
 # --- stage functions (shared by `run` and the per-stage CLI commands) ----
 
-def validate_grid(grouped: Mapping[str, Sequence[TilePrediction]], grid: GridSpec):
+def validate_grid(tiles: TileBatch, grid: GridSpec):
     """Every tile must sit inside the grid; no duplicate cells per image."""
-    batch = as_batch(grouped)
+    batch = as_batch(tiles)
 
     def where(t):
         return int(batch.row[t]), int(batch.col[t]), batch.image_ids[batch.image[t]]
@@ -187,16 +186,14 @@ def validate_grid(grouped: Mapping[str, Sequence[TilePrediction]], grid: GridSpe
     raise_first(outside_failure, repeat_failure)
 
 
-def image_probability_vectors(
-    grouped: Mapping[str, Sequence[TilePrediction]], n_species: int
-) -> Tuple[List[str], np.ndarray]:
+def image_probability_vectors(tiles: TileBatch, n_species: int) -> Tuple[List[str], np.ndarray]:
     """Dense per-image distributions: renormalize each tile, then average.
 
     Tile records are sparse and need not sum to one (a top-k slice does
     not), so each tile is renormalized before entering the mean; the
     resulting rows sum to one exactly as the prior estimator requires.
     """
-    batch = as_batch(grouped)
+    batch = as_batch(tiles)
     j = first(batch.idx >= n_species)
     if j is not None:
         image_id = batch.image_ids[batch.image_of_entry[j]]
@@ -219,10 +216,10 @@ def compute_geo_mask(options: GeoOptions, catalog: SpeciesCatalog) -> SpeciesMas
     return build_mask(nearest, regions, catalog)
 
 
-def apply_geo_mask(grouped: Mapping[str, Sequence[TilePrediction]], mask: SpeciesMask) -> ImageTiles:
+def apply_geo_mask(tiles: TileBatch, mask: SpeciesMask) -> ImageTiles:
     """Filter every tile through the mask and renormalize; tiles losing all
     species drop out, and an image losing every tile is an input error."""
-    batch = as_batch(grouped)
+    batch = as_batch(tiles)
     keep, prob, failure = mask_entries(batch.idx, batch.prob, batch.tile_of_entry, len(batch), mask.allowed)
     emptied = first(np.bincount(batch.image_of_entry[keep], minlength=len(batch.image_ids)) == 0)
     empty_failure = (None, None)
@@ -246,7 +243,7 @@ class PriorsArtifacts:
 
 def compute_priors_artifacts(
     embeddings: EmbeddingMatrix,
-    grouped: Mapping[str, Sequence[TilePrediction]],
+    tiles: TileBatch,
     registry: RegionRegistry,
     catalog: SpeciesCatalog,
     options: PriorsOptions,
@@ -261,21 +258,19 @@ def compute_priors_artifacts(
     region_map = dominant_cluster(model.assignments, regions)
 
     cluster_of_image = dict(zip(embeddings.image_ids, model.assignments.tolist()))
-    priors = estimate_cluster_priors(
-        grouped, cluster_of_image, len(catalog), options.k, options.epsilon
-    )
+    priors = estimate_cluster_priors(tiles, cluster_of_image, len(catalog), options.k, options.epsilon)
     return PriorsArtifacts(projection=projection, model=model, region_map=region_map, priors=priors)
 
 
 def estimate_cluster_priors(
-    grouped: Mapping[str, Sequence[TilePrediction]],
+    tiles: TileBatch,
     cluster_of_image: Mapping[str, int],
     n_species: int,
     k: int,
     epsilon: float,
 ) -> ClusterPriors:
     """One species prior per cluster, from the images' mean tile distributions."""
-    ids, vectors = image_probability_vectors(grouped, n_species)
+    ids, vectors = image_probability_vectors(tiles, n_species)
     missing = [i for i in ids if i not in cluster_of_image]
     if missing:
         raise InputError(f"no cluster assignment for predicted image(s): {missing[:5]}")
@@ -284,13 +279,13 @@ def estimate_cluster_priors(
 
 
 def apply_priors(
-    grouped: Mapping[str, Sequence[TilePrediction]],
+    tiles: TileBatch,
     priors: ClusterPriors,
     region_map: Mapping[str, int],
     registry: RegionRegistry,
 ) -> ImageTiles:
     """Reweight every tile by the prior of its region's dominant cluster."""
-    batch = as_batch(grouped)
+    batch = as_batch(tiles)
     clusters: List[int] = []
     region_failure = (None, None)
     for i, image_id in enumerate(batch.image_ids):
@@ -298,25 +293,25 @@ def apply_priors(
             region = parse_region(image_id, registry)
             if region not in region_map:
                 raise InputError(f"region {region!r} has no dominant cluster in the map")
+            cluster = region_map[region]
+            if not 0 <= cluster < priors.k:
+                raise InputError(f"region {region!r} maps to cluster {cluster}; priors have rows 0..{priors.k - 1}")
         except InputError as exc:
             region_failure = (int(batch.image_offsets[i]), exc)
             break
-        clusters.append(region_map[region])
+        clusters.append(cluster)
     # images after a region failure never reach the output; any row stands in
     clusters += [0] * (len(batch.image_ids) - len(clusters))
     cluster_of_tile = np.asarray(clusters, dtype=np.int64)[batch.image]
-    row_errors = [prior_sum_error(row) for row in priors.priors]
-    bad_row = first(np.array([e is not None for e in row_errors])[cluster_of_tile])
-    row_failure = (None, None) if bad_row is None else (bad_row, row_errors[cluster_of_tile[bad_row]])
     prob, failures = reweight_entries(
         batch.idx, batch.prob, batch.tile_of_entry, len(batch), priors.priors, cluster_of_tile
     )
-    raise_first(region_failure, row_failure, *failures, batch.prob_failure(prob))
+    raise_first(region_failure, *failures, batch.prob_failure(prob))
     return ImageTiles(batch.derive(None, prob))
 
 
 def aggregate_predictions(
-    grouped: Mapping[str, Sequence[TilePrediction]],
+    tiles: TileBatch,
     catalog: SpeciesCatalog,
     k: int,
     min_votes: int,
@@ -328,7 +323,7 @@ def aggregate_predictions(
     ``threads`` is accepted for compatibility and has no effect: the vote
     runs as array operations over the whole batch.
     """
-    batch = as_batch(grouped)
+    batch = as_batch(tiles)
     if not batch.image_ids:
         return []
     if k < 1:
@@ -380,9 +375,9 @@ def run(config: RunConfig) -> RunResult:
             mask = compute_geo_mask(config.geo, catalog)
             if config.keep_intermediates:
                 write_species_mask(out_dir / "mask.csv", mask, catalog)
-            tiles = apply_geo_mask(tiles, mask)
+            tiles = apply_geo_mask(tiles, mask).batch
             if config.keep_intermediates:
-                write_tile_predictions(out_dir / "masked_predictions.ndjson", tiles.batch)
+                write_tile_predictions(out_dir / "masked_predictions.ndjson", tiles)
 
         if config.priors.enabled:
             registry = read_region_registry(config.registry_path)
@@ -399,9 +394,9 @@ def run(config: RunConfig) -> RunResult:
                 )
                 write_region_cluster_map(out_dir / "region_clusters.csv", artifacts.region_map)
                 write_priors(out_dir / "priors.ndjson", artifacts.priors)
-            tiles = apply_priors(tiles, artifacts.priors, artifacts.region_map, registry)
+            tiles = apply_priors(tiles, artifacts.priors, artifacts.region_map, registry).batch
             if config.keep_intermediates:
-                write_tile_predictions(out_dir / "reweighted_predictions.ndjson", tiles.batch)
+                write_tile_predictions(out_dir / "reweighted_predictions.ndjson", tiles)
 
         rows = aggregate_predictions(
             tiles,

@@ -49,7 +49,6 @@ def plot_projection(
     label_names: Optional[Mapping[int, str]] = None,
     width: int = 800,
     height: int = 600,
-    point_radius: float = 3.0,
     title: str = "",
 ) -> str:
     """Render a scatter plot of ``points`` (n, 2) as an SVG document string.
@@ -100,7 +99,7 @@ def plot_projection(
         else:
             color = PALETTE[labels[i] % len(PALETTE)]
         parts.append(
-            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{point_radius:g}" '
+            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" '
             f'fill="{color}" fill-opacity="0.8"/>'
         )
 

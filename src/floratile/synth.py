@@ -378,8 +378,5 @@ def write_bundle(bundle: SynthBundle, out_dir) -> Path:
     fio.write_tile_predictions(out / "tile_predictions.ndjson", bundle.tile_predictions)
     fio.write_tile_predictions(out / "image_predictions.ndjson", bundle.image_predictions)
     fio.write_ground_truth(out / "truth.csv", bundle.truth)
-    with open(out / "labels.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("image_id,cluster\n")
-        for image_id, label in zip(bundle.quadrat_ids, bundle.cluster_labels):
-            fh.write(f"{image_id},{label}\n")
+    fio.write_assignments(out / "labels.csv", bundle.quadrat_ids, bundle.cluster_labels)
     return out

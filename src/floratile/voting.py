@@ -13,7 +13,7 @@ from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from .batch import SparseVector, TileBatch, TilePrediction
+from .batch import TileBatch, TilePrediction
 from .errors import InputError, InvariantViolation
 
 
@@ -23,17 +23,6 @@ class VoteTally:
 
     votes: Dict[int, int] = field(default_factory=dict)
     mass: Dict[int, float] = field(default_factory=dict)
-    n_tiles: int = 0
-
-    def species(self) -> List[int]:
-        return list(self.votes)
-
-
-def top_k_of_tile(pred: TilePrediction, k: int) -> SparseVector:
-    """The k highest-probability entries of a tile; ties favor lower index."""
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    return pred.probs[:k]
 
 
 def tally_batch(batch: TileBatch, k: int):
@@ -92,7 +81,7 @@ def tally_votes(preds: Sequence[TilePrediction], k: int) -> VoteTally:
     _, idx, votes, mass, key = tally_batch(TileBatch.from_tiles(preds), k)
     first_seen = np.argsort(np.unique(key, return_index=True)[1])
     idx, votes, mass = idx[first_seen].tolist(), votes[first_seen].tolist(), mass[first_seen].tolist()
-    return VoteTally(votes=dict(zip(idx, votes)), mass=dict(zip(idx, mass)), n_tiles=len(preds))
+    return VoteTally(votes=dict(zip(idx, votes)), mass=dict(zip(idx, mass)))
 
 
 def select_labels(tally: VoteTally, min_votes: int = 2, max_labels: int = 10) -> List[int]:

@@ -193,7 +193,7 @@ def _ref_tally_votes(preds, k):
     image_ids = {p.image_id for p in preds}
     if len(image_ids) != 1:
         raise InvariantViolation(f"tally_votes got tiles from multiple images: {sorted(image_ids)}")
-    tally = VoteTally(n_tiles=len(preds))
+    tally = VoteTally()
     for pred in preds:
         for idx, prob in _ref_top_k_of_tile(pred, k):
             tally.votes[idx] = tally.votes.get(idx, 0) + 1
@@ -353,8 +353,8 @@ def _tp(image_id, col, probs, row=0):
 
 
 def test_equal_probabilities_within_a_tile():
-    grouped = {"a": [_tp("a", 0, [(4, 0.25), (1, 0.25), (7, 0.25), (2, 0.25)]),
-                     _tp("a", 1, [(7, 0.25), (4, 0.25), (2, 0.25), (1, 0.25)])]}
+    grouped = group_by_image([_tp("a", 0, [(4, 0.25), (1, 0.25), (7, 0.25), (2, 0.25)]),
+                              _tp("a", 1, [(7, 0.25), (4, 0.25), (2, 0.25), (1, 0.25)])])
     catalog = _catalog(8)
     for k in (1, 2, 3):
         got = aggregate_predictions(grouped, catalog, k, 1, 3)
@@ -363,7 +363,7 @@ def test_equal_probabilities_within_a_tile():
 
 
 def test_equal_votes_and_mass_across_species():
-    grouped = {"b": [_tp("b", c, [(6, 0.4), (3, 0.4), (5, 0.2)]) for c in range(3)]}
+    grouped = group_by_image([_tp("b", c, [(6, 0.4), (3, 0.4), (5, 0.2)]) for c in range(3)])
     catalog = _catalog(8)
     for min_votes, max_labels in ((1, 1), (1, 3), (4, 2)):
         got = aggregate_predictions(grouped, catalog, 2, min_votes, max_labels)
@@ -375,7 +375,8 @@ def test_probabilities_that_tie_only_after_renormalisation(tmp_path):
     p1, p2, q = 0.2381040339713582, 0.23810403397135818, 0.040832664363250094
     total = p1 + p2 + q
     assert p1 > p2 and p1 / total == p2 / total  # distinct before, equal after dividing
-    grouped = {"c": [_tp("c", 0, [(5, p1), (2, p2), (8, q), (9, 0.1)]), _tp("c", 1, [(5, 0.6), (2, 0.3)])]}
+    grouped = group_by_image([_tp("c", 0, [(5, p1), (2, p2), (8, q), (9, 0.1)]),
+                              _tp("c", 1, [(5, 0.6), (2, 0.3)])])
     mask = SpeciesMask(allowed=np.arange(10) != 9, allowed_count=9)
     masked, ref_masked = apply_geo_mask(grouped, mask), _ref_apply_geo_mask(grouped, mask)
     assert [i for i, _ in masked["c"][0].probs] == [2, 5, 8]  # the tie re-sorts by index
@@ -390,7 +391,7 @@ def test_probabilities_that_tie_only_after_renormalisation(tmp_path):
     prior[[3, 4]] = 0.25, 0.5
     priors = ClusterPriors(prior[None, :] / prior.sum())
     registry = RegionRegistry(regions=("c",))
-    tied = {"c": [_tp("c", 0, [(3, 0.5), (4, 0.25), (1, 0.25)])]}
+    tied = group_by_image([_tp("c", 0, [(3, 0.5), (4, 0.25), (1, 0.25)])])
     weighted = apply_priors(tied, priors, {"c": 0}, registry)
     assert _tiles(weighted) == _tiles(_ref_apply_priors(tied, priors, {"c": 0}, registry))
     assert [i for i, _ in weighted["c"][0].probs] == [3, 4, 1]
@@ -400,7 +401,6 @@ def test_wrappers_match_reference_on_one_tile():
     probs = [(3, 0.5), (1, 0.3), (2, 0.2)]
     mask = SpeciesMask(allowed=np.array([True, False, True, True]), allowed_count=3)
     assert apply_mask(probs, mask) == _ref_apply_mask(probs, mask)
-    assert apply_mask(probs, mask, renormalize=False) == _ref_apply_mask(probs, mask, renormalize=False)
     prior = np.array([0.1, 0.2, 0.3, 0.4])
     assert reweight(probs, prior) == _ref_reweight(probs, prior)
     tiles = [_tp("d", c, probs) for c in range(3)]
@@ -415,19 +415,19 @@ def test_stage_errors_follow_the_per_tile_order():
     registry = RegionRegistry(regions=("img",))
     cases = [
         # an index outside the prior and a zero mass in one tile: the index check ran first
-        {"img0": [_tp("img0", 0, [(0, 0.5), (5, 0.5)])]},
+        group_by_image([_tp("img0", 0, [(0, 0.5), (5, 0.5)])]),
         # a zero-mass tile ahead of an image with no region
-        {"img0": [_tp("img0", 0, [(0, 0.5)])], "zz1": [_tp("zz1", 0, [(1, 0.5)])]},
+        group_by_image([_tp("img0", 0, [(0, 0.5)]), _tp("zz1", 0, [(1, 0.5)])]),
         # an image with no region ahead of a zero-mass tile
-        {"zz1": [_tp("zz1", 0, [(1, 0.5)])], "img0": [_tp("img0", 0, [(0, 0.5)])]},
+        group_by_image([_tp("zz1", 0, [(1, 0.5)]), _tp("img0", 0, [(0, 0.5)])]),
     ]
     for grouped in cases:
         got = _outcome(apply_priors, grouped, priors, {"img": 0}, registry)
         assert got[0] == "error"
         assert got == _outcome(_ref_apply_priors, grouped, priors, {"img": 0}, registry)
     mask = SpeciesMask(allowed=np.array([True, False]), allowed_count=1)
-    for grouped in ({"a": [_tp("a", 0, [(1, 0.5)])], "b": [_tp("b", 0, [(4, 0.5)])]},
-                    {"a": [_tp("a", 0, [(1, 0.5)]), _tp("a", 1, [(4, 0.5)])]}):
+    for grouped in (group_by_image([_tp("a", 0, [(1, 0.5)]), _tp("b", 0, [(4, 0.5)])]),
+                    group_by_image([_tp("a", 0, [(1, 0.5)]), _tp("a", 1, [(4, 0.5)])])):
         got = _outcome(apply_geo_mask, grouped, mask)
         assert got[0] == "error"
         assert got == _outcome(_ref_apply_geo_mask, grouped, mask)
@@ -554,11 +554,10 @@ def test_tile_writer_matches_json_dumps_property(tmp_path, monkeypatch, tiles, c
 
 
 @settings(max_examples=300, deadline=None)
-@given(pred=st.lists(st.integers(0, 6)), truth=st.frozensets(st.integers(0, 6)),
-       both_empty_value=st.sampled_from([0.0, 1.0]))
-def test_image_f1_matches_three_set_reference_property(pred, truth, both_empty_value):
+@given(pred=st.lists(st.integers(0, 6)), truth=st.frozensets(st.integers(0, 6)))
+def test_image_f1_matches_three_set_reference_property(pred, truth):
     for p in (pred, set(pred), frozenset(pred)):
-        assert image_f1(p, truth, both_empty_value) == _ref_image_f1(p, truth, both_empty_value)
+        assert image_f1(p, truth) == _ref_image_f1(p, truth)
         assert image_f1(p, list(truth)) == _ref_image_f1(p, list(truth))
 
 

@@ -132,11 +132,7 @@ def test_transect_of_drops_last_token():
 
 def test_transect_of_single_token_is_itself():
     assert transect_of("X") == "X"
-
-
-def test_transect_of_custom_delimiter():
-    assert transect_of("a_b_c", delimiter="_") == "a_b"
-    assert transect_of("a-b", delimiter="_") == "a-b"
+    assert transect_of("a_b_c") == "a_b_c"  # only "-" separates tokens
 
 
 def test_transect_of_deterministic():

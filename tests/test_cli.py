@@ -96,7 +96,10 @@ def test_geofilter_stdout_and_filtering(fixture_dir, tmp_path, capsys):
     assert len(filtered) <= len(original)
 
 
-def test_geofilter_all_offshore_exits_2(fixture_dir, tmp_path, capsys):
+_NO_SPECIES_ALLOWED = "floratile: error: geolocation mask would disallow every species; check regions file\n"
+
+
+def test_geofilter_all_offshore_exits_1(fixture_dir, tmp_path, capsys):
     obs = tmp_path / "obs.csv"
     obs.write_text("species_id,lat,lon\n101,55.0,25.0\n")  # far outside every region
     rc = main([
@@ -105,8 +108,23 @@ def test_geofilter_all_offshore_exits_2(fixture_dir, tmp_path, capsys):
         "--regions", str(fixture_dir / "geo_regions.json"),
         "--catalog", str(fixture_dir / "catalog.csv"),
     ])
-    assert rc == 2
-    assert "invariant violation" in capsys.readouterr().err
+    assert rc == 1
+    assert capsys.readouterr().err == _NO_SPECIES_ALLOWED
+
+
+def test_run_geo_all_offshore_exits_1(fixture_dir, tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("species_id,lat,lon\n101,55.0,25.0\n")
+    out = tmp_path / "out"
+    rc = main(["run",
+               "--catalog", str(fixture_dir / "catalog.csv"),
+               "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
+               "--out", str(out), "--grid", "3x3",
+               "--geo", "--observations", str(obs),
+               "--geo-regions", str(fixture_dir / "geo_regions.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == _NO_SPECIES_ALLOWED
+    assert not (out / "submission.csv").exists()
 
 
 def test_run_geo_all_masked_image_exits_1(fixture_dir, tmp_path, capsys):
@@ -441,6 +459,43 @@ def test_run_non_finite_priors_epsilon_exits_1(fixture_dir, tmp_path, capsys, ep
     assert rc == 1
     assert capsys.readouterr().err == (
         f"floratile: error: priors epsilon must be positive and finite, got {float(epsilon)}\n"
+    )
+    assert not out.exists()
+
+
+def test_priors_epsilon_zero_exits_1_as_in_run(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "priors.ndjson"
+    predictions = str(fixture_dir / "tile_predictions.ndjson")
+    assert main(["priors", "--predictions", predictions,
+                 "--assignments", str(fixture_dir / "labels.csv"),
+                 "--catalog", str(fixture_dir / "catalog.csv"),
+                 "--out", str(out), "--epsilon", "0"]) == 1
+    message = "floratile: error: priors epsilon must be positive and finite, got 0.0\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    assert main(["run", "--catalog", str(fixture_dir / "catalog.csv"), "--predictions", predictions,
+                 "--out", str(tmp_path / "run"), "--registry", str(fixture_dir / "regions.txt"),
+                 "--priors", "--embeddings", str(fixture_dir / "embeddings.ndjson"),
+                 "--priors-epsilon", "0"]) == 1
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("cluster", [-1, 2])
+def test_reweight_cluster_outside_priors_exits_1(fixture_dir, tmp_path, capsys, cluster):
+    priors = tmp_path / "priors.ndjson"
+    priors.write_text("".join(json.dumps({"cluster": c, "prior": [0.025] * 40}) + "\n" for c in range(2)))
+    region_map = tmp_path / "region_clusters.csv"
+    region_map.write_text(f"region,cluster\nSYN-AA,0\nSYN-BB,{cluster}\n")
+    out = tmp_path / "reweighted.ndjson"
+    rc = main(["reweight",
+               "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
+               "--priors", str(priors),
+               "--region-clusters", str(region_map),
+               "--registry", str(fixture_dir / "regions.txt"),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"floratile: error: region 'SYN-BB' maps to cluster {cluster}; priors have rows 0..1\n"
     )
     assert not out.exists()
 

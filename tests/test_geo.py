@@ -226,10 +226,10 @@ def test_build_mask_requires_regions():
         build_mask({}, [], _catalog([1]))
 
 
-def test_build_mask_all_disallowed_is_invariant_violation():
+def test_build_mask_all_disallowed_is_input_error():
     catalog = _catalog([1, 2])
     nearest = {1: Observation(1, 50.0, 50.0)}
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InputError, match="would disallow every species"):
         build_mask(nearest, [UNIT_SQUARE], catalog)
 
 
@@ -254,7 +254,7 @@ def test_adding_region_never_shrinks_mask():
         )
         try:
             base = build_mask(nearest, [UNIT_SQUARE], catalog)
-        except InvariantViolation:
+        except InputError:
             continue
         wider = build_mask(nearest, [UNIT_SQUARE, extra], catalog)
         assert np.all(wider.allowed >= base.allowed)
@@ -285,12 +285,6 @@ def test_apply_mask_renormalizes_to_unit_mass():
     assert [i for i, _ in out] == [0, 2]
     assert sum(p for _, p in out) == pytest.approx(1.0, abs=1e-9)
     assert out[0][1] == pytest.approx(0.5 / 0.7, abs=1e-12)
-
-
-def test_apply_mask_without_renormalization():
-    probs = [(0, 0.5), (1, 0.3)]
-    out = apply_mask(probs, _mask([True, False]), renormalize=False)
-    assert out == [(0, 0.5)]
 
 
 def test_apply_mask_annihilation_returns_empty():

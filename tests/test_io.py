@@ -28,7 +28,6 @@ from floratile.io import (
     read_projection,
     read_region_cluster_map,
     read_region_registry,
-    read_species_mask,
     read_submission,
     read_tile_predictions,
     read_training_counts,
@@ -282,25 +281,12 @@ def test_geo_regions_bad_payloads(tmp_path):
         read_geo_regions(path)
 
 
-def test_species_mask_round_trip(tmp_path):
+def test_species_mask_exact_bytes(tmp_path):
     path = tmp_path / "mask.csv"
     catalog = SpeciesCatalog([10, 20, 30])
     mask = SpeciesMask(allowed=np.array([True, False, True]), allowed_count=2)
     write_species_mask(path, mask, catalog)
-    again = read_species_mask(path, catalog)
-    assert again.allowed.tolist() == [True, False, True]
-    assert again.allowed_count == 2
-
-
-def test_species_mask_must_cover_catalog(tmp_path):
-    path = tmp_path / "mask.csv"
-    catalog = SpeciesCatalog([10, 20, 30])
-    path.write_text("species_id,allowed\n10,1\n20,0\n")
-    with pytest.raises(InputError, match="cover every catalog species"):
-        read_species_mask(path, catalog)
-    path.write_text("species_id,allowed\n10,1\n20,0\n30,2\n")
-    with pytest.raises(InputError, match=r":4: allowed must be 0 or 1"):
-        read_species_mask(path, catalog)
+    assert path.read_bytes() == b"species_id,allowed\n10,1\n20,0\n30,1\n"
 
 
 def test_embeddings_round_trip(tmp_path):
@@ -387,6 +373,66 @@ def test_priors_round_trip_and_contiguity(tmp_path):
     )
     with pytest.raises(InputError, match=r":3: duplicate cluster 1"):
         read_priors(path)
+
+
+@pytest.mark.parametrize("rows,where,message", [
+    ([[0.5, 0.5], [1.0]], "", "prior rows must have one width, got [1, 2]"),
+    ([[0.5, 0.6]], ":1", "prior sums to 1.1; expected 1 +/- 1e-09"),
+    ([[0.5, 0.5], [float("nan"), 1.0]], ":2", "prior entries must be finite and > 0"),
+    ([[0.0, 1.0]], ":1", "prior entries must be finite and > 0"),
+    ([[-0.5, 1.5]], ":1", "prior entries must be finite and > 0"),
+    ([[float("inf"), 1.0]], ":1", "prior entries must be finite and > 0"),
+    ([[10**400, 1.0]], ":1", "bad prior record (int too large to convert to float)"),
+], ids=["ragged", "sum", "nan", "zero", "negative", "inf", "huge_int"])
+def test_read_priors_rejects_rows_reweighting_cannot_use(tmp_path, rows, where, message):
+    path = tmp_path / "priors.ndjson"
+    path.write_text("".join(json.dumps({"cluster": c, "prior": row}) + "\n" for c, row in enumerate(rows)))
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}{where}: {message}')}$"):
+        read_priors(path)
+
+
+_PRIOR_VALUES = st.sampled_from(
+    [0.0, -0.25, 0.5, 1.0, 1.5, float("nan"), float("inf"), 10**400, "0.5", "x", None, [0.5], True]
+) | st.floats()
+_CLUSTER_IDS = st.sampled_from([-1, 0, 1, 3, 2.5, "1", "x", None, 10**30, float("inf"), float("nan"), [0]])
+
+
+@st.composite
+def _mutated_prior_records(draw):
+    """Valid smoothed prior rows with up to three mutations of a width, a value or a cluster id."""
+    k, width = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    records = []
+    for c in range(k):
+        weights = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=width, max_size=width)))
+        records.append({"cluster": c, "prior": (weights / weights.sum()).tolist()})
+    for _ in range(draw(st.integers(0, 3))):
+        rec = records[draw(st.integers(0, k - 1))]
+        kind = draw(st.sampled_from(["width", "value", "cluster"]))
+        if kind == "width":
+            grow = draw(st.booleans())
+            rec["prior"] = rec["prior"] + [draw(_PRIOR_VALUES)] if grow else rec["prior"][:-1]
+        elif kind == "value" and rec["prior"]:
+            prior = list(rec["prior"])
+            prior[draw(st.integers(0, len(prior) - 1))] = draw(_PRIOR_VALUES)
+            rec["prior"] = prior
+        elif kind == "cluster":
+            rec["cluster"] = draw(_CLUSTER_IDS | st.integers())
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=_mutated_prior_records())
+def test_priors_reader_loads_usable_rows_or_names_the_file_property(tmp_path, records):
+    path = tmp_path / "priors.ndjson"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    try:
+        priors = read_priors(path)
+    except InputError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
+        return
+    assert priors.k == len(records)
+    assert np.all(np.isfinite(priors.priors) & (priors.priors > 0.0))
+    assert np.all(np.abs(priors.priors.sum(axis=1) - 1.0) <= 1e-9)
 
 
 def test_ground_truth_explicit_and_heuristic_transects(tmp_path):

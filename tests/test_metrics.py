@@ -20,7 +20,6 @@ def test_image_f1_exact_hand_values():
 
 def test_image_f1_empty_cases():
     assert image_f1(set(), set()) == 1.0
-    assert image_f1(set(), set(), both_empty_value=0.0) == 0.0
     assert image_f1(set(), {1}) == 0.0
     assert image_f1({1}, set()) == 0.0
 

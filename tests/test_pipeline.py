@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from floratile.catalog import RegionRegistry
 from floratile.clustering import ClusterPriors
-from floratile.errors import InputError
+from floratile.errors import InputError, InvariantViolation
 from floratile.geo import SpeciesMask
 from floratile.io import group_by_image, read_submission
 from floratile.pipeline import (
@@ -119,23 +120,21 @@ def _tp(img, row, col, probs):
 
 
 def test_validate_grid_errors():
-    ok = {"a": [_tp("a", 0, 0, [(1, 0.5)]), _tp("a", 1, 1, [(2, 0.5)])]}
+    ok = group_by_image([_tp("a", 0, 0, [(1, 0.5)]), _tp("a", 1, 1, [(2, 0.5)])])
     validate_grid(ok, GridSpec(2, 2))
     with pytest.raises(InputError, match="outside"):
-        validate_grid({"a": [_tp("a", 2, 0, [(1, 0.5)])]}, GridSpec(2, 2))
+        validate_grid(group_by_image([_tp("a", 2, 0, [(1, 0.5)])]), GridSpec(2, 2))
     with pytest.raises(InputError, match="duplicate tile"):
         validate_grid(
-            {"a": [_tp("a", 0, 0, [(1, 0.5)]), _tp("a", 0, 0, [(2, 0.5)])]}, GridSpec(2, 2)
+            group_by_image([_tp("a", 0, 0, [(1, 0.5)]), _tp("a", 0, 0, [(2, 0.5)])]), GridSpec(2, 2)
         )
 
 
 def test_image_probability_vectors_hand_example():
-    grouped = {
-        "img": [
-            _tp("img", 0, 0, [(0, 0.2), (1, 0.2)]),   # renormalizes to (0.5, 0.5)
-            _tp("img", 0, 1, [(0, 1.0)]),
-        ]
-    }
+    grouped = group_by_image([
+        _tp("img", 0, 0, [(0, 0.2), (1, 0.2)]),   # renormalizes to (0.5, 0.5)
+        _tp("img", 0, 1, [(0, 1.0)]),
+    ])
     ids, vectors = image_probability_vectors(grouped, 3)
     assert ids == ["img"]
     assert np.allclose(vectors[0], [0.75, 0.25, 0.0], atol=1e-15)
@@ -149,7 +148,7 @@ def test_image_probability_vectors_rows_sum_to_one(bundle):
 
 
 def test_image_probability_vectors_index_bound():
-    grouped = {"img": [_tp("img", 0, 0, [(7, 1.0)])]}
+    grouped = group_by_image([_tp("img", 0, 0, [(7, 1.0)])])
     with pytest.raises(InputError, match="exceeds catalog size"):
         image_probability_vectors(grouped, 3)
 
@@ -161,21 +160,32 @@ def _mask_of(size, allowed_idx):
 
 
 def test_apply_geo_mask_drops_emptied_tiles():
-    grouped = {
-        "a": [
-            _tp("a", 0, 0, [(0, 0.6), (1, 0.4)]),
-            _tp("a", 0, 1, [(1, 1.0)]),  # fully masked away
-        ]
-    }
+    grouped = group_by_image([
+        _tp("a", 0, 0, [(0, 0.6), (1, 0.4)]),
+        _tp("a", 0, 1, [(1, 1.0)]),  # fully masked away
+    ])
     out = apply_geo_mask(grouped, _mask_of(2, [0]))
     assert [t.col for t in out["a"]] == [0]
     assert out["a"][0].probs == [(0, 1.0)]
 
 
 def test_apply_geo_mask_all_tiles_empty_is_fatal():
-    grouped = {"a": [_tp("a", 0, 0, [(1, 1.0)])]}
+    grouped = group_by_image([_tp("a", 0, 0, [(1, 1.0)])])
     with pytest.raises(InputError, match="every tile of 'a'"):
         apply_geo_mask(grouped, _mask_of(2, [0]))
+
+
+def test_apply_priors_cluster_outside_priors_follows_the_per_tile_order():
+    priors = ClusterPriors(np.array([[0.0, 0.5, 0.5]]))
+    registry = RegionRegistry(regions=("a", "b"))
+    tiles = [_tp("a0", 0, 0, [(0, 0.5)]), _tp("b1", 0, 0, [(1, 0.5)])]
+    # a zero-mass tile of image a0 comes before image b1, whose region names cluster 3
+    with pytest.raises(InvariantViolation, match="reweighted mass is zero"):
+        apply_priors(group_by_image(tiles), priors, {"a": 0, "b": 3}, registry)
+    with pytest.raises(InputError, match=r"^region 'b' maps to cluster 3; priors have rows 0\.\.0$"):
+        apply_priors(group_by_image(tiles[::-1]), priors, {"a": 0, "b": 3}, registry)
+    with pytest.raises(InputError, match=r"^region 'b' maps to cluster -1; priors have rows 0\.\.0$"):
+        apply_priors(group_by_image(tiles[1:]), priors, {"b": -1}, registry)
 
 
 def test_aggregate_thread_count_invariance(bundle):

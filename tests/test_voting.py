@@ -9,7 +9,6 @@ from floratile.voting import (
     rank_labels,
     select_labels,
     tally_votes,
-    top_k_of_tile,
 )
 
 
@@ -17,19 +16,21 @@ def tile(probs, image_id="img", row=0, col=0, complete=False):
     return TilePrediction(image_id=image_id, row=row, col=col, probs=probs, complete=complete)
 
 
+# A one-tile tally lists the tile's top-k entries in rank order.
+
 def test_top_k_orders_by_probability():
     pred = tile([(3, 0.5), (1, 0.3), (2, 0.2)])
-    assert top_k_of_tile(pred, 2) == [(3, 0.5), (1, 0.3)]
+    assert list(tally_votes([pred], 2).mass.items()) == [(3, 0.5), (1, 0.3)]
 
 
 def test_top_k_tie_breaks_to_lower_index():
     pred = tile([(3, 0.4), (1, 0.4)])
-    assert top_k_of_tile(pred, 1) == [(1, 0.4)]
+    assert list(tally_votes([pred], 1).mass.items()) == [(1, 0.4)]
 
 
 def test_top_k_truncates_to_available_support():
     pred = tile([(i, 0.1) for i in range(5)])
-    assert len(top_k_of_tile(pred, 9)) == 5
+    assert len(tally_votes([pred], 9).votes) == 5
 
 
 def test_tally_unanimous_vote():
