@@ -3,10 +3,9 @@
 ``TilePrediction`` is one tile's sparse class-probability vector, the
 record the tests write by hand and the one wording of record errors.
 ``TileBatch`` holds many tiles in flat arrays. Per tile: the image code (an
-index into ``image_ids``), grid row and col, the ``complete`` flag and the
-source line (0 when the tile was not read from a file). Tile ``t`` owns the
-entries ``offsets[t]:offsets[t + 1]`` of ``idx`` (dense species index) and
-``prob``. Two invariants hold:
+index into ``image_ids``), grid row and col, and the ``complete`` flag.
+Tile ``t`` owns the entries ``offsets[t]:offsets[t + 1]`` of ``idx`` (dense
+species index) and ``prob``. Two invariants hold:
 
 * each image's tiles are contiguous, images in first-appearance order and
   tiles in input order within an image;
@@ -52,8 +51,8 @@ class TilePrediction:
     complete: bool = False
 
     def __post_init__(self):
-        if not self.image_id:
-            raise InputError("tile prediction must carry a non-empty image_id")
+        if not isinstance(self.image_id, str) or not self.image_id:
+            raise InputError("tile prediction must carry a non-empty string image_id")
         if self.row < 0 or self.col < 0:
             raise InputError(f"tile ({self.row}, {self.col}) of {self.image_id!r}: negative grid coordinates")
         entries = [(int(idx), float(prob)) for idx, prob in self.probs]
@@ -144,13 +143,12 @@ class TileBatch:
     row: np.ndarray
     col: np.ndarray
     complete: np.ndarray
-    line: np.ndarray
     offsets: np.ndarray
     idx: np.ndarray
     prob: np.ndarray
 
     @classmethod
-    def from_columns(cls, image_ids, image, row, col, complete, line, counts, idx, prob) -> "TileBatch":
+    def from_columns(cls, image_ids, image, row, col, complete, counts, idx, prob) -> "TileBatch":
         """Group per-tile columns by image code and sort each tile's entries.
 
         ``image`` holds codes into ``image_ids`` in first-appearance order;
@@ -158,8 +156,7 @@ class TileBatch:
         """
         image = np.asarray(image, dtype=np.int64)
         row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
-        complete, line = np.asarray(complete, dtype=bool), np.asarray(line, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        complete, counts = np.asarray(complete, dtype=bool), np.asarray(counts, dtype=np.int64)
         idx, prob = np.asarray(idx, dtype=np.int64), np.asarray(prob, dtype=np.float64)
         offsets = _offsets(counts)
         if np.any(image[1:] < image[:-1]):
@@ -168,11 +165,11 @@ class TileBatch:
             offsets = _offsets(counts)
             entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
             idx, prob = idx[entries], prob[entries]
-            image, row, col, complete, line = (a[perm] for a in (image, row, col, complete, line))
+            image, row, col, complete = (a[perm] for a in (image, row, col, complete))
         order = _entry_order(np.repeat(np.arange(counts.shape[0]), counts), idx, prob)
         if order is not None:
             idx, prob = idx[order], prob[order]
-        return cls(list(image_ids), image, row, col, complete, line, offsets, idx, prob)
+        return cls(list(image_ids), image, row, col, complete, offsets, idx, prob)
 
     @classmethod
     def from_tiles(cls, tiles: Iterable[TilePrediction]) -> "TileBatch":
@@ -186,7 +183,6 @@ class TileBatch:
             [t.row for t in tiles],
             [t.col for t in tiles],
             [t.complete for t in tiles],
-            np.zeros(len(tiles), dtype=np.int64),
             [len(t.probs) for t in tiles],
             [i for t in tiles for i, _ in t.probs],
             [p for t in tiles for _, p in t.probs],
@@ -239,7 +235,7 @@ class TileBatch:
     def invalid_tiles(self) -> np.ndarray:
         """Per tile, whether ``TilePrediction`` would reject it."""
         tile = self.tile_of_entry
-        bad = np.array([not i for i in self.image_ids], dtype=bool)[self.image]
+        bad = np.array([not (isinstance(i, str) and i) for i in self.image_ids], dtype=bool)[self.image]
         bad |= (self.row < 0) | (self.col < 0) | (np.diff(self.offsets) == 0)
         entry_bad = (self.idx < 0) | ~((self.prob > 0.0) & (self.prob <= 1.0))
         by_index = np.lexsort((self.idx, tile))
@@ -279,7 +275,6 @@ class TileBatch:
             self.row[live],
             self.col[live],
             np.zeros(np.count_nonzero(live), dtype=bool),
-            self.line[live],
             _offsets(counts[live]),
             idx,
             prob,

@@ -33,6 +33,7 @@ from .pipeline import (
     aggregate_predictions,
     apply_geo_mask,
     apply_priors,
+    check_species_indices,
     compute_geo_mask,
     estimate_cluster_priors,
     run,
@@ -89,7 +90,8 @@ def _cmd_tile_plan(args) -> int:
     ]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with fio._open_write(args.out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -100,6 +102,7 @@ def _cmd_aggregate(args) -> int:
     tiles = fio.read_tile_predictions(args.predictions)
     if args.grid:
         validate_grid(tiles, parse_grid_spec(args.grid))
+    check_species_indices(tiles, len(catalog))
     rows = aggregate_predictions(tiles, catalog, args.k, args.min_votes, args.max_labels)
     fio.write_submission(args.out, rows)
     return 0
@@ -453,9 +456,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InvariantViolation as exc:
         sys.stderr.write(f"floratile: invariant violation: {exc}\n")
         return 2
-    except InputError as exc:
-        sys.stderr.write(f"floratile: error: {exc}\n")
-        return 1
     except FloratileError as exc:
         sys.stderr.write(f"floratile: error: {exc}\n")
         return 1

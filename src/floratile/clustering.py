@@ -10,7 +10,7 @@ before renormalizing over the tile's support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -44,7 +44,8 @@ class ClusterModel:
 
 @dataclass
 class ClusterPriors:
-    """Row c is the probability vector P(y | cluster c) over all species."""
+    """Row c is the probability vector P(y | cluster c) over all species:
+    finite, non-negative entries summing to 1 +/- 1e-9."""
 
     priors: np.ndarray
 
@@ -52,11 +53,14 @@ class ClusterPriors:
         self.priors = np.asarray(self.priors, dtype=np.float64)
         if self.priors.ndim != 2:
             raise InputError(f"priors must be k x S, got shape {self.priors.shape}")
+        if not np.all(np.isfinite(self.priors)):
+            raise InvariantViolation("priors must be finite")
         if np.any(self.priors < 0):
             raise InvariantViolation("priors must be non-negative")
         sums = self.priors.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > _PRIOR_SUM_TOL):
-            raise InvariantViolation(f"prior rows must sum to 1 +/- {_PRIOR_SUM_TOL}")
+        bad = first(np.abs(sums - 1.0) > _PRIOR_SUM_TOL)
+        if bad is not None:
+            raise InvariantViolation(f"prior sums to {float(sums[bad])!r}; expected 1 +/- {_PRIOR_SUM_TOL}")
 
     @property
     def k(self) -> int:
@@ -203,14 +207,6 @@ def estimate_priors(
     return ClusterPriors(priors=priors)
 
 
-def prior_sum_error(prior: np.ndarray) -> Optional[InvariantViolation]:
-    """The error for a prior row that does not sum to one, or None."""
-    total = float(prior.sum())
-    if abs(total - 1.0) > _PRIOR_SUM_TOL:
-        return InvariantViolation(f"prior sums to {total!r}; expected 1 +/- {_PRIOR_SUM_TOL}")
-    return None
-
-
 def reweight_entries(idx, prob, tile, n_tiles: int, priors: np.ndarray, cluster_of_tile: np.ndarray):
     """Prior reweighting over flat entries grouped by ``tile``.
 
@@ -240,14 +236,11 @@ def reweight(tile_probs, prior: np.ndarray):
     The output keeps the input entry order and support; smoothing in the
     prior guarantees a non-empty result.
     """
-    prior = np.asarray(prior, dtype=np.float64)
-    error = prior_sum_error(prior)
-    if error is not None:
-        raise error
+    priors = ClusterPriors([prior]).priors
     if not tile_probs:
         return []
     idx, prob = entry_arrays(tile_probs)
     tile = np.zeros(idx.shape[0], dtype=np.int64)
-    out, failures = reweight_entries(idx, prob, tile, 1, prior[None, :], np.zeros(1, dtype=np.int64))
+    out, failures = reweight_entries(idx, prob, tile, 1, priors, np.zeros(1, dtype=np.int64))
     raise_first(*failures)
     return list(zip(idx.tolist(), out.tolist()))

@@ -9,6 +9,7 @@ are masked out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -69,10 +70,15 @@ class GeoRegion:
     polygon: tuple
 
     def __post_init__(self):
-        verts = tuple((float(a), float(b)) for a, b in self.polygon)
+        if not isinstance(self.name, str) or not self.name:
+            raise InputError("region name must be a non-empty string")
+        try:
+            verts = tuple((float(a), float(b)) for a, b in self.polygon)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"region {self.name!r}: vertices must be (lat, lon) number pairs ({exc})") from None
+        if not all(math.isfinite(x) for vert in verts for x in vert):
+            raise InputError(f"region {self.name!r}: vertices must be finite")
         object.__setattr__(self, "polygon", verts)
-        if not self.name:
-            raise InputError("region name must be non-empty")
         if len(verts) < 3:
             raise InputError(f"region {self.name!r}: polygon needs at least 3 vertices")
         m = len(verts)

@@ -20,11 +20,11 @@ import numpy as np
 
 from .batch import ImageTiles, TileBatch, TilePrediction, as_batch, rejection
 from .catalog import RegionRegistry, SpeciesCatalog
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 from .geo import GeoRegion, Observation, SpeciesMask
 from .metrics import GroundTruth, ScoreReport
 from .projection import EmbeddingMatrix, Projection
-from .clustering import ClusterPriors, prior_sum_error
+from .clustering import ClusterPriors
 
 
 @contextmanager
@@ -42,6 +42,26 @@ def _open_read(path):
             yield fh
         except UnicodeDecodeError:
             raise InputError(f"{path}: not valid UTF-8 text") from None
+
+
+def _open_write(path):
+    """The text file at ``path``, opened for writing UTF-8 with LF line ends;
+    a path that cannot be written is an InputError naming it."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _make_dir(path) -> Path:
+    """Directory ``path``, created with its parents if missing; one that
+    cannot be made is an InputError naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    return path
 
 
 def csv_rows(path, header: Sequence[str]) -> Iterator[Tuple[int, List[str]]]:
@@ -113,7 +133,7 @@ def _fmt_float(x: float) -> str:
 # --- species catalog ----------------------------------------------------
 
 def write_catalog(path, catalog: SpeciesCatalog):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         fh.write("species_id\n")
         for sid in catalog.species_ids:
             fh.write(f"{sid}\n")
@@ -133,7 +153,7 @@ def read_region_registry(path) -> RegionRegistry:
 
 
 def write_region_registry(path, registry: RegionRegistry):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         for name in registry:
             fh.write(name + "\n")
 
@@ -191,12 +211,13 @@ def read_tile_predictions(path) -> TileBatch:
         if collecting:
             gc.enable()
     try:
-        batch = TileBatch.from_columns(list(codes), image, rows, cols, completes, lines, counts, idxs, probs)
+        batch = TileBatch.from_columns(list(codes), image, rows, cols, completes, counts, idxs, probs)
     except OverflowError:
         raise InputError(f"{path}: an integer field does not fit in 64 bits") from None
     bad = np.flatnonzero(batch.invalid_tiles())
     if bad.size:
-        r = lines.index(int(batch.line[bad].min()))
+        # from_columns groups records by a stable sort on image code; map batch tiles back to records
+        r = int(np.argsort(image, kind="stable")[bad].min())
         start = sum(counts[:r])
         entries = list(zip(idxs[start:start + counts[r]], probs[start:start + counts[r]]))
         exc = rejection(list(codes)[image[r]], rows[r], cols[r], entries, completes[r])
@@ -236,7 +257,7 @@ def write_tile_predictions(path, preds: Iterable[TilePrediction]):
     else:
         tiles = ((t.image_id, t.row, t.col, t.probs, t.complete) for t in preds)
         chunks = iter(lambda: list(islice(tiles, _WRITE_CHUNK)), [])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         for chunk in chunks:
             fh.write(_tile_lines(chunk))
 
@@ -262,7 +283,7 @@ def read_observations(path) -> List[Observation]:
 
 
 def write_observations(path, observations: Iterable[Observation]):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         fh.write("species_id,lat,lon\n")
         for o in observations:
             fh.write(f"{o.species_id},{_fmt_float(o.lat)},{_fmt_float(o.lon)}\n")
@@ -287,7 +308,7 @@ def read_geo_regions(path) -> List[GeoRegion]:
 
 def write_geo_regions(path, regions: Iterable[GeoRegion]):
     payload = [{"name": r.name, "polygon": [[lat, lon] for lat, lon in r.polygon]} for r in regions]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -300,7 +321,7 @@ def format_species_mask(mask: SpeciesMask, catalog: SpeciesCatalog) -> str:
 
 
 def write_species_mask(path, mask: SpeciesMask, catalog: SpeciesCatalog):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         fh.write(format_species_mask(mask, catalog))
 
 
@@ -314,7 +335,7 @@ def read_embeddings(path) -> EmbeddingMatrix:
         try:
             ids.append(rec["image_id"])
             vec = [float(x) for x in rec["vector"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}:{lineno}: bad embedding record ({exc})") from None
         if width is None:
             width = len(vec)
@@ -330,7 +351,7 @@ def read_embeddings(path) -> EmbeddingMatrix:
 
 
 def write_embeddings(path, emb: EmbeddingMatrix):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         for image_id, row in zip(emb.image_ids, emb.data):
             fh.write(json.dumps({"image_id": image_id, "vector": [float(x) for x in row]}) + "\n")
 
@@ -338,7 +359,7 @@ def write_embeddings(path, emb: EmbeddingMatrix):
 # --- projection --------------------------------------------------------
 
 def write_projection(path, projection: Projection):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         fh.write("image_id,x,y\n")
         for image_id, (x, y) in zip(projection.image_ids, projection.points):
             fh.write(f"{image_id},{_fmt_float(x)},{_fmt_float(y)}\n")
@@ -363,7 +384,7 @@ def read_projection(path) -> Projection:
 def write_assignments(path, image_ids: Sequence[str], assignments: Sequence[int]):
     if len(image_ids) != len(assignments):
         raise InputError("image ids and assignments must align")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         fh.write("image_id,cluster\n")
         for image_id, cluster in zip(image_ids, assignments):
             fh.write(f"{image_id},{int(cluster)}\n")
@@ -384,7 +405,7 @@ def read_assignments(path) -> Dict[str, int]:
 
 
 def write_region_cluster_map(path, mapping: Mapping[str, int]):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         fh.write("region,cluster\n")
         for region in mapping:
             fh.write(f"{region},{int(mapping[region])}\n")
@@ -407,7 +428,7 @@ def read_region_cluster_map(path) -> Dict[str, int]:
 
 
 def write_priors(path, priors: ClusterPriors):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         for c in range(priors.k):
             fh.write(json.dumps({"cluster": c, "prior": [float(x) for x in priors.priors[c]]}) + "\n")
 
@@ -425,9 +446,10 @@ def read_priors(path) -> ClusterPriors:
             raise InputError(f"{path}:{lineno}: duplicate cluster {cluster}")
         if not np.all(np.isfinite(prior) & (prior > 0.0)):
             raise InputError(f"{path}:{lineno}: prior entries must be finite and > 0")
-        error = prior_sum_error(prior)
-        if error is not None:
-            raise InputError(f"{path}:{lineno}: {error}")
+        try:
+            ClusterPriors([prior])
+        except InvariantViolation as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
         rows[cluster] = prior
     if not rows:
         raise InputError(f"{path}: no prior records")
@@ -474,7 +496,7 @@ def read_ground_truth(path, transect_map: Mapping[str, str] | None = None) -> Gr
 
 
 def write_ground_truth(path, truth: GroundTruth):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
         writer.writerow(["quadrat_id", "transect_id", "species_ids"])
         for quadrat_id in truth.truth:
@@ -500,7 +522,7 @@ def read_training_counts(path) -> Dict[int, int]:
 
 
 def write_training_counts(path, counts: Mapping[int, int]):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         fh.write("species_id,count\n")
         for sid in counts:
             fh.write(f"{sid},{int(counts[sid])}\n")
@@ -539,7 +561,7 @@ def write_submission(path, rows: Sequence[SubmissionRow]):
         if row.quadrat_id in seen:
             raise InputError(f"duplicate quadrat_id {row.quadrat_id!r} in submission")
         seen.add(row.quadrat_id)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         fh.write("quadrat_id;species_ids\n")
         for row in rows:
             ids = ", ".join(str(s) for s in row.species_ids)
@@ -591,6 +613,6 @@ def write_score_report(path, report: ScoreReport):
         "missing_predictions": report.missing_predictions,
         "unknown_predictions": report.unknown_predictions,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -37,6 +37,7 @@ from .errors import InputError
 from .geo import DEFAULT_REFERENCE_POINT, SpeciesMask, build_mask, mask_entries, nearest_per_species
 from .io import (
     SubmissionRow,
+    _make_dir,
     read_embeddings,
     read_geo_regions,
     read_ground_truth,
@@ -68,7 +69,6 @@ MODE_PRESETS: Dict[str, Tuple[GridSpec, int, int, int]] = {
     "no-tiling": (GridSpec(1, 1), 20, 1, 20),
 }
 DEFAULT_BASELINE_K = 10
-BASELINE_K_PRESETS = (5, 10, 25)
 
 
 @dataclass(frozen=True)
@@ -164,26 +164,29 @@ class RunResult:
 def validate_grid(tiles: TileBatch, grid: GridSpec):
     """Every tile must sit inside the grid; no duplicate cells per image."""
     batch = as_batch(tiles)
-
-    def where(t):
-        return int(batch.row[t]), int(batch.col[t]), batch.image_ids[batch.image[t]]
-
-    outside = first((batch.row >= grid.rows) | (batch.col >= grid.cols))
+    outside = (batch.row >= grid.rows) | (batch.col >= grid.cols)
     cells = np.lexsort((batch.col, batch.row, batch.image))  # stable: a repeat sorts after its first
     keys = np.stack([batch.image, batch.row, batch.col])[:, cells]
     repeated = np.zeros(len(batch), dtype=bool)
     repeated[cells[1:]] = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
-    repeat = first(repeated)
-    outside_failure, repeat_failure = (None, None), (None, None)
-    if outside is not None:
-        row, col, image_id = where(outside)
-        outside_failure = (
-            outside, InputError(f"tile ({row},{col}) of {image_id!r} outside {grid.rows}x{grid.cols} grid")
+    t = first(outside | repeated)
+    if t is None:
+        return
+    row, col, image_id = int(batch.row[t]), int(batch.col[t]), batch.image_ids[batch.image[t]]
+    if outside[t]:  # a tile both outside and repeated reports the grid
+        raise InputError(f"tile ({row},{col}) of {image_id!r} outside {grid.rows}x{grid.cols} grid")
+    raise InputError(f"duplicate tile ({row},{col}) for {image_id!r}")
+
+
+def check_species_indices(tiles: TileBatch, n_species: int):
+    """Every dense species index must lie inside a catalog of ``n_species``."""
+    batch = as_batch(tiles)
+    j = first(batch.idx >= n_species)
+    if j is not None:
+        image_id = batch.image_ids[batch.image_of_entry[j]]
+        raise InputError(
+            f"species index {int(batch.idx[j])} in {image_id!r} exceeds catalog size {n_species}"
         )
-    if repeat is not None:
-        row, col, image_id = where(repeat)
-        repeat_failure = (repeat, InputError(f"duplicate tile ({row},{col}) for {image_id!r}"))
-    raise_first(outside_failure, repeat_failure)
 
 
 def image_probability_vectors(tiles: TileBatch, n_species: int) -> Tuple[List[str], np.ndarray]:
@@ -194,12 +197,7 @@ def image_probability_vectors(tiles: TileBatch, n_species: int) -> Tuple[List[st
     resulting rows sum to one exactly as the prior estimator requires.
     """
     batch = as_batch(tiles)
-    j = first(batch.idx >= n_species)
-    if j is not None:
-        image_id = batch.image_ids[batch.image_of_entry[j]]
-        raise InputError(
-            f"species index {int(batch.idx[j])} in {image_id!r} exceeds catalog size {n_species}"
-        )
+    check_species_indices(batch, n_species)
     tile, n_images = batch.tile_of_entry, len(batch.image_ids)
     total = np.bincount(tile, weights=batch.prob, minlength=len(batch))
     cells = batch.image_of_entry * n_species + batch.idx
@@ -358,8 +356,7 @@ def score_submission(
 
 def run(config: RunConfig) -> RunResult:
     config = config.resolved()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(config.out_dir)
     catalog = load_catalog(config.catalog_path)
 
     if config.mode == "baseline":
@@ -370,6 +367,7 @@ def run(config: RunConfig) -> RunResult:
     else:
         tiles = read_tile_predictions(config.predictions_path)
         validate_grid(tiles, config.grid)
+        check_species_indices(tiles, len(catalog))
 
         if config.geo.enabled:
             mask = compute_geo_mask(config.geo, catalog)

@@ -55,6 +55,8 @@ class EmbeddingMatrix:
             raise InputError("need at least two embeddings")
         if len(self.image_ids) != n:
             raise InputError(f"{len(self.image_ids)} image ids for {n} embedding rows")
+        if not all(isinstance(i, str) and i for i in self.image_ids):
+            raise InputError("image ids must be non-empty strings")
         if len(set(self.image_ids)) != n:
             raise InputError("image ids must be unique")
         if not np.all(np.isfinite(self.data)):

@@ -11,6 +11,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import InputError
+from .io import _open_write
 
 # Categorical palette, distinguishable at small sizes. 16 entries so up to
 # 16 clusters get unique colors before wrapping.
@@ -125,5 +126,5 @@ def plot_projection(
 
 def save_projection_plot(path, points, labels=None, **kwargs):
     svg = plot_projection(points, labels=labels, **kwargs)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_write(path) as fh:
         fh.write(svg)

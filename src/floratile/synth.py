@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List
 
@@ -34,14 +34,14 @@ import numpy as np
 from .batch import TileBatch, first, rejection
 from .catalog import RegionRegistry, SpeciesCatalog
 from .errors import InputError, InvariantViolation
-from .geo import GeoRegion, Observation
+from .geo import DEFAULT_REFERENCE_POINT, GeoRegion, Observation
 from .metrics import GroundTruth
 from .projection import EmbeddingMatrix
 from . import io as fio
 
 # Mass kept by a tile's dominant species is 1 - SMEAR_SCALE * noise.
 SMEAR_SCALE = 0.3
-# Confusers per image: round(CONFUSER_SCALE * noise).
+# Confusers per image at noise 1; SynthSpec.n_confusers scales it by noise and rounds.
 CONFUSER_SCALE = 2.0
 # Tiles planted per confuser; two are enough to pass the default vote gate.
 CONFUSER_TILES = 2
@@ -54,7 +54,6 @@ IMG_TRUTH_DROP = 0.25
 IMG_SUPPORT = 20
 
 _LAND_POLYGON = ((42.0, 0.0), (47.0, 0.0), (47.0, 8.0), (42.0, 8.0))
-_REFERENCE_POINT = (44.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -84,19 +83,13 @@ class SynthSpec:
             raise InputError("need embed_dim >= n_clusters for blob placement")
         if self.transect_size < 1:
             raise InputError("transect_size must be >= 1")
-        n_tiles = self.grid_rows * self.grid_cols
-        if n_tiles < 6:
+        if self.n_tiles < 6:
             raise InputError("need at least 6 tiles so every truth species gets two")
-        n_confusers = int(round(CONFUSER_SCALE * self.noise))
-        worst_junk = 2 * n_tiles
         worst_truth = self.max_truth_species
-        if self.n_species < worst_truth + n_confusers + worst_junk:
-            raise InputError(
-                f"n_species={self.n_species} too small: need >= "
-                f"{worst_truth + n_confusers + worst_junk} for unique junk species"
-            )
-        n_vagrant = max(n_confusers + 1, self.n_species // 4)
-        pool_size = (self.n_species - n_vagrant) // self.n_clusters
+        need = worst_truth + self.n_confusers + 2 * self.n_tiles  # two junk species per tile at worst
+        if self.n_species < need:
+            raise InputError(f"n_species={self.n_species} too small: need >= {need} for unique junk species")
+        pool_size = (self.n_species - self.n_vagrant) // self.n_clusters
         if pool_size < worst_truth:
             raise InputError("species pools too small for the truth-set size range")
 
@@ -113,24 +106,22 @@ class SynthSpec:
         return min(3, self.max_truth_species)
 
     @property
+    def n_confusers(self) -> int:
+        return int(round(CONFUSER_SCALE * self.noise))
+
+    @property
     def n_vagrant(self) -> int:
-        n_confusers = int(round(CONFUSER_SCALE * self.noise))
-        return max(n_confusers + 1, self.n_species // 4)
+        return max(self.n_confusers + 1, self.n_species // 4)
 
 
 @dataclass
 class SynthBundle:
     """In-memory synthetic dataset; ``write_bundle`` serializes it."""
 
-    spec: SynthSpec
-    seed: int
     catalog: SpeciesCatalog
     registry: RegionRegistry
-    pools: List[np.ndarray]
-    vagrants: np.ndarray
     training_counts: Dict[int, int]
     quadrat_ids: List[str]
-    image_regions: List[str]
     cluster_labels: List[int]
     truth: GroundTruth
     embeddings: EmbeddingMatrix
@@ -176,7 +167,7 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
     """Build the full bundle from one seeded RNG; same seed, same bundle."""
     rng = np.random.default_rng(seed)
     smear = SMEAR_SCALE * spec.noise
-    n_confusers = int(round(CONFUSER_SCALE * spec.noise))
+    n_confusers = spec.n_confusers
     miss_rate = MISS_SCALE * spec.noise
     n_tiles = spec.n_tiles
 
@@ -198,7 +189,6 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
     registry = RegionRegistry(regions=tuple(region_names))
 
     quadrat_ids: List[str] = []
-    image_regions: List[str] = []
     cluster_labels: List[int] = []
     truth_sets: Dict[str, frozenset] = {}
     transects: Dict[str, str] = {}
@@ -220,7 +210,6 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
         per_region_count[c] += 1
         quadrat_id = f"{region}-T{t_idx:02d}-Q{i:04d}"
         quadrat_ids.append(quadrat_id)
-        image_regions.append(region)
         cluster_labels.append(c)
         transects[quadrat_id] = f"{region}-T{t_idx:02d}"
 
@@ -279,7 +268,6 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
         np.tile(rows, spec.n_images),
         np.tile(cols, spec.n_images),
         np.ones(n_all, dtype=bool),
-        np.zeros(n_all, dtype=np.int64),
         np.full(n_all, len(tile_prob)),
         tile_idx,
         np.tile(tile_prob, n_all),
@@ -290,7 +278,6 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
         np.zeros(spec.n_images),
         np.zeros(spec.n_images),
         np.zeros(spec.n_images, dtype=bool),
-        np.zeros(spec.n_images),
         [a.shape[0] for a in img_idx],
         np.concatenate(img_idx),
         np.concatenate(img_prob),
@@ -314,20 +301,13 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
     truth = GroundTruth(truth=truth_sets, transects=transects)
     emb = EmbeddingMatrix(image_ids=list(quadrat_ids), data=embeddings)
 
+    parameters = asdict(spec)
+    parameters["grid"] = f"{parameters.pop('grid_rows')}x{parameters.pop('grid_cols')}"
     manifest = {
         "seed": seed,
-        "parameters": {
-            "n_images": spec.n_images,
-            "grid": f"{spec.grid_rows}x{spec.grid_cols}",
-            "n_species": spec.n_species,
-            "n_clusters": spec.n_clusters,
-            "noise": spec.noise,
-            "separation": spec.separation,
-            "embed_dim": spec.embed_dim,
-            "transect_size": spec.transect_size,
-        },
+        "parameters": parameters,
         "regions": region_names,
-        "reference_point": list(_REFERENCE_POINT),
+        "reference_point": list(DEFAULT_REFERENCE_POINT),
         "files": [
             "catalog.csv",
             "regions.txt",
@@ -343,15 +323,10 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
     }
 
     return SynthBundle(
-        spec=spec,
-        seed=seed,
         catalog=catalog,
         registry=registry,
-        pools=pools,
-        vagrants=vagrants,
         training_counts=training_counts,
         quadrat_ids=quadrat_ids,
-        image_regions=image_regions,
         cluster_labels=cluster_labels,
         truth=truth,
         embeddings=emb,
@@ -364,9 +339,8 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
 
 
 def write_bundle(bundle: SynthBundle, out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+    out = fio._make_dir(out_dir)
+    with fio._open_write(out / "manifest.json") as fh:
         json.dump(bundle.manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     fio.write_catalog(out / "catalog.csv", bundle.catalog)

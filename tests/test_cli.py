@@ -586,3 +586,76 @@ def test_module_invocation_tile_plan():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().split("\n")) == 4
+
+
+def _unwritable_cases(fixture_dir, tmp_path):
+    """(argv, the path the error names) per subcommand whose output cannot be written."""
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    missing = tmp_path / "nodir" / "out"
+    proj = tmp_path / "proj.csv"
+    proj.write_text("image_id,x,y\na,0.0,0.0\nb,1.0,1.0\n")
+    return {
+        "aggregate": (["aggregate", "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
+                       "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(missing)], missing),
+        "run": (["run", "--catalog", str(fixture_dir / "catalog.csv"),
+                 "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
+                 "--grid", "3x3", "--out", str(blocker)], blocker),
+        "synth": (["synth", "--out", str(blocker / "x"), "--n-images", "4"], blocker / "x"),
+        "tile-plan": (["tile-plan", "--width", "8", "--height", "8", "--out", str(missing)], missing),
+        "plot": (["plot", "--projection", str(proj), "--out", str(missing)], missing),
+        "geofilter": (["geofilter", "--observations", str(fixture_dir / "observations.csv"),
+                       "--regions", str(fixture_dir / "geo_regions.json"),
+                       "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(tmp_path)], tmp_path),
+    }
+
+
+@pytest.mark.parametrize("command", ["aggregate", "run", "synth", "tile-plan", "plot", "geofilter"])
+def test_unwritable_output_path_exits_1_naming_it(fixture_dir, tmp_path, capsys, command):
+    argv, path = _unwritable_cases(fixture_dir, tmp_path)[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"floratile: error: {path}: ") and err.count("\n") == 1, err
+
+
+def _with_record(fixture_dir, tmp_path, edit):
+    """The fixture's tile predictions with ``edit`` applied to the first record."""
+    records = [json.loads(line) for line in (fixture_dir / "tile_predictions.ndjson").read_text().splitlines()]
+    edit(records[0])
+    path = tmp_path / "preds.ndjson"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    return path, records[0]
+
+
+@pytest.mark.parametrize("command", ["run", "aggregate"])
+def test_numeric_image_id_exits_1_at_its_line(fixture_dir, tmp_path, capsys, command):
+    preds, _ = _with_record(fixture_dir, tmp_path, lambda rec: rec.update(image_id=7))
+    argv = [command, "--catalog", str(fixture_dir / "catalog.csv"), "--predictions", str(preds),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"floratile: error: {preds}:1: tile prediction must carry a non-empty string image_id\n"
+    )
+
+
+@pytest.mark.parametrize("flags", [[], ["--geo"], ["--priors"], "aggregate"],
+                         ids=["plain", "geo", "priors", "aggregate"])
+def test_species_index_outside_catalog_exits_1_in_every_mode(fixture_dir, tmp_path, capsys, flags):
+    def outside(rec):
+        rec["probs"][-1][0] = 9999
+
+    preds, victim = _with_record(fixture_dir, tmp_path, outside)
+    inputs = ["--catalog", str(fixture_dir / "catalog.csv"), "--predictions", str(preds)]
+    if flags == "aggregate":
+        argv = ["aggregate", *inputs, "--out", str(tmp_path / "sub.csv")]
+    else:
+        argv = ["run", *inputs, "--grid", "3x3", "--out", str(tmp_path / "out"), *flags,
+                "--observations", str(fixture_dir / "observations.csv"),
+                "--geo-regions", str(fixture_dir / "geo_regions.json"),
+                "--embeddings", str(fixture_dir / "embeddings.ndjson"),
+                "--registry", str(fixture_dir / "regions.txt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"floratile: error: species index 9999 in {victim['image_id']!r} exceeds catalog size 40\n"
+    )

@@ -169,6 +169,26 @@ def test_cluster_priors_validation():
     assert ok.k == 2 and ok.n_species == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_prior_is_rejected_by_priors_and_reweight(bad):
+    with pytest.raises(InvariantViolation, match="^priors must be finite$"):
+        ClusterPriors(np.array([[bad, 1.0]]))
+    with pytest.raises(InvariantViolation, match="^priors must be finite$"):
+        reweight([(0, 0.5), (1, 0.5)], np.array([bad, 1.0]))
+
+
+def test_prior_row_sum_error_gives_the_sum():
+    with pytest.raises(InvariantViolation, match=r"^prior sums to 1\.1; expected 1 \+/- 1e-09$"):
+        ClusterPriors(np.array([[0.5, 0.5], [0.5, 0.6]]))
+    with pytest.raises(InvariantViolation, match=r"^prior sums to 1\.1; expected 1 \+/- 1e-09$"):
+        reweight([(0, 1.0)], np.array([0.5, 0.6]))
+
+
+def test_reweight_rejects_negative_prior():
+    with pytest.raises(InvariantViolation, match="^priors must be non-negative$"):
+        reweight([(0, 1.0)], np.array([1.5, -0.5]))
+
+
 def test_reweight_hand_example():
     out = reweight([(0, 0.5), (1, 0.5)], np.array([0.2, 0.4, 0.4]))
     assert [i for i, _ in out] == [0, 1]

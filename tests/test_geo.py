@@ -1,6 +1,7 @@
 """Geolocation filtering: distances, point-in-polygon, masks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,18 @@ def test_geo_region_validation():
     with pytest.raises(InputError):
         GeoRegion("bowtie", ((0, 0), (2, 2), (2, 0), (0, 2)))
     GeoRegion("tri", ((0, 0), (0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("name,polygon,message", [
+    ("tri", ((0, 0), (0, math.inf), (1, 0)), "region 'tri': vertices must be finite"),
+    ("tri", ((0, 0), (0, math.nan), (1, 0)), "region 'tri': vertices must be finite"),
+    ("tri", ((0, 0), (0, "x"), (1, 0)), "region 'tri': vertices must be (lat, lon) number pairs"),
+    ("tri", ((0, 0), (0, 10**400), (1, 0)), "region 'tri': vertices must be (lat, lon) number pairs"),
+    (7, ((0, 0), (0, 1), (1, 0)), "region name must be a non-empty string"),
+], ids=["inf", "nan", "text", "huge_int", "numeric_name"])
+def test_geo_region_rejects_values_the_mask_cannot_use(name, polygon, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+        GeoRegion(name, polygon)
 
 
 def _catalog(ids):

@@ -311,6 +311,103 @@ def test_embeddings_width_mismatch(tmp_path):
         read_embeddings(path)
 
 
+@pytest.mark.parametrize("record,where,message", [
+    ({"image_id": 7, "vector": [1.0]}, "", "image ids must be non-empty strings"),
+    ({"image_id": "b", "vector": [10**400]}, ":2", "bad embedding record (int too large to convert to float)"),
+], ids=["numeric_id", "huge_int"])
+def test_read_embeddings_rejects_values_projection_cannot_use(tmp_path, record, where, message):
+    path = tmp_path / "emb.ndjson"
+    path.write_text(json.dumps({"image_id": "a", "vector": [0.0]}) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}{where}: {message}')}$"):
+        read_embeddings(path)
+
+
+_ODD_VALUES = [0, True, None, "x", "1.5", 10**400, float("nan"), float("inf"), [1.0], {}]
+_ODD_RECORDS = [None, 7, "text", [1, 2], {}, {"image_id": "z"}, {"vector": [1.0]}]
+
+
+@st.composite
+def _mutated_embedding_records(draw):
+    """Valid embedding records with up to three mutations of an id, a width, a value or a whole record."""
+    n, width = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    vectors = st.lists(st.floats(-9.0, 9.0), min_size=width, max_size=width)
+    records = [{"image_id": f"img{i}", "vector": draw(vectors)} for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["id", "width", "value", "record"]))
+        if kind == "record":
+            records[i] = draw(st.sampled_from(_ODD_RECORDS))
+        elif not isinstance(records[i], dict) or "vector" not in records[i]:
+            continue
+        elif kind == "id":
+            records[i]["image_id"] = draw(st.sampled_from(["", 7, 1.5, None, ["a"], "img0"]))
+        elif kind == "width":
+            vector = records[i]["vector"]
+            records[i]["vector"] = vector + [0.5] if draw(st.booleans()) else vector[:-1]
+        elif records[i]["vector"]:
+            vector = list(records[i]["vector"])
+            vector[draw(st.integers(0, len(vector) - 1))] = draw(st.sampled_from(_ODD_VALUES) | st.floats())
+            records[i]["vector"] = vector
+    return records
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=_mutated_embedding_records())
+def test_embeddings_reader_loads_usable_rows_or_names_the_file_property(tmp_path, records):
+    path = tmp_path / "emb.ndjson"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    try:
+        emb = read_embeddings(path)
+    except InputError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
+        return
+    assert len(emb.image_ids) == len(records) == len(set(emb.image_ids))
+    assert all(isinstance(i, str) and i for i in emb.image_ids)
+    assert emb.data.shape[0] == len(records) and np.all(np.isfinite(emb.data))
+
+
+@st.composite
+def _mutated_geo_regions(draw):
+    """Valid squares with up to three mutations of a name, a vertex value, a vertex or a whole record."""
+    regions = [
+        {"name": f"r{i}", "polygon": [[10.0 * i + a, b] for a, b in ((0, 0), (0, 4), (4, 4), (4, 0))]}
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(regions) - 1))
+        kind = draw(st.sampled_from(["name", "value", "vertex", "record"]))
+        if kind == "record":
+            regions[i] = draw(st.sampled_from(_ODD_RECORDS + [{"name": "q"}, {"polygon": []}]))
+        elif not isinstance(regions[i], dict) or "polygon" not in regions[i] or not regions[i]["polygon"]:
+            continue
+        elif kind == "name":
+            regions[i]["name"] = draw(st.sampled_from(["", 7, None, ["a"], "r0"]))
+        elif kind == "value":
+            vertex = list(regions[i]["polygon"][0])
+            vertex[draw(st.integers(0, 1))] = draw(st.sampled_from(_ODD_VALUES) | st.floats())
+            regions[i]["polygon"] = [vertex] + regions[i]["polygon"][1:]
+        else:
+            odd = draw(st.sampled_from([[1.0], [1.0, 2.0, 3.0], 5, "ab", None, {}, "drop"]))
+            regions[i]["polygon"] = regions[i]["polygon"][1:] + ([] if odd == "drop" else [odd])
+    return regions
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(regions=_mutated_geo_regions())
+def test_geo_regions_reader_loads_usable_polygons_or_names_the_file_property(tmp_path, regions):
+    path = tmp_path / "regions.json"
+    path.write_text(json.dumps(regions))
+    try:
+        loaded = read_geo_regions(path)
+    except InputError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
+        return
+    assert len(loaded) == len(regions)
+    for region in loaded:
+        assert isinstance(region.name, str) and region.name and len(region.polygon) >= 3
+        assert all(isinstance(x, float) and np.isfinite(x) for vertex in region.polygon for x in vertex)
+
+
 def test_projection_round_trip_exact(tmp_path):
     path = tmp_path / "proj.csv"
     rng = np.random.default_rng(2)

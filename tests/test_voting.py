@@ -189,6 +189,12 @@ def test_tile_prediction_validation():
         tile([], complete=False)
 
 
+@pytest.mark.parametrize("image_id", ["", 7, 1.5, True, None, ("a",)])
+def test_tile_prediction_requires_a_non_empty_string_image_id(image_id):
+    with pytest.raises(InputError, match="^tile prediction must carry a non-empty string image_id$"):
+        tile([(1, 0.5)], image_id=image_id)
+
+
 def test_tile_prediction_complete_mass_check():
     tile([(1, 0.6), (2, 0.4)], complete=True)
     with pytest.raises(InputError):
