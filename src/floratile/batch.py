@@ -223,11 +223,6 @@ class TileBatch:
         return self.image[self.tile_of_entry]
 
     @cached_property
-    def rank(self) -> np.ndarray:
-        """Each entry's position within its tile (0 = most probable)."""
-        return np.arange(self.idx.shape[0]) - self.offsets[self.tile_of_entry]
-
-    @cached_property
     def image_offsets(self) -> np.ndarray:
         """Image ``i`` owns the tiles ``image_offsets[i]:image_offsets[i + 1]``."""
         return np.searchsorted(self.image, np.arange(len(self.image_ids) + 1))

@@ -8,8 +8,8 @@ raise InputError with file and line diagnostics.
 from __future__ import annotations
 
 import csv
-import gc
 import json
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -179,13 +179,14 @@ def read_tile_predictions(path) -> TileBatch:
     Every record is checked as ``TilePrediction`` checks it, by vectorised
     tests over the whole file; the first bad record in file order is
     reported with ``path:line``, ahead of any later unreadable line.
+    Columns are typed arrays from the start, so no entry is held as a
+    Python object, and an integer past 64 bits is a bad record.
     """
     codes: dict = {}
-    image, rows, cols, completes, lines, counts, idxs, probs = [], [], [], [], [], [], [], []
+    image, rows, cols, lines, counts, idxs = (array("q") for _ in range(6))
+    completes, probs = array("b"), array("d")
     add_idx, add_prob = idxs.append, probs.append
     failure = None
-    collecting = gc.isenabled()
-    gc.disable()  # records leave no cycles; collector passes over the growing lists only cost time
     try:
         for lineno, rec in ndjson_records(path):
             start = len(idxs)
@@ -195,25 +196,23 @@ def read_tile_predictions(path) -> TileBatch:
                     add_idx(int(i))
                     add_prob(float(p))
                 complete = bool(rec.get("complete", False))
-                image.append(codes.setdefault(key, len(codes)))
+                if not isinstance(key, str):
+                    failure = InputError(f"{path}:{lineno}: {rejection(key, row, col, (), complete)}")
+                else:
+                    rows.append(row)
+                    cols.append(col)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                del idxs[start:], probs[start:]
                 failure = InputError(f"{path}:{lineno}: bad tile prediction record ({exc})")
+            if failure is not None:  # drop what this record appended (a row whose col overflowed too)
+                del idxs[start:], probs[start:], rows[len(lines):]
                 break
-            rows.append(row)
-            cols.append(col)
+            image.append(codes.setdefault(key, len(codes)))
             completes.append(complete)
             lines.append(lineno)
             counts.append(len(idxs) - start)
     except InputError as exc:
         failure = exc
-    finally:
-        if collecting:
-            gc.enable()
-    try:
-        batch = TileBatch.from_columns(list(codes), image, rows, cols, completes, counts, idxs, probs)
-    except OverflowError:
-        raise InputError(f"{path}: an integer field does not fit in 64 bits") from None
+    batch = TileBatch.from_columns(list(codes), image, rows, cols, completes, counts, idxs, probs)
     bad = np.flatnonzero(batch.invalid_tiles())
     if bad.size:
         # from_columns groups records by a stable sort on image code; map batch tiles back to records
@@ -229,7 +228,7 @@ def read_tile_predictions(path) -> TileBatch:
     return batch
 
 
-_WRITE_CHUNK = 4096  # tiles formatted per write, so the text held at once stays bounded
+_WRITE_CHUNK = 4096  # entries of a batch formatted per write, so the text held at once stays bounded
 _COMPLETE = ', "complete": true'
 
 
@@ -244,16 +243,26 @@ def _tile_lines(tiles) -> str:
     )
 
 
+def _chunk_bounds(offsets: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` tile ranges covering every tile, each cut at
+    a tile boundary and holding at most ``_WRITE_CHUNK`` entries, or else one tile."""
+    lo, n = 0, offsets.shape[0] - 1
+    while lo < n:
+        hi = max(int(np.searchsorted(offsets, offsets[lo] + _WRITE_CHUNK, side="right")) - 1, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 def write_tile_predictions(path, preds: Iterable[TilePrediction]):
     """Write one record per tile, in iteration order; ``preds`` may be a ``TileBatch``.
 
     Each line is ``json.dumps`` of ``{"image_id", "row", "col", "probs"}``
-    plus ``"complete": true`` on a complete tile, formatted ``_WRITE_CHUNK``
-    tiles at a time; a batch is read by columns, never as ``TilePrediction``s.
+    plus ``"complete": true`` on a complete tile. A batch is read by columns,
+    never as ``TilePrediction``s, ``_WRITE_CHUNK`` entries at a time; other
+    tiles are formatted ``_WRITE_CHUNK`` tiles at a time.
     """
     if isinstance(preds, TileBatch):
-        chunks = (zip(*preds.columns(lo, min(lo + _WRITE_CHUNK, len(preds))))
-                  for lo in range(0, len(preds), _WRITE_CHUNK))
+        chunks = (zip(*preds.columns(lo, hi)) for lo, hi in _chunk_bounds(preds.offsets))
     else:
         tiles = ((t.image_id, t.row, t.col, t.probs, t.complete) for t in preds)
         chunks = iter(lambda: list(islice(tiles, _WRITE_CHUNK)), [])
@@ -298,8 +307,8 @@ def read_geo_regions(path) -> List[GeoRegion]:
     regions = []
     for i, rec in enumerate(data):
         try:
-            regions.append(GeoRegion(name=rec["name"], polygon=tuple((v[0], v[1]) for v in rec["polygon"])))
-        except (KeyError, TypeError, IndexError) as exc:
+            regions.append(GeoRegion(name=rec["name"], polygon=rec["polygon"]))
+        except (KeyError, TypeError) as exc:
             raise InputError(f"{path}: region #{i}: bad record ({exc})") from None
         except InputError as exc:
             raise InputError(f"{path}: region #{i}: {exc}") from None
@@ -329,23 +338,23 @@ def write_species_mask(path, mask: SpeciesMask, catalog: SpeciesCatalog):
 
 def read_embeddings(path) -> EmbeddingMatrix:
     ids: List[str] = []
-    rows: List[List[float]] = []
+    values = array("d")
     width = None
     for lineno, rec in ndjson_records(path):
+        start = len(values)
         try:
             ids.append(rec["image_id"])
-            vec = [float(x) for x in rec["vector"]]
+            values.extend(float(x) for x in rec["vector"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}:{lineno}: bad embedding record ({exc})") from None
         if width is None:
-            width = len(vec)
-        elif len(vec) != width:
-            raise InputError(f"{path}:{lineno}: vector length {len(vec)} != {width}")
-        rows.append(vec)
-    if not rows:
+            width = len(values)
+        elif len(values) - start != width:
+            raise InputError(f"{path}:{lineno}: vector length {len(values) - start} != {width}")
+    if not ids:
         raise InputError(f"{path}: no embedding records")
     try:
-        return EmbeddingMatrix(image_ids=ids, data=np.asarray(rows))
+        return EmbeddingMatrix(image_ids=ids, data=np.frombuffer(values).reshape(len(ids), width))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 

@@ -328,7 +328,7 @@ def aggregate_predictions(
         raise InputError(f"k must be >= 1, got {k}")
     if min_votes < 1 or max_labels < 1:
         raise InputError("min_votes and max_labels must be >= 1")
-    image, idx, votes, mass, _ = tally_batch(batch, k)
+    image, idx, votes, mass = tally_batch(batch, k)[:4]
     chosen = rank_labels(image, idx, votes, mass, min_votes, max_labels)
     image, idx = image[chosen], idx[chosen]
     order = sorted(range(len(batch.image_ids)), key=batch.image_ids.__getitem__)

@@ -50,6 +50,8 @@ class EmbeddingMatrix:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise InputError(f"embedding data must be 2-D, got shape {self.data.shape}")
+        if self.data.shape[1] == 0:
+            raise InputError("embedding vectors must not be empty")
         n = self.data.shape[0]
         if n < 2:
             raise InputError("need at least two embeddings")

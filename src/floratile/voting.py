@@ -32,17 +32,20 @@ def tally_batch(batch: TileBatch, k: int):
     (image, idx), and ``key``, the row of each voting entry in batch order.
     Mass is summed in batch order, tile by tile, as ``tally_votes`` did.
     """
-    voted = batch.rank < k
-    image, idx = batch.image_of_entry[voted], batch.idx[voted]
+    voted = np.arange(batch.idx.shape[0]) - batch.offsets[batch.tile_of_entry] < k  # rank within tile
+    image, idx, prob = batch.image_of_entry[voted], batch.idx[voted], batch.prob[voted]
+    del voted
     order = np.lexsort((idx, image))
     image, idx = image[order], idx[order]
     new = np.ones(order.shape[0], dtype=bool)
     new[1:] = (image[1:] != image[:-1]) | (idx[1:] != idx[:-1])
+    image, idx = image[new], idx[new]
     key = np.empty_like(order)
     key[order] = np.cumsum(new) - 1
+    del order
     votes = np.bincount(key)
-    mass = np.bincount(key, weights=batch.prob[voted])
-    return image[new], idx[new], votes, mass, key
+    mass = np.bincount(key, weights=prob)
+    return image, idx, votes, mass, key
 
 
 def rank_labels(image, idx, votes, mass, min_votes: int, max_labels: int):

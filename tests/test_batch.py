@@ -10,6 +10,7 @@ message.
 """
 
 import json
+import tracemalloc
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
@@ -573,7 +574,7 @@ _PROB = _often(st.sampled_from([0.125, 0.25, 0.5, 1.0, 0.1]),
 _ENTRY = _often(st.tuples(_INDEX, _PROB).map(list), [[1], [1, 0.5, 2], 7, "ab", {"1": 0.5}])
 _RECORD = st.fixed_dictionaries(
     {
-        "image_id": _often(st.sampled_from(["a", "b", "c"]), ["", 0, 5]),
+        "image_id": _often(st.sampled_from(["a", "b", "c"]), ["", 0, 5, ["a"], {"a": 1}]),
         "row": _often(st.integers(0, 2), [-1, "1", 1.7, None, "r"]),
         "col": _often(st.integers(0, 2), [-1, 2.0, "c"]),
         "probs": st.lists(_ENTRY, max_size=4),
@@ -633,6 +634,51 @@ def test_reader_reports_first_bad_record_before_later_invalid_json(tmp_path):
         read_tile_predictions(path)
 
 
+@pytest.mark.parametrize("record", [{"image_id": ["a"]}, {"image_id": {"a": 1}}, {"image_id": 7},
+                                    {"image_id": ["a"], "row": "r"}, {"image_id": ["a"], "probs": [[1, 1.5]]}])
+def test_reader_words_a_non_string_image_id_as_tile_prediction_does(tmp_path, record):
+    good = {"image_id": "a", "row": 0, "col": 0, "probs": [[1, 0.5]]}
+    path = tmp_path / "preds.ndjson"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **record)) + "\n")
+    ref = _outcome(_ref_read_tile_predictions, path)
+    assert ref[0] == "error" and ref[2].startswith(f"{path}:2: ")
+    assert _outcome(read_tile_predictions, path) == ref
+
+
+@pytest.mark.parametrize("field", ["row", "col", "index"])
+def test_reader_reports_a_64_bit_overflow_at_its_line(tmp_path, field):
+    good = {"image_id": "a", "row": 0, "col": 0, "probs": [[1, 0.5]]}
+    huge = dict(good, probs=[[2**63, 0.5]]) if field == "index" else dict(good, **{field: 2**63})
+    path = tmp_path / "preds.ndjson"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(huge) + "\n")
+    with pytest.raises(InputError) as info:
+        read_tile_predictions(path)
+    assert str(info.value) == f"{path}:2: bad tile prediction record (int too big to convert)"
+    # an earlier bad record is still the one reported
+    path.write_text(json.dumps(dict(good, probs=[[1, 1.5]])) + "\n" + json.dumps(huge) + "\n")
+    with pytest.raises(InputError, match=r":1: tile of 'a': probability 1\.5 outside"):
+        read_tile_predictions(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4, 7, 100])
+def test_tile_writer_chunks_hold_at_most_write_chunk_entries(tmp_path, monkeypatch, chunk):
+    widths = [1, 2, 5, 1, 1, 3, 9, 2, 2, 1]
+    batch = TileBatch.from_tiles(_tp(f"i{t % 3}", t, [(i, 0.05) for i in range(w)]) for t, w in enumerate(widths))
+    calls, columns = [], TileBatch.columns
+
+    def recorded(self, lo, hi):
+        calls.append((lo, hi))
+        return columns(self, lo, hi)
+
+    monkeypatch.setattr(TileBatch, "columns", recorded)
+    monkeypatch.setattr(fio, "_WRITE_CHUNK", chunk)
+    write_tile_predictions(tmp_path / "out.ndjson", batch)
+    assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]
+    assert calls[-1][1] == len(batch) and all(lo < hi for lo, hi in calls)
+    for lo, hi in calls:
+        assert batch.offsets[hi] - batch.offsets[lo] <= max(chunk, max(widths))
+
+
 def test_validate_grid_matches_reference():
     tiles = [_tp("a", 0, [(1, 0.5)]), _tp("b", 0, [(1, 0.5)]),
              _tp("a", 0, [(2, 0.5)]), _tp("b", 5, [(1, 0.5)])]
@@ -652,6 +698,17 @@ def bench_bundle(tmp_path_factory):
         nearest_per_species(bundle.observations, DEFAULT_REFERENCE_POINT), bundle.geo_regions, bundle.catalog
     )
     return directory / "tile_predictions.ndjson", bundle.catalog, mask
+
+
+def test_tile_reader_memory_stays_below_100_bytes_per_entry(bench_bundle):
+    path, _, _ = bench_bundle
+    tracemalloc.start()
+    try:
+        batch = read_tile_predictions(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * batch.idx.shape[0]  # a boxed float in a list alone takes 32 B
 
 
 def test_bench_read_tile_predictions(benchmark, bench_bundle):

@@ -357,6 +357,22 @@ def test_run_priors_on_too_few_images_exits_1(tmp_path, capsys):
     assert not (out / "submission.csv").exists()
 
 
+def test_empty_embedding_vectors_exit_1_naming_the_file(fixture_dir, tmp_path, capsys):
+    emb = tmp_path / "emb.ndjson"
+    emb.write_text("".join(json.dumps({"image_id": f"img{k}", "vector": []}) + "\n" for k in range(16)))
+    shown = f"floratile: error: {emb}: embedding vectors must not be empty\n"
+    assert main(["project", "--embeddings", str(emb), "--out", str(tmp_path / "proj.csv")]) == 1
+    assert capsys.readouterr().err == shown
+    out = tmp_path / "out"
+    assert main(["run", "--mode", "tiling", "--grid", "3x3",
+                 "--catalog", str(fixture_dir / "catalog.csv"),
+                 "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
+                 "--registry", str(fixture_dir / "regions.txt"),
+                 "--out", str(out), "--priors", "--embeddings", str(emb)]) == 1
+    assert capsys.readouterr().err == shown
+    assert not (out / "submission.csv").exists()
+
+
 def test_run_bad_config_json_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -281,6 +281,15 @@ def test_geo_regions_bad_payloads(tmp_path):
         read_geo_regions(path)
 
 
+@pytest.mark.parametrize("vertex", [[0, 4, 9], [0]], ids=["three_numbers", "one_number"])
+def test_geo_region_vertex_must_be_one_lat_lon_pair(tmp_path, vertex):
+    path = tmp_path / "regions.json"
+    path.write_text(json.dumps([{"name": "a", "polygon": [[0, 0], vertex, [4, 4]]}]))
+    shown = f"{path}: region #0: region 'a': vertices must be (lat, lon) number pairs"
+    with pytest.raises(InputError, match=re.escape(shown)):
+        read_geo_regions(path)
+
+
 def test_species_mask_exact_bytes(tmp_path):
     path = tmp_path / "mask.csv"
     catalog = SpeciesCatalog([10, 20, 30])
@@ -308,6 +317,13 @@ def test_embeddings_width_mismatch(tmp_path):
         + "\n"
     )
     with pytest.raises(InputError, match=r":2: vector length"):
+        read_embeddings(path)
+
+
+def test_embeddings_of_empty_vectors_rejected(tmp_path):
+    path = tmp_path / "emb.ndjson"
+    path.write_text("".join(json.dumps({"image_id": f"i{k}", "vector": []}) + "\n" for k in range(20)))
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}: embedding vectors must not be empty')}$"):
         read_embeddings(path)
 
 

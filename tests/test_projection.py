@@ -40,6 +40,11 @@ def test_embedding_matrix_validation():
         EmbeddingMatrix(["a", "b"], np.zeros(2))  # not 2-D
 
 
+def test_embedding_matrix_rejects_zero_width():
+    with pytest.raises(InputError, match="embedding vectors must not be empty"):
+        EmbeddingMatrix([f"i{k}" for k in range(20)], np.zeros((20, 0)))
+
+
 def test_projection_validation():
     with pytest.raises(InputError):
         Projection(["a", "b"], np.zeros((2, 3)))
