@@ -52,20 +52,9 @@ class SpeciesCatalog:
 
 def load_catalog(path) -> SpeciesCatalog:
     """Load a species catalog from a CSV with header ``species_id``."""
-    from .io import csv_rows
+    from .io import read_csv
 
-    ids: List[int] = []
-    for lineno, (species_id,) in csv_rows(path, ("species_id",)):
-        try:
-            ids.append(int(species_id))
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: species_id {species_id!r} is not an integer") from None
-    if not ids:
-        raise InputError(f"{path}: catalog file has no species rows")
-    try:
-        return SpeciesCatalog(ids)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return SpeciesCatalog([species_id for species_id, in read_csv(path, "catalog")])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +62,13 @@ def _proper_intersection(p1, p2, p3, p4) -> bool:
     return False
 
 
+def _coordinate(x) -> float:
+    """``x`` as a float; text is not a number, even text that would parse as one."""
+    if isinstance(x, str):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class GeoRegion:
     """Simple polygon over (lat, lon) vertices; the last edge closes implicitly."""
@@ -73,7 +80,7 @@ class GeoRegion:
         if not isinstance(self.name, str) or not self.name:
             raise InputError("region name must be a non-empty string")
         try:
-            verts = tuple((float(a), float(b)) for a, b in self.polygon)
+            verts = tuple((_coordinate(a), _coordinate(b)) for a, b in self.polygon)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"region {self.name!r}: vertices must be (lat, lon) number pairs ({exc})") from None
         if not all(math.isfinite(x) for vert in verts for x in vert):

@@ -9,17 +9,19 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from io import StringIO
 from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .batch import ImageTiles, TileBatch, TilePrediction, as_batch, rejection
-from .catalog import RegionRegistry, SpeciesCatalog
+from .catalog import RegionRegistry, SpeciesCatalog, transect_of
 from .errors import InputError, InvariantViolation
 from .geo import GeoRegion, Observation, SpeciesMask
 from .metrics import GroundTruth, ScoreReport
@@ -67,20 +69,213 @@ def _make_dir(path) -> Path:
 def csv_rows(path, header: Sequence[str]) -> Iterator[Tuple[int, List[str]]]:
     """Check a CSV file's header and yield its non-blank ``(lineno, row)`` pairs.
 
-    Every row must have one field per header column.
+    Every row must have one field per header column. ``lineno`` is the line
+    the row ends on, so a quoted field spanning lines shifts no later row.
     """
     columns = ",".join(header)
     with _open_read(path) as fh:
         reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None or [h.strip() for h in got] != list(header):
-            raise InputError(f"{path}:1: expected header '{columns}', got {got!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise InputError(f"{path}:{lineno}: expected '{columns}'")
-            yield lineno, row
+        try:
+            got = next(reader, None)
+            if got is None or [h.strip() for h in got] != list(header):
+                raise InputError(f"{path}:1: expected header '{columns}', got {got!r}")
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise InputError(f"{path}:{reader.line_num}: expected '{columns}'")
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+# --- CSV formats -------------------------------------------------------
+
+class CsvColumn(NamedTuple):
+    """One CSV column: its header name, the parse of its text (a ValueError
+    makes the row malformed) and the text written for a value."""
+
+    name: str
+    parse: Callable[[str], object] = str
+    format: Callable[[object], str] = str
+
+
+class CsvFormat(NamedTuple):
+    """One CSV format: its columns, the column whose values must be non-empty
+    and unique, and what a row's parsed values are made into (else a tuple)."""
+
+    columns: Tuple[CsvColumn, ...]
+    key: Optional[str] = None
+    make: Optional[Callable] = None
+
+
+def _checked(parse, ok):
+    """``parse``, where a value that ``ok`` rejects is a ValueError too."""
+    def checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    return checked
+
+
+def _species_set(text: str) -> frozenset:
+    try:
+        return frozenset(map(int, text.split()))
+    except ValueError:
+        raise InputError("species_ids must be space-separated integers") from None
+
+
+_INT = (int, lambda v: str(int(v)))  # numpy integers and bools write as Python ints
+_FLOAT = (float, lambda x: repr(float(x)))
+_FINITE = (_checked(float, math.isfinite), _FLOAT[1])
+_SPECIES = (_species_set, lambda ids: " ".join(map(str, sorted(ids))))
+_BIT = (_checked(int, (0, 1).__contains__), _INT[1])  # 1 allowed, 0 masked
+
+CSV_FORMATS: Dict[str, CsvFormat] = {
+    "catalog": CsvFormat((CsvColumn("species_id", *_INT),), key="species_id"),
+    "transect map": CsvFormat((CsvColumn("quadrat_id"), CsvColumn("transect_id", _checked(str, bool))), key="quadrat_id"),
+    "observation": CsvFormat(
+        (CsvColumn("species_id", *_INT), CsvColumn("lat", *_FLOAT), CsvColumn("lon", *_FLOAT)), make=Observation
+    ),
+    "species mask": CsvFormat((CsvColumn("species_id", *_INT), CsvColumn("allowed", *_BIT)), key="species_id"),
+    "projection": CsvFormat((CsvColumn("image_id"), CsvColumn("x", *_FINITE), CsvColumn("y", *_FINITE)), key="image_id"),
+    "assignment": CsvFormat((CsvColumn("image_id"), CsvColumn("cluster", *_INT)), key="image_id"),
+    "region cluster": CsvFormat((CsvColumn("region"), CsvColumn("cluster", *_INT)), key="region"),
+    "ground truth": CsvFormat(
+        (CsvColumn("quadrat_id"), CsvColumn("transect_id"), CsvColumn("species_ids", *_SPECIES)), key="quadrat_id"
+    ),
+    "training count": CsvFormat((CsvColumn("species_id", *_INT), CsvColumn("count", *_INT)), key="species_id"),
+}
+
+
+def read_csv(path, name: str) -> list:
+    """The rows of the ``CSV_FORMATS[name]`` file at ``path``, parsed and made.
+
+    A row that does not parse, an empty or repeated key, and a file with no
+    rows are each an InputError at ``path:line`` (at ``path`` for no rows).
+    """
+    fmt = CSV_FORMATS[name]
+    header = [c.name for c in fmt.columns]
+    parsers = [c.parse for c in fmt.columns]
+    key = None if fmt.key is None else header.index(fmt.key)
+    rows, seen = [], set()
+    for lineno, row in csv_rows(path, header):
+        if key is not None and not row[key]:
+            raise InputError(f"{path}:{lineno}: empty {fmt.key}")
+        try:
+            values = tuple([parse(text) for parse, text in zip(parsers, row)])
+            rows.append(values if fmt.make is None else fmt.make(*values))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: malformed {name} row {row!r}") from None
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        if key is not None:
+            if values[key] in seen:
+                raise InputError(f"{path}:{lineno}: duplicate {fmt.key} {values[key]!r}")
+            seen.add(values[key])
+    if not rows:
+        raise InputError(f"{path}: no {name} rows")
+    return rows
+
+
+def write_csv(fh, name: str, rows: Iterable[Sequence]):
+    """Write the ``CSV_FORMATS[name]`` header, then ``rows`` as their columns
+    format them, quoting a field only where RFC 4180 needs it; a file holding a
+    bare ``\\r``, which the minimal writer leaves unquoted, is quoted in full."""
+    columns = CSV_FORMATS[name].columns
+    text = [list(map(c.format, values)) for c, values in zip(columns, zip(*rows))]
+    full = any("\r" in "".join(column) for column in text)
+    writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL if full else csv.QUOTE_MINIMAL)
+    writer.writerow([c.name for c in columns])
+    writer.writerows(zip(*text))
+
+
+def write_catalog(path, catalog: SpeciesCatalog):
+    with _open_write(path) as fh:
+        write_csv(fh, "catalog", ((sid,) for sid in catalog.species_ids))
+
+
+def read_transect_map(path) -> Dict[str, str]:
+    return dict(read_csv(path, "transect map"))
+
+
+def read_observations(path) -> List[Observation]:
+    return read_csv(path, "observation")
+
+
+def write_observations(path, observations: Iterable[Observation]):
+    with _open_write(path) as fh:
+        write_csv(fh, "observation", ((o.species_id, o.lat, o.lon) for o in observations))
+
+
+def format_species_mask(mask: SpeciesMask, catalog: SpeciesCatalog) -> str:
+    text = StringIO()
+    write_csv(text, "species mask", zip(catalog.species_ids, mask.allowed))
+    return text.getvalue()
+
+
+def write_species_mask(path, mask: SpeciesMask, catalog: SpeciesCatalog):
+    with _open_write(path) as fh:
+        fh.write(format_species_mask(mask, catalog))
+
+
+def write_projection(path, projection: Projection):
+    with _open_write(path) as fh:
+        write_csv(fh, "projection", zip(projection.image_ids, *projection.points.T))
+
+
+def read_projection(path) -> Projection:
+    rows = read_csv(path, "projection")
+    return Projection(image_ids=[r[0] for r in rows], points=np.array([r[1:] for r in rows]))
+
+
+def write_assignments(path, image_ids: Sequence[str], assignments: Sequence[int]):
+    if len(image_ids) != len(assignments):
+        raise InputError("image ids and assignments must align")
+    with _open_write(path) as fh:
+        write_csv(fh, "assignment", zip(image_ids, assignments))
+
+
+def read_assignments(path) -> Dict[str, int]:
+    return dict(read_csv(path, "assignment"))
+
+
+def write_region_cluster_map(path, mapping: Mapping[str, int]):
+    with _open_write(path) as fh:
+        write_csv(fh, "region cluster", mapping.items())
+
+
+def read_region_cluster_map(path) -> Dict[str, int]:
+    return dict(read_csv(path, "region cluster"))
+
+
+def read_ground_truth(path, transect_map: Mapping[str, str] | None = None) -> GroundTruth:
+    """Load truth sets keyed by quadrat id (species ids, not dense indices).
+
+    An empty transect field falls back to the quadrat-id heuristic; an
+    explicit transect map overrides both.
+    """
+    rows = read_csv(path, "ground truth")
+    overrides = transect_map or {}
+    return GroundTruth(
+        truth={q: species for q, _, species in rows},
+        transects={q: overrides[q] if q in overrides else (t or transect_of(q)) for q, t, _ in rows},
+    )
+
+
+def write_ground_truth(path, truth: GroundTruth):
+    with _open_write(path) as fh:
+        write_csv(fh, "ground truth", ((q, truth.transects[q], s) for q, s in truth.truth.items()))
+
+
+def read_training_counts(path) -> Dict[int, int]:
+    return dict(read_csv(path, "training count"))
+
+
+def write_training_counts(path, counts: Mapping[int, int]):
+    with _open_write(path) as fh:
+        write_csv(fh, "training count", counts.items())
 
 
 def _loads(text: str, path, lineno=None):
@@ -126,19 +321,6 @@ def ndjson_records(path) -> Iterator[Tuple[int, object]]:
             yield lineno, record
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
-# --- species catalog ----------------------------------------------------
-
-def write_catalog(path, catalog: SpeciesCatalog):
-    with _open_write(path) as fh:
-        fh.write("species_id\n")
-        for sid in catalog.species_ids:
-            fh.write(f"{sid}\n")
-
-
 # --- region registry ---------------------------------------------------
 
 def read_region_registry(path) -> RegionRegistry:
@@ -156,19 +338,6 @@ def write_region_registry(path, registry: RegionRegistry):
     with _open_write(path) as fh:
         for name in registry:
             fh.write(name + "\n")
-
-
-# --- transect map ------------------------------------------------------
-
-def read_transect_map(path) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    for lineno, (quadrat_id, transect_id) in csv_rows(path, ("quadrat_id", "transect_id")):
-        if not quadrat_id or not transect_id:
-            raise InputError(f"{path}:{lineno}: expected 'quadrat_id,transect_id'")
-        if quadrat_id in out:
-            raise InputError(f"{path}:{lineno}: duplicate quadrat_id {quadrat_id!r}")
-        out[quadrat_id] = transect_id
-    return out
 
 
 # --- tile predictions (NDJSON) -----------------------------------------
@@ -277,27 +446,6 @@ def group_by_image(preds) -> ImageTiles:
     return ImageTiles(as_batch(preds))
 
 
-# --- observations ------------------------------------------------------
-
-def read_observations(path) -> List[Observation]:
-    out: List[Observation] = []
-    for lineno, row in csv_rows(path, ("species_id", "lat", "lon")):
-        try:
-            out.append(Observation(species_id=int(row[0]), lat=float(row[1]), lon=float(row[2])))
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: malformed observation {row!r}") from None
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
-    return out
-
-
-def write_observations(path, observations: Iterable[Observation]):
-    with _open_write(path) as fh:
-        fh.write("species_id,lat,lon\n")
-        for o in observations:
-            fh.write(f"{o.species_id},{_fmt_float(o.lat)},{_fmt_float(o.lon)}\n")
-
-
 # --- geographic regions (polygons) -------------------------------------
 
 def read_geo_regions(path) -> List[GeoRegion]:
@@ -320,18 +468,6 @@ def write_geo_regions(path, regions: Iterable[GeoRegion]):
     with _open_write(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-# --- species mask ------------------------------------------------------
-
-def format_species_mask(mask: SpeciesMask, catalog: SpeciesCatalog) -> str:
-    rows = (f"{sid},{1 if mask.allowed[i] else 0}\n" for i, sid in enumerate(catalog.species_ids))
-    return "species_id,allowed\n" + "".join(rows)
-
-
-def write_species_mask(path, mask: SpeciesMask, catalog: SpeciesCatalog):
-    with _open_write(path) as fh:
-        fh.write(format_species_mask(mask, catalog))
 
 
 # --- embeddings --------------------------------------------------------
@@ -365,76 +501,7 @@ def write_embeddings(path, emb: EmbeddingMatrix):
             fh.write(json.dumps({"image_id": image_id, "vector": [float(x) for x in row]}) + "\n")
 
 
-# --- projection --------------------------------------------------------
-
-def write_projection(path, projection: Projection):
-    with _open_write(path) as fh:
-        fh.write("image_id,x,y\n")
-        for image_id, (x, y) in zip(projection.image_ids, projection.points):
-            fh.write(f"{image_id},{_fmt_float(x)},{_fmt_float(y)}\n")
-
-
-def read_projection(path) -> Projection:
-    ids: List[str] = []
-    pts: List[Tuple[float, float]] = []
-    for lineno, row in csv_rows(path, ("image_id", "x", "y")):
-        try:
-            pts.append((float(row[1]), float(row[2])))
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: malformed projection row {row!r}") from None
-        ids.append(row[0])
-    if not ids:
-        raise InputError(f"{path}: no projection rows")
-    return Projection(image_ids=ids, points=np.asarray(pts))
-
-
-# --- cluster assignments and priors ------------------------------------
-
-def write_assignments(path, image_ids: Sequence[str], assignments: Sequence[int]):
-    if len(image_ids) != len(assignments):
-        raise InputError("image ids and assignments must align")
-    with _open_write(path) as fh:
-        fh.write("image_id,cluster\n")
-        for image_id, cluster in zip(image_ids, assignments):
-            fh.write(f"{image_id},{int(cluster)}\n")
-
-
-def read_assignments(path) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for lineno, row in csv_rows(path, ("image_id", "cluster")):
-        if row[0] in out:
-            raise InputError(f"{path}:{lineno}: duplicate image_id {row[0]!r}")
-        try:
-            out[row[0]] = int(row[1])
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: malformed assignment row {row!r}") from None
-    if not out:
-        raise InputError(f"{path}: no assignment rows")
-    return out
-
-
-def write_region_cluster_map(path, mapping: Mapping[str, int]):
-    with _open_write(path) as fh:
-        fh.write("region,cluster\n")
-        for region in mapping:
-            fh.write(f"{region},{int(mapping[region])}\n")
-
-
-def read_region_cluster_map(path) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for lineno, (region, cluster) in csv_rows(path, ("region", "cluster")):
-        if not region:
-            raise InputError(f"{path}:{lineno}: expected 'region,cluster'")
-        if region in out:
-            raise InputError(f"{path}:{lineno}: duplicate region {region!r}")
-        try:
-            out[region] = int(cluster)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: cluster {cluster!r} is not an integer") from None
-    if not out:
-        raise InputError(f"{path}: no region rows")
-    return out
-
+# --- cluster priors ----------------------------------------------------
 
 def write_priors(path, priors: ClusterPriors):
     with _open_write(path) as fh:
@@ -468,73 +535,6 @@ def read_priors(path) -> ClusterPriors:
     if len(widths) > 1:
         raise InputError(f"{path}: prior rows must have one width, got {widths}")
     return ClusterPriors(priors=np.stack([rows[c] for c in range(len(rows))]))
-
-
-# --- ground truth ------------------------------------------------------
-
-def read_ground_truth(path, transect_map: Mapping[str, str] | None = None) -> GroundTruth:
-    """Load truth sets keyed by quadrat id (species ids, not dense indices).
-
-    An empty transect field falls back to the quadrat-id heuristic; an
-    explicit transect map overrides both.
-    """
-    from .catalog import transect_of
-
-    truth: Dict[str, frozenset] = {}
-    transects: Dict[str, str] = {}
-    for lineno, (quadrat_id, transect_id, species_ids) in csv_rows(
-        path, ("quadrat_id", "transect_id", "species_ids")
-    ):
-        if not quadrat_id:
-            raise InputError(f"{path}:{lineno}: expected 'quadrat_id,transect_id,species_ids'")
-        if quadrat_id in truth:
-            raise InputError(f"{path}:{lineno}: duplicate quadrat_id {quadrat_id!r}")
-        try:
-            truth[quadrat_id] = frozenset(map(int, species_ids.split()))
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: species_ids must be space-separated integers") from None
-        if transect_map is not None and quadrat_id in transect_map:
-            transects[quadrat_id] = transect_map[quadrat_id]
-        elif transect_id:
-            transects[quadrat_id] = transect_id
-        else:
-            transects[quadrat_id] = transect_of(quadrat_id)
-    if not truth:
-        raise InputError(f"{path}: no ground truth rows")
-    return GroundTruth(truth=truth, transects=transects)
-
-
-def write_ground_truth(path, truth: GroundTruth):
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(["quadrat_id", "transect_id", "species_ids"])
-        for quadrat_id in truth.truth:
-            species = " ".join(str(s) for s in sorted(truth.truth[quadrat_id]))
-            writer.writerow([quadrat_id, truth.transects[quadrat_id], species])
-
-
-# --- training frequency counts ------------------------------------------
-
-def read_training_counts(path) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for lineno, row in csv_rows(path, ("species_id", "count")):
-        try:
-            species_id, count = int(row[0]), int(row[1])
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: malformed count row {row!r}") from None
-        if species_id in out:
-            raise InputError(f"{path}:{lineno}: duplicate species_id {species_id}")
-        out[species_id] = count
-    if not out:
-        raise InputError(f"{path}: no count rows")
-    return out
-
-
-def write_training_counts(path, counts: Mapping[int, int]):
-    with _open_write(path) as fh:
-        fh.write("species_id,count\n")
-        for sid in counts:
-            fh.write(f"{sid},{int(counts[sid])}\n")
 
 
 # --- submissions --------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from floratile.catalog import load_catalog
 from floratile.cli import main
-from floratile.io import read_submission, read_tile_predictions
+from floratile.io import read_region_cluster_map, read_submission, read_tile_predictions
 from floratile.pipeline import GeoOptions, compute_geo_mask
 from floratile.synth import SynthSpec, generate, write_bundle
 
@@ -577,6 +577,37 @@ def test_plot_svg_circle_count(fixture_dir, tmp_path, capsys):
                  "--registry", str(fixture_dir / "regions.txt"),
                  "--out", str(svg_path)]) == 1
     capsys.readouterr()
+
+
+def test_ids_holding_commas_pass_through_the_cluster_stage_files(tmp_path, capsys):
+    """Image ids and region names holding `,` and `"` survive every CSV the
+    stages hand each other."""
+    regions = ["a,b", 'c,"d"']
+    ids = [f"{regions[i % 2]}-{i}" for i in range(12)]
+    ids[0] = "a,b"
+    rng = np.random.default_rng(0)
+    emb, registry = tmp_path / "emb.ndjson", tmp_path / "regions.txt"
+    emb.write_text("".join(json.dumps({"image_id": i, "vector": rng.normal(size=4).tolist()}) + "\n" for i in ids))
+    registry.write_text("".join(name + "\n" for name in regions))
+    proj, assign, rc = tmp_path / "proj.csv", tmp_path / "assign.csv", tmp_path / "rc.csv"
+    assert main(["project", "--embeddings", str(emb), "--out", str(proj), "--iters", "10,10,20"]) == 0
+    assert main(["cluster", "--projection", str(proj), "--k", "2", "--out", str(assign),
+                 "--registry", str(registry), "--region-map-out", str(rc)]) == 0
+    assert main(["plot", "--projection", str(proj), "--assignments", str(assign),
+                 "--out", str(tmp_path / "plot.svg")]) == 0
+    assert sorted(read_region_cluster_map(rc)) == sorted(regions)
+
+    preds, priors = tmp_path / "preds.ndjson", tmp_path / "priors.ndjson"
+    preds.write_text("".join(
+        json.dumps({"image_id": i, "row": 0, "col": 0, "probs": [[0, 0.5], [1, 0.5]], "complete": True}) + "\n"
+        for i in ids[:2]
+    ))
+    priors.write_text("".join(json.dumps({"cluster": c, "prior": [0.25, 0.75]}) + "\n" for c in range(2)))
+    assert main(["reweight", "--predictions", str(preds), "--priors", str(priors),
+                 "--region-clusters", str(rc), "--registry", str(registry),
+                 "--out", str(tmp_path / "reweighted.ndjson")]) == 0
+    assert capsys.readouterr().err == ""
+    assert [t.image_id for t in read_tile_predictions(tmp_path / "reweighted.ndjson")] == ids[:2]
 
 
 def test_module_entry_point_no_subcommand():

@@ -15,11 +15,13 @@ from floratile.geo import GeoRegion, Observation, SpeciesMask
 from floratile.pipeline import RunConfig
 from floratile.cli import _RUN_OPTIONS, _load_run_config, build_parser
 from floratile.io import (
+    CSV_FORMATS,
     SubmissionRow,
     csv_rows,
     group_by_image,
     ndjson_records,
     read_assignments,
+    read_csv,
     read_embeddings,
     read_geo_regions,
     read_ground_truth,
@@ -34,6 +36,7 @@ from floratile.io import (
     read_transect_map,
     write_assignments,
     write_catalog,
+    write_csv,
     write_embeddings,
     write_geo_regions,
     write_ground_truth,
@@ -281,7 +284,7 @@ def test_geo_regions_bad_payloads(tmp_path):
         read_geo_regions(path)
 
 
-@pytest.mark.parametrize("vertex", [[0, 4, 9], [0]], ids=["three_numbers", "one_number"])
+@pytest.mark.parametrize("vertex", [[0, 4, 9], [0], "04"], ids=["three_numbers", "one_number", "text"])
 def test_geo_region_vertex_must_be_one_lat_lon_pair(tmp_path, vertex):
     path = tmp_path / "regions.json"
     path.write_text(json.dumps([{"name": "a", "polygon": [[0, 0], vertex, [4, 4]]}]))
@@ -290,12 +293,147 @@ def test_geo_region_vertex_must_be_one_lat_lon_pair(tmp_path, vertex):
         read_geo_regions(path)
 
 
-def test_species_mask_exact_bytes(tmp_path):
-    path = tmp_path / "mask.csv"
-    catalog = SpeciesCatalog([10, 20, 30])
-    mask = SpeciesMask(allowed=np.array([True, False, True]), allowed_count=2)
-    write_species_mask(path, mask, catalog)
-    assert path.read_bytes() == b"species_id,allowed\n10,1\n20,0\n30,1\n"
+def _underscored(name):
+    return name.replace(" ", "_")
+
+
+_CATALOG = SpeciesCatalog([10, 20, 30])
+# each CSV writer on plain ids and repr floats, and the exact bytes it writes
+_WRITER_BYTES = {
+    "catalog": (lambda p: write_catalog(p, _CATALOG), b"species_id\n10\n20\n30\n"),
+    "observation": (
+        lambda p: write_observations(p, [Observation(7, 44.123456789, 4.0), Observation(9, -3.5, 170.25)]),
+        b"species_id,lat,lon\n7,44.123456789,4.0\n9,-3.5,170.25\n",
+    ),
+    "species mask": (
+        lambda p: write_species_mask(p, SpeciesMask(np.array([True, False, True]), 2), _CATALOG),
+        b"species_id,allowed\n10,1\n20,0\n30,1\n",
+    ),
+    "projection": (
+        lambda p: write_projection(p, Projection(["img0", "img1"], np.array([[0.1, -2.5], [1e-05, 3.0]]))),
+        b"image_id,x,y\nimg0,0.1,-2.5\nimg1,1e-05,3.0\n",
+    ),
+    "assignment": (
+        lambda p: write_assignments(p, ["img0", "img1"], np.array([2, 0])),
+        b"image_id,cluster\nimg0,2\nimg1,0\n",
+    ),
+    "region cluster": (
+        lambda p: write_region_cluster_map(p, {"CBN-Pla": np.int64(3), "RNNB": 1}),
+        b"region,cluster\nCBN-Pla,3\nRNNB,1\n",
+    ),
+    "ground truth": (
+        lambda p: write_ground_truth(p, GroundTruth({"Q1": frozenset({9, 3}), "Q2": frozenset({7})},
+                                                    {"Q1": "T1", "Q2": "T2"})),
+        b"quadrat_id,transect_id,species_ids\nQ1,T1,3 9\nQ2,T2,7\n",
+    ),
+    "training count": (
+        lambda p: write_training_counts(p, {1400101: 2000, 42: 3}),
+        b"species_id,count\n1400101,2000\n42,3\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITER_BYTES), ids=_underscored)
+def test_csv_writer_exact_bytes(tmp_path, name):
+    path = tmp_path / "out.csv"
+    write, expected = _WRITER_BYTES[name]
+    write(path)
+    assert path.read_bytes() == expected
+
+
+_TEXTS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ["a,b", 'say "hi"', "two\nlines", "cr\rlf\r\n", '"', ",", "Ærø", "植物", " padded "]
+)
+_IDS = _TEXTS.filter(bool)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# values for each column of each CSV format, in header order
+_CSV_VALUES = {
+    "catalog": (st.integers(),),
+    "transect map": (_IDS, _IDS),
+    "observation": (st.integers(), st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
+    "species mask": (st.integers(), st.booleans()),
+    "projection": (_IDS, _FLOATS, _FLOATS),
+    "assignment": (_IDS, st.integers()),
+    "region cluster": (_IDS, st.integers()),
+    "ground truth": (_IDS, _TEXTS, st.frozensets(st.integers(), max_size=4)),
+    "training count": (st.integers(), st.integers()),
+}
+_PUBLIC_READERS = {
+    "catalog": load_catalog,
+    "transect map": read_transect_map,
+    "observation": read_observations,
+    "projection": read_projection,
+    "assignment": read_assignments,
+    "region cluster": read_region_cluster_map,
+    "ground truth": read_ground_truth,
+    "training count": read_training_counts,
+}
+_MUTATIONS = [b",", b'"', b"\n", b"\r", b"\x00", b"\xff", b"\xc3", b" ", b"-", b"nan", b"x", b"9" * 5000]
+
+
+@pytest.mark.parametrize("name", sorted(CSV_FORMATS), ids=_underscored)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_csv_format_round_trips_and_reads_mutations_or_names_the_file_property(tmp_path, name, data):
+    """Written rows read back as written; the same file with a few bytes
+    inserted, deleted or replaced loads or is an InputError naming the file."""
+    fmt = CSV_FORMATS[name]
+    key = [c.name for c in fmt.columns].index(fmt.key) if fmt.key else None
+    rows = data.draw(st.lists(st.tuples(*_CSV_VALUES[name]), min_size=1, max_size=5,
+                              unique_by=None if key is None else (lambda row: row[key])))
+    path = tmp_path / "file.csv"
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        write_csv(fh, name, rows)
+    assert read_csv(path, name) == (rows if fmt.make is None else [fmt.make(*row) for row in rows])
+
+    raw = bytearray(path.read_bytes())
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(raw) - 1))
+        kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        piece = b"" if kind == "delete" else data.draw(st.sampled_from(_MUTATIONS))
+        raw[at:at + (kind != "insert")] = piece
+    path.write_bytes(bytes(raw))
+    try:
+        _PUBLIC_READERS.get(name, lambda p: read_csv(p, name))(path)
+    except InputError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_projection_non_finite_coordinate_is_input_error_at_its_line(tmp_path, value):
+    path = tmp_path / "proj.csv"
+    path.write_text(f"image_id,x,y\na,0.5,1.5\nb,1.0,{value}\n")
+    shown = f"{path}:3: malformed projection row ['b', '1.0', '{value}']"
+    with pytest.raises(InputError, match=f"^{re.escape(shown)}$"):
+        read_projection(path)
+
+
+@pytest.mark.parametrize("reader,text,where", [
+    (read_projection, "image_id,x,y\na,0.0,0.0\na,1.0,1.0\n", ":3: duplicate image_id 'a'"),
+    (read_projection, "image_id,x,y\na,0.0,0.0\n,1.0,1.0\n", ":3: empty image_id"),
+    (read_assignments, "image_id,cluster\n,0\n", ":2: empty image_id"),
+], ids=["projection_repeated", "projection_empty", "assignments_empty"])
+def test_image_ids_must_be_non_empty_and_unique(tmp_path, reader, text, where):
+    path = tmp_path / "ids.csv"
+    path.write_text(text)
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}{where}')}$"):
+        reader(path)
+
+
+def test_csv_line_numbers_count_the_lines_of_quoted_fields(tmp_path):
+    path = tmp_path / "assign.csv"
+    path.write_text('image_id,cluster\n"two\nlines",1\nb,x\n')
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}:4: malformed assignment row"):
+        read_assignments(path)
+    path.write_text('image_id,cluster\n"two\nlines",1\n"a,b",0\n')
+    assert read_assignments(path) == {"two\nlines": 1, "a,b": 0}
+
+
+def test_csv_field_past_the_csv_module_limit_is_input_error(tmp_path):
+    path = tmp_path / "assign.csv"
+    path.write_text("image_id,cluster\na,1\n" + "b" * 200_000 + ",2\n")
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: field larger than field limit"):
+        read_assignments(path)
 
 
 def test_embeddings_round_trip(tmp_path):
