@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,19 @@ from .errors import InputError, InvariantViolation
 SparseVector = List[Tuple[int, float]]
 
 _MASS_TOL = 1e-6
+
+# entries of a batch that the writer formats, and the vote tallies, at a time,
+# so what either holds at once stays bounded whatever the batch size
+CHUNK_ENTRIES = 4096
+
+
+def encodable(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``; a lone surrogate cannot, so no CSV or submission could hold it."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @dataclass
@@ -53,6 +66,8 @@ class TilePrediction:
     def __post_init__(self):
         if not isinstance(self.image_id, str) or not self.image_id:
             raise InputError("tile prediction must carry a non-empty string image_id")
+        if not encodable(self.image_id):
+            raise InputError(f"tile prediction image_id {self.image_id!r} is not encodable as UTF-8")
         if self.row < 0 or self.col < 0:
             raise InputError(f"tile ({self.row}, {self.col}) of {self.image_id!r}: negative grid coordinates")
         entries = [(int(idx), float(prob)) for idx, prob in self.probs]
@@ -134,6 +149,21 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return offsets
 
 
+def chunk_bounds(offsets: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` ranges of the groups that ``offsets`` delimits
+    (group ``g`` owns entries ``offsets[g]:offsets[g + 1]``), covering every
+    group, each holding at most ``CHUNK_ENTRIES`` entries, or else one group.
+
+    Tile offsets give tile-aligned chunks; per-image entry offsets,
+    ``offsets[image_offsets]``, give image-aligned ones.
+    """
+    lo, n = 0, offsets.shape[0] - 1
+    while lo < n:
+        hi = max(int(np.searchsorted(offsets, offsets[lo] + CHUNK_ENTRIES, side="right")) - 1, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 @dataclass(frozen=True, eq=False)
 class TileBatch:
     """Tiles of many images in flat columns; see the module docstring."""
@@ -209,6 +239,22 @@ class TileBatch:
             self.complete[lo:hi].tolist(),
         )
 
+    def images(self, a: int, b: int) -> "TileBatch":
+        """Images ``a`` to ``b`` as a batch: the tile and entry columns are
+        views on these, image codes count from ``a`` and offsets from 0."""
+        lo, hi = self.image_offsets[a], self.image_offsets[b]
+        start, stop = self.offsets[lo], self.offsets[hi]
+        return TileBatch(
+            self.image_ids[a:b],
+            self.image[lo:hi] - a,
+            self.row[lo:hi],
+            self.col[lo:hi],
+            self.complete[lo:hi],
+            self.offsets[lo:hi + 1] - start,
+            self.idx[start:stop],
+            self.prob[start:stop],
+        )
+
     def tiles(self, lo: int, hi: int):
         """Tiles ``lo`` to ``hi`` as ``TilePrediction`` objects, in batch order."""
         for fields in zip(*self.columns(lo, hi)):
@@ -230,7 +276,8 @@ class TileBatch:
     def invalid_tiles(self) -> np.ndarray:
         """Per tile, whether ``TilePrediction`` would reject it."""
         tile = self.tile_of_entry
-        bad = np.array([not (isinstance(i, str) and i) for i in self.image_ids], dtype=bool)[self.image]
+        bad = np.array([not (isinstance(i, str) and i and encodable(i)) for i in self.image_ids], dtype=bool)
+        bad = bad[self.image]
         bad |= (self.row < 0) | (self.col < 0) | (np.diff(self.offsets) == 0)
         entry_bad = (self.idx < 0) | ~((self.prob > 0.0) & (self.prob <= 1.0))
         by_index = np.lexsort((self.idx, tile))

@@ -194,9 +194,9 @@ def mask_entries(idx, prob, tile, n_tiles: int, allowed: np.ndarray):
     if j is not None:
         failure = (int(tile[j]), InputError(f"dense index {int(idx[j])} outside mask of size {size}"))
     keep = allowed[np.where(outside, 0, idx)] & ~outside
-    kept = prob[keep]
-    total = np.bincount(tile[keep], weights=kept, minlength=n_tiles)[tile[keep]]
-    kept = np.divide(kept, total, out=kept.copy(), where=total > 0.0)
+    kept, kept_tile = prob[keep], tile[keep]
+    total = np.bincount(kept_tile, weights=kept, minlength=n_tiles)[kept_tile]
+    np.divide(kept, total, out=kept, where=total > 0.0)  # kept is a gathered copy
     return keep, kept, failure
 
 

@@ -20,7 +20,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple
 
 import numpy as np
 
-from .batch import ImageTiles, TileBatch, TilePrediction, as_batch, rejection
+from . import batch as _batch
+from .batch import ImageTiles, TileBatch, TilePrediction, as_batch, chunk_bounds, rejection
 from .catalog import RegionRegistry, SpeciesCatalog, transect_of
 from .errors import InputError, InvariantViolation
 from .geo import GeoRegion, Observation, SpeciesMask
@@ -397,7 +398,6 @@ def read_tile_predictions(path) -> TileBatch:
     return batch
 
 
-_WRITE_CHUNK = 4096  # entries of a batch formatted per write, so the text held at once stays bounded
 _COMPLETE = ', "complete": true'
 
 
@@ -412,29 +412,19 @@ def _tile_lines(tiles) -> str:
     )
 
 
-def _chunk_bounds(offsets: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """Consecutive ``(lo, hi)`` tile ranges covering every tile, each cut at
-    a tile boundary and holding at most ``_WRITE_CHUNK`` entries, or else one tile."""
-    lo, n = 0, offsets.shape[0] - 1
-    while lo < n:
-        hi = max(int(np.searchsorted(offsets, offsets[lo] + _WRITE_CHUNK, side="right")) - 1, lo + 1)
-        yield lo, hi
-        lo = hi
-
-
 def write_tile_predictions(path, preds: Iterable[TilePrediction]):
     """Write one record per tile, in iteration order; ``preds`` may be a ``TileBatch``.
 
     Each line is ``json.dumps`` of ``{"image_id", "row", "col", "probs"}``
     plus ``"complete": true`` on a complete tile. A batch is read by columns,
-    never as ``TilePrediction``s, ``_WRITE_CHUNK`` entries at a time; other
-    tiles are formatted ``_WRITE_CHUNK`` tiles at a time.
+    never as ``TilePrediction``s, in tile-aligned ``chunk_bounds``; other
+    tiles are formatted ``CHUNK_ENTRIES`` tiles at a time.
     """
     if isinstance(preds, TileBatch):
-        chunks = (zip(*preds.columns(lo, hi)) for lo, hi in _chunk_bounds(preds.offsets))
+        chunks = (zip(*preds.columns(lo, hi)) for lo, hi in chunk_bounds(preds.offsets))
     else:
         tiles = ((t.image_id, t.row, t.col, t.probs, t.complete) for t in preds)
-        chunks = iter(lambda: list(islice(tiles, _WRITE_CHUNK)), [])
+        chunks = iter(lambda: list(islice(tiles, _batch.CHUNK_ENTRIES)), [])
     with _open_write(path) as fh:
         for chunk in chunks:
             fh.write(_tile_lines(chunk))

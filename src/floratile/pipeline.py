@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import ImageTiles, TileBatch, as_batch, first, raise_first
+from .batch import ImageTiles, TileBatch, as_batch, chunk_bounds, first, raise_first
 from .catalog import RegionRegistry, SpeciesCatalog, load_catalog, parse_region
 from .clustering import (
     ClusterModel,
@@ -219,7 +219,8 @@ def apply_geo_mask(tiles: TileBatch, mask: SpeciesMask) -> ImageTiles:
     species drop out, and an image losing every tile is an input error."""
     batch = as_batch(tiles)
     keep, prob, failure = mask_entries(batch.idx, batch.prob, batch.tile_of_entry, len(batch), mask.allowed)
-    emptied = first(np.bincount(batch.image_of_entry[keep], minlength=len(batch.image_ids)) == 0)
+    masked = batch.derive(keep, prob)
+    emptied = first(np.bincount(masked.image, minlength=len(batch.image_ids)) == 0)  # images of kept tiles
     empty_failure = (None, None)
     if emptied is not None:
         image_id = batch.image_ids[emptied]
@@ -228,7 +229,7 @@ def apply_geo_mask(tiles: TileBatch, mask: SpeciesMask) -> ImageTiles:
             InputError(f"geolocation mask removed every species of every tile of {image_id!r}"),
         )
     raise_first(failure, empty_failure)
-    return ImageTiles(batch.derive(keep, prob))
+    return ImageTiles(masked)
 
 
 @dataclass
@@ -308,6 +309,16 @@ def apply_priors(
     return ImageTiles(batch.derive(None, prob))
 
 
+def _chosen_keys(batch: TileBatch, a: int, b: int, k: int, min_votes: int, max_labels: int):
+    """The chosen ``(image, idx)`` keys of images ``a`` to ``b``, image codes of ``batch``.
+
+    A function of its own, so a slice's per-key arrays are freed before the
+    next slice is tallied."""
+    image, idx, votes, mass = tally_batch(batch.images(a, b), k)[:4]
+    chosen = rank_labels(image, idx, votes, mass, min_votes, max_labels)
+    return image[chosen] + a, idx[chosen]
+
+
 def aggregate_predictions(
     tiles: TileBatch,
     catalog: SpeciesCatalog,
@@ -318,8 +329,11 @@ def aggregate_predictions(
 ) -> List[SubmissionRow]:
     """One submission row per image, sorted by quadrat id.
 
-    ``threads`` is accepted for compatibility and has no effect: the vote
-    runs as array operations over the whole batch.
+    The vote tallies and ranks image-aligned slices of the batch, each of at
+    most ``CHUNK_ENTRIES`` entries or one image, so its working memory is set
+    by a slice, not by the batch. Every vote quantity belongs to one image,
+    so the slices give the whole-batch result. ``threads`` is accepted for
+    compatibility and has no effect.
     """
     batch = as_batch(tiles)
     if not batch.image_ids:
@@ -328,9 +342,9 @@ def aggregate_predictions(
         raise InputError(f"k must be >= 1, got {k}")
     if min_votes < 1 or max_labels < 1:
         raise InputError("min_votes and max_labels must be >= 1")
-    image, idx, votes, mass = tally_batch(batch, k)[:4]
-    chosen = rank_labels(image, idx, votes, mass, min_votes, max_labels)
-    image, idx = image[chosen], idx[chosen]
+    bounds = chunk_bounds(batch.offsets[batch.image_offsets])
+    chosen = (_chosen_keys(batch, a, b, k, min_votes, max_labels) for a, b in bounds)
+    image, idx = map(np.concatenate, zip(*chosen))
     order = sorted(range(len(batch.image_ids)), key=batch.image_ids.__getitem__)
     outside = np.flatnonzero(idx >= len(catalog))
     if outside.size:
@@ -404,6 +418,7 @@ def run(config: RunConfig) -> RunResult:
             config.max_labels,
             threads=config.threads,
         )
+        del tiles  # the rows hold all that writing and scoring need
 
     submission_path = out_dir / "submission.csv"
     write_submission(submission_path, rows)

@@ -27,6 +27,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .batch import encodable
 from .errors import InputError
 
 _SIGMA_FLOOR = 1e-10
@@ -59,6 +60,9 @@ class EmbeddingMatrix:
             raise InputError(f"{len(self.image_ids)} image ids for {n} embedding rows")
         if not all(isinstance(i, str) and i for i in self.image_ids):
             raise InputError("image ids must be non-empty strings")
+        bad = next((i for i in self.image_ids if not encodable(i)), None)
+        if bad is not None:
+            raise InputError(f"image id {bad!r} is not encodable as UTF-8")
         if len(set(self.image_ids)) != n:
             raise InputError("image ids must be unique")
         if not np.all(np.isfinite(self.data)):

@@ -32,9 +32,12 @@ def tally_batch(batch: TileBatch, k: int):
     (image, idx), and ``key``, the row of each voting entry in batch order.
     Mass is summed in batch order, tile by tile, as ``tally_votes`` did.
     """
-    voted = np.arange(batch.idx.shape[0]) - batch.offsets[batch.tile_of_entry] < k  # rank within tile
-    image, idx, prob = batch.image_of_entry[voted], batch.idx[voted], batch.prob[voted]
-    del voted
+    top = np.minimum(np.diff(batch.offsets), k)  # a tile's entries are sorted, so its first k vote
+    image, idx, prob = np.repeat(batch.image, top), batch.idx, batch.prob
+    if image.shape[0] < idx.shape[0]:  # some tile has more than k entries: gather the voting ones
+        skipped = batch.offsets[:-1] - (np.cumsum(top) - top)  # per tile, entries left out before it
+        voted = np.arange(image.shape[0]) + np.repeat(skipped, top)
+        idx, prob = idx[voted], prob[voted]
     order = np.lexsort((idx, image))
     image, idx = image[order], idx[order]
     new = np.ones(order.shape[0], dtype=bool)
@@ -42,7 +45,6 @@ def tally_batch(batch: TileBatch, k: int):
     image, idx = image[new], idx[new]
     key = np.empty_like(order)
     key[order] = np.cumsum(new) - 1
-    del order
     votes = np.bincount(key)
     mass = np.bincount(key, weights=prob)
     return image, idx, votes, mass, key

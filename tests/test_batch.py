@@ -18,8 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from floratile import batch as fbatch
 from floratile import io as fio
-from floratile.batch import TileBatch, TilePrediction
+from floratile.batch import TileBatch, TilePrediction, chunk_bounds
 from floratile.catalog import RegionRegistry, SpeciesCatalog, parse_region
 from floratile.clustering import ClusterPriors, reweight
 from floratile.errors import InputError, InvariantViolation
@@ -35,7 +36,7 @@ from floratile.pipeline import (
 )
 from floratile.synth import SynthSpec, generate, write_bundle
 from floratile.tiling import GridSpec
-from floratile.voting import VoteTally, select_labels, tally_votes
+from floratile.voting import VoteTally, rank_labels, select_labels, tally_batch, tally_votes
 
 
 # --- reference implementations (list-based) -------------------------------
@@ -449,10 +450,10 @@ N_SPECIES = 8
 
 
 @st.composite
-def tile_lists(draw, prefixes=("img",)):
+def tile_lists(draw, prefixes=("img",), max_images=4):
     """Tiles of a few images, interleaved, with coarse (tie-prone) or fine probabilities."""
     tiles = []
-    for i in range(draw(st.integers(1, 4))):
+    for i in range(draw(st.integers(1, max_images))):
         image_id = f"{draw(st.sampled_from(prefixes))}{i}"
         for t in range(draw(st.integers(1, 4))):
             support = draw(st.integers(1, N_SPECIES))
@@ -521,6 +522,32 @@ def test_vote_matches_reference_property(tiles, data):
             assert list(tally.mass.items()) == list(ref_tally.mass.items())
 
 
+def _whole_batch_rows(batch, catalog, k, min_votes, max_labels):
+    """The vote as one ``tally_batch`` and ``rank_labels`` call over the whole
+    batch, as ``aggregate_predictions`` made it before it voted in slices."""
+    image, idx, votes, mass = tally_batch(batch, k)[:4]
+    chosen = rank_labels(image, idx, votes, mass, min_votes, max_labels)
+    image, idx = image[chosen], idx[chosen]
+    rows = [(image_id, tuple(catalog.species_id(int(j)) for j in idx[image == i]))
+            for i, image_id in enumerate(batch.image_ids)]
+    return sorted(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiles=tile_lists(max_images=9), data=st.data())
+def test_sliced_vote_matches_whole_batch_vote_property(tiles, data):
+    k = data.draw(st.integers(1, 5), label="k")
+    min_votes = data.draw(st.integers(1, 4), label="min_votes")  # 4 exceeds some images' tiles: fallback
+    max_labels = data.draw(st.integers(1, 5), label="max_labels")
+    batch, catalog = TileBatch.from_tiles(tiles), _catalog(N_SPECIES)
+    expected = _whole_batch_rows(batch, catalog, k, min_votes, max_labels)
+    for bound in (1, 2, 3, 7, 4096):  # 1 to 7 cut inside most images: each is then a slice of its own
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fbatch, "CHUNK_ENTRIES", bound)
+            rows = aggregate_predictions(batch, catalog, k, min_votes, max_labels)
+        assert [(r.quadrat_id, r.species_ids) for r in rows] == expected, bound
+
+
 _WRITE_IDS = st.sampled_from(["a", "b", "é", 'q"t', "back\\slash", "\u2603\U0001f33f", "tab\tx", "\x01"])
 _WRITE_PROBS = st.sampled_from([5e-324, 1e-05, 0.1, 0.25]) | st.floats(5e-324, 0.25)
 _COMPLETE_PROBS = st.sampled_from([[1.0], [0.5, 0.5], [0.25] * 4, [0.1] * 10, [1e-05, 0.99999]])
@@ -543,7 +570,7 @@ def written_tiles(draw):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(tiles=written_tiles(), chunk=st.integers(1, 5))
 def test_tile_writer_matches_json_dumps_property(tmp_path, monkeypatch, tiles, chunk):
-    monkeypatch.setattr(fio, "_WRITE_CHUNK", chunk)
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
     ref = tmp_path / "ref.ndjson"
     _ref_write_tile_predictions(ref, tiles)
     assert _bytes(tmp_path, "list", tiles) == ref.read_bytes()
@@ -574,7 +601,8 @@ _PROB = _often(st.sampled_from([0.125, 0.25, 0.5, 1.0, 0.1]),
 _ENTRY = _often(st.tuples(_INDEX, _PROB).map(list), [[1], [1, 0.5, 2], 7, "ab", {"1": 0.5}])
 _RECORD = st.fixed_dictionaries(
     {
-        "image_id": _often(st.sampled_from(["a", "b", "c"]), ["", 0, 5, ["a"], {"a": 1}]),
+        "image_id": _often(st.sampled_from(["a", "b", "c"]),
+                           ["", 0, 5, ["a"], {"a": 1}, "\ud800", "b\udfff"]),
         "row": _often(st.integers(0, 2), [-1, "1", 1.7, None, "r"]),
         "col": _often(st.integers(0, 2), [-1, 2.0, "c"]),
         "probs": st.lists(_ENTRY, max_size=4),
@@ -671,12 +699,26 @@ def test_tile_writer_chunks_hold_at_most_write_chunk_entries(tmp_path, monkeypat
         return columns(self, lo, hi)
 
     monkeypatch.setattr(TileBatch, "columns", recorded)
-    monkeypatch.setattr(fio, "_WRITE_CHUNK", chunk)
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
     write_tile_predictions(tmp_path / "out.ndjson", batch)
     assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]
     assert calls[-1][1] == len(batch) and all(lo < hi for lo, hi in calls)
     for lo, hi in calls:
         assert batch.offsets[hi] - batch.offsets[lo] <= max(chunk, max(widths))
+    # image-aligned: the vote's slices of a batch whose images span 3, 6, 4, 11 and 3 entries
+    many = TileBatch.from_tiles(_tp(f"m{t // 2}", t, [(i, 0.05) for i in range(w)]) for t, w in enumerate(widths))
+    for tiled in (batch, many):
+        image_entries = tiled.offsets[tiled.image_offsets]
+        slices = list(chunk_bounds(image_entries))
+        assert [a for a, _ in slices] == [0] + [b for _, b in slices[:-1]]
+        assert slices[-1][1] == len(tiled.image_ids) and all(a < b for a, b in slices)
+        views = [tiled.images(a, b) for a, b in slices]
+        assert [i for view in views for i in view.image_ids] == tiled.image_ids  # each image once
+        for view in views:
+            assert view.offsets[-1] <= chunk or len(view.image_ids) == 1
+            assert view.offsets[0] == 0 and view.image[0] == 0 and view.image[-1] == len(view.image_ids) - 1
+        for name in ("idx", "prob", "row", "col", "complete"):
+            assert np.array_equal(np.concatenate([getattr(view, name) for view in views]), getattr(tiled, name))
 
 
 def test_validate_grid_matches_reference():
@@ -709,6 +751,22 @@ def test_tile_reader_memory_stays_below_100_bytes_per_entry(bench_bundle):
     finally:
         tracemalloc.stop()
     assert peak < 100 * batch.idx.shape[0]  # a boxed float in a list alone takes 32 B
+
+
+def test_vote_memory_is_set_by_a_slice_not_by_the_batch(bench_bundle):
+    path, catalog, mask = bench_bundle
+    batch = read_tile_predictions(path)
+    apply_geo_mask(batch, mask)
+    assert "image_of_entry" not in batch.__dict__  # no per-entry cache outlives the mask
+    batch = read_tile_predictions(path)
+    tracemalloc.start()
+    try:
+        rows = aggregate_predictions(batch, catalog, 9, 2, 10)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 500
+    assert peak - held < 8 * batch.idx.shape[0]  # below one int64 column of the batch's entries
 
 
 def test_bench_read_tile_predictions(benchmark, bench_bundle):

@@ -686,6 +686,26 @@ def test_numeric_image_id_exits_1_at_its_line(fixture_dir, tmp_path, capsys, com
     )
 
 
+@pytest.mark.parametrize("command", ["run", "aggregate", "project"])
+def test_unencodable_image_id_exits_1_naming_the_file(fixture_dir, tmp_path, capsys, command):
+    # JSON decodes "\\ud800" to a lone surrogate, which no CSV or submission can hold
+    if command == "project":
+        lines = (fixture_dir / "embeddings.ndjson").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        records[1]["image_id"] = "\ud800"
+        path = tmp_path / "emb.ndjson"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        argv = ["project", "--embeddings", str(path), "--out", str(tmp_path / "proj.csv")]
+        message = f"{path}: image id '\\ud800' is not encodable as UTF-8"
+    else:
+        path, _ = _with_record(fixture_dir, tmp_path, lambda rec: rec.update(image_id="\ud800"))
+        argv = [command, "--catalog", str(fixture_dir / "catalog.csv"), "--predictions", str(path),
+                "--out", str(tmp_path / "out")]
+        message = f"{path}:1: tile prediction image_id '\\ud800' is not encodable as UTF-8"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"floratile: error: {message}\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["--geo"], ["--priors"], "aggregate"],
                          ids=["plain", "geo", "priors", "aggregate"])
 def test_species_index_outside_catalog_exits_1_in_every_mode(fixture_dir, tmp_path, capsys, flags):
