@@ -12,6 +12,12 @@ species index) and ``prob``. Two invariants hold:
 * within a tile, entries are sorted by (-prob, idx), as in
   ``TilePrediction.probs``.
 
+A batch is its columns and the per-image ``image_offsets``; it caches no
+per-entry array. Every pass over entries walks ``TileBatch.slices()``,
+runs of whole images of at most ``CHUNK_ENTRIES`` entries, and builds its
+tile keys per slice, so what a pass holds beyond its input and output is
+set by a slice, not by the batch.
+
 Every float sum that reaches an output is taken with
 ``np.bincount(keys, weights=...)`` over entries in batch order. bincount
 adds in array order, as the per-tile Python loops did, so sums are
@@ -22,7 +28,7 @@ and can flip a last bit, and with it a tie.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -34,8 +40,8 @@ SparseVector = List[Tuple[int, float]]
 
 _MASS_TOL = 1e-6
 
-# entries of a batch that the writer formats, and the vote tallies, at a time,
-# so what either holds at once stays bounded whatever the batch size
+# entries of a batch that the writer formats, and each per-entry pass walks,
+# at a time, so what either holds at once stays bounded whatever the batch size
 CHUNK_ENTRIES = 4096
 
 
@@ -134,6 +140,13 @@ def raise_first(*failures):
         raise failures[min(found)[1]][1]
 
 
+def shifted(failure, lo: int):
+    """A slice's ``raise_first`` failure with its tile counted in the whole
+    batch, the slice starting at tile ``lo``."""
+    t, exc = failure
+    return (None if t is None else lo + t), exc
+
+
 def _entry_order(tile: np.ndarray, idx: np.ndarray, prob: np.ndarray) -> Optional[np.ndarray]:
     """The permutation sorting entries by (tile, -prob, idx); None when they already are."""
     same = tile[1:] == tile[:-1]
@@ -155,7 +168,7 @@ def chunk_bounds(offsets: np.ndarray) -> Iterator[Tuple[int, int]]:
     group, each holding at most ``CHUNK_ENTRIES`` entries, or else one group.
 
     Tile offsets give tile-aligned chunks; per-image entry offsets,
-    ``offsets[image_offsets]``, give image-aligned ones.
+    ``offsets[image_offsets]``, give the image-aligned ones of ``TileBatch.slices``.
     """
     lo, n = 0, offsets.shape[0] - 1
     while lo < n:
@@ -196,10 +209,7 @@ class TileBatch:
             entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
             idx, prob = idx[entries], prob[entries]
             image, row, col, complete = (a[perm] for a in (image, row, col, complete))
-        order = _entry_order(np.repeat(np.arange(counts.shape[0]), counts), idx, prob)
-        if order is not None:
-            idx, prob = idx[order], prob[order]
-        return cls(list(image_ids), image, row, col, complete, offsets, idx, prob)
+        return cls(list(image_ids), image, row, col, complete, offsets, idx, prob)._entries_sorted()
 
     @classmethod
     def from_tiles(cls, tiles: Iterable[TilePrediction]) -> "TileBatch":
@@ -261,32 +271,51 @@ class TileBatch:
             yield TilePrediction._trusted(*fields)
 
     @cached_property
-    def tile_of_entry(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
-
-    @cached_property
-    def image_of_entry(self) -> np.ndarray:
-        return self.image[self.tile_of_entry]
-
-    @cached_property
     def image_offsets(self) -> np.ndarray:
         """Image ``i`` owns the tiles ``image_offsets[i]:image_offsets[i + 1]``."""
         return np.searchsorted(self.image, np.arange(len(self.image_ids) + 1))
 
+    def slices(self) -> Iterator[Tuple[int, int, "TileBatch"]]:
+        """The batch as ``images(a, b)`` views of consecutive whole images,
+        each of at most ``CHUNK_ENTRIES`` entries or one wider image, in order.
+
+        Yields ``(a, lo, view)``: ``a`` and ``lo`` are the view's first image
+        code and first tile in this batch. Each tile and image lies in one view,
+        so a pass over the views in order sees every entry in batch order.
+        """
+        image_offsets = self.image_offsets
+        for a, b in chunk_bounds(self.offsets[image_offsets]):
+            yield a, int(image_offsets[a]), self.images(a, b)
+
+    def tile_keys(self) -> np.ndarray:
+        """The tile of each entry: a per-entry array, so passes build it for a slice."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def tile_of(self, j: int) -> int:
+        """The tile that owns entry ``j``."""
+        return int(np.searchsorted(self.offsets, j, side="right")) - 1
+
+    def _entries_sorted(self) -> "TileBatch":
+        """This batch with each tile's entries sorted by (-prob, idx); ``idx``
+        and ``prob`` are copied, never sorted in place, and only when a tile is unsorted."""
+        idx = prob = None
+        for _, lo, view in self.slices():
+            order = _entry_order(view.tile_keys(), view.idx, view.prob)
+            if order is None:
+                continue
+            if idx is None:
+                idx, prob = self.idx.copy(), self.prob.copy()
+            start, stop = self.offsets[lo], self.offsets[lo + len(view)]
+            idx[start:stop], prob[start:stop] = view.idx[order], view.prob[order]
+        return self if idx is None else replace(self, idx=idx, prob=prob)
+
     def invalid_tiles(self) -> np.ndarray:
         """Per tile, whether ``TilePrediction`` would reject it."""
-        tile = self.tile_of_entry
         bad = np.array([not (isinstance(i, str) and i and encodable(i)) for i in self.image_ids], dtype=bool)
         bad = bad[self.image]
-        bad |= (self.row < 0) | (self.col < 0) | (np.diff(self.offsets) == 0)
-        entry_bad = (self.idx < 0) | ~((self.prob > 0.0) & (self.prob <= 1.0))
-        by_index = np.lexsort((self.idx, tile))
-        tiles, idx = tile[by_index], self.idx[by_index]
-        repeated = (tiles[1:] == tiles[:-1]) & (idx[1:] == idx[:-1])
-        bad[tile[entry_bad]] = True
-        bad[tiles[1:][repeated]] = True
-        mass = np.bincount(tile, weights=self.prob, minlength=len(self))
-        bad |= (self.complete & (np.abs(mass - 1.0) > _MASS_TOL)) | (mass > 1.0 + _MASS_TOL)
+        bad |= (self.row < 0) | (self.col < 0) | (self.offsets[1:] == self.offsets[:-1])
+        for _, lo, view in self.slices():
+            _flag_entries(view, bad[lo:lo + len(view)])
         return bad
 
     def prob_failure(self, prob: np.ndarray):
@@ -294,33 +323,56 @@ class TileBatch:
         j = first(~((prob > 0.0) & (prob <= 1.0)))
         if j is None:
             return None, None
-        t = int(self.tile_of_entry[j])
+        t = self.tile_of(j)
         lo, hi = self.offsets[t], self.offsets[t + 1]
         entries = list(zip(self.idx[lo:hi].tolist(), prob[lo:hi].tolist()))
         return t, rejection(self.image_ids[self.image[t]], int(self.row[t]), int(self.col[t]), entries)
 
-    def derive(self, keep: Optional[np.ndarray], prob: np.ndarray) -> "TileBatch":
-        """The batch of the kept entries (all when ``keep`` is None) with new
-        probabilities: tiles left without entries drop out, entries are
-        re-sorted, and no tile is complete any more. Every image must keep a tile."""
-        idx, tile = self.idx, self.tile_of_entry
-        if keep is not None:
-            idx, tile = idx[keep], tile[keep]
-        counts = np.bincount(tile, minlength=len(self))
-        live = counts > 0
-        order = _entry_order(tile, idx, prob)
-        if order is not None:
-            idx, prob = idx[order], prob[order]
-        return TileBatch(
-            self.image_ids,
-            self.image[live],
-            self.row[live],
-            self.col[live],
-            np.zeros(np.count_nonzero(live), dtype=bool),
-            _offsets(counts[live]),
-            idx,
-            prob,
-        )
+    def derive(self, offsets: np.ndarray, fill) -> "TileBatch":
+        """The batch in which tile ``t`` keeps ``offsets[t + 1] - offsets[t]``
+        entries with new probabilities.
+
+        For each of ``slices()``, ``fill(lo, view, tile, idx, prob)`` writes
+        the view's kept entries, in batch order, into ``idx`` and ``prob``,
+        its part of the new columns; ``tile`` holds their tiles in the view.
+        Tiles left without entries drop out, entries are re-sorted, and no
+        tile is complete any more. Every image must keep a tile; when every
+        tile does, the tile columns and ``offsets`` are shared, not copied.
+        """
+        idx, prob = np.empty(offsets[-1], dtype=np.int64), np.empty(offsets[-1], dtype=np.float64)
+        for _, lo, view in self.slices():
+            hi = lo + len(view)
+            start, stop = offsets[lo], offsets[hi]
+            _fill_sorted(fill, lo, view, np.diff(offsets[lo:hi + 1]), idx[start:stop], prob[start:stop])
+        image, row, col = self.image, self.row, self.col
+        live = offsets[1:] > offsets[:-1]
+        if not live.all():
+            image, row, col, offsets = image[live], row[live], col[live], _offsets(np.diff(offsets)[live])
+        return TileBatch(self.image_ids, image, row, col, np.zeros(len(image), dtype=bool), offsets, idx, prob)
+
+
+# A slice's own arrays live in a function of their own, so they are freed
+# before the next slice's are built.
+
+def _flag_entries(view: TileBatch, bad: np.ndarray):
+    """Flag in ``bad``, one flag per tile of ``view``, each tile that holds an
+    index or probability ``TilePrediction`` rejects, a repeated index, or a bad mass."""
+    tile, idx, prob = view.tile_keys(), view.idx, view.prob
+    bad[tile[(idx < 0) | ~((prob > 0.0) & (prob <= 1.0))]] = True
+    idx = idx[np.lexsort((idx, tile))]  # tile keys ascend, so the sort leaves them as they are
+    bad[tile[1:][(tile[1:] == tile[:-1]) & (idx[1:] == idx[:-1])]] = True
+    mass = np.bincount(tile, weights=prob, minlength=len(view))
+    bad |= (view.complete & (np.abs(mass - 1.0) > _MASS_TOL)) | (mass > 1.0 + _MASS_TOL)
+
+
+def _fill_sorted(fill, lo: int, view: TileBatch, counts: np.ndarray, idx: np.ndarray, prob: np.ndarray):
+    """One slice of ``TileBatch.derive``: ``fill`` the kept entries, whose
+    tiles hold ``counts`` each, then sort each tile's entries in place."""
+    tile = np.repeat(np.arange(len(view)), counts)
+    fill(lo, view, tile, idx, prob)
+    order = _entry_order(tile, idx, prob)
+    if order is not None:
+        idx[:], prob[:] = idx[order], prob[order]
 
 
 class ImageTiles(Mapping):

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import List, Mapping, NamedTuple, Optional
 
 from . import io as fio
+from .batch import encodable
 from .catalog import load_catalog, parse_region
 from .clustering import dominant_cluster, kmeans
 from .errors import FloratileError, InputError, InvariantViolation
@@ -280,6 +281,8 @@ def _typed(path, key: str, value, kind):
         isinstance(value, bool) and kind is not bool
     ):
         raise InputError(f"{path}: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
+    if kind is str and not encodable(value):  # JSON can hold a lone surrogate; no path or name can
+        raise InputError(f"{path}: {key} must be text that UTF-8 can encode, got {value!r}")
     if kind is not float:
         return value
     try:

@@ -180,24 +180,24 @@ def build_mask(
     return SpeciesMask(allowed=allowed, allowed_count=count)
 
 
-def mask_entries(idx, prob, tile, n_tiles: int, allowed: np.ndarray):
-    """The mask over flat entries grouped by ``tile``.
-
-    Returns ``(keep, prob, failure)``: which entries the mask allows, their
-    probabilities renormalised over each tile's kept entries, and the
-    ``raise_first`` failure of the first index outside the mask.
-    """
+def allowed_entries(idx, tile, allowed: np.ndarray):
+    """Which entries, grouped by ``tile``, the mask allows, and the
+    ``raise_first`` failure of the first index outside it."""
     size = allowed.shape[0]
     outside = (idx < 0) | (idx >= size)
     j = first(outside)
     failure = (None, None)
     if j is not None:
         failure = (int(tile[j]), InputError(f"dense index {int(idx[j])} outside mask of size {size}"))
-    keep = allowed[np.where(outside, 0, idx)] & ~outside
-    kept, kept_tile = prob[keep], tile[keep]
-    total = np.bincount(kept_tile, weights=kept, minlength=n_tiles)[kept_tile]
-    np.divide(kept, total, out=kept, where=total > 0.0)  # kept is a gathered copy
-    return keep, kept, failure
+    return np.take(allowed, idx, mode="clip") & ~outside, failure
+
+
+def renormalise(prob, tile, n_tiles: int):
+    """``prob``, grouped by ``tile``, divided in place by each tile's total
+    and returned; a tile whose total is zero keeps its values."""
+    total = np.bincount(tile, weights=prob, minlength=n_tiles)[tile]
+    np.divide(prob, total, out=prob, where=total > 0.0)
+    return prob
 
 
 def apply_mask(probs, mask: SpeciesMask):
@@ -207,6 +207,7 @@ def apply_mask(probs, mask: SpeciesMask):
     such a tile, and rejects an image that loses every tile.
     """
     idx, prob = entry_arrays(probs)
-    keep, kept, failure = mask_entries(idx, prob, np.zeros(idx.shape[0], dtype=np.int64), 1, mask.allowed)
+    tile = np.zeros(idx.shape[0], dtype=np.int64)
+    keep, failure = allowed_entries(idx, tile, mask.allowed)
     raise_first(failure)
-    return list(zip(idx[keep].tolist(), kept.tolist()))
+    return list(zip(idx[keep].tolist(), renormalise(prob[keep], tile[keep], 1).tolist()))

@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import ImageTiles, TileBatch, as_batch, chunk_bounds, first, raise_first
+from .batch import ImageTiles, TileBatch, as_batch, first, raise_first, shifted
 from .catalog import RegionRegistry, SpeciesCatalog, load_catalog, parse_region
 from .clustering import (
     ClusterModel,
@@ -34,7 +34,14 @@ from .clustering import (
     reweight_entries,
 )
 from .errors import InputError
-from .geo import DEFAULT_REFERENCE_POINT, SpeciesMask, build_mask, mask_entries, nearest_per_species
+from .geo import (
+    DEFAULT_REFERENCE_POINT,
+    SpeciesMask,
+    allowed_entries,
+    build_mask,
+    nearest_per_species,
+    renormalise,
+)
 from .io import (
     SubmissionRow,
     _make_dir,
@@ -161,21 +168,32 @@ class RunResult:
 
 # --- stage functions (shared by `run` and the per-stage CLI commands) ----
 
-def validate_grid(tiles: TileBatch, grid: GridSpec):
-    """Every tile must sit inside the grid; no duplicate cells per image."""
-    batch = as_batch(tiles)
-    outside = (batch.row >= grid.rows) | (batch.col >= grid.cols)
-    cells = np.lexsort((batch.col, batch.row, batch.image))  # stable: a repeat sorts after its first
-    keys = np.stack([batch.image, batch.row, batch.col])[:, cells]
-    repeated = np.zeros(len(batch), dtype=bool)
+def _grid_error(view: TileBatch, grid: GridSpec) -> Optional[InputError]:
+    """The error of the first tile of ``view`` outside the grid or on a cell
+    its image already holds, or None."""
+    outside = (view.row >= grid.rows) | (view.col >= grid.cols)
+    cells = np.lexsort((view.col, view.row, view.image))  # stable: a repeat sorts after its first
+    keys = np.stack([view.image, view.row, view.col])[:, cells]
+    repeated = np.zeros(len(view), dtype=bool)
     repeated[cells[1:]] = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
     t = first(outside | repeated)
     if t is None:
-        return
-    row, col, image_id = int(batch.row[t]), int(batch.col[t]), batch.image_ids[batch.image[t]]
+        return None
+    row, col, image_id = int(view.row[t]), int(view.col[t]), view.image_ids[view.image[t]]
     if outside[t]:  # a tile both outside and repeated reports the grid
-        raise InputError(f"tile ({row},{col}) of {image_id!r} outside {grid.rows}x{grid.cols} grid")
-    raise InputError(f"duplicate tile ({row},{col}) for {image_id!r}")
+        return InputError(f"tile ({row},{col}) of {image_id!r} outside {grid.rows}x{grid.cols} grid")
+    return InputError(f"duplicate tile ({row},{col}) for {image_id!r}")
+
+
+def validate_grid(tiles: TileBatch, grid: GridSpec):
+    """Every tile must sit inside the grid; no duplicate cells per image.
+
+    An image's tiles lie in one slice, so the first bad tile of the first
+    slice that holds one is the first of the batch."""
+    for _, _, view in as_batch(tiles).slices():
+        exc = _grid_error(view, grid)
+        if exc is not None:
+            raise exc
 
 
 def check_species_indices(tiles: TileBatch, n_species: int):
@@ -183,7 +201,7 @@ def check_species_indices(tiles: TileBatch, n_species: int):
     batch = as_batch(tiles)
     j = first(batch.idx >= n_species)
     if j is not None:
-        image_id = batch.image_ids[batch.image_of_entry[j]]
+        image_id = batch.image_ids[batch.image[batch.tile_of(j)]]
         raise InputError(
             f"species index {int(batch.idx[j])} in {image_id!r} exceeds catalog size {n_species}"
         )
@@ -198,13 +216,20 @@ def image_probability_vectors(tiles: TileBatch, n_species: int) -> Tuple[List[st
     """
     batch = as_batch(tiles)
     check_species_indices(batch, n_species)
-    tile, n_images = batch.tile_of_entry, len(batch.image_ids)
-    total = np.bincount(tile, weights=batch.prob, minlength=len(batch))
-    cells = batch.image_of_entry * n_species + batch.idx
-    vectors = np.bincount(cells, weights=batch.prob / total[tile], minlength=n_images * n_species)
-    vectors = vectors.reshape(n_images, n_species)
+    vectors = np.empty((len(batch.image_ids), n_species))
+    for a, _, view in batch.slices():
+        vectors[a:a + len(view.image_ids)] = _renormalised_sums(view, n_species)
     vectors /= np.diff(batch.image_offsets)[:, None]
     return list(batch.image_ids), vectors
+
+
+def _renormalised_sums(view: TileBatch, n_species: int) -> np.ndarray:
+    """Per image of ``view``, the dense sum of its tiles, each renormalised."""
+    tile, n_images = view.tile_keys(), len(view.image_ids)
+    total = np.bincount(tile, weights=view.prob, minlength=len(view))
+    cells = view.image[tile] * n_species + view.idx
+    sums = np.bincount(cells, weights=view.prob / total[tile], minlength=n_images * n_species)
+    return sums.reshape(n_images, n_species)
 
 
 def compute_geo_mask(options: GeoOptions, catalog: SpeciesCatalog) -> SpeciesMask:
@@ -216,11 +241,25 @@ def compute_geo_mask(options: GeoOptions, catalog: SpeciesCatalog) -> SpeciesMas
 
 def apply_geo_mask(tiles: TileBatch, mask: SpeciesMask) -> ImageTiles:
     """Filter every tile through the mask and renormalize; tiles losing all
-    species drop out, and an image losing every tile is an input error."""
+    species drop out, and an image losing every tile is an input error.
+
+    A first pass finds the kept entries, the output offsets and the
+    failures; the second fills the output columns slice by slice."""
     batch = as_batch(tiles)
-    keep, prob, failure = mask_entries(batch.idx, batch.prob, batch.tile_of_entry, len(batch), mask.allowed)
-    masked = batch.derive(keep, prob)
-    emptied = first(np.bincount(masked.image, minlength=len(batch.image_ids)) == 0)  # images of kept tiles
+    keep = np.empty(batch.idx.shape[0], dtype=bool)
+    offsets = np.zeros(len(batch) + 1, dtype=np.int64)  # each tile's kept count, then their cumulative sum
+
+    def scan(lo, view):
+        tile, start = view.tile_keys(), batch.offsets[lo]
+        kept, found = allowed_entries(view.idx, tile, mask.allowed)
+        keep[start:start + kept.shape[0]] = kept
+        offsets[lo + 1:lo + 1 + len(view)] = np.bincount(tile, weights=kept, minlength=len(view))  # exact counts
+        return shifted(found, lo)
+
+    failures = [scan(lo, view) for _, lo, view in batch.slices()]
+    failure = next((f for f in failures if f[0] is not None), (None, None))
+    np.cumsum(offsets, out=offsets)
+    emptied = first(np.diff(offsets[batch.image_offsets]) == 0)
     empty_failure = (None, None)
     if emptied is not None:
         image_id = batch.image_ids[emptied]
@@ -229,7 +268,14 @@ def apply_geo_mask(tiles: TileBatch, mask: SpeciesMask) -> ImageTiles:
             InputError(f"geolocation mask removed every species of every tile of {image_id!r}"),
         )
     raise_first(failure, empty_failure)
-    return ImageTiles(masked)
+
+    def fill(lo, view, tile, idx, prob):
+        start = batch.offsets[lo]
+        kept = keep[start:start + view.idx.shape[0]]
+        np.compress(kept, view.idx, out=idx)
+        renormalise(np.compress(kept, view.prob, out=prob), tile, len(view))
+
+    return ImageTiles(batch.derive(offsets, fill))
 
 
 @dataclass
@@ -283,7 +329,10 @@ def apply_priors(
     region_map: Mapping[str, int],
     registry: RegionRegistry,
 ) -> ImageTiles:
-    """Reweight every tile by the prior of its region's dominant cluster."""
+    """Reweight every tile by the prior of its region's dominant cluster.
+
+    Each slice is reweighted as it fills the output; the earliest failure
+    is raised once the output is built."""
     batch = as_batch(tiles)
     clusters: List[int] = []
     region_failure = (None, None)
@@ -302,19 +351,29 @@ def apply_priors(
     # images after a region failure never reach the output; any row stands in
     clusters += [0] * (len(batch.image_ids) - len(clusters))
     cluster_of_tile = np.asarray(clusters, dtype=np.int64)[batch.image]
-    prob, failures = reweight_entries(
-        batch.idx, batch.prob, batch.tile_of_entry, len(batch), priors.priors, cluster_of_tile
-    )
-    raise_first(region_failure, *failures, batch.prob_failure(prob))
-    return ImageTiles(batch.derive(None, prob))
+
+    failures = []
+
+    def fill(lo, view, tile, idx, prob):
+        weighted, found = reweight_entries(
+            view.idx, view.prob, tile, len(view), priors.priors, cluster_of_tile[lo:lo + len(view)]
+        )
+        found = [shifted(f, lo) for f in (*found, view.prob_failure(weighted))]
+        if not failures and any(t is not None for t, _ in found):  # a later slice holds no earlier failure
+            failures.extend(found)
+        idx[:], prob[:] = view.idx, weighted
+
+    reweighted = batch.derive(batch.offsets, fill)
+    raise_first(region_failure, *failures)
+    return ImageTiles(reweighted)
 
 
-def _chosen_keys(batch: TileBatch, a: int, b: int, k: int, min_votes: int, max_labels: int):
-    """The chosen ``(image, idx)`` keys of images ``a`` to ``b``, image codes of ``batch``.
+def _chosen_keys(a: int, view: TileBatch, k: int, min_votes: int, max_labels: int):
+    """The chosen ``(image, idx)`` keys of a slice whose first image is ``a``, image codes of the batch.
 
     A function of its own, so a slice's per-key arrays are freed before the
     next slice is tallied."""
-    image, idx, votes, mass = tally_batch(batch.images(a, b), k)[:4]
+    image, idx, votes, mass = tally_batch(view, k)[:4]
     chosen = rank_labels(image, idx, votes, mass, min_votes, max_labels)
     return image[chosen] + a, idx[chosen]
 
@@ -342,8 +401,7 @@ def aggregate_predictions(
         raise InputError(f"k must be >= 1, got {k}")
     if min_votes < 1 or max_labels < 1:
         raise InputError("min_votes and max_labels must be >= 1")
-    bounds = chunk_bounds(batch.offsets[batch.image_offsets])
-    chosen = (_chosen_keys(batch, a, b, k, min_votes, max_labels) for a, b in bounds)
+    chosen = (_chosen_keys(a, view, k, min_votes, max_labels) for a, _, view in batch.slices())
     image, idx = map(np.concatenate, zip(*chosen))
     order = sorted(range(len(batch.image_ids)), key=batch.image_ids.__getitem__)
     outside = np.flatnonzero(idx >= len(catalog))

@@ -9,6 +9,7 @@ otherwise. The batch stages must match them exactly: float ``==``, row
 message.
 """
 
+import dataclasses
 import json
 import tracemalloc
 from typing import Dict, List, Mapping, Sequence
@@ -448,6 +449,19 @@ def test_group_by_image_keeps_tiles_of_interleaved_images_in_order():
 
 N_SPECIES = 8
 
+# 1 to 7 cut inside most images, so each is then a slice of its own; 4096 holds them all
+SLICE_BOUNDS = (1, 2, 3, 7, 4096)
+
+
+def _sliced(fn, *args):
+    """``_outcome`` of ``fn`` with every ``SLICE_BOUNDS`` entry as ``CHUNK_ENTRIES``, one per bound."""
+    outcomes = []
+    for bound in SLICE_BOUNDS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fbatch, "CHUNK_ENTRIES", bound)
+            outcomes.append(_outcome(fn, *args))
+    return outcomes
+
 
 @st.composite
 def tile_lists(draw, prefixes=("img",), max_images=4):
@@ -476,8 +490,9 @@ def test_geo_mask_matches_reference_property(tiles, data):
     allowed = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size), label="allowed"))
     allowed[data.draw(st.integers(0, size - 1), label="one allowed")] = True
     mask = SpeciesMask(allowed=allowed, allowed_count=int(allowed.sum()))
-    _assert_same_tiles(_outcome(apply_geo_mask, group_by_image(tiles), mask),
-                       _outcome(_ref_apply_geo_mask, _ref_group_by_image(tiles), mask))
+    ref = _outcome(_ref_apply_geo_mask, _ref_group_by_image(tiles), mask)
+    for new in _sliced(apply_geo_mask, group_by_image(tiles), mask):
+        _assert_same_tiles(new, ref)
     for t in tiles[:3]:
         assert _outcome(apply_mask, t.probs, mask) == _outcome(_ref_apply_mask, t.probs, mask)
 
@@ -494,8 +509,9 @@ def test_reweight_matches_reference_property(tiles, data):
     registry = RegionRegistry(regions=("img", "imgx"))
     regions = data.draw(st.lists(st.sampled_from(["img", "imgx"]), unique=True), label="mapped")
     region_map = {r: data.draw(st.integers(0, k - 1)) for r in regions}
-    _assert_same_tiles(_outcome(apply_priors, group_by_image(tiles), priors, region_map, registry),
-                       _outcome(_ref_apply_priors, _ref_group_by_image(tiles), priors, region_map, registry))
+    ref = _outcome(_ref_apply_priors, _ref_group_by_image(tiles), priors, region_map, registry)
+    for new in _sliced(apply_priors, group_by_image(tiles), priors, region_map, registry):
+        _assert_same_tiles(new, ref)
     for t in tiles[:3]:
         prior = priors.priors[0]
         assert _outcome(reweight, t.probs, prior) == _outcome(_ref_reweight, t.probs, prior)
@@ -541,7 +557,7 @@ def test_sliced_vote_matches_whole_batch_vote_property(tiles, data):
     max_labels = data.draw(st.integers(1, 5), label="max_labels")
     batch, catalog = TileBatch.from_tiles(tiles), _catalog(N_SPECIES)
     expected = _whole_batch_rows(batch, catalog, k, min_votes, max_labels)
-    for bound in (1, 2, 3, 7, 4096):  # 1 to 7 cut inside most images: each is then a slice of its own
+    for bound in SLICE_BOUNDS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fbatch, "CHUNK_ENTRIES", bound)
             rows = aggregate_predictions(batch, catalog, k, min_votes, max_labels)
@@ -629,15 +645,15 @@ def test_batch_reader_rejects_exactly_what_tile_prediction_rejects(tmp_path, lin
     except OverflowError as exc:
         # int(inf) used to escape as a crash; the reader reports it as a bad record
         ref = ("error", "InputError", str(exc))
-    new = _outcome(read_tile_predictions, path)
-    if ref[0] == "ok":
-        assert new[0] == "ok", new
-        assert [(t.image_id, t.row, t.col, t.probs, t.complete) for t in new[1]] == \
-            [(t.image_id, t.row, t.col, t.probs, t.complete) for t in _ref_flatten(ref[1])]
-    elif ref[2].startswith("cannot convert float infinity"):
-        assert new[:2] == ref[:2] and new[2].endswith(f"bad tile prediction record ({ref[2]})"), new
-    else:
-        assert new == ref
+    for new in _sliced(read_tile_predictions, path):
+        if ref[0] == "ok":
+            assert new[0] == "ok", new
+            assert [(t.image_id, t.row, t.col, t.probs, t.complete) for t in new[1]] == \
+                [(t.image_id, t.row, t.col, t.probs, t.complete) for t in _ref_flatten(ref[1])]
+        elif ref[2].startswith("cannot convert float infinity"):
+            assert new[:2] == ref[:2] and new[2].endswith(f"bad tile prediction record ({ref[2]})"), new
+        else:
+            assert new == ref
 
 
 def test_reader_reports_first_bad_record_before_later_invalid_json(tmp_path):
@@ -722,11 +738,37 @@ def test_tile_writer_chunks_hold_at_most_write_chunk_entries(tmp_path, monkeypat
 
 
 def test_validate_grid_matches_reference():
-    tiles = [_tp("a", 0, [(1, 0.5)]), _tp("b", 0, [(1, 0.5)]),
-             _tp("a", 0, [(2, 0.5)]), _tp("b", 5, [(1, 0.5)])]
-    for grid in (GridSpec(2, 2), GridSpec(2, 6)):
-        assert _outcome(validate_grid, group_by_image(tiles), grid) == \
-            _outcome(_ref_validate_grid, _ref_group_by_image(tiles), grid)
+    cases = [
+        [_tp("a", 0, [(1, 0.5)]), _tp("b", 0, [(1, 0.5)]), _tp("a", 0, [(2, 0.5)]), _tp("b", 5, [(1, 0.5)])],
+        # the first bad tile sits in a later image, after a slice cut, with a worse one further on
+        [_tp("a", 0, [(1, 0.5), (2, 0.25)]), _tp("a", 1, [(1, 0.5)]), _tp("b", 1, [(1, 0.5)]),
+         _tp("b", 1, [(3, 0.5)], row=1), _tp("b", 1, [(3, 0.5)], row=1), _tp("c", 9, [(1, 0.5)])],
+    ]
+    for tiles in cases:
+        for grid in (GridSpec(2, 2), GridSpec(2, 6), GridSpec(2, 10)):
+            ref = _outcome(_ref_validate_grid, _ref_group_by_image(tiles), grid)
+            assert _sliced(validate_grid, group_by_image(tiles), grid) == [ref] * len(SLICE_BOUNDS)
+
+
+@pytest.mark.parametrize("tiles", [
+    # image b is emptied by the mask; at small bounds it is a slice of its own
+    [_tp("a", 0, [(1, 0.5), (2, 0.25)]), _tp("b", 0, [(0, 0.5), (3, 0.25)]), _tp("b", 1, [(3, 0.5)]),
+     _tp("c", 0, [(2, 0.5)])],
+    # an index outside the mask in image c, past a slice cut; image d, emptied too, comes later
+    [_tp("a", 0, [(1, 0.5), (2, 0.25)]), _tp("a", 1, [(2, 0.5)]), _tp("c", 0, [(2, 0.5), (9, 0.25)]),
+     _tp("d", 0, [(0, 0.5)])],
+    # the emptied image b comes first; the outside index follows in a later slice, at a
+    # tile whose place in its slice is below b's place in the batch
+    [_tp("a", 0, [(1, 0.5)]), _tp("a", 1, [(2, 0.5)]), _tp("b", 0, [(3, 0.5)]), _tp("b", 1, [(0, 0.5)]),
+     _tp("c", 0, [(1, 0.5)]), _tp("c", 1, [(9, 0.5), (1, 0.25)])],
+    # image b loses one tile of two, and every image keeps a tile
+    [_tp("a", 0, [(1, 0.5), (2, 0.25)]), _tp("b", 0, [(3, 0.5)]), _tp("b", 1, [(2, 0.3), (1, 0.2), (0, 0.1)])],
+], ids=["emptied-own-slice", "outside-after-cut", "emptied-then-outside", "tile-dropped"])
+def test_geo_mask_at_slice_cuts_matches_reference(tiles):
+    mask = SpeciesMask(allowed=np.array([False, True, True, False]), allowed_count=2)
+    ref = _outcome(_ref_apply_geo_mask, _ref_group_by_image(tiles), mask)
+    for new in _sliced(apply_geo_mask, group_by_image(tiles), mask):
+        _assert_same_tiles(new, ref)
 
 
 # --- microbenchmarks at ~500 images ------------------------------------------------
@@ -739,11 +781,22 @@ def bench_bundle(tmp_path_factory):
     mask = build_mask(
         nearest_per_species(bundle.observations, DEFAULT_REFERENCE_POINT), bundle.geo_regions, bundle.catalog
     )
-    return directory / "tile_predictions.ndjson", bundle.catalog, mask
+    return directory / "tile_predictions.ndjson", bundle.catalog, mask, bundle
+
+
+def _traced(fn, *args):
+    """``(result, held, peak)``: what ``fn`` allocated and still holds, and its peak."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 def test_tile_reader_memory_stays_below_100_bytes_per_entry(bench_bundle):
-    path, _, _ = bench_bundle
+    path = bench_bundle[0]
     tracemalloc.start()
     try:
         batch = read_tile_predictions(path)
@@ -754,43 +807,61 @@ def test_tile_reader_memory_stays_below_100_bytes_per_entry(bench_bundle):
 
 
 def test_vote_memory_is_set_by_a_slice_not_by_the_batch(bench_bundle):
-    path, catalog, mask = bench_bundle
+    path, catalog, _, _ = bench_bundle
     batch = read_tile_predictions(path)
-    apply_geo_mask(batch, mask)
-    assert "image_of_entry" not in batch.__dict__  # no per-entry cache outlives the mask
-    batch = read_tile_predictions(path)
-    tracemalloc.start()
-    try:
-        rows = aggregate_predictions(batch, catalog, 9, 2, 10)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rows, held, peak = _traced(aggregate_predictions, batch, catalog, 9, 2, 10)
     assert len(rows) == 500
     assert peak - held < 8 * batch.idx.shape[0]  # below one int64 column of the batch's entries
 
 
+@pytest.mark.parametrize("stage", ["invalid_tiles", "validate_grid", "apply_geo_mask"])
+def test_per_entry_pass_memory_is_set_by_a_slice_not_by_the_batch(bench_bundle, stage):
+    path, _, mask, _ = bench_bundle
+    batch = read_tile_predictions(path)
+    call = {
+        "invalid_tiles": lambda: batch.invalid_tiles(),
+        "validate_grid": lambda: validate_grid(batch, GridSpec(4, 4)),
+        "apply_geo_mask": lambda: apply_geo_mask(batch, mask),
+    }[stage]
+    _, held, peak = _traced(call)
+    assert peak - held < 8 * batch.idx.shape[0]  # below one int64 column of the batch's entries
+
+
+def test_batches_cache_nothing_per_entry(bench_bundle):
+    path, catalog, mask, bundle = bench_bundle
+    batch = read_tile_predictions(path)
+    validate_grid(batch, GridSpec(4, 4))
+    masked = apply_geo_mask(batch, mask).batch
+    priors, region_map = _priors_for(bundle, seed=5)
+    weighted = apply_priors(masked, priors, region_map, bundle.registry).batch
+    assert len(aggregate_predictions(weighted, catalog, 9, 2, 10)) == 500
+    columns = {f.name for f in dataclasses.fields(TileBatch)}
+    for stage in (batch, masked, weighted):
+        assert set(stage.__dict__) - columns <= {"image_offsets"}
+
+
 def test_bench_read_tile_predictions(benchmark, bench_bundle):
-    path, _, _ = bench_bundle
+    path = bench_bundle[0]
     batch = benchmark.pedantic(read_tile_predictions, args=(path,), rounds=4)
     assert len(batch) == 8000
 
 
 def test_bench_apply_geo_mask(benchmark, bench_bundle):
-    path, _, mask = bench_bundle
+    path, _, mask, _ = bench_bundle
     grouped = group_by_image(read_tile_predictions(path))
     masked = benchmark.pedantic(apply_geo_mask, args=(grouped, mask), rounds=20, iterations=10)
     assert len(masked) == 500
 
 
 def test_bench_aggregate(benchmark, bench_bundle):
-    path, catalog, _ = bench_bundle
+    path, catalog, _, _ = bench_bundle
     grouped = group_by_image(read_tile_predictions(path))
     rows = benchmark.pedantic(aggregate_predictions, args=(grouped, catalog, 9, 2, 10), rounds=20)
     assert len(rows) == 500
 
 
 def test_bench_write_tile_predictions(benchmark, bench_bundle, tmp_path):
-    path, _, _ = bench_bundle
+    path = bench_bundle[0]
     batch = read_tile_predictions(path)
     out = tmp_path / "written.ndjson"
     benchmark.pedantic(write_tile_predictions, args=(out, batch), rounds=4)

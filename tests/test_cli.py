@@ -403,6 +403,10 @@ def test_run_config_integer_past_digit_limit_exits_1(tmp_path, capsys):
     ({"k_per_tiles": 1}, "unknown config key 'k_per_tiles'"),
     ({"geo": {"enable": True}}, "unknown config key 'geo.enable'"),
     ({"observations": "observations.csv"}, "unknown config key 'observations'"),  # only geo.observations
+    ({"out": "\ud800x"}, "out must be text that UTF-8 can encode, got '\\ud800x'"),
+    ({"geo": {"observations": "obs\udfff.csv"}},
+     "geo.observations must be text that UTF-8 can encode, got 'obs\\udfff.csv'"),
+    ({"mode": "\ud800"}, "mode must be text that UTF-8 can encode, got '\\ud800'"),
 ])
 def test_run_mistyped_config_value_exits_1(fixture_dir, tmp_path, capsys, config, message):
     config_path = tmp_path / "run.json"
