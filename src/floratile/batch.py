@@ -140,13 +140,6 @@ def raise_first(*failures):
         raise failures[min(found)[1]][1]
 
 
-def shifted(failure, lo: int):
-    """A slice's ``raise_first`` failure with its tile counted in the whole
-    batch, the slice starting at tile ``lo``."""
-    t, exc = failure
-    return (None if t is None else lo + t), exc
-
-
 def _entry_order(tile: np.ndarray, idx: np.ndarray, prob: np.ndarray) -> Optional[np.ndarray]:
     """The permutation sorting entries by (tile, -prob, idx); None when they already are."""
     same = tile[1:] == tile[:-1]

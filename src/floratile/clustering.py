@@ -175,8 +175,8 @@ def estimate_priors(
     """Smoothed per-cluster mean of image-level probability vectors.
 
     Every input row must already sum to one; rows are the per-image mean of
-    that image's (renormalized) tile vectors. A cluster with no images gets
-    a uniform prior.
+    that image's (renormalized) tile vectors, and every assignment must name
+    one of the ``k`` clusters. A cluster with no images gets a uniform prior.
     """
     vectors = np.asarray(image_probs, dtype=np.float64)
     if vectors.ndim != 2:
@@ -188,6 +188,9 @@ def estimate_priors(
     assignments = np.asarray(assignments, dtype=np.int64)
     if assignments.shape[0] != vectors.shape[0]:
         raise InputError(f"{assignments.shape[0]} assignments for {vectors.shape[0]} vectors")
+    bad = first((assignments < 0) | (assignments >= k))
+    if bad is not None:
+        raise InputError(f"assignment {int(assignments[bad])} outside clusters 0..{k - 1}")
     sums = vectors.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > _VECTOR_SUM_TOL)
     if bad.size:

@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import ImageTiles, TileBatch, as_batch, first, raise_first, shifted
+from .batch import ImageTiles, TileBatch, as_batch, first, raise_first
 from .catalog import RegionRegistry, SpeciesCatalog, load_catalog, parse_region
 from .clustering import (
     ClusterModel,
@@ -143,6 +143,7 @@ class RunConfig:
             raise InputError("prior reweighting needs a region registry")
         if self.threads < 1:
             raise InputError("threads must be >= 1")
+        _check_vote_settings(self.k_per_tile, self.min_votes, self.max_labels)
 
     def resolved(self) -> "RunConfig":
         """Fill unset aggregation knobs from the mode preset."""
@@ -243,39 +244,38 @@ def apply_geo_mask(tiles: TileBatch, mask: SpeciesMask) -> ImageTiles:
     """Filter every tile through the mask and renormalize; tiles losing all
     species drop out, and an image losing every tile is an input error.
 
-    A first pass finds the kept entries, the output offsets and the
-    failures; the second fills the output columns slice by slice."""
+    A first pass writes each tile's kept count into the output offsets and
+    raises the first failure of the first slice that holds one, which is the
+    first of the batch; the second fills the output columns slice by slice."""
     batch = as_batch(tiles)
-    keep = np.empty(batch.idx.shape[0], dtype=bool)
     offsets = np.zeros(len(batch) + 1, dtype=np.int64)  # each tile's kept count, then their cumulative sum
-
-    def scan(lo, view):
-        tile, start = view.tile_keys(), batch.offsets[lo]
-        kept, found = allowed_entries(view.idx, tile, mask.allowed)
-        keep[start:start + kept.shape[0]] = kept
-        offsets[lo + 1:lo + 1 + len(view)] = np.bincount(tile, weights=kept, minlength=len(view))  # exact counts
-        return shifted(found, lo)
-
-    failures = [scan(lo, view) for _, lo, view in batch.slices()]
-    failure = next((f for f in failures if f[0] is not None), (None, None))
+    for _, lo, view in batch.slices():
+        _count_kept(view, mask.allowed, offsets[lo + 1:lo + 1 + len(view)])
     np.cumsum(offsets, out=offsets)
-    emptied = first(np.diff(offsets[batch.image_offsets]) == 0)
-    empty_failure = (None, None)
-    if emptied is not None:
-        image_id = batch.image_ids[emptied]
-        empty_failure = (
-            int(batch.image_offsets[emptied + 1]) - 1,
-            InputError(f"geolocation mask removed every species of every tile of {image_id!r}"),
-        )
-    raise_first(failure, empty_failure)
 
     def fill(lo, view, tile, idx, prob):
-        start = batch.offsets[lo]
-        kept = keep[start:start + view.idx.shape[0]]
+        kept = mask.allowed[view.idx]  # the first pass found every index inside the mask
         np.compress(kept, view.idx, out=idx)
         renormalise(np.compress(kept, view.prob, out=prob), tile, len(view))
 
     return ImageTiles(batch.derive(offsets, fill))
+
+
+def _count_kept(view: TileBatch, allowed: np.ndarray, counts: np.ndarray):
+    """Write into ``counts`` how many entries of each tile of ``view`` the
+    mask keeps, and raise the view's first failure: an index outside the
+    mask, or an image the mask empties, reported at its last tile."""
+    tile = view.tile_keys()
+    kept, outside = allowed_entries(view.idx, tile, allowed)
+    counts[:] = np.bincount(tile, weights=kept, minlength=len(view))  # exact counts
+    emptied = first(np.bincount(view.image, weights=counts, minlength=len(view.image_ids)) == 0)
+    empty_failure = (None, None)
+    if emptied is not None:
+        empty_failure = (
+            int(view.image_offsets[emptied + 1]) - 1,
+            InputError(f"geolocation mask removed every species of every tile of {view.image_ids[emptied]!r}"),
+        )
+    raise_first(outside, empty_failure)
 
 
 @dataclass
@@ -331,11 +331,10 @@ def apply_priors(
 ) -> ImageTiles:
     """Reweight every tile by the prior of its region's dominant cluster.
 
-    Each slice is reweighted as it fills the output; the earliest failure
-    is raised once the output is built."""
+    Each slice raises its first failure as it fills the output. An image
+    whose region fails first lets an earlier tile's failure win."""
     batch = as_batch(tiles)
     clusters: List[int] = []
-    region_failure = (None, None)
     for i, image_id in enumerate(batch.image_ids):
         try:
             region = parse_region(image_id, registry)
@@ -344,28 +343,20 @@ def apply_priors(
             cluster = region_map[region]
             if not 0 <= cluster < priors.k:
                 raise InputError(f"region {region!r} maps to cluster {cluster}; priors have rows 0..{priors.k - 1}")
-        except InputError as exc:
-            region_failure = (int(batch.image_offsets[i]), exc)
-            break
+        except InputError:
+            apply_priors(batch.images(0, i), priors, region_map, registry)
+            raise
         clusters.append(cluster)
-    # images after a region failure never reach the output; any row stands in
-    clusters += [0] * (len(batch.image_ids) - len(clusters))
     cluster_of_tile = np.asarray(clusters, dtype=np.int64)[batch.image]
-
-    failures = []
 
     def fill(lo, view, tile, idx, prob):
         weighted, found = reweight_entries(
             view.idx, view.prob, tile, len(view), priors.priors, cluster_of_tile[lo:lo + len(view)]
         )
-        found = [shifted(f, lo) for f in (*found, view.prob_failure(weighted))]
-        if not failures and any(t is not None for t, _ in found):  # a later slice holds no earlier failure
-            failures.extend(found)
+        raise_first(*found, view.prob_failure(weighted))
         idx[:], prob[:] = view.idx, weighted
 
-    reweighted = batch.derive(batch.offsets, fill)
-    raise_first(region_failure, *failures)
-    return ImageTiles(reweighted)
+    return ImageTiles(batch.derive(batch.offsets, fill))
 
 
 def _chosen_keys(a: int, view: TileBatch, k: int, min_votes: int, max_labels: int):
@@ -376,6 +367,14 @@ def _chosen_keys(a: int, view: TileBatch, k: int, min_votes: int, max_labels: in
     image, idx, votes, mass = tally_batch(view, k)[:4]
     chosen = rank_labels(image, idx, votes, mass, min_votes, max_labels)
     return image[chosen] + a, idx[chosen]
+
+
+def _check_vote_settings(k: Optional[int], min_votes: Optional[int], max_labels: Optional[int]):
+    """Reject a vote setting below 1; None leaves a setting to the mode preset."""
+    if k is not None and k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    if any(v is not None and v < 1 for v in (min_votes, max_labels)):
+        raise InputError("min_votes and max_labels must be >= 1")
 
 
 def aggregate_predictions(
@@ -397,10 +396,7 @@ def aggregate_predictions(
     batch = as_batch(tiles)
     if not batch.image_ids:
         return []
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    if min_votes < 1 or max_labels < 1:
-        raise InputError("min_votes and max_labels must be >= 1")
+    _check_vote_settings(k, min_votes, max_labels)
     chosen = (_chosen_keys(a, view, k, min_votes, max_labels) for a, _, view in batch.slices())
     image, idx = map(np.concatenate, zip(*chosen))
     order = sorted(range(len(batch.image_ids)), key=batch.image_ids.__getitem__)

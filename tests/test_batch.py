@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from floratile import batch as fbatch
 from floratile import io as fio
+from floratile import pipeline as fpipeline
 from floratile.batch import TileBatch, TilePrediction, chunk_bounds
 from floratile.catalog import RegionRegistry, SpeciesCatalog, parse_region
 from floratile.clustering import ClusterPriors, reweight
@@ -434,6 +435,35 @@ def test_stage_errors_follow_the_per_tile_order():
         got = _outcome(apply_geo_mask, grouped, mask)
         assert got[0] == "error"
         assert got == _outcome(_ref_apply_geo_mask, grouped, mask)
+
+
+@pytest.mark.parametrize("stage,first_images,message", [
+    ("geo", [_tp("img0", 0, [(1, 0.5), (7, 0.25)])], "dense index 7 outside mask"),
+    ("geo", [_tp("img0", 0, [(0, 0.5)])], "removed every species of every tile of 'img0'"),
+    ("priors", [_tp("img0", 0, [(0, 0.5)])], "reweighted mass is zero"),
+    # the zero mass comes ahead of an image with no region
+    ("priors", [_tp("img0", 0, [(0, 0.5)]), _tp("zz1", 0, [(1, 0.5)])], "reweighted mass is zero"),
+], ids=["outside-mask", "emptied", "zero-mass", "zero-mass-then-region"])
+def test_stages_stop_at_the_first_slice_that_fails(monkeypatch, stage, first_images, message):
+    grouped = group_by_image([*first_images, *(_tp(f"img{i}", 0, [(1, 0.5)]) for i in range(2, 7))])
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return call
+
+    for fn in (fpipeline.allowed_entries, fpipeline.reweight_entries):
+        monkeypatch.setattr(fpipeline, fn.__name__, counted(fn))
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # one image per slice
+    with pytest.raises((InputError, InvariantViolation), match=message):
+        if stage == "geo":
+            apply_geo_mask(grouped, SpeciesMask(allowed=np.array([False, True]), allowed_count=1))
+        else:
+            apply_priors(grouped, ClusterPriors(np.array([[0.0, 0.5, 0.5]])), {"img": 0},
+                         RegionRegistry(regions=("img",)))
+    assert calls == ["allowed_entries" if stage == "geo" else "reweight_entries"]  # no later slice's
 
 
 def test_group_by_image_keeps_tiles_of_interleaved_images_in_order():

@@ -500,6 +500,43 @@ def test_priors_epsilon_zero_exits_1_as_in_run(fixture_dir, tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("k,first_cluster,shown", [(1, None, 1), (2, -4, -4)])
+def test_priors_assignment_outside_k_clusters_exits_1(fixture_dir, tmp_path, capsys, k, first_cluster, shown):
+    assignments = fixture_dir / "labels.csv"  # clusters 0 and 1
+    if first_cluster is not None:
+        header, first, *rest = assignments.read_text().splitlines()
+        assignments = tmp_path / "assignments.csv"
+        first = f"{first.partition(',')[0]},{first_cluster}"
+        assignments.write_text("".join(line + "\n" for line in (header, first, *rest)))
+    out = tmp_path / "priors.ndjson"
+    assert main(["priors", "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
+                 "--assignments", str(assignments), "--catalog", str(fixture_dir / "catalog.csv"),
+                 "--out", str(out), "--k", str(k)]) == 1
+    assert capsys.readouterr().err == f"floratile: error: assignment {shown} outside clusters 0..{k - 1}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--k-per-tile", "0"], "k must be >= 1, got 0"),
+    (["--min-votes", "0"], "min_votes and max_labels must be >= 1"),
+    (["--max-labels", "0", "--priors", "--embeddings", "{dir}/embeddings.ndjson",
+      "--registry", "{dir}/regions.txt"], "min_votes and max_labels must be >= 1"),
+], ids=["k_per_tile", "min_votes", "max_labels_with_priors"])
+def test_run_vote_setting_below_1_exits_1_before_any_output(fixture_dir, tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    rc = main([
+        "run", "--grid", "3x3", "--geo", "--keep-intermediates",
+        "--catalog", str(fixture_dir / "catalog.csv"),
+        "--predictions", str(fixture_dir / "tile_predictions.ndjson"),
+        "--observations", str(fixture_dir / "observations.csv"),
+        "--geo-regions", str(fixture_dir / "geo_regions.json"),
+        "--out", str(out), *(flag.format(dir=fixture_dir) for flag in flags),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"floratile: error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cluster", [-1, 2])
 def test_reweight_cluster_outside_priors_exits_1(fixture_dir, tmp_path, capsys, cluster):
     priors = tmp_path / "priors.ndjson"

@@ -154,6 +154,13 @@ def test_estimate_priors_validation():
         estimate_priors(np.array([0.5, 0.5]), [0], k=1)  # not 2-D
 
 
+@pytest.mark.parametrize("assignments,shown", [([0, 2, 1], 2), ([0, -4, 1], -4)])
+def test_estimate_priors_rejects_an_assignment_outside_the_clusters(assignments, shown):
+    vectors = np.full((3, 2), 0.5)
+    with pytest.raises(InputError, match=rf"^assignment {shown} outside clusters 0\.\.1$"):
+        estimate_priors(vectors, assignments, k=2)
+
+
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
 def test_estimate_priors_rejects_non_finite_epsilon(epsilon):
     with pytest.raises(InputError, match=rf"^epsilon must be finite and >= 0, got {epsilon}$"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from floratile.catalog import RegionRegistry
+from floratile.catalog import RegionRegistry, SpeciesCatalog
 from floratile.clustering import ClusterPriors
 from floratile.errors import InputError, InvariantViolation
 from floratile.geo import SpeciesMask
@@ -99,6 +99,21 @@ def test_run_config_validation():
         PriorsOptions(epsilon=0.0)
     with pytest.raises(InputError):
         RunConfig(catalog_path="c", predictions_path="p", out_dir="o", threads=0)
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"k_per_tile": 0}, "k must be >= 1, got 0"),
+    ({"min_votes": 0}, "min_votes and max_labels must be >= 1"),
+    ({"max_labels": -2}, "min_votes and max_labels must be >= 1"),
+])
+def test_run_config_rejects_vote_settings_below_1_as_the_vote_does(settings, message):
+    with pytest.raises(InputError, match=rf"^{message}$"):
+        RunConfig(catalog_path="c", predictions_path="p", out_dir="o", **settings)
+    votes = dict(k=9, min_votes=2, max_labels=10)
+    votes.update((key.replace("k_per_tile", "k"), value) for key, value in settings.items())
+    grouped = group_by_image([_tp("a", 0, 0, [(1, 0.5)])])
+    with pytest.raises(InputError, match=rf"^{message}$"):
+        aggregate_predictions(grouped, SpeciesCatalog([7, 8]), **votes)
 
 
 @pytest.mark.parametrize("options", [
