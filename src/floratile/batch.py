@@ -14,9 +14,10 @@ species index) and ``prob``. Two invariants hold:
 
 A batch is its columns and the per-image ``image_offsets``; it caches no
 per-entry array. Every pass over entries walks ``TileBatch.slices()``,
-runs of whole images of at most ``CHUNK_ENTRIES`` entries, and builds its
-tile keys per slice, so what a pass holds beyond its input and output is
-set by a slice, not by the batch.
+runs of whole images of at most ``CHUNK_ENTRIES`` entries (half as many for
+the vote, which holds the most per entry), and builds its tile keys per
+slice, so what a pass holds beyond its input and output is set by a slice,
+not by the batch.
 
 Every float sum that reaches an output is taken with
 ``np.bincount(keys, weights=...)`` over entries in batch order. bincount
@@ -155,17 +156,19 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def chunk_bounds(offsets: np.ndarray) -> Iterator[Tuple[int, int]]:
+def chunk_bounds(offsets: np.ndarray, limit: Optional[int] = None) -> Iterator[Tuple[int, int]]:
     """Consecutive ``(lo, hi)`` ranges of the groups that ``offsets`` delimits
     (group ``g`` owns entries ``offsets[g]:offsets[g + 1]``), covering every
-    group, each holding at most ``CHUNK_ENTRIES`` entries, or else one group.
+    group, each holding at most ``limit`` entries (``CHUNK_ENTRIES`` when
+    None), or else one group.
 
     Tile offsets give tile-aligned chunks; per-image entry offsets,
     ``offsets[image_offsets]``, give the image-aligned ones of ``TileBatch.slices``.
     """
+    limit = CHUNK_ENTRIES if limit is None else limit
     lo, n = 0, offsets.shape[0] - 1
     while lo < n:
-        hi = max(int(np.searchsorted(offsets, offsets[lo] + CHUNK_ENTRIES, side="right")) - 1, lo + 1)
+        hi = max(int(np.searchsorted(offsets, offsets[lo] + limit, side="right")) - 1, lo + 1)
         yield lo, hi
         lo = hi
 
@@ -268,16 +271,17 @@ class TileBatch:
         """Image ``i`` owns the tiles ``image_offsets[i]:image_offsets[i + 1]``."""
         return np.searchsorted(self.image, np.arange(len(self.image_ids) + 1))
 
-    def slices(self) -> Iterator[Tuple[int, int, "TileBatch"]]:
+    def slices(self, limit: Optional[int] = None) -> Iterator[Tuple[int, int, "TileBatch"]]:
         """The batch as ``images(a, b)`` views of consecutive whole images,
-        each of at most ``CHUNK_ENTRIES`` entries or one wider image, in order.
+        each of at most ``limit`` (``CHUNK_ENTRIES`` when None) entries or one
+        wider image, in order.
 
         Yields ``(a, lo, view)``: ``a`` and ``lo`` are the view's first image
         code and first tile in this batch. Each tile and image lies in one view,
         so a pass over the views in order sees every entry in batch order.
         """
         image_offsets = self.image_offsets
-        for a, b in chunk_bounds(self.offsets[image_offsets]):
+        for a, b in chunk_bounds(self.offsets[image_offsets], limit):
             yield a, int(image_offsets[a]), self.images(a, b)
 
     def tile_keys(self) -> np.ndarray:

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import List, Mapping, NamedTuple, Optional
 
@@ -451,17 +452,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a library warning as one line, as errors are printed."""
+    sys.stderr.write(f"floratile: warning: {message}\n")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except InvariantViolation as exc:
-        sys.stderr.write(f"floratile: invariant violation: {exc}\n")
-        return 2
-    except FloratileError as exc:
-        sys.stderr.write(f"floratile: error: {exc}\n")
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except InvariantViolation as exc:
+            sys.stderr.write(f"floratile: invariant violation: {exc}\n")
+            return 2
+        except FloratileError as exc:
+            sys.stderr.write(f"floratile: error: {exc}\n")
+            return 1
 
 
 if __name__ == "__main__":

@@ -150,23 +150,25 @@ CSV_FORMATS: Dict[str, CsvFormat] = {
 }
 
 
-def read_csv(path, name: str) -> list:
-    """The rows of the ``CSV_FORMATS[name]`` file at ``path``, parsed and made.
+def iter_csv(path, name: str) -> Iterator:
+    """Yield the rows of the ``CSV_FORMATS[name]`` file at ``path``, parsed
+    and made, one at a time.
 
     A row that does not parse, an empty or repeated key, and a file with no
-    rows are each an InputError at ``path:line`` (at ``path`` for no rows).
+    rows are each an InputError at ``path:line`` (at ``path`` for no rows),
+    raised when the reader reaches it.
     """
     fmt = CSV_FORMATS[name]
     header = [c.name for c in fmt.columns]
     parsers = [c.parse for c in fmt.columns]
     key = None if fmt.key is None else header.index(fmt.key)
-    rows, seen = [], set()
+    seen, empty = set(), True
     for lineno, row in csv_rows(path, header):
         if key is not None and not row[key]:
             raise InputError(f"{path}:{lineno}: empty {fmt.key}")
         try:
             values = tuple([parse(text) for parse, text in zip(parsers, row)])
-            rows.append(values if fmt.make is None else fmt.make(*values))
+            made = values if fmt.make is None else fmt.make(*values)
         except ValueError:
             raise InputError(f"{path}:{lineno}: malformed {name} row {row!r}") from None
         except InputError as exc:
@@ -175,9 +177,15 @@ def read_csv(path, name: str) -> list:
             if values[key] in seen:
                 raise InputError(f"{path}:{lineno}: duplicate {fmt.key} {values[key]!r}")
             seen.add(values[key])
-    if not rows:
+        empty = False
+        yield made
+    if empty:
         raise InputError(f"{path}: no {name} rows")
-    return rows
+
+
+def read_csv(path, name: str) -> list:
+    """The rows of the ``CSV_FORMATS[name]`` file at ``path``, as ``iter_csv`` reads them."""
+    return list(iter_csv(path, name))
 
 
 def write_csv(fh, name: str, rows: Iterable[Sequence]):
@@ -251,18 +259,22 @@ def read_region_cluster_map(path) -> Dict[str, int]:
     return dict(read_csv(path, "region cluster"))
 
 
-def read_ground_truth(path, transect_map: Mapping[str, str] | None = None) -> GroundTruth:
-    """Load truth sets keyed by quadrat id (species ids, not dense indices).
+def ground_truth_rows(path, transect_map: Mapping[str, str] | None = None) -> Iterator[Tuple[str, str, frozenset]]:
+    """Yield the ``(quadrat, transect, truth set)`` rows of a truth file one
+    at a time (species ids, not dense indices).
 
     An empty transect field falls back to the quadrat-id heuristic; an
     explicit transect map overrides both.
     """
-    rows = read_csv(path, "ground truth")
     overrides = transect_map or {}
-    return GroundTruth(
-        truth={q: species for q, _, species in rows},
-        transects={q: overrides[q] if q in overrides else (t or transect_of(q)) for q, t, _ in rows},
-    )
+    for q, t, species in iter_csv(path, "ground truth"):
+        yield q, overrides[q] if q in overrides else (t or transect_of(q)), species
+
+
+def read_ground_truth(path, transect_map: Mapping[str, str] | None = None) -> GroundTruth:
+    """Load truth sets keyed by quadrat id, as ``ground_truth_rows`` reads them."""
+    rows = list(ground_truth_rows(path, transect_map))
+    return GroundTruth(truth={q: species for q, _, species in rows}, transects={q: t for q, t, _ in rows})
 
 
 def write_ground_truth(path, truth: GroundTruth):
@@ -529,7 +541,7 @@ def read_priors(path) -> ClusterPriors:
 
 # --- submissions --------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubmissionRow:
     quadrat_id: str
     species_ids: tuple
@@ -548,7 +560,8 @@ class SubmissionRow:
     def _trusted(cls, quadrat_id, species_ids: tuple) -> "SubmissionRow":
         """A row the vote built: a non-empty tuple of distinct catalog ids."""
         row = object.__new__(cls)
-        row.__dict__.update(quadrat_id=quadrat_id, species_ids=species_ids)
+        object.__setattr__(row, "quadrat_id", quadrat_id)
+        object.__setattr__(row, "species_ids", species_ids)
         return row
 
 
@@ -571,11 +584,11 @@ def read_submission(path) -> List[SubmissionRow]:
     rows: List[SubmissionRow] = []
     seen = set()
     with _open_read(path) as fh:
-        header = fh.readline().rstrip("\n")
+        header = fh.readline().removesuffix("\n").removesuffix("\r")  # an LF, CRLF or CR line end
         if header != "quadrat_id;species_ids":
             raise InputError(f"{path}:1: expected header 'quadrat_id;species_ids'")
         for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+            line = line.removesuffix("\n").removesuffix("\r")
             if not line:
                 continue
             quadrat_id, sep, rest = line.partition(";")

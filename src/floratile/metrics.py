@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .errors import InputError
 
@@ -56,25 +56,36 @@ def image_f1(pred: Iterable[int], truth: Iterable[int]) -> float:
 
 
 def final_score(predictions: Mapping[str, Iterable[int]], truth: GroundTruth) -> ScoreReport:
+    """``score_rows`` over the quadrats of ``truth``."""
+    return score_rows(predictions, ((q, truth.transects[q], s) for q, s in truth.truth.items()))
+
+
+def score_rows(
+    predictions: Mapping[str, Iterable[int]], rows: Iterable[Tuple[str, str, Iterable[int]]]
+) -> ScoreReport:
     """Average image F1 within transects, then average the transect means.
 
-    Quadrats without a prediction score as empty sets and are flagged;
-    predictions for unknown quadrats are excluded with a warning.
+    ``rows`` gives each quadrat once as ``(quadrat, transect, truth set)``; a
+    row's truth set is dropped once it is scored, so the rows may stream from
+    a file. Each transect mean sums its images in quadrat-id order. Quadrats
+    without a prediction score as empty sets and are flagged; predictions
+    for unknown quadrats are excluded with a warning.
     """
-    unknown = sorted(set(predictions) - set(truth.truth))
-    if unknown:
-        warnings.warn(f"ignoring predictions for {len(unknown)} unknown quadrat(s)", stacklevel=2)
-    missing = sorted(set(truth.truth) - set(predictions))
-
-    per_image: Dict[str, float] = {}
+    scored: Dict[str, float] = {}
     grouped: Dict[str, List[str]] = {}
-    for quadrat_id in sorted(truth.truth):
-        pred = predictions.get(quadrat_id, ())
-        per_image[quadrat_id] = image_f1(pred, truth.truth[quadrat_id])
-        grouped.setdefault(truth.transects[quadrat_id], []).append(quadrat_id)
+    for quadrat_id, transect_id, truth in rows:
+        scored[quadrat_id] = image_f1(predictions.get(quadrat_id, ()), truth)
+        grouped.setdefault(transect_id, []).append(quadrat_id)
+
+    unknown = sorted(q for q in predictions if q not in scored)
+    if unknown:
+        # stacklevel 3 names the caller of final_score or score_submission
+        warnings.warn(f"ignoring predictions for {len(unknown)} unknown quadrat(s)", stacklevel=3)
+    per_image = {q: scored[q] for q in sorted(scored)}
+    missing = [q for q in per_image if q not in predictions]
 
     per_transect = {
-        tid: sum(per_image[q] for q in quadrats) / len(quadrats)
+        tid: sum(per_image[q] for q in sorted(quadrats)) / len(quadrats)
         for tid, quadrats in sorted(grouped.items())
     }
     transect_sizes = {tid: len(quadrats) for tid, quadrats in sorted(grouped.items())}

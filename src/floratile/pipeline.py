@@ -18,11 +18,13 @@ run seed, so a single-threaded run is bitwise reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import batch as _batch
 from .batch import ImageTiles, TileBatch, as_batch, first, raise_first
 from .catalog import RegionRegistry, SpeciesCatalog, load_catalog, parse_region
 from .clustering import (
@@ -45,9 +47,9 @@ from .geo import (
 from .io import (
     SubmissionRow,
     _make_dir,
+    ground_truth_rows,
     read_embeddings,
     read_geo_regions,
-    read_ground_truth,
     read_observations,
     read_region_registry,
     read_tile_predictions,
@@ -61,7 +63,7 @@ from .io import (
     write_submission,
     write_tile_predictions,
 )
-from .metrics import ScoreReport, final_score
+from .metrics import ScoreReport, score_rows
 from .projection import EmbeddingMatrix, Projection, ProjectorConfig, fit
 from .tiling import GridSpec
 from .voting import naive_baseline, rank_labels, tally_batch
@@ -359,14 +361,26 @@ def apply_priors(
     return ImageTiles(batch.derive(batch.offsets, fill))
 
 
-def _chosen_keys(a: int, view: TileBatch, k: int, min_votes: int, max_labels: int):
-    """The chosen ``(image, idx)`` keys of a slice whose first image is ``a``, image codes of the batch.
+def _slice_rows(view: TileBatch, k: int, min_votes: int, max_labels: int, species_ids: List[int]):
+    """``(rows, failures)`` of one slice: a submission row per image of
+    ``view`` and no failures, or, when a chosen label lies past the catalog,
+    no rows and the ``(quadrat id, label)`` of its first such image in
+    quadrat-id order.
 
     A function of its own, so a slice's per-key arrays are freed before the
     next slice is tallied."""
     image, idx, votes, mass = tally_batch(view, k)[:4]
     chosen = rank_labels(image, idx, votes, mass, min_votes, max_labels)
-    return image[chosen] + a, idx[chosen]
+    image, idx = image[chosen], idx[chosen]
+    outside = np.flatnonzero(idx >= len(species_ids)).tolist()
+    if outside:
+        j = min(outside, key=lambda j: view.image_ids[image[j]])  # the first such key of that image
+        return [], [(view.image_ids[image[j]], int(idx[j]))]
+    labels = [species_ids[i] for i in idx.tolist()]
+    bounds = np.searchsorted(image, np.arange(len(view.image_ids) + 1)).tolist()
+    # the vote gives every image at least one key, each species once
+    rows = [SubmissionRow._trusted(q, tuple(labels[bounds[i]:bounds[i + 1]])) for i, q in enumerate(view.image_ids)]
+    return rows, []
 
 
 def _check_vote_settings(k: Optional[int], min_votes: Optional[int], max_labels: Optional[int]):
@@ -388,36 +402,38 @@ def aggregate_predictions(
     """One submission row per image, sorted by quadrat id.
 
     The vote tallies and ranks image-aligned slices of the batch, each of at
-    most ``CHUNK_ENTRIES`` entries or one image, so its working memory is set
-    by a slice, not by the batch. Every vote quantity belongs to one image,
-    so the slices give the whole-batch result. ``threads`` is accepted for
-    compatibility and has no effect.
+    most ``CHUNK_ENTRIES // 2`` entries or one image, so its working memory is
+    set by a slice, not by the batch. Every vote quantity belongs to one image,
+    so the slices give the whole-batch result. Each slice's chosen labels
+    become its rows as soon as it is voted; no label array of the batch is
+    built. ``threads`` is accepted for compatibility and has no effect.
     """
     batch = as_batch(tiles)
     if not batch.image_ids:
         return []
     _check_vote_settings(k, min_votes, max_labels)
-    chosen = (_chosen_keys(a, view, k, min_votes, max_labels) for a, _, view in batch.slices())
-    image, idx = map(np.concatenate, zip(*chosen))
-    order = sorted(range(len(batch.image_ids)), key=batch.image_ids.__getitem__)
-    outside = np.flatnonzero(idx >= len(catalog))
-    if outside.size:
-        position = np.empty(len(order), dtype=np.int64)
-        position[order] = np.arange(len(order))
-        catalog.species_id(int(idx[outside[np.argmin(position[image[outside]])]]))
     species_ids = catalog.species_ids
-    labels = [species_ids[i] for i in idx.tolist()]
-    bounds = np.searchsorted(image, np.arange(len(batch.image_ids) + 1)).tolist()
-    # the vote gives every image at least one key, each species once
-    return [SubmissionRow._trusted(batch.image_ids[i], tuple(labels[bounds[i]:bounds[i + 1]])) for i in order]
+    rows: List[SubmissionRow] = []
+    failures: List[Tuple[str, int]] = []
+    # the tally and ranking hold about six int64 columns of a slice's entries,
+    # the most of any pass, so the vote walks slices of half the usual size
+    for _, _, view in batch.slices(_batch.CHUNK_ENTRIES // 2):
+        slice_rows, slice_failures = _slice_rows(view, k, min_votes, max_labels, species_ids)
+        rows += slice_rows
+        failures += slice_failures
+    if failures:
+        catalog.species_id(min(failures)[1])  # raises for the first such image in quadrat-id order
+    rows.sort(key=attrgetter("quadrat_id"))
+    return rows
 
 
 def score_submission(
     rows: Sequence[SubmissionRow], truth_path: str, transect_map: Optional[Mapping[str, str]] = None
 ) -> ScoreReport:
-    truth = read_ground_truth(truth_path, transect_map=transect_map)
+    """Score ``rows`` against the truth file, read one row at a time, so no
+    truth set outlives its row."""
     predictions = {row.quadrat_id: row.species_ids for row in rows}
-    return final_score(predictions, truth)
+    return score_rows(predictions, ground_truth_rows(truth_path, transect_map))
 
 
 # --- the one-shot runner -------------------------------------------------

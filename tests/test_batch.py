@@ -466,6 +466,13 @@ def test_stages_stop_at_the_first_slice_that_fails(monkeypatch, stage, first_ima
     assert calls == ["allowed_entries" if stage == "geo" else "reweight_entries"]  # no later slice's
 
 
+def test_vote_names_the_first_quadrat_past_the_catalog_whichever_slice_holds_it(monkeypatch):
+    tiles = [_tp("b", 0, [(9, 0.5)]), _tp("c", 0, [(1, 0.5)]), _tp("a", 0, [(2, 0.5), (8, 0.25)])]
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # one image per slice: "a" is voted last
+    with pytest.raises(InputError, match=r"dense index 8 out of range 0\.\.2"):
+        aggregate_predictions(group_by_image(tiles), SpeciesCatalog([10, 11, 12]), 9, 1, 10)
+
+
 def test_group_by_image_keeps_tiles_of_interleaved_images_in_order():
     tiles = [_tp("b", 0, [(1, 0.5)]), _tp("a", 0, [(2, 0.5)]),
              _tp("b", 1, [(3, 0.5)]), _tp("a", 1, [(1, 0.5)])]

@@ -261,6 +261,13 @@ def test_stage_chain_matches_single_run(fixture_dir, tmp_path, capsys, flags):
     assert reweighted.read_bytes() == (run_dir / "reweighted_predictions.ndjson").read_bytes()
 
 
+def test_evaluate_prints_a_library_warning_as_one_line(fixture_dir, tmp_path, capsys):
+    submission = tmp_path / "sub.csv"
+    submission.write_text("quadrat_id;species_ids\nGHOST;[1]\n")
+    assert main(["evaluate", "--submission", str(submission), "--truth", str(fixture_dir / "truth.csv")]) == 0
+    assert capsys.readouterr().err == "floratile: warning: ignoring predictions for 1 unknown quadrat(s)\n"
+
+
 def test_geofilter_and_evaluate_match_run(fixture_dir, tmp_path, capsys):
     """geofilter and evaluate write the same bytes as run --geo --keep-intermediates."""
     run_dir = tmp_path / "single"

@@ -760,6 +760,13 @@ def test_submission_exact_format(tmp_path):
     assert again == rows
 
 
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_submission_with_crlf_or_cr_line_ends_reads_as_with_lf(tmp_path, end):
+    path = tmp_path / "sub.csv"
+    path.write_bytes(end.join([b"quadrat_id;species_ids", b"Q1;[3, 5]", b"Q2;[7]", b""]))
+    assert read_submission(path) == [SubmissionRow("Q1", (3, 5)), SubmissionRow("Q2", (7,))]
+
+
 def test_submission_rejections(tmp_path):
     path = tmp_path / "sub.csv"
     with pytest.raises(InputError):

@@ -1,13 +1,20 @@
 """Pipeline configuration, stage functions, and the one-shot runner."""
 
+import sys
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from floratile.catalog import RegionRegistry, SpeciesCatalog
 from floratile.clustering import ClusterPriors
 from floratile.errors import InputError, InvariantViolation
 from floratile.geo import SpeciesMask
-from floratile.io import group_by_image, read_submission
+from floratile.io import SubmissionRow, group_by_image, read_ground_truth, read_submission, write_ground_truth
+from floratile.metrics import GroundTruth, final_score, image_f1
 from floratile.pipeline import (
     DEFAULT_BASELINE_K,
     MODE_PRESETS,
@@ -298,3 +305,87 @@ def test_score_submission_matches_direct_call(fixture_dir, tmp_path):
     result = run(_tiling_config(fixture_dir, tmp_path / "s"))
     report = score_submission(result.submission, str(fixture_dir / "truth.csv"))
     assert report.final == result.report.final
+
+
+def _warned(fn, *args):
+    """``(result, [(category, text)])`` of ``fn(*args)``, every warning recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _whole_set_score(predictions, truth):
+    """Per-image, per-transect and final scores as the scorer gave them when
+    it held every truth set: image F1 in quadrat-id order, each transect
+    summed in that order."""
+    per_image = {q: image_f1(predictions.get(q, ()), truth.truth[q]) for q in sorted(truth.truth)}
+    grouped = {}
+    for q, f1 in per_image.items():
+        grouped.setdefault(truth.transects[q], []).append(f1)
+    per_transect = {t: sum(scores) / len(scores) for t, scores in sorted(grouped.items())}
+    return list(per_image.items()), list(per_transect.items()), sum(per_transect.values()) / len(per_transect)
+
+
+_QUADRATS = st.text(alphabet="ab-1", min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    truth=st.dictionaries(
+        _QUADRATS,
+        st.tuples(st.sampled_from(["", "T1", "T2"]), st.frozensets(st.integers(0, 5), max_size=3)),
+        min_size=1,
+        max_size=12,
+    ),
+    predicted=st.dictionaries(_QUADRATS, st.frozensets(st.integers(0, 5), min_size=1, max_size=3), max_size=12),
+    overrides=st.none() | st.dictionaries(_QUADRATS, st.sampled_from(["T2", "T3"]), max_size=4),
+)
+# F1s 1/6, 2/9, 1/6 in file order: summed in file order rather than quadrat-id
+# order, the transect mean differs in its last bit
+@example(
+    truth={q: ("T1", frozenset(range(6))) for q in "acb"},
+    predicted={"a": frozenset({0, 6, 7, 8, 9, 10}), "b": frozenset({0, 6, 7, 8, 9, 10}), "c": frozenset({0, 6, 7})},
+    overrides=None,
+)
+def test_streamed_score_equals_final_score_of_the_read_truth(tmp_path, truth, predicted, overrides):
+    """Empty transect fields, overrides, missing and unknown quadrats score
+    the same streamed from the file as through ``read_ground_truth``."""
+    path = tmp_path / "truth.csv"
+    write_ground_truth(path, GroundTruth(
+        truth={q: species for q, (_, species) in truth.items()},
+        transects={q: transect for q, (transect, _) in truth.items()},
+    ))
+    rows = [SubmissionRow(q, tuple(sorted(species))) for q, species in predicted.items()]
+    predictions, read_truth = {r.quadrat_id: r.species_ids for r in rows}, read_ground_truth(path, overrides)
+    streamed, streamed_warnings = _warned(score_submission, rows, str(path), overrides)
+    expected, expected_warnings = _warned(final_score, predictions, read_truth)
+    assert (list(streamed.per_image.items()), list(streamed.per_transect.items()), streamed.final) == (
+        _whole_set_score(predictions, read_truth)
+    )
+    assert streamed.final == expected.final
+    assert list(streamed.per_image.items()) == list(expected.per_image.items())
+    assert list(streamed.per_transect.items()) == list(expected.per_transect.items())
+    assert list(streamed.transect_sizes.items()) == list(expected.transect_sizes.items())
+    assert streamed.n_transects == expected.n_transects
+    assert streamed.missing_predictions == expected.missing_predictions
+    assert streamed.unknown_predictions == expected.unknown_predictions
+    assert streamed_warnings == expected_warnings
+
+
+def test_score_submission_holds_no_truth_set_per_quadrat(tmp_path):
+    n = 5000
+    path = tmp_path / "truth.csv"
+    path.write_text("quadrat_id,transect_id,species_ids\n" + "".join(
+        f"Q{i:05d},{'' if i % 2 else f'T{i // 25}'},{' '.join(str(1300000 + (i * 7 + j) % 2000) for j in range(1 + i % 8))}\n"
+        for i in range(n)
+    ))
+    rows = [SubmissionRow(f"Q{i:05d}", (1300000 + i % 2000, 1400000)) for i in range(n)]
+    tracemalloc.start()
+    try:
+        report = score_submission(rows, str(path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.per_image) == n
+    assert peak - held < sys.getsizeof(frozenset()) * n  # below one empty set per quadrat
