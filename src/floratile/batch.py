@@ -19,6 +19,13 @@ the vote, which holds the most per entry), and builds its tile keys per
 slice, so what a pass holds beyond its input and output is set by a slice,
 not by the batch.
 
+A run never builds the batch of a whole tile file: ``io.tile_slices``
+reads the file as batches of whole images, cut at the first new image past
+``4 * CHUNK_ENTRIES`` entries, and ``pipeline.run`` passes each through
+every stage as it is read. The first invariant then has to hold across
+the file: an image whose records reappear after a cut makes the run read
+the file whole instead.
+
 Every float sum that reaches an output is taken with
 ``np.bincount(keys, weights=...)`` over entries in batch order. bincount
 adds in array order, as the per-tile Python loops did, so sums are

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -47,13 +48,13 @@ def _open_read(path):
             raise InputError(f"{path}: not valid UTF-8 text") from None
 
 
-def _open_write(path):
+def _open_write(path, name=None):
     """The text file at ``path``, opened for writing UTF-8 with LF line ends;
-    a path that cannot be written is an InputError naming it."""
+    a path that cannot be written is an InputError naming it (or ``name``)."""
     try:
         return open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
+        raise InputError(f"{name or path}: {exc.strerror or exc}") from None
 
 
 def _make_dir(path) -> Path:
@@ -355,6 +356,26 @@ def write_region_registry(path, registry: RegionRegistry):
 
 # --- tile predictions (NDJSON) -----------------------------------------
 
+class ImageReappeared(Exception):
+    """A tile file in which an image id reappears after another image's
+    records, past a slice cut: ``tile_slices`` has no image-aligned cut for
+    it, so the file is read whole instead."""
+
+
+def tile_slices(path) -> Iterator[TileBatch]:
+    """The tile file at ``path`` as image-aligned batches, read one at a time.
+
+    A slice is cut at the first new image once it holds at least
+    ``4 * CHUNK_ENTRIES`` entries, so no batch of the whole file is built;
+    the slices, in order, hold the batch ``read_tile_predictions`` returns.
+    Each slice is checked as that reader checks the file, and its first bad
+    record is raised as the reader reaches the cut; an unreadable line is
+    raised after the records before it. An image id met again after a cut
+    raises ``ImageReappeared``.
+    """
+    return _tile_batches(path, 4 * _batch.CHUNK_ENTRIES)
+
+
 def read_tile_predictions(path) -> TileBatch:
     """Read tile prediction records into one batch.
 
@@ -364,13 +385,28 @@ def read_tile_predictions(path) -> TileBatch:
     Columns are typed arrays from the start, so no entry is held as a
     Python object, and an integer past 64 bits is a bad record.
     """
+    return next(_tile_batches(path, math.inf))
+
+
+def _tile_batches(path, limit) -> Iterator[TileBatch]:
+    """The record loop of both tile readers: batches of whole images, cut at
+    the first new image once ``limit`` entries are read (never at ``math.inf``)."""
+    done: set = set()  # image ids of the batches already yielded
     codes: dict = {}
     image, rows, cols, lines, counts, idxs = (array("q") for _ in range(6))
     completes, probs = array("b"), array("d")
     add_idx, add_prob = idxs.append, probs.append
     failure = None
+    records = ndjson_records(path)
     try:
-        for lineno, rec in ndjson_records(path):
+        while True:
+            try:
+                lineno, rec = next(records)
+            except StopIteration:
+                break
+            except InputError as exc:  # an unreadable line ends the records
+                failure = exc
+                break
             start = len(idxs)
             try:
                 key, row, col = rec["image_id"], int(rec["row"]), int(rec["col"])
@@ -388,12 +424,38 @@ def read_tile_predictions(path) -> TileBatch:
             if failure is not None:  # drop what this record appended (a row whose col overflowed too)
                 del idxs[start:], probs[start:], rows[len(lines):]
                 break
-            image.append(codes.setdefault(key, len(codes)))
+            code = codes.get(key)
+            if code is None:
+                if start >= limit:  # cut ahead of this record, the first of a new image
+                    n = len(lines)
+                    tiles = (image, rows, cols, completes, counts, lines)
+                    yield _checked_batch(path, codes, *(c[:n] for c in tiles), idxs[:start], probs[:start])
+                    for c in tiles:
+                        del c[:n]
+                    del idxs[:start], probs[:start]
+                    start = 0
+                    done.update(codes)
+                    codes = {}
+                if key in done:
+                    raise ImageReappeared(f"{path}:{lineno}: image {key!r} reappears after a slice cut")
+                code = codes[key] = len(codes)
+            image.append(code)
             completes.append(complete)
             lines.append(lineno)
             counts.append(len(idxs) - start)
-    except InputError as exc:
-        failure = exc
+    finally:
+        records.close()
+    batch = _checked_batch(path, codes, image, rows, cols, completes, counts, lines, idxs, probs)
+    if failure is not None:
+        raise failure
+    if not len(batch):
+        raise InputError(f"{path}: no tile prediction records")
+    yield batch
+
+
+def _checked_batch(path, codes, image, rows, cols, completes, counts, lines, idxs, probs) -> TileBatch:
+    """The batch of these record columns; the first record ``TilePrediction``
+    rejects, in file order, is an InputError at its ``path:line``."""
     batch = TileBatch.from_columns(list(codes), image, rows, cols, completes, counts, idxs, probs)
     bad = np.flatnonzero(batch.invalid_tiles())
     if bad.size:
@@ -403,10 +465,6 @@ def read_tile_predictions(path) -> TileBatch:
         entries = list(zip(idxs[start:start + counts[r]], probs[start:start + counts[r]]))
         exc = rejection(list(codes)[image[r]], rows[r], cols[r], entries, completes[r])
         raise InputError(f"{path}:{lines[r]}: {exc}")
-    if failure is not None:
-        raise failure
-    if not len(batch):
-        raise InputError(f"{path}: no tile prediction records")
     return batch
 
 
@@ -432,14 +490,53 @@ def write_tile_predictions(path, preds: Iterable[TilePrediction]):
     never as ``TilePrediction``s, in tile-aligned ``chunk_bounds``; other
     tiles are formatted ``CHUNK_ENTRIES`` tiles at a time.
     """
+    with _open_write(path) as fh:
+        _write_tiles(fh, preds)
+
+
+def _write_tiles(fh, preds):
     if isinstance(preds, TileBatch):
         chunks = (zip(*preds.columns(lo, hi)) for lo, hi in chunk_bounds(preds.offsets))
     else:
         tiles = ((t.image_id, t.row, t.col, t.probs, t.complete) for t in preds)
         chunks = iter(lambda: list(islice(tiles, _batch.CHUNK_ENTRIES)), [])
-    with _open_write(path) as fh:
-        for chunk in chunks:
-            fh.write(_tile_lines(chunk))
+    for chunk in chunks:
+        fh.write(_tile_lines(chunk))
+
+
+class StagedTileFile:
+    """A tile file written batch by batch under a hidden name beside ``path``
+    and moved to ``path`` by ``commit``; leaving the ``with`` block removes
+    what was not committed. A run that fails before the file is whole so
+    leaves neither a partial file nor a touched ``path``. Errors name
+    ``path``, as ``write_tile_predictions`` would."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._partial = self.path.with_name(f".{self.path.name}.partial")
+        self._fh = None
+
+    def write(self, batch: TileBatch):
+        if self._fh is None:
+            self._fh = _open_write(self._partial, self.path)
+        _write_tiles(self._fh, batch)
+
+    def commit(self):
+        if self._fh is None:
+            self._fh = _open_write(self._partial, self.path)
+        self._fh.close()
+        try:
+            os.replace(self._partial, self.path)
+        except OSError as exc:
+            raise InputError(f"{self.path}: {exc.strerror or exc}") from None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._fh is not None:
+            self._fh.close()
+            self._partial.unlink(missing_ok=True)
 
 
 def group_by_image(preds) -> ImageTiles:

@@ -13,10 +13,40 @@ Geolocation masking and cluster-prior reweighting are independent,
 composable transforms applied to the prediction stream before voting,
 in that order. Every stage is a pure function of its inputs plus the
 run seed, so a single-threaded run is bitwise reproducible.
+
+``run`` streams the tile file. ``io.tile_slices`` reads it in slices of
+whole images, and one loop takes each slice through the grid check, the
+species-index check, the geo mask (built once, for the first slice that
+passes the checks) and the vote while the next is still unread, so a run
+holds a slice of the input, not all of it. A priors run keeps its
+checked and masked slices, estimates the priors over them, then
+reweights and votes them slice by slice. The stage functions below stay
+whole-batch functions; the loop calls them on each slice, and every
+quantity they compute belongs to one image, so the rows and written
+bytes are the whole-batch ones.
+
+The slices need each image's records to be contiguous in the file. When
+an image id reappears after a slice cut, the run starts again on the
+whole file read as one batch.
+
+Errors keep the whole-batch precedence. A bad record or unreadable line
+raises at once. Any other stage records only its first failure, later
+stages skip the slice, and reading goes on to the end of the file; the
+run then raises the failure of the earliest stage kind: grid, species
+index, mask build, mask apply, priors, reweight, vote, with each
+intermediate's write at its place in that order. An intermediate is
+written slice by slice under a hidden name and moved into place only when
+every stage before its write has passed for the whole file, so a failed
+run leaves the files the whole-batch chain left, and no partial file:
+``mask.csv`` once every slice passed the grid and species checks and the
+mask was built, ``masked_predictions.ndjson`` once the mask applied to
+every slice, the four priors files once the priors were estimated, and
+``reweighted_predictions.ndjson`` once every slice was reweighted.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
@@ -35,7 +65,7 @@ from .clustering import (
     kmeans,
     reweight_entries,
 )
-from .errors import InputError
+from .errors import FloratileError, InputError
 from .geo import (
     DEFAULT_REFERENCE_POINT,
     SpeciesMask,
@@ -45,6 +75,8 @@ from .geo import (
     renormalise,
 )
 from .io import (
+    ImageReappeared,
+    StagedTileFile,
     SubmissionRow,
     _make_dir,
     ground_truth_rows,
@@ -54,6 +86,7 @@ from .io import (
     read_region_registry,
     read_tile_predictions,
     read_training_counts,
+    tile_slices,
     write_assignments,
     write_priors,
     write_projection,
@@ -61,7 +94,6 @@ from .io import (
     write_score_report,
     write_species_mask,
     write_submission,
-    write_tile_predictions,
 )
 from .metrics import ScoreReport, score_rows
 from .projection import EmbeddingMatrix, Projection, ProjectorConfig, fit
@@ -210,20 +242,28 @@ def check_species_indices(tiles: TileBatch, n_species: int):
         )
 
 
-def image_probability_vectors(tiles: TileBatch, n_species: int) -> Tuple[List[str], np.ndarray]:
+def image_probability_vectors(tiles, n_species: int) -> Tuple[List[str], np.ndarray]:
     """Dense per-image distributions: renormalize each tile, then average.
 
     Tile records are sparse and need not sum to one (a top-k slice does
     not), so each tile is renormalized before entering the mean; the
     resulting rows sum to one exactly as the prior estimator requires.
+    ``tiles`` is a batch, or a list of batches that hold whole images in
+    turn, such as a run's slices; each image's row is the same either way.
     """
-    batch = as_batch(tiles)
-    check_species_indices(batch, n_species)
-    vectors = np.empty((len(batch.image_ids), n_species))
-    for a, _, view in batch.slices():
-        vectors[a:a + len(view.image_ids)] = _renormalised_sums(view, n_species)
-    vectors /= np.diff(batch.image_offsets)[:, None]
-    return list(batch.image_ids), vectors
+    parts = tiles if isinstance(tiles, list) else [as_batch(tiles)]
+    for part in parts:
+        check_species_indices(part, n_species)
+    ids = [image_id for part in parts for image_id in part.image_ids]
+    vectors = np.empty((len(ids), n_species))
+    first_image = 0
+    for part in parts:
+        for a, _, view in part.slices():
+            a += first_image
+            vectors[a:a + len(view.image_ids)] = _renormalised_sums(view, n_species)
+        vectors[first_image:first_image + len(part.image_ids)] /= np.diff(part.image_offsets)[:, None]
+        first_image += len(part.image_ids)
+    return ids, vectors
 
 
 def _renormalised_sums(view: TileBatch, n_species: int) -> np.ndarray:
@@ -369,7 +409,7 @@ def _slice_rows(view: TileBatch, k: int, min_votes: int, max_labels: int, specie
 
     A function of its own, so a slice's per-key arrays are freed before the
     next slice is tallied."""
-    image, idx, votes, mass = tally_batch(view, k)[:4]
+    image, idx, votes, mass = tally_batch(view, k)
     chosen = rank_labels(image, idx, votes, mass, min_votes, max_labels)
     image, idx = image[chosen], idx[chosen]
     outside = np.flatnonzero(idx >= len(species_ids)).tolist()
@@ -412,19 +452,34 @@ def aggregate_predictions(
     if not batch.image_ids:
         return []
     _check_vote_settings(k, min_votes, max_labels)
-    species_ids = catalog.species_ids
-    rows: List[SubmissionRow] = []
-    failures: List[Tuple[str, int]] = []
-    # the tally and ranking hold about six int64 columns of a slice's entries,
-    # the most of any pass, so the vote walks slices of half the usual size
-    for _, _, view in batch.slices(_batch.CHUNK_ENTRIES // 2):
-        slice_rows, slice_failures = _slice_rows(view, k, min_votes, max_labels, species_ids)
-        rows += slice_rows
-        failures += slice_failures
-    if failures:
-        catalog.species_id(min(failures)[1])  # raises for the first such image in quadrat-id order
-    rows.sort(key=attrgetter("quadrat_id"))
-    return rows
+    vote = _Vote(catalog, k, min_votes, max_labels)
+    vote.add(batch)
+    return vote.rows()
+
+
+class _Vote:
+    """Submission rows voted batch by batch, then checked and sorted at once."""
+
+    def __init__(self, catalog: SpeciesCatalog, k: int, min_votes: int, max_labels: int):
+        self.catalog, self._slice_args = catalog, (k, min_votes, max_labels, catalog.species_ids)
+        self._rows: List[SubmissionRow] = []
+        self._failures: List[Tuple[str, int]] = []
+
+    def add(self, batch: TileBatch):
+        # the tally and ranking hold about six int64 columns of a slice's entries,
+        # the most of any pass, so the vote walks slices of half the usual size
+        for _, _, view in batch.slices(_batch.CHUNK_ENTRIES // 2):
+            slice_rows, slice_failures = _slice_rows(view, *self._slice_args)
+            self._rows += slice_rows
+            self._failures += slice_failures
+
+    def rows(self) -> List[SubmissionRow]:
+        """The rows of every batch added, sorted by quadrat id; a label past
+        the catalog raises for the first such image in quadrat-id order."""
+        if self._failures:
+            self.catalog.species_id(min(self._failures)[1])
+        self._rows.sort(key=attrgetter("quadrat_id"))
+        return self._rows
 
 
 def score_submission(
@@ -438,6 +493,139 @@ def score_submission(
 
 # --- the one-shot runner -------------------------------------------------
 
+# Stage kinds of a run, in the order their failures take precedence: a run
+# raises the failure of its earliest kind, whichever slice it met it in. A
+# failing read raises at once, ahead of them all. Writing an intermediate is
+# a kind of its own, at the place the whole-batch chain writes it.
+(_GRID, _SPECIES, _MASK_BUILD, _MASK_FILE, _MASK_APPLY, _MASKED_FILE,
+ _PRIORS, _REWEIGHT, _REWEIGHTED_FILE, _VOTE, _PASSED) = range(11)
+
+
+class _FirstFailure:
+    """The failure of the earliest stage kind a run has met so far.
+
+    A stage runs only while no stage of its kind or of an earlier kind has
+    failed: its failure could not be the one the run raises, and the stages
+    after it have no input."""
+
+    def __init__(self):
+        self.kind, self.error = _PASSED, None
+
+    def call(self, kind: int, fn, *args):
+        """``fn(*args)``, or None when the stage is skipped or fails."""
+        if kind >= self.kind:
+            return None
+        try:
+            return fn(*args)
+        except FloratileError as exc:
+            self.kind, self.error = kind, exc
+            return None
+
+    def walk(self, slices, stages):
+        """Pass each slice through ``stages``, ``(kind, fn)`` pairs in run
+        order; ``fn`` returns the batch the next stage takes, or None to pass
+        its own input on."""
+        for view in slices:
+            for kind, stage in stages:
+                out = self.call(kind, stage, view)
+                if kind >= self.kind:
+                    break
+                if out is not None:
+                    view = out
+
+    def raise_any(self):
+        if self.error is not None:
+            raise self.error
+
+
+def _walk_tile_file(path, walk):
+    """``walk(slices)`` over the slices of the tile file at ``path``, as it is
+    read. A file whose image reappears after a slice cut is walked again from
+    the start, as one whole-file batch."""
+    with closing(tile_slices(path)) as slices:
+        try:
+            return walk(slices)
+        except ImageReappeared:
+            pass  # leave the handler first, so the first walk's state is freed
+    return walk([read_tile_predictions(path)])
+
+
+def _drained(batches: list):
+    """The batches in order, each dropped from the list as it is handed out."""
+    batches.reverse()
+    while batches:
+        yield batches.pop()
+
+
+def _image_ids(slices) -> List[str]:
+    return [image_id for view in slices for image_id in view.image_ids]
+
+
+def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> List[SubmissionRow]:
+    """Every stage of a tiling or no-tiling run, from the tile file to sorted rows.
+
+    One loop walks the tile file's slices as they are read: grid check,
+    species indices, geo mask and, without priors, the vote. A priors run
+    keeps its checked and masked slices, estimates the priors over them,
+    then reweights and votes them slice by slice. An intermediate tile file
+    is written slice by slice and kept only when the whole-batch chain
+    would have written it whole.
+    """
+    keep, geo, priors = config.keep_intermediates, config.geo.enabled, config.priors.enabled
+    mask = None
+
+    def build_mask_once(view):
+        nonlocal mask
+        if mask is None:  # for the first slice that passes the checks, as the whole-batch chain did
+            mask = compute_geo_mask(config.geo, catalog)
+
+    def first_pass(slices):
+        failure, held = _FirstFailure(), []
+        vote = _Vote(catalog, config.k_per_tile, config.min_votes, config.max_labels)
+        stages = [(_GRID, lambda view: validate_grid(view, config.grid)),
+                  (_SPECIES, lambda view: check_species_indices(view, len(catalog)))]
+        with StagedTileFile(out_dir / "masked_predictions.ndjson") as masked:
+            if geo:
+                stages.append((_MASK_BUILD, build_mask_once))
+                stages.append((_MASK_APPLY, lambda view: apply_geo_mask(view, mask).batch))
+                if keep:
+                    stages.append((_MASKED_FILE, masked.write))
+            stages.append((_PRIORS, held.append) if priors else (_VOTE, vote.add))
+            failure.walk(slices, stages)
+            if geo and keep:
+                failure.call(_MASK_FILE, write_species_mask, out_dir / "mask.csv", mask, catalog)
+                failure.call(_MASKED_FILE, masked.commit)
+        return failure, held, vote
+
+    failure, held, vote = _walk_tile_file(config.predictions_path, first_pass)
+    failure.raise_any()
+    if priors:
+        registry = read_region_registry(config.registry_path)
+        embeddings = read_embeddings(config.priors.embeddings_path)
+        artifacts = compute_priors_artifacts(embeddings, held, registry, catalog, config.priors, config.seed)
+        if keep:
+            write_projection(out_dir / "projection.csv", artifacts.projection)
+            write_assignments(out_dir / "assignments.csv", embeddings.image_ids, artifacts.model.assignments)
+            write_region_cluster_map(out_dir / "region_clusters.csv", artifacts.region_map)
+            write_priors(out_dir / "priors.ndjson", artifacts.priors)
+
+        def reweight(view):
+            return apply_priors(view, artifacts.priors, artifacts.region_map, registry).batch
+
+        with StagedTileFile(out_dir / "reweighted_predictions.ndjson") as reweighted:
+            stages = [(_REWEIGHT, reweight)]
+            if keep:
+                stages.append((_REWEIGHTED_FILE, reweighted.write))
+            stages.append((_VOTE, vote.add))
+            failure.walk(_drained(held), stages)
+            if keep:
+                failure.call(_REWEIGHTED_FILE, reweighted.commit)
+        failure.raise_any()
+    rows = failure.call(_VOTE, vote.rows)
+    failure.raise_any()
+    return rows
+
+
 def run(config: RunConfig) -> RunResult:
     config = config.resolved()
     out_dir = _make_dir(config.out_dir)
@@ -445,50 +633,11 @@ def run(config: RunConfig) -> RunResult:
 
     if config.mode == "baseline":
         counts = read_training_counts(config.training_counts_path)
-        labels = naive_baseline(counts, config.baseline_k)
-        quadrats = sorted(read_tile_predictions(config.predictions_path).image_ids)
-        rows = [SubmissionRow(quadrat_id=q, species_ids=tuple(labels)) for q in quadrats]
+        labels = tuple(naive_baseline(counts, config.baseline_k))
+        quadrats = sorted(_walk_tile_file(config.predictions_path, _image_ids))
+        rows = [SubmissionRow(quadrat_id=q, species_ids=labels) for q in quadrats]
     else:
-        tiles = read_tile_predictions(config.predictions_path)
-        validate_grid(tiles, config.grid)
-        check_species_indices(tiles, len(catalog))
-
-        if config.geo.enabled:
-            mask = compute_geo_mask(config.geo, catalog)
-            if config.keep_intermediates:
-                write_species_mask(out_dir / "mask.csv", mask, catalog)
-            tiles = apply_geo_mask(tiles, mask).batch
-            if config.keep_intermediates:
-                write_tile_predictions(out_dir / "masked_predictions.ndjson", tiles)
-
-        if config.priors.enabled:
-            registry = read_region_registry(config.registry_path)
-            embeddings = read_embeddings(config.priors.embeddings_path)
-            artifacts = compute_priors_artifacts(
-                embeddings, tiles, registry, catalog, config.priors, config.seed
-            )
-            if config.keep_intermediates:
-                write_projection(out_dir / "projection.csv", artifacts.projection)
-                write_assignments(
-                    out_dir / "assignments.csv",
-                    embeddings.image_ids,
-                    artifacts.model.assignments,
-                )
-                write_region_cluster_map(out_dir / "region_clusters.csv", artifacts.region_map)
-                write_priors(out_dir / "priors.ndjson", artifacts.priors)
-            tiles = apply_priors(tiles, artifacts.priors, artifacts.region_map, registry).batch
-            if config.keep_intermediates:
-                write_tile_predictions(out_dir / "reweighted_predictions.ndjson", tiles)
-
-        rows = aggregate_predictions(
-            tiles,
-            catalog,
-            config.k_per_tile,
-            config.min_votes,
-            config.max_labels,
-            threads=config.threads,
-        )
-        del tiles  # the rows hold all that writing and scoring need
+        rows = _tiled_rows(config, catalog, out_dir)
 
     submission_path = out_dir / "submission.csv"
     write_submission(submission_path, rows)

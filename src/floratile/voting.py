@@ -25,29 +25,37 @@ class VoteTally:
     mass: Dict[int, float] = field(default_factory=dict)
 
 
-def tally_batch(batch: TileBatch, k: int):
-    """Votes and mass per (image, species) over every tile's top-k entries.
-
-    Returns ``(image, idx, votes, mass, key)``: one row per key sorted by
-    (image, idx), and ``key``, the row of each voting entry in batch order.
-    Mass is summed in batch order, tile by tile, as ``tally_votes`` did.
-    """
+def _voting_entries(batch: TileBatch, k: int):
+    """``(image, idx, prob)`` of every tile's top-k entries, in batch order."""
     top = np.minimum(np.diff(batch.offsets), k)  # a tile's entries are sorted, so its first k vote
     image, idx, prob = np.repeat(batch.image, top), batch.idx, batch.prob
     if image.shape[0] < idx.shape[0]:  # some tile has more than k entries: gather the voting ones
         skipped = batch.offsets[:-1] - (np.cumsum(top) - top)  # per tile, entries left out before it
         voted = np.arange(image.shape[0]) + np.repeat(skipped, top)
         idx, prob = idx[voted], prob[voted]
+    return image, idx, prob
+
+
+def tally_batch(batch: TileBatch, k: int):
+    """Votes and mass per (image, species) over every tile's top-k entries.
+
+    Returns ``(image, idx, votes, mass)``, one row per key sorted by
+    (image, idx). The sort is stable, so each key's entries keep their batch
+    order and its mass is summed in batch order, tile by tile, as
+    ``tally_votes`` did.
+    """
+    image, idx, prob = _voting_entries(batch, k)
     order = np.lexsort((idx, image))
-    image, idx = image[order], idx[order]
+    image = image[order]  # one column at a time, each unsorted copy freed as its sorted one is made
+    idx = idx[order]
     new = np.ones(order.shape[0], dtype=bool)
     new[1:] = (image[1:] != image[:-1]) | (idx[1:] != idx[:-1])
     image, idx = image[new], idx[new]
-    key = np.empty_like(order)
-    key[order] = np.cumsum(new) - 1
-    votes = np.bincount(key)
-    mass = np.bincount(key, weights=prob)
-    return image, idx, votes, mass, key
+    prob = prob[order]
+    del order
+    key = np.cumsum(new)  # each sorted entry's key
+    key -= 1
+    return image, idx, np.bincount(key), np.bincount(key, weights=prob)
 
 
 def rank_labels(image, idx, votes, mass, min_votes: int, max_labels: int):
@@ -65,10 +73,12 @@ def rank_labels(image, idx, votes, mass, min_votes: int, max_labels: int):
     order = np.lexsort((-mass, -votes, image))
     kept = votes[order] >= min_votes
     starts = np.flatnonzero(np.r_[True, image[1:] != image[:-1]])  # image[order] is image
-    before = np.cumsum(kept) - kept  # kept keys ranked ahead, over all images
-    first_kept = before[starts]
-    within = before - np.repeat(first_kept, np.diff(np.append(starts, order.shape[0])))
+    within = np.cumsum(kept)
+    within -= kept  # kept keys ranked ahead, over all images
+    first_kept = within[starts]
+    within -= np.repeat(first_kept, np.diff(np.append(starts, order.shape[0])))  # then within the image
     chosen = kept & (within < max_labels)
+    del within
     none_kept = np.diff(np.append(first_kept, np.count_nonzero(kept))) == 0
     chosen[starts[none_kept]] = True
     return order[chosen]
@@ -83,8 +93,10 @@ def tally_votes(preds: Sequence[TilePrediction], k: int) -> VoteTally:
         raise InvariantViolation(f"tally_votes got tiles from multiple images: {sorted(image_ids)}")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    _, idx, votes, mass, key = tally_batch(TileBatch.from_tiles(preds), k)
-    first_seen = np.argsort(np.unique(key, return_index=True)[1])
+    batch = TileBatch.from_tiles(preds)
+    _, idx, votes, mass = tally_batch(batch, k)
+    # tally_batch sorts the keys by index; order them by first vote instead
+    first_seen = np.argsort(np.unique(_voting_entries(batch, k)[1], return_index=True)[1])
     idx, votes, mass = idx[first_seen].tolist(), votes[first_seen].tolist(), mass[first_seen].tolist()
     return VoteTally(votes=dict(zip(idx, votes)), mass=dict(zip(idx, mass)))
 
