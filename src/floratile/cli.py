@@ -132,10 +132,10 @@ def _cmd_geofilter(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    emb = fio.read_embeddings(args.embeddings)
     config = ProjectorConfig(
         **_given(args, "n_neighbors", "mn_ratio", "fp_ratio", "phase_iters", "learning_rate", "seed")
     )
+    emb = fio.read_embeddings(args.embeddings)
     projection = fit(emb, config)
     fio.write_projection(args.out, projection)
     return 0

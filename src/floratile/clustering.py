@@ -112,6 +112,8 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterModel:
         raise InputError("k must be >= 1")
     if n < k:
         raise InputError(f"cannot form {k} clusters from {n} points")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     centroids = _plusplus_init(points, k, rng)

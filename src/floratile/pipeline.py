@@ -177,6 +177,8 @@ class RunConfig:
             raise InputError("prior reweighting needs a region registry")
         if self.threads < 1:
             raise InputError("threads must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         _check_vote_settings(self.k_per_tile, self.min_votes, self.max_labels)
 
     def resolved(self) -> "RunConfig":

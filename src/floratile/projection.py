@@ -37,7 +37,7 @@ _ADAM_EPS = 1e-7
 _PCA_INIT_SCALE = 0.01
 _RANDOM_INIT_SCALE = 1e-4
 _PCA_TARGET_DIM = 100
-_KNN_BLOCK = 256  # rows per distance block in the kNN pass
+_KNN_BLOCK = 64  # rows per distance block in the kNN and mid-near passes
 
 
 @dataclass
@@ -95,10 +95,20 @@ class ProjectorConfig:
     def __post_init__(self):
         if self.n_neighbors < 1:
             raise InputError("n_neighbors must be >= 1")
-        if self.mn_ratio < 0 or self.fp_ratio < 0:
-            raise InputError("pair ratios must be >= 0")
+        for name in ("mn_ratio", "fp_ratio"):
+            ratio = getattr(self, name)
+            if not np.isfinite(ratio):
+                raise InputError(f"{name} must be finite, got {ratio}")
+            if ratio < 0:
+                raise InputError("pair ratios must be >= 0")
+            if self.n_neighbors * ratio + 0.5 >= 2.0**63:
+                raise InputError(f"{name}={ratio} asks for more than 2**63 - 1 pairs per point")
         if len(self.phase_iters) != 3 or any(it < 0 for it in self.phase_iters):
             raise InputError("phase_iters must be three non-negative integers")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InputError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -152,9 +162,8 @@ def _local_scales(data: np.ndarray, norms: np.ndarray) -> np.ndarray:
     band = range(3 if n - 1 >= 4 else 0, min(6, n - 1))
     sig = np.empty(n)
     for lo, hi in _row_blocks(n):
-        d2 = _block_sq_dists(data, norms, lo, hi)
-        nearest = np.partition(d2, list(band), axis=1)[:, band.start : band.stop]
-        sig[lo:hi] = np.sqrt(nearest).mean(axis=1)
+        nearest = np.partition(_block_sq_dists(data, norms, lo, hi), list(band), axis=1)
+        sig[lo:hi] = np.sqrt(nearest[:, band.start : band.stop]).mean(axis=1)
     return np.maximum(sig, _SIGMA_FLOOR)
 
 
@@ -167,7 +176,7 @@ def _near_neighbors(data: np.ndarray, k: int) -> np.ndarray:
     near = np.empty((n, k), dtype=np.int64)
     for lo, hi in _row_blocks(n):
         scaled = _block_sq_dists(data, norms, lo, hi) / (sig[lo:hi, None] * sig[None, :])
-        kth = np.partition(scaled, k - 1, axis=1)[:, k - 1 : k]
+        kth = np.partition(scaled, k - 1, axis=1)[:, k - 1 : k].copy()  # frees the partitioned block
         below = scaled < kth
         tied = scaled == kth
         # of the entries tied with the k-th value, keep the lowest indices
@@ -199,8 +208,9 @@ def _distinct_draws(rng: np.random.Generator, n: int, avoid: np.ndarray, size: i
 def build_pairs(data: np.ndarray, cfg: ProjectorConfig, rng: np.random.Generator) -> PairSets:
     """Construct near, mid-near, and further pairs for the loss.
 
-    Distances are computed in row blocks, so memory is O(n * block), never
-    a dense n x n matrix.
+    The kNN and mid-near distances are computed in blocks of _KNN_BLOCK
+    rows, so memory is O(n * block) plus the pairs, never a dense n x n
+    matrix.
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
@@ -217,11 +227,14 @@ def build_pairs(data: np.ndarray, cfg: ProjectorConfig, rng: np.random.Generator
     drawn = _distinct_draws(rng, n, np.repeat(anchors, n_mn)[:, None], sample)
     drawn = drawn.reshape(n, n_mn, sample)
     d2 = np.empty(drawn.shape)
-    for c in range(sample):
-        diff = data[drawn[:, :, c]] - data[:, None, :]
-        d2[:, :, c] = (diff * diff).sum(axis=2)
+    for lo, hi in _row_blocks(n):
+        for c in range(sample):
+            diff = data[drawn[lo:hi, :, c]] - data[lo:hi, None, :]
+            diff *= diff
+            d2[lo:hi, :, c] = diff.sum(axis=2)
     rank = np.argsort(d2, axis=2, kind="stable")[:, :, 1 if sample >= 2 else 0]
     mid = np.take_along_axis(drawn, rank[:, :, None], axis=2).reshape(n, n_mn)
+    del drawn, d2, rank  # freed before the further draws
 
     # further: distinct points outside the anchor's near set, capped at the pool
     n_fp = min(_round_half_up(k * cfg.fp_ratio), n - 1 - k)

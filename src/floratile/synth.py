@@ -165,6 +165,8 @@ def _checked(batch: TileBatch) -> TileBatch:
 
 def generate(spec: SynthSpec, seed: int) -> SynthBundle:
     """Build the full bundle from one seeded RNG; same seed, same bundle."""
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     smear = SMEAR_SCALE * spec.noise
     n_confusers = spec.n_confusers

@@ -774,3 +774,54 @@ def test_species_index_outside_catalog_exits_1_in_every_mode(fixture_dir, tmp_pa
     assert capsys.readouterr().err == (
         f"floratile: error: species index 9999 in {victim['image_id']!r} exceeds catalog size 40\n"
     )
+
+
+@pytest.mark.parametrize("extra", [
+    ["--seed", "-1"],
+    ["--seed", "-1", "--priors", "--registry", "{dir}/regions.txt", "--embeddings", "{dir}/embeddings.ndjson"],
+    ["--config", "{dir}/run.json"],
+], ids=["run", "run-priors", "run-config"])
+def test_run_negative_seed_exits_1_before_reading_input(tmp_path, capsys, extra):
+    # none of the input files exist, so a read before the check would name one
+    missing = tmp_path / "missing"
+    (tmp_path / "run.json").write_text(json.dumps({"seed": -1}))
+    out = tmp_path / "out"
+    assert main(["run", "--grid", "3x3",
+                 "--catalog", str(missing / "catalog.csv"),
+                 "--predictions", str(missing / "tile_predictions.ndjson"),
+                 "--out", str(out), *(flag.format(dir=tmp_path) for flag in extra)]) == 1
+    assert capsys.readouterr().err == "floratile: error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["project", "cluster", "synth"])
+def test_stage_command_negative_seed_exits_1(fixture_dir, tmp_path, capsys, command):
+    projection = tmp_path / "projection.csv"
+    projection.write_text("image_id,x,y\n" + "".join(f"img{i},{i}.0,{i % 3}.0\n" for i in range(6)))
+    flags = {
+        "project": ["--embeddings", str(fixture_dir / "embeddings.ndjson")],
+        "cluster": ["--projection", str(projection), "--k", "2"],
+        "synth": ["--n-images", "8"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *flags, "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "floratile: error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--mn-ratio", "nan"], "mn_ratio must be finite, got nan"),
+    (["--fp-ratio", "inf"], "fp_ratio must be finite, got inf"),
+    (["--mn-ratio", "1e300"], "mn_ratio=1e+300 asks for more than 2**63 - 1 pairs per point"),
+    (["--neighbors", "2", "--fp-ratio", "5e18"], "fp_ratio=5e+18 asks for more than 2**63 - 1 pairs per point"),
+    (["--learning-rate", "-1"], "learning_rate must be finite and > 0, got -1.0"),
+    (["--learning-rate", "0"], "learning_rate must be finite and > 0, got 0.0"),
+    (["--learning-rate", "nan"], "learning_rate must be finite and > 0, got nan"),
+    (["--learning-rate", "inf"], "learning_rate must be finite and > 0, got inf"),
+], ids=["mn-nan", "fp-inf", "mn-huge", "fp-huge", "lr-negative", "lr-zero", "lr-nan", "lr-inf"])
+def test_project_rejects_unusable_settings(fixture_dir, tmp_path, capsys, flags, message):
+    out = tmp_path / "proj.csv"
+    assert main(["project", "--embeddings", str(fixture_dir / "embeddings.ndjson"),
+                 "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"floratile: error: {message}\n"
+    assert not out.exists()
