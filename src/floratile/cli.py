@@ -111,6 +111,8 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_geofilter(args) -> int:
+    if args.predictions and not args.out_predictions:
+        raise InputError("--predictions needs --out-predictions")
     catalog = load_catalog(args.catalog)
     options = GeoOptions(
         enabled=True,
@@ -124,8 +126,6 @@ def _cmd_geofilter(args) -> int:
     else:
         sys.stdout.write(fio.format_species_mask(mask, catalog))
     if args.predictions:
-        if not args.out_predictions:
-            raise InputError("--predictions needs --out-predictions")
         filtered = apply_geo_mask(fio.read_tile_predictions(args.predictions), mask)
         fio.write_tile_predictions(args.out_predictions, filtered.batch)
     return 0
@@ -142,12 +142,12 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    if args.region_map_out and not args.registry:
+        raise InputError("--region-map-out needs --registry")
     projection = fio.read_projection(args.projection)
     model = kmeans(projection.points, args.k, seed=args.seed)
     fio.write_assignments(args.out, projection.image_ids, model.assignments)
     if args.region_map_out:
-        if not args.registry:
-            raise InputError("--region-map-out needs --registry")
         registry = fio.read_region_registry(args.registry)
         regions = [parse_region(i, registry) for i in projection.image_ids]
         fio.write_region_cluster_map(args.region_map_out, dominant_cluster(model.assignments, regions))

@@ -212,27 +212,38 @@ def estimate_priors(
     return ClusterPriors(priors=priors)
 
 
-def reweight_entries(idx, prob, tile, n_tiles: int, priors: np.ndarray, cluster_of_tile: np.ndarray):
+def reweight_entries(idx, prob, tile, n_tiles: int, priors: np.ndarray, cluster_of_tile: np.ndarray,
+                     tile_name=lambda t: "tile"):
     """Prior reweighting over flat entries grouped by ``tile``.
 
     Each probability is multiplied by ``priors[cluster_of_tile[tile], idx]``
     and renormalised over its tile. Returns ``(prob, failures)``: the
-    ``raise_first`` failures of an index outside the prior and of a tile
-    whose reweighted mass is zero, in the order the checks run per tile.
+    ``raise_first`` failures of an index outside the prior, of a product of
+    two positive factors that underflows to zero (an input error, named by
+    ``tile_name(tile)``) and of a tile whose reweighted mass is zero, in the
+    order the checks run per tile.
     """
     size = priors.shape[1]
     outside = (idx < 0) | (idx >= size)
-    weighted = prob * priors[cluster_of_tile[tile], np.where(outside, 0, idx)]
+    factor = priors[cluster_of_tile[tile], np.where(outside, 0, idx)]
+    weighted = prob * factor
     total = np.bincount(tile, weights=weighted, minlength=n_tiles)
     j = first(outside)
     range_failure = (None, None)
     if j is not None:
         range_failure = (int(tile[j]), InputError(f"dense index {int(idx[j])} outside prior of size {size}"))
+    j = first((weighted == 0.0) & (prob > 0.0) & (factor > 0.0))
+    underflow_failure = (None, None)
+    if j is not None:
+        underflow_failure = (int(tile[j]), InputError(
+            f"{tile_name(int(tile[j]))}: probability {float(prob[j])!r} of dense index {int(idx[j])} "
+            f"times its prior {float(factor[j])!r} underflows to 0"
+        ))
     zero_failure = (
         first(total <= 0.0), InvariantViolation("reweighted mass is zero; prior must be epsilon-smoothed")
     )
     with np.errstate(divide="ignore", invalid="ignore"):
-        return weighted / total[tile], (range_failure, zero_failure)
+        return weighted / total[tile], (range_failure, underflow_failure, zero_failure)
 
 
 def reweight(tile_probs, prior: np.ndarray):

@@ -19,11 +19,12 @@ whole images, and one loop takes each slice through the grid check, the
 species-index check, the geo mask (built once, for the first slice that
 passes the checks) and the vote while the next is still unread, so a run
 holds a slice of the input, not all of it. A priors run keeps its
-checked and masked slices, estimates the priors over them, then
-reweights and votes them slice by slice. The stage functions below stay
-whole-batch functions; the loop calls them on each slice, and every
-quantity they compute belongs to one image, so the rows and written
-bytes are the whole-batch ones.
+checked and masked slices and estimates the priors over them; it then
+reweights every slice, writes the reweighted slices when asked to, and
+votes them, each step in order over the whole list. The stage functions
+below stay whole-batch functions; the loop calls them on each slice, and
+every quantity they compute belongs to one image, so the rows and
+written bytes are the whole-batch ones.
 
 The slices need each image's records to be contiguous in the file. When
 an image id reappears after a slice cut, the run starts again on the
@@ -33,8 +34,9 @@ Errors keep the whole-batch precedence. A bad record or unreadable line
 raises at once. Any other stage records only its first failure, later
 stages skip the slice, and reading goes on to the end of the file; the
 run then raises the failure of the earliest stage kind: grid, species
-index, mask build, mask apply, priors, reweight, vote, with each
-intermediate's write at its place in that order. An intermediate is
+index, mask build, mask apply, vote, with each intermediate's write at
+its place in that order. The priors phase runs only once all of them
+passed, so it raises the first failure it meets. An intermediate is
 written slice by slice under a hidden name and moved into place only when
 every stage before its write has passed for the whole file, so a failed
 run leaves the files the whole-batch chain left, and no partial file:
@@ -375,29 +377,31 @@ def apply_priors(
 ) -> ImageTiles:
     """Reweight every tile by the prior of its region's dominant cluster.
 
-    Each slice raises its first failure as it fills the output. An image
-    whose region fails first lets an earlier tile's failure win."""
+    Each slice raises its first failure as it fills the output; an image
+    without a usable cluster fails at its first tile."""
     batch = as_batch(tiles)
-    clusters: List[int] = []
-    for i, image_id in enumerate(batch.image_ids):
-        try:
-            region = parse_region(image_id, registry)
-            if region not in region_map:
-                raise InputError(f"region {region!r} has no dominant cluster in the map")
-            cluster = region_map[region]
-            if not 0 <= cluster < priors.k:
-                raise InputError(f"region {region!r} maps to cluster {cluster}; priors have rows 0..{priors.k - 1}")
-        except InputError:
-            apply_priors(batch.images(0, i), priors, region_map, registry)
-            raise
-        clusters.append(cluster)
-    cluster_of_tile = np.asarray(clusters, dtype=np.int64)[batch.image]
 
     def fill(lo, view, tile, idx, prob):
+        clusters, region_failure = [], (None, None)
+        for i, image_id in enumerate(view.image_ids):
+            try:
+                region = parse_region(image_id, registry)
+                if region not in region_map:
+                    raise InputError(f"region {region!r} has no dominant cluster in the map")
+                cluster = region_map[region]
+                if not 0 <= cluster < priors.k:
+                    raise InputError(f"region {region!r} maps to cluster {cluster}; priors have rows 0..{priors.k - 1}")
+            except InputError as exc:
+                region_failure = (int(view.image_offsets[i]), exc)
+                break
+            clusters.append(cluster)
+        head = view.images(0, len(clusters))  # the images ahead of the first without a cluster
         weighted, found = reweight_entries(
-            view.idx, view.prob, tile, len(view), priors.priors, cluster_of_tile[lo:lo + len(view)]
+            head.idx, head.prob, tile[:len(head.idx)], len(head), priors.priors,
+            np.asarray(clusters, dtype=np.int64)[head.image],
+            lambda t: f"tile ({int(head.row[t])},{int(head.col[t])}) of {head.image_ids[head.image[t]]!r}",
         )
-        raise_first(*found, view.prob_failure(weighted))
+        raise_first(region_failure, *found, head.prob_failure(weighted))
         idx[:], prob[:] = view.idx, weighted
 
     return ImageTiles(batch.derive(batch.offsets, fill))
@@ -499,8 +503,7 @@ def score_submission(
 # raises the failure of its earliest kind, whichever slice it met it in. A
 # failing read raises at once, ahead of them all. Writing an intermediate is
 # a kind of its own, at the place the whole-batch chain writes it.
-(_GRID, _SPECIES, _MASK_BUILD, _MASK_FILE, _MASK_APPLY, _MASKED_FILE,
- _PRIORS, _REWEIGHT, _REWEIGHTED_FILE, _VOTE, _PASSED) = range(11)
+(_GRID, _SPECIES, _MASK_BUILD, _MASK_FILE, _MASK_APPLY, _MASKED_FILE, _VOTE, _PASSED) = range(8)
 
 
 class _FirstFailure:
@@ -568,10 +571,10 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> Li
 
     One loop walks the tile file's slices as they are read: grid check,
     species indices, geo mask and, without priors, the vote. A priors run
-    keeps its checked and masked slices, estimates the priors over them,
-    then reweights and votes them slice by slice. An intermediate tile file
-    is written slice by slice and kept only when the whole-batch chain
-    would have written it whole.
+    holds its checked and masked slices; once they all passed, it estimates
+    the priors, then reweights, writes and votes the slices in turn. An
+    intermediate tile file is written slice by slice and kept only when the
+    whole-batch chain would have written it whole.
     """
     keep, geo, priors = config.keep_intermediates, config.geo.enabled, config.priors.enabled
     mask = None
@@ -592,7 +595,7 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> Li
                 stages.append((_MASK_APPLY, lambda view: apply_geo_mask(view, mask).batch))
                 if keep:
                     stages.append((_MASKED_FILE, masked.write))
-            stages.append((_PRIORS, held.append) if priors else (_VOTE, vote.add))
+            stages.append((_VOTE, held.append if priors else vote.add))
             failure.walk(slices, stages)
             if geo and keep:
                 failure.call(_MASK_FILE, write_species_mask, out_dir / "mask.csv", mask, catalog)
@@ -610,22 +613,17 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> Li
             write_assignments(out_dir / "assignments.csv", embeddings.image_ids, artifacts.model.assignments)
             write_region_cluster_map(out_dir / "region_clusters.csv", artifacts.region_map)
             write_priors(out_dir / "priors.ndjson", artifacts.priors)
-
-        def reweight(view):
-            return apply_priors(view, artifacts.priors, artifacts.region_map, registry).batch
-
-        with StagedTileFile(out_dir / "reweighted_predictions.ndjson") as reweighted:
-            stages = [(_REWEIGHT, reweight)]
-            if keep:
-                stages.append((_REWEIGHTED_FILE, reweighted.write))
-            stages.append((_VOTE, vote.add))
-            failure.walk(_drained(held), stages)
-            if keep:
-                failure.call(_REWEIGHTED_FILE, reweighted.commit)
-        failure.raise_any()
-    rows = failure.call(_VOTE, vote.rows)
-    failure.raise_any()
-    return rows
+        # every slice is held, so the first that fails holds the batch's first failure
+        reweighted = [apply_priors(view, artifacts.priors, artifacts.region_map, registry).batch
+                      for view in _drained(held)]
+        if keep:
+            with StagedTileFile(out_dir / "reweighted_predictions.ndjson") as staged:
+                for view in reweighted:
+                    staged.write(view)
+                staged.commit()
+        for view in _drained(reweighted):
+            vote.add(view)
+    return vote.rows()
 
 
 def run(config: RunConfig) -> RunResult:

@@ -218,12 +218,14 @@ def build_pairs(data: np.ndarray, cfg: ProjectorConfig, rng: np.random.Generator
         raise InputError(f"need more than n_neighbors={cfg.n_neighbors} points, got {n}")
 
     k = cfg.n_neighbors
+    # mid-near: per pair, the 2nd closest of min(6, n - 1) sampled points
+    n_mn, sample = _round_half_up(k * cfg.mn_ratio), min(6, n - 1)
+    if n * n_mn * sample >= 2**63:
+        raise InputError(f"mn_ratio={cfg.mn_ratio} asks for {n} x {n_mn} x {sample} mid-near draws, "
+                         "more than an array can index")
     near_idx = _near_neighbors(data, k)
     anchors = np.arange(n)
 
-    # mid-near: per pair, the 2nd closest of min(6, n - 1) sampled points
-    n_mn = _round_half_up(k * cfg.mn_ratio)
-    sample = min(6, n - 1)
     drawn = _distinct_draws(rng, n, np.repeat(anchors, n_mn)[:, None], sample)
     drawn = drawn.reshape(n, n_mn, sample)
     d2 = np.empty(drawn.shape)

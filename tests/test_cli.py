@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, formats, stage composability."""
 
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -814,14 +816,134 @@ def test_stage_command_negative_seed_exits_1(fixture_dir, tmp_path, capsys, comm
     (["--fp-ratio", "inf"], "fp_ratio must be finite, got inf"),
     (["--mn-ratio", "1e300"], "mn_ratio=1e+300 asks for more than 2**63 - 1 pairs per point"),
     (["--neighbors", "2", "--fp-ratio", "5e18"], "fp_ratio=5e+18 asks for more than 2**63 - 1 pairs per point"),
+    (["--mn-ratio", "1e17"],  # 10**18 pairs per point pass the config, but not for 16 points
+     "mn_ratio=1e+17 asks for 16 x 1000000000000000000 x 6 mid-near draws, more than an array can index"),
     (["--learning-rate", "-1"], "learning_rate must be finite and > 0, got -1.0"),
     (["--learning-rate", "0"], "learning_rate must be finite and > 0, got 0.0"),
     (["--learning-rate", "nan"], "learning_rate must be finite and > 0, got nan"),
     (["--learning-rate", "inf"], "learning_rate must be finite and > 0, got inf"),
-], ids=["mn-nan", "fp-inf", "mn-huge", "fp-huge", "lr-negative", "lr-zero", "lr-nan", "lr-inf"])
+], ids=["mn-nan", "fp-inf", "mn-huge", "fp-huge", "mn-pairs-overflow", "lr-negative", "lr-zero", "lr-nan", "lr-inf"])
 def test_project_rejects_unusable_settings(fixture_dir, tmp_path, capsys, flags, message):
     out = tmp_path / "proj.csv"
     assert main(["project", "--embeddings", str(fixture_dir / "embeddings.ndjson"),
                  "--out", str(out), *flags]) == 1
     assert capsys.readouterr().err == f"floratile: error: {message}\n"
     assert not out.exists()
+
+
+# --- priors runs that fail in the reweight ------------------------------------
+
+def _priors_run(fixture_dir, out, predictions=None, embeddings=None):
+    return main(["run", "--mode", "tiling", "--grid", "3x3",
+                 "--catalog", str(fixture_dir / "catalog.csv"),
+                 "--predictions", str(predictions or fixture_dir / "tile_predictions.ndjson"),
+                 "--registry", str(fixture_dir / "regions.txt"), "--out", str(out),
+                 "--priors", "--priors-k", "2", "--embeddings", str(embeddings or fixture_dir / "embeddings.ndjson")])
+
+
+def test_run_priors_with_an_embedding_missing_exits_1(fixture_dir, tmp_path, capsys):
+    lines = (fixture_dir / "embeddings.ndjson").read_text().splitlines(keepends=True)
+    emb = tmp_path / "emb.ndjson"
+    emb.write_text("".join(lines[:3] + lines[4:]))
+    out = tmp_path / "out"
+    assert _priors_run(fixture_dir, out, embeddings=emb) == 1
+    missing = json.loads(lines[3])["image_id"]
+    assert capsys.readouterr().err == f"floratile: error: no cluster assignment for predicted image(s): {[missing]}\n"
+    assert not (out / "submission.csv").exists()
+
+
+def _underflowing(fixture_dir, tmp_path, at, probs):
+    """The fixture's tile file with record ``at`` holding ``probs``, and that record."""
+    lines = (fixture_dir / "tile_predictions.ndjson").read_text().splitlines()
+    rec = dict(json.loads(lines[at]), probs=probs, complete=False)
+    lines[at] = json.dumps(rec)
+    path = tmp_path / "preds.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    return path, rec
+
+
+@pytest.mark.parametrize("probs", [[[5, 5e-324]], [[5, 0.5], [7, 5e-324]]], ids=["one-entry", "one-of-two"])
+def test_an_underflowing_reweight_is_an_input_error_at_its_tile(fixture_dir, tmp_path, capsys, probs):
+    preds, rec = _underflowing(fixture_dir, tmp_path, 30, probs)
+    tile = f"tile ({rec['row']},{rec['col']}) of {rec['image_id']!r}"
+    index = probs[-1][0]
+    out = tmp_path / "out"
+    assert _priors_run(fixture_dir, out, predictions=preds) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"floratile: error: {re.escape(tile)}: probability 5e-324 of dense index {index} "
+                        r"times its prior \S+ underflows to 0\n", err), err
+    assert not (out / "submission.csv").exists()
+
+    priors = tmp_path / "priors.ndjson"
+    priors.write_text("".join(json.dumps({"cluster": c, "prior": [0.025] * 40}) + "\n" for c in range(2)))
+    region_map = tmp_path / "region_clusters.csv"
+    region_map.write_text("region,cluster\nSYN-AA,0\nSYN-BB,1\n")
+    reweighted = tmp_path / "reweighted.ndjson"
+    assert main(["reweight", "--predictions", str(preds), "--priors", str(priors),
+                 "--region-clusters", str(region_map), "--registry", str(fixture_dir / "regions.txt"),
+                 "--out", str(reweighted)]) == 1
+    assert capsys.readouterr().err == (
+        f"floratile: error: {tile}: probability 5e-324 of dense index {index} times its prior 0.025 underflows to 0\n"
+    )
+    assert not reweighted.exists()
+
+
+# --- flag and file errors of the stage commands --------------------------------
+
+@pytest.fixture(scope="module")
+def projection_file(fixture_dir, tmp_path_factory):
+    proj = tmp_path_factory.mktemp("proj") / "proj.csv"
+    assert main(["project", "--embeddings", str(fixture_dir / "embeddings.ndjson"),
+                 "--out", str(proj), "--iters", "10,10,20"]) == 0
+    return proj
+
+
+def test_plot_by_registry_colors_each_point_by_its_region(fixture_dir, projection_file, tmp_path):
+    svg_path = tmp_path / "plot.svg"
+    assert main(["plot", "--projection", str(projection_file), "--registry", str(fixture_dir / "regions.txt"),
+                 "--out", str(svg_path)]) == 0
+    svg = svg_path.read_text()
+    assert svg.count("<circle") == 16
+    assert svg.count("<rect") == 3  # the background and one legend swatch per region
+    assert ">SYN-AA</text>" in svg and ">SYN-BB</text>" in svg
+
+
+def _flag_error_cases(fixture_dir, projection, tmp_path):
+    """(argv, message, outputs that must not appear) per stage-command flag or file error."""
+    out = tmp_path / "out"
+    *ids, missing_image = [line.split(",")[0] for line in projection.read_text().splitlines()[1:]]
+    assign = tmp_path / "assign.csv"
+    assign.write_text("image_id,cluster\n" + "".join(f"{i},0\n" for i in ids))
+    array_config = tmp_path / "array.json"
+    array_config.write_text("[1, 2]")
+    missing_config = tmp_path / "missing.json"
+    run = ["run", "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out),
+           "--predictions", str(fixture_dir / "tile_predictions.ndjson")]
+    return {
+        "plot-missing-assignment": (
+            ["plot", "--projection", str(projection), "--assignments", str(assign), "--out", str(out)],
+            f"no cluster assignment for image(s): {[missing_image]}", [out]),
+        "geofilter-predictions-alone": (
+            ["geofilter", "--observations", str(fixture_dir / "observations.csv"),
+             "--regions", str(fixture_dir / "geo_regions.json"), "--catalog", str(fixture_dir / "catalog.csv"),
+             "--out", str(out), "--predictions", str(fixture_dir / "tile_predictions.ndjson")],
+            "--predictions needs --out-predictions", [out]),
+        "cluster-region-map-alone": (
+            ["cluster", "--projection", str(projection), "--out", str(out), "--region-map-out", str(assign) + "2"],
+            "--region-map-out needs --registry", [out, Path(str(assign) + "2")]),
+        "run-missing-config": (
+            [*run, "--config", str(missing_config)], f"{missing_config}: config file not found", [out]),
+        "run-array-config": (
+            [*run, "--config", str(array_config)], f"{array_config}: config must be a JSON object", [out]),
+    }
+
+
+@pytest.mark.parametrize("case", ["plot-missing-assignment", "geofilter-predictions-alone",
+                                  "cluster-region-map-alone", "run-missing-config", "run-array-config"])
+def test_flag_and_file_errors_exit_1_before_any_output(fixture_dir, projection_file, tmp_path, capsys, case):
+    argv, message, outputs = _flag_error_cases(fixture_dir, projection_file, tmp_path)[case]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"floratile: error: {message}\n"
+    assert captured.out == ""
+    assert not any(path.exists() for path in outputs)

@@ -130,7 +130,8 @@ def small_bundle(tmp_path_factory):
 
 # the unreadable line goes in last, so every other fault finds records to change
 FAULTS = ("rejected record", "off-grid tile", "repeated tile", "index past catalog", "masked-out image",
-          "bad observations", "region without cluster", "unreadable line")
+          "bad observations", "region without cluster", "missing embedding", "underflowing tile",
+          "unreadable line")
 
 
 @st.composite
@@ -170,6 +171,10 @@ def run_inputs(draw, bundle_dir: Path, dropped):
             observations = "species_id,lat,lon\n" + "3,91.5,2.0\n"
         elif fault == "region without cluster":
             embeddings = [line for line in embeddings if not json.loads(line)["image_id"].startswith("SYN-BB")]
+        elif fault == "missing embedding":
+            del embeddings[draw(st.integers(0, len(embeddings) - 1))]
+        elif fault == "underflowing tile":  # valid, but its one entry times any prior is 0
+            lines[at] = json.dumps(dict(rec, probs=[[rec["probs"][0][0], 5e-324]], complete=False))
     settings = dict(mode=mode, keep_intermediates=draw(st.booleans()))
     if mode != "baseline":
         settings.update(geo=draw(st.booleans()), priors=draw(st.booleans()))
@@ -223,6 +228,24 @@ def test_run_raises_the_first_failure_of_the_earliest_stage_kind(small_bundle, t
     config = _config(bundle_dir, tmp_path, dict(mode="tiling", geo=False, priors=False, keep_intermediates=False))
     expected = _outcome(_whole_batch_run, config)
     assert expected[0] == ("error", "InputError", f"tile (7,{records[20]['col']}) of {records[20]['image_id']!r} outside 2x3 grid")
+    assert _outcome(lambda c: run(c).submission, config) == expected
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_run_keeps_no_reweighted_file_when_a_later_slice_fails_to_reweight(small_bundle, tmp_path, monkeypatch,
+                                                                           keep):
+    bundle_dir, _ = small_bundle
+    lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
+    rec = json.loads(lines[-1])  # a tile of the last image, so of the last slice
+    lines[-1] = json.dumps(dict(rec, probs=[[rec["probs"][0][0], 5e-324]], complete=False))
+    (tmp_path / "predictions.ndjson").write_text("\n".join(lines) + "\n")
+    shutil.copy(bundle_dir / "embeddings.ndjson", tmp_path)
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    config = _config(bundle_dir, tmp_path, dict(mode="tiling", geo=False, priors=True, keep_intermediates=keep))
+    expected = _outcome(_whole_batch_run, config)
+    assert expected[0][:2] == ("error", "InputError")
+    assert expected[0][2].startswith(f"tile ({rec['row']},{rec['col']}) of {rec['image_id']!r}: probability 5e-324")
+    assert "reweighted_predictions.ndjson" not in expected[1]
     assert _outcome(lambda c: run(c).submission, config) == expected
 
 
