@@ -667,9 +667,12 @@ def write_submission(path, rows: Sequence[SubmissionRow]):
         raise InputError("submission must contain at least one row")
     seen = set()
     for row in rows:
-        if row.quadrat_id in seen:
-            raise InputError(f"duplicate quadrat_id {row.quadrat_id!r} in submission")
-        seen.add(row.quadrat_id)
+        q = row.quadrat_id
+        if q in seen:
+            raise InputError(f"duplicate quadrat_id {q!r} in submission")
+        if ";" in q or "\n" in q or "\r" in q:  # the unquoted row would not read back
+            raise InputError(f"quadrat_id {q!r} holds ';' or a line break, which a submission cannot hold")
+        seen.add(q)
     with _open_write(path) as fh:
         fh.write("quadrat_id;species_ids\n")
         for row in rows:

@@ -31,9 +31,10 @@ an image id reappears after a slice cut, the run starts again on the
 whole file read as one batch.
 
 Errors keep the whole-batch precedence. A bad record or unreadable line
-raises at once. Any other stage records only its first failure, later
-stages skip the slice, and reading goes on to the end of the file; the
-run then raises the failure of the earliest stage kind: grid, species
+raises at once. Any other stage runs only while no stage of its kind or
+an earlier kind has failed, so a slice's later stages are skipped, and
+reading goes on to the end of the file; the run then raises the first
+failure of the earliest stage kind: grid, species
 index, mask build, mask apply, vote, with each intermediate's write at
 its place in that order. The priors phase runs only once all of them
 passed, so it raises the first failure it meets. An intermediate is
@@ -506,43 +507,6 @@ def score_submission(
 (_GRID, _SPECIES, _MASK_BUILD, _MASK_FILE, _MASK_APPLY, _MASKED_FILE, _VOTE, _PASSED) = range(8)
 
 
-class _FirstFailure:
-    """The failure of the earliest stage kind a run has met so far.
-
-    A stage runs only while no stage of its kind or of an earlier kind has
-    failed: its failure could not be the one the run raises, and the stages
-    after it have no input."""
-
-    def __init__(self):
-        self.kind, self.error = _PASSED, None
-
-    def call(self, kind: int, fn, *args):
-        """``fn(*args)``, or None when the stage is skipped or fails."""
-        if kind >= self.kind:
-            return None
-        try:
-            return fn(*args)
-        except FloratileError as exc:
-            self.kind, self.error = kind, exc
-            return None
-
-    def walk(self, slices, stages):
-        """Pass each slice through ``stages``, ``(kind, fn)`` pairs in run
-        order; ``fn`` returns the batch the next stage takes, or None to pass
-        its own input on."""
-        for view in slices:
-            for kind, stage in stages:
-                out = self.call(kind, stage, view)
-                if kind >= self.kind:
-                    break
-                if out is not None:
-                    view = out
-
-    def raise_any(self):
-        if self.error is not None:
-            raise self.error
-
-
 def _walk_tile_file(path, walk):
     """``walk(slices)`` over the slices of the tile file at ``path``, as it is
     read. A file whose image reappears after a slice cut is walked again from
@@ -566,45 +530,66 @@ def _image_ids(slices) -> List[str]:
     return [image_id for view in slices for image_id in view.image_ids]
 
 
+def _first_pass(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path, slices):
+    """``(error, held, vote)``: each slice taken through the grid check, the
+    species indices, the geo mask and the vote, or held when the run has
+    priors; ``error`` is the first failure of the earliest stage kind, or None.
+
+    A stage runs only while no stage of its kind or of an earlier kind has
+    failed: its failure could not be the one the run raises, and the stages
+    after it have no input. Kinds grow along a slice's stages, so once one is
+    skipped the rest of the slice is skipped too.
+    """
+    keep, geo = config.keep_intermediates, config.geo.enabled
+    failed, error = _PASSED, None
+
+    def attempt(kind: int, fn, *args):
+        """``fn(*args)``, or None when the stage is skipped or fails."""
+        nonlocal failed, error
+        if kind >= failed:
+            return None
+        try:
+            return fn(*args)
+        except FloratileError as exc:
+            failed, error = kind, exc
+            return None
+
+    mask, held = None, []
+    vote = _Vote(catalog, config.k_per_tile, config.min_votes, config.max_labels)
+    with StagedTileFile(out_dir / "masked_predictions.ndjson") as masked:
+        for view in slices:
+            attempt(_GRID, validate_grid, view, config.grid)
+            attempt(_SPECIES, check_species_indices, view, len(catalog))
+            if geo:
+                if mask is None:  # for the first slice that passes the checks, as the whole-batch chain did
+                    mask = attempt(_MASK_BUILD, compute_geo_mask, config.geo, catalog)
+                view = attempt(_MASK_APPLY, lambda: apply_geo_mask(view, mask).batch)
+                if keep:
+                    attempt(_MASKED_FILE, masked.write, view)
+            attempt(_VOTE, held.append if config.priors.enabled else vote.add, view)
+        if geo and keep:
+            attempt(_MASK_FILE, write_species_mask, out_dir / "mask.csv", mask, catalog)
+            attempt(_MASKED_FILE, masked.commit)
+    return error, held, vote
+
+
 def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> List[SubmissionRow]:
     """Every stage of a tiling or no-tiling run, from the tile file to sorted rows.
 
-    One loop walks the tile file's slices as they are read: grid check,
-    species indices, geo mask and, without priors, the vote. A priors run
-    holds its checked and masked slices; once they all passed, it estimates
-    the priors, then reweights, writes and votes the slices in turn. An
-    intermediate tile file is written slice by slice and kept only when the
-    whole-batch chain would have written it whole.
+    ``_first_pass`` takes the tile file's slices as they are read through the
+    grid check, species indices, geo mask and, without priors, the vote, and
+    the run raises the failure it returns. A priors run holds its checked and
+    masked slices; once they all passed, it estimates the priors, then
+    reweights, writes and votes the slices in turn. An intermediate tile file
+    is written slice by slice and kept only when the whole-batch chain would
+    have written it whole.
     """
-    keep, geo, priors = config.keep_intermediates, config.geo.enabled, config.priors.enabled
-    mask = None
-
-    def build_mask_once(view):
-        nonlocal mask
-        if mask is None:  # for the first slice that passes the checks, as the whole-batch chain did
-            mask = compute_geo_mask(config.geo, catalog)
-
-    def first_pass(slices):
-        failure, held = _FirstFailure(), []
-        vote = _Vote(catalog, config.k_per_tile, config.min_votes, config.max_labels)
-        stages = [(_GRID, lambda view: validate_grid(view, config.grid)),
-                  (_SPECIES, lambda view: check_species_indices(view, len(catalog)))]
-        with StagedTileFile(out_dir / "masked_predictions.ndjson") as masked:
-            if geo:
-                stages.append((_MASK_BUILD, build_mask_once))
-                stages.append((_MASK_APPLY, lambda view: apply_geo_mask(view, mask).batch))
-                if keep:
-                    stages.append((_MASKED_FILE, masked.write))
-            stages.append((_VOTE, held.append if priors else vote.add))
-            failure.walk(slices, stages)
-            if geo and keep:
-                failure.call(_MASK_FILE, write_species_mask, out_dir / "mask.csv", mask, catalog)
-                failure.call(_MASKED_FILE, masked.commit)
-        return failure, held, vote
-
-    failure, held, vote = _walk_tile_file(config.predictions_path, first_pass)
-    failure.raise_any()
-    if priors:
+    error, held, vote = _walk_tile_file(
+        config.predictions_path, lambda slices: _first_pass(config, catalog, out_dir, slices))
+    if error is not None:
+        raise error
+    keep = config.keep_intermediates
+    if config.priors.enabled:
         registry = read_region_registry(config.registry_path)
         embeddings = read_embeddings(config.priors.embeddings_path)
         artifacts = compute_priors_artifacts(embeddings, held, registry, catalog, config.priors, config.seed)

@@ -220,9 +220,10 @@ def build_pairs(data: np.ndarray, cfg: ProjectorConfig, rng: np.random.Generator
     k = cfg.n_neighbors
     # mid-near: per pair, the 2nd closest of min(6, n - 1) sampled points
     n_mn, sample = _round_half_up(k * cfg.mn_ratio), min(6, n - 1)
-    if n * n_mn * sample >= 2**63:
+    # _distinct_draws holds each anchor's n_mn rows of its own index and the draws, int64 each
+    if 8 * n * n_mn * (sample + 1) > np.iinfo(np.intp).max:
         raise InputError(f"mn_ratio={cfg.mn_ratio} asks for {n} x {n_mn} x {sample} mid-near draws, "
-                         "more than an array can index")
+                         "more than an array can hold")
     near_idx = _near_neighbors(data, k)
     anchors = np.arange(n)
 

@@ -58,6 +58,8 @@ def plot_projection(
     optionally maps those integers to legend text. Unlabeled plots draw
     all points in a neutral dark gray and omit the legend.
     """
+    if width < 1 or height < 1:
+        raise InputError(f"plot canvas must be at least 1x1 pixel, got {width}x{height}")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise InputError(f"points must have shape (n, 2), got {points.shape}")

@@ -817,18 +817,35 @@ def test_stage_command_negative_seed_exits_1(fixture_dir, tmp_path, capsys, comm
     (["--mn-ratio", "1e300"], "mn_ratio=1e+300 asks for more than 2**63 - 1 pairs per point"),
     (["--neighbors", "2", "--fp-ratio", "5e18"], "fp_ratio=5e+18 asks for more than 2**63 - 1 pairs per point"),
     (["--mn-ratio", "1e17"],  # 10**18 pairs per point pass the config, but not for 16 points
-     "mn_ratio=1e+17 asks for 16 x 1000000000000000000 x 6 mid-near draws, more than an array can index"),
+     "mn_ratio=1e+17 asks for 16 x 1000000000000000000 x 6 mid-near draws, more than an array can hold"),
+    (["--mn-ratio", "8e15"],  # fewer than 2**63 draws, but more than 2**63 bytes
+     "mn_ratio=8000000000000000.0 asks for 16 x 80000000000000000 x 6 mid-near draws, more than an array can hold"),
     (["--learning-rate", "-1"], "learning_rate must be finite and > 0, got -1.0"),
     (["--learning-rate", "0"], "learning_rate must be finite and > 0, got 0.0"),
     (["--learning-rate", "nan"], "learning_rate must be finite and > 0, got nan"),
     (["--learning-rate", "inf"], "learning_rate must be finite and > 0, got inf"),
-], ids=["mn-nan", "fp-inf", "mn-huge", "fp-huge", "mn-pairs-overflow", "lr-negative", "lr-zero", "lr-nan", "lr-inf"])
+], ids=["mn-nan", "fp-inf", "mn-huge", "fp-huge", "mn-pairs-overflow", "mn-draw-bytes", "lr-negative", "lr-zero", "lr-nan", "lr-inf"])
 def test_project_rejects_unusable_settings(fixture_dir, tmp_path, capsys, flags, message):
     out = tmp_path / "proj.csv"
     assert main(["project", "--embeddings", str(fixture_dir / "embeddings.ndjson"),
                  "--out", str(out), *flags]) == 1
     assert capsys.readouterr().err == f"floratile: error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("quadrat_id", ["Q;1", "Q\n1", "Q\r1"], ids=["semicolon", "lf", "cr"])
+@pytest.mark.parametrize("mode", ["tiling", "baseline"])
+def test_run_rejects_an_image_id_a_submission_cannot_hold(fixture_dir, tmp_path, capsys, mode, quadrat_id):
+    preds = tmp_path / "preds.ndjson"
+    preds.write_text(json.dumps({"image_id": quadrat_id, "row": 0, "col": 0, "probs": [[1, 0.6], [2, 0.4]]}) + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--mode", mode, "--grid", "1x1", "--catalog", str(fixture_dir / "catalog.csv"),
+                 "--predictions", str(preds), "--training-counts", str(fixture_dir / "training_counts.csv"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"floratile: error: quadrat_id {quadrat_id!r} holds ';' or a line break, which a submission cannot hold\n"
+    )
+    assert not (out / "submission.csv").exists()
 
 
 # --- priors runs that fail in the reweight ------------------------------------
@@ -923,6 +940,12 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
         "plot-missing-assignment": (
             ["plot", "--projection", str(projection), "--assignments", str(assign), "--out", str(out)],
             f"no cluster assignment for image(s): {[missing_image]}", [out]),
+        "plot-zero-width": (
+            ["plot", "--projection", str(projection), "--width", "0", "--out", str(out)],
+            "plot canvas must be at least 1x1 pixel, got 0x600", [out]),
+        "plot-negative-height": (
+            ["plot", "--projection", str(projection), "--height", "-5", "--out", str(out)],
+            "plot canvas must be at least 1x1 pixel, got 800x-5", [out]),
         "geofilter-predictions-alone": (
             ["geofilter", "--observations", str(fixture_dir / "observations.csv"),
              "--regions", str(fixture_dir / "geo_regions.json"), "--catalog", str(fixture_dir / "catalog.csv"),
@@ -938,7 +961,8 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
     }
 
 
-@pytest.mark.parametrize("case", ["plot-missing-assignment", "geofilter-predictions-alone",
+@pytest.mark.parametrize("case", ["plot-missing-assignment", "plot-zero-width", "plot-negative-height",
+                                  "geofilter-predictions-alone",
                                   "cluster-region-map-alone", "run-missing-config", "run-array-config"])
 def test_flag_and_file_errors_exit_1_before_any_output(fixture_dir, projection_file, tmp_path, capsys, case):
     argv, message, outputs = _flag_error_cases(fixture_dir, projection_file, tmp_path)[case]

@@ -767,6 +767,21 @@ def test_submission_with_crlf_or_cr_line_ends_reads_as_with_lf(tmp_path, end):
     assert read_submission(path) == [SubmissionRow("Q1", (3, 5)), SubmissionRow("Q2", (7,))]
 
 
+@pytest.mark.parametrize("quadrat_id", ["Q;1", "Q\n1", "Q\r1"], ids=["semicolon", "lf", "cr"])
+def test_write_submission_rejects_an_id_the_format_cannot_hold(tmp_path, quadrat_id):
+    path = tmp_path / "sub.csv"
+    with pytest.raises(InputError, match=re.escape(f"quadrat_id {quadrat_id!r} holds ';' or a line break")):
+        write_submission(path, [SubmissionRow("Q0", (1,)), SubmissionRow(quadrat_id, (2,))])
+    assert not path.exists()
+
+
+def test_submission_id_holding_a_quote_keeps_its_bytes(tmp_path):
+    path = tmp_path / "sub.csv"
+    write_submission(path, [SubmissionRow('Q"1', (2,))])
+    assert path.read_bytes() == b'quadrat_id;species_ids\nQ"1;[2]\n'
+    assert read_submission(path) == [SubmissionRow('Q"1', (2,))]
+
+
 def test_submission_rejections(tmp_path):
     path = tmp_path / "sub.csv"
     with pytest.raises(InputError):

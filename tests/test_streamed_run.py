@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from floratile import batch as fbatch
+from floratile import pipeline
 from floratile.catalog import load_catalog
 from floratile.errors import InputError, InvariantViolation
 from floratile.io import (
@@ -229,6 +230,28 @@ def test_run_raises_the_first_failure_of_the_earliest_stage_kind(small_bundle, t
     expected = _outcome(_whole_batch_run, config)
     assert expected[0] == ("error", "InputError", f"tile (7,{records[20]['col']}) of {records[20]['image_id']!r} outside 2x3 grid")
     assert _outcome(lambda c: run(c).submission, config) == expected
+
+
+@pytest.mark.parametrize("off_grid_line,builds", [(None, 1), (0, 0), (-1, 1)],
+                         ids=["good", "first-slice-off-grid", "last-slice-off-grid"])
+def test_run_builds_the_geo_mask_once_for_the_first_slice_that_passes_the_checks(
+        small_bundle, tmp_path, monkeypatch, off_grid_line, builds):
+    bundle_dir, _ = small_bundle
+    lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
+    if off_grid_line is not None:  # a tile of the first or the last image
+        lines[off_grid_line] = json.dumps(dict(json.loads(lines[off_grid_line]), row=7))
+    (tmp_path / "predictions.ndjson").write_text("\n".join(lines) + "\n")
+    shutil.copy(bundle_dir / "observations.csv", tmp_path)
+    calls = []
+    monkeypatch.setattr(pipeline, "compute_geo_mask", lambda *args: calls.append(args) or compute_geo_mask(*args))
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    config = _config(bundle_dir, tmp_path, dict(mode="tiling", geo=True, priors=False, keep_intermediates=False))
+    if off_grid_line is None:
+        assert len(run(config).submission) == SPEC.n_images
+    else:
+        with pytest.raises(InputError, match=r"^tile \(7,\d\) of .* outside 2x3 grid$"):
+            run(config)
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize("keep", [False, True])
