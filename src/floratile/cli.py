@@ -121,12 +121,12 @@ def _cmd_geofilter(args) -> int:
         regions_path=args.regions,
     )
     mask = compute_geo_mask(options, catalog)
+    filtered = apply_geo_mask(fio.read_tile_predictions(args.predictions), mask) if args.predictions else None
     if args.out:
         fio.write_species_mask(args.out, mask, catalog)
     else:
         sys.stdout.write(fio.format_species_mask(mask, catalog))
-    if args.predictions:
-        filtered = apply_geo_mask(fio.read_tile_predictions(args.predictions), mask)
+    if filtered is not None:
         fio.write_tile_predictions(args.out_predictions, filtered.batch)
     return 0
 
@@ -146,11 +146,13 @@ def _cmd_cluster(args) -> int:
         raise InputError("--region-map-out needs --registry")
     projection = fio.read_projection(args.projection)
     model = kmeans(projection.points, args.k, seed=args.seed)
-    fio.write_assignments(args.out, projection.image_ids, model.assignments)
+    region_map = None
     if args.region_map_out:
         registry = fio.read_region_registry(args.registry)
-        regions = [parse_region(i, registry) for i in projection.image_ids]
-        fio.write_region_cluster_map(args.region_map_out, dominant_cluster(model.assignments, regions))
+        region_map = dominant_cluster(model.assignments, [parse_region(i, registry) for i in projection.image_ids])
+    fio.write_assignments(args.out, projection.image_ids, model.assignments)
+    if region_map is not None:
+        fio.write_region_cluster_map(args.region_map_out, region_map)
     return 0
 
 

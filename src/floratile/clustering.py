@@ -118,13 +118,16 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterModel:
     rng = np.random.default_rng(seed)
     centroids = _plusplus_init(points, k, rng)
     history: List[float] = []
-
-    for _ in range(_MAX_LLOYD_ITERS):
+    displacement = np.inf
+    # the pass after the last centroid update, at convergence or at the cap, is the final assignment
+    for n_pass in range(_MAX_LLOYD_ITERS + 1):
         assign = _assign(points, centroids)
         inertia = _inertia(points, centroids, assign)
         if history and inertia > history[-1] * (1 + 1e-12) + 1e-12:
             raise InvariantViolation("k-means inertia increased between Lloyd iterations")
         history.append(inertia)
+        if displacement < _CONVERGENCE_TOL or n_pass == _MAX_LLOYD_ITERS:
+            break
 
         new_centroids = centroids.copy()
         for c in range(k):
@@ -136,21 +139,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterModel:
                 new_centroids[c] = points[far]
         displacement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
-        if displacement < _CONVERGENCE_TOL:
-            break
-
-    assign = _assign(points, centroids)
-    final_inertia = _inertia(points, centroids, assign)
-    if history and final_inertia > history[-1] * (1 + 1e-12) + 1e-12:
-        raise InvariantViolation("k-means inertia increased at final assignment")
-    history.append(final_inertia)
-    return ClusterModel(
-        k=k,
-        centroids=centroids,
-        assignments=assign,
-        inertia=final_inertia,
-        inertia_history=history,
-    )
+    return ClusterModel(k=k, centroids=centroids, assignments=assign, inertia=inertia, inertia_history=history)
 
 
 def dominant_cluster(assignments: Sequence[int], regions: Sequence[str]) -> Dict[str, int]:

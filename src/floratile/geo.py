@@ -47,19 +47,14 @@ def _on_segment(px, py, ax, ay, bx, by) -> bool:
     return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
-def _proper_intersection(p1, p2, p3, p4) -> bool:
-    d1 = _cross(p3[0], p3[1], p4[0], p4[1], p1[0], p1[1])
-    d2 = _cross(p3[0], p3[1], p4[0], p4[1], p2[0], p2[1])
-    d3 = _cross(p1[0], p1[1], p2[0], p2[1], p3[0], p3[1])
-    d4 = _cross(p1[0], p1[1], p2[0], p2[1], p4[0], p4[1])
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+def _segments_meet(a1, a2, b1, b2) -> bool:
+    """Whether the closed segments ``a1``-``a2`` and ``b1``-``b2`` share a point."""
+    d1, d2 = _cross(*b1, *b2, *a1), _cross(*b1, *b2, *a2)
+    d3, d4 = _cross(*a1, *a2, *b1), _cross(*a1, *a2, *b2)
+    if (d1 > 0 > d2 or d1 < 0 < d2) and (d3 > 0 > d4 or d3 < 0 < d4):
         return True
-    # collinear overlap also counts as self-intersection
-    if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
-        xs1, xs2 = sorted((p1[0], p2[0])), sorted((p3[0], p4[0]))
-        ys1, ys2 = sorted((p1[1], p2[1])), sorted((p3[1], p4[1]))
-        return (xs1[0] < xs2[1] and xs2[0] < xs1[1]) or (ys1[0] < ys2[1] and ys2[0] < ys1[1])
-    return False
+    return (_on_segment(*a1, *b1, *b2) or _on_segment(*a2, *b1, *b2)
+            or _on_segment(*b1, *a1, *a2) or _on_segment(*b2, *a1, *a2))
 
 
 def _coordinate(x) -> float:
@@ -71,7 +66,9 @@ def _coordinate(x) -> float:
 
 @dataclass(frozen=True)
 class GeoRegion:
-    """Simple polygon over (lat, lon) vertices; the last edge closes implicitly."""
+    """Simple polygon over (lat, lon) vertices; the last edge closes implicitly.
+
+    Simple: no two edges share a point, but for the vertex two adjacent edges meet at."""
 
     name: str
     polygon: tuple
@@ -95,11 +92,15 @@ class GeoRegion:
         for i in range(m):
             a1, a2 = verts[i], verts[(i + 1) % m]
             for j in range(i + 1, m):
-                # adjacent edges share a vertex by construction
-                if j == i or (j + 1) % m == i or (i + 1) % m == j:
-                    continue
                 b1, b2 = verts[j], verts[(j + 1) % m]
-                if _proper_intersection(a1, a2, b1, b2):
+                # adjacent edges share one vertex; they meet elsewhere when either far end lies on the other
+                if j == i + 1:
+                    meet = _on_segment(*b2, *a1, *a2) or _on_segment(*a1, *b1, *b2)
+                elif (j + 1) % m == i:
+                    meet = _on_segment(*b1, *a1, *a2) or _on_segment(*a2, *b1, *b2)
+                else:
+                    meet = _segments_meet(a1, a2, b1, b2)
+                if meet:
                     raise InputError(f"region {self.name!r}: edges {i} and {j} intersect")
 
 

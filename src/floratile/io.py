@@ -383,18 +383,22 @@ def read_tile_predictions(path) -> TileBatch:
     tests over the whole file; the first bad record in file order is
     reported with ``path:line``, ahead of any later unreadable line.
     Columns are typed arrays from the start, so no entry is held as a
-    Python object, and an integer past 64 bits is a bad record.
+    Python object. Values are not converted: a row, col or index that is not
+    a JSON integer, a probability that is not a number, a ``complete`` that
+    is not a bool and an integer past 64 bits are bad records.
     """
     return next(_tile_batches(path, math.inf))
 
 
 def _tile_batches(path, limit) -> Iterator[TileBatch]:
     """The record loop of both tile readers: batches of whole images, cut at
-    the first new image once ``limit`` entries are read (never at ``math.inf``)."""
+    the first new image once ``limit`` entries are read (never at ``math.inf``).
+    A batch views the arrays it was read into, which then cannot grow, so a
+    cut hands them over and starts new ones."""
     done: set = set()  # image ids of the batches already yielded
     codes: dict = {}
-    image, rows, cols, lines, counts, idxs = (array("q") for _ in range(6))
-    completes, probs = array("b"), array("d")
+    # per record its image code, row, col, complete flag, entry count and line; per entry its index and probability
+    columns = image, rows, cols, completes, counts, lines, idxs, probs = tuple(map(array, "qqqbqqqd"))
     add_idx, add_prob = idxs.append, probs.append
     failure = None
     records = ndjson_records(path)
@@ -407,35 +411,37 @@ def _tile_batches(path, limit) -> Iterator[TileBatch]:
             except InputError as exc:  # an unreadable line ends the records
                 failure = exc
                 break
+            key = rec.get("image_id") if isinstance(rec, dict) else None
+            if isinstance(key, str) and key not in codes and len(idxs) >= limit:  # cut ahead of a new image
+                yield _checked_batch(path, codes, *columns)
+                done.update(codes)
+                codes = {}
+                columns = image, rows, cols, completes, counts, lines, idxs, probs = tuple(map(array, "qqqbqqqd"))
+                add_idx, add_prob = idxs.append, probs.append
             start = len(idxs)
-            try:
-                key, row, col = rec["image_id"], int(rec["row"]), int(rec["col"])
+            try:  # values are appended as read: an integer array rejects a float or text, a float array text
+                key, row, col = rec["image_id"], rec["row"], rec["col"]
+                rows.append(row)
+                cols.append(col)
+                if row.__class__ is bool or col.__class__ is bool:
+                    raise TypeError(f"row and col must be integers, not {json.dumps(row)} and {json.dumps(col)}")
                 for i, p in rec["probs"]:
-                    add_idx(int(i))
-                    add_prob(float(p))
-                complete = bool(rec.get("complete", False))
+                    add_idx(i)
+                    add_prob(p)
+                    if i.__class__ is bool or p.__class__ is bool:
+                        raise TypeError(f"entry {json.dumps([i, p])} must hold two numbers")
+                complete = rec.get("complete", False)
+                if complete.__class__ is not bool:
+                    raise TypeError(f"complete must be true or false, not {json.dumps(complete)}")
                 if not isinstance(key, str):
                     failure = InputError(f"{path}:{lineno}: {rejection(key, row, col, (), complete)}")
-                else:
-                    rows.append(row)
-                    cols.append(col)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 failure = InputError(f"{path}:{lineno}: bad tile prediction record ({exc})")
-            if failure is not None:  # drop what this record appended (a row whose col overflowed too)
-                del idxs[start:], probs[start:], rows[len(lines):]
+            if failure is not None:  # drop what this record appended
+                del idxs[start:], probs[start:], rows[len(lines):], cols[len(lines):]
                 break
             code = codes.get(key)
             if code is None:
-                if start >= limit:  # cut ahead of this record, the first of a new image
-                    n = len(lines)
-                    tiles = (image, rows, cols, completes, counts, lines)
-                    yield _checked_batch(path, codes, *(c[:n] for c in tiles), idxs[:start], probs[:start])
-                    for c in tiles:
-                        del c[:n]
-                    del idxs[:start], probs[:start]
-                    start = 0
-                    done.update(codes)
-                    codes = {}
                 if key in done:
                     raise ImageReappeared(f"{path}:{lineno}: image {key!r} reappears after a slice cut")
                 code = codes[key] = len(codes)
@@ -445,7 +451,7 @@ def _tile_batches(path, limit) -> Iterator[TileBatch]:
             counts.append(len(idxs) - start)
     finally:
         records.close()
-    batch = _checked_batch(path, codes, image, rows, cols, completes, counts, lines, idxs, probs)
+    batch = _checked_batch(path, codes, *columns)
     if failure is not None:
         raise failure
     if not len(batch):

@@ -101,7 +101,7 @@ from .io import (
 from .metrics import ScoreReport, score_rows
 from .projection import EmbeddingMatrix, Projection, ProjectorConfig, fit
 from .tiling import GridSpec
-from .voting import naive_baseline, rank_labels, tally_batch
+from .voting import check_vote_settings, naive_baseline, rank_labels, tally_batch
 
 MODES = ("baseline", "no-tiling", "tiling")
 
@@ -182,7 +182,7 @@ class RunConfig:
             raise InputError("threads must be >= 1")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
-        _check_vote_settings(self.k_per_tile, self.min_votes, self.max_labels)
+        check_vote_settings(self.k_per_tile, self.min_votes, self.max_labels)  # None: the mode preset
 
     def resolved(self) -> "RunConfig":
         """Fill unset aggregation knobs from the mode preset."""
@@ -253,10 +253,11 @@ def image_probability_vectors(tiles, n_species: int) -> Tuple[List[str], np.ndar
     Tile records are sparse and need not sum to one (a top-k slice does
     not), so each tile is renormalized before entering the mean; the
     resulting rows sum to one exactly as the prior estimator requires.
-    ``tiles`` is a batch, or a list of batches that hold whole images in
-    turn, such as a run's slices; each image's row is the same either way.
+    ``tiles`` is any stage input, or a list of batches that hold whole images
+    in turn, such as a run's slices; each image's row is the same either way.
     """
-    parts = tiles if isinstance(tiles, list) else [as_batch(tiles)]
+    slices = isinstance(tiles, list) and all(isinstance(part, TileBatch) for part in tiles)
+    parts = tiles if slices else [as_batch(tiles)]
     for part in parts:
         check_species_indices(part, n_species)
     ids = [image_id for part in parts for image_id in part.image_ids]
@@ -430,14 +431,6 @@ def _slice_rows(view: TileBatch, k: int, min_votes: int, max_labels: int, specie
     return rows, []
 
 
-def _check_vote_settings(k: Optional[int], min_votes: Optional[int], max_labels: Optional[int]):
-    """Reject a vote setting below 1; None leaves a setting to the mode preset."""
-    if k is not None and k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    if any(v is not None and v < 1 for v in (min_votes, max_labels)):
-        raise InputError("min_votes and max_labels must be >= 1")
-
-
 def aggregate_predictions(
     tiles: TileBatch,
     catalog: SpeciesCatalog,
@@ -458,7 +451,7 @@ def aggregate_predictions(
     batch = as_batch(tiles)
     if not batch.image_ids:
         return []
-    _check_vote_settings(k, min_votes, max_labels)
+    check_vote_settings(k, min_votes, max_labels)
     vote = _Vote(catalog, k, min_votes, max_labels)
     vote.add(batch)
     return vote.rows()

@@ -9,7 +9,7 @@ per-image helpers wrap them. The naive frequency baseline lives here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,14 @@ class VoteTally:
 
     votes: Dict[int, int] = field(default_factory=dict)
     mass: Dict[int, float] = field(default_factory=dict)
+
+
+def check_vote_settings(k: Optional[int], min_votes: Optional[int] = None, max_labels: Optional[int] = None):
+    """Reject a vote setting below 1; a setting left None is not checked."""
+    if k is not None and k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    if any(v is not None and v < 1 for v in (min_votes, max_labels)):
+        raise InputError("min_votes and max_labels must be >= 1")
 
 
 def _voting_entries(batch: TileBatch, k: int):
@@ -91,8 +99,7 @@ def tally_votes(preds: Sequence[TilePrediction], k: int) -> VoteTally:
     image_ids = {p.image_id for p in preds}
     if len(image_ids) != 1:
         raise InvariantViolation(f"tally_votes got tiles from multiple images: {sorted(image_ids)}")
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+    check_vote_settings(k)
     batch = TileBatch.from_tiles(preds)
     _, idx, votes, mass = tally_batch(batch, k)
     # tally_batch sorts the keys by index; order them by first vote instead
@@ -108,8 +115,7 @@ def select_labels(tally: VoteTally, min_votes: int = 2, max_labels: int = 10) ->
     removes everything, the single best-ranked species is returned so the
     prediction is never empty.
     """
-    if min_votes < 1 or max_labels < 1:
-        raise InputError("min_votes and max_labels must be >= 1")
+    check_vote_settings(None, min_votes, max_labels)
     if not tally.votes:
         raise InvariantViolation("select_labels needs a non-empty tally")
     idx = np.array(sorted(tally.votes), dtype=np.int64)

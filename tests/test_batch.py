@@ -670,27 +670,61 @@ _LINE = _often(
 )
 
 
+def _wrongly_typed(line: str) -> bool:
+    """Whether the record on ``line`` holds a value of the wrong JSON type,
+    which the reference reader coerces and the batch reader rejects: a row,
+    col or dense index that is not an integer, a probability that is not a
+    number (a bool is neither), or a ``complete`` that is not a bool."""
+    try:
+        rec = json.loads(line.strip())
+    except ValueError:
+        return False
+    if not isinstance(rec, dict):
+        return False
+    entries = rec["probs"] if isinstance(rec.get("probs"), list) else []
+    pairs = [list(e) for e in entries if isinstance(e, (list, str, dict)) and len(e) == 2]  # those that unpack
+    return (
+        any(key in rec and type(rec[key]) is not int for key in ("row", "col"))
+        or any(type(i) is not int or type(p) not in (int, float) for i, p in pairs)
+        or ("complete" in rec and type(rec["complete"]) is not bool)
+    )
+
+
+def _reference_read(path, lines):
+    """Write ``lines`` to ``path`` and return ``(expected, exact)``: what the
+    batch reader must give for the file.
+
+    The file is cut at its first line holding a wrongly typed value. When the
+    reference reader fails on the lines before it, or no line holds one, its
+    outcome is expected exactly. Otherwise the expected error is a bad record
+    at that line, given by its prefix (``exact`` False): the reference never
+    words it.
+    """
+    typed = next((n for n, line in enumerate(lines, start=1) if _wrongly_typed(line)), None)
+    path.write_text("".join(line + "\n" for line in lines[:typed - 1 if typed else None]), encoding="utf-8")
+    ref = _outcome(_ref_read_tile_predictions, path)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    if typed is None or (ref[0] == "error" and ref[2] != f"{path}: no tile prediction records"):
+        return ref, True
+    return ("error", "InputError", f"{path}:{typed}: bad tile prediction record ("), False
+
+
+def _read_as_expected(new, expected, exact) -> bool:
+    if not exact:
+        return new[:2] == expected[:2] and new[2].startswith(expected[2])
+    if expected[0] == "ok":
+        return new[0] == "ok" and [(t.image_id, t.row, t.col, t.probs, t.complete) for t in new[1]] == \
+            [(t.image_id, t.row, t.col, t.probs, t.complete) for t in _ref_flatten(_ref_group_by_image(expected[1]))]
+    return new == expected
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=st.lists(_LINE, min_size=0, max_size=6))
 def test_batch_reader_rejects_exactly_what_tile_prediction_rejects(tmp_path, lines):
     path = tmp_path / "preds.ndjson"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    try:
-        ref = ("ok", _ref_group_by_image(_ref_read_tile_predictions(path)))
-    except (InputError, InvariantViolation) as exc:
-        ref = ("error", type(exc).__name__, str(exc))
-    except OverflowError as exc:
-        # int(inf) used to escape as a crash; the reader reports it as a bad record
-        ref = ("error", "InputError", str(exc))
+    expected, exact = _reference_read(path, lines)
     for new in _sliced(read_tile_predictions, path):
-        if ref[0] == "ok":
-            assert new[0] == "ok", new
-            assert [(t.image_id, t.row, t.col, t.probs, t.complete) for t in new[1]] == \
-                [(t.image_id, t.row, t.col, t.probs, t.complete) for t in _ref_flatten(ref[1])]
-        elif ref[2].startswith("cannot convert float infinity"):
-            assert new[:2] == ref[:2] and new[2].endswith(f"bad tile prediction record ({ref[2]})"), new
-        else:
-            assert new == ref
+        assert _read_as_expected(new, expected, exact), (new, expected)
 
 
 def test_reader_reports_first_bad_record_before_later_invalid_json(tmp_path):
@@ -720,10 +754,10 @@ def test_reader_reports_first_bad_record_before_later_invalid_json(tmp_path):
 def test_reader_words_a_non_string_image_id_as_tile_prediction_does(tmp_path, record):
     good = {"image_id": "a", "row": 0, "col": 0, "probs": [[1, 0.5]]}
     path = tmp_path / "preds.ndjson"
-    path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **record)) + "\n")
-    ref = _outcome(_ref_read_tile_predictions, path)
-    assert ref[0] == "error" and ref[2].startswith(f"{path}:2: ")
-    assert _outcome(read_tile_predictions, path) == ref
+    expected, exact = _reference_read(path, [json.dumps(good), json.dumps(dict(good, **record))])
+    assert expected[0] == "error" and expected[2].startswith(f"{path}:2: ")
+    new = _outcome(read_tile_predictions, path)
+    assert _read_as_expected(new, expected, exact), new
 
 
 @pytest.mark.parametrize("field", ["row", "col", "index"])

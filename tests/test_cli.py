@@ -934,6 +934,17 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
     array_config = tmp_path / "array.json"
     array_config.write_text("[1, 2]")
     missing_config = tmp_path / "missing.json"
+    repeated_registry = tmp_path / "repeated.txt"
+    repeated_registry.write_text("A\nB\nA\n")
+    broken_predictions = tmp_path / "broken.ndjson"
+    broken_predictions.write_text("{broken\n")
+    fractional_index = tmp_path / "fractional.ndjson"
+    fractional_index.write_text('{"image_id": "a", "row": 0, "col": 0, "probs": [[48.5, 0.5]]}\n')
+    submissions = {}
+    for name, text in [("non-integer-id", "Q1;[1, x]\n"), ("empty-after-blank", "\nQ1;[]\n"), ("header-only", "")]:
+        submissions[name] = tmp_path / f"{name}.csv"
+        submissions[name].write_text("quadrat_id;species_ids\n" + text)
+    evaluate = ["evaluate", "--truth", str(fixture_dir / "truth.csv"), "--out", str(out), "--submission"]
     run = ["run", "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out),
            "--predictions", str(fixture_dir / "tile_predictions.ndjson")]
     return {
@@ -954,6 +965,30 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
         "cluster-region-map-alone": (
             ["cluster", "--projection", str(projection), "--out", str(out), "--region-map-out", str(assign) + "2"],
             "--region-map-out needs --registry", [out, Path(str(assign) + "2")]),
+        "geofilter-unreadable-predictions": (
+            ["geofilter", "--observations", str(fixture_dir / "observations.csv"),
+             "--regions", str(fixture_dir / "geo_regions.json"), "--catalog", str(fixture_dir / "catalog.csv"),
+             "--out", str(out), "--predictions", str(broken_predictions), "--out-predictions", str(out) + "2"],
+            f"{broken_predictions}:1: invalid JSON (Expecting property name enclosed in double quotes)",
+            [out, Path(str(out) + "2")]),
+        "cluster-repeated-registry-name": (
+            ["cluster", "--projection", str(projection), "--out", str(out), "--registry", str(repeated_registry),
+             "--region-map-out", str(out) + "2"],
+            f"{repeated_registry}: duplicate region name 'A'", [out, Path(str(out) + "2")]),
+        "aggregate-fractional-index": (
+            ["aggregate", "--predictions", str(fractional_index), "--catalog", str(fixture_dir / "catalog.csv"),
+             "--out", str(out), "--grid", "4x4"],
+            f"{fractional_index}:1: bad tile prediction record ('float' object cannot be interpreted as an integer)",
+            [out]),
+        "evaluate-non-integer-id": (
+            [*evaluate, str(submissions["non-integer-id"])],
+            f"{submissions['non-integer-id']}:2: species ids must be integers", [out]),
+        "evaluate-empty-after-blank": (
+            [*evaluate, str(submissions["empty-after-blank"])],
+            f"{submissions['empty-after-blank']}:3: submission for 'Q1' has no species", [out]),
+        "evaluate-header-only": (
+            [*evaluate, str(submissions["header-only"])], f"{submissions['header-only']}: no submission rows", [out]),
+        "run-reference-triple": ([*run, "--reference", "1,2,3"], "reference must be 'lat,lon', got '1,2,3'", [out]),
         "run-missing-config": (
             [*run, "--config", str(missing_config)], f"{missing_config}: config file not found", [out]),
         "run-array-config": (
@@ -962,8 +997,11 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["plot-missing-assignment", "plot-zero-width", "plot-negative-height",
-                                  "geofilter-predictions-alone",
-                                  "cluster-region-map-alone", "run-missing-config", "run-array-config"])
+                                  "geofilter-predictions-alone", "geofilter-unreadable-predictions",
+                                  "cluster-region-map-alone", "cluster-repeated-registry-name",
+                                  "aggregate-fractional-index", "evaluate-non-integer-id",
+                                  "evaluate-empty-after-blank", "evaluate-header-only", "run-reference-triple",
+                                  "run-missing-config", "run-array-config"])
 def test_flag_and_file_errors_exit_1_before_any_output(fixture_dir, projection_file, tmp_path, capsys, case):
     argv, message, outputs = _flag_error_cases(fixture_dir, projection_file, tmp_path)[case]
     assert main(argv) == 1
@@ -971,3 +1009,14 @@ def test_flag_and_file_errors_exit_1_before_any_output(fixture_dir, projection_f
     assert captured.err == f"floratile: error: {message}\n"
     assert captured.out == ""
     assert not any(path.exists() for path in outputs)
+
+
+def test_project_lays_out_identical_embeddings_from_a_gaussian_start(tmp_path, capsys):
+    embeddings, out = tmp_path / "same.ndjson", tmp_path / "projection.csv"
+    embeddings.write_text("".join(json.dumps({"image_id": f"im{i}", "vector": [0.5, -1.0, 2.0]}) + "\n"
+                                  for i in range(15)))
+    assert main(["project", "--embeddings", str(embeddings), "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [f"im{i}" for i in range(15)]
+    assert np.all(np.isfinite(np.array([row[1:] for row in rows], dtype=float)))

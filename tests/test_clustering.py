@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from floratile import clustering
 from floratile.clustering import (
     ClusterPriors,
     dominant_cluster,
@@ -55,6 +56,19 @@ def test_kmeans_inertia_history_never_increases():
         for prev, cur in zip(h, h[1:]):
             assert cur <= prev * (1 + 1e-12) + 1e-12
         assert model.inertia == h[-1]
+
+
+def test_kmeans_stopped_at_the_iteration_cap_still_ends_on_an_assignment_pass(monkeypatch):
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(300, 2))
+    assert len(kmeans(pts, 5, seed=3).inertia_history) > 3  # these points need more than two Lloyd updates
+    monkeypatch.setattr(clustering, "_MAX_LLOYD_ITERS", 2)
+    model = kmeans(pts, 5, seed=3)
+    assert len(model.inertia_history) == 3  # two updates, each after an assignment, then the final assignment
+    assert model.inertia == model.inertia_history[-1]
+    nearest = ((pts[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    assert np.array_equal(model.assignments, nearest)
+    assert model.inertia == pytest.approx(float(((pts - model.centroids[nearest]) ** 2).sum()), rel=1e-12)
 
 
 def test_kmeans_handles_duplicate_points():

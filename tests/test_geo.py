@@ -194,7 +194,16 @@ def test_geo_region_validation():
     # bowtie crosses itself
     with pytest.raises(InputError):
         GeoRegion("bowtie", ((0, 0), (2, 2), (2, 0), (0, 2)))
+    # edges that only touch, or overlap along a line, are not simple either
+    with pytest.raises(InputError, match=r"^region 'fold': edges 0 and 1 intersect$"):
+        GeoRegion("fold", ((0, 0), (2, 0), (1, 0), (1, 1)))  # edge 1 folds back over edge 0
+    with pytest.raises(InputError, match=r"^region 'pinch': edges 0 and 2 intersect$"):
+        GeoRegion("pinch", ((0, 0), (4, 0), (4, 4), (2, 0), (0, 4)))  # vertex 3 lies on edge 0
+    with pytest.raises(InputError, match=r"^region 'hook': edges 0 and 3 intersect$"):
+        GeoRegion("hook", ((0, 0), (0, 2), (1, 2), (1, 1), (0, 1)))  # vertex 4 lies on edge 0
     GeoRegion("tri", ((0, 0), (0, 1), (1, 0)))
+    GeoRegion("L", ((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
+    GeoRegion("straight-vertex", ((0, 0), (1, 0), (2, 0), (2, 2), (0, 2)))  # a redundant vertex on a straight edge
 
 
 @pytest.mark.parametrize("name,polygon,message", [

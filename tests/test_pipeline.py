@@ -25,6 +25,8 @@ from floratile.pipeline import (
     apply_geo_mask,
     apply_priors,
     compute_geo_mask,
+    compute_priors_artifacts,
+    estimate_cluster_priors,
     image_probability_vectors,
     run,
     score_submission,
@@ -167,6 +169,23 @@ def test_image_probability_vectors_rows_sum_to_one(bundle):
     ids, vectors = image_probability_vectors(grouped, len(bundle.catalog))
     assert len(ids) == SPEC.n_images
     assert np.allclose(vectors.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_priors_stages_take_tiles_in_every_form_a_stage_takes(bundle):
+    batch, n_species = bundle.tile_predictions, len(bundle.catalog)
+    tiles = list(batch)
+    options = PriorsOptions(k=2)
+    artifacts = compute_priors_artifacts(bundle.embeddings, batch, bundle.registry, bundle.catalog, options, 7)
+    cluster_of_image = dict(zip(bundle.embeddings.image_ids, artifacts.model.assignments.tolist()))
+    expected_ids, expected_vectors = image_probability_vectors(batch, n_species)
+    n = len(batch.image_ids)
+    for form in (tiles, tuple(tiles), group_by_image(tiles), [batch.images(0, 1), batch.images(1, n)]):
+        ids, vectors = image_probability_vectors(form, n_species)
+        assert ids == expected_ids and np.array_equal(vectors, expected_vectors)
+        priors = estimate_cluster_priors(form, cluster_of_image, n_species, 2, 1e-6)
+        assert np.array_equal(priors.priors, artifacts.priors.priors)
+        again = compute_priors_artifacts(bundle.embeddings, form, bundle.registry, bundle.catalog, options, 7)
+        assert np.array_equal(again.priors.priors, artifacts.priors.priors)
 
 
 def test_image_probability_vectors_index_bound():
