@@ -332,26 +332,29 @@ class TileBatch:
         entries = list(zip(self.idx[lo:hi].tolist(), prob[lo:hi].tolist()))
         return t, rejection(self.image_ids[self.image[t]], int(self.row[t]), int(self.col[t]), entries)
 
-    def derive(self, offsets: np.ndarray, fill) -> "TileBatch":
-        """The batch in which tile ``t`` keeps ``offsets[t + 1] - offsets[t]``
-        entries with new probabilities.
+    def derive(self, fill) -> "TileBatch":
+        """The batch of the entries ``fill`` keeps, with new probabilities.
 
-        For each of ``slices()``, ``fill(lo, view, tile, idx, prob)`` writes
-        the view's kept entries, in batch order, into ``idx`` and ``prob``,
-        its part of the new columns; ``tile`` holds their tiles in the view.
-        Tiles left without entries drop out, entries are re-sorted, and no
-        tile is complete any more. Every image must keep a tile; when every
-        tile does, the tile columns and ``offsets`` are shared, not copied.
+        For each of ``slices()``, ``fill(view, idx, prob)`` writes the view's
+        kept entries, in batch order, to the front of ``idx`` and ``prob``,
+        buffers as long as the view's entries, and returns the kept count of
+        each tile of the view. Tiles left without entries drop out, entries
+        are re-sorted, and no tile is complete any more. Every image must keep
+        a tile; when every tile does, the tile columns are shared, not copied.
+        The new entry columns view buffers as long as this batch's.
         """
-        idx, prob = np.empty(offsets[-1], dtype=np.int64), np.empty(offsets[-1], dtype=np.float64)
+        idx, prob = np.empty(self.idx.shape[0], dtype=np.int64), np.empty(self.idx.shape[0], dtype=np.float64)
+        offsets = np.zeros(len(self) + 1, dtype=np.int64)  # each tile's kept count, then their cumulative sum
+        n = 0  # entries kept so far
         for _, lo, view in self.slices():
-            hi = lo + len(view)
-            start, stop = offsets[lo], offsets[hi]
-            _fill_sorted(fill, lo, view, np.diff(offsets[lo:hi + 1]), idx[start:stop], prob[start:stop])
+            end = n + view.idx.shape[0]
+            n += _fill_sorted(fill, view, offsets[lo + 1:lo + 1 + len(view)], idx[n:end], prob[n:end])
+        np.cumsum(offsets, out=offsets)
         image, row, col = self.image, self.row, self.col
         live = offsets[1:] > offsets[:-1]
         if not live.all():
             image, row, col, offsets = image[live], row[live], col[live], _offsets(np.diff(offsets)[live])
+        idx, prob = idx[:n], prob[:n]
         return TileBatch(self.image_ids, image, row, col, np.zeros(len(image), dtype=bool), offsets, idx, prob)
 
 
@@ -369,14 +372,15 @@ def _flag_entries(view: TileBatch, bad: np.ndarray):
     bad |= (view.complete & (np.abs(mass - 1.0) > _MASS_TOL)) | (mass > 1.0 + _MASS_TOL)
 
 
-def _fill_sorted(fill, lo: int, view: TileBatch, counts: np.ndarray, idx: np.ndarray, prob: np.ndarray):
-    """One slice of ``TileBatch.derive``: ``fill`` the kept entries, whose
-    tiles hold ``counts`` each, then sort each tile's entries in place."""
-    tile = np.repeat(np.arange(len(view)), counts)
-    fill(lo, view, tile, idx, prob)
-    order = _entry_order(tile, idx, prob)
+def _fill_sorted(fill, view: TileBatch, counts: np.ndarray, idx: np.ndarray, prob: np.ndarray) -> int:
+    """One slice of ``TileBatch.derive``: ``fill`` the view's kept entries and
+    their tiles' ``counts``, sort each tile's entries in place, and return how many were kept."""
+    counts[:] = fill(view, idx, prob)
+    n = int(counts.sum())
+    order = _entry_order(np.repeat(np.arange(len(view)), counts), idx[:n], prob[:n])
     if order is not None:
-        idx[:], prob[:] = idx[order], prob[order]
+        idx[:n], prob[:n] = idx[order], prob[order]
+    return n
 
 
 class ImageTiles(Mapping):

@@ -113,6 +113,8 @@ def _cmd_aggregate(args) -> int:
 def _cmd_geofilter(args) -> int:
     if args.predictions and not args.out_predictions:
         raise InputError("--predictions needs --out-predictions")
+    if args.out_predictions and not args.predictions:
+        raise InputError("--out-predictions needs --predictions")
     catalog = load_catalog(args.catalog)
     options = GeoOptions(
         enabled=True,
@@ -144,6 +146,8 @@ def _cmd_project(args) -> int:
 def _cmd_cluster(args) -> int:
     if args.region_map_out and not args.registry:
         raise InputError("--region-map-out needs --registry")
+    if args.registry and not args.region_map_out:
+        raise InputError("--registry needs --region-map-out")
     projection = fio.read_projection(args.projection)
     model = kmeans(projection.points, args.k, seed=args.seed)
     region_map = None

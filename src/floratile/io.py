@@ -419,17 +419,17 @@ def _tile_batches(path, limit) -> Iterator[TileBatch]:
                 columns = image, rows, cols, completes, counts, lines, idxs, probs = tuple(map(array, "qqqbqqqd"))
                 add_idx, add_prob = idxs.append, probs.append
             start = len(idxs)
-            try:  # values are appended as read: an integer array rejects a float or text, a float array text
+            try:  # JSON types are checked before appending; an array still rejects an integer past 64 bits
                 key, row, col = rec["image_id"], rec["row"], rec["col"]
+                if row.__class__ is not int or col.__class__ is not int:
+                    raise TypeError(f"row and col must be integers, not {json.dumps(row)} and {json.dumps(col)}")
                 rows.append(row)
                 cols.append(col)
-                if row.__class__ is bool or col.__class__ is bool:
-                    raise TypeError(f"row and col must be integers, not {json.dumps(row)} and {json.dumps(col)}")
                 for i, p in rec["probs"]:
+                    if i.__class__ is not int or (p.__class__ is not float and p.__class__ is not int):
+                        raise TypeError(f"entry {json.dumps([i, p])} must hold an integer index and a number")
                     add_idx(i)
                     add_prob(p)
-                    if i.__class__ is bool or p.__class__ is bool:
-                        raise TypeError(f"entry {json.dumps([i, p])} must hold two numbers")
                 complete = rec.get("complete", False)
                 if complete.__class__ is not bool:
                     raise TypeError(f"complete must be true or false, not {json.dumps(complete)}")

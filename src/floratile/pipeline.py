@@ -292,38 +292,29 @@ def apply_geo_mask(tiles: TileBatch, mask: SpeciesMask) -> ImageTiles:
     """Filter every tile through the mask and renormalize; tiles losing all
     species drop out, and an image losing every tile is an input error.
 
-    A first pass writes each tile's kept count into the output offsets and
-    raises the first failure of the first slice that holds one, which is the
-    first of the batch; the second fills the output columns slice by slice."""
-    batch = as_batch(tiles)
-    offsets = np.zeros(len(batch) + 1, dtype=np.int64)  # each tile's kept count, then their cumulative sum
-    for _, lo, view in batch.slices():
-        _count_kept(view, mask.allowed, offsets[lo + 1:lo + 1 + len(view)])
-    np.cumsum(offsets, out=offsets)
+    One walk over the slices: each slice counts what its tiles keep and
+    raises its first failure, an index outside the mask or an image the mask
+    empties (reported at its last tile), before it is filtered, so the first
+    slice that holds a failure holds the batch's first."""
 
-    def fill(lo, view, tile, idx, prob):
-        kept = mask.allowed[view.idx]  # the first pass found every index inside the mask
-        np.compress(kept, view.idx, out=idx)
-        renormalise(np.compress(kept, view.prob, out=prob), tile, len(view))
+    def fill(view, idx, prob):
+        tile = view.tile_keys()
+        kept, outside = allowed_entries(view.idx, tile, mask.allowed)
+        counts = np.bincount(tile, weights=kept, minlength=len(view))  # exact counts
+        emptied = first(np.bincount(view.image, weights=counts, minlength=len(view.image_ids)) == 0)
+        empty_failure = (None, None)
+        if emptied is not None:
+            empty_failure = (
+                int(view.image_offsets[emptied + 1]) - 1,
+                InputError(f"geolocation mask removed every species of every tile of {view.image_ids[emptied]!r}"),
+            )
+        raise_first(outside, empty_failure)
+        n = np.count_nonzero(kept)
+        np.compress(kept, view.idx, out=idx[:n])
+        renormalise(np.compress(kept, view.prob, out=prob[:n]), tile[kept], len(view))
+        return counts
 
-    return ImageTiles(batch.derive(offsets, fill))
-
-
-def _count_kept(view: TileBatch, allowed: np.ndarray, counts: np.ndarray):
-    """Write into ``counts`` how many entries of each tile of ``view`` the
-    mask keeps, and raise the view's first failure: an index outside the
-    mask, or an image the mask empties, reported at its last tile."""
-    tile = view.tile_keys()
-    kept, outside = allowed_entries(view.idx, tile, allowed)
-    counts[:] = np.bincount(tile, weights=kept, minlength=len(view))  # exact counts
-    emptied = first(np.bincount(view.image, weights=counts, minlength=len(view.image_ids)) == 0)
-    empty_failure = (None, None)
-    if emptied is not None:
-        empty_failure = (
-            int(view.image_offsets[emptied + 1]) - 1,
-            InputError(f"geolocation mask removed every species of every tile of {view.image_ids[emptied]!r}"),
-        )
-    raise_first(outside, empty_failure)
+    return ImageTiles(as_batch(tiles).derive(fill))
 
 
 @dataclass
@@ -381,9 +372,8 @@ def apply_priors(
 
     Each slice raises its first failure as it fills the output; an image
     without a usable cluster fails at its first tile."""
-    batch = as_batch(tiles)
 
-    def fill(lo, view, tile, idx, prob):
+    def fill(view, idx, prob):
         clusters, region_failure = [], (None, None)
         for i, image_id in enumerate(view.image_ids):
             try:
@@ -399,14 +389,15 @@ def apply_priors(
             clusters.append(cluster)
         head = view.images(0, len(clusters))  # the images ahead of the first without a cluster
         weighted, found = reweight_entries(
-            head.idx, head.prob, tile[:len(head.idx)], len(head), priors.priors,
+            head.idx, head.prob, head.tile_keys(), len(head), priors.priors,
             np.asarray(clusters, dtype=np.int64)[head.image],
             lambda t: f"tile ({int(head.row[t])},{int(head.col[t])}) of {head.image_ids[head.image[t]]!r}",
         )
         raise_first(region_failure, *found, head.prob_failure(weighted))
         idx[:], prob[:] = view.idx, weighted
+        return np.diff(view.offsets)
 
-    return ImageTiles(batch.derive(batch.offsets, fill))
+    return ImageTiles(as_batch(tiles).derive(fill))
 
 
 def _slice_rows(view: TileBatch, k: int, min_votes: int, max_labels: int, species_ids: List[int]):
@@ -448,10 +439,10 @@ def aggregate_predictions(
     become its rows as soon as it is voted; no label array of the batch is
     built. ``threads`` is accepted for compatibility and has no effect.
     """
+    check_vote_settings(k, min_votes, max_labels)
     batch = as_batch(tiles)
     if not batch.image_ids:
         return []
-    check_vote_settings(k, min_votes, max_labels)
     vote = _Vote(catalog, k, min_votes, max_labels)
     vote.add(batch)
     return vote.rows()

@@ -842,6 +842,21 @@ def test_geo_mask_at_slice_cuts_matches_reference(tiles):
         _assert_same_tiles(new, ref)
 
 
+
+def test_a_stage_that_drops_no_tile_shares_the_tile_columns():
+    grouped = group_by_image([_tp("img0", 0, [(1, 0.5), (0, 0.25)]), _tp("img0", 1, [(2, 0.5)]),
+                              _tp("img1", 0, [(1, 0.5), (3, 0.25)])])
+    batch = grouped.batch
+    masked = apply_geo_mask(grouped, SpeciesMask(allowed=np.array([False, True, True, False]), allowed_count=2)).batch
+    assert (len(masked), masked.idx.shape[0]) == (3, 3)  # two entries dropped, no tile
+    weighted = apply_priors(grouped, ClusterPriors(np.full((1, 4), 0.25)), {"img": 0},
+                            RegionRegistry(regions=("img",))).batch
+    for derived in (masked, weighted):
+        assert derived.image is batch.image and derived.row is batch.row and derived.col is batch.col
+    dropped = apply_geo_mask(grouped, SpeciesMask(allowed=np.array([False, True, False, False]), allowed_count=1)).batch
+    assert len(dropped) == 2  # img0's second tile keeps nothing
+    assert dropped.image is not batch.image and dropped.row is not batch.row and dropped.col is not batch.col
+
 # --- microbenchmarks at ~500 images ------------------------------------------------
 
 @pytest.fixture(scope="module")

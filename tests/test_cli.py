@@ -962,6 +962,15 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
              "--regions", str(fixture_dir / "geo_regions.json"), "--catalog", str(fixture_dir / "catalog.csv"),
              "--out", str(out), "--predictions", str(fixture_dir / "tile_predictions.ndjson")],
             "--predictions needs --out-predictions", [out]),
+        "geofilter-out-predictions-alone": (
+            ["geofilter", "--observations", str(fixture_dir / "observations.csv"),
+             "--regions", str(fixture_dir / "geo_regions.json"), "--catalog", str(fixture_dir / "catalog.csv"),
+             "--out", str(out), "--out-predictions", str(out) + "2"],
+            "--out-predictions needs --predictions", [out, Path(str(out) + "2")]),
+        "cluster-registry-alone": (
+            ["cluster", "--projection", str(projection), "--out", str(out),
+             "--registry", str(fixture_dir / "regions.txt")],
+            "--registry needs --region-map-out", [out]),
         "cluster-region-map-alone": (
             ["cluster", "--projection", str(projection), "--out", str(out), "--region-map-out", str(assign) + "2"],
             "--region-map-out needs --registry", [out, Path(str(assign) + "2")]),
@@ -978,7 +987,8 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
         "aggregate-fractional-index": (
             ["aggregate", "--predictions", str(fractional_index), "--catalog", str(fixture_dir / "catalog.csv"),
              "--out", str(out), "--grid", "4x4"],
-            f"{fractional_index}:1: bad tile prediction record ('float' object cannot be interpreted as an integer)",
+            f"{fractional_index}:1: bad tile prediction record "
+            "(entry [48.5, 0.5] must hold an integer index and a number)",
             [out]),
         "evaluate-non-integer-id": (
             [*evaluate, str(submissions["non-integer-id"])],
@@ -997,8 +1007,9 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["plot-missing-assignment", "plot-zero-width", "plot-negative-height",
-                                  "geofilter-predictions-alone", "geofilter-unreadable-predictions",
-                                  "cluster-region-map-alone", "cluster-repeated-registry-name",
+                                  "geofilter-predictions-alone", "geofilter-out-predictions-alone",
+                                  "geofilter-unreadable-predictions", "cluster-region-map-alone",
+                                  "cluster-registry-alone", "cluster-repeated-registry-name",
                                   "aggregate-fractional-index", "evaluate-non-integer-id",
                                   "evaluate-empty-after-blank", "evaluate-header-only", "run-reference-triple",
                                   "run-missing-config", "run-array-config"])

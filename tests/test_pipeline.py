@@ -120,9 +120,9 @@ def test_run_config_rejects_vote_settings_below_1_as_the_vote_does(settings, mes
         RunConfig(catalog_path="c", predictions_path="p", out_dir="o", **settings)
     votes = dict(k=9, min_votes=2, max_labels=10)
     votes.update((key.replace("k_per_tile", "k"), value) for key, value in settings.items())
-    grouped = group_by_image([_tp("a", 0, 0, [(1, 0.5)])])
-    with pytest.raises(InputError, match=rf"^{message}$"):
-        aggregate_predictions(grouped, SpeciesCatalog([7, 8]), **votes)
+    for tiles in (group_by_image([_tp("a", 0, 0, [(1, 0.5)])]), []):  # an empty batch is checked too
+        with pytest.raises(InputError, match=rf"^{message}$"):
+            aggregate_predictions(tiles, SpeciesCatalog([7, 8]), **votes)
 
 
 @pytest.mark.parametrize("options", [
