@@ -22,9 +22,9 @@ not by the batch.
 A run never builds the batch of a whole tile file: ``io.tile_slices``
 reads the file as batches of whole images, cut at the first new image past
 ``4 * CHUNK_ENTRIES`` entries, and ``pipeline.run`` passes each through
-every stage as it is read. The first invariant then has to hold across
-the file: an image whose records reappear after a cut makes the run read
-the file whole instead.
+every stage as it is read. The first invariant is a rule of the tile
+file: the readers reject a record whose image reappears after other
+images' records. ``from_tiles`` groups a list of tiles by image instead.
 
 Every float sum that reaches an output is taken with
 ``np.bincount(keys, weights=...)`` over entries in batch order. bincount
@@ -195,34 +195,28 @@ class TileBatch:
 
     @classmethod
     def from_columns(cls, image_ids, image, row, col, complete, counts, idx, prob) -> "TileBatch":
-        """Group per-tile columns by image code and sort each tile's entries.
+        """The batch of per-tile columns, each tile's entries sorted.
 
-        ``image`` holds codes into ``image_ids`` in first-appearance order;
-        tiles keep their relative order within an image.
+        ``image`` holds codes into ``image_ids``, which never decrease: each
+        image's tiles are already together, images in code order.
         """
         image = np.asarray(image, dtype=np.int64)
-        row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
-        complete, counts = np.asarray(complete, dtype=bool), np.asarray(counts, dtype=np.int64)
-        idx, prob = np.asarray(idx, dtype=np.int64), np.asarray(prob, dtype=np.float64)
-        offsets = _offsets(counts)
         if np.any(image[1:] < image[:-1]):
-            perm = np.argsort(image, kind="stable")
-            starts, counts = offsets[perm], counts[perm]
-            offsets = _offsets(counts)
-            entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
-            idx, prob = idx[entries], prob[entries]
-            image, row, col, complete = (a[perm] for a in (image, row, col, complete))
+            raise InvariantViolation("tile columns must keep each image's tiles together, in code order")
+        row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
+        complete, offsets = np.asarray(complete, dtype=bool), _offsets(np.asarray(counts, dtype=np.int64))
+        idx, prob = np.asarray(idx, dtype=np.int64), np.asarray(prob, dtype=np.float64)
         return cls(list(image_ids), image, row, col, complete, offsets, idx, prob)._entries_sorted()
 
     @classmethod
     def from_tiles(cls, tiles: Iterable[TilePrediction]) -> "TileBatch":
         """Batch already-checked tiles, grouped by image id."""
         tiles = list(tiles)
-        codes: dict = {}
-        image = [codes.setdefault(t.image_id, len(codes)) for t in tiles]
+        codes = {image_id: c for c, image_id in enumerate(dict.fromkeys(t.image_id for t in tiles))}
+        tiles.sort(key=lambda t: codes[t.image_id])  # stable: an image's tiles keep their order
         return cls.from_columns(
             list(codes),
-            image,
+            [codes[t.image_id] for t in tiles],
             [t.row for t in tiles],
             [t.col for t in tiles],
             [t.complete for t in tiles],

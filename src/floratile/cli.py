@@ -102,7 +102,7 @@ def _cmd_tile_plan(args) -> int:
 def _cmd_aggregate(args) -> int:
     catalog = load_catalog(args.catalog)
     tiles = fio.read_tile_predictions(args.predictions)
-    if args.grid:
+    if args.grid is not None:
         validate_grid(tiles, parse_grid_spec(args.grid))
     check_species_indices(tiles, len(catalog))
     rows = aggregate_predictions(tiles, catalog, args.k, args.min_votes, args.max_labels)
@@ -332,7 +332,7 @@ def _load_run_config(args) -> RunConfig:
     if not all(run_fields.get(name) for name in ("catalog_path", "predictions_path", "out_dir")):
         raise InputError("run needs --catalog, --predictions, and --out (flags or config file)")
     grid = run_fields.pop("grid", None)
-    if grid:
+    if grid is not None:
         run_fields["grid"] = parse_grid_spec(grid)
     return RunConfig(**run_fields, **{s: cls(**fields[s]) for s, cls in _SECTIONS.items()})
 

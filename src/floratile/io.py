@@ -356,12 +356,6 @@ def write_region_registry(path, registry: RegionRegistry):
 
 # --- tile predictions (NDJSON) -----------------------------------------
 
-class ImageReappeared(Exception):
-    """A tile file in which an image id reappears after another image's
-    records, past a slice cut: ``tile_slices`` has no image-aligned cut for
-    it, so the file is read whole instead."""
-
-
 def tile_slices(path) -> Iterator[TileBatch]:
     """The tile file at ``path`` as image-aligned batches, read one at a time.
 
@@ -370,8 +364,9 @@ def tile_slices(path) -> Iterator[TileBatch]:
     the slices, in order, hold the batch ``read_tile_predictions`` returns.
     Each slice is checked as that reader checks the file, and its first bad
     record is raised as the reader reaches the cut; an unreadable line is
-    raised after the records before it. An image id met again after a cut
-    raises ``ImageReappeared``.
+    raised after the records before it. The file must keep each image's
+    records together: an image id met again after another image's records,
+    in this slice or an earlier one, is a bad record at its line.
     """
     return _tile_batches(path, 4 * _batch.CHUNK_ENTRIES)
 
@@ -385,7 +380,8 @@ def read_tile_predictions(path) -> TileBatch:
     Columns are typed arrays from the start, so no entry is held as a
     Python object. Values are not converted: a row, col or index that is not
     a JSON integer, a probability that is not a number, a ``complete`` that
-    is not a bool and an integer past 64 bits are bad records.
+    is not a bool and an integer past 64 bits are bad records, as is a
+    record whose image id reappears after other images' records.
     """
     return next(_tile_batches(path, math.inf))
 
@@ -395,8 +391,9 @@ def _tile_batches(path, limit) -> Iterator[TileBatch]:
     the first new image once ``limit`` entries are read (never at ``math.inf``).
     A batch views the arrays it was read into, which then cannot grow, so a
     cut hands them over and starts new ones."""
-    done: set = set()  # image ids of the batches already yielded
-    codes: dict = {}
+    seen: set = set()  # image ids read so far, in any batch
+    ids: list = []  # this batch's image ids; an image's code is its position
+    current = None  # the previous record's image id
     # per record its image code, row, col, complete flag, entry count and line; per entry its index and probability
     columns = image, rows, cols, completes, counts, lines, idxs, probs = tuple(map(array, "qqqbqqqd"))
     add_idx, add_prob = idxs.append, probs.append
@@ -412,10 +409,9 @@ def _tile_batches(path, limit) -> Iterator[TileBatch]:
                 failure = exc
                 break
             key = rec.get("image_id") if isinstance(rec, dict) else None
-            if isinstance(key, str) and key not in codes and len(idxs) >= limit:  # cut ahead of a new image
-                yield _checked_batch(path, codes, *columns)
-                done.update(codes)
-                codes = {}
+            if key != current and len(idxs) >= limit:  # cut ahead of a new image
+                yield _checked_batch(path, ids, *columns)
+                ids = []
                 columns = image, rows, cols, completes, counts, lines, idxs, probs = tuple(map(array, "qqqbqqqd"))
                 add_idx, add_prob = idxs.append, probs.append
             start = len(idxs)
@@ -435,23 +431,24 @@ def _tile_batches(path, limit) -> Iterator[TileBatch]:
                     raise TypeError(f"complete must be true or false, not {json.dumps(complete)}")
                 if not isinstance(key, str):
                     failure = InputError(f"{path}:{lineno}: {rejection(key, row, col, (), complete)}")
+                elif key != current and key in seen:
+                    failure = InputError(f"{path}:{lineno}: image {key!r} reappears after other images' records")
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 failure = InputError(f"{path}:{lineno}: bad tile prediction record ({exc})")
             if failure is not None:  # drop what this record appended
                 del idxs[start:], probs[start:], rows[len(lines):], cols[len(lines):]
                 break
-            code = codes.get(key)
-            if code is None:
-                if key in done:
-                    raise ImageReappeared(f"{path}:{lineno}: image {key!r} reappears after a slice cut")
-                code = codes[key] = len(codes)
-            image.append(code)
+            if key != current:
+                seen.add(key)
+                ids.append(key)
+                current = key
+            image.append(len(ids) - 1)
             completes.append(complete)
             lines.append(lineno)
             counts.append(len(idxs) - start)
     finally:
         records.close()
-    batch = _checked_batch(path, codes, *columns)
+    batch = _checked_batch(path, ids, *columns)
     if failure is not None:
         raise failure
     if not len(batch):
@@ -459,17 +456,16 @@ def _tile_batches(path, limit) -> Iterator[TileBatch]:
     yield batch
 
 
-def _checked_batch(path, codes, image, rows, cols, completes, counts, lines, idxs, probs) -> TileBatch:
+def _checked_batch(path, ids, image, rows, cols, completes, counts, lines, idxs, probs) -> TileBatch:
     """The batch of these record columns; the first record ``TilePrediction``
     rejects, in file order, is an InputError at its ``path:line``."""
-    batch = TileBatch.from_columns(list(codes), image, rows, cols, completes, counts, idxs, probs)
+    batch = TileBatch.from_columns(ids, image, rows, cols, completes, counts, idxs, probs)
     bad = np.flatnonzero(batch.invalid_tiles())
     if bad.size:
-        # from_columns groups records by a stable sort on image code; map batch tiles back to records
-        r = int(np.argsort(image, kind="stable")[bad].min())
+        r = int(bad[0])  # tiles are in record order
         start = sum(counts[:r])
         entries = list(zip(idxs[start:start + counts[r]], probs[start:start + counts[r]]))
-        exc = rejection(list(codes)[image[r]], rows[r], cols[r], entries, completes[r])
+        exc = rejection(ids[image[r]], rows[r], cols[r], entries, completes[r])
         raise InputError(f"{path}:{lines[r]}: {exc}")
     return batch
 
@@ -575,6 +571,14 @@ def write_geo_regions(path, regions: Iterable[GeoRegion]):
         fh.write("\n")
 
 
+def _numbers(values, name) -> Iterator[float]:
+    """``values`` as floats; a value that is not a JSON number (a bool is not) is a TypeError naming it."""
+    for x in values:
+        if x.__class__ is not float and x.__class__ is not int:
+            raise TypeError(f"{name} values must be numbers, not {json.dumps(x)}")
+        yield float(x)
+
+
 # --- embeddings --------------------------------------------------------
 
 def read_embeddings(path) -> EmbeddingMatrix:
@@ -585,7 +589,7 @@ def read_embeddings(path) -> EmbeddingMatrix:
         start = len(values)
         try:
             ids.append(rec["image_id"])
-            values.extend(float(x) for x in rec["vector"])
+            values.extend(_numbers(rec["vector"], "vector"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}:{lineno}: bad embedding record ({exc})") from None
         if width is None:
@@ -619,8 +623,10 @@ def read_priors(path) -> ClusterPriors:
     rows: Dict[int, np.ndarray] = {}
     for lineno, rec in ndjson_records(path):
         try:
-            cluster = int(rec["cluster"])
-            prior = np.array([float(x) for x in rec["prior"]])
+            cluster = rec["cluster"]
+            if cluster.__class__ is not int:
+                raise TypeError(f"cluster must be an integer, not {json.dumps(cluster)}")
+            prior = np.array(list(_numbers(rec["prior"], "prior")))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}:{lineno}: bad prior record ({exc})") from None
         if cluster in rows:

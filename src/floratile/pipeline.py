@@ -24,11 +24,9 @@ reweights every slice, writes the reweighted slices when asked to, and
 votes them, each step in order over the whole list. The stage functions
 below stay whole-batch functions; the loop calls them on each slice, and
 every quantity they compute belongs to one image, so the rows and
-written bytes are the whole-batch ones.
-
-The slices need each image's records to be contiguous in the file. When
-an image id reappears after a slice cut, the run starts again on the
-whole file read as one batch.
+written bytes are the whole-batch ones. The slices rely on the tile
+file's rule that each image's records are together; the reader rejects a
+file that breaks it.
 
 Errors keep the whole-batch precedence. A bad record or unreadable line
 raises at once. Any other stage runs only while no stage of its kind or
@@ -78,7 +76,6 @@ from .geo import (
     renormalise,
 )
 from .io import (
-    ImageReappeared,
     StagedTileFile,
     SubmissionRow,
     _make_dir,
@@ -87,7 +84,6 @@ from .io import (
     read_geo_regions,
     read_observations,
     read_region_registry,
-    read_tile_predictions,
     read_training_counts,
     tile_slices,
     write_assignments,
@@ -491,27 +487,11 @@ def score_submission(
 (_GRID, _SPECIES, _MASK_BUILD, _MASK_FILE, _MASK_APPLY, _MASKED_FILE, _VOTE, _PASSED) = range(8)
 
 
-def _walk_tile_file(path, walk):
-    """``walk(slices)`` over the slices of the tile file at ``path``, as it is
-    read. A file whose image reappears after a slice cut is walked again from
-    the start, as one whole-file batch."""
-    with closing(tile_slices(path)) as slices:
-        try:
-            return walk(slices)
-        except ImageReappeared:
-            pass  # leave the handler first, so the first walk's state is freed
-    return walk([read_tile_predictions(path)])
-
-
 def _drained(batches: list):
     """The batches in order, each dropped from the list as it is handed out."""
     batches.reverse()
     while batches:
         yield batches.pop()
-
-
-def _image_ids(slices) -> List[str]:
-    return [image_id for view in slices for image_id in view.image_ids]
 
 
 def _first_pass(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path, slices):
@@ -568,8 +548,8 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> Li
     is written slice by slice and kept only when the whole-batch chain would
     have written it whole.
     """
-    error, held, vote = _walk_tile_file(
-        config.predictions_path, lambda slices: _first_pass(config, catalog, out_dir, slices))
+    with closing(tile_slices(config.predictions_path)) as slices:
+        error, held, vote = _first_pass(config, catalog, out_dir, slices)
     if error is not None:
         raise error
     keep = config.keep_intermediates
@@ -603,7 +583,8 @@ def run(config: RunConfig) -> RunResult:
     if config.mode == "baseline":
         counts = read_training_counts(config.training_counts_path)
         labels = tuple(naive_baseline(counts, config.baseline_k))
-        quadrats = sorted(_walk_tile_file(config.predictions_path, _image_ids))
+        with closing(tile_slices(config.predictions_path)) as slices:
+            quadrats = sorted(image_id for view in slices for image_id in view.image_ids)
         rows = [SubmissionRow(quadrat_id=q, species_ids=labels) for q in quadrats]
     else:
         rows = _tiled_rows(config, catalog, out_dir)

@@ -480,6 +480,10 @@ def test_group_by_image_keeps_tiles_of_interleaved_images_in_order():
     assert batch.image_ids == ["b", "a"]
     assert [(t.image_id, t.col) for t in batch] == [("b", 0), ("b", 1), ("a", 0), ("a", 1)]
     assert _tiles(group_by_image(tiles)) == _tiles(_ref_group_by_image(tiles))
+    # columns are never regrouped: an image code that decreases is a bug in the caller
+    with pytest.raises(InvariantViolation, match=r"keep each image's tiles together"):
+        TileBatch.from_columns(["b", "a"], [0, 1, 0], [0, 0, 1], [0, 0, 0], [False] * 3, [1] * 3,
+                               [1, 2, 3], [0.5] * 3)
 
 
 # --- hypothesis properties -------------------------------------------------------
@@ -690,23 +694,46 @@ def _wrongly_typed(line: str) -> bool:
     )
 
 
+def _first_unreadable(path, lines):
+    """``(line, expected, exact)`` for the first line the reference reader
+    would read but the batch reader rejects, or ``(None, None, None)``: a
+    record holding a wrongly typed value, given by its message's prefix
+    (``exact`` False), or a record whose image id reappears after other
+    images' records."""
+    seen, current = set(), None
+    for n, line in enumerate(lines, start=1):
+        if _wrongly_typed(line):
+            return n, ("error", "InputError", f"{path}:{n}: bad tile prediction record ("), False
+        try:
+            rec = json.loads(line.strip())
+        except ValueError:
+            continue
+        key = rec.get("image_id") if isinstance(rec, dict) else None
+        if isinstance(key, str) and key != current:
+            if key in seen:
+                message = f"{path}:{n}: image {key!r} reappears after other images' records"
+                return n, ("error", "InputError", message), True
+            seen.add(key)
+            current = key
+    return None, None, None
+
+
 def _reference_read(path, lines):
     """Write ``lines`` to ``path`` and return ``(expected, exact)``: what the
     batch reader must give for the file.
 
-    The file is cut at its first line holding a wrongly typed value. When the
-    reference reader fails on the lines before it, or no line holds one, its
-    outcome is expected exactly. Otherwise the expected error is a bad record
-    at that line, given by its prefix (``exact`` False): the reference never
-    words it.
+    The file is cut at ``_first_unreadable``'s line. When the reference
+    reader fails on the lines before it, or there is no such line, its
+    outcome is expected exactly (``exact`` True). Otherwise the expected
+    error is ``_first_unreadable``'s, at that line: the reference never words it.
     """
-    typed = next((n for n, line in enumerate(lines, start=1) if _wrongly_typed(line)), None)
-    path.write_text("".join(line + "\n" for line in lines[:typed - 1 if typed else None]), encoding="utf-8")
+    cut, rejected, exact = _first_unreadable(path, lines)
+    path.write_text("".join(line + "\n" for line in lines[:cut - 1 if cut else None]), encoding="utf-8")
     ref = _outcome(_ref_read_tile_predictions, path)
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    if typed is None or (ref[0] == "error" and ref[2] != f"{path}: no tile prediction records"):
+    if cut is None or (ref[0] == "error" and ref[2] != f"{path}: no tile prediction records"):
         return ref, True
-    return ("error", "InputError", f"{path}:{typed}: bad tile prediction record ("), False
+    return rejected, exact
 
 
 def _read_as_expected(new, expected, exact) -> bool:
@@ -742,7 +769,7 @@ def test_reader_reports_first_bad_record_before_later_invalid_json(tmp_path):
     path.write_text("\n".join([lines[0], lines[3], lines[1]]) + "\n")
     with pytest.raises(InputError, match=r":2: invalid JSON"):
         read_tile_predictions(path)
-    # the batch groups image a's tiles ahead of b's; the error still follows the file
+    # a's reappearance on line 3 is a bad record too; the first in the file wins
     later_image = json.dumps(dict(good, image_id="b", probs=[[5, 0.0]]))
     path.write_text("\n".join([lines[0], later_image, lines[2]]) + "\n")
     with pytest.raises(InputError, match=r":2: tile of 'b': probability 0.0 outside"):
@@ -758,6 +785,25 @@ def test_reader_words_a_non_string_image_id_as_tile_prediction_does(tmp_path, re
     assert expected[0] == "error" and expected[2].startswith(f"{path}:2: ")
     new = _outcome(read_tile_predictions, path)
     assert _read_as_expected(new, expected, exact), new
+
+
+@pytest.mark.parametrize("ids,fault,message", [
+    ("aba", None, ":3: image 'a' reappears after other images' records"),
+    ("abba", None, ":4: image 'a' reappears after other images' records"),
+    ("abcb", None, ":4: image 'b' reappears after other images' records"),
+    ("aba", (1, {"probs": [[1, 1.5]]}), ":2: tile of 'b': probability 1.5 outside (0, 1]"),
+    ("aba", (2, {"probs": [[1, 1.5]]}), ":3: image 'a' reappears after other images' records"),
+    ("aba", (2, {"row": "1"}), ':3: bad tile prediction record (row and col must be integers, not "1" and 2)'),
+], ids=["aba", "abba", "abcb", "bad-record-first", "bad-and-reappearing", "typed-and-reappearing"])
+def test_reader_rejects_an_image_that_reappears_after_other_images(tmp_path, ids, fault, message):
+    records = [{"image_id": i, "row": 0, "col": c, "probs": [[1, 0.5]]} for c, i in enumerate(ids)]
+    if fault is not None:
+        records[fault[0]].update(fault[1])
+    path = tmp_path / "preds.ndjson"
+    expected, exact = _reference_read(path, [json.dumps(r) for r in records])
+    for new in _sliced(read_tile_predictions, path):
+        assert new == ("error", "InputError", f"{path}{message}")
+        assert _read_as_expected(new, expected, exact)
 
 
 @pytest.mark.parametrize("field", ["row", "col", "index"])

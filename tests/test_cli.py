@@ -12,7 +12,9 @@ import pytest
 
 from floratile.catalog import load_catalog
 from floratile.cli import main
-from floratile.io import read_region_cluster_map, read_submission, read_tile_predictions
+from floratile.clustering import ClusterPriors
+from floratile.io import (read_region_cluster_map, read_submission, read_tile_predictions, write_priors,
+                          write_region_cluster_map)
 from floratile.pipeline import GeoOptions, compute_geo_mask
 from floratile.synth import SynthSpec, generate, write_bundle
 
@@ -940,6 +942,21 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
     broken_predictions.write_text("{broken\n")
     fractional_index = tmp_path / "fractional.ndjson"
     fractional_index.write_text('{"image_id": "a", "row": 0, "col": 0, "probs": [[48.5, 0.5]]}\n')
+    empty_grid_config = tmp_path / "empty_grid.json"
+    empty_grid_config.write_text('{"grid": ""}')
+    split = {}  # per prediction file, a copy whose first image reappears on its last line, and its error
+    for name, moved in [("tile_predictions.ndjson", list.pop), ("image_predictions.ndjson", list.__getitem__)]:
+        lines = (fixture_dir / name).read_text().splitlines()
+        lines.append(moved(lines, 0))
+        path = tmp_path / f"split_{name}"
+        path.write_text("".join(line + "\n" for line in lines))
+        image = json.loads(lines[-1])["image_id"]
+        split[name] = path, f"{path}:{len(lines)}: image {image!r} reappears after other images' records"
+    split_path, split_error = split["tile_predictions.ndjson"]
+    split_images, split_images_error = split["image_predictions.ndjson"]
+    priors, region_clusters = tmp_path / "priors.ndjson", tmp_path / "region_clusters.csv"
+    write_priors(priors, ClusterPriors(np.full((2, 40), 1 / 40)))
+    write_region_cluster_map(region_clusters, {"SYN-AA": 0, "SYN-BB": 1})
     submissions = {}
     for name, text in [("non-integer-id", "Q1;[1, x]\n"), ("empty-after-blank", "\nQ1;[]\n"), ("header-only", "")]:
         submissions[name] = tmp_path / f"{name}.csv"
@@ -947,6 +964,10 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
     evaluate = ["evaluate", "--truth", str(fixture_dir / "truth.csv"), "--out", str(out), "--submission"]
     run = ["run", "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out),
            "--predictions", str(fixture_dir / "tile_predictions.ndjson")]
+    with_priors = ["--priors", "--registry", str(fixture_dir / "regions.txt"),
+                   "--embeddings", str(fixture_dir / "embeddings.ndjson")]
+    aggregate = ["aggregate", "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out), "--predictions"]
+    split_run = [*run, "--keep-intermediates", "--predictions"]
     return {
         "plot-missing-assignment": (
             ["plot", "--projection", str(projection), "--assignments", str(assign), "--out", str(out)],
@@ -1003,6 +1024,45 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
             [*run, "--config", str(missing_config)], f"{missing_config}: config file not found", [out]),
         "run-array-config": (
             [*run, "--config", str(array_config)], f"{array_config}: config must be a JSON object", [out]),
+        "run-empty-grid": ([*run, "--grid", ""], "grid spec must look like 'RxC', got ''", [out]),
+        "run-config-empty-grid": (
+            [*run, "--config", str(empty_grid_config)], "grid spec must look like 'RxC', got ''", [out]),
+        "aggregate-empty-grid": (
+            [*aggregate, str(fixture_dir / "tile_predictions.ndjson"), "--grid", ""],
+            "grid spec must look like 'RxC', got ''", [out]),
+        "run-priors-k-past-images": (
+            [*run, "--grid", "3x3", "--keep-intermediates", *with_priors, "--priors-k", "17"],
+            "cannot form 17 clusters from 16 points", [out / "submission.csv"]),
+        "cluster-k-past-points": (
+            ["cluster", "--projection", str(projection), "--out", str(out), "--k", "17"],
+            "cannot form 17 clusters from 16 points", [out]),
+        "run-split-image": ([*split_run, str(split_path), "--geo",
+                             "--observations", str(fixture_dir / "observations.csv"),
+                             "--geo-regions", str(fixture_dir / "geo_regions.json")],
+                            split_error, [out / "submission.csv"]),
+        "run-split-image-priors": ([*split_run, str(split_path), *with_priors], split_error,
+                                   [out / "submission.csv"]),
+        "run-no-tiling-split-image": (
+            [*split_run, str(split_images), "--mode", "no-tiling"], split_images_error, [out / "submission.csv"]),
+        "run-no-tiling-split-image-priors": (
+            [*split_run, str(split_images), "--mode", "no-tiling", *with_priors], split_images_error,
+            [out / "submission.csv"]),
+        "run-baseline-split-image": (
+            [*split_run, str(split_path), "--mode", "baseline",
+             "--training-counts", str(fixture_dir / "training_counts.csv")], split_error, [out / "submission.csv"]),
+        "aggregate-split-image": ([*aggregate, str(split_path), "--grid", "3x3"], split_error, [out]),
+        "geofilter-split-image": (
+            ["geofilter", "--observations", str(fixture_dir / "observations.csv"),
+             "--regions", str(fixture_dir / "geo_regions.json"), "--catalog", str(fixture_dir / "catalog.csv"),
+             "--out", str(out), "--predictions", str(split_path), "--out-predictions", str(out) + "2"],
+            split_error, [out, Path(str(out) + "2")]),
+        "priors-split-image": (
+            ["priors", "--predictions", str(split_path), "--assignments", str(fixture_dir / "labels.csv"),
+             "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out)], split_error, [out]),
+        "reweight-split-image": (
+            ["reweight", "--predictions", str(split_path), "--priors", str(priors),
+             "--region-clusters", str(region_clusters), "--registry", str(fixture_dir / "regions.txt"),
+             "--out", str(out)], split_error, [out]),
     }
 
 
@@ -1012,7 +1072,12 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
                                   "cluster-registry-alone", "cluster-repeated-registry-name",
                                   "aggregate-fractional-index", "evaluate-non-integer-id",
                                   "evaluate-empty-after-blank", "evaluate-header-only", "run-reference-triple",
-                                  "run-missing-config", "run-array-config"])
+                                  "run-missing-config", "run-array-config", "run-empty-grid",
+                                  "run-config-empty-grid", "aggregate-empty-grid", "run-priors-k-past-images",
+                                  "cluster-k-past-points", "run-split-image", "run-split-image-priors",
+                                  "run-no-tiling-split-image", "run-no-tiling-split-image-priors",
+                                  "run-baseline-split-image", "aggregate-split-image", "geofilter-split-image",
+                                  "priors-split-image", "reweight-split-image"])
 def test_flag_and_file_errors_exit_1_before_any_output(fixture_dir, projection_file, tmp_path, capsys, case):
     argv, message, outputs = _flag_error_cases(fixture_dir, projection_file, tmp_path)[case]
     assert main(argv) == 1
@@ -1020,6 +1085,8 @@ def test_flag_and_file_errors_exit_1_before_any_output(fixture_dir, projection_f
     assert captured.err == f"floratile: error: {message}\n"
     assert captured.out == ""
     assert not any(path.exists() for path in outputs)
+    out = tmp_path / "out"  # a run that made its --out directory left it empty: no partial file either
+    assert not (out.is_dir() and any(out.iterdir()))
 
 
 def test_project_lays_out_identical_embeddings_from_a_gaussian_start(tmp_path, capsys):

@@ -505,7 +505,9 @@ def test_embeddings_of_empty_vectors_rejected(tmp_path):
 @pytest.mark.parametrize("record,where,message", [
     ({"image_id": 7, "vector": [1.0]}, "", "image ids must be non-empty strings"),
     ({"image_id": "b", "vector": [10**400]}, ":2", "bad embedding record (int too large to convert to float)"),
-], ids=["numeric_id", "huge_int"])
+    ({"image_id": "b", "vector": ["1.5"]}, ":2", 'bad embedding record (vector values must be numbers, not "1.5")'),
+    ({"image_id": "b", "vector": [True]}, ":2", "bad embedding record (vector values must be numbers, not true)"),
+], ids=["numeric_id", "huge_int", "string_value", "bool_value"])
 def test_read_embeddings_rejects_values_projection_cannot_use(tmp_path, record, where, message):
     path = tmp_path / "emb.ndjson"
     path.write_text(json.dumps({"image_id": "a", "vector": [0.0]}) + "\n" + json.dumps(record) + "\n")
@@ -671,10 +673,17 @@ def test_priors_round_trip_and_contiguity(tmp_path):
     ([[-0.5, 1.5]], ":1", "prior entries must be finite and > 0"),
     ([[float("inf"), 1.0]], ":1", "prior entries must be finite and > 0"),
     ([[10**400, 1.0]], ":1", "bad prior record (int too large to convert to float)"),
-], ids=["ragged", "sum", "nan", "zero", "negative", "inf", "huge_int"])
+    ([["0.5", 0.5]], ":1", 'bad prior record (prior values must be numbers, not "0.5")'),
+    ([[True]], ":1", "bad prior record (prior values must be numbers, not true)"),
+    ([{"cluster": 0.9, "prior": [1.0]}], ":1", "bad prior record (cluster must be an integer, not 0.9)"),
+    ([{"cluster": True, "prior": [1.0]}], ":1", "bad prior record (cluster must be an integer, not true)"),
+], ids=["ragged", "sum", "nan", "zero", "negative", "inf", "huge_int", "string_value", "bool_value",
+        "fractional_cluster", "bool_cluster"])
 def test_read_priors_rejects_rows_reweighting_cannot_use(tmp_path, rows, where, message):
+    """Each of ``rows`` is a prior row of cluster 0, 1, ... or a whole record."""
     path = tmp_path / "priors.ndjson"
-    path.write_text("".join(json.dumps({"cluster": c, "prior": row}) + "\n" for c, row in enumerate(rows)))
+    records = [row if isinstance(row, dict) else {"cluster": c, "prior": row} for c, row in enumerate(rows)]
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
     with pytest.raises(InputError, match=f"^{re.escape(f'{path}{where}: {message}')}$"):
         read_priors(path)
 

@@ -14,6 +14,7 @@ import shutil
 import tempfile
 import tracemalloc
 from contextlib import closing
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from floratile import pipeline
 from floratile.catalog import load_catalog
 from floratile.errors import InputError, InvariantViolation
 from floratile.io import (
-    ImageReappeared,
     StagedTileFile,
     SubmissionRow,
     _make_dir,
@@ -132,7 +132,7 @@ def small_bundle(tmp_path_factory):
 # the unreadable line goes in last, so every other fault finds records to change
 FAULTS = ("rejected record", "off-grid tile", "repeated tile", "index past catalog", "masked-out image",
           "bad observations", "region without cluster", "missing embedding", "underflowing tile",
-          "unreadable line")
+          "split image", "unreadable line")
 
 
 @st.composite
@@ -142,13 +142,12 @@ def run_inputs(draw, bundle_dir: Path, dropped):
     source = "image_predictions.ndjson" if mode == "no-tiling" else "tile_predictions.ndjson"
     lines = (bundle_dir / source).read_text().splitlines()
     records = [json.loads(line) for line in lines]
-    shape = draw(st.sampled_from(["contiguous", "interleaved", "one image"]))
+    shape = draw(st.sampled_from(["contiguous", "reordered", "one image"]))
     if shape == "one image":
         lines = [line for line, rec in zip(lines, records) if rec["image_id"] == records[0]["image_id"]]
-    elif shape == "interleaved":
-        lo = draw(st.integers(0, len(lines) - 2))
-        hi = draw(st.integers(lo + 2, len(lines)))
-        lines[lo:hi] = draw(st.permutations(lines[lo:hi]))
+    elif shape == "reordered":  # whole images in a drawn order
+        images = [list(group) for _, group in groupby(lines, key=lambda line: json.loads(line)["image_id"])]
+        lines = [line for image in draw(st.permutations(images)) for line in image]
     observations = (bundle_dir / "observations.csv").read_text()
     embeddings = (bundle_dir / "embeddings.ndjson").read_text().splitlines()
     for fault in sorted(draw(st.lists(st.sampled_from(FAULTS), max_size=2)), key=FAULTS.index):
@@ -161,8 +160,11 @@ def run_inputs(draw, bundle_dir: Path, dropped):
             lines[at] = json.dumps(dict(rec, probs=[[1, 1.5]]))
         elif fault == "off-grid tile":
             lines[at] = json.dumps(dict(rec, row=7))
-        elif fault == "repeated tile":
-            lines.insert(draw(st.integers(at, len(lines))), lines[at])
+        elif fault == "repeated tile":  # among its own image's records, so the grid check sees it
+            end = at
+            while end < len(lines) and json.loads(lines[end])["image_id"] == rec["image_id"]:
+                end += 1
+            lines.insert(draw(st.integers(at, end)), lines[at])
         elif fault == "index past catalog":
             lines[at] = json.dumps(dict(rec, probs=[[SPEC.n_species + 3, 0.5]], complete=False))
         elif fault == "masked-out image" and dropped is not None:
@@ -176,6 +178,11 @@ def run_inputs(draw, bundle_dir: Path, dropped):
             del embeddings[draw(st.integers(0, len(embeddings) - 1))]
         elif fault == "underflowing tile":  # valid, but its one entry times any prior is 0
             lines[at] = json.dumps(dict(rec, probs=[[rec["probs"][0][0], 5e-324]], complete=False))
+        elif fault == "split image":  # a record moved past another image's, when its image has others
+            moved = lines.pop(at)
+            own = [n for n, line in enumerate(lines) if json.loads(line)["image_id"] == rec["image_id"]]
+            spots = [n for n in range(len(lines) + 1) if own and not own[0] <= n <= own[-1] + 1]
+            lines.insert(draw(st.sampled_from(spots)) if spots else at, moved)
     settings = dict(mode=mode, keep_intermediates=draw(st.booleans()))
     if mode != "baseline":
         settings.update(geo=draw(st.booleans()), priors=draw(st.booleans()))
@@ -272,18 +279,22 @@ def test_run_keeps_no_reweighted_file_when_a_later_slice_fails_to_reweight(small
     assert _outcome(lambda c: run(c).submission, config) == expected
 
 
+@pytest.mark.parametrize("chunk", [1, 4096])  # every image a slice of its own, or one slice
 @pytest.mark.parametrize("priors", [False, True])
-def test_run_reads_a_file_whose_image_reappears_after_a_cut_whole(small_bundle, tmp_path, monkeypatch, priors):
+def test_run_rejects_a_file_whose_image_reappears(small_bundle, tmp_path, monkeypatch, priors, chunk):
     bundle_dir, _ = small_bundle
     lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
     lines.append(lines.pop(0))  # the first image's first tile comes last
-    (tmp_path / "predictions.ndjson").write_text("\n".join(lines) + "\n")
+    path = tmp_path / "predictions.ndjson"
+    path.write_text("\n".join(lines) + "\n")
     shutil.copy(bundle_dir / "observations.csv", tmp_path)
     shutil.copy(bundle_dir / "embeddings.ndjson", tmp_path)
-    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
     config = _config(bundle_dir, tmp_path, dict(mode="tiling", geo=True, priors=priors, keep_intermediates=True))
-    expected = _outcome(_whole_batch_run, config)
-    assert expected[0][0] == "ok"
+    image_id = json.loads(lines[-1])["image_id"]
+    message = f"{path}:{len(lines)}: image {image_id!r} reappears after other images' records"
+    expected = ("error", "InputError", message), {}  # no submission, intermediate or partial file
+    assert _outcome(_whole_batch_run, config) == expected
     assert _outcome(lambda c: run(c).submission, config) == expected
 
 
@@ -351,14 +362,16 @@ def test_tile_slices_raise_a_bad_record_after_the_slices_before_it(tmp_path, mon
         _slices(path)
 
 
-def test_tile_slices_stop_at_an_image_that_reappears_after_a_cut(tmp_path, monkeypatch):
+def test_tile_slices_reject_an_image_that_reappears(tmp_path, monkeypatch):
     monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)
     path = _lines_file(tmp_path, [_record("a", 0, 4), _record("b", 0, 4), _record("a", 1, 4)])
-    with pytest.raises(ImageReappeared, match=r":3: image 'a' reappears"):
+    slices = tile_slices(path)
+    assert [next(slices).image_ids for _ in range(2)] == [["a"], ["b"]]
+    with pytest.raises(InputError, match=r"preds\.ndjson:3: image 'a' reappears after other images' records$"):
+        next(slices)
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 4096)  # one slice: the image is split within it
+    with pytest.raises(InputError, match=r"preds\.ndjson:3: image 'a' reappears after other images' records$"):
         _slices(path)
-    # within a slice, images may interleave: the slice groups them as the batch does
-    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 4096)
-    assert [v.image_ids for v in _slices(path)] == [["a", "b"]]
 
 
 # --- memory ---------------------------------------------------------------------
