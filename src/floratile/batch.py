@@ -13,18 +13,18 @@ species index) and ``prob``. Two invariants hold:
   ``TilePrediction.probs``.
 
 A batch is its columns and the per-image ``image_offsets``; it caches no
-per-entry array. Every pass over entries walks ``TileBatch.slices()``,
-runs of whole images of at most ``CHUNK_ENTRIES`` entries (half as many for
-the vote, which holds the most per entry), and builds its tile keys per
-slice, so what a pass holds beyond its input and output is set by a slice,
-not by the batch.
+per-entry array. Each per-entry pass works on the batch it is given in one
+go and builds its tile keys for it, so what a pass holds beyond its input
+and output is set by that batch.
 
-A run never builds the batch of a whole tile file: ``io.tile_slices``
+A command never builds the batch of a whole tile file: ``io.tile_slices``
 reads the file as batches of whole images, cut at the first new image past
-``4 * CHUNK_ENTRIES`` entries, and ``pipeline.run`` passes each through
-every stage as it is read. The first invariant is a rule of the tile
-file: the readers reject a record whose image reappears after other
-images' records. ``from_tiles`` groups a list of tiles by image instead.
+``4 * CHUNK_ENTRIES`` entries, and ``pipeline.run`` and the stage commands
+pass each slice through every stage, so a pass holds a slice's working
+memory, not the file's. Every stage quantity belongs to one image, so a run
+of whole images gives the whole-batch result. The first invariant is a rule
+of the tile file: the readers reject a record whose image reappears after
+other images' records. ``from_tiles`` groups a list of tiles by image instead.
 
 Every float sum that reaches an output is taken with
 ``np.bincount(keys, weights=...)`` over entries in batch order. bincount
@@ -48,8 +48,8 @@ SparseVector = List[Tuple[int, float]]
 
 _MASS_TOL = 1e-6
 
-# entries of a batch that the writer formats, and each per-entry pass walks,
-# at a time, so what either holds at once stays bounded whatever the batch size
+# entries of a batch that the writer formats at a time; the tile reader cuts
+# its slices at four times as many
 CHUNK_ENTRIES = 4096
 
 
@@ -163,19 +163,15 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def chunk_bounds(offsets: np.ndarray, limit: Optional[int] = None) -> Iterator[Tuple[int, int]]:
+def chunk_bounds(offsets: np.ndarray) -> Iterator[Tuple[int, int]]:
     """Consecutive ``(lo, hi)`` ranges of the groups that ``offsets`` delimits
     (group ``g`` owns entries ``offsets[g]:offsets[g + 1]``), covering every
-    group, each holding at most ``limit`` entries (``CHUNK_ENTRIES`` when
-    None), or else one group.
-
-    Tile offsets give tile-aligned chunks; per-image entry offsets,
-    ``offsets[image_offsets]``, give the image-aligned ones of ``TileBatch.slices``.
+    group, each holding at most ``CHUNK_ENTRIES`` entries, or else one group.
+    The tile writer passes tile offsets, for tile-aligned chunks.
     """
-    limit = CHUNK_ENTRIES if limit is None else limit
     lo, n = 0, offsets.shape[0] - 1
     while lo < n:
-        hi = max(int(np.searchsorted(offsets, offsets[lo] + limit, side="right")) - 1, lo + 1)
+        hi = max(int(np.searchsorted(offsets, offsets[lo] + CHUNK_ENTRIES, side="right")) - 1, lo + 1)
         yield lo, hi
         lo = hi
 
@@ -272,21 +268,8 @@ class TileBatch:
         """Image ``i`` owns the tiles ``image_offsets[i]:image_offsets[i + 1]``."""
         return np.searchsorted(self.image, np.arange(len(self.image_ids) + 1))
 
-    def slices(self, limit: Optional[int] = None) -> Iterator[Tuple[int, int, "TileBatch"]]:
-        """The batch as ``images(a, b)`` views of consecutive whole images,
-        each of at most ``limit`` (``CHUNK_ENTRIES`` when None) entries or one
-        wider image, in order.
-
-        Yields ``(a, lo, view)``: ``a`` and ``lo`` are the view's first image
-        code and first tile in this batch. Each tile and image lies in one view,
-        so a pass over the views in order sees every entry in batch order.
-        """
-        image_offsets = self.image_offsets
-        for a, b in chunk_bounds(self.offsets[image_offsets], limit):
-            yield a, int(image_offsets[a]), self.images(a, b)
-
     def tile_keys(self) -> np.ndarray:
-        """The tile of each entry: a per-entry array, so passes build it for a slice."""
+        """The tile of each entry; a per-entry array, built per call and never cached."""
         return np.repeat(np.arange(len(self)), np.diff(self.offsets))
 
     def tile_of(self, j: int) -> int:
@@ -296,25 +279,22 @@ class TileBatch:
     def _entries_sorted(self) -> "TileBatch":
         """This batch with each tile's entries sorted by (-prob, idx); ``idx``
         and ``prob`` are copied, never sorted in place, and only when a tile is unsorted."""
-        idx = prob = None
-        for _, lo, view in self.slices():
-            order = _entry_order(view.tile_keys(), view.idx, view.prob)
-            if order is None:
-                continue
-            if idx is None:
-                idx, prob = self.idx.copy(), self.prob.copy()
-            start, stop = self.offsets[lo], self.offsets[lo + len(view)]
-            idx[start:stop], prob[start:stop] = view.idx[order], view.prob[order]
-        return self if idx is None else replace(self, idx=idx, prob=prob)
+        order = _entry_order(self.tile_keys(), self.idx, self.prob)
+        return self if order is None else replace(self, idx=self.idx[order], prob=self.prob[order])
 
     def invalid_tiles(self) -> np.ndarray:
-        """Per tile, whether ``TilePrediction`` would reject it."""
+        """Per tile, whether ``TilePrediction`` would reject it: a bad image id
+        or cell, no entries, an index or probability it rejects, a repeated
+        index, or a bad mass."""
         bad = np.array([not (isinstance(i, str) and i and encodable(i)) for i in self.image_ids], dtype=bool)
         bad = bad[self.image]
         bad |= (self.row < 0) | (self.col < 0) | (self.offsets[1:] == self.offsets[:-1])
-        for _, lo, view in self.slices():
-            _flag_entries(view, bad[lo:lo + len(view)])
-        return bad
+        tile, idx, prob = self.tile_keys(), self.idx, self.prob
+        bad[tile[(idx < 0) | ~((prob > 0.0) & (prob <= 1.0))]] = True
+        idx = idx[np.lexsort((idx, tile))]  # tile keys ascend, so the sort leaves them as they are
+        bad[tile[1:][(tile[1:] == tile[:-1]) & (idx[1:] == idx[:-1])]] = True
+        mass = np.bincount(tile, weights=prob, minlength=len(self))
+        return bad | (self.complete & (np.abs(mass - 1.0) > _MASS_TOL)) | (mass > 1.0 + _MASS_TOL)
 
     def prob_failure(self, prob: np.ndarray):
         """``raise_first`` failure for the first tile whose new ``prob`` leaves (0, 1]."""
@@ -329,52 +309,26 @@ class TileBatch:
     def derive(self, fill) -> "TileBatch":
         """The batch of the entries ``fill`` keeps, with new probabilities.
 
-        For each of ``slices()``, ``fill(view, idx, prob)`` writes the view's
-        kept entries, in batch order, to the front of ``idx`` and ``prob``,
-        buffers as long as the view's entries, and returns the kept count of
-        each tile of the view. Tiles left without entries drop out, entries
-        are re-sorted, and no tile is complete any more. Every image must keep
-        a tile; when every tile does, the tile columns are shared, not copied.
-        The new entry columns view buffers as long as this batch's.
+        ``fill(self, idx, prob)`` writes the kept entries, in batch order, to
+        the front of ``idx`` and ``prob``, buffers as long as this batch's
+        entries, and returns each tile's kept count. Each tile's entries are
+        then sorted, tiles left without entries drop out, and no tile is
+        complete any more. Every image must keep a tile; when every tile
+        does, the tile columns are shared, not copied. The new entry columns
+        view the buffers.
         """
         idx, prob = np.empty(self.idx.shape[0], dtype=np.int64), np.empty(self.idx.shape[0], dtype=np.float64)
-        offsets = np.zeros(len(self) + 1, dtype=np.int64)  # each tile's kept count, then their cumulative sum
-        n = 0  # entries kept so far
-        for _, lo, view in self.slices():
-            end = n + view.idx.shape[0]
-            n += _fill_sorted(fill, view, offsets[lo + 1:lo + 1 + len(view)], idx[n:end], prob[n:end])
-        np.cumsum(offsets, out=offsets)
-        image, row, col = self.image, self.row, self.col
-        live = offsets[1:] > offsets[:-1]
-        if not live.all():
-            image, row, col, offsets = image[live], row[live], col[live], _offsets(np.diff(offsets)[live])
+        counts = np.asarray(fill(self, idx, prob), dtype=np.int64)
+        n = int(counts.sum())
         idx, prob = idx[:n], prob[:n]
-        return TileBatch(self.image_ids, image, row, col, np.zeros(len(image), dtype=bool), offsets, idx, prob)
-
-
-# A slice's own arrays live in a function of their own, so they are freed
-# before the next slice's are built.
-
-def _flag_entries(view: TileBatch, bad: np.ndarray):
-    """Flag in ``bad``, one flag per tile of ``view``, each tile that holds an
-    index or probability ``TilePrediction`` rejects, a repeated index, or a bad mass."""
-    tile, idx, prob = view.tile_keys(), view.idx, view.prob
-    bad[tile[(idx < 0) | ~((prob > 0.0) & (prob <= 1.0))]] = True
-    idx = idx[np.lexsort((idx, tile))]  # tile keys ascend, so the sort leaves them as they are
-    bad[tile[1:][(tile[1:] == tile[:-1]) & (idx[1:] == idx[:-1])]] = True
-    mass = np.bincount(tile, weights=prob, minlength=len(view))
-    bad |= (view.complete & (np.abs(mass - 1.0) > _MASS_TOL)) | (mass > 1.0 + _MASS_TOL)
-
-
-def _fill_sorted(fill, view: TileBatch, counts: np.ndarray, idx: np.ndarray, prob: np.ndarray) -> int:
-    """One slice of ``TileBatch.derive``: ``fill`` the view's kept entries and
-    their tiles' ``counts``, sort each tile's entries in place, and return how many were kept."""
-    counts[:] = fill(view, idx, prob)
-    n = int(counts.sum())
-    order = _entry_order(np.repeat(np.arange(len(view)), counts), idx[:n], prob[:n])
-    if order is not None:
-        idx[:n], prob[:n] = idx[order], prob[order]
-    return n
+        order = _entry_order(np.repeat(np.arange(len(self)), counts), idx, prob)
+        if order is not None:
+            idx[:], prob[:] = idx[order], prob[order]
+        image, row, col = self.image, self.row, self.col
+        live = counts > 0
+        if not live.all():
+            image, row, col, counts = image[live], row[live], col[live], counts[live]
+        return TileBatch(self.image_ids, image, row, col, np.zeros(len(image), dtype=bool), _offsets(counts), idx, prob)
 
 
 class ImageTiles(Mapping):

@@ -37,15 +37,18 @@ from .pipeline import (
     apply_priors,
     check_species_indices,
     compute_geo_mask,
-    estimate_cluster_priors,
+    drained,
+    image_probability_vectors,
     run,
     score_submission,
     validate_grid,
+    vector_priors,
 )
 from .projection import ProjectorConfig, fit
 from .svgplot import save_projection_plot
 from .synth import SynthSpec, generate, write_bundle
 from .tiling import make_grid, parse_grid_spec
+from .voting import check_vote_settings
 
 CONFIG_ENV_VAR = "FLORATILE_CONFIG"
 # grid, k per tile, min votes and max labels of the default mode
@@ -100,12 +103,15 @@ def _cmd_tile_plan(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
+    check_vote_settings(args.k, args.min_votes, args.max_labels)
     catalog = load_catalog(args.catalog)
-    tiles = fio.read_tile_predictions(args.predictions)
+    slices = list(fio.tile_slices(args.predictions))
     if args.grid is not None:
-        validate_grid(tiles, parse_grid_spec(args.grid))
-    check_species_indices(tiles, len(catalog))
-    rows = aggregate_predictions(tiles, catalog, args.k, args.min_votes, args.max_labels)
+        for view in slices:
+            validate_grid(view, args.grid)
+    for view in slices:
+        check_species_indices(view, len(catalog))
+    rows = aggregate_predictions(slices, catalog, args.k, args.min_votes, args.max_labels)
     fio.write_submission(args.out, rows)
     return 0
 
@@ -123,13 +129,14 @@ def _cmd_geofilter(args) -> int:
         regions_path=args.regions,
     )
     mask = compute_geo_mask(options, catalog)
-    filtered = apply_geo_mask(fio.read_tile_predictions(args.predictions), mask) if args.predictions else None
+    slices = list(fio.tile_slices(args.predictions)) if args.predictions else []
+    filtered = [apply_geo_mask(view, mask).batch for view in drained(slices)]
     if args.out:
         fio.write_species_mask(args.out, mask, catalog)
     else:
         sys.stdout.write(fio.format_species_mask(mask, catalog))
-    if filtered is not None:
-        fio.write_tile_predictions(args.out_predictions, filtered.batch)
+    if args.predictions:
+        fio.write_tile_predictions(args.out_predictions, *filtered)
     return 0
 
 
@@ -161,22 +168,23 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_priors(args) -> int:
-    catalog = load_catalog(args.catalog)
-    tiles = fio.read_tile_predictions(args.predictions)
-    assign_map = fio.read_assignments(args.assignments)
     options = PriorsOptions(k=args.k, epsilon=args.epsilon)
-    priors = estimate_cluster_priors(tiles, assign_map, len(catalog), options.k, options.epsilon)
-    fio.write_priors(args.out, priors)
+    catalog = load_catalog(args.catalog)
+    slices = list(fio.tile_slices(args.predictions))
+    assign_map = fio.read_assignments(args.assignments)
+    ids, vectors = image_probability_vectors(slices, len(catalog))
+    del slices  # the priors need only the image vectors
+    fio.write_priors(args.out, vector_priors(ids, vectors, assign_map, options.k, options.epsilon))
     return 0
 
 
 def _cmd_reweight(args) -> int:
-    tiles = fio.read_tile_predictions(args.predictions)
+    slices = list(fio.tile_slices(args.predictions))
     priors = fio.read_priors(args.priors)
     region_map = fio.read_region_cluster_map(args.region_clusters)
     registry = fio.read_region_registry(args.registry)
-    reweighted = apply_priors(tiles, priors, region_map, registry)
-    fio.write_tile_predictions(args.out, reweighted.batch)
+    reweighted = [apply_priors(view, priors, region_map, registry).batch for view in drained(slices)]
+    fio.write_tile_predictions(args.out, *reweighted)
     return 0
 
 
@@ -367,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=_K_PER_TILE)
     p.add_argument("--min-votes", type=int, default=_MIN_VOTES)
     p.add_argument("--max-labels", type=int, default=_MAX_LABELS)
-    p.add_argument("--grid")
+    p.add_argument("--grid", type=parse_grid_spec)
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser("geofilter", help="build a species mask from observations")

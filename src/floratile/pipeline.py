@@ -20,13 +20,14 @@ species-index check, the geo mask (built once, for the first slice that
 passes the checks) and the vote while the next is still unread, so a run
 holds a slice of the input, not all of it. A priors run keeps its
 checked and masked slices and estimates the priors over them; it then
-reweights every slice, writes the reweighted slices when asked to, and
-votes them, each step in order over the whole list. The stage functions
-below stay whole-batch functions; the loop calls them on each slice, and
-every quantity they compute belongs to one image, so the rows and
-written bytes are the whole-batch ones. The slices rely on the tile
-file's rule that each image's records are together; the reader rejects a
-file that breaks it.
+takes each slice in turn through the reweight, the reweighted file's
+write when asked for, and the vote. The stage commands read the file as
+its list of slices and run each stage over the whole list before the
+next. Each stage function works on the batch it is given in one pass;
+the callers give it one slice at a time, and every quantity it computes
+belongs to one image, so the rows and written bytes are the whole-batch
+ones. The slices rely on the tile file's rule that each image's records
+are together; the reader rejects a file that breaks it.
 
 Errors keep the whole-batch precedence. A bad record or unreadable line
 raises at once. Any other stage runs only while no stage of its kind or
@@ -55,7 +56,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import batch as _batch
 from .batch import ImageTiles, TileBatch, as_batch, first, raise_first
 from .catalog import RegionRegistry, SpeciesCatalog, load_catalog, parse_region
 from .clustering import (
@@ -204,32 +204,22 @@ class RunResult:
 
 # --- stage functions (shared by `run` and the per-stage CLI commands) ----
 
-def _grid_error(view: TileBatch, grid: GridSpec) -> Optional[InputError]:
-    """The error of the first tile of ``view`` outside the grid or on a cell
-    its image already holds, or None."""
-    outside = (view.row >= grid.rows) | (view.col >= grid.cols)
-    cells = np.lexsort((view.col, view.row, view.image))  # stable: a repeat sorts after its first
-    keys = np.stack([view.image, view.row, view.col])[:, cells]
-    repeated = np.zeros(len(view), dtype=bool)
+def validate_grid(tiles: TileBatch, grid: GridSpec):
+    """Every tile must sit inside the grid; no duplicate cells per image.
+    The first bad tile raises; a tile both outside and repeated reports the grid."""
+    batch = as_batch(tiles)
+    outside = (batch.row >= grid.rows) | (batch.col >= grid.cols)
+    cells = np.lexsort((batch.col, batch.row, batch.image))  # stable: a repeat sorts after its first
+    keys = np.stack([batch.image, batch.row, batch.col])[:, cells]
+    repeated = np.zeros(len(batch), dtype=bool)
     repeated[cells[1:]] = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
     t = first(outside | repeated)
     if t is None:
-        return None
-    row, col, image_id = int(view.row[t]), int(view.col[t]), view.image_ids[view.image[t]]
-    if outside[t]:  # a tile both outside and repeated reports the grid
-        return InputError(f"tile ({row},{col}) of {image_id!r} outside {grid.rows}x{grid.cols} grid")
-    return InputError(f"duplicate tile ({row},{col}) for {image_id!r}")
-
-
-def validate_grid(tiles: TileBatch, grid: GridSpec):
-    """Every tile must sit inside the grid; no duplicate cells per image.
-
-    An image's tiles lie in one slice, so the first bad tile of the first
-    slice that holds one is the first of the batch."""
-    for _, _, view in as_batch(tiles).slices():
-        exc = _grid_error(view, grid)
-        if exc is not None:
-            raise exc
+        return
+    row, col, image_id = int(batch.row[t]), int(batch.col[t]), batch.image_ids[batch.image[t]]
+    if outside[t]:
+        raise InputError(f"tile ({row},{col}) of {image_id!r} outside {grid.rows}x{grid.cols} grid")
+    raise InputError(f"duplicate tile ({row},{col}) for {image_id!r}")
 
 
 def check_species_indices(tiles: TileBatch, n_species: int):
@@ -243,6 +233,22 @@ def check_species_indices(tiles: TileBatch, n_species: int):
         )
 
 
+def _parts(tiles) -> List[TileBatch]:
+    """A list of batches that hold whole images in turn, such as a tile
+    file's slices, as it is; any other stage input as a list of its one batch."""
+    if isinstance(tiles, list) and all(isinstance(part, TileBatch) for part in tiles):
+        return tiles
+    return [as_batch(tiles)]
+
+
+def drained(batches: list):
+    """The batches in order, each dropped from the list as it is handed out,
+    so a caller that keeps only a batch's output frees the batch."""
+    batches.reverse()
+    while batches:
+        yield batches.pop()
+
+
 def image_probability_vectors(tiles, n_species: int) -> Tuple[List[str], np.ndarray]:
     """Dense per-image distributions: renormalize each tile, then average.
 
@@ -250,31 +256,23 @@ def image_probability_vectors(tiles, n_species: int) -> Tuple[List[str], np.ndar
     not), so each tile is renormalized before entering the mean; the
     resulting rows sum to one exactly as the prior estimator requires.
     ``tiles`` is any stage input, or a list of batches that hold whole images
-    in turn, such as a run's slices; each image's row is the same either way.
+    in turn, such as a tile file's slices; each image's row is the same either way.
     """
-    slices = isinstance(tiles, list) and all(isinstance(part, TileBatch) for part in tiles)
-    parts = tiles if slices else [as_batch(tiles)]
+    parts = _parts(tiles)
     for part in parts:
         check_species_indices(part, n_species)
     ids = [image_id for part in parts for image_id in part.image_ids]
     vectors = np.empty((len(ids), n_species))
     first_image = 0
     for part in parts:
-        for a, _, view in part.slices():
-            a += first_image
-            vectors[a:a + len(view.image_ids)] = _renormalised_sums(view, n_species)
-        vectors[first_image:first_image + len(part.image_ids)] /= np.diff(part.image_offsets)[:, None]
+        rows = vectors[first_image:first_image + len(part.image_ids)]
+        tile = part.tile_keys()
+        total = np.bincount(tile, weights=part.prob, minlength=len(part))
+        cells = part.image[tile] * n_species + part.idx
+        rows[:] = np.bincount(cells, weights=part.prob / total[tile], minlength=rows.size).reshape(rows.shape)
+        rows /= np.diff(part.image_offsets)[:, None]
         first_image += len(part.image_ids)
     return ids, vectors
-
-
-def _renormalised_sums(view: TileBatch, n_species: int) -> np.ndarray:
-    """Per image of ``view``, the dense sum of its tiles, each renormalised."""
-    tile, n_images = view.tile_keys(), len(view.image_ids)
-    total = np.bincount(tile, weights=view.prob, minlength=len(view))
-    cells = view.image[tile] * n_species + view.idx
-    sums = np.bincount(cells, weights=view.prob / total[tile], minlength=n_images * n_species)
-    return sums.reshape(n_images, n_species)
 
 
 def compute_geo_mask(options: GeoOptions, catalog: SpeciesCatalog) -> SpeciesMask:
@@ -288,26 +286,25 @@ def apply_geo_mask(tiles: TileBatch, mask: SpeciesMask) -> ImageTiles:
     """Filter every tile through the mask and renormalize; tiles losing all
     species drop out, and an image losing every tile is an input error.
 
-    One walk over the slices: each slice counts what its tiles keep and
-    raises its first failure, an index outside the mask or an image the mask
-    empties (reported at its last tile), before it is filtered, so the first
-    slice that holds a failure holds the batch's first."""
+    The batch counts what its tiles keep and raises its first failure, an
+    index outside the mask or an image the mask empties (reported at its last
+    tile), before it is filtered."""
 
-    def fill(view, idx, prob):
-        tile = view.tile_keys()
-        kept, outside = allowed_entries(view.idx, tile, mask.allowed)
-        counts = np.bincount(tile, weights=kept, minlength=len(view))  # exact counts
-        emptied = first(np.bincount(view.image, weights=counts, minlength=len(view.image_ids)) == 0)
+    def fill(batch, idx, prob):
+        tile = batch.tile_keys()
+        kept, outside = allowed_entries(batch.idx, tile, mask.allowed)
+        counts = np.bincount(tile, weights=kept, minlength=len(batch))  # exact counts
+        emptied = first(np.bincount(batch.image, weights=counts, minlength=len(batch.image_ids)) == 0)
         empty_failure = (None, None)
         if emptied is not None:
             empty_failure = (
-                int(view.image_offsets[emptied + 1]) - 1,
-                InputError(f"geolocation mask removed every species of every tile of {view.image_ids[emptied]!r}"),
+                int(batch.image_offsets[emptied + 1]) - 1,
+                InputError(f"geolocation mask removed every species of every tile of {batch.image_ids[emptied]!r}"),
             )
         raise_first(outside, empty_failure)
         n = np.count_nonzero(kept)
-        np.compress(kept, view.idx, out=idx[:n])
-        renormalise(np.compress(kept, view.prob, out=prob[:n]), tile[kept], len(view))
+        np.compress(kept, batch.idx, out=idx[:n])
+        renormalise(np.compress(kept, batch.prob, out=prob[:n]), tile[kept], len(batch))
         return counts
 
     return ImageTiles(as_batch(tiles).derive(fill))
@@ -350,12 +347,17 @@ def estimate_cluster_priors(
     epsilon: float,
 ) -> ClusterPriors:
     """One species prior per cluster, from the images' mean tile distributions."""
-    ids, vectors = image_probability_vectors(tiles, n_species)
+    return vector_priors(*image_probability_vectors(tiles, n_species), cluster_of_image, k, epsilon)
+
+
+def vector_priors(ids: List[str], vectors: np.ndarray, cluster_of_image: Mapping[str, int], k: int,
+                  epsilon: float) -> ClusterPriors:
+    """One species prior per cluster, from the image vectors of images ``ids``."""
     missing = [i for i in ids if i not in cluster_of_image]
     if missing:
         raise InputError(f"no cluster assignment for predicted image(s): {missing[:5]}")
     assignments = [cluster_of_image[i] for i in ids]
-    return estimate_priors(vectors, assignments, k, epsilon=epsilon, n_species=n_species)
+    return estimate_priors(vectors, assignments, k, epsilon=epsilon, n_species=vectors.shape[1])
 
 
 def apply_priors(
@@ -366,12 +368,12 @@ def apply_priors(
 ) -> ImageTiles:
     """Reweight every tile by the prior of its region's dominant cluster.
 
-    Each slice raises its first failure as it fills the output; an image
+    The batch raises its first failure as it fills the output; an image
     without a usable cluster fails at its first tile."""
 
-    def fill(view, idx, prob):
+    def fill(batch, idx, prob):
         clusters, region_failure = [], (None, None)
-        for i, image_id in enumerate(view.image_ids):
+        for i, image_id in enumerate(batch.image_ids):
             try:
                 region = parse_region(image_id, registry)
                 if region not in region_map:
@@ -380,42 +382,20 @@ def apply_priors(
                 if not 0 <= cluster < priors.k:
                     raise InputError(f"region {region!r} maps to cluster {cluster}; priors have rows 0..{priors.k - 1}")
             except InputError as exc:
-                region_failure = (int(view.image_offsets[i]), exc)
+                region_failure = (int(batch.image_offsets[i]), exc)
                 break
             clusters.append(cluster)
-        head = view.images(0, len(clusters))  # the images ahead of the first without a cluster
+        head = batch.images(0, len(clusters))  # the images ahead of the first without a cluster
         weighted, found = reweight_entries(
             head.idx, head.prob, head.tile_keys(), len(head), priors.priors,
             np.asarray(clusters, dtype=np.int64)[head.image],
             lambda t: f"tile ({int(head.row[t])},{int(head.col[t])}) of {head.image_ids[head.image[t]]!r}",
         )
         raise_first(region_failure, *found, head.prob_failure(weighted))
-        idx[:], prob[:] = view.idx, weighted
-        return np.diff(view.offsets)
+        idx[:], prob[:] = batch.idx, weighted
+        return np.diff(batch.offsets)
 
     return ImageTiles(as_batch(tiles).derive(fill))
-
-
-def _slice_rows(view: TileBatch, k: int, min_votes: int, max_labels: int, species_ids: List[int]):
-    """``(rows, failures)`` of one slice: a submission row per image of
-    ``view`` and no failures, or, when a chosen label lies past the catalog,
-    no rows and the ``(quadrat id, label)`` of its first such image in
-    quadrat-id order.
-
-    A function of its own, so a slice's per-key arrays are freed before the
-    next slice is tallied."""
-    image, idx, votes, mass = tally_batch(view, k)
-    chosen = rank_labels(image, idx, votes, mass, min_votes, max_labels)
-    image, idx = image[chosen], idx[chosen]
-    outside = np.flatnonzero(idx >= len(species_ids)).tolist()
-    if outside:
-        j = min(outside, key=lambda j: view.image_ids[image[j]])  # the first such key of that image
-        return [], [(view.image_ids[image[j]], int(idx[j]))]
-    labels = [species_ids[i] for i in idx.tolist()]
-    bounds = np.searchsorted(image, np.arange(len(view.image_ids) + 1)).tolist()
-    # the vote gives every image at least one key, each species once
-    rows = [SubmissionRow._trusted(q, tuple(labels[bounds[i]:bounds[i + 1]])) for i, q in enumerate(view.image_ids)]
-    return rows, []
 
 
 def aggregate_predictions(
@@ -428,19 +408,16 @@ def aggregate_predictions(
 ) -> List[SubmissionRow]:
     """One submission row per image, sorted by quadrat id.
 
-    The vote tallies and ranks image-aligned slices of the batch, each of at
-    most ``CHUNK_ENTRIES // 2`` entries or one image, so its working memory is
-    set by a slice, not by the batch. Every vote quantity belongs to one image,
-    so the slices give the whole-batch result. Each slice's chosen labels
-    become its rows as soon as it is voted; no label array of the batch is
-    built. ``threads`` is accepted for compatibility and has no effect.
+    ``tiles`` is any stage input, or a list of batches that hold whole
+    images in turn, such as a tile file's slices; the list is emptied as its
+    batches are voted, so each is freed once its rows exist. Every vote
+    quantity belongs to one image, so the rows are the same either way.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     check_vote_settings(k, min_votes, max_labels)
-    batch = as_batch(tiles)
-    if not batch.image_ids:
-        return []
     vote = _Vote(catalog, k, min_votes, max_labels)
-    vote.add(batch)
+    for part in drained(_parts(tiles)):
+        vote.add(part)
     return vote.rows()
 
 
@@ -448,17 +425,31 @@ class _Vote:
     """Submission rows voted batch by batch, then checked and sorted at once."""
 
     def __init__(self, catalog: SpeciesCatalog, k: int, min_votes: int, max_labels: int):
-        self.catalog, self._slice_args = catalog, (k, min_votes, max_labels, catalog.species_ids)
+        self.catalog, self.k, self.min_votes, self.max_labels = catalog, k, min_votes, max_labels
         self._rows: List[SubmissionRow] = []
         self._failures: List[Tuple[str, int]] = []
 
     def add(self, batch: TileBatch):
-        # the tally and ranking hold about six int64 columns of a slice's entries,
-        # the most of any pass, so the vote walks slices of half the usual size
-        for _, _, view in batch.slices(_batch.CHUNK_ENTRIES // 2):
-            slice_rows, slice_failures = _slice_rows(view, *self._slice_args)
-            self._rows += slice_rows
-            self._failures += slice_failures
+        """Vote ``batch``: a row per image, or, when a chosen label lies past
+        the catalog, no rows and the ``(quadrat id, label)`` of its first such
+        image in quadrat-id order. The tally and ranking hold about six int64
+        columns of the batch's entries, the most of any pass."""
+        if not batch.image_ids:
+            return
+        image, idx, votes, mass = tally_batch(batch, self.k)
+        chosen = rank_labels(image, idx, votes, mass, self.min_votes, self.max_labels)
+        image, idx = image[chosen], idx[chosen]
+        species_ids = self.catalog.species_ids
+        outside = np.flatnonzero(idx >= len(species_ids)).tolist()
+        if outside:
+            j = min(outside, key=lambda j: batch.image_ids[image[j]])  # the first such key of that image
+            self._failures.append((batch.image_ids[image[j]], int(idx[j])))
+            return
+        labels = [species_ids[i] for i in idx.tolist()]
+        bounds = np.searchsorted(image, np.arange(len(batch.image_ids) + 1)).tolist()
+        # the vote gives every image at least one key, each species once
+        self._rows += [SubmissionRow._trusted(q, tuple(labels[bounds[i]:bounds[i + 1]]))
+                       for i, q in enumerate(batch.image_ids)]
 
     def rows(self) -> List[SubmissionRow]:
         """The rows of every batch added, sorted by quadrat id; a label past
@@ -485,13 +476,6 @@ def score_submission(
 # failing read raises at once, ahead of them all. Writing an intermediate is
 # a kind of its own, at the place the whole-batch chain writes it.
 (_GRID, _SPECIES, _MASK_BUILD, _MASK_FILE, _MASK_APPLY, _MASKED_FILE, _VOTE, _PASSED) = range(8)
-
-
-def _drained(batches: list):
-    """The batches in order, each dropped from the list as it is handed out."""
-    batches.reverse()
-    while batches:
-        yield batches.pop()
 
 
 def _first_pass(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path, slices):
@@ -563,15 +547,14 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> Li
             write_region_cluster_map(out_dir / "region_clusters.csv", artifacts.region_map)
             write_priors(out_dir / "priors.ndjson", artifacts.priors)
         # every slice is held, so the first that fails holds the batch's first failure
-        reweighted = [apply_priors(view, artifacts.priors, artifacts.region_map, registry).batch
-                      for view in _drained(held)]
-        if keep:
-            with StagedTileFile(out_dir / "reweighted_predictions.ndjson") as staged:
-                for view in reweighted:
+        with StagedTileFile(out_dir / "reweighted_predictions.ndjson") as staged:
+            for view in drained(held):
+                view = apply_priors(view, artifacts.priors, artifacts.region_map, registry).batch
+                if keep:
                     staged.write(view)
+                vote.add(view)
+            if keep:
                 staged.commit()
-        for view in _drained(reweighted):
-            vote.add(view)
     return vote.rows()
 
 

@@ -11,7 +11,9 @@ message.
 
 import dataclasses
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
@@ -27,7 +29,7 @@ from floratile.catalog import RegionRegistry, SpeciesCatalog, parse_region
 from floratile.clustering import ClusterPriors, reweight
 from floratile.errors import InputError, InvariantViolation
 from floratile.geo import DEFAULT_REFERENCE_POINT, SpeciesMask, apply_mask, build_mask, nearest_per_species
-from floratile.io import SubmissionRow, group_by_image, read_tile_predictions, write_tile_predictions
+from floratile.io import SubmissionRow, group_by_image, read_tile_predictions, tile_slices, write_tile_predictions
 from floratile.metrics import image_f1
 from floratile.pipeline import (
     aggregate_predictions,
@@ -490,18 +492,40 @@ def test_group_by_image_keeps_tiles_of_interleaved_images_in_order():
 
 N_SPECIES = 8
 
-# 1 to 7 cut inside most images, so each is then a slice of its own; 4096 holds them all
+# as CHUNK_ENTRIES, the reader cuts a slice at the first new image past 4 to 28
+# entries, so most images are then a slice of their own; 4 * 4096 holds them all
 SLICE_BOUNDS = (1, 2, 3, 7, 4096)
 
 
-def _sliced(fn, *args):
-    """``_outcome`` of ``fn`` with every ``SLICE_BOUNDS`` entry as ``CHUNK_ENTRIES``, one per bound."""
-    outcomes = []
-    for bound in SLICE_BOUNDS:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fbatch, "CHUNK_ENTRIES", bound)
-            outcomes.append(_outcome(fn, *args))
-    return outcomes
+def _read_slices(path, bound):
+    """The slices ``io.tile_slices`` reads from ``path`` with ``bound`` as ``CHUNK_ENTRIES``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fbatch, "CHUNK_ENTRIES", bound)
+        return list(tile_slices(path))
+
+
+def _sliced_reads(path):
+    """``_outcome`` of reading ``path`` whole, then of reading its slices at
+    each of ``SLICE_BOUNDS``, their tiles joined."""
+    joined = lambda bound: [t for view in _read_slices(path, bound) for t in view]
+    return [_outcome(read_tile_predictions, path)] + [_outcome(joined, bound) for bound in SLICE_BOUNDS]
+
+
+def _sliced(fn, tiles, *args):
+    """``_outcome`` of ``fn`` on the batch of ``tiles``, then, at each of
+    ``SLICE_BOUNDS``, of ``fn`` on each slice of a tile file of them in turn,
+    as a command that walks the reader's slices calls it: the first slice's
+    failure, or the slices' image -> tiles outputs joined (None for a check)."""
+    grouped = group_by_image(tiles)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tiles.ndjson"
+        write_tile_predictions(path, grouped.batch)
+
+        def joined(bound):
+            outputs = [fn(view, *args) for view in _read_slices(path, bound)]
+            return None if outputs[0] is None else {i: t for out in outputs for i, t in out.items()}
+
+        return [_outcome(fn, grouped, *args)] + [_outcome(joined, bound) for bound in SLICE_BOUNDS]
 
 
 @st.composite
@@ -532,7 +556,7 @@ def test_geo_mask_matches_reference_property(tiles, data):
     allowed[data.draw(st.integers(0, size - 1), label="one allowed")] = True
     mask = SpeciesMask(allowed=allowed, allowed_count=int(allowed.sum()))
     ref = _outcome(_ref_apply_geo_mask, _ref_group_by_image(tiles), mask)
-    for new in _sliced(apply_geo_mask, group_by_image(tiles), mask):
+    for new in _sliced(apply_geo_mask, tiles, mask):
         _assert_same_tiles(new, ref)
     for t in tiles[:3]:
         assert _outcome(apply_mask, t.probs, mask) == _outcome(_ref_apply_mask, t.probs, mask)
@@ -551,7 +575,7 @@ def test_reweight_matches_reference_property(tiles, data):
     regions = data.draw(st.lists(st.sampled_from(["img", "imgx"]), unique=True), label="mapped")
     region_map = {r: data.draw(st.integers(0, k - 1)) for r in regions}
     ref = _outcome(_ref_apply_priors, _ref_group_by_image(tiles), priors, region_map, registry)
-    for new in _sliced(apply_priors, group_by_image(tiles), priors, region_map, registry):
+    for new in _sliced(apply_priors, tiles, priors, region_map, registry):
         _assert_same_tiles(new, ref)
     for t in tiles[:3]:
         prior = priors.priors[0]
@@ -598,11 +622,14 @@ def test_sliced_vote_matches_whole_batch_vote_property(tiles, data):
     max_labels = data.draw(st.integers(1, 5), label="max_labels")
     batch, catalog = TileBatch.from_tiles(tiles), _catalog(N_SPECIES)
     expected = _whole_batch_rows(batch, catalog, k, min_votes, max_labels)
-    for bound in SLICE_BOUNDS:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fbatch, "CHUNK_ENTRIES", bound)
-            rows = aggregate_predictions(batch, catalog, k, min_votes, max_labels)
-        assert [(r.quadrat_id, r.species_ids) for r in rows] == expected, bound
+    rows = aggregate_predictions(batch, catalog, k, min_votes, max_labels)
+    assert [(r.quadrat_id, r.species_ids) for r in rows] == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tiles.ndjson"
+        write_tile_predictions(path, batch)
+        for bound in SLICE_BOUNDS:  # the vote of a tile file's slices, as a command makes it
+            rows = aggregate_predictions(_read_slices(path, bound), catalog, k, min_votes, max_labels)
+            assert [(r.quadrat_id, r.species_ids) for r in rows] == expected, bound
 
 
 _WRITE_IDS = st.sampled_from(["a", "b", "é", 'q"t', "back\\slash", "\u2603\U0001f33f", "tab\tx", "\x01"])
@@ -750,7 +777,7 @@ def _read_as_expected(new, expected, exact) -> bool:
 def test_batch_reader_rejects_exactly_what_tile_prediction_rejects(tmp_path, lines):
     path = tmp_path / "preds.ndjson"
     expected, exact = _reference_read(path, lines)
-    for new in _sliced(read_tile_predictions, path):
+    for new in _sliced_reads(path):
         assert _read_as_expected(new, expected, exact), (new, expected)
 
 
@@ -801,7 +828,7 @@ def test_reader_rejects_an_image_that_reappears_after_other_images(tmp_path, ids
         records[fault[0]].update(fault[1])
     path = tmp_path / "preds.ndjson"
     expected, exact = _reference_read(path, [json.dumps(r) for r in records])
-    for new in _sliced(read_tile_predictions, path):
+    for new in _sliced_reads(path):
         assert new == ("error", "InputError", f"{path}{message}")
         assert _read_as_expected(new, expected, exact)
 
@@ -864,7 +891,7 @@ def test_validate_grid_matches_reference():
     for tiles in cases:
         for grid in (GridSpec(2, 2), GridSpec(2, 6), GridSpec(2, 10)):
             ref = _outcome(_ref_validate_grid, _ref_group_by_image(tiles), grid)
-            assert _sliced(validate_grid, group_by_image(tiles), grid) == [ref] * len(SLICE_BOUNDS)
+            assert _sliced(validate_grid, tiles, grid) == [ref] * (len(SLICE_BOUNDS) + 1)
 
 
 @pytest.mark.parametrize("tiles", [
@@ -884,7 +911,7 @@ def test_validate_grid_matches_reference():
 def test_geo_mask_at_slice_cuts_matches_reference(tiles):
     mask = SpeciesMask(allowed=np.array([False, True, True, False]), allowed_count=2)
     ref = _outcome(_ref_apply_geo_mask, _ref_group_by_image(tiles), mask)
-    for new in _sliced(apply_geo_mask, group_by_image(tiles), mask):
+    for new in _sliced(apply_geo_mask, tiles, mask):
         _assert_same_tiles(new, ref)
 
 
@@ -938,25 +965,44 @@ def test_tile_reader_memory_stays_below_100_bytes_per_entry(bench_bundle):
     assert peak < 100 * batch.idx.shape[0]  # a boxed float in a list alone takes 32 B
 
 
-def test_vote_memory_is_set_by_a_slice_not_by_the_batch(bench_bundle):
-    path, catalog, _, _ = bench_bundle
-    batch = read_tile_predictions(path)
-    rows, held, peak = _traced(aggregate_predictions, batch, catalog, 9, 2, 10)
-    assert len(rows) == 500
-    assert peak - held < 8 * batch.idx.shape[0]  # below one int64 column of the batch's entries
+@pytest.fixture(scope="module")
+def wide_slices(tmp_path_factory):
+    """The reader slices of a 2000-image bench bundle, its catalog and its geo mask."""
+    bundle = generate(SynthSpec(n_images=2000, n_species=200, noise=0.5), seed=5)
+    directory = write_bundle(bundle, tmp_path_factory.mktemp("wide"))
+    mask = build_mask(
+        nearest_per_species(bundle.observations, DEFAULT_REFERENCE_POINT), bundle.geo_regions, bundle.catalog
+    )
+    slices = list(tile_slices(directory / "tile_predictions.ndjson"))
+    assert len(slices) >= 4
+    return slices, bundle.catalog, mask
+
+
+def _slice_memory(slices, call):
+    """Per slice, what ``call(slice)`` held at its peak beyond what it returned,
+    over the slice's entries."""
+    per_entry = []
+    for view in slices:
+        _, held, peak = _traced(call, view)
+        per_entry.append((peak - held) / view.idx.shape[0])
+    return per_entry
+
+
+def test_vote_memory_is_set_by_a_slice_not_by_the_batch(wide_slices):
+    slices, catalog, _ = wide_slices
+    per_entry = _slice_memory(slices, lambda view: aggregate_predictions(view, catalog, 9, 2, 10))
+    assert max(per_entry) < 6 * 8  # the tally and ranking hold about six int64 columns of the slice's entries
 
 
 @pytest.mark.parametrize("stage", ["invalid_tiles", "validate_grid", "apply_geo_mask"])
-def test_per_entry_pass_memory_is_set_by_a_slice_not_by_the_batch(bench_bundle, stage):
-    path, _, mask, _ = bench_bundle
-    batch = read_tile_predictions(path)
+def test_per_entry_pass_memory_is_set_by_a_slice_not_by_the_batch(wide_slices, stage):
+    slices, _, mask = wide_slices
     call = {
-        "invalid_tiles": lambda: batch.invalid_tiles(),
-        "validate_grid": lambda: validate_grid(batch, GridSpec(4, 4)),
-        "apply_geo_mask": lambda: apply_geo_mask(batch, mask),
+        "invalid_tiles": lambda view: view.invalid_tiles(),
+        "validate_grid": lambda view: validate_grid(view, GridSpec(4, 4)),
+        "apply_geo_mask": lambda view: apply_geo_mask(view, mask),
     }[stage]
-    _, held, peak = _traced(call)
-    assert peak - held < 8 * batch.idx.shape[0]  # below one int64 column of the batch's entries
+    assert max(_slice_memory(slices, call)) < 6 * 8  # below the vote's six int64 columns of the slice's entries
 
 
 def test_batches_cache_nothing_per_entry(bench_bundle):
@@ -980,15 +1026,15 @@ def test_bench_read_tile_predictions(benchmark, bench_bundle):
 
 def test_bench_apply_geo_mask(benchmark, bench_bundle):
     path, _, mask, _ = bench_bundle
-    grouped = group_by_image(read_tile_predictions(path))
-    masked = benchmark.pedantic(apply_geo_mask, args=(grouped, mask), rounds=20, iterations=10)
-    assert len(masked) == 500
+    slices = list(tile_slices(path))  # as `geofilter` and `run` mask them
+    masked = benchmark.pedantic(lambda: [apply_geo_mask(view, mask) for view in slices], rounds=20, iterations=10)
+    assert sum(len(part) for part in masked) == 500
 
 
 def test_bench_aggregate(benchmark, bench_bundle):
     path, catalog, _, _ = bench_bundle
-    grouped = group_by_image(read_tile_predictions(path))
-    rows = benchmark.pedantic(aggregate_predictions, args=(grouped, catalog, 9, 2, 10), rounds=20)
+    slices = list(tile_slices(path))  # as `aggregate` votes them
+    rows = benchmark.pedantic(lambda: aggregate_predictions(list(slices), catalog, 9, 2, 10), rounds=20)
     assert len(rows) == 500
 
 

@@ -1063,6 +1063,20 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
             ["reweight", "--predictions", str(split_path), "--priors", str(priors),
              "--region-clusters", str(region_clusters), "--registry", str(fixture_dir / "regions.txt"),
              "--out", str(out)], split_error, [out]),
+        # a stage command checks its flags before it reads a file, as `run` does
+        "aggregate-bad-grid-before-read": (
+            [*aggregate, str(broken_predictions), "--grid", "3x"], "grid spec must use integers, got '3x'", [out]),
+        "aggregate-zero-k-before-read": (
+            [*aggregate, str(broken_predictions), "--k", "0"], "k must be >= 1, got 0", [out]),
+        "priors-zero-k-before-read": (
+            ["priors", "--predictions", str(broken_predictions), "--assignments", str(fixture_dir / "labels.csv"),
+             "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out), "--k", "0"],
+            "priors k must be >= 1", [out]),
+        "priors-zero-epsilon-before-read": (  # a registry as assignments: a file with a bad header
+            ["priors", "--predictions", str(fixture_dir / "tile_predictions.ndjson"), "--assignments",
+             str(repeated_registry), "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out),
+             "--epsilon", "0"],
+            "priors epsilon must be positive and finite, got 0.0", [out]),
     }
 
 
@@ -1077,7 +1091,9 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
                                   "cluster-k-past-points", "run-split-image", "run-split-image-priors",
                                   "run-no-tiling-split-image", "run-no-tiling-split-image-priors",
                                   "run-baseline-split-image", "aggregate-split-image", "geofilter-split-image",
-                                  "priors-split-image", "reweight-split-image"])
+                                  "priors-split-image", "reweight-split-image", "aggregate-bad-grid-before-read",
+                                  "aggregate-zero-k-before-read", "priors-zero-k-before-read",
+                                  "priors-zero-epsilon-before-read"])
 def test_flag_and_file_errors_exit_1_before_any_output(fixture_dir, projection_file, tmp_path, capsys, case):
     argv, message, outputs = _flag_error_cases(fixture_dir, projection_file, tmp_path)[case]
     assert main(argv) == 1

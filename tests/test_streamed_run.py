@@ -14,6 +14,7 @@ import shutil
 import tempfile
 import tracemalloc
 from contextlib import closing
+from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
 
@@ -23,8 +24,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from floratile import batch as fbatch
+from floratile import io as fio
 from floratile import pipeline
 from floratile.catalog import load_catalog
+from floratile.cli import main
 from floratile.errors import InputError, InvariantViolation
 from floratile.io import (
     StagedTileFile,
@@ -319,6 +322,51 @@ def test_staged_tile_file_moves_into_place_only_on_commit(tmp_path):
     assert not list(tmp_path.glob(".*"))
 
 
+def test_no_command_reads_the_tile_file_whole(small_bundle, tmp_path, monkeypatch):
+    bundle_dir, _ = small_bundle
+    b = lambda name: str(bundle_dir / name)
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    runs = [dict(mode=mode, geo=geo, priors=priors, keep_intermediates=True)
+            for mode in ("tiling", "no-tiling") for geo in (False, True) for priors in (False, True)]
+    runs.append(dict(mode="baseline", keep_intermediates=True))
+    configs = []
+    for n, settings in enumerate(runs):
+        work = tmp_path / f"run{n}"
+        work.mkdir()
+        source = "image_predictions.ndjson" if settings["mode"] == "no-tiling" else "tile_predictions.ndjson"
+        shutil.copy(bundle_dir / source, work / "predictions.ndjson")
+        shutil.copy(bundle_dir / "observations.csv", work)
+        shutil.copy(bundle_dir / "embeddings.ndjson", work)
+        config = _config(bundle_dir, work, settings)
+        configs.append((config, _outcome(_whole_batch_run, config)))
+    ref = tmp_path / "ref"  # tiling with geo and priors: every intermediate a stage command writes
+    _whole_batch_run(replace(configs[3][0], out_dir=str(ref)))
+
+    def barred(path):
+        raise AssertionError(f"{path} read as one batch")
+
+    monkeypatch.setattr(fio, "read_tile_predictions", barred)
+    for config, expected in configs:
+        assert _outcome(lambda c: run(c).submission, config) == expected
+    out = tmp_path / "commands"
+    out.mkdir()
+    assert main(["geofilter", "--observations", b("observations.csv"), "--regions", b("geo_regions.json"),
+                 "--catalog", b("catalog.csv"), "--out", str(out / "mask.csv"),
+                 "--predictions", b("tile_predictions.ndjson"), "--out-predictions", str(out / "masked.ndjson")]) == 0
+    assert main(["priors", "--predictions", str(ref / "masked_predictions.ndjson"), "--k", "2",
+                 "--assignments", str(ref / "assignments.csv"), "--catalog", b("catalog.csv"),
+                 "--out", str(out / "priors.ndjson")]) == 0
+    assert main(["reweight", "--predictions", str(ref / "masked_predictions.ndjson"), "--priors",
+                 str(ref / "priors.ndjson"), "--region-clusters", str(ref / "region_clusters.csv"),
+                 "--registry", b("regions.txt"), "--out", str(out / "reweighted.ndjson")]) == 0
+    assert main(["aggregate", "--predictions", str(ref / "reweighted_predictions.ndjson"), "--grid", "2x3",
+                 "--catalog", b("catalog.csv"), "--out", str(out / "submission.csv")]) == 0
+    for name, expected in [("mask.csv", "mask.csv"), ("masked.ndjson", "masked_predictions.ndjson"),
+                           ("priors.ndjson", "priors.ndjson"), ("reweighted.ndjson", "reweighted_predictions.ndjson"),
+                           ("submission.csv", "submission.csv")]:
+        assert (out / name).read_bytes() == (ref / expected).read_bytes(), name
+
+
 # --- the streamed reader ------------------------------------------------------
 
 def _record(image_id, col, width=1):
@@ -402,3 +450,40 @@ def test_geo_run_memory_is_set_by_a_slice_not_by_the_input(tmp_path):
     # a run holding the input's idx and prob columns grows by 16 B per entry
     # for each copy; the rows and ids of the added images alone stay below it
     assert large - small < 16 * added_entries
+
+
+@pytest.fixture(scope="module")
+def grown_bundles(tmp_path_factory):
+    """Bench bundles of 500 and 2000 images, of 4x4 tiles with 3 entries each."""
+    root = tmp_path_factory.mktemp("grown")
+    spec = lambda n: SynthSpec(n_images=n, n_species=200, noise=0.5)
+    return {n: write_bundle(generate(spec(n), seed=5), root / f"bundle{n}") for n in (500, 2000)}
+
+
+def _command_peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("command", ["aggregate", "geofilter"])
+def test_stage_command_memory_is_set_by_its_held_input_and_a_slice(grown_bundles, tmp_path, command):
+    def argv(n):
+        directory, out = grown_bundles[n], tmp_path / f"out{n}"
+        b = lambda name: str(directory / name)
+        if command == "aggregate":
+            return ["aggregate", "--predictions", b("tile_predictions.ndjson"), "--catalog", b("catalog.csv"),
+                    "--out", str(out), "--grid", "4x4"]
+        return ["geofilter", "--observations", b("observations.csv"), "--regions", b("geo_regions.json"),
+                "--catalog", b("catalog.csv"), "--out", str(out), "--predictions", b("tile_predictions.ndjson"),
+                "--out-predictions", f"{out}.ndjson"]
+
+    small, large = _command_peak(argv(500)), _command_peak(argv(2000))
+    added_entries = (2000 - 500) * 16 * 3
+    # the held input columns take 27 B per entry at 3 entries a tile; a command
+    # that held a second copy of them, or a stage's whole-file temporaries, would pass 32
+    assert large - small < 32 * added_entries
