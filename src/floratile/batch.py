@@ -19,12 +19,12 @@ and output is set by that batch.
 
 A command never builds the batch of a whole tile file: ``io.tile_slices``
 reads the file as batches of whole images, cut at the first new image past
-``4 * CHUNK_ENTRIES`` entries, and ``pipeline.run`` and the stage commands
-pass each slice through every stage, so a pass holds a slice's working
-memory, not the file's. Every stage quantity belongs to one image, so a run
-of whole images gives the whole-batch result. The first invariant is a rule
-of the tile file: the readers reject a record whose image reappears after
-other images' records. ``from_tiles`` groups a list of tiles by image instead.
+``4 * CHUNK_ENTRIES`` entries, and ``pipeline.stream`` takes each slice
+through every stage before the next is read, so a pass holds a slice's
+working memory, not the file's. Every stage quantity belongs to one image,
+so a run of whole images gives the whole-batch result. The first invariant
+is a rule of the tile file: the readers reject a record whose image
+reappears after other images' records; ``from_tiles`` groups tiles by image.
 
 Every float sum that reaches an output is taken with
 ``np.bincount(keys, weights=...)`` over entries in batch order. bincount

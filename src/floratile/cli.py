@@ -4,7 +4,9 @@ Subcommands mirror the pipeline stages (tile-plan, geofilter, project,
 cluster, priors, reweight, aggregate, evaluate, plot), plus `synth` for
 fixture generation and `run` for the end-to-end pipeline. Running the
 stages one at a time through their file formats produces byte-identical
-submissions to a single `run` with the same seed.
+submissions to a single `run` with the same seed. `aggregate`, `geofilter`
+and `reweight` take the tile file through ``pipeline.stream`` slice by
+slice, as `run` does. Every command checks its flags before it reads a file.
 
 Exit codes: 0 on success, 1 on input errors (bad files, bad flags),
 2 on internal invariant violations.
@@ -17,13 +19,14 @@ import json
 import os
 import sys
 import warnings
+from functools import cache
 from pathlib import Path
 from typing import List, Mapping, NamedTuple, Optional
 
 from . import io as fio
 from .batch import encodable
 from .catalog import load_catalog, parse_region
-from .clustering import dominant_cluster, kmeans
+from .clustering import check_kmeans_settings, dominant_cluster, kmeans
 from .errors import FloratileError, InputError, InvariantViolation
 from .geo import DEFAULT_REFERENCE_POINT
 from .pipeline import (
@@ -32,20 +35,20 @@ from .pipeline import (
     GeoOptions,
     PriorsOptions,
     RunConfig,
-    aggregate_predictions,
+    Vote,
     apply_geo_mask,
     apply_priors,
     check_species_indices,
     compute_geo_mask,
-    drained,
     image_probability_vectors,
     run,
     score_submission,
+    stream_or_raise,
     validate_grid,
     vector_priors,
 )
 from .projection import ProjectorConfig, fit
-from .svgplot import save_projection_plot
+from .svgplot import check_canvas, save_projection_plot
 from .synth import SynthSpec, generate, write_bundle
 from .tiling import make_grid, parse_grid_spec
 from .voting import check_vote_settings
@@ -105,14 +108,13 @@ def _cmd_tile_plan(args) -> int:
 def _cmd_aggregate(args) -> int:
     check_vote_settings(args.k, args.min_votes, args.max_labels)
     catalog = load_catalog(args.catalog)
-    slices = list(fio.tile_slices(args.predictions))
-    if args.grid is not None:
-        for view in slices:
-            validate_grid(view, args.grid)
-    for view in slices:
-        check_species_indices(view, len(catalog))
-    rows = aggregate_predictions(slices, catalog, args.k, args.min_votes, args.max_labels)
-    fio.write_submission(args.out, rows)
+    vote = Vote(catalog, args.k, args.min_votes, args.max_labels)
+    stream_or_raise(fio.tile_slices(args.predictions), [
+        args.grid is not None and (0, lambda view: validate_grid(view, args.grid)),
+        (1, lambda view: check_species_indices(view, len(catalog))),
+        (2, vote.add),
+    ])
+    fio.write_submission(args.out, vote.rows())
     return 0
 
 
@@ -121,22 +123,22 @@ def _cmd_geofilter(args) -> int:
         raise InputError("--predictions needs --out-predictions")
     if args.out_predictions and not args.predictions:
         raise InputError("--out-predictions needs --predictions")
+    options = GeoOptions(enabled=True, reference=(args.ref_lat, args.ref_lon),
+                         observations_path=args.observations, regions_path=args.regions)
     catalog = load_catalog(args.catalog)
-    options = GeoOptions(
-        enabled=True,
-        reference=(args.ref_lat, args.ref_lon),
-        observations_path=args.observations,
-        regions_path=args.regions,
-    )
     mask = compute_geo_mask(options, catalog)
-    slices = list(fio.tile_slices(args.predictions)) if args.predictions else []
-    filtered = [apply_geo_mask(view, mask).batch for view in drained(slices)]
     if args.out:
-        fio.write_species_mask(args.out, mask, catalog)
+        write_mask = lambda: fio.write_species_mask(args.out, mask, catalog)
     else:
-        sys.stdout.write(fio.format_species_mask(mask, catalog))
-    if args.predictions:
-        fio.write_tile_predictions(args.out_predictions, *filtered)
+        write_mask = lambda: sys.stdout.write(fio.format_species_mask(mask, catalog))
+    if not args.predictions:
+        write_mask()
+        return 0
+    with fio.StagedTileFile(args.out_predictions) as out:  # every slice filtered, then the mask, then the file
+        stream_or_raise(fio.tile_slices(args.predictions), [
+            (0, lambda view: apply_geo_mask(view, mask).batch),
+            (2, out.write),
+        ], [(1, write_mask), (2, out.commit)])
     return 0
 
 
@@ -155,6 +157,7 @@ def _cmd_cluster(args) -> int:
         raise InputError("--region-map-out needs --registry")
     if args.registry and not args.region_map_out:
         raise InputError("--registry needs --region-map-out")
+    check_kmeans_settings(args.k, args.seed)
     projection = fio.read_projection(args.projection)
     model = kmeans(projection.points, args.k, seed=args.seed)
     region_map = None
@@ -170,21 +173,25 @@ def _cmd_cluster(args) -> int:
 def _cmd_priors(args) -> int:
     options = PriorsOptions(k=args.k, epsilon=args.epsilon)
     catalog = load_catalog(args.catalog)
-    slices = list(fio.tile_slices(args.predictions))
+    held = []
+    stream_or_raise(fio.tile_slices(args.predictions), [(0, held.append)])
     assign_map = fio.read_assignments(args.assignments)
-    ids, vectors = image_probability_vectors(slices, len(catalog))
-    del slices  # the priors need only the image vectors
+    ids, vectors = image_probability_vectors(held, len(catalog))
+    del held  # the priors need only the image vectors
     fio.write_priors(args.out, vector_priors(ids, vectors, assign_map, options.k, options.epsilon))
     return 0
 
 
 def _cmd_reweight(args) -> int:
-    slices = list(fio.tile_slices(args.predictions))
-    priors = fio.read_priors(args.priors)
-    region_map = fio.read_region_cluster_map(args.region_clusters)
-    registry = fio.read_region_registry(args.registry)
-    reweighted = [apply_priors(view, priors, region_map, registry).batch for view in drained(slices)]
-    fio.write_tile_predictions(args.out, *reweighted)
+    # the side files are read at the first slice, so a bad record anywhere in the tile file is raised first
+    side = cache(lambda: (fio.read_priors(args.priors), fio.read_region_cluster_map(args.region_clusters),
+                          fio.read_region_registry(args.registry)))
+    with fio.StagedTileFile(args.out) as out:
+        stream_or_raise(fio.tile_slices(args.predictions), [
+            (0, lambda view: side()),
+            (1, lambda view: apply_priors(view, *side()).batch),
+            (2, out.write),
+        ], [(2, out.commit)])
     return 0
 
 
@@ -200,11 +207,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    projection = fio.read_projection(args.projection)
-    labels = None
-    label_names = None
     if args.assignments and args.registry:
         raise InputError("--assignments and --registry are mutually exclusive")
+    check_canvas(**_given(args, "width", "height"))
+    projection = fio.read_projection(args.projection)
+    labels = label_names = None
     if args.assignments:
         assign_map = fio.read_assignments(args.assignments)
         missing = [i for i in projection.image_ids if i not in assign_map]

@@ -96,6 +96,14 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
+def check_kmeans_settings(k: int, seed: int):
+    """The k-means flags that need no points: ``k`` and ``seed``."""
+    if k < 1:
+        raise InputError("k must be >= 1")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+
+
 def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterModel:
     """Lloyd's algorithm with k-means++ seeding.
 
@@ -107,13 +115,10 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterModel:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise InputError(f"points must be n x m, got shape {points.shape}")
+    check_kmeans_settings(k, seed)
     n = points.shape[0]
-    if k < 1:
-        raise InputError("k must be >= 1")
     if n < k:
         raise InputError(f"cannot form {k} clusters from {n} points")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     centroids = _plusplus_init(points, k, rng)

@@ -484,9 +484,8 @@ def _tile_lines(tiles) -> str:
     )
 
 
-def write_tile_predictions(path, *preds):
-    """Write one record per tile, in order; each of ``preds`` is a ``TileBatch``,
-    such as a tile file's slice, or an iterable of ``TilePrediction``s.
+def write_tile_predictions(path, preds: Iterable[TilePrediction]):
+    """Write one record per tile, in iteration order; ``preds`` may be a ``TileBatch``.
 
     Each line is ``json.dumps`` of ``{"image_id", "row", "col", "probs"}``
     plus ``"complete": true`` on a complete tile. A batch is read by columns,
@@ -494,8 +493,7 @@ def write_tile_predictions(path, *preds):
     tiles are formatted ``CHUNK_ENTRIES`` tiles at a time.
     """
     with _open_write(path) as fh:
-        for part in preds:
-            _write_tiles(fh, part)
+        _write_tiles(fh, preds)
 
 
 def _write_tiles(fh, preds):

@@ -14,42 +14,35 @@ composable transforms applied to the prediction stream before voting,
 in that order. Every stage is a pure function of its inputs plus the
 run seed, so a single-threaded run is bitwise reproducible.
 
-``run`` streams the tile file. ``io.tile_slices`` reads it in slices of
-whole images, and one loop takes each slice through the grid check, the
-species-index check, the geo mask (built once, for the first slice that
-passes the checks) and the vote while the next is still unread, so a run
-holds a slice of the input, not all of it. A priors run keeps its
-checked and masked slices and estimates the priors over them; it then
-takes each slice in turn through the reweight, the reweighted file's
-write when asked for, and the vote. The stage commands read the file as
-its list of slices and run each stage over the whole list before the
-next. Each stage function works on the batch it is given in one pass;
-the callers give it one slice at a time, and every quantity it computes
+``run`` and the stage commands stream the tile file. ``io.tile_slices``
+reads it in slices of whole images, and ``stream`` takes each slice
+through a list of ``(kind, fn)`` stages while the next is still unread, so
+a command holds a slice of the input, not all of it. Each stage function
+works on the batch it is given in one pass, and every quantity it computes
 belongs to one image, so the rows and written bytes are the whole-batch
 ones. The slices rely on the tile file's rule that each image's records
 are together; the reader rejects a file that breaks it.
 
 Errors keep the whole-batch precedence. A bad record or unreadable line
-raises at once. Any other stage runs only while no stage of its kind or
-an earlier kind has failed, so a slice's later stages are skipped, and
-reading goes on to the end of the file; the run then raises the first
-failure of the earliest stage kind: grid, species
-index, mask build, mask apply, vote, with each intermediate's write at
-its place in that order. The priors phase runs only once all of them
-passed, so it raises the first failure it meets. An intermediate is
-written slice by slice under a hidden name and moved into place only when
-every stage before its write has passed for the whole file, so a failed
-run leaves the files the whole-batch chain left, and no partial file:
-``mask.csv`` once every slice passed the grid and species checks and the
-mask was built, ``masked_predictions.ndjson`` once the mask applied to
-every slice, the four priors files once the priors were estimated, and
-``reweighted_predictions.ndjson`` once every slice was reweighted.
+raises at once. Any other stage runs only while no stage of its kind or an
+earlier kind has failed, and reading goes on to the end of the file; then
+the first failure of the earliest kind is raised. A run's kinds are grid,
+species index, mask build (for the first slice that passes the checks),
+mask apply, reweight and vote, with each intermediate's write at its place
+in that order. A priors run holds its checked and masked slices, estimates
+the priors over them, then streams them through the reweight and the vote.
+An intermediate is written slice by slice under a hidden name and moved
+into place only when every stage before its write has passed for the whole
+file, so a failed run leaves the files the whole-batch chain left, and no
+partial file.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import closing
 from dataclasses import dataclass, field, replace
+from functools import cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -415,13 +408,13 @@ def aggregate_predictions(
     ``threads`` is accepted for compatibility and has no effect.
     """
     check_vote_settings(k, min_votes, max_labels)
-    vote = _Vote(catalog, k, min_votes, max_labels)
+    vote = Vote(catalog, k, min_votes, max_labels)
     for part in drained(_parts(tiles)):
         vote.add(part)
     return vote.rows()
 
 
-class _Vote:
+class Vote:
     """Submission rows voted batch by batch, then checked and sorted at once."""
 
     def __init__(self, catalog: SpeciesCatalog, k: int, min_votes: int, max_labels: int):
@@ -471,72 +464,66 @@ def score_submission(
 
 # --- the one-shot runner -------------------------------------------------
 
-# Stage kinds of a run, in the order their failures take precedence: a run
-# raises the failure of its earliest kind, whichever slice it met it in. A
-# failing read raises at once, ahead of them all. Writing an intermediate is
-# a kind of its own, at the place the whole-batch chain writes it.
-(_GRID, _SPECIES, _MASK_BUILD, _MASK_FILE, _MASK_APPLY, _MASKED_FILE, _VOTE, _PASSED) = range(8)
+def stream(slices, stages, finish=()) -> Optional[FloratileError]:
+    """Take each of ``slices`` through ``stages``, then call ``finish``;
+    return the first failure of the earliest stage kind, or None.
 
-
-def _first_pass(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path, slices):
-    """``(error, held, vote)``: each slice taken through the grid check, the
-    species indices, the geo mask and the vote, or held when the run has
-    priors; ``error`` is the first failure of the earliest stage kind, or None.
-
-    A stage runs only while no stage of its kind or of an earlier kind has
-    failed: its failure could not be the one the run raises, and the stages
-    after it have no input. Kinds grow along a slice's stages, so once one is
-    skipped the rest of the slice is skipped too.
+    ``stages`` are ``(kind, fn)`` pairs in kind order, and ``finish`` pairs
+    ``(kind, fn)`` called once as ``fn()``; a false entry is a stage left out.
+    ``fn(slice)`` returns the batch the next stage takes; a return that is not
+    a ``TileBatch`` passes its slice on. A stage runs only while no stage of
+    its kind or an earlier kind has failed: its failure could not be the one
+    returned, and the stages after it have no input. A failing read of
+    ``slices`` raises at once.
     """
-    keep, geo = config.keep_intermediates, config.geo.enabled
-    failed, error = _PASSED, None
+    failed, error = math.inf, None
+    for view in slices:
+        for kind, fn in filter(None, stages):
+            if kind >= failed:  # kinds grow along the stages, so the rest are skipped too
+                break
+            try:
+                out = fn(view)
+            except FloratileError as exc:
+                failed, error = kind, exc
+                break
+            view = out if isinstance(out, TileBatch) else view
+    for kind, fn in filter(None, finish):
+        if kind < failed:
+            try:
+                fn()
+            except FloratileError as exc:
+                failed, error = kind, exc
+    return error
 
-    def attempt(kind: int, fn, *args):
-        """``fn(*args)``, or None when the stage is skipped or fails."""
-        nonlocal failed, error
-        if kind >= failed:
-            return None
-        try:
-            return fn(*args)
-        except FloratileError as exc:
-            failed, error = kind, exc
-            return None
 
-    mask, held = None, []
-    vote = _Vote(catalog, config.k_per_tile, config.min_votes, config.max_labels)
-    with StagedTileFile(out_dir / "masked_predictions.ndjson") as masked:
-        for view in slices:
-            attempt(_GRID, validate_grid, view, config.grid)
-            attempt(_SPECIES, check_species_indices, view, len(catalog))
-            if geo:
-                if mask is None:  # for the first slice that passes the checks, as the whole-batch chain did
-                    mask = attempt(_MASK_BUILD, compute_geo_mask, config.geo, catalog)
-                view = attempt(_MASK_APPLY, lambda: apply_geo_mask(view, mask).batch)
-                if keep:
-                    attempt(_MASKED_FILE, masked.write, view)
-            attempt(_VOTE, held.append if config.priors.enabled else vote.add, view)
-        if geo and keep:
-            attempt(_MASK_FILE, write_species_mask, out_dir / "mask.csv", mask, catalog)
-            attempt(_MASKED_FILE, masked.commit)
-    return error, held, vote
+def stream_or_raise(slices, stages, finish=()):
+    """``stream``, closing ``slices`` at the end; the failure it returns is raised."""
+    with closing(slices):
+        error = stream(slices, stages, finish)
+    if error is not None:
+        raise error
+
+
+# Stage kinds of a run, in the order their failures take precedence. Writing an
+# intermediate is a kind of its own, at the place the whole-batch chain writes it.
+_GRID, _SPECIES, _MASK_BUILD, _MASK_FILE, _MASK_APPLY, _MASKED_FILE, _REWEIGHT, _REWEIGHTED_FILE, _VOTE = range(9)
 
 
 def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> List[SubmissionRow]:
-    """Every stage of a tiling or no-tiling run, from the tile file to sorted rows.
-
-    ``_first_pass`` takes the tile file's slices as they are read through the
-    grid check, species indices, geo mask and, without priors, the vote, and
-    the run raises the failure it returns. A priors run holds its checked and
-    masked slices; once they all passed, it estimates the priors, then
-    reweights, writes and votes the slices in turn. An intermediate tile file
-    is written slice by slice and kept only when the whole-batch chain would
-    have written it whole.
-    """
-    with closing(tile_slices(config.predictions_path)) as slices:
-        error, held, vote = _first_pass(config, catalog, out_dir, slices)
-    if error is not None:
-        raise error
-    keep = config.keep_intermediates
+    """Every stage of a tiling or no-tiling run, in the module docstring's order."""
+    keep, geo, held = config.keep_intermediates, config.geo.enabled, []
+    vote = Vote(catalog, config.k_per_tile, config.min_votes, config.max_labels)
+    mask = cache(lambda: compute_geo_mask(config.geo, catalog))  # for the first slice that passes the checks
+    with StagedTileFile(out_dir / "masked_predictions.ndjson") as masked:
+        stream_or_raise(tile_slices(config.predictions_path), [
+            (_GRID, lambda view: validate_grid(view, config.grid)),
+            (_SPECIES, lambda view: check_species_indices(view, len(catalog))),
+            geo and (_MASK_BUILD, lambda view: mask()),
+            geo and (_MASK_APPLY, lambda view: apply_geo_mask(view, mask()).batch),
+            geo and keep and (_MASKED_FILE, masked.write),
+            (_VOTE, held.append if config.priors.enabled else vote.add),
+        ], [geo and keep and (_MASK_FILE, lambda: write_species_mask(out_dir / "mask.csv", mask(), catalog)),
+            geo and keep and (_MASKED_FILE, masked.commit)])
     if config.priors.enabled:
         registry = read_region_registry(config.registry_path)
         embeddings = read_embeddings(config.priors.embeddings_path)
@@ -546,15 +533,12 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> Li
             write_assignments(out_dir / "assignments.csv", embeddings.image_ids, artifacts.model.assignments)
             write_region_cluster_map(out_dir / "region_clusters.csv", artifacts.region_map)
             write_priors(out_dir / "priors.ndjson", artifacts.priors)
-        # every slice is held, so the first that fails holds the batch's first failure
         with StagedTileFile(out_dir / "reweighted_predictions.ndjson") as staged:
-            for view in drained(held):
-                view = apply_priors(view, artifacts.priors, artifacts.region_map, registry).batch
-                if keep:
-                    staged.write(view)
-                vote.add(view)
-            if keep:
-                staged.commit()
+            stream_or_raise(drained(held), [
+                (_REWEIGHT, lambda view: apply_priors(view, artifacts.priors, artifacts.region_map, registry).batch),
+                keep and (_REWEIGHTED_FILE, staged.write),
+                (_VOTE, vote.add),
+            ], [keep and (_REWEIGHTED_FILE, staged.commit)])
     return vote.rows()
 
 

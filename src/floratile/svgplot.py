@@ -44,6 +44,12 @@ def _spans(points: np.ndarray):
     return lo - pad, hi + pad
 
 
+def check_canvas(width: int = 800, height: int = 600):
+    """A ``plot_projection`` canvas, of its default size where unset, must hold a pixel."""
+    if width < 1 or height < 1:
+        raise InputError(f"plot canvas must be at least 1x1 pixel, got {width}x{height}")
+
+
 def plot_projection(
     points: np.ndarray,
     labels: Optional[Sequence[int]] = None,
@@ -58,8 +64,7 @@ def plot_projection(
     optionally maps those integers to legend text. Unlabeled plots draw
     all points in a neutral dark gray and omit the legend.
     """
-    if width < 1 or height < 1:
-        raise InputError(f"plot canvas must be at least 1x1 pixel, got {width}x{height}")
+    check_canvas(width, height)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise InputError(f"points must have shape (n, 2), got {points.shape}")

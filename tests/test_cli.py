@@ -1077,6 +1077,25 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
              str(repeated_registry), "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out),
              "--epsilon", "0"],
             "priors epsilon must be positive and finite, got 0.0", [out]),
+        "cluster-zero-k-before-read": (
+            ["cluster", "--projection", str(broken_predictions), "--out", str(out), "--k", "0"], "k must be >= 1", [out]),
+        "cluster-negative-seed-before-read": (
+            ["cluster", "--projection", str(broken_predictions), "--out", str(out), "--seed", "-1"],
+            "seed must be >= 0, got -1", [out]),
+        "plot-zero-width-before-read": (
+            ["plot", "--projection", str(broken_predictions), "--width", "0", "--out", str(out)],
+            "plot canvas must be at least 1x1 pixel, got 0x600", [out]),
+        "plot-zero-height-before-read": (
+            ["plot", "--projection", str(broken_predictions), "--height", "0", "--out", str(out)],
+            "plot canvas must be at least 1x1 pixel, got 800x0", [out]),
+        "plot-assignments-and-registry-before-read": (
+            ["plot", "--projection", str(broken_predictions), "--assignments", str(assign),
+             "--registry", str(fixture_dir / "regions.txt"), "--out", str(out)],
+            "--assignments and --registry are mutually exclusive", [out]),
+        "geofilter-bad-reference-before-read": (  # the broken file as the catalog, the observations and the regions
+            ["geofilter", "--observations", str(broken_predictions), "--regions", str(broken_predictions),
+             "--catalog", str(broken_predictions), "--out", str(out), "--ref-lat", "91"],
+            "reference (91.0, 4.0) outside lat [-90, 90], lon [-180, 180]", [out]),
     }
 
 
@@ -1093,7 +1112,10 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
                                   "run-baseline-split-image", "aggregate-split-image", "geofilter-split-image",
                                   "priors-split-image", "reweight-split-image", "aggregate-bad-grid-before-read",
                                   "aggregate-zero-k-before-read", "priors-zero-k-before-read",
-                                  "priors-zero-epsilon-before-read"])
+                                  "priors-zero-epsilon-before-read", "cluster-zero-k-before-read",
+                                  "cluster-negative-seed-before-read", "plot-zero-width-before-read",
+                                  "plot-zero-height-before-read", "plot-assignments-and-registry-before-read",
+                                  "geofilter-bad-reference-before-read"])
 def test_flag_and_file_errors_exit_1_before_any_output(fixture_dir, projection_file, tmp_path, capsys, case):
     argv, message, outputs = _flag_error_cases(fixture_dir, projection_file, tmp_path)[case]
     assert main(argv) == 1

@@ -30,6 +30,7 @@ from floratile.pipeline import (
     image_probability_vectors,
     run,
     score_submission,
+    stream,
     validate_grid,
 )
 from floratile.synth import SynthSpec, generate, write_bundle
@@ -408,3 +409,29 @@ def test_score_submission_holds_no_truth_set_per_quadrat(tmp_path):
         tracemalloc.stop()
     assert len(report.per_image) == n
     assert peak - held < sys.getsizeof(frozenset()) * n  # below one empty set per quadrat
+
+
+def test_stream_keeps_the_first_failure_of_the_earliest_kind():
+    calls = []
+
+    def stage(kind, fails_at):
+        def fn(view):
+            calls.append((kind, view))
+            if view == fails_at:
+                raise InputError(f"kind {kind} at slice {view}")
+        return kind, fn
+
+    finish = [(1, lambda: calls.append("finish 1")), (2, lambda: calls.append("finish 2"))]
+    error = stream([1, 2, 3], [stage(0, fails_at=3), stage(1, fails_at=1), False, stage(2, fails_at=None)], finish)
+    assert str(error) == "kind 0 at slice 3"  # returned, not raised; an earlier kind beats an earlier slice
+    assert calls == [(0, 1), (1, 1), (0, 2), (0, 3)]  # kind 1 and later skipped once kind 1 failed; no finish
+    calls.clear()
+    assert stream([1, 2], [stage(0, fails_at=None), stage(2, fails_at=2)], finish) is not None
+    assert calls == [(0, 1), (2, 1), (0, 2), (2, 2), "finish 1"]  # a finish of an earlier kind still runs
+
+    def unreadable():
+        yield 1
+        raise InputError("unreadable line")
+
+    with pytest.raises(InputError, match="^unreadable line$"):  # a failing read raises at once
+        stream(unreadable(), [stage(0, fails_at=1)])

@@ -11,10 +11,12 @@ exception type and text, or the rows, and the bytes and the file set of
 import hashlib
 import json
 import shutil
+import sys
 import tempfile
 import tracemalloc
-from contextlib import closing
+from contextlib import closing, redirect_stderr, redirect_stdout
 from dataclasses import replace
+from io import StringIO
 from itertools import groupby
 from pathlib import Path
 
@@ -27,8 +29,9 @@ from floratile import batch as fbatch
 from floratile import io as fio
 from floratile import pipeline
 from floratile.catalog import load_catalog
-from floratile.cli import main
-from floratile.errors import InputError, InvariantViolation
+from floratile.clustering import ClusterPriors
+from floratile.cli import build_parser, main
+from floratile.errors import FloratileError, InputError, InvariantViolation
 from floratile.io import (
     StagedTileFile,
     SubmissionRow,
@@ -63,7 +66,7 @@ from floratile.pipeline import (
 )
 from floratile.synth import SynthSpec, generate, write_bundle
 from floratile.tiling import GridSpec
-from floratile.voting import naive_baseline
+from floratile.voting import check_vote_settings, naive_baseline
 
 
 def _whole_batch_run(config: RunConfig):
@@ -282,6 +285,22 @@ def test_run_keeps_no_reweighted_file_when_a_later_slice_fails_to_reweight(small
     assert _outcome(lambda c: run(c).submission, config) == expected
 
 
+def test_run_reports_a_later_reweight_failure_ahead_of_an_unopenable_reweighted_file(small_bundle, tmp_path,
+                                                                                        monkeypatch):
+    bundle_dir, _ = small_bundle
+    lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
+    rec = json.loads(lines[-1])  # a tile of the last image, so of the last slice
+    lines[-1] = json.dumps(dict(rec, probs=[[rec["probs"][0][0], 5e-324]], complete=False))
+    (tmp_path / "predictions.ndjson").write_text("\n".join(lines) + "\n")
+    shutil.copy(bundle_dir / "embeddings.ndjson", tmp_path)
+    (tmp_path / "out" / ".reweighted_predictions.ndjson.partial").mkdir(parents=True)  # the staged file cannot open
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    config = _config(bundle_dir, tmp_path, dict(mode="tiling", geo=False, priors=True, keep_intermediates=True))
+    # the whole-batch chain reweights every tile before it writes the file
+    with pytest.raises(InputError, match=rf"^tile \({rec['row']},{rec['col']}\) of {rec['image_id']!r}: probability"):
+        run(config)
+
+
 @pytest.mark.parametrize("chunk", [1, 4096])  # every image a slice of its own, or one slice
 @pytest.mark.parametrize("priors", [False, True])
 def test_run_rejects_a_file_whose_image_reappears(small_bundle, tmp_path, monkeypatch, priors, chunk):
@@ -365,6 +384,160 @@ def test_no_command_reads_the_tile_file_whole(small_bundle, tmp_path, monkeypatc
                            ("priors.ndjson", "priors.ndjson"), ("reweighted.ndjson", "reweighted_predictions.ndjson"),
                            ("submission.csv", "submission.csv")]:
         assert (out / name).read_bytes() == (ref / expected).read_bytes(), name
+
+
+# --- the stage commands --------------------------------------------------------
+
+def _ref_aggregate(args):
+    """`aggregate` as it stood when it read the tile file whole."""
+    check_vote_settings(args.k, args.min_votes, args.max_labels)
+    catalog = load_catalog(args.catalog)
+    tiles = read_tile_predictions(args.predictions)
+    if args.grid is not None:
+        validate_grid(tiles, args.grid)
+    check_species_indices(tiles, len(catalog))
+    write_submission(args.out, aggregate_predictions(tiles, catalog, args.k, args.min_votes, args.max_labels))
+
+
+def _ref_geofilter(args):
+    """`geofilter --predictions` as it stood when it read the tile file whole."""
+    catalog = load_catalog(args.catalog)
+    options = GeoOptions(True, (args.ref_lat, args.ref_lon), args.observations, args.regions)
+    mask = compute_geo_mask(options, catalog)
+    tiles = apply_geo_mask(read_tile_predictions(args.predictions), mask).batch
+    if args.out:
+        write_species_mask(args.out, mask, catalog)
+    else:
+        sys.stdout.write(fio.format_species_mask(mask, catalog))
+    write_tile_predictions(args.out_predictions, tiles)
+
+
+def _ref_reweight(args):
+    """`reweight` as it stood when it read the tile file whole."""
+    tiles = read_tile_predictions(args.predictions)
+    priors, region_map = fio.read_priors(args.priors), fio.read_region_cluster_map(args.region_clusters)
+    registry = read_region_registry(args.registry)
+    write_tile_predictions(args.out, apply_priors(tiles, priors, region_map, registry).batch)
+
+
+def _command_outcome(fn, argv, out: Path):
+    """``(exit code, stdout, stderr, {file: bytes})`` of ``fn(argv)``, which
+    prints as ``main`` does; ``out`` is emptied for the next run."""
+    stdout, stderr = StringIO(), StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = fn(argv)
+    files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    shutil.rmtree(out)
+    out.mkdir()
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+def _ref_main(argv):
+    """``main`` with each stage command's whole-file body."""
+    args = build_parser().parse_args(argv)
+    try:
+        {"aggregate": _ref_aggregate, "geofilter": _ref_geofilter, "reweight": _ref_reweight}[argv[0]](args)
+        return 0
+    except InvariantViolation as exc:
+        sys.stderr.write(f"floratile: invariant violation: {exc}\n")
+        return 2
+    except FloratileError as exc:
+        sys.stderr.write(f"floratile: error: {exc}\n")
+        return 1
+
+
+# faults in the side inputs of `reweight`, and a bad record on the tile file's last line
+SIDE_FAULTS = ("bad priors", "unreadable region map", "region past the priors", "late bad record")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_streamed_commands_match_their_whole_file_bodies_property(small_bundle, monkeypatch, data):
+    bundle_dir, dropped = small_bundle
+    settings, lines, observations, _, _ = data.draw(run_inputs(bundle_dir, dropped))
+    command = data.draw(st.sampled_from(["reweight", "geofilter", "aggregate --grid", "aggregate"]))
+    side_faults = data.draw(st.lists(st.sampled_from(SIDE_FAULTS), max_size=2))
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", data.draw(st.sampled_from([1, 2, 16, 4096])))
+    regions = read_region_registry(bundle_dir / "regions.txt").regions
+    region_map = {region: n % 2 for n, region in enumerate(regions)}
+    if "region past the priors" in side_faults:
+        region_map[regions[-1]] = 2
+    if "late bad record" in side_faults:
+        lines.append(json.dumps(dict(_record("SYN-AA-T99-Q9999", 0), probs=[[1, 1.5]])))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        out = work / "out"
+        out.mkdir()
+        w = lambda name: str(work / name)
+        b = lambda name: str(bundle_dir / name)
+        (work / "predictions.ndjson").write_text("".join(line + "\n" for line in lines))
+        (work / "observations.csv").write_text(observations)
+        priors = np.random.default_rng(len(lines)).dirichlet(np.ones(SPEC.n_species), size=2)
+        write_priors(w("priors.ndjson"), ClusterPriors(priors))
+        if "bad priors" in side_faults:
+            (work / "priors.ndjson").write_text('{"cluster": 0, "prior": [0.0, 1.0]}\n')
+        write_region_cluster_map(w("region_clusters.csv"), region_map)
+        if "unreadable region map" in side_faults:
+            (work / "region_clusters.csv").write_text("region,cluster\nSYN-AA,x\n")
+        grid = f"{SPEC.grid_rows}x{SPEC.grid_cols}" if settings["mode"] != "no-tiling" else "1x1"
+        argv = {
+            "aggregate": ["aggregate", "--catalog", b("catalog.csv"), "--out", str(out / "submission.csv")],
+            "aggregate --grid": ["aggregate", "--catalog", b("catalog.csv"), "--out", str(out / "submission.csv"),
+                                 "--grid", grid],
+            "geofilter": ["geofilter", "--observations", w("observations.csv"), "--regions", b("geo_regions.json"),
+                          "--catalog", b("catalog.csv"), "--out-predictions", str(out / "masked.ndjson"),
+                          *(["--out", str(out / "mask.csv")] if settings["keep_intermediates"] else [])],
+            "reweight": ["reweight", "--priors", w("priors.ndjson"), "--region-clusters", w("region_clusters.csv"),
+                         "--registry", b("regions.txt"), "--out", str(out / "reweighted.ndjson")],
+        }[command] + ["--predictions", w("predictions.ndjson")]
+        expected = _command_outcome(_ref_main, argv, out)
+        assert _command_outcome(main, argv, out) == expected
+
+
+def test_aggregate_raises_the_first_failure_of_the_earliest_stage_kind(small_bundle, tmp_path, monkeypatch):
+    bundle_dir, _ = small_bundle
+    lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for at, fault in ((0, dict(probs=[[SPEC.n_species + 3, 0.5]], complete=False)),  # species, first image
+                      (20, dict(row=7)), (50, dict(row=8))):  # grid, in two later images
+        lines[at] = json.dumps(dict(records[at], **fault))
+    (tmp_path / "predictions.ndjson").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    argv = ["aggregate", "--predictions", str(tmp_path / "predictions.ndjson"), "--grid", "2x3",
+            "--catalog", str(bundle_dir / "catalog.csv"), "--out", str(out / "submission.csv")]
+    expected = _command_outcome(_ref_main, argv, out)
+    grid_error = f"tile (7,{records[20]['col']}) of {records[20]['image_id']!r} outside 2x3 grid"
+    assert expected == (1, "", f"floratile: error: {grid_error}\n", {})
+    assert _command_outcome(main, argv, out) == expected
+
+
+@pytest.mark.parametrize("command", ["geofilter", "reweight"])
+def test_stage_commands_write_their_tile_file_in_place(small_bundle, tmp_path, monkeypatch, command):
+    bundle_dir, _ = small_bundle
+    b = lambda name: str(bundle_dir / name)
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    write_priors(tmp_path / "priors.ndjson", ClusterPriors(np.full((2, SPEC.n_species), 1 / SPEC.n_species)))
+    regions = read_region_registry(b("regions.txt")).regions
+    write_region_cluster_map(tmp_path / "region_clusters.csv", {region: n % 2 for n, region in enumerate(regions)})
+
+    def argv(source, target):
+        if command == "geofilter":
+            return ["geofilter", "--observations", b("observations.csv"), "--regions", b("geo_regions.json"),
+                    "--catalog", b("catalog.csv"), "--out", str(tmp_path / "mask.csv"),
+                    "--predictions", str(source), "--out-predictions", str(target)]
+        return ["reweight", "--priors", str(tmp_path / "priors.ndjson"), "--registry", b("regions.txt"),
+                "--region-clusters", str(tmp_path / "region_clusters.csv"), "--predictions", str(source),
+                "--out", str(target)]
+
+    in_place = tmp_path / "predictions.ndjson"
+    shutil.copy(bundle_dir / "tile_predictions.ndjson", in_place)
+    assert main(argv(bundle_dir / "tile_predictions.ndjson", tmp_path / "fresh.ndjson")) == 0
+    assert main(argv(in_place, in_place)) == 0
+    assert in_place.read_bytes() == (tmp_path / "fresh.ndjson").read_bytes()
+    assert in_place.read_bytes() != (bundle_dir / "tile_predictions.ndjson").read_bytes()
+    assert not list(tmp_path.glob(".*"))  # no partial file left
 
 
 # --- the streamed reader ------------------------------------------------------
@@ -470,20 +643,25 @@ def _command_peak(argv):
     return peak
 
 
-@pytest.mark.parametrize("command", ["aggregate", "geofilter"])
-def test_stage_command_memory_is_set_by_its_held_input_and_a_slice(grown_bundles, tmp_path, command):
+@pytest.mark.parametrize("command", ["aggregate", "geofilter", "reweight"])
+def test_stage_command_memory_is_set_by_a_slice(grown_bundles, tmp_path, command):
     def argv(n):
         directory, out = grown_bundles[n], tmp_path / f"out{n}"
         b = lambda name: str(directory / name)
         if command == "aggregate":
             return ["aggregate", "--predictions", b("tile_predictions.ndjson"), "--catalog", b("catalog.csv"),
                     "--out", str(out), "--grid", "4x4"]
+        if command == "reweight":  # uniform priors: every tile keeps its ranking
+            write_priors(f"{out}.priors", ClusterPriors(np.full((1, 200), 1 / 200)))
+            write_region_cluster_map(f"{out}.map", dict.fromkeys(read_region_registry(b("regions.txt")).regions, 0))
+            return ["reweight", "--predictions", b("tile_predictions.ndjson"), "--priors", f"{out}.priors",
+                    "--region-clusters", f"{out}.map", "--registry", b("regions.txt"), "--out", str(out)]
         return ["geofilter", "--observations", b("observations.csv"), "--regions", b("geo_regions.json"),
                 "--catalog", b("catalog.csv"), "--out", str(out), "--predictions", b("tile_predictions.ndjson"),
                 "--out-predictions", f"{out}.ndjson"]
 
     small, large = _command_peak(argv(500)), _command_peak(argv(2000))
     added_entries = (2000 - 500) * 16 * 3
-    # the held input columns take 27 B per entry at 3 entries a tile; a command
-    # that held a second copy of them, or a stage's whole-file temporaries, would pass 32
-    assert large - small < 32 * added_entries
+    # one int64 column of the input takes 8 B per entry; a command that held
+    # the input, or a stage's whole-file temporaries, would pass it
+    assert large - small < 8 * added_entries, (large - small) / added_entries
