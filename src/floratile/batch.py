@@ -306,24 +306,19 @@ class TileBatch:
         entries = list(zip(self.idx[lo:hi].tolist(), prob[lo:hi].tolist()))
         return t, rejection(self.image_ids[self.image[t]], int(self.row[t]), int(self.col[t]), entries)
 
-    def derive(self, fill) -> "TileBatch":
-        """The batch of the entries ``fill`` keeps, with new probabilities.
+    def derive(self, counts, idx, prob) -> "TileBatch":
+        """This batch's tiles over new entries: tile ``t`` owns the next
+        ``counts[t]`` of ``idx`` and ``prob``, given in batch order.
 
-        ``fill(self, idx, prob)`` writes the kept entries, in batch order, to
-        the front of ``idx`` and ``prob``, buffers as long as this batch's
-        entries, and returns each tile's kept count. Each tile's entries are
-        then sorted, tiles left without entries drop out, and no tile is
-        complete any more. Every image must keep a tile; when every tile
-        does, the tile columns are shared, not copied. The new entry columns
-        view the buffers.
+        Each tile's entries are sorted, tiles left without entries drop out,
+        and no tile is complete any more. Every image must keep a tile; when
+        every tile does, the tile columns are shared, not copied. ``idx`` and
+        ``prob`` become the entry columns when no tile needs sorting.
         """
-        idx, prob = np.empty(self.idx.shape[0], dtype=np.int64), np.empty(self.idx.shape[0], dtype=np.float64)
-        counts = np.asarray(fill(self, idx, prob), dtype=np.int64)
-        n = int(counts.sum())
-        idx, prob = idx[:n], prob[:n]
+        counts = np.asarray(counts, dtype=np.int64)
         order = _entry_order(np.repeat(np.arange(len(self)), counts), idx, prob)
         if order is not None:
-            idx[:], prob[:] = idx[order], prob[order]
+            idx, prob = idx[order], prob[order]
         image, row, col = self.image, self.row, self.col
         live = counts > 0
         if not live.all():

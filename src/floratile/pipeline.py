@@ -226,14 +226,6 @@ def check_species_indices(tiles: TileBatch, n_species: int):
         )
 
 
-def _parts(tiles) -> List[TileBatch]:
-    """A list of batches that hold whole images in turn, such as a tile
-    file's slices, as it is; any other stage input as a list of its one batch."""
-    if isinstance(tiles, list) and all(isinstance(part, TileBatch) for part in tiles):
-        return tiles
-    return [as_batch(tiles)]
-
-
 def drained(batches: list):
     """The batches in order, each dropped from the list as it is handed out,
     so a caller that keeps only a batch's output frees the batch."""
@@ -251,7 +243,8 @@ def image_probability_vectors(tiles, n_species: int) -> Tuple[List[str], np.ndar
     ``tiles`` is any stage input, or a list of batches that hold whole images
     in turn, such as a tile file's slices; each image's row is the same either way.
     """
-    parts = _parts(tiles)
+    sliced = isinstance(tiles, list) and all(isinstance(part, TileBatch) for part in tiles)
+    parts = tiles if sliced else [as_batch(tiles)]
     for part in parts:
         check_species_indices(part, n_species)
     ids = [image_id for part in parts for image_id in part.image_ids]
@@ -281,26 +274,21 @@ def apply_geo_mask(tiles: TileBatch, mask: SpeciesMask) -> ImageTiles:
 
     The batch counts what its tiles keep and raises its first failure, an
     index outside the mask or an image the mask empties (reported at its last
-    tile), before it is filtered."""
-
-    def fill(batch, idx, prob):
-        tile = batch.tile_keys()
-        kept, outside = allowed_entries(batch.idx, tile, mask.allowed)
-        counts = np.bincount(tile, weights=kept, minlength=len(batch))  # exact counts
-        emptied = first(np.bincount(batch.image, weights=counts, minlength=len(batch.image_ids)) == 0)
-        empty_failure = (None, None)
-        if emptied is not None:
-            empty_failure = (
-                int(batch.image_offsets[emptied + 1]) - 1,
-                InputError(f"geolocation mask removed every species of every tile of {batch.image_ids[emptied]!r}"),
-            )
-        raise_first(outside, empty_failure)
-        n = np.count_nonzero(kept)
-        np.compress(kept, batch.idx, out=idx[:n])
-        renormalise(np.compress(kept, batch.prob, out=prob[:n]), tile[kept], len(batch))
-        return counts
-
-    return ImageTiles(as_batch(tiles).derive(fill))
+    tile), before it hands ``TileBatch.derive`` the kept entries."""
+    batch = as_batch(tiles)
+    tile = batch.tile_keys()
+    kept, outside = allowed_entries(batch.idx, tile, mask.allowed)
+    counts = np.bincount(tile, weights=kept, minlength=len(batch))  # exact counts
+    emptied = first(np.bincount(batch.image, weights=counts, minlength=len(batch.image_ids)) == 0)
+    empty_failure = (None, None)
+    if emptied is not None:
+        empty_failure = (
+            int(batch.image_offsets[emptied + 1]) - 1,
+            InputError(f"geolocation mask removed every species of every tile of {batch.image_ids[emptied]!r}"),
+        )
+    raise_first(outside, empty_failure)
+    prob = renormalise(batch.prob[kept], tile[kept], len(batch))
+    return ImageTiles(batch.derive(counts, batch.idx[kept], prob))
 
 
 @dataclass
@@ -361,34 +349,31 @@ def apply_priors(
 ) -> ImageTiles:
     """Reweight every tile by the prior of its region's dominant cluster.
 
-    The batch raises its first failure as it fills the output; an image
-    without a usable cluster fails at its first tile."""
-
-    def fill(batch, idx, prob):
-        clusters, region_failure = [], (None, None)
-        for i, image_id in enumerate(batch.image_ids):
-            try:
-                region = parse_region(image_id, registry)
-                if region not in region_map:
-                    raise InputError(f"region {region!r} has no dominant cluster in the map")
-                cluster = region_map[region]
-                if not 0 <= cluster < priors.k:
-                    raise InputError(f"region {region!r} maps to cluster {cluster}; priors have rows 0..{priors.k - 1}")
-            except InputError as exc:
-                region_failure = (int(batch.image_offsets[i]), exc)
-                break
-            clusters.append(cluster)
-        head = batch.images(0, len(clusters))  # the images ahead of the first without a cluster
-        weighted, found = reweight_entries(
-            head.idx, head.prob, head.tile_keys(), len(head), priors.priors,
-            np.asarray(clusters, dtype=np.int64)[head.image],
-            lambda t: f"tile ({int(head.row[t])},{int(head.col[t])}) of {head.image_ids[head.image[t]]!r}",
-        )
-        raise_first(region_failure, *found, head.prob_failure(weighted))
-        idx[:], prob[:] = batch.idx, weighted
-        return np.diff(batch.offsets)
-
-    return ImageTiles(as_batch(tiles).derive(fill))
+    The batch raises its first failure before it hands ``TileBatch.derive``
+    its entries with the new probabilities; an image without a usable
+    cluster fails at its first tile."""
+    batch = as_batch(tiles)
+    clusters, region_failure = [], (None, None)
+    for i, image_id in enumerate(batch.image_ids):
+        try:
+            region = parse_region(image_id, registry)
+            if region not in region_map:
+                raise InputError(f"region {region!r} has no dominant cluster in the map")
+            cluster = region_map[region]
+            if not 0 <= cluster < priors.k:
+                raise InputError(f"region {region!r} maps to cluster {cluster}; priors have rows 0..{priors.k - 1}")
+        except InputError as exc:
+            region_failure = (int(batch.image_offsets[i]), exc)
+            break
+        clusters.append(cluster)
+    head = batch.images(0, len(clusters))  # the images ahead of the first without a cluster
+    weighted, found = reweight_entries(
+        head.idx, head.prob, head.tile_keys(), len(head), priors.priors,
+        np.asarray(clusters, dtype=np.int64)[head.image],
+        lambda t: f"tile ({int(head.row[t])},{int(head.col[t])}) of {head.image_ids[head.image[t]]!r}",
+    )
+    raise_first(region_failure, *found, head.prob_failure(weighted))
+    return ImageTiles(batch.derive(np.diff(batch.offsets), batch.idx, weighted))
 
 
 def aggregate_predictions(
@@ -401,16 +386,13 @@ def aggregate_predictions(
 ) -> List[SubmissionRow]:
     """One submission row per image, sorted by quadrat id.
 
-    ``tiles`` is any stage input, or a list of batches that hold whole
-    images in turn, such as a tile file's slices; the list is emptied as its
-    batches are voted, so each is freed once its rows exist. Every vote
-    quantity belongs to one image, so the rows are the same either way.
-    ``threads`` is accepted for compatibility and has no effect.
+    ``tiles`` is one stage input; to vote a tile file's slices in turn, add
+    each to one ``Vote``. ``threads`` is accepted for compatibility and has
+    no effect.
     """
     check_vote_settings(k, min_votes, max_labels)
     vote = Vote(catalog, k, min_votes, max_labels)
-    for part in drained(_parts(tiles)):
-        vote.add(part)
+    vote.add(as_batch(tiles))
     return vote.rows()
 
 

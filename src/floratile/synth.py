@@ -71,8 +71,8 @@ class SynthSpec:
     transect_size: int = 8
 
     def __post_init__(self):
-        if self.n_images < 1:
-            raise InputError("n_images must be >= 1")
+        if self.n_images < 2:  # the projection needs two embeddings
+            raise InputError("n_images must be >= 2")
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise InputError("grid must be at least 1x1")
         if not (0.0 <= self.noise <= 1.0):

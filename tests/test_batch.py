@@ -32,6 +32,7 @@ from floratile.geo import DEFAULT_REFERENCE_POINT, SpeciesMask, apply_mask, buil
 from floratile.io import SubmissionRow, group_by_image, read_tile_predictions, tile_slices, write_tile_predictions
 from floratile.metrics import image_f1
 from floratile.pipeline import (
+    Vote,
     aggregate_predictions,
     apply_geo_mask,
     apply_priors,
@@ -468,11 +469,20 @@ def test_stages_stop_at_the_first_slice_that_fails(monkeypatch, stage, first_ima
     assert calls == ["allowed_entries" if stage == "geo" else "reweight_entries"]  # no later slice's
 
 
-def test_vote_names_the_first_quadrat_past_the_catalog_whichever_slice_holds_it(monkeypatch):
+def _voted(slices, catalog, k, min_votes, max_labels):
+    """The rows of one ``Vote`` fed ``slices`` in turn, as ``aggregate`` votes a tile file."""
+    vote = Vote(catalog, k, min_votes, max_labels)
+    for view in slices:
+        vote.add(view)
+    return vote.rows()
+
+
+def test_vote_names_the_first_quadrat_past_the_catalog_whichever_slice_holds_it():
     tiles = [_tp("b", 0, [(9, 0.5)]), _tp("c", 0, [(1, 0.5)]), _tp("a", 0, [(2, 0.5), (8, 0.25)])]
-    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # one image per slice: "a" is voted last
+    batch = TileBatch.from_tiles(tiles)
+    slices = [batch.images(i, i + 1) for i in range(len(batch.image_ids))]  # "b", "c", then "a"
     with pytest.raises(InputError, match=r"dense index 8 out of range 0\.\.2"):
-        aggregate_predictions(group_by_image(tiles), SpeciesCatalog([10, 11, 12]), 9, 1, 10)
+        _voted(slices, SpeciesCatalog([10, 11, 12]), 9, 1, 10)
 
 
 def test_group_by_image_keeps_tiles_of_interleaved_images_in_order():
@@ -628,7 +638,7 @@ def test_sliced_vote_matches_whole_batch_vote_property(tiles, data):
         path = Path(tmp) / "tiles.ndjson"
         write_tile_predictions(path, batch)
         for bound in SLICE_BOUNDS:  # the vote of a tile file's slices, as a command makes it
-            rows = aggregate_predictions(_read_slices(path, bound), catalog, k, min_votes, max_labels)
+            rows = _voted(_read_slices(path, bound), catalog, k, min_votes, max_labels)
             assert [(r.quadrat_id, r.species_ids) for r in rows] == expected, bound
 
 
@@ -1018,6 +1028,16 @@ def test_batches_cache_nothing_per_entry(bench_bundle):
         assert set(stage.__dict__) - columns <= {"image_offsets"}
 
 
+def test_geo_mask_output_holds_only_its_own_columns(bench_bundle):
+    path, _, mask, _ = bench_bundle
+    batch = read_tile_predictions(path)
+    masked, held, _ = _traced(lambda: apply_geo_mask(batch, mask).batch)
+    assert len(masked) == len(batch)  # no tile drops, so the tile columns are shared
+    # an int64 index and a float64 probability per kept entry, an int64 offset per tile
+    # and one more, a bool flag per tile; nothing held for a dropped entry
+    assert held < 16 * masked.idx.shape[0] + 8 * masked.offsets.shape[0] + len(masked) + 8 * 1024
+
+
 def test_bench_read_tile_predictions(benchmark, bench_bundle):
     path = bench_bundle[0]
     batch = benchmark.pedantic(read_tile_predictions, args=(path,), rounds=4)
@@ -1034,7 +1054,7 @@ def test_bench_apply_geo_mask(benchmark, bench_bundle):
 def test_bench_aggregate(benchmark, bench_bundle):
     path, catalog, _, _ = bench_bundle
     slices = list(tile_slices(path))  # as `aggregate` votes them
-    rows = benchmark.pedantic(lambda: aggregate_predictions(list(slices), catalog, 9, 2, 10), rounds=20)
+    rows = benchmark.pedantic(lambda: _voted(slices, catalog, 9, 2, 10), rounds=20)
     assert len(rows) == 500
 
 

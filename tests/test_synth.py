@@ -113,6 +113,8 @@ def test_generate_embeddings_cluster_blobs():
 def test_spec_validation():
     with pytest.raises(InputError):
         SynthSpec(n_images=0)
+    with pytest.raises(InputError, match="n_images"):
+        SynthSpec(n_images=1)  # the projection needs two embeddings
     with pytest.raises(InputError):
         SynthSpec(noise=1.5)
     with pytest.raises(InputError):
