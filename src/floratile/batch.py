@@ -353,6 +353,10 @@ def as_batch(tiles) -> TileBatch:
         return tiles
     if isinstance(tiles, ImageTiles):
         return tiles.batch
+    tiles = list(tiles)
+    for tile in tiles:
+        if not isinstance(tile, TilePrediction):
+            raise InvariantViolation(f"stage input holds a {type(tile).__name__}, not a TilePrediction")
     return TileBatch.from_tiles(tiles)
 
 

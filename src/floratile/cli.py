@@ -4,9 +4,9 @@ Subcommands mirror the pipeline stages (tile-plan, geofilter, project,
 cluster, priors, reweight, aggregate, evaluate, plot), plus `synth` for
 fixture generation and `run` for the end-to-end pipeline. Running the
 stages one at a time through their file formats produces byte-identical
-submissions to a single `run` with the same seed. `aggregate`, `geofilter`
-and `reweight` take the tile file through ``pipeline.stream`` slice by
-slice, as `run` does. Every command checks its flags before it reads a file.
+submissions to a single `run` with the same seed. `aggregate`, `geofilter`,
+`priors` and `reweight` take the tile file through ``pipeline.stream``
+slice by slice, as `run` does. Every command checks its flags before it reads a file.
 
 Exit codes: 0 on success, 1 on input errors (bad files, bad flags),
 2 on internal invariant violations.
@@ -33,6 +33,7 @@ from .pipeline import (
     MODE_PRESETS,
     MODES,
     GeoOptions,
+    PriorSums,
     PriorsOptions,
     RunConfig,
     Vote,
@@ -40,12 +41,10 @@ from .pipeline import (
     apply_priors,
     check_species_indices,
     compute_geo_mask,
-    image_probability_vectors,
     run,
     score_submission,
     stream_or_raise,
     validate_grid,
-    vector_priors,
 )
 from .projection import ProjectorConfig, fit
 from .svgplot import check_canvas, save_projection_plot
@@ -173,12 +172,11 @@ def _cmd_cluster(args) -> int:
 def _cmd_priors(args) -> int:
     options = PriorsOptions(k=args.k, epsilon=args.epsilon)
     catalog = load_catalog(args.catalog)
-    held = []
-    stream_or_raise(fio.tile_slices(args.predictions), [(0, held.append)])
-    assign_map = fio.read_assignments(args.assignments)
-    ids, vectors = image_probability_vectors(held, len(catalog))
-    del held  # the priors need only the image vectors
-    fio.write_priors(args.out, vector_priors(ids, vectors, assign_map, options.k, options.epsilon))
+    # the assignments are read at the first slice, so a bad record anywhere in the tile file is raised first
+    sums = cache(lambda: PriorSums(fio.read_assignments(args.assignments), len(catalog), options.k))
+    stream_or_raise(fio.tile_slices(args.predictions), [
+        (0, lambda view: sums().add(view)),
+    ], [(0, lambda: fio.write_priors(args.out, sums().priors(options.epsilon)))])
     return 0
 
 

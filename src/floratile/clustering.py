@@ -184,24 +184,33 @@ def estimate_priors(
     assignments = np.asarray(assignments, dtype=np.int64)
     if assignments.shape[0] != vectors.shape[0]:
         raise InputError(f"{assignments.shape[0]} assignments for {vectors.shape[0]} vectors")
-    bad = first((assignments < 0) | (assignments >= k))
-    if bad is not None:
-        raise InputError(f"assignment {int(assignments[bad])} outside clusters 0..{k - 1}")
-    sums = vectors.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > _VECTOR_SUM_TOL)
-    if bad.size:
-        raise InvariantViolation(
-            f"image vector {bad[0]} sums to {sums[bad[0]]!r}; expected 1 +/- {_VECTOR_SUM_TOL}"
-        )
+    for failure in vector_failures(vectors, assignments, k):
+        if failure:
+            raise failure
+    sums = np.zeros((k, vectors.shape[1]))
+    np.add.at(sums, assignments, vectors)  # row by row in order, as mean(axis=0) adds them
+    return smoothed_priors(sums, np.bincount(assignments, minlength=k), epsilon)
 
-    n_sp = vectors.shape[1]
-    priors = np.empty((k, n_sp))
-    for c in range(k):
-        members = vectors[assignments == c]
-        if members.shape[0] == 0:
-            priors[c] = 1.0 / n_sp
-            continue
-        row = members.mean(axis=0) + epsilon
+
+def vector_failures(vectors: np.ndarray, assignments: np.ndarray, k: int, first_row: int = 0):
+    """The errors of ``estimate_priors``' checks, in its order, each None when
+    it passes: the first assignment outside ``0..k-1``, then the first image
+    vector whose sum is not one (its row counted from ``first_row``)."""
+    outside, sums = first((assignments < 0) | (assignments >= k)), vectors.sum(axis=1)
+    bad = first(np.abs(sums - 1.0) > _VECTOR_SUM_TOL)
+    return [
+        None if outside is None else InputError(f"assignment {int(assignments[outside])} outside clusters 0..{k - 1}"),
+        None if bad is None else InvariantViolation(
+            f"image vector {first_row + bad} sums to {sums[bad]!r}; expected 1 +/- {_VECTOR_SUM_TOL}"),
+    ]
+
+
+def smoothed_priors(sums: np.ndarray, counts: np.ndarray, epsilon: float) -> ClusterPriors:
+    """Per cluster, the mean of its ``counts[c]`` image vectors, whose sum is
+    ``sums[c]``, plus ``epsilon``, normalised; uniform for a cluster with no images."""
+    priors = np.full(sums.shape, 1.0 / sums.shape[1])
+    for c in np.flatnonzero(counts):
+        row = sums[c] / counts[c] + epsilon
         priors[c] = row / row.sum()
     return ClusterPriors(priors=priors)
 

@@ -29,8 +29,9 @@ earlier kind has failed, and reading goes on to the end of the file; then
 the first failure of the earliest kind is raised. A run's kinds are grid,
 species index, mask build (for the first slice that passes the checks),
 mask apply, reweight and vote, with each intermediate's write at its place
-in that order. A priors run holds its checked and masked slices, estimates
-the priors over them, then streams them through the reweight and the vote.
+in that order. A priors run holds its checked and masked slices, adds them
+to the per-cluster sums of ``PriorSums`` for the priors, then streams them
+through the reweight and the vote.
 An intermediate is written slice by slice under a hidden name and moved
 into place only when every stage before its write has passed for the whole
 file, so a failed run leaves the files the whole-batch chain left, and no
@@ -52,12 +53,12 @@ import numpy as np
 from .batch import ImageTiles, TileBatch, as_batch, first, raise_first
 from .catalog import RegionRegistry, SpeciesCatalog, load_catalog, parse_region
 from .clustering import (
-    ClusterModel,
     ClusterPriors,
     dominant_cluster,
-    estimate_priors,
     kmeans,
     reweight_entries,
+    smoothed_priors,
+    vector_failures,
 )
 from .errors import FloratileError, InputError
 from .geo import (
@@ -88,7 +89,7 @@ from .io import (
     write_submission,
 )
 from .metrics import ScoreReport, score_rows
-from .projection import EmbeddingMatrix, Projection, ProjectorConfig, fit
+from .projection import ProjectorConfig, fit
 from .tiling import GridSpec
 from .voting import check_vote_settings, naive_baseline, rank_labels, tally_batch
 
@@ -240,25 +241,56 @@ def image_probability_vectors(tiles, n_species: int) -> Tuple[List[str], np.ndar
     Tile records are sparse and need not sum to one (a top-k slice does
     not), so each tile is renormalized before entering the mean; the
     resulting rows sum to one exactly as the prior estimator requires.
-    ``tiles`` is any stage input, or a list of batches that hold whole images
-    in turn, such as a tile file's slices; each image's row is the same either way.
     """
-    sliced = isinstance(tiles, list) and all(isinstance(part, TileBatch) for part in tiles)
-    parts = tiles if sliced else [as_batch(tiles)]
-    for part in parts:
-        check_species_indices(part, n_species)
-    ids = [image_id for part in parts for image_id in part.image_ids]
-    vectors = np.empty((len(ids), n_species))
-    first_image = 0
-    for part in parts:
-        rows = vectors[first_image:first_image + len(part.image_ids)]
-        tile = part.tile_keys()
-        total = np.bincount(tile, weights=part.prob, minlength=len(part))
-        cells = part.image[tile] * n_species + part.idx
-        rows[:] = np.bincount(cells, weights=part.prob / total[tile], minlength=rows.size).reshape(rows.shape)
-        rows /= np.diff(part.image_offsets)[:, None]
-        first_image += len(part.image_ids)
-    return ids, vectors
+    batch = as_batch(tiles)
+    check_species_indices(batch, n_species)
+    n_images, tile = len(batch.image_ids), batch.tile_keys()
+    total = np.bincount(tile, weights=batch.prob, minlength=len(batch))
+    cells = batch.image[tile] * n_species + batch.idx
+    vectors = np.bincount(cells, weights=batch.prob / total[tile], minlength=n_images * n_species)
+    vectors = vectors.reshape(n_images, n_species)
+    vectors /= np.diff(batch.image_offsets)[:, None]
+    return list(batch.image_ids), vectors
+
+
+class PriorSums:
+    """Per-cluster sums of image probability vectors, added slice by slice.
+
+    Each image's vector is added to its cluster's row of a k x S sum in file
+    order, as ``estimate_priors`` adds the rows of the dense matrix, so
+    ``priors`` gives its bytes while only a slice's vectors are held. A
+    species index past the catalog raises in ``add``; ``priors`` raises the
+    checks that span every image in the whole-batch order: the first five
+    images without a cluster, then ``vector_failures``.
+    """
+
+    def __init__(self, cluster_of_image: Mapping[str, int], n_species: int, k: int):
+        self.cluster_of_image, self.k, self.n_images = cluster_of_image, k, 0
+        self.sums, self.counts = np.zeros((k, n_species)), np.zeros(k, dtype=np.int64)
+        self.missing: List[str] = []
+        self.failures = [None, None]  # the first of each of ``vector_failures``
+
+    def add(self, tiles):
+        """Add the images of ``tiles``, any stage input, such as a tile file's slice."""
+        ids, vectors = image_probability_vectors(tiles, self.sums.shape[1])
+        first_row, self.n_images = self.n_images, self.n_images + len(ids)
+        self.missing += [i for i in ids if i not in self.cluster_of_image][:5 - len(self.missing)]
+        if self.missing:  # the priors fail whatever the rest holds
+            return
+        clusters = np.array([self.cluster_of_image[i] for i in ids], dtype=np.int64)
+        found = vector_failures(vectors, clusters, self.k, first_row)
+        self.failures = [old or new for old, new in zip(self.failures, found)]
+        if not any(self.failures):
+            np.add.at(self.sums, clusters, vectors)
+            self.counts += np.bincount(clusters, minlength=self.k)
+
+    def priors(self, epsilon: float) -> ClusterPriors:
+        if self.missing:
+            raise InputError(f"no cluster assignment for predicted image(s): {self.missing}")
+        for failure in self.failures:
+            if failure:
+                raise failure
+        return smoothed_priors(self.sums, self.counts, epsilon)
 
 
 def compute_geo_mask(options: GeoOptions, catalog: SpeciesCatalog) -> SpeciesMask:
@@ -289,56 +321,6 @@ def apply_geo_mask(tiles: TileBatch, mask: SpeciesMask) -> ImageTiles:
     raise_first(outside, empty_failure)
     prob = renormalise(batch.prob[kept], tile[kept], len(batch))
     return ImageTiles(batch.derive(counts, batch.idx[kept], prob))
-
-
-@dataclass
-class PriorsArtifacts:
-    projection: Projection
-    model: ClusterModel
-    region_map: Dict[str, int]
-    priors: ClusterPriors
-
-
-def compute_priors_artifacts(
-    embeddings: EmbeddingMatrix,
-    tiles: TileBatch,
-    registry: RegionRegistry,
-    catalog: SpeciesCatalog,
-    options: PriorsOptions,
-    seed: int,
-) -> PriorsArtifacts:
-    """Project embeddings, cluster them, map regions to dominant clusters,
-    and estimate one species prior per cluster from the prediction stream."""
-    projection = fit(embeddings, ProjectorConfig(seed=seed))
-    model = kmeans(projection.points, options.k, seed=seed)
-
-    regions = [parse_region(image_id, registry) for image_id in embeddings.image_ids]
-    region_map = dominant_cluster(model.assignments, regions)
-
-    cluster_of_image = dict(zip(embeddings.image_ids, model.assignments.tolist()))
-    priors = estimate_cluster_priors(tiles, cluster_of_image, len(catalog), options.k, options.epsilon)
-    return PriorsArtifacts(projection=projection, model=model, region_map=region_map, priors=priors)
-
-
-def estimate_cluster_priors(
-    tiles: TileBatch,
-    cluster_of_image: Mapping[str, int],
-    n_species: int,
-    k: int,
-    epsilon: float,
-) -> ClusterPriors:
-    """One species prior per cluster, from the images' mean tile distributions."""
-    return vector_priors(*image_probability_vectors(tiles, n_species), cluster_of_image, k, epsilon)
-
-
-def vector_priors(ids: List[str], vectors: np.ndarray, cluster_of_image: Mapping[str, int], k: int,
-                  epsilon: float) -> ClusterPriors:
-    """One species prior per cluster, from the image vectors of images ``ids``."""
-    missing = [i for i in ids if i not in cluster_of_image]
-    if missing:
-        raise InputError(f"no cluster assignment for predicted image(s): {missing[:5]}")
-    assignments = [cluster_of_image[i] for i in ids]
-    return estimate_priors(vectors, assignments, k, epsilon=epsilon, n_species=vectors.shape[1])
 
 
 def apply_priors(
@@ -509,15 +491,21 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> Li
     if config.priors.enabled:
         registry = read_region_registry(config.registry_path)
         embeddings = read_embeddings(config.priors.embeddings_path)
-        artifacts = compute_priors_artifacts(embeddings, held, registry, catalog, config.priors, config.seed)
+        projection = fit(embeddings, ProjectorConfig(seed=config.seed))
+        model = kmeans(projection.points, config.priors.k, seed=config.seed)
+        region_map = dominant_cluster(model.assignments, [parse_region(i, registry) for i in embeddings.image_ids])
+        sums = PriorSums(dict(zip(embeddings.image_ids, model.assignments.tolist())), len(catalog), config.priors.k)
+        for view in held:
+            sums.add(view)
+        priors = sums.priors(config.priors.epsilon)
         if keep:
-            write_projection(out_dir / "projection.csv", artifacts.projection)
-            write_assignments(out_dir / "assignments.csv", embeddings.image_ids, artifacts.model.assignments)
-            write_region_cluster_map(out_dir / "region_clusters.csv", artifacts.region_map)
-            write_priors(out_dir / "priors.ndjson", artifacts.priors)
+            write_projection(out_dir / "projection.csv", projection)
+            write_assignments(out_dir / "assignments.csv", embeddings.image_ids, model.assignments)
+            write_region_cluster_map(out_dir / "region_clusters.csv", region_map)
+            write_priors(out_dir / "priors.ndjson", priors)
         with StagedTileFile(out_dir / "reweighted_predictions.ndjson") as staged:
             stream_or_raise(drained(held), [
-                (_REWEIGHT, lambda view: apply_priors(view, artifacts.priors, artifacts.region_map, registry).batch),
+                (_REWEIGHT, lambda view: apply_priors(view, priors, region_map, registry).batch),
                 keep and (_REWEIGHTED_FILE, staged.write),
                 (_VOTE, vote.add),
             ], [keep and (_REWEIGHTED_FILE, staged.commit)])

@@ -150,7 +150,7 @@ def test_estimate_priors_matches_brute_force():
             else:
                 row = members.mean(axis=0) + eps
                 expected = row / row.sum()
-            assert np.allclose(priors.priors[c], expected, atol=1e-12)
+            assert np.array_equal(priors.priors[c], expected)
         assert np.allclose(priors.priors.sum(axis=1), 1.0, atol=1e-9)
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from floratile import pipeline
 from floratile.catalog import RegionRegistry, SpeciesCatalog
-from floratile.clustering import ClusterPriors
+from floratile.clustering import ClusterPriors, estimate_priors
 from floratile.errors import InputError, InvariantViolation
 from floratile.geo import SpeciesMask
 from floratile.io import SubmissionRow, group_by_image, read_ground_truth, read_submission, write_ground_truth
@@ -24,9 +25,8 @@ from floratile.pipeline import (
     aggregate_predictions,
     apply_geo_mask,
     apply_priors,
+    PriorSums,
     compute_geo_mask,
-    compute_priors_artifacts,
-    estimate_cluster_priors,
     image_probability_vectors,
     run,
     score_submission,
@@ -175,18 +175,97 @@ def test_image_probability_vectors_rows_sum_to_one(bundle):
 def test_priors_stages_take_tiles_in_every_form_a_stage_takes(bundle):
     batch, n_species = bundle.tile_predictions, len(bundle.catalog)
     tiles = list(batch)
-    options = PriorsOptions(k=2)
-    artifacts = compute_priors_artifacts(bundle.embeddings, batch, bundle.registry, bundle.catalog, options, 7)
-    cluster_of_image = dict(zip(bundle.embeddings.image_ids, artifacts.model.assignments.tolist()))
+    cluster_of_image = dict(zip(bundle.quadrat_ids, bundle.cluster_labels))
     expected_ids, expected_vectors = image_probability_vectors(batch, n_species)
-    n = len(batch.image_ids)
-    for form in (tiles, tuple(tiles), group_by_image(tiles), [batch.images(0, 1), batch.images(1, n)]):
+    expected = estimate_priors(expected_vectors, [cluster_of_image[i] for i in expected_ids], 2)
+    for form in (tiles, tuple(tiles), group_by_image(tiles)):
         ids, vectors = image_probability_vectors(form, n_species)
         assert ids == expected_ids and np.array_equal(vectors, expected_vectors)
-        priors = estimate_cluster_priors(form, cluster_of_image, n_species, 2, 1e-6)
-        assert np.array_equal(priors.priors, artifacts.priors.priors)
-        again = compute_priors_artifacts(bundle.embeddings, form, bundle.registry, bundle.catalog, options, 7)
-        assert np.array_equal(again.priors.priors, artifacts.priors.priors)
+        sums = PriorSums(cluster_of_image, n_species, 2)
+        sums.add(form)
+        assert np.array_equal(sums.priors(1e-6).priors, expected.priors)
+
+
+def test_a_stage_given_a_list_of_batches_names_what_it_got(bundle):
+    batch = bundle.tile_predictions
+    halves = [batch.images(0, 1), batch.images(1, len(batch.image_ids))]
+    with pytest.raises(InvariantViolation, match=r"^stage input holds a TileBatch, not a TilePrediction$"):
+        validate_grid([batch], GridSpec(3, 3))
+    with pytest.raises(InvariantViolation, match=r"^stage input holds a TileBatch, not a TilePrediction$"):
+        image_probability_vectors(halves, len(bundle.catalog))
+    with pytest.raises(InvariantViolation, match=r"^stage input holds a str, not a TilePrediction$"):
+        image_probability_vectors(list(batch)[:2] + ["tile"], len(bundle.catalog))
+
+
+def _sliced(batch, bounds):
+    return [batch.images(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])  # k=5: clusters with no image keep the uniform row
+def test_prior_sums_equal_the_dense_estimate_exactly(bundle, k):
+    batch, n_species = bundle.tile_predictions, len(bundle.catalog)
+    n = len(batch.image_ids)
+    cluster_of_image = {image_id: (c * 7 + n) % min(k, 3) for n, (image_id, c) in
+                        enumerate(zip(bundle.quadrat_ids, bundle.cluster_labels))}
+    ids, vectors = image_probability_vectors(batch, n_species)
+    expected = estimate_priors(vectors, [cluster_of_image[i] for i in ids], k, epsilon=1e-6, n_species=n_species)
+    for slices in ([batch], _sliced(batch, [0, 7, n]), _sliced(batch, range(n + 1))):
+        sums = PriorSums(cluster_of_image, n_species, k)
+        for view in slices:
+            sums.add(view)
+        assert np.array_equal(sums.priors(1e-6).priors, expected.priors)
+
+
+def test_prior_sums_raise_the_whole_batch_failures_in_their_order_across_slices(bundle, monkeypatch):
+    batch, n_species = bundle.tile_predictions, len(bundle.catalog)
+    ids = batch.image_ids
+
+    def failure(cluster_of_image):
+        """The error of the sums over the whole batch, which one-image slices must give too."""
+        seen = set()
+        for slices in ([batch], _sliced(batch, range(len(ids) + 1))):
+            sums = PriorSums(cluster_of_image, n_species, 2)
+            with pytest.raises((InputError, InvariantViolation)) as exc:
+                for view in slices:
+                    sums.add(view)
+                sums.priors(1e-6)
+            seen.add((exc.type.__name__, str(exc.value)))
+        assert len(seen) == 1, seen
+        return seen.pop()
+
+    assigned = dict.fromkeys(ids, 0)
+    outside = dict(assigned, **{ids[0]: 7})
+    assert failure(outside) == ("InputError", "assignment 7 outside clusters 0..1")
+    unassigned = {i: c for i, c in outside.items() if i not in ids[8:]}
+    assert failure(unassigned) == ("InputError", f"no cluster assignment for predicted image(s): {ids[8:13]!r}")
+
+    def skewed(tiles, n):  # the vector of image 9 sums to 2
+        image_ids, vectors = image_probability_vectors(tiles, n)
+        vectors[[image_id == ids[9] for image_id in image_ids]] *= 2
+        return image_ids, vectors
+
+    monkeypatch.setattr(pipeline, "image_probability_vectors", skewed)
+    kind, message = failure(assigned)
+    assert kind == "InvariantViolation" and message.startswith("image vector 9 sums to ")
+    assert failure(dict(assigned, **{ids[-1]: -1})) == ("InputError", "assignment -1 outside clusters 0..1")
+
+
+def test_prior_sums_memory_is_set_by_k_species_and_a_slice():
+    batch = generate(SynthSpec(n_images=120, n_species=4000), seed=5).tile_predictions
+    k, n_species = 3, 4000
+    cluster_of_image = {image_id: n % k for n, image_id in enumerate(batch.image_ids)}
+    slices = _sliced(batch, range(len(batch.image_ids) + 1))
+    tracemalloc.start()
+    try:
+        sums = PriorSums(cluster_of_image, n_species, k)
+        for view in slices:
+            sums.add(view)
+        sums.priors(1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense images x species matrix alone takes 120 * 4000 * 8 B
+    assert peak < 4 * k * n_species * 8, peak
 
 
 def test_image_probability_vectors_index_bound():

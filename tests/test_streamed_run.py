@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 from floratile import batch as fbatch
 from floratile import io as fio
 from floratile import pipeline
-from floratile.catalog import load_catalog
-from floratile.clustering import ClusterPriors
+from floratile.catalog import load_catalog, parse_region
+from floratile.clustering import ClusterPriors, dominant_cluster, estimate_priors, kmeans
 from floratile.cli import build_parser, main
 from floratile.errors import FloratileError, InputError, InvariantViolation
 from floratile.io import (
@@ -59,14 +59,24 @@ from floratile.pipeline import (
     apply_priors,
     check_species_indices,
     compute_geo_mask,
-    compute_priors_artifacts,
+    image_probability_vectors,
     run,
     score_submission,
     validate_grid,
 )
+from floratile.projection import ProjectorConfig, fit
 from floratile.synth import SynthSpec, generate, write_bundle
 from floratile.tiling import GridSpec
 from floratile.voting import check_vote_settings, naive_baseline
+
+
+def _dense_priors(tiles, cluster_of_image, n_species, k, epsilon):
+    """The cluster priors from the images x species matrix of every image."""
+    ids, vectors = image_probability_vectors(tiles, n_species)
+    missing = [i for i in ids if i not in cluster_of_image]
+    if missing:
+        raise InputError(f"no cluster assignment for predicted image(s): {missing[:5]}")
+    return estimate_priors(vectors, [cluster_of_image[i] for i in ids], k, epsilon=epsilon, n_species=n_species)
 
 
 def _whole_batch_run(config: RunConfig):
@@ -92,13 +102,17 @@ def _whole_batch_run(config: RunConfig):
         if config.priors.enabled:
             registry = read_region_registry(config.registry_path)
             embeddings = read_embeddings(config.priors.embeddings_path)
-            artifacts = compute_priors_artifacts(embeddings, tiles, registry, catalog, config.priors, config.seed)
+            projection = fit(embeddings, ProjectorConfig(seed=config.seed))
+            model = kmeans(projection.points, config.priors.k, seed=config.seed)
+            region_map = dominant_cluster(model.assignments, [parse_region(i, registry) for i in embeddings.image_ids])
+            priors = _dense_priors(tiles, dict(zip(embeddings.image_ids, model.assignments.tolist())), len(catalog),
+                                   config.priors.k, config.priors.epsilon)
             if config.keep_intermediates:
-                write_projection(out_dir / "projection.csv", artifacts.projection)
-                write_assignments(out_dir / "assignments.csv", embeddings.image_ids, artifacts.model.assignments)
-                write_region_cluster_map(out_dir / "region_clusters.csv", artifacts.region_map)
-                write_priors(out_dir / "priors.ndjson", artifacts.priors)
-            tiles = apply_priors(tiles, artifacts.priors, artifacts.region_map, registry).batch
+                write_projection(out_dir / "projection.csv", projection)
+                write_assignments(out_dir / "assignments.csv", embeddings.image_ids, model.assignments)
+                write_region_cluster_map(out_dir / "region_clusters.csv", region_map)
+                write_priors(out_dir / "priors.ndjson", priors)
+            tiles = apply_priors(tiles, priors, region_map, registry).batch
             if config.keep_intermediates:
                 write_tile_predictions(out_dir / "reweighted_predictions.ndjson", tiles)
         rows = aggregate_predictions(tiles, catalog, config.k_per_tile, config.min_votes, config.max_labels)
@@ -420,6 +434,15 @@ def _ref_reweight(args):
     write_tile_predictions(args.out, apply_priors(tiles, priors, region_map, registry).batch)
 
 
+def _ref_priors(args):
+    """`priors` as it stood when it held the tile file and built the images x species matrix."""
+    options = PriorsOptions(k=args.k, epsilon=args.epsilon)
+    catalog = load_catalog(args.catalog)
+    tiles = read_tile_predictions(args.predictions)
+    write_priors(args.out, _dense_priors(tiles, fio.read_assignments(args.assignments), len(catalog), options.k,
+                                         options.epsilon))
+
+
 def _command_outcome(fn, argv, out: Path):
     """``(exit code, stdout, stderr, {file: bytes})`` of ``fn(argv)``, which
     prints as ``main`` does; ``out`` is emptied for the next run."""
@@ -436,7 +459,8 @@ def _ref_main(argv):
     """``main`` with each stage command's whole-file body."""
     args = build_parser().parse_args(argv)
     try:
-        {"aggregate": _ref_aggregate, "geofilter": _ref_geofilter, "reweight": _ref_reweight}[argv[0]](args)
+        {"aggregate": _ref_aggregate, "geofilter": _ref_geofilter, "priors": _ref_priors,
+         "reweight": _ref_reweight}[argv[0]](args)
         return 0
     except InvariantViolation as exc:
         sys.stderr.write(f"floratile: invariant violation: {exc}\n")
@@ -492,6 +516,62 @@ def test_streamed_commands_match_their_whole_file_bodies_property(small_bundle, 
         }[command] + ["--predictions", w("predictions.ndjson")]
         expected = _command_outcome(_ref_main, argv, out)
         assert _command_outcome(main, argv, out) == expected
+
+
+# faults in the inputs of `priors`, in the tile file or the assignments file
+PRIORS_FAULTS = ("late bad record", "index past catalog", "first cluster past k", "last image unassigned",
+                 "six images unassigned", "unreadable assignments")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(faults=st.lists(st.sampled_from(PRIORS_FAULTS), max_size=3), chunk=st.sampled_from([1, 2, 16, 4096]))
+def test_streamed_priors_matches_its_whole_file_body_property(small_bundle, monkeypatch, faults, chunk):
+    bundle_dir, _ = small_bundle
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
+    lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
+    labels = fio.read_assignments(bundle_dir / "labels.csv")
+    ids = list(labels)
+    if "late bad record" in faults:
+        lines.append(json.dumps(dict(_record("SYN-AA-T99-Q9999", 0), probs=[[1, 1.5]])))
+    if "index past catalog" in faults:  # a tile of a middle image
+        lines[len(lines) // 2] = json.dumps(dict(json.loads(lines[len(lines) // 2]), probs=[[SPEC.n_species, 0.5]]))
+    if "first cluster past k" in faults:
+        labels[ids[0]] = 7
+    for fault, gone in (("last image unassigned", ids[-1:]), ("six images unassigned", ids[2:8])):
+        if fault in faults:
+            for image_id in gone:
+                labels.pop(image_id, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        out = work / "out"
+        out.mkdir()
+        (work / "predictions.ndjson").write_text("".join(line + "\n" for line in lines))
+        write_assignments(work / "assignments.csv", list(labels), list(labels.values()))
+        if "unreadable assignments" in faults:
+            (work / "assignments.csv").write_text("image_id,cluster\nSYN-AA,x\n")
+        argv = ["priors", "--predictions", str(work / "predictions.ndjson"), "--assignments",
+                str(work / "assignments.csv"), "--catalog", str(bundle_dir / "catalog.csv"), "--k", "2",
+                "--out", str(out / "priors.ndjson")]
+        expected = _command_outcome(_ref_main, argv, out)
+        assert _command_outcome(main, argv, out) == expected
+
+
+def test_priors_reports_an_image_without_a_cluster_ahead_of_an_earlier_cluster_past_k(small_bundle, tmp_path,
+                                                                                       monkeypatch):
+    bundle_dir, _ = small_bundle
+    labels = fio.read_assignments(bundle_dir / "labels.csv")
+    ids = list(labels)
+    labels[ids[0]] = 7
+    del labels[ids[-2]]
+    write_assignments(tmp_path / "assignments.csv", list(labels), list(labels.values()))
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    argv = ["priors", "--predictions", str(bundle_dir / "tile_predictions.ndjson"), "--k", "3",
+            "--assignments", str(tmp_path / "assignments.csv"), "--catalog", str(bundle_dir / "catalog.csv"),
+            "--out", str(out / "priors.ndjson")]
+    message = f"floratile: error: no cluster assignment for predicted image(s): {[ids[-2]]!r}\n"
+    assert _command_outcome(main, argv, out) == (1, "", message, {})
 
 
 def test_aggregate_raises_the_first_failure_of_the_earliest_stage_kind(small_bundle, tmp_path, monkeypatch):
@@ -643,7 +723,7 @@ def _command_peak(argv):
     return peak
 
 
-@pytest.mark.parametrize("command", ["aggregate", "geofilter", "reweight"])
+@pytest.mark.parametrize("command", ["aggregate", "geofilter", "priors", "reweight"])
 def test_stage_command_memory_is_set_by_a_slice(grown_bundles, tmp_path, command):
     def argv(n):
         directory, out = grown_bundles[n], tmp_path / f"out{n}"
@@ -656,6 +736,9 @@ def test_stage_command_memory_is_set_by_a_slice(grown_bundles, tmp_path, command
             write_region_cluster_map(f"{out}.map", dict.fromkeys(read_region_registry(b("regions.txt")).regions, 0))
             return ["reweight", "--predictions", b("tile_predictions.ndjson"), "--priors", f"{out}.priors",
                     "--region-clusters", f"{out}.map", "--registry", b("regions.txt"), "--out", str(out)]
+        if command == "priors":
+            return ["priors", "--predictions", b("tile_predictions.ndjson"), "--assignments", b("labels.csv"),
+                    "--catalog", b("catalog.csv"), "--out", str(out), "--k", "3"]
         return ["geofilter", "--observations", b("observations.csv"), "--regions", b("geo_regions.json"),
                 "--catalog", b("catalog.csv"), "--out", str(out), "--predictions", b("tile_predictions.ndjson"),
                 "--out-predictions", f"{out}.ndjson"]
