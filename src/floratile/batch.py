@@ -310,20 +310,17 @@ class TileBatch:
         """This batch's tiles over new entries: tile ``t`` owns the next
         ``counts[t]`` of ``idx`` and ``prob``, given in batch order.
 
-        Each tile's entries are sorted, tiles left without entries drop out,
-        and no tile is complete any more. Every image must keep a tile; when
-        every tile does, the tile columns are shared, not copied. ``idx`` and
-        ``prob`` become the entry columns when no tile needs sorting.
+        Tiles left without entries drop out, no tile is complete any more and
+        ``from_columns`` sorts each tile's entries. Every image must keep a
+        tile; when every tile does, the tile columns are shared, not copied.
+        ``idx`` and ``prob`` become the entry columns when no tile needs sorting.
         """
         counts = np.asarray(counts, dtype=np.int64)
-        order = _entry_order(np.repeat(np.arange(len(self)), counts), idx, prob)
-        if order is not None:
-            idx, prob = idx[order], prob[order]
         image, row, col = self.image, self.row, self.col
         live = counts > 0
         if not live.all():
             image, row, col, counts = image[live], row[live], col[live], counts[live]
-        return TileBatch(self.image_ids, image, row, col, np.zeros(len(image), dtype=bool), _offsets(counts), idx, prob)
+        return TileBatch.from_columns(self.image_ids, image, row, col, np.zeros(len(image), dtype=bool), counts, idx, prob)
 
 
 class ImageTiles(Mapping):

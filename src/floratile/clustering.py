@@ -181,25 +181,27 @@ def estimate_priors(
         raise InputError(f"vectors have {vectors.shape[1]} species, catalog has {n_species}")
     if not 0 <= epsilon < np.inf:
         raise InputError(f"epsilon must be finite and >= 0, got {epsilon}")
-    assignments = np.asarray(assignments, dtype=np.int64)
-    if assignments.shape[0] != vectors.shape[0]:
-        raise InputError(f"{assignments.shape[0]} assignments for {vectors.shape[0]} vectors")
+    if len(assignments) != vectors.shape[0]:
+        raise InputError(f"{len(assignments)} assignments for {vectors.shape[0]} vectors")
     for failure in vector_failures(vectors, assignments, k):
         if failure:
             raise failure
+    assignments = np.asarray(assignments, dtype=np.int64)
     sums = np.zeros((k, vectors.shape[1]))
     np.add.at(sums, assignments, vectors)  # row by row in order, as mean(axis=0) adds them
     return smoothed_priors(sums, np.bincount(assignments, minlength=k), epsilon)
 
 
-def vector_failures(vectors: np.ndarray, assignments: np.ndarray, k: int, first_row: int = 0):
+def vector_failures(vectors: np.ndarray, assignments: Sequence[int], k: int, first_row: int = 0):
     """The errors of ``estimate_priors``' checks, in its order, each None when
     it passes: the first assignment outside ``0..k-1``, then the first image
-    vector whose sum is not one (its row counted from ``first_row``)."""
-    outside, sums = first((assignments < 0) | (assignments >= k)), vectors.sum(axis=1)
+    vector whose sum is not one (its row counted from ``first_row``). The
+    assignments are checked as Python ints, so one past int64 is reported too."""
+    outside = next((a for a in map(int, assignments) if not 0 <= a < k), None)
+    sums = vectors.sum(axis=1)
     bad = first(np.abs(sums - 1.0) > _VECTOR_SUM_TOL)
     return [
-        None if outside is None else InputError(f"assignment {int(assignments[outside])} outside clusters 0..{k - 1}"),
+        None if outside is None else InputError(f"assignment {outside} outside clusters 0..{k - 1}"),
         None if bad is None else InvariantViolation(
             f"image vector {first_row + bad} sums to {sums[bad]!r}; expected 1 +/- {_VECTOR_SUM_TOL}"),
     ]

@@ -29,9 +29,10 @@ earlier kind has failed, and reading goes on to the end of the file; then
 the first failure of the earliest kind is raised. A run's kinds are grid,
 species index, mask build (for the first slice that passes the checks),
 mask apply, reweight and vote, with each intermediate's write at its place
-in that order. A priors run holds its checked and masked slices, adds them
-to the per-cluster sums of ``PriorSums`` for the priors, then streams them
-through the reweight and the vote.
+in that order. A priors run holds its checked and masked slices in a list,
+adds them to the per-cluster sums of ``PriorSums`` for the priors, then
+streams the list through the reweight and the vote; the list holds every
+slice until the last vote.
 An intermediate is written slice by slice under a hidden name and moved
 into place only when every stage before its write has passed for the whole
 file, so a failed run leaves the files the whole-batch chain left, and no
@@ -227,14 +228,6 @@ def check_species_indices(tiles: TileBatch, n_species: int):
         )
 
 
-def drained(batches: list):
-    """The batches in order, each dropped from the list as it is handed out,
-    so a caller that keeps only a batch's output frees the batch."""
-    batches.reverse()
-    while batches:
-        yield batches.pop()
-
-
 def image_probability_vectors(tiles, n_species: int) -> Tuple[List[str], np.ndarray]:
     """Dense per-image distributions: renormalize each tile, then average.
 
@@ -259,12 +252,15 @@ class PriorSums:
     Each image's vector is added to its cluster's row of a k x S sum in file
     order, as ``estimate_priors`` adds the rows of the dense matrix, so
     ``priors`` gives its bytes while only a slice's vectors are held. A
-    species index past the catalog raises in ``add``; ``priors`` raises the
+    ``k`` above the number of assignments raises at once, and a species
+    index past the catalog raises in ``add``; ``priors`` raises the
     checks that span every image in the whole-batch order: the first five
     images without a cluster, then ``vector_failures``.
     """
 
     def __init__(self, cluster_of_image: Mapping[str, int], n_species: int, k: int):
+        if k > len(cluster_of_image):
+            raise InputError(f"cannot form {k} clusters from {len(cluster_of_image)} assigned images")
         self.cluster_of_image, self.k, self.n_images = cluster_of_image, k, 0
         self.sums, self.counts = np.zeros((k, n_species)), np.zeros(k, dtype=np.int64)
         self.missing: List[str] = []
@@ -277,10 +273,11 @@ class PriorSums:
         self.missing += [i for i in ids if i not in self.cluster_of_image][:5 - len(self.missing)]
         if self.missing:  # the priors fail whatever the rest holds
             return
-        clusters = np.array([self.cluster_of_image[i] for i in ids], dtype=np.int64)
+        clusters = [self.cluster_of_image[i] for i in ids]
         found = vector_failures(vectors, clusters, self.k, first_row)
         self.failures = [old or new for old, new in zip(self.failures, found)]
         if not any(self.failures):
+            clusters = np.array(clusters, dtype=np.int64)
             np.add.at(self.sums, clusters, vectors)
             self.counts += np.bincount(clusters, minlength=self.k)
 
@@ -504,7 +501,7 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> Li
             write_region_cluster_map(out_dir / "region_clusters.csv", region_map)
             write_priors(out_dir / "priors.ndjson", priors)
         with StagedTileFile(out_dir / "reweighted_predictions.ndjson") as staged:
-            stream_or_raise(drained(held), [
+            stream_or_raise((view for view in held), [  # a generator: a list has no close
                 (_REWEIGHT, lambda view: apply_priors(view, priors, region_map, registry).batch),
                 keep and (_REWEIGHTED_FILE, staged.write),
                 (_VOTE, vote.add),

@@ -175,6 +175,19 @@ def test_estimate_priors_rejects_an_assignment_outside_the_clusters(assignments,
         estimate_priors(vectors, assignments, k=2)
 
 
+@pytest.mark.parametrize("shown", [10**20, -10**20])
+def test_estimate_priors_reports_an_assignment_past_int64_after_its_other_checks(shown):
+    vectors = np.full((2, 3), 1 / 3)
+    with pytest.raises(InputError, match=rf"^assignment {shown} outside clusters 0\.\.1$"):
+        estimate_priors(vectors, [0, shown], 2)
+    with pytest.raises(InputError, match=r"^1 assignments for 2 vectors$"):
+        estimate_priors(vectors, [shown], 2)
+    with pytest.raises(InputError, match=r"^epsilon must be finite and >= 0"):
+        estimate_priors(vectors, [0, shown], 2, epsilon=-1.0)
+    with pytest.raises(InputError, match=r"^image probability vectors must be n x S"):
+        estimate_priors(vectors[0], [0, shown], 2)
+
+
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
 def test_estimate_priors_rejects_non_finite_epsilon(epsilon):
     with pytest.raises(InputError, match=rf"^epsilon must be finite and >= 0, got {epsilon}$"):

@@ -574,6 +574,66 @@ def test_priors_reports_an_image_without_a_cluster_ahead_of_an_earlier_cluster_p
     assert _command_outcome(main, argv, out) == (1, "", message, {})
 
 
+def _priors_outcome(bundle_dir, tmp_path, labels, k, lines=None):
+    """``_command_outcome`` of ``priors --k k`` with ``labels`` as the
+    assignments file and ``lines``, if given, as the tile file."""
+    predictions = bundle_dir / "tile_predictions.ndjson"
+    if lines is not None:
+        predictions = tmp_path / "predictions.ndjson"
+        predictions.write_text("".join(line + "\n" for line in lines))
+    write_assignments(tmp_path / "assignments.csv", list(labels), list(labels.values()))
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    argv = ["priors", "--predictions", str(predictions), "--k", str(k),
+            "--assignments", str(tmp_path / "assignments.csv"), "--catalog", str(bundle_dir / "catalog.csv"),
+            "--out", str(out / "priors.ndjson")]
+    return _command_outcome(main, argv, out)
+
+
+@pytest.mark.parametrize("chunk", [1, 4096])
+@pytest.mark.parametrize("cluster", [10**20 - 1, -10**20])
+def test_priors_reports_a_cluster_past_int64_as_outside_the_clusters(small_bundle, tmp_path, monkeypatch,
+                                                                     chunk, cluster):
+    bundle_dir, _ = small_bundle
+    labels = fio.read_assignments(bundle_dir / "labels.csv")
+    ids = list(labels)
+    labels[ids[3]], labels[ids[5]] = cluster, 7  # the first in file order is reported
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
+    message = f"floratile: error: assignment {cluster} outside clusters 0..2\n"
+    assert _priors_outcome(bundle_dir, tmp_path, labels, 3) == (1, "", message, {})
+
+
+def test_priors_reports_an_image_without_a_cluster_ahead_of_an_earlier_cluster_past_int64(small_bundle, tmp_path,
+                                                                                           monkeypatch):
+    bundle_dir, _ = small_bundle
+    labels = fio.read_assignments(bundle_dir / "labels.csv")
+    ids = list(labels)
+    labels[ids[0]] = 10**20
+    del labels[ids[-2]]
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    message = f"floratile: error: no cluster assignment for predicted image(s): {[ids[-2]]!r}\n"
+    assert _priors_outcome(bundle_dir, tmp_path, labels, 3) == (1, "", message, {})
+
+
+@pytest.mark.parametrize("extra", [1, 10**20])
+def test_priors_rejects_more_clusters_than_assigned_images(small_bundle, tmp_path, extra):
+    bundle_dir, _ = small_bundle
+    labels = fio.read_assignments(bundle_dir / "labels.csv")
+    k = len(labels) + extra
+    message = f"floratile: error: cannot form {k} clusters from {len(labels)} assigned images\n"
+    assert _priors_outcome(bundle_dir, tmp_path, labels, k) == (1, "", message, {})
+    assert _priors_outcome(bundle_dir, tmp_path, labels, len(labels))[0] == 0
+
+
+def test_priors_reports_a_bad_tile_record_ahead_of_more_clusters_than_assigned_images(small_bundle, tmp_path):
+    bundle_dir, _ = small_bundle
+    labels = fio.read_assignments(bundle_dir / "labels.csv")
+    lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines() + ["{broken"]
+    expected = _priors_outcome(bundle_dir, tmp_path, labels, 3, lines)
+    assert expected[0] == 1 and expected[3] == {} and "cannot form" not in expected[2]
+    assert _priors_outcome(bundle_dir, tmp_path, labels, len(labels) + 1, lines) == expected
+
+
 def test_aggregate_raises_the_first_failure_of_the_earliest_stage_kind(small_bundle, tmp_path, monkeypatch):
     bundle_dir, _ = small_bundle
     lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
