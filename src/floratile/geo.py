@@ -58,8 +58,8 @@ def _segments_meet(a1, a2, b1, b2) -> bool:
 
 
 def _coordinate(x) -> float:
-    """``x`` as a float; text is not a number, even text that would parse as one."""
-    if isinstance(x, str):
+    """``x`` as a float; text and bools are not numbers, even text that would parse as one."""
+    if isinstance(x, (str, bool)):
         raise TypeError(f"{x!r} is not a number")
     return float(x)
 

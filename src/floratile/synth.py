@@ -55,6 +55,20 @@ IMG_SUPPORT = 20
 
 _LAND_POLYGON = ((42.0, 0.0), (47.0, 0.0), (47.0, 8.0), (42.0, 8.0))
 
+# Each bundle file and its writer, in the manifest's order; ``write_bundle`` writes them all.
+BUNDLE_FILES = {
+    "catalog.csv": lambda path, b: fio.write_catalog(path, b.catalog),
+    "regions.txt": lambda path, b: fio.write_region_registry(path, b.registry),
+    "geo_regions.json": lambda path, b: fio.write_geo_regions(path, b.geo_regions),
+    "observations.csv": lambda path, b: fio.write_observations(path, b.observations),
+    "training_counts.csv": lambda path, b: fio.write_training_counts(path, b.training_counts),
+    "embeddings.ndjson": lambda path, b: fio.write_embeddings(path, b.embeddings),
+    "tile_predictions.ndjson": lambda path, b: fio.write_tile_predictions(path, b.tile_predictions),
+    "image_predictions.ndjson": lambda path, b: fio.write_tile_predictions(path, b.image_predictions),
+    "truth.csv": lambda path, b: fio.write_ground_truth(path, b.truth),
+    "labels.csv": lambda path, b: fio.write_assignments(path, b.quadrat_ids, b.cluster_labels),
+}
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -138,16 +152,12 @@ def _region_names(n: int) -> List[str]:
 
 def _allocate_tiles(rng, n_tiles: int, truth: List[int], missed: int | None) -> List[int]:
     """One dominant species per tile; every non-missed species gets >= 2 tiles."""
-    counts = {s: 0 for s in truth}
-    slots = n_tiles
-    if missed is not None:
-        counts[missed] = 1
-        slots -= 1
+    counts = {s: 1 for s in truth}
     active = [s for s in truth if s != missed]
-    base, extra = divmod(slots, len(active))
+    base, extra = divmod(n_tiles - len(truth), len(active))
     order = rng.permutation(len(active))
     for pos, idx in enumerate(order.tolist()):
-        counts[active[idx]] = base + (1 if pos < extra else 0)
+        counts[active[idx]] += base + (1 if pos < extra else 0)
     assignment = [s for s, c in counts.items() for _ in range(c)]
     rng.shuffle(assignment)
     return assignment
@@ -181,21 +191,16 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
     pooled = shuffled[spec.n_vagrant :]
     pools = [np.sort(pooled[c :: spec.n_clusters]) for c in range(spec.n_clusters)]
 
-    freq_order = rng.permutation(spec.n_species)
-    training_counts = {}
-    for rank, dense in enumerate(freq_order.tolist()):
-        training_counts[species_ids[dense]] = max(1, 2000 // (rank + 1))
-    training_counts = {sid: training_counts[sid] for sid in species_ids}
+    freq_rank = np.argsort(rng.permutation(spec.n_species)).tolist()
+    training_counts = {sid: max(1, 2000 // (rank + 1)) for sid, rank in zip(species_ids, freq_rank)}
 
     region_names = _region_names(spec.n_clusters)
     registry = RegionRegistry(regions=tuple(region_names))
 
     quadrat_ids: List[str] = []
-    cluster_labels: List[int] = []
     truth_sets: Dict[str, frozenset] = {}
     transects: Dict[str, str] = {}
     embeddings = np.empty((spec.n_images, spec.embed_dim))
-    per_region_count = [0] * spec.n_clusters
     # Tile entry columns; every tile carries the same probabilities, in rank order.
     tile_idx: List[int] = []
     tile_prob = [1.0] if smear == 0.0 else [1.0 - smear, 0.6 * smear, 0.4 * smear]
@@ -207,17 +212,13 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
     hi = spec.max_truth_species
     for i in range(spec.n_images):
         c = i % spec.n_clusters
-        region = region_names[c]
-        t_idx = per_region_count[c] // spec.transect_size
-        per_region_count[c] += 1
-        quadrat_id = f"{region}-T{t_idx:02d}-Q{i:04d}"
+        transect = f"{region_names[c]}-T{i // spec.n_clusters // spec.transect_size:02d}"
+        quadrat_id = f"{transect}-Q{i:04d}"
         quadrat_ids.append(quadrat_id)
-        cluster_labels.append(c)
-        transects[quadrat_id] = f"{region}-T{t_idx:02d}"
+        transects[quadrat_id] = transect
 
-        center = np.zeros(spec.embed_dim)
-        center[c] = spec.separation
-        embeddings[i] = center + rng.normal(0.0, 1.0, spec.embed_dim)
+        embeddings[i] = rng.normal(0.0, 1.0, spec.embed_dim)
+        embeddings[i, c] += spec.separation
 
         n_truth = int(rng.integers(lo, hi + 1))
         truth_dense = rng.choice(pools[c], size=n_truth, replace=False)
@@ -288,16 +289,9 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
     observations: List[Observation] = []
     offshore_set = set(vagrants[1::2].tolist())
     for dense, sid in enumerate(species_ids):
-        offshore = dense in offshore_set
-        n_obs = 1 + int(rng.integers(0, 3))
-        for _ in range(n_obs):
-            if offshore:
-                lat = float(rng.uniform(50.0, 60.0))
-                lon = float(rng.uniform(20.0, 30.0))
-            else:
-                lat = float(rng.uniform(42.5, 46.5))
-                lon = float(rng.uniform(0.5, 7.5))
-            observations.append(Observation(species_id=sid, lat=lat, lon=lon))
+        lats, lons = ((50.0, 60.0), (20.0, 30.0)) if dense in offshore_set else ((42.5, 46.5), (0.5, 7.5))
+        for _ in range(1 + int(rng.integers(0, 3))):
+            observations.append(Observation(species_id=sid, lat=float(rng.uniform(*lats)), lon=float(rng.uniform(*lons))))
 
     geo_regions = [GeoRegion(name="SYN-LAND", polygon=_LAND_POLYGON)]
     truth = GroundTruth(truth=truth_sets, transects=transects)
@@ -310,18 +304,7 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
         "parameters": parameters,
         "regions": region_names,
         "reference_point": list(DEFAULT_REFERENCE_POINT),
-        "files": [
-            "catalog.csv",
-            "regions.txt",
-            "geo_regions.json",
-            "observations.csv",
-            "training_counts.csv",
-            "embeddings.ndjson",
-            "tile_predictions.ndjson",
-            "image_predictions.ndjson",
-            "truth.csv",
-            "labels.csv",
-        ],
+        "files": list(BUNDLE_FILES),
     }
 
     return SynthBundle(
@@ -329,7 +312,7 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
         registry=registry,
         training_counts=training_counts,
         quadrat_ids=quadrat_ids,
-        cluster_labels=cluster_labels,
+        cluster_labels=[i % spec.n_clusters for i in range(spec.n_images)],
         truth=truth,
         embeddings=emb,
         tile_predictions=tile_preds,
@@ -345,14 +328,6 @@ def write_bundle(bundle: SynthBundle, out_dir) -> Path:
     with fio._open_write(out / "manifest.json") as fh:
         json.dump(bundle.manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    fio.write_catalog(out / "catalog.csv", bundle.catalog)
-    fio.write_region_registry(out / "regions.txt", bundle.registry)
-    fio.write_geo_regions(out / "geo_regions.json", bundle.geo_regions)
-    fio.write_observations(out / "observations.csv", bundle.observations)
-    fio.write_training_counts(out / "training_counts.csv", bundle.training_counts)
-    fio.write_embeddings(out / "embeddings.ndjson", bundle.embeddings)
-    fio.write_tile_predictions(out / "tile_predictions.ndjson", bundle.tile_predictions)
-    fio.write_tile_predictions(out / "image_predictions.ndjson", bundle.image_predictions)
-    fio.write_ground_truth(out / "truth.csv", bundle.truth)
-    fio.write_assignments(out / "labels.csv", bundle.quadrat_ids, bundle.cluster_labels)
+    for name, write in BUNDLE_FILES.items():
+        write(out / name, bundle)
     return out

@@ -125,6 +125,17 @@ def test_registry_rejects_duplicates_and_empty_names():
         RegionRegistry(regions=())
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: SpeciesCatalog([]), "species catalog must contain at least one species"),
+    (lambda: SpeciesCatalog([1, 1]), "duplicate species_id 1 in catalog"),
+    (lambda: SpeciesCatalog([1, 2]).dense_index(3), "species_id 3 not in catalog"),
+    (lambda: transect_of(""), "quadrat_id must be non-empty"),
+], ids=["empty_catalog", "duplicate_id", "unknown_id", "empty_quadrat_id"])
+def test_catalog_input_checks(call, message):
+    with pytest.raises(InputError, match=rf"^{message}$"):
+        call()
+
+
 def test_transect_of_drops_last_token():
     assert transect_of("CBN-PdlC-A1-20230705") == "CBN-PdlC-A1"
     assert transect_of("A-B") == "A"

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from floratile import cli
 from floratile.catalog import load_catalog
 from floratile.cli import main
 from floratile.clustering import ClusterPriors
+from floratile.errors import InvariantViolation
 from floratile.io import (read_region_cluster_map, read_submission, read_tile_predictions, write_priors,
                           write_region_cluster_map)
 from floratile.pipeline import GeoOptions, compute_geo_mask
@@ -51,6 +53,17 @@ def test_unknown_flag_exits_1(capsys):
 def test_too_small_image_exits_1(capsys):
     assert main(["tile-plan", "--width", "2", "--height", "10", "--grid", "4x4"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_invariant_violation_exits_2_with_one_line(monkeypatch, capsys):
+    def broken(*args):
+        raise InvariantViolation("x")
+
+    monkeypatch.setattr(cli, "make_grid", broken)
+    assert main(["tile-plan", "--width", "10", "--height", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "floratile: invariant violation: x\n"
 
 
 def test_aggregate_writes_submission(fixture_dir, tmp_path, capsys):
@@ -114,6 +127,26 @@ def test_geofilter_all_offshore_exits_1(fixture_dir, tmp_path, capsys):
     ])
     assert rc == 1
     assert capsys.readouterr().err == _NO_SPECIES_ALLOWED
+
+
+def test_geofilter_rejects_a_bool_vertex(fixture_dir, tmp_path, capsys):
+    regions = json.loads((fixture_dir / "geo_regions.json").read_text())
+    regions[0]["polygon"][0] = [42.0, False]
+    geo = tmp_path / "geo_bool.json"
+    geo.write_text(json.dumps(regions))
+    rc = main([
+        "geofilter",
+        "--observations", str(fixture_dir / "observations.csv"),
+        "--regions", str(geo),
+        "--catalog", str(fixture_dir / "catalog.csv"),
+        "--out", str(tmp_path / "mask.csv"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"floratile: error: {geo}: region #0: region 'SYN-LAND': "
+        "vertices must be (lat, lon) number pairs (False is not a number)\n"
+    )
+    assert not (tmp_path / "mask.csv").exists()
 
 
 def test_run_geo_all_offshore_exits_1(fixture_dir, tmp_path, capsys):
@@ -826,7 +859,10 @@ def test_stage_command_negative_seed_exits_1(fixture_dir, tmp_path, capsys, comm
     (["--learning-rate", "0"], "learning_rate must be finite and > 0, got 0.0"),
     (["--learning-rate", "nan"], "learning_rate must be finite and > 0, got nan"),
     (["--learning-rate", "inf"], "learning_rate must be finite and > 0, got inf"),
-], ids=["mn-nan", "fp-inf", "mn-huge", "fp-huge", "mn-pairs-overflow", "mn-draw-bytes", "lr-negative", "lr-zero", "lr-nan", "lr-inf"])
+    (["--neighbors", "0"], "n_neighbors must be >= 1"),
+    (["--mn-ratio", "-0.5"], "pair ratios must be >= 0"),
+], ids=["mn-nan", "fp-inf", "mn-huge", "fp-huge", "mn-pairs-overflow", "mn-draw-bytes", "lr-negative", "lr-zero", "lr-nan",
+        "lr-inf", "neighbors-zero", "mn-negative"])
 def test_project_rejects_unusable_settings(fixture_dir, tmp_path, capsys, flags, message):
     out = tmp_path / "proj.csv"
     assert main(["project", "--embeddings", str(fixture_dir / "embeddings.ndjson"),

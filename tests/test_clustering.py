@@ -201,6 +201,8 @@ def test_cluster_priors_validation():
         ClusterPriors(np.array([[1.5, -0.5]]))
     ok = ClusterPriors(np.array([[0.25, 0.75], [0.5, 0.5]]))
     assert ok.k == 2 and ok.n_species == 2
+    with pytest.raises(InputError, match=r"^priors must be k x S, got shape \(2,\)$"):
+        ClusterPriors(np.array([0.25, 0.75]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -321,7 +321,7 @@ def test_geo_regions_bad_payloads(tmp_path):
         read_geo_regions(path)
 
 
-@pytest.mark.parametrize("vertex", [[0, 4, 9], [0], "04"], ids=["three_numbers", "one_number", "text"])
+@pytest.mark.parametrize("vertex", [[0, 4, 9], [0], "04", [4, False]], ids=["three_numbers", "one_number", "text", "bool"])
 def test_geo_region_vertex_must_be_one_lat_lon_pair(tmp_path, vertex):
     path = tmp_path / "regions.json"
     path.write_text(json.dumps([{"name": "a", "polygon": [[0, 0], vertex, [4, 4]]}]))
@@ -492,6 +492,13 @@ def test_embeddings_width_mismatch(tmp_path):
         + "\n"
     )
     with pytest.raises(InputError, match=r":2: vector length"):
+        read_embeddings(path)
+
+
+def test_embeddings_empty_file(tmp_path):
+    path = tmp_path / "emb.ndjson"
+    path.write_text("")
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}: no embedding records')}$"):
         read_embeddings(path)
 
 
@@ -677,8 +684,9 @@ def test_priors_round_trip_and_contiguity(tmp_path):
     ([[True]], ":1", "bad prior record (prior values must be numbers, not true)"),
     ([{"cluster": 0.9, "prior": [1.0]}], ":1", "bad prior record (cluster must be an integer, not 0.9)"),
     ([{"cluster": True, "prior": [1.0]}], ":1", "bad prior record (cluster must be an integer, not true)"),
+    ([], "", "no prior records"),
 ], ids=["ragged", "sum", "nan", "zero", "negative", "inf", "huge_int", "string_value", "bool_value",
-        "fractional_cluster", "bool_cluster"])
+        "fractional_cluster", "bool_cluster", "empty_file"])
 def test_read_priors_rejects_rows_reweighting_cannot_use(tmp_path, rows, where, message):
     """Each of ``rows`` is a prior row of cluster 0, 1, ... or a whole record."""
     path = tmp_path / "priors.ndjson"

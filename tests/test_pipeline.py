@@ -109,6 +109,9 @@ def test_run_config_validation():
         PriorsOptions(epsilon=0.0)
     with pytest.raises(InputError):
         RunConfig(catalog_path="c", predictions_path="p", out_dir="o", threads=0)
+    with pytest.raises(InputError, match=r"^baseline k must be >= 1$"):
+        RunConfig(catalog_path="c", predictions_path="p", out_dir="o", mode="baseline", training_counts_path="t",
+                  baseline_k=0)
 
 
 @pytest.mark.parametrize("settings,message", [

@@ -45,6 +45,11 @@ def test_embedding_matrix_rejects_zero_width():
         EmbeddingMatrix([f"i{k}" for k in range(20)], np.zeros((20, 0)))
 
 
+def test_projector_config_needs_three_phases():
+    with pytest.raises(InputError, match=r"^phase_iters must be three non-negative integers$"):
+        ProjectorConfig(phase_iters=(100, 100))
+
+
 def test_projection_validation():
     with pytest.raises(InputError):
         Projection(["a", "b"], np.zeros((2, 3)))

@@ -125,6 +125,12 @@ def test_spec_validation():
         SynthSpec(n_clusters=0)
     with pytest.raises(InputError):
         SynthSpec(transect_size=0)
+    with pytest.raises(InputError, match=r"^grid must be at least 1x1$"):
+        SynthSpec(grid_rows=0)
+    with pytest.raises(InputError, match=r"^need embed_dim >= n_clusters for blob placement$"):
+        SynthSpec(embed_dim=2)
+    with pytest.raises(InputError, match=r"^species pools too small for the truth-set size range$"):
+        SynthSpec(n_species=40, n_clusters=26)  # enough junk species, but pools of one
 
 
 def test_write_bundle_round_trips_through_readers(tmp_path):
@@ -157,10 +163,13 @@ GOLDEN_BUNDLES = [
     (SynthSpec(n_images=30, noise=1.0), "bd192fe5b36b1a1841c63c69042380f8916ac73d6a4ca606c043f06c8aa84dd7"),
     (SynthSpec(n_images=30, grid_rows=2, grid_cols=3, noise=0.5),
      "edd8f7a942f2109ca1d1dec003fdc13485c3a3db30b99837877eb166a3860a43"),
+    # 15 transects of two images each, so transect ids and cluster labels differ from the 3-cluster specs
+    (SynthSpec(n_images=30, n_clusters=5, transect_size=2, embed_dim=8),
+     "e6c6da1cc6a3c8fc4f1be0c6a01c388d490f10c672d9395d8486ce1ea3a1ffd1"),
 ]
 
 
-@pytest.mark.parametrize("spec,digest", GOLDEN_BUNDLES, ids=["noise0", "noise0.5", "noise1", "grid2x3"])
+@pytest.mark.parametrize("spec,digest", GOLDEN_BUNDLES, ids=["noise0", "noise0.5", "noise1", "grid2x3", "five_clusters"])
 def test_write_bundle_bytes_are_pinned(tmp_path, spec, digest):
     out = write_bundle(generate(spec, seed=3), tmp_path / "bundle")
     h = hashlib.sha256()

@@ -176,6 +176,11 @@ def test_naive_baseline_rejects_empty():
         naive_baseline({}, 1)
 
 
+def test_select_labels_rejects_an_empty_tally():
+    with pytest.raises(InvariantViolation, match=r"^select_labels needs a non-empty tally$"):
+        select_labels(VoteTally())
+
+
 def test_vote_settings_below_one_are_input_errors():
     with pytest.raises(InputError, match=r"^k must be >= 1, got 0$"):
         tally_votes([tile([(1, 0.5)])], 0)
@@ -183,6 +188,8 @@ def test_vote_settings_below_one_are_input_errors():
         select_labels(VoteTally(votes={1: 1}, mass={1: 0.5}), 0, 10)
     with pytest.raises(InputError, match=r"^min_votes and max_labels must be >= 1$"):
         select_labels(VoteTally(votes={1: 1}, mass={1: 0.5}), 1, 0)
+    with pytest.raises(InputError, match=r"^k must be >= 1, got 0$"):
+        naive_baseline({1: 2}, 0)
 
 
 def test_tile_prediction_validation():
