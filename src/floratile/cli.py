@@ -72,16 +72,6 @@ def _parse_reference(text: str):
         raise InputError(f"reference must be 'lat,lon', got {text!r}") from None
 
 
-def _parse_iters(text: str):
-    try:
-        iters = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        iters = ()
-    if len(iters) != 3:
-        raise InputError("--iters must be three comma-separated integers")
-    return iters
-
-
 def _given(args, *names) -> dict:
     """The flags among ``names`` that were given; the others keep the library's defaults."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
@@ -142,9 +132,7 @@ def _cmd_geofilter(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    config = ProjectorConfig(
-        **_given(args, "n_neighbors", "mn_ratio", "fp_ratio", "phase_iters", "learning_rate", "seed")
-    )
+    config = ProjectorConfig(**_given(args, "seed"))
     emb = fio.read_embeddings(args.embeddings)
     projection = fit(emb, config)
     fio.write_projection(args.out, projection)
@@ -397,11 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project embeddings to 2-D")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--neighbors", dest="n_neighbors", type=int)
-    p.add_argument("--mn-ratio", type=float)
-    p.add_argument("--fp-ratio", type=float)
-    p.add_argument("--iters", dest="phase_iters", type=_parse_iters)
-    p.add_argument("--learning-rate", type=float)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_project)
 

@@ -38,6 +38,10 @@ _PCA_INIT_SCALE = 0.01
 _RANDOM_INIT_SCALE = 1e-4
 _PCA_TARGET_DIM = 100
 _KNN_BLOCK = 64  # rows per distance block in the kNN and mid-near passes
+# PaCMAP's defaults: mid-near and further pairs per near pair, and the step size
+_MN_RATIO = 0.5
+_FP_RATIO = 2.0
+_LEARNING_RATE = 1.0
 
 
 @dataclass
@@ -86,27 +90,14 @@ class PairSets:
 @dataclass(frozen=True)
 class ProjectorConfig:
     n_neighbors: int = 10
-    mn_ratio: float = 0.5
-    fp_ratio: float = 2.0
     phase_iters: Tuple[int, int, int] = (100, 100, 250)
-    learning_rate: float = 1.0
     seed: int = 42
 
     def __post_init__(self):
         if self.n_neighbors < 1:
             raise InputError("n_neighbors must be >= 1")
-        for name in ("mn_ratio", "fp_ratio"):
-            ratio = getattr(self, name)
-            if not np.isfinite(ratio):
-                raise InputError(f"{name} must be finite, got {ratio}")
-            if ratio < 0:
-                raise InputError("pair ratios must be >= 0")
-            if self.n_neighbors * ratio + 0.5 >= 2.0**63:
-                raise InputError(f"{name}={ratio} asks for more than 2**63 - 1 pairs per point")
         if len(self.phase_iters) != 3 or any(it < 0 for it in self.phase_iters):
             raise InputError("phase_iters must be three non-negative integers")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise InputError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
@@ -219,11 +210,7 @@ def build_pairs(data: np.ndarray, cfg: ProjectorConfig, rng: np.random.Generator
 
     k = cfg.n_neighbors
     # mid-near: per pair, the 2nd closest of min(6, n - 1) sampled points
-    n_mn, sample = _round_half_up(k * cfg.mn_ratio), min(6, n - 1)
-    # _distinct_draws holds each anchor's n_mn rows of its own index and the draws, int64 each
-    if 8 * n * n_mn * (sample + 1) > np.iinfo(np.intp).max:
-        raise InputError(f"mn_ratio={cfg.mn_ratio} asks for {n} x {n_mn} x {sample} mid-near draws, "
-                         "more than an array can hold")
+    n_mn, sample = _round_half_up(k * _MN_RATIO), min(6, n - 1)
     near_idx = _near_neighbors(data, k)
     anchors = np.arange(n)
 
@@ -240,7 +227,7 @@ def build_pairs(data: np.ndarray, cfg: ProjectorConfig, rng: np.random.Generator
     del drawn, d2, rank  # freed before the further draws
 
     # further: distinct points outside the anchor's near set, capped at the pool
-    n_fp = min(_round_half_up(k * cfg.fp_ratio), n - 1 - k)
+    n_fp = min(_round_half_up(k * _FP_RATIO), n - 1 - k)
     far = _distinct_draws(rng, n, np.column_stack([anchors, near_idx]), n_fp)
 
     def pairs(cols: np.ndarray) -> np.ndarray:
@@ -341,6 +328,6 @@ def fit(X: EmbeddingMatrix, cfg: ProjectorConfig = ProjectorConfig()) -> Project
         v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad * grad
         m_hat = m / (1.0 - _ADAM_BETA1 ** (t + 1))
         v_hat = v / (1.0 - _ADAM_BETA2 ** (t + 1))
-        Y = Y - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        Y = Y - _LEARNING_RATE * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
     return Projection(list(X.image_ids), Y)

@@ -35,7 +35,8 @@ def check_vote_settings(k: Optional[int], min_votes: Optional[int] = None, max_l
 
 def _voting_entries(batch: TileBatch, k: int):
     """``(image, idx, prob)`` of every tile's top-k entries, in batch order."""
-    top = np.minimum(np.diff(batch.offsets), k)  # a tile's entries are sorted, so its first k vote
+    # a tile's entries are sorted, so its first k vote; a k past int64 votes them all
+    top = np.minimum(np.diff(batch.offsets), min(k, np.iinfo(np.int64).max))
     image, idx, prob = np.repeat(batch.image, top), batch.idx, batch.prob
     if image.shape[0] < idx.shape[0]:  # some tile has more than k entries: gather the voting ones
         skipped = batch.offsets[:-1] - (np.cumsum(top) - top)  # per tile, entries left out before it

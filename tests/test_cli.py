@@ -639,16 +639,19 @@ def test_import_leaves_network_modules_unloaded():
 
 @pytest.mark.parametrize("iters", ["a,b,c", "1,2"])
 def test_project_bad_iters_exits_1(fixture_dir, tmp_path, capsys, iters):
+    """The schedule is the library's: `project` has no --iters."""
+    out = tmp_path / "proj.csv"
     assert main(["project", "--embeddings", str(fixture_dir / "embeddings.ndjson"),
-                 "--out", str(tmp_path / "proj.csv"), "--iters", iters]) == 1
-    assert capsys.readouterr().err == "floratile: error: --iters must be three comma-separated integers\n"
+                 "--out", str(out), "--iters", iters]) == 1
+    assert capsys.readouterr().err == f"floratile: error: unrecognized arguments: --iters {iters}\n"
+    assert not out.exists()
 
 
 def test_plot_svg_circle_count(fixture_dir, tmp_path, capsys):
     proj = tmp_path / "proj.csv"
     assign = tmp_path / "assign.csv"
     assert main(["project", "--embeddings", str(fixture_dir / "embeddings.ndjson"),
-                 "--out", str(proj), "--iters", "10,10,20"]) == 0
+                 "--out", str(proj)]) == 0
     assert main(["cluster", "--projection", str(proj), "--k", "2", "--out", str(assign)]) == 0
     svg_path = tmp_path / "plot.svg"
     assert main(["plot", "--projection", str(proj), "--assignments", str(assign),
@@ -675,7 +678,7 @@ def test_ids_holding_commas_pass_through_the_cluster_stage_files(tmp_path, capsy
     emb.write_text("".join(json.dumps({"image_id": i, "vector": rng.normal(size=4).tolist()}) + "\n" for i in ids))
     registry.write_text("".join(name + "\n" for name in regions))
     proj, assign, rc = tmp_path / "proj.csv", tmp_path / "assign.csv", tmp_path / "rc.csv"
-    assert main(["project", "--embeddings", str(emb), "--out", str(proj), "--iters", "10,10,20"]) == 0
+    assert main(["project", "--embeddings", str(emb), "--out", str(proj)]) == 0
     assert main(["cluster", "--projection", str(proj), "--k", "2", "--out", str(assign),
                  "--registry", str(registry), "--region-map-out", str(rc)]) == 0
     assert main(["plot", "--projection", str(proj), "--assignments", str(assign),
@@ -846,28 +849,19 @@ def test_stage_command_negative_seed_exits_1(fixture_dir, tmp_path, capsys, comm
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags,message", [
-    (["--mn-ratio", "nan"], "mn_ratio must be finite, got nan"),
-    (["--fp-ratio", "inf"], "fp_ratio must be finite, got inf"),
-    (["--mn-ratio", "1e300"], "mn_ratio=1e+300 asks for more than 2**63 - 1 pairs per point"),
-    (["--neighbors", "2", "--fp-ratio", "5e18"], "fp_ratio=5e+18 asks for more than 2**63 - 1 pairs per point"),
-    (["--mn-ratio", "1e17"],  # 10**18 pairs per point pass the config, but not for 16 points
-     "mn_ratio=1e+17 asks for 16 x 1000000000000000000 x 6 mid-near draws, more than an array can hold"),
-    (["--mn-ratio", "8e15"],  # fewer than 2**63 draws, but more than 2**63 bytes
-     "mn_ratio=8000000000000000.0 asks for 16 x 80000000000000000 x 6 mid-near draws, more than an array can hold"),
-    (["--learning-rate", "-1"], "learning_rate must be finite and > 0, got -1.0"),
-    (["--learning-rate", "0"], "learning_rate must be finite and > 0, got 0.0"),
-    (["--learning-rate", "nan"], "learning_rate must be finite and > 0, got nan"),
-    (["--learning-rate", "inf"], "learning_rate must be finite and > 0, got inf"),
-    (["--neighbors", "0"], "n_neighbors must be >= 1"),
-    (["--mn-ratio", "-0.5"], "pair ratios must be >= 0"),
+@pytest.mark.parametrize("flags", [
+    ["--mn-ratio", "nan"], ["--fp-ratio", "inf"], ["--mn-ratio", "1e300"], ["--neighbors", "2", "--fp-ratio", "5e18"],
+    ["--mn-ratio", "1e17"], ["--mn-ratio", "8e15"], ["--learning-rate", "-1"], ["--learning-rate", "0"],
+    ["--learning-rate", "nan"], ["--learning-rate", "inf"], ["--neighbors", "0"], ["--mn-ratio", "-0.5"],
 ], ids=["mn-nan", "fp-inf", "mn-huge", "fp-huge", "mn-pairs-overflow", "mn-draw-bytes", "lr-negative", "lr-zero", "lr-nan",
         "lr-inf", "neighbors-zero", "mn-negative"])
-def test_project_rejects_unusable_settings(fixture_dir, tmp_path, capsys, flags, message):
+def test_project_rejects_unusable_settings(fixture_dir, tmp_path, capsys, flags):
+    """`project` runs the projector at its defaults; it takes only --seed of
+    the projector's settings, as `run` does."""
     out = tmp_path / "proj.csv"
     assert main(["project", "--embeddings", str(fixture_dir / "embeddings.ndjson"),
                  "--out", str(out), *flags]) == 1
-    assert capsys.readouterr().err == f"floratile: error: {message}\n"
+    assert capsys.readouterr().err == f"floratile: error: unrecognized arguments: {' '.join(flags)}\n"
     assert not out.exists()
 
 
@@ -949,7 +943,7 @@ def test_an_underflowing_reweight_is_an_input_error_at_its_tile(fixture_dir, tmp
 def projection_file(fixture_dir, tmp_path_factory):
     proj = tmp_path_factory.mktemp("proj") / "proj.csv"
     assert main(["project", "--embeddings", str(fixture_dir / "embeddings.ndjson"),
-                 "--out", str(proj), "--iters", "10,10,20"]) == 0
+                 "--out", str(proj)]) == 0
     return proj
 
 
@@ -1172,3 +1166,87 @@ def test_project_lays_out_identical_embeddings_from_a_gaussian_start(tmp_path, c
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [row[0] for row in rows] == [f"im{i}" for i in range(15)]
     assert np.all(np.isfinite(np.array([row[1:] for row in rows], dtype=float)))
+
+
+# --- integer flags past 64 bits -------------------------------------------------
+
+def test_aggregate_k_past_64_bits_votes_every_entry(fixture_dir, tmp_path, capsys):
+    preds = tmp_path / "three.ndjson"  # three entries per tile
+    preds.write_text("".join(
+        json.dumps({"image_id": f"img{i}", "row": 0, "col": c, "probs": [[5 + c, 0.5], [7, 0.3], [9 + i, 0.2]]}) + "\n"
+        for i in range(2) for c in range(2)
+    ))
+    written = []
+    for k in [9, 2**63, 2**70]:
+        out = tmp_path / f"sub_{k}.csv"
+        assert main(["aggregate", "--predictions", str(preds), "--catalog", str(fixture_dir / "catalog.csv"),
+                     "--out", str(out), "--k", str(k)]) == 0
+        written.append(out.read_bytes())
+    assert capsys.readouterr().err == ""
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+def test_run_k_per_tile_past_64_bits_exits_0_as_flag_and_config_key(fixture_dir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k_per_tile": 2**70}))
+    run = ["run", "--grid", "3x3", "--catalog", str(fixture_dir / "catalog.csv"),
+           "--predictions", str(fixture_dir / "tile_predictions.ndjson")]
+    assert main([*run, "--out", str(tmp_path / "flag"), "--k-per-tile", str(2**70)]) == 0
+    assert main([*run, "--out", str(tmp_path / "config"), "--config", str(config)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "flag" / "submission.csv").read_bytes() == (tmp_path / "config" / "submission.csv").read_bytes()
+
+
+_WIDE_INT_FLAGS = [
+    ("run", "--k-per-tile"), ("run", "--min-votes"), ("run", "--max-labels"), ("run-baseline", "--baseline-k"),
+    ("run-priors", "--seed"), ("run-priors", "--priors-k"), ("aggregate", "--k"), ("aggregate", "--min-votes"),
+    ("aggregate", "--max-labels"), ("cluster", "--k"), ("cluster", "--seed"), ("priors", "--k"),
+    ("project", "--seed"), ("tile-plan", "--width"), ("tile-plan", "--height"), ("plot", "--width"),
+    ("plot", "--height"),
+]
+
+
+@pytest.mark.parametrize("value", [2**63, 2**70], ids=["2**63", "2**70"])
+@pytest.mark.parametrize("command,flag", _WIDE_INT_FLAGS, ids=[" ".join(case) for case in _WIDE_INT_FLAGS])
+def test_an_integer_flag_past_64_bits_is_a_setting_or_one_error_line(fixture_dir, projection_file, tmp_path,
+                                                                     capsys, command, flag, value):
+    catalog, preds = str(fixture_dir / "catalog.csv"), str(fixture_dir / "tile_predictions.ndjson")
+    out, assign = str(tmp_path / "out"), tmp_path / "assign.csv"
+    assign.write_text("image_id,cluster\n" + "".join(
+        f"{line.split(',')[0]},0\n" for line in projection_file.read_text().splitlines()[1:]))
+    run = ["run", "--grid", "3x3", "--catalog", catalog, "--predictions", preds, "--out", out]
+    argv = {
+        "run": run,
+        "run-baseline": [*run, "--mode", "baseline", "--training-counts", str(fixture_dir / "training_counts.csv")],
+        "run-priors": [*run, "--priors", "--registry", str(fixture_dir / "regions.txt"),
+                       "--embeddings", str(fixture_dir / "embeddings.ndjson")],
+        "aggregate": ["aggregate", "--catalog", catalog, "--predictions", preds, "--out", out],
+        "cluster": ["cluster", "--projection", str(projection_file), "--out", out],
+        "priors": ["priors", "--predictions", preds, "--assignments", str(assign), "--catalog", catalog, "--out", out],
+        "project": ["project", "--embeddings", str(fixture_dir / "embeddings.ndjson"), "--out", out],
+        "tile-plan": ["tile-plan", "--width", "100", "--height", "100", "--out", out],
+        "plot": ["plot", "--projection", str(projection_file), "--out", out],
+    }[command]
+    rc = main([*argv, flag, str(value)])
+    err = capsys.readouterr().err
+    assert (rc, err) == (0, "") or (rc == 1 and re.fullmatch(r"floratile: error: [^\n]*\n", err)), (rc, err)
+
+
+@pytest.mark.parametrize("mode,predictions", [("tiling", "tile_predictions.ndjson"),
+                                              ("no-tiling", "image_predictions.ndjson")], ids=["tiling", "no-tiling"])
+def test_a_geo_run_without_priors_leaves_numpy_random_unloaded(fixture_dir, tmp_path, mode, predictions):
+    """numpy loads ``numpy.random`` lazily, at the first generator: several MB
+    of peak memory that only the projector and k-means need."""
+    code = (
+        "import sys, numpy\n"
+        "before = {m for m in sys.modules if m.startswith('numpy.random')}\n"
+        "from floratile.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(sorted({m for m in sys.modules if m.startswith('numpy.random')} - before))\n"
+    )
+    argv = ["run", "--mode", mode, "--geo", "--keep-intermediates", "--catalog", str(fixture_dir / "catalog.csv"),
+            "--predictions", str(fixture_dir / predictions), "--observations", str(fixture_dir / "observations.csv"),
+            "--geo-regions", str(fixture_dir / "geo_regions.json"), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -48,6 +48,8 @@ def test_embedding_matrix_rejects_zero_width():
 def test_projector_config_needs_three_phases():
     with pytest.raises(InputError, match=r"^phase_iters must be three non-negative integers$"):
         ProjectorConfig(phase_iters=(100, 100))
+    with pytest.raises(InputError, match=r"^n_neighbors must be >= 1$"):
+        ProjectorConfig(n_neighbors=0)
 
 
 def test_projection_validation():
@@ -139,7 +141,7 @@ def test_build_pairs_counts_and_validity():
     rng = np.random.default_rng(7)
     n = 40
     data = rng.normal(size=(n, 4))
-    cfg = ProjectorConfig(n_neighbors=10, mn_ratio=0.5, fp_ratio=2.0)
+    cfg = ProjectorConfig(n_neighbors=10)
     pairs = build_pairs(data, cfg, np.random.default_rng(3))
     assert pairs.near.shape == (n * 10, 2)
     assert pairs.mid_near.shape == (n * 5, 2)  # round(10 * 0.5) per anchor
@@ -156,22 +158,13 @@ def test_build_pairs_counts_and_validity():
 def test_build_pairs_further_caps_at_eligible_pool():
     rng = np.random.default_rng(19)
     data = rng.normal(size=(30, 4))
-    cfg = ProjectorConfig(n_neighbors=10, mn_ratio=0.0, fp_ratio=2.0)
+    cfg = ProjectorConfig(n_neighbors=10)
     pairs = build_pairs(data, cfg, np.random.default_rng(3))
     # only 30 - 1 - 10 = 19 candidates exist outside each anchor's near set
     assert pairs.further.shape == (30 * 19, 2)
     for i in range(30):
         mine = pairs.further[pairs.further[:, 0] == i, 1]
         assert len(set(mine.tolist())) == 19  # sampled without replacement
-
-
-def test_build_pairs_zero_ratios_yield_empty_sets():
-    rng = np.random.default_rng(9)
-    data = rng.normal(size=(15, 3))
-    cfg = ProjectorConfig(n_neighbors=4, mn_ratio=0.0, fp_ratio=0.0)
-    pairs = build_pairs(data, cfg, np.random.default_rng(1))
-    assert pairs.mid_near.shape == (0, 2)
-    assert pairs.further.shape == (0, 2)
 
 
 def test_build_pairs_deterministic_for_fixed_rng():
@@ -418,7 +411,7 @@ def test_build_pairs_smallest_inputs(k):
     n_fp = int(np.floor(k * 2.0 + 0.5))
     for n in range(k + 1, 8):
         data = rng.normal(size=(n, 3))
-        cfg = ProjectorConfig(n_neighbors=k, mn_ratio=0.5, fp_ratio=2.0)
+        cfg = ProjectorConfig(n_neighbors=k)
         pairs = build_pairs(data, cfg, np.random.default_rng(n))
         assert pairs.near.shape == (n * k, 2)
         assert pairs.mid_near.shape == (n * n_mn, 2)
@@ -550,7 +543,7 @@ def test_fit_matches_adam_loop_on_loss_and_grad():
         v = b2 * v + (1.0 - b2) * grad * grad
         m_hat = m / (1.0 - b1 ** (t + 1))
         v_hat = v / (1.0 - b2 ** (t + 1))
-        Y = Y - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + projection._ADAM_EPS)
+        Y = Y - projection._LEARNING_RATE * m_hat / (np.sqrt(v_hat) + projection._ADAM_EPS)
     assert np.array_equal(fit(X, cfg).points, Y)
 
 

@@ -33,6 +33,12 @@ def test_top_k_truncates_to_available_support():
     assert len(tally_votes([pred], 9).votes) == 5
 
 
+@pytest.mark.parametrize("k", [2**63, 2**70], ids=["2**63", "2**70"])
+def test_a_k_past_64_bits_votes_every_entry(k):
+    preds = [tile([(3, 0.5), (1, 0.3), (2, 0.2)]), tile([(1, 0.6), (4, 0.4)], col=1)]
+    assert tally_votes(preds, k) == tally_votes(preds, 9)
+
+
 def test_tally_unanimous_vote():
     preds = [tile([(7, 0.9), (1, 0.1)], row=r, col=c) for r in range(4) for c in range(4)]
     tally = tally_votes(preds, 1)
