@@ -6,7 +6,8 @@ fixture generation and `run` for the end-to-end pipeline. Running the
 stages one at a time through their file formats produces byte-identical
 submissions to a single `run` with the same seed. `aggregate`, `geofilter`,
 `priors` and `reweight` take the tile file through ``pipeline.stream``
-slice by slice, as `run` does. Every command checks its flags before it reads a file.
+slice by slice, as `run` does, and raise the first failure they meet.
+Every command checks its flags before it reads a file.
 
 Exit codes: 0 on success, 1 on input errors (bad files, bad flags),
 2 on internal invariant violations.
@@ -43,7 +44,7 @@ from .pipeline import (
     compute_geo_mask,
     run,
     score_submission,
-    stream_or_raise,
+    stream,
     validate_grid,
 )
 from .projection import ProjectorConfig, fit
@@ -98,10 +99,10 @@ def _cmd_aggregate(args) -> int:
     check_vote_settings(args.k, args.min_votes, args.max_labels)
     catalog = load_catalog(args.catalog)
     vote = Vote(catalog, args.k, args.min_votes, args.max_labels)
-    stream_or_raise(fio.tile_slices(args.predictions), [
-        args.grid is not None and (0, lambda view: validate_grid(view, args.grid)),
-        (1, lambda view: check_species_indices(view, len(catalog))),
-        (2, vote.add),
+    stream(fio.tile_slices(args.predictions), [
+        args.grid is not None and (lambda view: validate_grid(view, args.grid)),
+        lambda view: check_species_indices(view, len(catalog)),
+        vote.add,
     ])
     fio.write_submission(args.out, vote.rows())
     return 0
@@ -123,11 +124,14 @@ def _cmd_geofilter(args) -> int:
     if not args.predictions:
         write_mask()
         return 0
-    with fio.StagedTileFile(args.out_predictions) as out:  # every slice filtered, then the mask, then the file
-        stream_or_raise(fio.tile_slices(args.predictions), [
-            (0, lambda view: apply_geo_mask(view, mask).batch),
-            (2, out.write),
-        ], [(1, write_mask), (2, out.commit)])
+    write_mask = cache(write_mask)  # once, between the first slice's filter and its write, as the whole file's
+    with fio.StagedTileFile(args.out_predictions) as out:
+        stream(fio.tile_slices(args.predictions), [
+            lambda view: apply_geo_mask(view, mask).batch,
+            lambda view: write_mask(),
+            out.write,
+        ])
+        out.commit()
     return 0
 
 
@@ -160,24 +164,23 @@ def _cmd_cluster(args) -> int:
 def _cmd_priors(args) -> int:
     options = PriorsOptions(k=args.k, epsilon=args.epsilon)
     catalog = load_catalog(args.catalog)
-    # the assignments are read at the first slice, so a bad record anywhere in the tile file is raised first
+    # read once the first slice is, as the whole-file command read them after the tile file
     sums = cache(lambda: PriorSums(fio.read_assignments(args.assignments), len(catalog), options.k))
-    stream_or_raise(fio.tile_slices(args.predictions), [
-        (0, lambda view: sums().add(view)),
-    ], [(0, lambda: fio.write_priors(args.out, sums().priors(options.epsilon)))])
+    stream(fio.tile_slices(args.predictions), [lambda view: sums().add(view)])
+    fio.write_priors(args.out, sums().priors(options.epsilon))
     return 0
 
 
 def _cmd_reweight(args) -> int:
-    # the side files are read at the first slice, so a bad record anywhere in the tile file is raised first
+    # read once the first slice is, as the whole-file command read them after the tile file
     side = cache(lambda: (fio.read_priors(args.priors), fio.read_region_cluster_map(args.region_clusters),
                           fio.read_region_registry(args.registry)))
     with fio.StagedTileFile(args.out) as out:
-        stream_or_raise(fio.tile_slices(args.predictions), [
-            (0, lambda view: side()),
-            (1, lambda view: apply_priors(view, *side()).batch),
-            (2, out.write),
-        ], [(2, out.commit)])
+        stream(fio.tile_slices(args.predictions), [
+            lambda view: apply_priors(view, *side()).batch,
+            out.write,
+        ])
+        out.commit()
     return 0
 
 

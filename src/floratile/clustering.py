@@ -183,28 +183,26 @@ def estimate_priors(
         raise InputError(f"epsilon must be finite and >= 0, got {epsilon}")
     if len(assignments) != vectors.shape[0]:
         raise InputError(f"{len(assignments)} assignments for {vectors.shape[0]} vectors")
-    for failure in vector_failures(vectors, assignments, k):
-        if failure:
-            raise failure
+    check_image_vectors(vectors, assignments, k)
     assignments = np.asarray(assignments, dtype=np.int64)
     sums = np.zeros((k, vectors.shape[1]))
     np.add.at(sums, assignments, vectors)  # row by row in order, as mean(axis=0) adds them
     return smoothed_priors(sums, np.bincount(assignments, minlength=k), epsilon)
 
 
-def vector_failures(vectors: np.ndarray, assignments: Sequence[int], k: int, first_row: int = 0):
-    """The errors of ``estimate_priors``' checks, in its order, each None when
-    it passes: the first assignment outside ``0..k-1``, then the first image
-    vector whose sum is not one (its row counted from ``first_row``). The
-    assignments are checked as Python ints, so one past int64 is reported too."""
+def check_image_vectors(vectors: np.ndarray, assignments: Sequence[int], k: int, first_row: int = 0):
+    """``estimate_priors``' checks, in its order: the first assignment
+    outside ``0..k-1``, then the first image vector whose sum is not one (its
+    row counted from ``first_row``). The assignments are checked as Python
+    ints, so one past int64 is reported too."""
     outside = next((a for a in map(int, assignments) if not 0 <= a < k), None)
+    if outside is not None:
+        raise InputError(f"assignment {outside} outside clusters 0..{k - 1}")
     sums = vectors.sum(axis=1)
     bad = first(np.abs(sums - 1.0) > _VECTOR_SUM_TOL)
-    return [
-        None if outside is None else InputError(f"assignment {outside} outside clusters 0..{k - 1}"),
-        None if bad is None else InvariantViolation(
-            f"image vector {first_row + bad} sums to {sums[bad]!r}; expected 1 +/- {_VECTOR_SUM_TOL}"),
-    ]
+    if bad is not None:
+        raise InvariantViolation(
+            f"image vector {first_row + bad} sums to {sums[bad]!r}; expected 1 +/- {_VECTOR_SUM_TOL}")
 
 
 def smoothed_priors(sums: np.ndarray, counts: np.ndarray, epsilon: float) -> ClusterPriors:

@@ -381,7 +381,8 @@ def read_tile_predictions(path) -> TileBatch:
     Python object. Values are not converted: a row, col or index that is not
     a JSON integer, a probability that is not a number, a ``complete`` that
     is not a bool and an integer past 64 bits are bad records, as is a
-    record whose image id reappears after other images' records.
+    record whose image id reappears after other images' records, whatever
+    else it holds.
     """
     return next(_tile_batches(path, math.inf))
 
@@ -409,11 +410,15 @@ def _tile_batches(path, limit) -> Iterator[TileBatch]:
                 failure = exc
                 break
             key = rec.get("image_id") if isinstance(rec, dict) else None
-            if key != current and len(idxs) >= limit:  # cut ahead of a new image
-                yield _checked_batch(path, ids, *columns)
-                ids = []
-                columns = image, rows, cols, completes, counts, lines, idxs, probs = tuple(map(array, "qqqbqqqd"))
-                add_idx, add_prob = idxs.append, probs.append
+            if key != current:
+                if len(idxs) >= limit:  # cut ahead of a new image
+                    yield _checked_batch(path, ids, *columns)
+                    ids = []
+                    columns = image, rows, cols, completes, counts, lines, idxs, probs = tuple(map(array, "qqqbqqqd"))
+                    add_idx, add_prob = idxs.append, probs.append
+                if key.__class__ is str and key in seen:  # checked before the record is parsed
+                    failure = InputError(f"{path}:{lineno}: image {key!r} reappears after other images' records")
+                    break
             start = len(idxs)
             try:  # JSON types are checked before appending; an array still rejects an integer past 64 bits
                 key, row, col = rec["image_id"], rec["row"], rec["col"]
@@ -431,8 +436,6 @@ def _tile_batches(path, limit) -> Iterator[TileBatch]:
                     raise TypeError(f"complete must be true or false, not {json.dumps(complete)}")
                 if not isinstance(key, str):
                     failure = InputError(f"{path}:{lineno}: {rejection(key, row, col, (), complete)}")
-                elif key != current and key in seen:
-                    failure = InputError(f"{path}:{lineno}: image {key!r} reappears after other images' records")
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 failure = InputError(f"{path}:{lineno}: bad tile prediction record ({exc})")
             if failure is not None:  # drop what this record appended

@@ -16,32 +16,28 @@ run seed, so a single-threaded run is bitwise reproducible.
 
 ``run`` and the stage commands stream the tile file. ``io.tile_slices``
 reads it in slices of whole images, and ``stream`` takes each slice
-through a list of ``(kind, fn)`` stages while the next is still unread, so
-a command holds a slice of the input, not all of it. Each stage function
-works on the batch it is given in one pass, and every quantity it computes
-belongs to one image, so the rows and written bytes are the whole-batch
-ones. The slices rely on the tile file's rule that each image's records
-are together; the reader rejects a file that breaks it.
+through a list of stages while the next is still unread, so a command
+holds a slice of the input, not all of it. Each stage function works on
+the batch it is given in one pass, and every quantity it computes belongs
+to one image, so the rows and written bytes are the whole-batch ones. The
+slices rely on the tile file's rule that each image's records are
+together; the reader rejects a file that breaks it.
 
-Errors keep the whole-batch precedence. A bad record or unreadable line
-raises at once. Any other stage runs only while no stage of its kind or an
-earlier kind has failed, and reading goes on to the end of the file; then
-the first failure of the earliest kind is raised. A run's kinds are grid,
-species index, mask build (for the first slice that passes the checks),
-mask apply, reweight and vote, with each intermediate's write at its place
-in that order. A priors run holds its checked and masked slices in a list,
-adds them to the per-cluster sums of ``PriorSums`` for the priors, then
-streams the list through the reweight and the vote; the list holds every
-slice until the last vote.
-An intermediate is written slice by slice under a hidden name and moved
-into place only when every stage before its write has passed for the whole
-file, so a failed run leaves the files the whole-batch chain left, and no
-partial file.
+A run raises the first failure it meets and reads no further: slice by
+slice, stage by stage within a slice (grid, species index, mask, mask
+apply, masked file, vote), and the first tile within a stage. A priors
+run holds its checked and masked slices in a list, adds them to the
+per-cluster sums of ``PriorSums`` for the priors, then streams the list
+through the reweight and the vote; the list holds every slice until the
+last vote. The mask file is written when the mask is built, for the first
+slice that passes the checks, and the priors' files when the priors are.
+A tile file is written slice by slice under a hidden name and moved into
+place only once every slice has passed, so a failed run leaves no partial
+file.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -55,13 +51,13 @@ from .batch import ImageTiles, TileBatch, as_batch, first, raise_first
 from .catalog import RegionRegistry, SpeciesCatalog, load_catalog, parse_region
 from .clustering import (
     ClusterPriors,
+    check_image_vectors,
     dominant_cluster,
     kmeans,
     reweight_entries,
     smoothed_priors,
-    vector_failures,
 )
-from .errors import FloratileError, InputError
+from .errors import InputError
 from .geo import (
     DEFAULT_REFERENCE_POINT,
     SpeciesMask,
@@ -252,10 +248,9 @@ class PriorSums:
     Each image's vector is added to its cluster's row of a k x S sum in file
     order, as ``estimate_priors`` adds the rows of the dense matrix, so
     ``priors`` gives its bytes while only a slice's vectors are held. A
-    ``k`` above the number of assignments raises at once, and a species
-    index past the catalog raises in ``add``; ``priors`` raises the
-    checks that span every image in the whole-batch order: the first five
-    images without a cluster, then ``vector_failures``.
+    ``k`` above the number of assignments raises at once. ``add`` raises the
+    first failure of its slice: a species index past the catalog, then the
+    first five of its images without a cluster, then ``check_image_vectors``'.
     """
 
     def __init__(self, cluster_of_image: Mapping[str, int], n_species: int, k: int):
@@ -263,30 +258,21 @@ class PriorSums:
             raise InputError(f"cannot form {k} clusters from {len(cluster_of_image)} assigned images")
         self.cluster_of_image, self.k, self.n_images = cluster_of_image, k, 0
         self.sums, self.counts = np.zeros((k, n_species)), np.zeros(k, dtype=np.int64)
-        self.missing: List[str] = []
-        self.failures = [None, None]  # the first of each of ``vector_failures``
 
     def add(self, tiles):
         """Add the images of ``tiles``, any stage input, such as a tile file's slice."""
         ids, vectors = image_probability_vectors(tiles, self.sums.shape[1])
-        first_row, self.n_images = self.n_images, self.n_images + len(ids)
-        self.missing += [i for i in ids if i not in self.cluster_of_image][:5 - len(self.missing)]
-        if self.missing:  # the priors fail whatever the rest holds
-            return
+        missing = [i for i in ids if i not in self.cluster_of_image]
+        if missing:
+            raise InputError(f"no cluster assignment for predicted image(s): {missing[:5]}")
         clusters = [self.cluster_of_image[i] for i in ids]
-        found = vector_failures(vectors, clusters, self.k, first_row)
-        self.failures = [old or new for old, new in zip(self.failures, found)]
-        if not any(self.failures):
-            clusters = np.array(clusters, dtype=np.int64)
-            np.add.at(self.sums, clusters, vectors)
-            self.counts += np.bincount(clusters, minlength=self.k)
+        check_image_vectors(vectors, clusters, self.k, self.n_images)
+        self.n_images += len(ids)
+        clusters = np.array(clusters, dtype=np.int64)
+        np.add.at(self.sums, clusters, vectors)
+        self.counts += np.bincount(clusters, minlength=self.k)
 
     def priors(self, epsilon: float) -> ClusterPriors:
-        if self.missing:
-            raise InputError(f"no cluster assignment for predicted image(s): {self.missing}")
-        for failure in self.failures:
-            if failure:
-                raise failure
         return smoothed_priors(self.sums, self.counts, epsilon)
 
 
@@ -376,18 +362,17 @@ def aggregate_predictions(
 
 
 class Vote:
-    """Submission rows voted batch by batch, then checked and sorted at once."""
+    """Submission rows voted batch by batch, then sorted at once."""
 
     def __init__(self, catalog: SpeciesCatalog, k: int, min_votes: int, max_labels: int):
         self.catalog, self.k, self.min_votes, self.max_labels = catalog, k, min_votes, max_labels
         self._rows: List[SubmissionRow] = []
-        self._failures: List[Tuple[str, int]] = []
 
     def add(self, batch: TileBatch):
-        """Vote ``batch``: a row per image, or, when a chosen label lies past
-        the catalog, no rows and the ``(quadrat id, label)`` of its first such
-        image in quadrat-id order. The tally and ranking hold about six int64
-        columns of the batch's entries, the most of any pass."""
+        """Vote ``batch``, a row per image; a chosen label past the catalog
+        raises for the batch's first such image in quadrat-id order. The tally
+        and ranking hold about six int64 columns of the batch's entries, the
+        most of any pass."""
         if not batch.image_ids:
             return
         image, idx, votes, mass = tally_batch(batch, self.k)
@@ -397,8 +382,7 @@ class Vote:
         outside = np.flatnonzero(idx >= len(species_ids)).tolist()
         if outside:
             j = min(outside, key=lambda j: batch.image_ids[image[j]])  # the first such key of that image
-            self._failures.append((batch.image_ids[image[j]], int(idx[j])))
-            return
+            self.catalog.species_id(int(idx[j]))  # raises: the label is past the catalog
         labels = [species_ids[i] for i in idx.tolist()]
         bounds = np.searchsorted(image, np.arange(len(batch.image_ids) + 1)).tolist()
         # the vote gives every image at least one key, each species once
@@ -406,10 +390,7 @@ class Vote:
                        for i, q in enumerate(batch.image_ids)]
 
     def rows(self) -> List[SubmissionRow]:
-        """The rows of every batch added, sorted by quadrat id; a label past
-        the catalog raises for the first such image in quadrat-id order."""
-        if self._failures:
-            self.catalog.species_id(min(self._failures)[1])
+        """The rows of every batch added, sorted by quadrat id."""
         self._rows.sort(key=attrgetter("quadrat_id"))
         return self._rows
 
@@ -425,66 +406,43 @@ def score_submission(
 
 # --- the one-shot runner -------------------------------------------------
 
-def stream(slices, stages, finish=()) -> Optional[FloratileError]:
-    """Take each of ``slices`` through ``stages``, then call ``finish``;
-    return the first failure of the earliest stage kind, or None.
+def stream(slices, stages):
+    """Take each of ``slices`` through ``stages`` in turn, then close ``slices``.
 
-    ``stages`` are ``(kind, fn)`` pairs in kind order, and ``finish`` pairs
-    ``(kind, fn)`` called once as ``fn()``; a false entry is a stage left out.
-    ``fn(slice)`` returns the batch the next stage takes; a return that is not
-    a ``TileBatch`` passes its slice on. A stage runs only while no stage of
-    its kind or an earlier kind has failed: its failure could not be the one
-    returned, and the stages after it have no input. A failing read of
-    ``slices`` raises at once.
+    ``fn(slice)`` of each stage returns the batch the next stage takes; a
+    return that is not a ``TileBatch`` passes its slice on, and a false entry
+    is a stage left out. The first failure, of a read or of a stage, is
+    raised at once, so no later slice is read.
     """
-    failed, error = math.inf, None
-    for view in slices:
-        for kind, fn in filter(None, stages):
-            if kind >= failed:  # kinds grow along the stages, so the rest are skipped too
-                break
-            try:
-                out = fn(view)
-            except FloratileError as exc:
-                failed, error = kind, exc
-                break
-            view = out if isinstance(out, TileBatch) else view
-    for kind, fn in filter(None, finish):
-        if kind < failed:
-            try:
-                fn()
-            except FloratileError as exc:
-                failed, error = kind, exc
-    return error
-
-
-def stream_or_raise(slices, stages, finish=()):
-    """``stream``, closing ``slices`` at the end; the failure it returns is raised."""
     with closing(slices):
-        error = stream(slices, stages, finish)
-    if error is not None:
-        raise error
-
-
-# Stage kinds of a run, in the order their failures take precedence. Writing an
-# intermediate is a kind of its own, at the place the whole-batch chain writes it.
-_GRID, _SPECIES, _MASK_BUILD, _MASK_FILE, _MASK_APPLY, _MASKED_FILE, _REWEIGHT, _REWEIGHTED_FILE, _VOTE = range(9)
+        for view in slices:
+            for fn in filter(None, stages):
+                out = fn(view)
+                view = out if isinstance(out, TileBatch) else view
 
 
 def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> List[SubmissionRow]:
     """Every stage of a tiling or no-tiling run, in the module docstring's order."""
     keep, geo, held = config.keep_intermediates, config.geo.enabled, []
     vote = Vote(catalog, config.k_per_tile, config.min_votes, config.max_labels)
-    mask = cache(lambda: compute_geo_mask(config.geo, catalog))  # for the first slice that passes the checks
+
+    @cache
+    def mask():  # for the first slice that passes the checks
+        built = compute_geo_mask(config.geo, catalog)
+        if keep:
+            write_species_mask(out_dir / "mask.csv", built, catalog)
+        return built
+
     with StagedTileFile(out_dir / "masked_predictions.ndjson") as masked:
-        stream_or_raise(tile_slices(config.predictions_path), [
-            (_GRID, lambda view: validate_grid(view, config.grid)),
-            (_SPECIES, lambda view: check_species_indices(view, len(catalog))),
-            geo and (_MASK_BUILD, lambda view: mask()),
-            geo and (_MASK_APPLY, lambda view: apply_geo_mask(view, mask()).batch),
-            geo and keep and (_MASKED_FILE, masked.write),
-            (_VOTE, held.append if config.priors.enabled else vote.add),
-        ], [geo and keep and (_MASK_FILE, lambda: write_species_mask(out_dir / "mask.csv", mask(), catalog)),
-            geo and keep and (_MASKED_FILE, masked.commit)])
+        stream(tile_slices(config.predictions_path), [
+            lambda view: validate_grid(view, config.grid),
+            lambda view: check_species_indices(view, len(catalog)),
+            geo and (lambda view: apply_geo_mask(view, mask()).batch),
+            geo and keep and masked.write,
+            held.append if config.priors.enabled else vote.add,
+        ])
+        if geo and keep:
+            masked.commit()
     if config.priors.enabled:
         registry = read_region_registry(config.registry_path)
         embeddings = read_embeddings(config.priors.embeddings_path)
@@ -501,11 +459,13 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> Li
             write_region_cluster_map(out_dir / "region_clusters.csv", region_map)
             write_priors(out_dir / "priors.ndjson", priors)
         with StagedTileFile(out_dir / "reweighted_predictions.ndjson") as staged:
-            stream_or_raise((view for view in held), [  # a generator: a list has no close
-                (_REWEIGHT, lambda view: apply_priors(view, priors, region_map, registry).batch),
-                keep and (_REWEIGHTED_FILE, staged.write),
-                (_VOTE, vote.add),
-            ], [keep and (_REWEIGHTED_FILE, staged.commit)])
+            for view in held:
+                view = apply_priors(view, priors, region_map, registry).batch
+                if keep:
+                    staged.write(view)
+                vote.add(view)
+            if keep:
+                staged.commit()
     return vote.rows()
 
 

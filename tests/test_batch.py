@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from floratile import batch as fbatch
@@ -477,12 +477,14 @@ def _voted(slices, catalog, k, min_votes, max_labels):
     return vote.rows()
 
 
-def test_vote_names_the_first_quadrat_past_the_catalog_whichever_slice_holds_it():
+def test_vote_names_the_first_quadrat_past_the_catalog_of_the_first_failing_slice():
     tiles = [_tp("b", 0, [(9, 0.5)]), _tp("c", 0, [(1, 0.5)]), _tp("a", 0, [(2, 0.5), (8, 0.25)])]
     batch = TileBatch.from_tiles(tiles)
     slices = [batch.images(i, i + 1) for i in range(len(batch.image_ids))]  # "b", "c", then "a"
-    with pytest.raises(InputError, match=r"dense index 8 out of range 0\.\.2"):
+    with pytest.raises(InputError, match=r"^dense index 9 out of range 0\.\.2$"):  # "b", in the first slice
         _voted(slices, SpeciesCatalog([10, 11, 12]), 9, 1, 10)
+    with pytest.raises(InputError, match=r"^dense index 8 out of range 0\.\.2$"):  # "a", first by quadrat id
+        _voted([batch], SpeciesCatalog([10, 11, 12]), 9, 1, 10)
 
 
 def test_group_by_image_keeps_tiles_of_interleaved_images_in_order():
@@ -734,22 +736,22 @@ def _wrongly_typed(line: str) -> bool:
 def _first_unreadable(path, lines):
     """``(line, expected, exact)`` for the first line the reference reader
     would read but the batch reader rejects, or ``(None, None, None)``: a
-    record holding a wrongly typed value, given by its message's prefix
-    (``exact`` False), or a record whose image id reappears after other
-    images' records."""
+    record whose image id reappears after other images' records, whatever
+    else the record holds, or a record holding a wrongly typed value, given
+    by its message's prefix (``exact`` False)."""
     seen, current = set(), None
     for n, line in enumerate(lines, start=1):
-        if _wrongly_typed(line):
-            return n, ("error", "InputError", f"{path}:{n}: bad tile prediction record ("), False
         try:
             rec = json.loads(line.strip())
         except ValueError:
             continue
         key = rec.get("image_id") if isinstance(rec, dict) else None
-        if isinstance(key, str) and key != current:
-            if key in seen:
-                message = f"{path}:{n}: image {key!r} reappears after other images' records"
-                return n, ("error", "InputError", message), True
+        if isinstance(key, str) and key != current and key in seen:
+            message = f"{path}:{n}: image {key!r} reappears after other images' records"
+            return n, ("error", "InputError", message), True
+        if _wrongly_typed(line):
+            return n, ("error", "InputError", f"{path}:{n}: bad tile prediction record ("), False
+        if isinstance(key, str):
             seen.add(key)
             current = key
     return None, None, None
@@ -784,6 +786,13 @@ def _read_as_expected(new, expected, exact) -> bool:
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=st.lists(_LINE, min_size=0, max_size=6))
+# line 3's image reappears, and its entry [1] does not unpack, or its row is not an integer: the image wins
+@example(lines=['{"image_id": "b", "row": 0, "col": 0, "probs": [[0, 0.125], [1, 0.125]]}',
+                '{"image_id": "a", "row": 0, "col": 0, "probs": [[0, 0.125]]}',
+                '{"image_id": "b", "row": 0, "col": 0, "probs": [[0, 0.125], [0, 0.125], [1]]}'])
+@example(lines=['{"image_id": "b", "row": 0, "col": 0, "probs": [[0, 0.125]]}',
+                '{"image_id": "a", "row": 0, "col": 0, "probs": [[0, 0.125]]}',
+                '{"image_id": "b", "row": "1", "col": 0, "probs": [[0, 0.125]]}'])
 def test_batch_reader_rejects_exactly_what_tile_prediction_rejects(tmp_path, lines):
     path = tmp_path / "preds.ndjson"
     expected, exact = _reference_read(path, lines)
@@ -830,7 +839,7 @@ def test_reader_words_a_non_string_image_id_as_tile_prediction_does(tmp_path, re
     ("abcb", None, ":4: image 'b' reappears after other images' records"),
     ("aba", (1, {"probs": [[1, 1.5]]}), ":2: tile of 'b': probability 1.5 outside (0, 1]"),
     ("aba", (2, {"probs": [[1, 1.5]]}), ":3: image 'a' reappears after other images' records"),
-    ("aba", (2, {"row": "1"}), ':3: bad tile prediction record (row and col must be integers, not "1" and 2)'),
+    ("aba", (2, {"row": "1"}), ":3: image 'a' reappears after other images' records"),
 ], ids=["aba", "abba", "abcb", "bad-record-first", "bad-and-reappearing", "typed-and-reappearing"])
 def test_reader_rejects_an_image_that_reappears_after_other_images(tmp_path, ids, fault, message):
     records = [{"image_id": i, "row": 0, "col": c, "probs": [[1, 0.5]]} for c, i in enumerate(ids)]

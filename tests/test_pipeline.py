@@ -219,28 +219,33 @@ def test_prior_sums_equal_the_dense_estimate_exactly(bundle, k):
         assert np.array_equal(sums.priors(1e-6).priors, expected.priors)
 
 
-def test_prior_sums_raise_the_whole_batch_failures_in_their_order_across_slices(bundle, monkeypatch):
+def test_prior_sums_raise_the_first_failure_of_the_first_failing_slice(bundle, monkeypatch):
     batch, n_species = bundle.tile_predictions, len(bundle.catalog)
     ids = batch.image_ids
 
-    def failure(cluster_of_image):
-        """The error of the sums over the whole batch, which one-image slices must give too."""
-        seen = set()
+    def failures(cluster_of_image):
+        """The errors of the sums over the whole batch, then over one-image slices."""
+        seen = []
         for slices in ([batch], _sliced(batch, range(len(ids) + 1))):
             sums = PriorSums(cluster_of_image, n_species, 2)
             with pytest.raises((InputError, InvariantViolation)) as exc:
                 for view in slices:
                     sums.add(view)
-                sums.priors(1e-6)
-            seen.add((exc.type.__name__, str(exc.value)))
-        assert len(seen) == 1, seen
-        return seen.pop()
+            seen.append((exc.type.__name__, str(exc.value)))
+        return seen
 
     assigned = dict.fromkeys(ids, 0)
     outside = dict(assigned, **{ids[0]: 7})
-    assert failure(outside) == ("InputError", "assignment 7 outside clusters 0..1")
+    assert failures(outside) == [("InputError", "assignment 7 outside clusters 0..1")] * 2
     unassigned = {i: c for i, c in outside.items() if i not in ids[8:]}
-    assert failure(unassigned) == ("InputError", f"no cluster assignment for predicted image(s): {ids[8:13]!r}")
+    # a batch's images without a cluster come ahead of its clusters; the slice of image 0 fails first
+    assert failures(unassigned) == [("InputError", f"no cluster assignment for predicted image(s): {ids[8:13]!r}"),
+                                    ("InputError", "assignment 7 outside clusters 0..1")]
+    sums = PriorSums(dict.fromkeys(ids[:8], 0), n_species, 2)
+    with pytest.raises(InputError, match=r"^no cluster assignment for predicted image\(s\): ") as exc:
+        for view in _sliced(batch, [0, 10, len(ids)]):
+            sums.add(view)
+    assert str(exc.value).endswith(f": {ids[8:10]!r}")  # the failing slice's images only
 
     def skewed(tiles, n):  # the vector of image 9 sums to 2
         image_ids, vectors = image_probability_vectors(tiles, n)
@@ -248,9 +253,12 @@ def test_prior_sums_raise_the_whole_batch_failures_in_their_order_across_slices(
         return image_ids, vectors
 
     monkeypatch.setattr(pipeline, "image_probability_vectors", skewed)
-    kind, message = failure(assigned)
-    assert kind == "InvariantViolation" and message.startswith("image vector 9 sums to ")
-    assert failure(dict(assigned, **{ids[-1]: -1})) == ("InputError", "assignment -1 outside clusters 0..1")
+    for kind, message in failures(assigned):
+        assert kind == "InvariantViolation" and message.startswith("image vector 9 sums to ")
+    # the whole batch checks its clusters first; slice 9 fails before the slice of the last image
+    (whole_kind, whole), (sliced_kind, sliced) = failures(dict(assigned, **{ids[-1]: -1}))
+    assert (whole_kind, whole) == ("InputError", "assignment -1 outside clusters 0..1")
+    assert sliced_kind == "InvariantViolation" and sliced.startswith("image vector 9 sums to ")
 
 
 def test_prior_sums_memory_is_set_by_k_species_and_a_slice():
@@ -493,27 +501,35 @@ def test_score_submission_holds_no_truth_set_per_quadrat(tmp_path):
     assert peak - held < sys.getsizeof(frozenset()) * n  # below one empty set per quadrat
 
 
-def test_stream_keeps_the_first_failure_of_the_earliest_kind():
-    calls = []
+def test_stream_raises_the_first_failure_and_reads_no_further():
+    calls, closed = [], []
 
-    def stage(kind, fails_at):
+    def stage(name, fails_at):
         def fn(view):
-            calls.append((kind, view))
+            calls.append((name, view))
             if view == fails_at:
-                raise InputError(f"kind {kind} at slice {view}")
-        return kind, fn
+                raise InputError(f"{name} at slice {view}")
+        return fn
 
-    finish = [(1, lambda: calls.append("finish 1")), (2, lambda: calls.append("finish 2"))]
-    error = stream([1, 2, 3], [stage(0, fails_at=3), stage(1, fails_at=1), False, stage(2, fails_at=None)], finish)
-    assert str(error) == "kind 0 at slice 3"  # returned, not raised; an earlier kind beats an earlier slice
-    assert calls == [(0, 1), (1, 1), (0, 2), (0, 3)]  # kind 1 and later skipped once kind 1 failed; no finish
+    def slices(n, unreadable_at=None):
+        try:
+            for view in range(1, n + 1):
+                if view == unreadable_at:
+                    raise InputError("unreadable line")
+                calls.append(("read", view))
+                yield view
+        finally:
+            closed.append(n)
+
+    stages = [stage("a", fails_at=3), stage("b", fails_at=2), False, stage("c", fails_at=None)]
+    with pytest.raises(InputError, match="^b at slice 2$"):  # an earlier slice beats an earlier stage
+        stream(slices(4), stages)
+    assert calls == [("read", 1), ("a", 1), ("b", 1), ("c", 1), ("read", 2), ("a", 2), ("b", 2)]
+    assert closed == [4]
     calls.clear()
-    assert stream([1, 2], [stage(0, fails_at=None), stage(2, fails_at=2)], finish) is not None
-    assert calls == [(0, 1), (2, 1), (0, 2), (2, 2), "finish 1"]  # a finish of an earlier kind still runs
-
-    def unreadable():
-        yield 1
-        raise InputError("unreadable line")
-
     with pytest.raises(InputError, match="^unreadable line$"):  # a failing read raises at once
-        stream(unreadable(), [stage(0, fails_at=1)])
+        stream(slices(4, unreadable_at=2), [stage("a", fails_at=3)])
+    assert calls == [("read", 1), ("a", 1)]
+    calls.clear()
+    stream(slices(2), [stage("a", fails_at=None), stage("b", fails_at=None)])  # None passes the slice on
+    assert calls == [("read", 1), ("a", 1), ("b", 1), ("read", 2), ("a", 2), ("b", 2)] and closed == [4, 4, 2]

@@ -1,11 +1,13 @@
-"""`run` streams the tile file in image slices; it must behave as the
-whole-batch chain of the public stage functions did.
+"""`run` and the stage commands stream the tile file in image slices.
 
-``_whole_batch_run`` is that chain, as ``pipeline.run`` stood before it
-streamed: it reads the tile file into one batch and calls each stage on the
-whole of it. The streamed run must match it exactly on every input: the
-exception type and text, or the rows, and the bytes and the file set of
-``--out``, on good files and on files with faults at random places.
+``_whole_batch_run`` is the whole-batch chain of the public stage functions,
+as ``pipeline.run`` stood before it streamed: it reads the tile file into one
+batch and calls each stage on the whole of it. ``_first_fault_run`` is the
+same chain taken slice by slice, raising the first failure it meets. The
+streamed run must match the first-fault chain exactly on every input, and,
+when the file is one slice, the whole-batch chain too: the exception type
+and text, or the rows, and the bytes and the file set of ``--out``, on good
+files and on files with faults at random places.
 """
 
 import hashlib
@@ -16,8 +18,10 @@ import tempfile
 import tracemalloc
 from contextlib import closing, redirect_stderr, redirect_stdout
 from dataclasses import replace
+from functools import partial
 from io import StringIO
 from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +120,77 @@ def _whole_batch_run(config: RunConfig):
             if config.keep_intermediates:
                 write_tile_predictions(out_dir / "reweighted_predictions.ndjson", tiles)
         rows = aggregate_predictions(tiles, catalog, config.k_per_tile, config.min_votes, config.max_labels)
+    write_submission(out_dir / "submission.csv", rows)
+    if config.truth_path:
+        write_score_report(out_dir / "score_report.json", score_submission(rows, config.truth_path))
+    return rows
+
+
+def _joined(views):
+    """The tiles of ``views`` as one stage input."""
+    return [tile for view in views for tile in view]
+
+
+def _first_fault_run(config: RunConfig):
+    """``run`` as the first-fault rule states it, with the public stage functions.
+
+    Each slice of the tile file goes through the grid and species checks, the
+    geo mask and the vote (or is held, with priors) before the next slice is
+    read. The held slices then go through the priors' checks in turn, and one
+    by one through the reweight and the vote. The first failure met is
+    raised. The mask file is written when the mask is built, for the first
+    slice that passes the checks, the priors' files when the priors are
+    estimated, and a tile file once every slice has passed.
+    """
+    config = config.resolved()
+    if config.mode == "baseline":  # the quadrat ids are read to the end either way
+        return _whole_batch_run(config)
+    out_dir = _make_dir(config.out_dir)
+    catalog = load_catalog(config.catalog_path)
+    keep, mask, views, rows = config.keep_intermediates, None, [], []
+
+    def vote(view):
+        rows.extend(aggregate_predictions(view, catalog, config.k_per_tile, config.min_votes, config.max_labels))
+
+    with closing(tile_slices(config.predictions_path)) as slices:
+        for view in slices:
+            validate_grid(view, config.grid)
+            check_species_indices(view, len(catalog))
+            if config.geo.enabled:
+                if mask is None:
+                    mask = compute_geo_mask(config.geo, catalog)
+                    if keep:
+                        write_species_mask(out_dir / "mask.csv", mask, catalog)
+                view = apply_geo_mask(view, mask).batch
+            views.append(view)
+            if not config.priors.enabled:
+                vote(view)
+    if config.geo.enabled and keep:
+        write_tile_predictions(out_dir / "masked_predictions.ndjson", _joined(views))
+    if config.priors.enabled:
+        registry = read_region_registry(config.registry_path)
+        embeddings = read_embeddings(config.priors.embeddings_path)
+        projection = fit(embeddings, ProjectorConfig(seed=config.seed))
+        model = kmeans(projection.points, config.priors.k, seed=config.seed)
+        region_map = dominant_cluster(model.assignments, [parse_region(i, registry) for i in embeddings.image_ids])
+        cluster_of_image = dict(zip(embeddings.image_ids, model.assignments.tolist()))
+        dense = partial(_dense_priors, cluster_of_image=cluster_of_image, n_species=len(catalog),
+                        k=config.priors.k, epsilon=config.priors.epsilon)
+        for view in views:  # each slice's failures, in turn
+            dense(view)
+        priors = dense(_joined(views))
+        if keep:
+            write_projection(out_dir / "projection.csv", projection)
+            write_assignments(out_dir / "assignments.csv", embeddings.image_ids, model.assignments)
+            write_region_cluster_map(out_dir / "region_clusters.csv", region_map)
+            write_priors(out_dir / "priors.ndjson", priors)
+        reweighted = []
+        for view in views:
+            reweighted.append(apply_priors(view, priors, region_map, registry).batch)
+            vote(reweighted[-1])
+        if keep:
+            write_tile_predictions(out_dir / "reweighted_predictions.ndjson", _joined(reweighted))
+    rows.sort(key=attrgetter("quadrat_id"))
     write_submission(out_dir / "submission.csv", rows)
     if config.truth_path:
         write_score_report(out_dir / "score_report.json", score_submission(rows, config.truth_path))
@@ -240,11 +315,17 @@ def test_streamed_run_matches_the_whole_batch_chain_property(small_bundle, monke
         (work / "observations.csv").write_text(observations)
         (work / "embeddings.ndjson").write_text("".join(line + "\n" for line in embeddings))
         config = _config(bundle_dir, work, settings)
-        expected = _outcome(_whole_batch_run, config)
+        expected = _outcome(_first_fault_run, config)
         assert _outcome(lambda c: run(c).submission, config) == expected
+        if chunk == 4096:  # one slice: the first fault is the whole-batch chain's
+            assert _outcome(_whole_batch_run, config) == expected
 
 
-def test_run_raises_the_first_failure_of_the_earliest_stage_kind(small_bundle, tmp_path, monkeypatch):
+def _species_error(image_id):
+    return f"species index {SPEC.n_species + 3} in {image_id!r} exceeds catalog size {SPEC.n_species}"
+
+
+def test_run_raises_the_first_failure_of_the_first_failing_slice(small_bundle, tmp_path, monkeypatch):
     bundle_dir, _ = small_bundle
     lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
     records = [json.loads(line) for line in lines]
@@ -254,8 +335,10 @@ def test_run_raises_the_first_failure_of_the_earliest_stage_kind(small_bundle, t
     (tmp_path / "predictions.ndjson").write_text("\n".join(lines) + "\n")
     monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
     config = _config(bundle_dir, tmp_path, dict(mode="tiling", geo=False, priors=False, keep_intermediates=False))
-    expected = _outcome(_whole_batch_run, config)
-    assert expected[0] == ("error", "InputError", f"tile (7,{records[20]['col']}) of {records[20]['image_id']!r} outside 2x3 grid")
+    grid_error = f"tile (7,{records[20]['col']}) of {records[20]['image_id']!r} outside 2x3 grid"
+    assert _outcome(_whole_batch_run, config)[0] == ("error", "InputError", grid_error)  # the grid of every tile first
+    expected = (("error", "InputError", _species_error(records[0]["image_id"])), {})
+    assert _outcome(_first_fault_run, config) == expected
     assert _outcome(lambda c: run(c).submission, config) == expected
 
 
@@ -299,7 +382,7 @@ def test_run_keeps_no_reweighted_file_when_a_later_slice_fails_to_reweight(small
     assert _outcome(lambda c: run(c).submission, config) == expected
 
 
-def test_run_reports_a_later_reweight_failure_ahead_of_an_unopenable_reweighted_file(small_bundle, tmp_path,
+def test_run_reports_an_unopenable_reweighted_file_ahead_of_a_later_reweight_failure(small_bundle, tmp_path,
                                                                                         monkeypatch):
     bundle_dir, _ = small_bundle
     lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
@@ -310,8 +393,8 @@ def test_run_reports_a_later_reweight_failure_ahead_of_an_unopenable_reweighted_
     (tmp_path / "out" / ".reweighted_predictions.ndjson.partial").mkdir(parents=True)  # the staged file cannot open
     monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
     config = _config(bundle_dir, tmp_path, dict(mode="tiling", geo=False, priors=True, keep_intermediates=True))
-    # the whole-batch chain reweights every tile before it writes the file
-    with pytest.raises(InputError, match=rf"^tile \({rec['row']},{rec['col']}\) of {rec['image_id']!r}: probability"):
+    # the first slice is reweighted, then written; the last slice is never read
+    with pytest.raises(InputError, match=r"^.*/out/reweighted_predictions\.ndjson: Is a directory$"):
         run(config)
 
 
@@ -329,9 +412,13 @@ def test_run_rejects_a_file_whose_image_reappears(small_bundle, tmp_path, monkey
     config = _config(bundle_dir, tmp_path, dict(mode="tiling", geo=True, priors=priors, keep_intermediates=True))
     image_id = json.loads(lines[-1])["image_id"]
     message = f"{path}:{len(lines)}: image {image_id!r} reappears after other images' records"
-    expected = ("error", "InputError", message), {}  # no submission, intermediate or partial file
-    assert _outcome(_whole_batch_run, config) == expected
-    assert _outcome(lambda c: run(c).submission, config) == expected
+    outcome = _outcome(lambda c: run(c).submission, config)
+    assert outcome == _outcome(_first_fault_run, config)
+    # no submission or partial file; the mask file only when the first slice passed and built the mask
+    assert outcome[0] == ("error", "InputError", message)
+    assert list(outcome[1]) == ([] if chunk == 4096 else ["mask.csv"])
+    if chunk == 4096:
+        assert _outcome(_whole_batch_run, config) == outcome
 
 
 def test_staged_tile_file_moves_into_place_only_on_commit(tmp_path):
@@ -443,6 +530,70 @@ def _ref_priors(args):
                                          options.epsilon))
 
 
+def _first_fault_aggregate(args):
+    """`aggregate` as the first-fault rule states it: each slice checked, then voted."""
+    check_vote_settings(args.k, args.min_votes, args.max_labels)
+    catalog = load_catalog(args.catalog)
+    rows = []
+    with closing(tile_slices(args.predictions)) as slices:
+        for view in slices:
+            if args.grid is not None:
+                validate_grid(view, args.grid)
+            check_species_indices(view, len(catalog))
+            rows += aggregate_predictions(view, catalog, args.k, args.min_votes, args.max_labels)
+    write_submission(args.out, sorted(rows, key=attrgetter("quadrat_id")))
+
+
+def _first_fault_geofilter(args):
+    """`geofilter --predictions` as the first-fault rule states it: the mask
+    is written once the first slice is filtered, the tile file once every slice is."""
+    catalog = load_catalog(args.catalog)
+    mask = compute_geo_mask(GeoOptions(True, (args.ref_lat, args.ref_lon), args.observations, args.regions), catalog)
+    views = []
+    with closing(tile_slices(args.predictions)) as slices:
+        for view in slices:
+            views.append(apply_geo_mask(view, mask).batch)
+            if len(views) == 1 and args.out:
+                write_species_mask(args.out, mask, catalog)
+            elif len(views) == 1:
+                sys.stdout.write(fio.format_species_mask(mask, catalog))
+    write_tile_predictions(args.out_predictions, _joined(views))
+
+
+def _first_fault_reweight(args):
+    """`reweight` as the first-fault rule states it: the side files are read
+    once the first slice is, the tile file written once every slice is reweighted."""
+    views, side = [], None
+    with closing(tile_slices(args.predictions)) as slices:
+        for view in slices:
+            if side is None:
+                side = (fio.read_priors(args.priors), fio.read_region_cluster_map(args.region_clusters),
+                        read_region_registry(args.registry))
+            views.append(apply_priors(view, *side).batch)
+    write_tile_predictions(args.out, _joined(views))
+
+
+def _first_fault_priors(args):
+    """`priors` as the first-fault rule states it: the assignments are read
+    once the first slice is, and each slice's failures raise in turn."""
+    options = PriorsOptions(k=args.k, epsilon=args.epsilon)
+    catalog = load_catalog(args.catalog)
+    views, cluster_of_image = [], None
+    with closing(tile_slices(args.predictions)) as slices:
+        for view in slices:
+            if cluster_of_image is None:
+                cluster_of_image = fio.read_assignments(args.assignments)
+            _dense_priors(view, cluster_of_image, len(catalog), options.k, options.epsilon)
+            views.append(view)
+    write_priors(args.out, _dense_priors(_joined(views), cluster_of_image, len(catalog), options.k, options.epsilon))
+
+
+WHOLE_FILE = {"aggregate": _ref_aggregate, "geofilter": _ref_geofilter, "priors": _ref_priors,
+              "reweight": _ref_reweight}
+FIRST_FAULT = {"aggregate": _first_fault_aggregate, "geofilter": _first_fault_geofilter,
+               "priors": _first_fault_priors, "reweight": _first_fault_reweight}
+
+
 def _command_outcome(fn, argv, out: Path):
     """``(exit code, stdout, stderr, {file: bytes})`` of ``fn(argv)``, which
     prints as ``main`` does; ``out`` is emptied for the next run."""
@@ -455,12 +606,11 @@ def _command_outcome(fn, argv, out: Path):
     return code, stdout.getvalue(), stderr.getvalue(), files
 
 
-def _ref_main(argv):
-    """``main`` with each stage command's whole-file body."""
+def _ref_main(argv, bodies=WHOLE_FILE):
+    """``main`` with each stage command's body from ``bodies``."""
     args = build_parser().parse_args(argv)
     try:
-        {"aggregate": _ref_aggregate, "geofilter": _ref_geofilter, "priors": _ref_priors,
-         "reweight": _ref_reweight}[argv[0]](args)
+        bodies[argv[0]](args)
         return 0
     except InvariantViolation as exc:
         sys.stderr.write(f"floratile: invariant violation: {exc}\n")
@@ -481,7 +631,8 @@ def test_streamed_commands_match_their_whole_file_bodies_property(small_bundle, 
     settings, lines, observations, _, _ = data.draw(run_inputs(bundle_dir, dropped))
     command = data.draw(st.sampled_from(["reweight", "geofilter", "aggregate --grid", "aggregate"]))
     side_faults = data.draw(st.lists(st.sampled_from(SIDE_FAULTS), max_size=2))
-    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", data.draw(st.sampled_from([1, 2, 16, 4096])))
+    chunk = data.draw(st.sampled_from([1, 2, 16, 4096]))
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
     regions = read_region_registry(bundle_dir / "regions.txt").regions
     region_map = {region: n % 2 for n, region in enumerate(regions)}
     if "region past the priors" in side_faults:
@@ -514,8 +665,10 @@ def test_streamed_commands_match_their_whole_file_bodies_property(small_bundle, 
             "reweight": ["reweight", "--priors", w("priors.ndjson"), "--region-clusters", w("region_clusters.csv"),
                          "--registry", b("regions.txt"), "--out", str(out / "reweighted.ndjson")],
         }[command] + ["--predictions", w("predictions.ndjson")]
-        expected = _command_outcome(_ref_main, argv, out)
+        expected = _command_outcome(partial(_ref_main, bodies=FIRST_FAULT), argv, out)
         assert _command_outcome(main, argv, out) == expected
+        if chunk == 4096:  # one slice: the first fault is the whole-file body's
+            assert _command_outcome(_ref_main, argv, out) == expected
 
 
 # faults in the inputs of `priors`, in the tile file or the assignments file
@@ -552,12 +705,14 @@ def test_streamed_priors_matches_its_whole_file_body_property(small_bundle, monk
         argv = ["priors", "--predictions", str(work / "predictions.ndjson"), "--assignments",
                 str(work / "assignments.csv"), "--catalog", str(bundle_dir / "catalog.csv"), "--k", "2",
                 "--out", str(out / "priors.ndjson")]
-        expected = _command_outcome(_ref_main, argv, out)
+        expected = _command_outcome(partial(_ref_main, bodies=FIRST_FAULT), argv, out)
         assert _command_outcome(main, argv, out) == expected
+        if chunk == 4096:  # one slice: the first fault is the whole-file body's
+            assert _command_outcome(_ref_main, argv, out) == expected
 
 
-def test_priors_reports_an_image_without_a_cluster_ahead_of_an_earlier_cluster_past_k(small_bundle, tmp_path,
-                                                                                       monkeypatch):
+def test_priors_reports_an_earlier_cluster_past_k_ahead_of_a_later_image_without_a_cluster(small_bundle, tmp_path,
+                                                                                            monkeypatch):
     bundle_dir, _ = small_bundle
     labels = fio.read_assignments(bundle_dir / "labels.csv")
     ids = list(labels)
@@ -570,6 +725,8 @@ def test_priors_reports_an_image_without_a_cluster_ahead_of_an_earlier_cluster_p
     argv = ["priors", "--predictions", str(bundle_dir / "tile_predictions.ndjson"), "--k", "3",
             "--assignments", str(tmp_path / "assignments.csv"), "--catalog", str(bundle_dir / "catalog.csv"),
             "--out", str(out / "priors.ndjson")]
+    assert _command_outcome(main, argv, out) == (1, "", "floratile: error: assignment 7 outside clusters 0..2\n", {})
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 4096)  # one slice: its images without a cluster come first
     message = f"floratile: error: no cluster assignment for predicted image(s): {[ids[-2]]!r}\n"
     assert _command_outcome(main, argv, out) == (1, "", message, {})
 
@@ -603,14 +760,17 @@ def test_priors_reports_a_cluster_past_int64_as_outside_the_clusters(small_bundl
     assert _priors_outcome(bundle_dir, tmp_path, labels, 3) == (1, "", message, {})
 
 
-def test_priors_reports_an_image_without_a_cluster_ahead_of_an_earlier_cluster_past_int64(small_bundle, tmp_path,
-                                                                                           monkeypatch):
+def test_priors_reports_an_earlier_cluster_past_int64_ahead_of_a_later_image_without_a_cluster(small_bundle,
+                                                                                                tmp_path, monkeypatch):
     bundle_dir, _ = small_bundle
     labels = fio.read_assignments(bundle_dir / "labels.csv")
     ids = list(labels)
     labels[ids[0]] = 10**20
     del labels[ids[-2]]
     monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    message = f"floratile: error: assignment {10**20} outside clusters 0..2\n"
+    assert _priors_outcome(bundle_dir, tmp_path, labels, 3) == (1, "", message, {})
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 4096)  # one slice: its images without a cluster come first
     message = f"floratile: error: no cluster assignment for predicted image(s): {[ids[-2]]!r}\n"
     assert _priors_outcome(bundle_dir, tmp_path, labels, 3) == (1, "", message, {})
 
@@ -634,7 +794,7 @@ def test_priors_reports_a_bad_tile_record_ahead_of_more_clusters_than_assigned_i
     assert _priors_outcome(bundle_dir, tmp_path, labels, len(labels) + 1, lines) == expected
 
 
-def test_aggregate_raises_the_first_failure_of_the_earliest_stage_kind(small_bundle, tmp_path, monkeypatch):
+def test_aggregate_raises_the_first_failure_of_the_first_failing_slice(small_bundle, tmp_path, monkeypatch):
     bundle_dir, _ = small_bundle
     lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
     records = [json.loads(line) for line in lines]
@@ -647,10 +807,80 @@ def test_aggregate_raises_the_first_failure_of_the_earliest_stage_kind(small_bun
     monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
     argv = ["aggregate", "--predictions", str(tmp_path / "predictions.ndjson"), "--grid", "2x3",
             "--catalog", str(bundle_dir / "catalog.csv"), "--out", str(out / "submission.csv")]
-    expected = _command_outcome(_ref_main, argv, out)
     grid_error = f"tile (7,{records[20]['col']}) of {records[20]['image_id']!r} outside 2x3 grid"
-    assert expected == (1, "", f"floratile: error: {grid_error}\n", {})
+    assert _command_outcome(_ref_main, argv, out) == (1, "", f"floratile: error: {grid_error}\n", {})  # grid first
+    expected = (1, "", f"floratile: error: {_species_error(records[0]['image_id'])}\n", {})
+    assert _command_outcome(partial(_ref_main, bodies=FIRST_FAULT), argv, out) == expected
     assert _command_outcome(main, argv, out) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 4096])  # every image a slice of its own, or one slice
+def test_reweight_reads_its_side_files_once_the_first_slice_is_read(small_bundle, tmp_path, monkeypatch, chunk):
+    bundle_dir, _ = small_bundle
+    lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
+    lines.append(json.dumps(dict(_record("SYN-AA-T99-Q9999", 0), probs=[[1, 1.5]])))  # a bad record, last
+    predictions = tmp_path / "predictions.ndjson"
+    predictions.write_text("\n".join(lines) + "\n")
+    (tmp_path / "priors.ndjson").write_text('{"cluster": 0, "prior": [0.0, 1.0]}\n')  # a bad priors file
+    regions = read_region_registry(bundle_dir / "regions.txt").regions
+    write_region_cluster_map(tmp_path / "region_clusters.csv", {region: 0 for region in regions})
+    with pytest.raises(InputError) as bad_record:
+        read_tile_predictions(predictions)
+    with pytest.raises(InputError) as bad_priors:
+        fio.read_priors(tmp_path / "priors.ndjson")
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
+    argv = ["reweight", "--predictions", str(predictions), "--priors", str(tmp_path / "priors.ndjson"),
+            "--region-clusters", str(tmp_path / "region_clusters.csv"), "--registry", str(bundle_dir / "regions.txt"),
+            "--out", str(out / "reweighted.ndjson")]
+    # one slice holds the bad record, so it is met first, as when the file was read whole
+    error = bad_record.value if chunk == 4096 else bad_priors.value
+    assert _command_outcome(main, argv, out) == (1, "", f"floratile: error: {error}\n", {})
+
+
+@pytest.mark.parametrize("command", ["run", "aggregate", "geofilter", "priors", "reweight"])
+def test_a_fault_in_the_first_slice_reads_no_further(small_bundle, tmp_path, monkeypatch, command):
+    bundle_dir, _ = small_bundle
+    b = lambda name: str(bundle_dir / name)
+    lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
+    first = json.loads(lines[0])
+    lines[0] = json.dumps(dict(first, probs=[[SPEC.n_species + 3, 0.5]], complete=False))  # past every stage's range
+    predictions = tmp_path / "predictions.ndjson"
+    predictions.write_text("\n".join(lines) + "\n")
+    shutil.copy(bundle_dir / "observations.csv", tmp_path)
+    shutil.copy(bundle_dir / "embeddings.ndjson", tmp_path)
+    write_priors(tmp_path / "priors.ndjson", ClusterPriors(np.full((2, SPEC.n_species), 1 / SPEC.n_species)))
+    regions = read_region_registry(b("regions.txt")).regions
+    write_region_cluster_map(tmp_path / "region_clusters.csv", {region: n % 2 for n, region in enumerate(regions)})
+    draws = []
+
+    def counted(path):
+        with closing(tile_slices(path)) as slices:
+            for view in slices:
+                draws.append(view.image_ids)
+                yield view
+
+    monkeypatch.setattr(fio, "tile_slices", counted)
+    monkeypatch.setattr(pipeline, "tile_slices", counted)
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    out = tmp_path / "out"
+    argv = {
+        "run": ["run", "--mode", "tiling", "--grid", "2x3", "--geo", "--observations", str(tmp_path / "observations.csv"),
+                "--geo-regions", b("geo_regions.json"), "--priors", "--embeddings", str(tmp_path / "embeddings.ndjson"),
+                "--priors-k", "2", "--registry", b("regions.txt"), "--out", str(out)],
+        "aggregate": ["aggregate", "--grid", "2x3", "--out", str(out)],
+        "geofilter": ["geofilter", "--observations", b("observations.csv"), "--regions", b("geo_regions.json"),
+                      "--out", str(tmp_path / "mask.csv"), "--out-predictions", str(out)],
+        "priors": ["priors", "--assignments", b("labels.csv"), "--k", "2", "--out", str(out)],
+        "reweight": ["reweight", "--priors", str(tmp_path / "priors.ndjson"), "--registry", b("regions.txt"),
+                     "--region-clusters", str(tmp_path / "region_clusters.csv"), "--out", str(out)],
+    }[command] + ["--predictions", str(predictions)] + (["--catalog", b("catalog.csv")] if command != "reweight" else [])
+    stderr = StringIO()
+    with redirect_stderr(stderr):
+        assert main(argv) == 1
+    assert stderr.getvalue().startswith("floratile: error: ")
+    assert draws == [[first["image_id"]]]
 
 
 @pytest.mark.parametrize("command", ["geofilter", "reweight"])
