@@ -15,7 +15,8 @@ species index) and ``prob``. Two invariants hold:
 A batch is its columns and the per-image ``image_offsets``; it caches no
 per-entry array. Each per-entry pass works on the batch it is given in one
 go and builds its tile keys for it, so what a pass holds beyond its input
-and output is set by that batch.
+and output is set by that batch, below six int64 columns of its entries
+(``test_per_entry_pass_memory_is_set_by_a_slice_not_by_the_batch``).
 
 A command never builds the batch of a whole tile file: ``io.tile_slices``
 reads the file as batches of whole images, cut at the first new image past
@@ -191,7 +192,8 @@ class TileBatch:
 
     @classmethod
     def from_columns(cls, image_ids, image, row, col, complete, counts, idx, prob) -> "TileBatch":
-        """The batch of per-tile columns, each tile's entries sorted.
+        """The batch of per-tile columns, each tile's entries sorted: the one
+        place a batch is sorted and its image codes checked.
 
         ``image`` holds codes into ``image_ids``, which never decrease: each
         image's tiles are already together, images in code order.
@@ -311,8 +313,9 @@ class TileBatch:
         ``counts[t]`` of ``idx`` and ``prob``, given in batch order.
 
         Tiles left without entries drop out, no tile is complete any more and
-        ``from_columns`` sorts each tile's entries. Every image must keep a
-        tile; when every tile does, the tile columns are shared, not copied.
+        ``from_columns`` re-sorts each tile's entries, since renormalising can
+        create new ties. Every image must keep a tile; when every tile does,
+        the tile columns are shared, not copied.
         ``idx`` and ``prob`` become the entry columns when no tile needs sorting.
         """
         counts = np.asarray(counts, dtype=np.int64)
@@ -345,7 +348,8 @@ class ImageTiles(Mapping):
 
 
 def as_batch(tiles) -> TileBatch:
-    """The batch behind a stage input: a batch, an ``ImageTiles`` or an iterable of tiles."""
+    """The batch behind a stage input: a batch, an ``ImageTiles`` or an iterable of tiles;
+    an iterable holding anything else is an InvariantViolation naming its type."""
     if isinstance(tiles, TileBatch):
         return tiles
     if isinstance(tiles, ImageTiles):

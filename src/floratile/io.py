@@ -493,7 +493,8 @@ def write_tile_predictions(path, preds: Iterable[TilePrediction]):
     Each line is ``json.dumps`` of ``{"image_id", "row", "col", "probs"}``
     plus ``"complete": true`` on a complete tile. A batch is read by columns,
     never as ``TilePrediction``s, in tile-aligned ``chunk_bounds``; other
-    tiles are formatted ``CHUNK_ENTRIES`` tiles at a time.
+    tiles are formatted ``CHUNK_ENTRIES`` tiles at a time, and must keep each
+    image's tiles together for the file to read back.
     """
     with _open_write(path) as fh:
         _write_tiles(fh, preds)

@@ -3,7 +3,9 @@
 Per-image F1 is the harmonic mean of precision and recall over predicted
 vs. true species sets. Image scores are averaged within each transect, and
 those transect means are averaged again for the final score, so transects
-carry equal weight regardless of size.
+carry equal weight regardless of size. ``score_rows`` is the one scorer:
+``final_score`` feeds it a ``GroundTruth``, and ``pipeline.score_submission``
+a truth file's rows one at a time, through ``io.ground_truth_rows``.
 """
 
 from __future__ import annotations

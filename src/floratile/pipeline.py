@@ -1,6 +1,6 @@
 """End-to-end pipeline: predictions in, ranked label sets and scores out.
 
-Three mutually exclusive modes share one aggregation code path:
+Three mutually exclusive modes; ``no-tiling`` and ``tiling`` share the vote:
 
 * ``baseline``   predicts the k globally most frequent training species
   for every quadrat (a constant predictor);
@@ -21,7 +21,10 @@ holds a slice of the input, not all of it. Each stage function works on
 the batch it is given in one pass, and every quantity it computes belongs
 to one image, so the rows and written bytes are the whole-batch ones. The
 slices rely on the tile file's rule that each image's records are
-together; the reader rejects a file that breaks it.
+together; the reader rejects a file that breaks it. What a ``--geo`` run
+and each stage command hold is set by a slice: ``tests/test_streamed_run.py``
+pins it (``test_geo_run_memory_is_set_by_a_slice_not_by_the_input``,
+``test_stage_command_memory_is_set_by_a_slice``).
 
 A run raises the first failure it meets and reads no further: slice by
 slice, stage by stage within a slice (grid, species index, mask, mask
@@ -29,8 +32,9 @@ apply, masked file, vote), and the first tile within a stage. A priors
 run holds its checked and masked slices in a list, adds them to the
 per-cluster sums of ``PriorSums`` for the priors, then streams the list
 through the reweight and the vote; the list holds every slice until the
-last vote. The mask file is written when the mask is built, for the first
-slice that passes the checks, and the priors' files when the priors are.
+last vote. With ``keep_intermediates``, the mask file is written when the
+mask is built, for the first slice that passes the checks, and the priors'
+files when the priors are.
 A tile file is written slice by slice under a hidden name and moved into
 place only once every slice has passed, so a failed run leaves no partial
 file.
@@ -246,7 +250,8 @@ class PriorSums:
     """Per-cluster sums of image probability vectors, added slice by slice.
 
     Each image's vector is added to its cluster's row of a k x S sum in file
-    order, as ``estimate_priors`` adds the rows of the dense matrix, so
+    order (``np.add.at``; a bincount over (cluster, species) keys would
+    reorder the additions), as ``estimate_priors`` adds the dense rows, so
     ``priors`` gives its bytes while only a slice's vectors are held. A
     ``k`` above the number of assignments raises at once. ``add`` raises the
     first failure of its slice: a species index past the catalog, then the
@@ -315,8 +320,9 @@ def apply_priors(
     """Reweight every tile by the prior of its region's dominant cluster.
 
     The batch raises its first failure before it hands ``TileBatch.derive``
-    its entries with the new probabilities; an image without a usable
-    cluster fails at its first tile."""
+    its entries with the new probabilities. An image without a usable
+    cluster fails at its first tile, ahead of that tile's reweight failures;
+    only the images before it are reweighted, so an earlier tile's failure wins."""
     batch = as_batch(tiles)
     clusters, region_failure = [], (None, None)
     for i, image_id in enumerate(batch.image_ids):
@@ -372,7 +378,7 @@ class Vote:
         """Vote ``batch``, a row per image; a chosen label past the catalog
         raises for the batch's first such image in quadrat-id order. The tally
         and ranking hold about six int64 columns of the batch's entries, the
-        most of any pass."""
+        most of any pass (``test_vote_memory_is_set_by_a_slice_not_by_the_batch``)."""
         if not batch.image_ids:
             return
         image, idx, votes, mass = tally_batch(batch, self.k)

@@ -201,7 +201,8 @@ def build_pairs(data: np.ndarray, cfg: ProjectorConfig, rng: np.random.Generator
 
     The kNN and mid-near distances are computed in blocks of _KNN_BLOCK
     rows, so memory is O(n * block) plus the pairs, never a dense n x n
-    matrix.
+    matrix (``test_build_pairs_memory_is_set_by_one_row_block``); time is
+    still O(n^2).
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]

@@ -50,8 +50,7 @@ def tally_batch(batch: TileBatch, k: int):
 
     Returns ``(image, idx, votes, mass)``, one row per key sorted by
     (image, idx). The sort is stable, so each key's entries keep their batch
-    order and its mass is summed in batch order, tile by tile, as
-    ``tally_votes`` did.
+    order and its mass is summed in batch order, tile by tile.
     """
     image, idx, prob = _voting_entries(batch, k)
     order = np.lexsort((idx, image))
