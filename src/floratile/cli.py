@@ -4,10 +4,11 @@ Subcommands mirror the pipeline stages (tile-plan, geofilter, project,
 cluster, priors, reweight, aggregate, evaluate, plot), plus `synth` for
 fixture generation and `run` for the end-to-end pipeline. Running the
 stages one at a time through their file formats produces byte-identical
-submissions to a single `run` with the same seed. `aggregate`, `geofilter`,
-`priors` and `reweight` take the tile file through ``pipeline.stream``
-slice by slice, as `run` does, and raise the first failure they meet.
-Every command checks its flags before it reads a file.
+submissions to a single `run` with the same seed. Every command checks its
+flags, then reads and checks every input but the tile file, then takes the
+tile file through ``pipeline.stream`` slice by slice (`aggregate`,
+`geofilter`, `priors` and `reweight`, as `run` does), raising the first
+failure it meets, and writes its outputs last.
 
 Exit codes: 0 on success, 1 on input errors (bad files, bad flags),
 2 on internal invariant violations.
@@ -20,7 +21,6 @@ import json
 import os
 import sys
 import warnings
-from functools import cache
 from pathlib import Path
 from typing import List, Mapping, NamedTuple, Optional
 
@@ -117,21 +117,14 @@ def _cmd_geofilter(args) -> int:
                          observations_path=args.observations, regions_path=args.regions)
     catalog = load_catalog(args.catalog)
     mask = compute_geo_mask(options, catalog)
+    if args.predictions:
+        with fio.StagedTileFile(args.out_predictions) as out:
+            stream(fio.tile_slices(args.predictions), [lambda view: apply_geo_mask(view, mask).batch, out.write])
+            out.commit()
     if args.out:
-        write_mask = lambda: fio.write_species_mask(args.out, mask, catalog)
+        fio.write_species_mask(args.out, mask, catalog)
     else:
-        write_mask = lambda: sys.stdout.write(fio.format_species_mask(mask, catalog))
-    if not args.predictions:
-        write_mask()
-        return 0
-    write_mask = cache(write_mask)  # once, between the first slice's filter and its write, as the whole file's
-    with fio.StagedTileFile(args.out_predictions) as out:
-        stream(fio.tile_slices(args.predictions), [
-            lambda view: apply_geo_mask(view, mask).batch,
-            lambda view: write_mask(),
-            out.write,
-        ])
-        out.commit()
+        sys.stdout.write(fio.format_species_mask(mask, catalog))
     return 0
 
 
@@ -150,13 +143,12 @@ def _cmd_cluster(args) -> int:
         raise InputError("--registry needs --region-map-out")
     check_kmeans_settings(args.k, args.seed)
     projection = fio.read_projection(args.projection)
+    registry = args.registry and fio.read_region_registry(args.registry)
     model = kmeans(projection.points, args.k, seed=args.seed)
-    region_map = None
-    if args.region_map_out:
-        registry = fio.read_region_registry(args.registry)
-        region_map = dominant_cluster(model.assignments, [parse_region(i, registry) for i in projection.image_ids])
+    region_map = registry and dominant_cluster(model.assignments,
+                                               [parse_region(i, registry) for i in projection.image_ids])
     fio.write_assignments(args.out, projection.image_ids, model.assignments)
-    if region_map is not None:
+    if registry:
         fio.write_region_cluster_map(args.region_map_out, region_map)
     return 0
 
@@ -164,20 +156,18 @@ def _cmd_cluster(args) -> int:
 def _cmd_priors(args) -> int:
     options = PriorsOptions(k=args.k, epsilon=args.epsilon)
     catalog = load_catalog(args.catalog)
-    # read once the first slice is, as the whole-file command read them after the tile file
-    sums = cache(lambda: PriorSums(fio.read_assignments(args.assignments), len(catalog), options.k))
-    stream(fio.tile_slices(args.predictions), [lambda view: sums().add(view)])
-    fio.write_priors(args.out, sums().priors(options.epsilon))
+    sums = PriorSums(fio.read_assignments(args.assignments), len(catalog), options.k)
+    stream(fio.tile_slices(args.predictions), [sums.add])
+    fio.write_priors(args.out, sums.priors(options.epsilon))
     return 0
 
 
 def _cmd_reweight(args) -> int:
-    # read once the first slice is, as the whole-file command read them after the tile file
-    side = cache(lambda: (fio.read_priors(args.priors), fio.read_region_cluster_map(args.region_clusters),
-                          fio.read_region_registry(args.registry)))
+    priors, region_map = fio.read_priors(args.priors), fio.read_region_cluster_map(args.region_clusters)
+    registry = fio.read_region_registry(args.registry)
     with fio.StagedTileFile(args.out) as out:
         stream(fio.tile_slices(args.predictions), [
-            lambda view: apply_priors(view, *side()).batch,
+            lambda view: apply_priors(view, priors, region_map, registry).batch,
             out.write,
         ])
         out.commit()

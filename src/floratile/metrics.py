@@ -81,7 +81,7 @@ def score_rows(
 
     unknown = sorted(q for q in predictions if q not in scored)
     if unknown:
-        # stacklevel 3 names the caller of final_score or score_submission
+        # stacklevel 3 names the caller of final_score, score_submission or pipeline.run
         warnings.warn(f"ignoring predictions for {len(unknown)} unknown quadrat(s)", stacklevel=3)
     per_image = {q: scored[q] for q in sorted(scored)}
     missing = [q for q in per_image if q not in predictions]

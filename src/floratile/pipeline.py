@@ -26,25 +26,30 @@ and each stage command hold is set by a slice: ``tests/test_streamed_run.py``
 pins it (``test_geo_run_memory_is_set_by_a_slice_not_by_the_input``,
 ``test_stage_command_memory_is_set_by_a_slice``).
 
-A run raises the first failure it meets and reads no further: slice by
-slice, stage by stage within a slice (grid, species index, mask, mask
-apply, masked file, vote), and the first tile within a stage. A priors
-run holds its checked and masked slices in a list, adds them to the
-per-cluster sums of ``PriorSums`` for the priors, then streams the list
-through the reweight and the vote; the list holds every slice until the
-last vote. With ``keep_intermediates``, the mask file is written when the
-mask is built, for the first slice that passes the checks, and the priors'
-files when the priors are.
-A tile file is written slice by slice under a hidden name and moved into
-place only once every slice has passed, so a failed run leaves no partial
-file.
+Every run and stage command keeps one order. It reads and checks every
+input but the tile file: the catalog, the truth file's header and first
+row, the training counts, the geo mask's observations and regions, and
+the priors' registry and embeddings, which it projects and clusters. It
+then streams the tile file, and writes its outputs last. In the stream it
+raises the first failure it meets and reads no further: slice by slice,
+stage by stage within a slice (grid, species index, mask apply, masked
+file, prior sums, vote), and the first tile within a stage. A priors run
+adds each checked and masked slice to the per-cluster sums of
+``PriorSums`` and holds it in a list; after the last slice it streams the
+list through the reweight and the vote, so the list holds every slice
+until the last vote. The rows are then scored, the truth file read one
+row at a time, and only then are the intermediates, the submission and
+the score report written. A tile file is written slice by slice under a
+hidden name and moved into place with the other outputs, so a failed run
+leaves no partial file. A run that fails on an input writes nothing; only
+a failed write leaves the files written before it.
 """
 
 from __future__ import annotations
 
-from contextlib import closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cache
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -252,8 +257,9 @@ class PriorSums:
     Each image's vector is added to its cluster's row of a k x S sum in file
     order (``np.add.at``; a bincount over (cluster, species) keys would
     reorder the additions), as ``estimate_priors`` adds the dense rows, so
-    ``priors`` gives its bytes while only a slice's vectors are held. A
-    ``k`` above the number of assignments raises at once. ``add`` raises the
+    ``priors`` gives its bytes while only a slice's vectors are held. It is
+    built from the assignments before the tile file is read, so a ``k``
+    above their number raises first. ``add``, a stream stage, raises the
     first failure of its slice: a species index past the catalog, then the
     first five of its images without a cluster, then ``check_image_vectors``'.
     """
@@ -427,75 +433,74 @@ def stream(slices, stages):
                 view = out if isinstance(out, TileBatch) else view
 
 
-def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path) -> List[SubmissionRow]:
-    """Every stage of a tiling or no-tiling run, in the module docstring's order."""
-    keep, geo, held = config.keep_intermediates, config.geo.enabled, []
+@contextmanager
+def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path):
+    """The submission rows of a tiling or no-tiling run, in the module
+    docstring's order: the geo mask and the priors' clusters, then the tile
+    file, then the held slices' reweight. The intermediates are written, and
+    the staged tile files committed, as the ``with`` block ends without error."""
+    keep, geo, with_priors = config.keep_intermediates, config.geo.enabled, config.priors.enabled
     vote = Vote(catalog, config.k_per_tile, config.min_votes, config.max_labels)
-
-    @cache
-    def mask():  # for the first slice that passes the checks
-        built = compute_geo_mask(config.geo, catalog)
-        if keep:
-            write_species_mask(out_dir / "mask.csv", built, catalog)
-        return built
-
-    with StagedTileFile(out_dir / "masked_predictions.ndjson") as masked:
-        stream(tile_slices(config.predictions_path), [
-            lambda view: validate_grid(view, config.grid),
-            lambda view: check_species_indices(view, len(catalog)),
-            geo and (lambda view: apply_geo_mask(view, mask()).batch),
-            geo and keep and masked.write,
-            held.append if config.priors.enabled else vote.add,
-        ])
-        if geo and keep:
-            masked.commit()
-    if config.priors.enabled:
+    mask = compute_geo_mask(config.geo, catalog) if geo else None
+    if with_priors:
         registry = read_region_registry(config.registry_path)
         embeddings = read_embeddings(config.priors.embeddings_path)
         projection = fit(embeddings, ProjectorConfig(seed=config.seed))
         model = kmeans(projection.points, config.priors.k, seed=config.seed)
         region_map = dominant_cluster(model.assignments, [parse_region(i, registry) for i in embeddings.image_ids])
         sums = PriorSums(dict(zip(embeddings.image_ids, model.assignments.tolist())), len(catalog), config.priors.k)
-        for view in held:
-            sums.add(view)
-        priors = sums.priors(config.priors.epsilon)
-        if keep:
+    held = []
+    with StagedTileFile(out_dir / "masked_predictions.ndjson") as masked, \
+            StagedTileFile(out_dir / "reweighted_predictions.ndjson") as reweighted:
+        stream(tile_slices(config.predictions_path), [
+            lambda view: validate_grid(view, config.grid),
+            lambda view: check_species_indices(view, len(catalog)),
+            geo and (lambda view: apply_geo_mask(view, mask).batch),
+            geo and keep and masked.write,
+            with_priors and sums.add,
+            held.append if with_priors else vote.add,
+        ])
+        if with_priors:
+            priors = sums.priors(config.priors.epsilon)
+            for view in held:
+                view = apply_priors(view, priors, region_map, registry).batch
+                if keep:
+                    reweighted.write(view)
+                vote.add(view)
+        yield vote.rows()
+        if geo and keep:
+            write_species_mask(out_dir / "mask.csv", mask, catalog)
+            masked.commit()
+        if with_priors and keep:
             write_projection(out_dir / "projection.csv", projection)
             write_assignments(out_dir / "assignments.csv", embeddings.image_ids, model.assignments)
             write_region_cluster_map(out_dir / "region_clusters.csv", region_map)
             write_priors(out_dir / "priors.ndjson", priors)
-        with StagedTileFile(out_dir / "reweighted_predictions.ndjson") as staged:
-            for view in held:
-                view = apply_priors(view, priors, region_map, registry).batch
-                if keep:
-                    staged.write(view)
-                vote.add(view)
-            if keep:
-                staged.commit()
-    return vote.rows()
+            reweighted.commit()
 
 
 def run(config: RunConfig) -> RunResult:
     config = config.resolved()
     out_dir = _make_dir(config.out_dir)
     catalog = load_catalog(config.catalog_path)
-
-    if config.mode == "baseline":
-        counts = read_training_counts(config.training_counts_path)
-        labels = tuple(naive_baseline(counts, config.baseline_k))
-        with closing(tile_slices(config.predictions_path)) as slices:
-            quadrats = sorted(image_id for view in slices for image_id in view.image_ids)
-        rows = [SubmissionRow(quadrat_id=q, species_ids=labels) for q in quadrats]
-    else:
-        rows = _tiled_rows(config, catalog, out_dir)
+    report = report_path = None
+    with ExitStack() as inputs:
+        if config.truth_path:  # the file opens, and its header and first row pass, before the tile file is read
+            truth = inputs.enter_context(closing(ground_truth_rows(config.truth_path)))
+            truth = chain([next(truth)], truth)
+        if config.mode == "baseline":
+            labels = tuple(naive_baseline(read_training_counts(config.training_counts_path), config.baseline_k))
+            with closing(tile_slices(config.predictions_path)) as slices:
+                quadrats = sorted(image_id for view in slices for image_id in view.image_ids)
+            rows = [SubmissionRow(quadrat_id=q, species_ids=labels) for q in quadrats]
+        else:
+            rows = inputs.enter_context(_tiled_rows(config, catalog, out_dir))
+        if config.truth_path:
+            report = score_rows({row.quadrat_id: row.species_ids for row in rows}, truth)
 
     submission_path = out_dir / "submission.csv"
     write_submission(submission_path, rows)
-
-    report = None
-    report_path = None
-    if config.truth_path:
-        report = score_submission(rows, config.truth_path)
+    if report is not None:
         report_path = out_dir / "score_report.json"
         write_score_report(report_path, report)
 

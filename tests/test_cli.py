@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, stage composability."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -19,6 +20,10 @@ from floratile.io import (read_region_cluster_map, read_submission, read_tile_pr
                           write_region_cluster_map)
 from floratile.pipeline import GeoOptions, compute_geo_mask
 from floratile.synth import SynthSpec, generate, write_bundle
+
+# a child interpreter imports floratile from this checkout, installed or not
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="module")
@@ -632,7 +637,7 @@ def test_run_config_null_means_unset(fixture_dir, tmp_path, capsys):
 def test_import_leaves_network_modules_unloaded():
     code = ("import sys, floratile.cli; "
             "print(sorted({'ssl', 'urllib.request', 'http.client'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -665,6 +670,17 @@ def test_plot_svg_circle_count(fixture_dir, tmp_path, capsys):
                  "--registry", str(fixture_dir / "regions.txt"),
                  "--out", str(svg_path)]) == 1
     capsys.readouterr()
+
+
+def test_cluster_reads_its_registry_before_kmeans(tmp_path, monkeypatch, capsys):
+    proj, registry, assign = tmp_path / "proj.csv", tmp_path / "regions.txt", tmp_path / "assign.csv"
+    proj.write_text("image_id,x,y\nA-1,0.0,0.0\nA-2,1.0,0.0\nA-3,0.0,1.0\n")
+    registry.write_text("\n")
+    monkeypatch.setattr(cli, "kmeans", lambda *args, **kwargs: pytest.fail("k-means ran before the registry was read"))
+    assert main(["cluster", "--projection", str(proj), "--k", "2", "--out", str(assign),
+                 "--registry", str(registry), "--region-map-out", str(tmp_path / "rc.csv")]) == 1
+    assert capsys.readouterr().err == f"floratile: error: {registry}: region registry is empty\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["proj.csv", "regions.txt"]
 
 
 def test_ids_holding_commas_pass_through_the_cluster_stage_files(tmp_path, capsys):
@@ -701,6 +717,7 @@ def test_ids_holding_commas_pass_through_the_cluster_stage_files(tmp_path, capsy
 def test_module_entry_point_no_subcommand():
     proc = subprocess.run(
         [sys.executable, "-m", "floratile"],
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
     )
@@ -716,6 +733,7 @@ def test_module_invocation_tile_plan():
             "import sys; from floratile.cli import main; sys.exit(main(sys.argv[1:]))",
             "tile-plan", "--width", "100", "--height", "100", "--grid", "2x2",
         ],
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
     )
@@ -1247,6 +1265,6 @@ def test_a_geo_run_without_priors_leaves_numpy_random_unloaded(fixture_dir, tmp_
     argv = ["run", "--mode", mode, "--geo", "--keep-intermediates", "--catalog", str(fixture_dir / "catalog.csv"),
             "--predictions", str(fixture_dir / predictions), "--observations", str(fixture_dir / "observations.csv"),
             "--geo-regions", str(fixture_dir / "geo_regions.json"), "--out", str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=CHILD_ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,13 +1,14 @@
 """`run` and the stage commands stream the tile file in image slices.
 
 ``_whole_batch_run`` is the whole-batch chain of the public stage functions,
-as ``pipeline.run`` stood before it streamed: it reads the tile file into one
-batch and calls each stage on the whole of it. ``_first_fault_run`` is the
-same chain taken slice by slice, raising the first failure it meets. The
-streamed run must match the first-fault chain exactly on every input, and,
-when the file is one slice, the whole-batch chain too: the exception type
-and text, or the rows, and the bytes and the file set of ``--out``, on good
-files and on files with faults at random places.
+as ``pipeline.run`` stood before it streamed: it reads every side input,
+then the tile file into one batch, calls each stage on the whole of it, and
+writes its outputs last. ``_first_fault_run`` is the same chain taken slice
+by slice, raising the first failure it meets. The streamed run must match
+the first-fault chain exactly on every input, and, when the file is one
+slice, the whole-batch chain too: the exception type and text, or the rows,
+and the bytes and the file set of ``--out``, on good files and on files
+with faults at random places.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ from io import StringIO
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from floratile.io import (
     StagedTileFile,
     SubmissionRow,
     _make_dir,
+    ground_truth_rows,
     read_embeddings,
     read_region_registry,
     read_tile_predictions,
@@ -83,47 +86,71 @@ def _dense_priors(tiles, cluster_of_image, n_species, k, epsilon):
     return estimate_priors(vectors, [cluster_of_image[i] for i in ids], k, epsilon=epsilon, n_species=n_species)
 
 
+def _side_inputs(config: RunConfig, catalog):
+    """Every input of ``run`` but the tile file, read and checked in its
+    order: the truth file's header and first row, then the training counts,
+    the geo mask, and the priors' registry, embeddings, projection and clusters."""
+    side = SimpleNamespace()
+    if config.truth_path:
+        with closing(ground_truth_rows(config.truth_path)) as truth:
+            next(truth)
+    if config.mode == "baseline":
+        side.labels = tuple(naive_baseline(read_training_counts(config.training_counts_path), config.baseline_k))
+    if config.geo.enabled:
+        side.mask = compute_geo_mask(config.geo, catalog)
+    if config.priors.enabled:
+        side.registry = read_region_registry(config.registry_path)
+        side.embeddings = read_embeddings(config.priors.embeddings_path)
+        side.projection = fit(side.embeddings, ProjectorConfig(seed=config.seed))
+        side.model = kmeans(side.projection.points, config.priors.k, seed=config.seed)
+        side.region_map = dominant_cluster(side.model.assignments,
+                                           [parse_region(i, side.registry) for i in side.embeddings.image_ids])
+        side.dense = partial(_dense_priors, cluster_of_image=dict(zip(side.embeddings.image_ids,
+                                                                      side.model.assignments.tolist())),
+                             n_species=len(catalog), k=config.priors.k, epsilon=config.priors.epsilon)
+    return side
+
+
+def _scored_and_written(config: RunConfig, catalog, side, rows, masked=None, reweighted=None):
+    """Score ``rows``, then write every output of ``run``: the intermediates,
+    the submission and the score report; returns ``rows``."""
+    out_dir = Path(config.out_dir)
+    report = config.truth_path and score_submission(rows, config.truth_path)
+    if config.keep_intermediates and config.geo.enabled:
+        write_species_mask(out_dir / "mask.csv", side.mask, catalog)
+        write_tile_predictions(out_dir / "masked_predictions.ndjson", masked)
+    if config.keep_intermediates and config.priors.enabled:
+        write_projection(out_dir / "projection.csv", side.projection)
+        write_assignments(out_dir / "assignments.csv", side.embeddings.image_ids, side.model.assignments)
+        write_region_cluster_map(out_dir / "region_clusters.csv", side.region_map)
+        write_priors(out_dir / "priors.ndjson", side.priors)
+        write_tile_predictions(out_dir / "reweighted_predictions.ndjson", reweighted)
+    write_submission(out_dir / "submission.csv", rows)
+    if config.truth_path:
+        write_score_report(out_dir / "score_report.json", report)
+    return rows
+
+
 def _whole_batch_run(config: RunConfig):
     """``run`` as the whole-batch chain of the public stage functions."""
     config = config.resolved()
-    out_dir = _make_dir(config.out_dir)
+    _make_dir(config.out_dir)
     catalog = load_catalog(config.catalog_path)
+    side = _side_inputs(config, catalog)
+    tiles = read_tile_predictions(config.predictions_path)
     if config.mode == "baseline":
-        labels = naive_baseline(read_training_counts(config.training_counts_path), config.baseline_k)
-        quadrats = sorted(read_tile_predictions(config.predictions_path).image_ids)
-        rows = [SubmissionRow(quadrat_id=q, species_ids=tuple(labels)) for q in quadrats]
-    else:
-        tiles = read_tile_predictions(config.predictions_path)
-        validate_grid(tiles, config.grid)
-        check_species_indices(tiles, len(catalog))
-        if config.geo.enabled:
-            mask = compute_geo_mask(config.geo, catalog)
-            if config.keep_intermediates:
-                write_species_mask(out_dir / "mask.csv", mask, catalog)
-            tiles = apply_geo_mask(tiles, mask).batch
-            if config.keep_intermediates:
-                write_tile_predictions(out_dir / "masked_predictions.ndjson", tiles)
-        if config.priors.enabled:
-            registry = read_region_registry(config.registry_path)
-            embeddings = read_embeddings(config.priors.embeddings_path)
-            projection = fit(embeddings, ProjectorConfig(seed=config.seed))
-            model = kmeans(projection.points, config.priors.k, seed=config.seed)
-            region_map = dominant_cluster(model.assignments, [parse_region(i, registry) for i in embeddings.image_ids])
-            priors = _dense_priors(tiles, dict(zip(embeddings.image_ids, model.assignments.tolist())), len(catalog),
-                                   config.priors.k, config.priors.epsilon)
-            if config.keep_intermediates:
-                write_projection(out_dir / "projection.csv", projection)
-                write_assignments(out_dir / "assignments.csv", embeddings.image_ids, model.assignments)
-                write_region_cluster_map(out_dir / "region_clusters.csv", region_map)
-                write_priors(out_dir / "priors.ndjson", priors)
-            tiles = apply_priors(tiles, priors, region_map, registry).batch
-            if config.keep_intermediates:
-                write_tile_predictions(out_dir / "reweighted_predictions.ndjson", tiles)
-        rows = aggregate_predictions(tiles, catalog, config.k_per_tile, config.min_votes, config.max_labels)
-    write_submission(out_dir / "submission.csv", rows)
-    if config.truth_path:
-        write_score_report(out_dir / "score_report.json", score_submission(rows, config.truth_path))
-    return rows
+        rows = [SubmissionRow(quadrat_id=q, species_ids=side.labels) for q in sorted(tiles.image_ids)]
+        return _scored_and_written(config, catalog, side, rows)
+    validate_grid(tiles, config.grid)
+    check_species_indices(tiles, len(catalog))
+    masked = reweighted = None
+    if config.geo.enabled:
+        tiles = masked = apply_geo_mask(tiles, side.mask).batch
+    if config.priors.enabled:
+        side.priors = side.dense(tiles)
+        tiles = reweighted = apply_priors(tiles, side.priors, side.region_map, side.registry).batch
+    rows = aggregate_predictions(tiles, catalog, config.k_per_tile, config.min_votes, config.max_labels)
+    return _scored_and_written(config, catalog, side, rows, masked, reweighted)
 
 
 def _joined(views):
@@ -134,20 +161,20 @@ def _joined(views):
 def _first_fault_run(config: RunConfig):
     """``run`` as the first-fault rule states it, with the public stage functions.
 
-    Each slice of the tile file goes through the grid and species checks, the
-    geo mask and the vote (or is held, with priors) before the next slice is
-    read. The held slices then go through the priors' checks in turn, and one
-    by one through the reweight and the vote. The first failure met is
-    raised. The mask file is written when the mask is built, for the first
-    slice that passes the checks, the priors' files when the priors are
-    estimated, and a tile file once every slice has passed.
+    Every side input is read first. Then each slice of the tile file goes
+    through the grid and species checks, the geo mask, the priors' checks
+    and the vote (or is held, with priors) before the next slice is read.
+    The held slices then go one by one through the reweight and the vote.
+    The first failure met is raised. The rows are scored, and only then is
+    any file written.
     """
     config = config.resolved()
     if config.mode == "baseline":  # the quadrat ids are read to the end either way
         return _whole_batch_run(config)
-    out_dir = _make_dir(config.out_dir)
+    _make_dir(config.out_dir)
     catalog = load_catalog(config.catalog_path)
-    keep, mask, views, rows = config.keep_intermediates, None, [], []
+    side = _side_inputs(config, catalog)
+    views, rows = [], []
 
     def vote(view):
         rows.extend(aggregate_predictions(view, catalog, config.k_per_tile, config.min_votes, config.max_labels))
@@ -157,44 +184,21 @@ def _first_fault_run(config: RunConfig):
             validate_grid(view, config.grid)
             check_species_indices(view, len(catalog))
             if config.geo.enabled:
-                if mask is None:
-                    mask = compute_geo_mask(config.geo, catalog)
-                    if keep:
-                        write_species_mask(out_dir / "mask.csv", mask, catalog)
-                view = apply_geo_mask(view, mask).batch
+                view = apply_geo_mask(view, side.mask).batch
+            if config.priors.enabled:
+                side.dense(view)  # the slice's failures
             views.append(view)
             if not config.priors.enabled:
                 vote(view)
-    if config.geo.enabled and keep:
-        write_tile_predictions(out_dir / "masked_predictions.ndjson", _joined(views))
+    masked, reweighted = _joined(views), []
     if config.priors.enabled:
-        registry = read_region_registry(config.registry_path)
-        embeddings = read_embeddings(config.priors.embeddings_path)
-        projection = fit(embeddings, ProjectorConfig(seed=config.seed))
-        model = kmeans(projection.points, config.priors.k, seed=config.seed)
-        region_map = dominant_cluster(model.assignments, [parse_region(i, registry) for i in embeddings.image_ids])
-        cluster_of_image = dict(zip(embeddings.image_ids, model.assignments.tolist()))
-        dense = partial(_dense_priors, cluster_of_image=cluster_of_image, n_species=len(catalog),
-                        k=config.priors.k, epsilon=config.priors.epsilon)
-        for view in views:  # each slice's failures, in turn
-            dense(view)
-        priors = dense(_joined(views))
-        if keep:
-            write_projection(out_dir / "projection.csv", projection)
-            write_assignments(out_dir / "assignments.csv", embeddings.image_ids, model.assignments)
-            write_region_cluster_map(out_dir / "region_clusters.csv", region_map)
-            write_priors(out_dir / "priors.ndjson", priors)
-        reweighted = []
+        side.priors = side.dense(masked)
         for view in views:
-            reweighted.append(apply_priors(view, priors, region_map, registry).batch)
-            vote(reweighted[-1])
-        if keep:
-            write_tile_predictions(out_dir / "reweighted_predictions.ndjson", _joined(reweighted))
+            view = apply_priors(view, side.priors, side.region_map, side.registry).batch
+            reweighted.extend(view)
+            vote(view)
     rows.sort(key=attrgetter("quadrat_id"))
-    write_submission(out_dir / "submission.csv", rows)
-    if config.truth_path:
-        write_score_report(out_dir / "score_report.json", score_submission(rows, config.truth_path))
-    return rows
+    return _scored_and_written(config, catalog, side, rows, masked, reweighted)
 
 
 def _outcome(fn, config):
@@ -342,10 +346,9 @@ def test_run_raises_the_first_failure_of_the_first_failing_slice(small_bundle, t
     assert _outcome(lambda c: run(c).submission, config) == expected
 
 
-@pytest.mark.parametrize("off_grid_line,builds", [(None, 1), (0, 0), (-1, 1)],
-                         ids=["good", "first-slice-off-grid", "last-slice-off-grid"])
-def test_run_builds_the_geo_mask_once_for_the_first_slice_that_passes_the_checks(
-        small_bundle, tmp_path, monkeypatch, off_grid_line, builds):
+@pytest.mark.parametrize("off_grid_line", [None, 0, -1], ids=["good", "first-slice-off-grid", "last-slice-off-grid"])
+def test_run_builds_the_geo_mask_once_before_the_tile_file_is_read(small_bundle, tmp_path, monkeypatch,
+                                                                    off_grid_line):
     bundle_dir, _ = small_bundle
     lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
     if off_grid_line is not None:  # a tile of the first or the last image
@@ -353,7 +356,13 @@ def test_run_builds_the_geo_mask_once_for_the_first_slice_that_passes_the_checks
     (tmp_path / "predictions.ndjson").write_text("\n".join(lines) + "\n")
     shutil.copy(bundle_dir / "observations.csv", tmp_path)
     calls = []
-    monkeypatch.setattr(pipeline, "compute_geo_mask", lambda *args: calls.append(args) or compute_geo_mask(*args))
+
+    def counted(path):
+        calls.append("read")
+        return tile_slices(path)
+
+    monkeypatch.setattr(pipeline, "compute_geo_mask", lambda *args: calls.append("mask") or compute_geo_mask(*args))
+    monkeypatch.setattr(pipeline, "tile_slices", counted)
     monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
     config = _config(bundle_dir, tmp_path, dict(mode="tiling", geo=True, priors=False, keep_intermediates=False))
     if off_grid_line is None:
@@ -361,7 +370,7 @@ def test_run_builds_the_geo_mask_once_for_the_first_slice_that_passes_the_checks
     else:
         with pytest.raises(InputError, match=r"^tile \(7,\d\) of .* outside 2x3 grid$"):
             run(config)
-    assert len(calls) == builds
+    assert calls == ["mask", "read"]
 
 
 @pytest.mark.parametrize("keep", [False, True])
@@ -378,7 +387,7 @@ def test_run_keeps_no_reweighted_file_when_a_later_slice_fails_to_reweight(small
     expected = _outcome(_whole_batch_run, config)
     assert expected[0][:2] == ("error", "InputError")
     assert expected[0][2].startswith(f"tile ({rec['row']},{rec['col']}) of {rec['image_id']!r}: probability 5e-324")
-    assert "reweighted_predictions.ndjson" not in expected[1]
+    assert expected[1] == {}  # no priors file or partial reweighted file either
     assert _outcome(lambda c: run(c).submission, config) == expected
 
 
@@ -393,7 +402,7 @@ def test_run_reports_an_unopenable_reweighted_file_ahead_of_a_later_reweight_fai
     (tmp_path / "out" / ".reweighted_predictions.ndjson.partial").mkdir(parents=True)  # the staged file cannot open
     monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
     config = _config(bundle_dir, tmp_path, dict(mode="tiling", geo=False, priors=True, keep_intermediates=True))
-    # the first slice is reweighted, then written; the last slice is never read
+    # the first slice is reweighted, then written; the last slice is never reweighted
     with pytest.raises(InputError, match=r"^.*/out/reweighted_predictions\.ndjson: Is a directory$"):
         run(config)
 
@@ -414,9 +423,8 @@ def test_run_rejects_a_file_whose_image_reappears(small_bundle, tmp_path, monkey
     message = f"{path}:{len(lines)}: image {image_id!r} reappears after other images' records"
     outcome = _outcome(lambda c: run(c).submission, config)
     assert outcome == _outcome(_first_fault_run, config)
-    # no submission or partial file; the mask file only when the first slice passed and built the mask
-    assert outcome[0] == ("error", "InputError", message)
-    assert list(outcome[1]) == ([] if chunk == 4096 else ["mask.csv"])
+    # no file: the mask and every other output are written after the last slice
+    assert outcome == (("error", "InputError", message), {})
     if chunk == 4096:
         assert _outcome(_whole_batch_run, config) == outcome
 
@@ -490,7 +498,7 @@ def test_no_command_reads_the_tile_file_whole(small_bundle, tmp_path, monkeypatc
 # --- the stage commands --------------------------------------------------------
 
 def _ref_aggregate(args):
-    """`aggregate` as it stood when it read the tile file whole."""
+    """`aggregate` with the tile file read whole."""
     check_vote_settings(args.k, args.min_votes, args.max_labels)
     catalog = load_catalog(args.catalog)
     tiles = read_tile_predictions(args.predictions)
@@ -500,34 +508,51 @@ def _ref_aggregate(args):
     write_submission(args.out, aggregate_predictions(tiles, catalog, args.k, args.min_votes, args.max_labels))
 
 
-def _ref_geofilter(args):
-    """`geofilter --predictions` as it stood when it read the tile file whole."""
-    catalog = load_catalog(args.catalog)
-    options = GeoOptions(True, (args.ref_lat, args.ref_lon), args.observations, args.regions)
-    mask = compute_geo_mask(options, catalog)
-    tiles = apply_geo_mask(read_tile_predictions(args.predictions), mask).batch
+def _write_mask(args, mask, catalog):
+    """`geofilter`'s mask, to ``--out`` or stdout."""
     if args.out:
         write_species_mask(args.out, mask, catalog)
     else:
         sys.stdout.write(fio.format_species_mask(mask, catalog))
-    write_tile_predictions(args.out_predictions, tiles)
+
+
+def _ref_geofilter(args):
+    """`geofilter --predictions` with the tile file read whole: the mask,
+    then the tile file, then the filtered file and the mask written."""
+    catalog = load_catalog(args.catalog)
+    options = GeoOptions(True, (args.ref_lat, args.ref_lon), args.observations, args.regions)
+    mask = compute_geo_mask(options, catalog)
+    write_tile_predictions(args.out_predictions, apply_geo_mask(read_tile_predictions(args.predictions), mask).batch)
+    _write_mask(args, mask, catalog)
+
+
+def _reweight_side_files(args):
+    return (fio.read_priors(args.priors), fio.read_region_cluster_map(args.region_clusters),
+            read_region_registry(args.registry))
 
 
 def _ref_reweight(args):
-    """`reweight` as it stood when it read the tile file whole."""
-    tiles = read_tile_predictions(args.predictions)
-    priors, region_map = fio.read_priors(args.priors), fio.read_region_cluster_map(args.region_clusters)
-    registry = read_region_registry(args.registry)
-    write_tile_predictions(args.out, apply_priors(tiles, priors, region_map, registry).batch)
+    """`reweight` with the tile file read whole, after its side files."""
+    side = _reweight_side_files(args)
+    write_tile_predictions(args.out, apply_priors(read_tile_predictions(args.predictions), *side).batch)
+
+
+def _assignments(args):
+    """`priors`' assignments, with as many images as ``--k`` clusters at least."""
+    cluster_of_image = fio.read_assignments(args.assignments)
+    if args.k > len(cluster_of_image):
+        raise InputError(f"cannot form {args.k} clusters from {len(cluster_of_image)} assigned images")
+    return cluster_of_image
 
 
 def _ref_priors(args):
-    """`priors` as it stood when it held the tile file and built the images x species matrix."""
+    """`priors` as it stood when it held the tile file and built the images x
+    species matrix, with the assignments read first."""
     options = PriorsOptions(k=args.k, epsilon=args.epsilon)
     catalog = load_catalog(args.catalog)
+    cluster_of_image = _assignments(args)
     tiles = read_tile_predictions(args.predictions)
-    write_priors(args.out, _dense_priors(tiles, fio.read_assignments(args.assignments), len(catalog), options.k,
-                                         options.epsilon))
+    write_priors(args.out, _dense_priors(tiles, cluster_of_image, len(catalog), options.k, options.epsilon))
 
 
 def _first_fault_aggregate(args):
@@ -546,43 +571,32 @@ def _first_fault_aggregate(args):
 
 def _first_fault_geofilter(args):
     """`geofilter --predictions` as the first-fault rule states it: the mask
-    is written once the first slice is filtered, the tile file once every slice is."""
+    is built, every slice filtered, and then the tile file and the mask written."""
     catalog = load_catalog(args.catalog)
     mask = compute_geo_mask(GeoOptions(True, (args.ref_lat, args.ref_lon), args.observations, args.regions), catalog)
-    views = []
     with closing(tile_slices(args.predictions)) as slices:
-        for view in slices:
-            views.append(apply_geo_mask(view, mask).batch)
-            if len(views) == 1 and args.out:
-                write_species_mask(args.out, mask, catalog)
-            elif len(views) == 1:
-                sys.stdout.write(fio.format_species_mask(mask, catalog))
+        views = [apply_geo_mask(view, mask).batch for view in slices]
     write_tile_predictions(args.out_predictions, _joined(views))
+    _write_mask(args, mask, catalog)
 
 
 def _first_fault_reweight(args):
-    """`reweight` as the first-fault rule states it: the side files are read
-    once the first slice is, the tile file written once every slice is reweighted."""
-    views, side = [], None
+    """`reweight` as the first-fault rule states it: the side files are read,
+    every slice reweighted, and then the tile file written."""
+    side = _reweight_side_files(args)
     with closing(tile_slices(args.predictions)) as slices:
-        for view in slices:
-            if side is None:
-                side = (fio.read_priors(args.priors), fio.read_region_cluster_map(args.region_clusters),
-                        read_region_registry(args.registry))
-            views.append(apply_priors(view, *side).batch)
+        views = [apply_priors(view, *side).batch for view in slices]
     write_tile_predictions(args.out, _joined(views))
 
 
 def _first_fault_priors(args):
     """`priors` as the first-fault rule states it: the assignments are read
-    once the first slice is, and each slice's failures raise in turn."""
+    first, and each slice's failures raise in turn."""
     options = PriorsOptions(k=args.k, epsilon=args.epsilon)
     catalog = load_catalog(args.catalog)
-    views, cluster_of_image = [], None
+    cluster_of_image, views = _assignments(args), []
     with closing(tile_slices(args.predictions)) as slices:
         for view in slices:
-            if cluster_of_image is None:
-                cluster_of_image = fio.read_assignments(args.assignments)
             _dense_priors(view, cluster_of_image, len(catalog), options.k, options.epsilon)
             views.append(view)
     write_priors(args.out, _dense_priors(_joined(views), cluster_of_image, len(catalog), options.k, options.epsilon))
@@ -785,13 +799,14 @@ def test_priors_rejects_more_clusters_than_assigned_images(small_bundle, tmp_pat
     assert _priors_outcome(bundle_dir, tmp_path, labels, len(labels))[0] == 0
 
 
-def test_priors_reports_a_bad_tile_record_ahead_of_more_clusters_than_assigned_images(small_bundle, tmp_path):
+def test_priors_reports_more_clusters_than_assigned_images_ahead_of_a_bad_tile_record(small_bundle, tmp_path):
     bundle_dir, _ = small_bundle
     labels = fio.read_assignments(bundle_dir / "labels.csv")
     lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines() + ["{broken"]
-    expected = _priors_outcome(bundle_dir, tmp_path, labels, 3, lines)
-    assert expected[0] == 1 and expected[3] == {} and "cannot form" not in expected[2]
-    assert _priors_outcome(bundle_dir, tmp_path, labels, len(labels) + 1, lines) == expected
+    bad_record = _priors_outcome(bundle_dir, tmp_path, labels, 3, lines)
+    assert bad_record[0] == 1 and bad_record[3] == {} and "invalid JSON" in bad_record[2]
+    message = f"floratile: error: cannot form {len(labels) + 1} clusters from {len(labels)} assigned images\n"
+    assert _priors_outcome(bundle_dir, tmp_path, labels, len(labels) + 1, lines) == (1, "", message, {})
 
 
 def test_aggregate_raises_the_first_failure_of_the_first_failing_slice(small_bundle, tmp_path, monkeypatch):
@@ -815,7 +830,7 @@ def test_aggregate_raises_the_first_failure_of_the_first_failing_slice(small_bun
 
 
 @pytest.mark.parametrize("chunk", [1, 4096])  # every image a slice of its own, or one slice
-def test_reweight_reads_its_side_files_once_the_first_slice_is_read(small_bundle, tmp_path, monkeypatch, chunk):
+def test_reweight_reads_its_side_files_before_the_tile_file(small_bundle, tmp_path, monkeypatch, chunk):
     bundle_dir, _ = small_bundle
     lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
     lines.append(json.dumps(dict(_record("SYN-AA-T99-Q9999", 0), probs=[[1, 1.5]])))  # a bad record, last
@@ -824,7 +839,7 @@ def test_reweight_reads_its_side_files_once_the_first_slice_is_read(small_bundle
     (tmp_path / "priors.ndjson").write_text('{"cluster": 0, "prior": [0.0, 1.0]}\n')  # a bad priors file
     regions = read_region_registry(bundle_dir / "regions.txt").regions
     write_region_cluster_map(tmp_path / "region_clusters.csv", {region: 0 for region in regions})
-    with pytest.raises(InputError) as bad_record:
+    with pytest.raises(InputError):
         read_tile_predictions(predictions)
     with pytest.raises(InputError) as bad_priors:
         fio.read_priors(tmp_path / "priors.ndjson")
@@ -834,9 +849,7 @@ def test_reweight_reads_its_side_files_once_the_first_slice_is_read(small_bundle
     argv = ["reweight", "--predictions", str(predictions), "--priors", str(tmp_path / "priors.ndjson"),
             "--region-clusters", str(tmp_path / "region_clusters.csv"), "--registry", str(bundle_dir / "regions.txt"),
             "--out", str(out / "reweighted.ndjson")]
-    # one slice holds the bad record, so it is met first, as when the file was read whole
-    error = bad_record.value if chunk == 4096 else bad_priors.value
-    assert _command_outcome(main, argv, out) == (1, "", f"floratile: error: {error}\n", {})
+    assert _command_outcome(main, argv, out) == (1, "", f"floratile: error: {bad_priors.value}\n", {})
 
 
 @pytest.mark.parametrize("command", ["run", "aggregate", "geofilter", "priors", "reweight"])
@@ -881,6 +894,78 @@ def test_a_fault_in_the_first_slice_reads_no_further(small_bundle, tmp_path, mon
         assert main(argv) == 1
     assert stderr.getvalue().startswith("floratile: error: ")
     assert draws == [[first["image_id"]]]
+
+
+# a side input made bad, by case: (file, its text, or None to remove it); every other input is good
+SIDE_INPUT_FAULTS = {
+    "run --geo, bad observations": ("observations.csv", "species_id,lat,lon\n3,91.5,2.0\n"),
+    "run --priors, truncated embeddings": ("embeddings.ndjson", '{"image_id": "SYN-AA-T00-Q0000", "vec'),
+    "run --priors, empty registry": ("regions.txt", "\n"),
+    "run --truth, no such file": ("truth.csv", None),
+    "priors, bad assignments": ("labels.csv", "image_id,cluster\nSYN-AA,x\n"),
+    "reweight, bad priors": ("priors.ndjson", '{"cluster": 0, "prior": [0.0, 1.0]}\n'),
+    "geofilter --predictions, bad regions": ("geo_regions.json", "[]\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(SIDE_INPUT_FAULTS))
+def test_a_bad_side_input_is_reported_before_the_tile_file_is_read(small_bundle, tmp_path, monkeypatch, case):
+    bundle_dir, _ = small_bundle
+    for name in ("catalog.csv", "observations.csv", "embeddings.ndjson", "regions.txt", "truth.csv", "labels.csv",
+                 "geo_regions.json"):
+        shutil.copy(bundle_dir / name, tmp_path)
+    write_priors(tmp_path / "priors.ndjson", ClusterPriors(np.full((2, SPEC.n_species), 1 / SPEC.n_species)))
+    regions = read_region_registry(bundle_dir / "regions.txt").regions
+    write_region_cluster_map(tmp_path / "region_clusters.csv", {region: n % 2 for n, region in enumerate(regions)})
+    name, text = SIDE_INPUT_FAULTS[case]
+    bad = tmp_path / name
+    if text is None:
+        bad.unlink()
+    else:
+        bad.write_text(text)
+    predictions = tmp_path / "predictions.ndjson"  # its first line unreadable
+    predictions.write_text('{"image_id": "SYN-AA-T00-Q0000", "row"\n'
+                           + (bundle_dir / "tile_predictions.ndjson").read_text())
+    reads = []
+
+    def counted(path):  # a generator: the body runs when the first slice is asked for
+        reads.append(path)
+        yield from tile_slices(path)
+
+    monkeypatch.setattr(fio, "tile_slices", counted)
+    monkeypatch.setattr(pipeline, "tile_slices", counted)
+    t = lambda name: str(tmp_path / name)
+    out = tmp_path / "out"
+    out.mkdir()
+    command = case.partition(",")[0].split()[0]
+    argv = {
+        "run": ["run", "--mode", "tiling", "--grid", "2x3", "--registry", t("regions.txt"), "--truth", t("truth.csv"),
+                "--geo", "--observations", t("observations.csv"), "--geo-regions", t("geo_regions.json"),
+                "--priors", "--embeddings", t("embeddings.ndjson"), "--priors-k", "2", "--out", str(out)],
+        "priors": ["priors", "--assignments", t("labels.csv"), "--k", "2", "--out", str(out / "priors.ndjson")],
+        "reweight": ["reweight", "--priors", t("priors.ndjson"), "--registry", t("regions.txt"),
+                     "--region-clusters", t("region_clusters.csv"), "--out", str(out / "reweighted.ndjson")],
+        "geofilter": ["geofilter", "--observations", t("observations.csv"), "--regions", t("geo_regions.json"),
+                      "--out", str(out / "mask.csv"), "--out-predictions", str(out / "masked.ndjson")],
+    }[command] + ["--predictions", str(predictions)] + (["--catalog", t("catalog.csv")] if command != "reweight" else [])
+    code, stdout, stderr, files = _command_outcome(main, argv, out)
+    assert (code, stdout, files) == (1, "", {})
+    assert stderr.startswith(f"floratile: error: {bad}")
+    assert reads == []
+
+
+def test_run_scores_before_it_writes(small_bundle, tmp_path):
+    bundle_dir, _ = small_bundle
+    truth = (bundle_dir / "truth.csv").read_text()
+    (tmp_path / "truth.csv").write_text(truth + "SYN-AA-T99-Q9999,T99,not-a-species\n")  # a bad last row
+    shutil.copy(bundle_dir / "observations.csv", tmp_path)
+    out = tmp_path / "out"
+    config = _config(bundle_dir, tmp_path, dict(mode="tiling", geo=True, priors=False, keep_intermediates=True))
+    config = replace(config, predictions_path=str(bundle_dir / "tile_predictions.ndjson"),
+                     truth_path=str(tmp_path / "truth.csv"))
+    with pytest.raises(InputError, match=rf"^{tmp_path / 'truth.csv'}:{truth.count(chr(10)) + 1}: "):
+        run(config)
+    assert list(out.iterdir()) == []  # no submission, mask or masked file
 
 
 @pytest.mark.parametrize("command", ["geofilter", "reweight"])
