@@ -27,7 +27,7 @@ from typing import List, Mapping, NamedTuple, Optional
 from . import io as fio
 from .batch import encodable
 from .catalog import load_catalog, parse_region
-from .clustering import check_kmeans_settings, dominant_cluster, kmeans
+from .clustering import check_kmeans_settings, check_region_map, dominant_cluster, kmeans
 from .errors import FloratileError, InputError, InvariantViolation
 from .geo import DEFAULT_REFERENCE_POINT
 from .pipeline import (
@@ -40,7 +40,6 @@ from .pipeline import (
     Vote,
     apply_geo_mask,
     apply_priors,
-    check_species_indices,
     compute_geo_mask,
     run,
     score_submission,
@@ -101,7 +100,6 @@ def _cmd_aggregate(args) -> int:
     vote = Vote(catalog, args.k, args.min_votes, args.max_labels)
     stream(fio.tile_slices(args.predictions), [
         args.grid is not None and (lambda view: validate_grid(view, args.grid)),
-        lambda view: check_species_indices(view, len(catalog)),
         vote.add,
     ])
     fio.write_submission(args.out, vote.rows())
@@ -165,6 +163,7 @@ def _cmd_priors(args) -> int:
 def _cmd_reweight(args) -> int:
     priors, region_map = fio.read_priors(args.priors), fio.read_region_cluster_map(args.region_clusters)
     registry = fio.read_region_registry(args.registry)
+    check_region_map(region_map, priors.k)
     with fio.StagedTileFile(args.out) as out:
         stream(fio.tile_slices(args.predictions), [
             lambda view: apply_priors(view, priors, region_map, registry).batch,

@@ -10,7 +10,7 @@ before renormalizing over the tile's support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
@@ -161,6 +161,13 @@ def dominant_cluster(assignments: Sequence[int], regions: Sequence[str]) -> Dict
     }
 
 
+def check_region_map(region_map: Mapping[str, int], k: int):
+    """Every cluster of a region-to-cluster map must be one of ``k`` prior rows; the first that is not fails."""
+    for region, cluster in region_map.items():
+        if not 0 <= cluster < k:
+            raise InputError(f"region {region!r} maps to cluster {cluster}; priors have rows 0..{k - 1}")
+
+
 def estimate_priors(
     image_probs: np.ndarray,
     assignments: Sequence[int],
@@ -183,21 +190,24 @@ def estimate_priors(
         raise InputError(f"epsilon must be finite and >= 0, got {epsilon}")
     if len(assignments) != vectors.shape[0]:
         raise InputError(f"{len(assignments)} assignments for {vectors.shape[0]} vectors")
-    check_image_vectors(vectors, assignments, k)
+    check_assignments(assignments, k)
+    check_image_vectors(vectors)
     assignments = np.asarray(assignments, dtype=np.int64)
     sums = np.zeros((k, vectors.shape[1]))
     np.add.at(sums, assignments, vectors)  # row by row in order, as mean(axis=0) adds them
     return smoothed_priors(sums, np.bincount(assignments, minlength=k), epsilon)
 
 
-def check_image_vectors(vectors: np.ndarray, assignments: Sequence[int], k: int, first_row: int = 0):
-    """``estimate_priors``' checks, in its order: the first assignment
-    outside ``0..k-1``, then the first image vector whose sum is not one (its
-    row counted from ``first_row``). The assignments are checked as Python
-    ints, so one past int64 is reported too."""
+def check_assignments(assignments: Iterable[int], k: int):
+    """The first assignment outside ``0..k-1`` fails; checked as Python ints,
+    so one past int64 is reported too."""
     outside = next((a for a in map(int, assignments) if not 0 <= a < k), None)
     if outside is not None:
         raise InputError(f"assignment {outside} outside clusters 0..{k - 1}")
+
+
+def check_image_vectors(vectors: np.ndarray, first_row: int = 0):
+    """The first image vector whose sum is not one fails, its row counted from ``first_row``."""
     sums = vectors.sum(axis=1)
     bad = first(np.abs(sums - 1.0) > _VECTOR_SUM_TOL)
     if bad is not None:
@@ -220,21 +230,16 @@ def reweight_entries(idx, prob, tile, n_tiles: int, priors: np.ndarray, cluster_
     """Prior reweighting over flat entries grouped by ``tile``.
 
     Each probability is multiplied by ``priors[cluster_of_tile[tile], idx]``
-    and renormalised over its tile. Returns ``(prob, failures)``: the
-    ``raise_first`` failures of an index outside the prior, of a product of
-    two positive factors that underflows to zero (an input error, named by
+    and renormalised over its tile; every index must lie inside the prior,
+    as ``pipeline.check_species_indices`` checks first. Returns ``(prob,
+    failures)``: the ``raise_first`` failures of a product of two positive
+    factors that underflows to zero (an input error, named by
     ``tile_name(tile)``) and of a tile whose reweighted mass is zero, in the
     order the checks run per tile.
     """
-    size = priors.shape[1]
-    outside = (idx < 0) | (idx >= size)
-    factor = priors[cluster_of_tile[tile], np.where(outside, 0, idx)]
+    factor = priors[cluster_of_tile[tile], idx]
     weighted = prob * factor
     total = np.bincount(tile, weights=weighted, minlength=n_tiles)
-    j = first(outside)
-    range_failure = (None, None)
-    if j is not None:
-        range_failure = (int(tile[j]), InputError(f"dense index {int(idx[j])} outside prior of size {size}"))
     j = first((weighted == 0.0) & (prob > 0.0) & (factor > 0.0))
     underflow_failure = (None, None)
     if j is not None:
@@ -246,7 +251,7 @@ def reweight_entries(idx, prob, tile, n_tiles: int, priors: np.ndarray, cluster_
         first(total <= 0.0), InvariantViolation("reweighted mass is zero; prior must be epsilon-smoothed")
     )
     with np.errstate(divide="ignore", invalid="ignore"):
-        return weighted / total[tile], (range_failure, underflow_failure, zero_failure)
+        return weighted / total[tile], (underflow_failure, zero_failure)
 
 
 def reweight(tile_probs, prior: np.ndarray):
@@ -259,6 +264,9 @@ def reweight(tile_probs, prior: np.ndarray):
     if not tile_probs:
         return []
     idx, prob = entry_arrays(tile_probs)
+    j = first((idx < 0) | (idx >= priors.shape[1]))
+    if j is not None:
+        raise InputError(f"dense index {int(idx[j])} outside prior of size {priors.shape[1]}")
     tile = np.zeros(idx.shape[0], dtype=np.int64)
     out, failures = reweight_entries(idx, prob, tile, 1, priors, np.zeros(1, dtype=np.int64))
     raise_first(*failures)

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .batch import entry_arrays, first, raise_first
+from .batch import entry_arrays, first
 from .catalog import SpeciesCatalog
 from .errors import InputError, InvariantViolation
 
@@ -181,18 +181,6 @@ def build_mask(
     return SpeciesMask(allowed=allowed, allowed_count=count)
 
 
-def allowed_entries(idx, tile, allowed: np.ndarray):
-    """Which entries, grouped by ``tile``, the mask allows, and the
-    ``raise_first`` failure of the first index outside it."""
-    size = allowed.shape[0]
-    outside = (idx < 0) | (idx >= size)
-    j = first(outside)
-    failure = (None, None)
-    if j is not None:
-        failure = (int(tile[j]), InputError(f"dense index {int(idx[j])} outside mask of size {size}"))
-    return np.take(allowed, idx, mode="clip") & ~outside, failure
-
-
 def renormalise(prob, tile, n_tiles: int):
     """``prob``, grouped by ``tile``, divided in place by each tile's total
     and returned; a tile whose total is zero keeps its values."""
@@ -208,7 +196,9 @@ def apply_mask(probs, mask: SpeciesMask):
     such a tile, and rejects an image that loses every tile.
     """
     idx, prob = entry_arrays(probs)
-    tile = np.zeros(idx.shape[0], dtype=np.int64)
-    keep, failure = allowed_entries(idx, tile, mask.allowed)
-    raise_first(failure)
-    return list(zip(idx[keep].tolist(), renormalise(prob[keep], tile[keep], 1).tolist()))
+    j = first((idx < 0) | (idx >= mask.allowed.shape[0]))
+    if j is not None:
+        raise InputError(f"dense index {int(idx[j])} outside mask of size {mask.allowed.shape[0]}")
+    keep = mask.allowed[idx]
+    tile = np.zeros(np.count_nonzero(keep), dtype=np.int64)
+    return list(zip(idx[keep].tolist(), renormalise(prob[keep], tile, 1).tolist()))

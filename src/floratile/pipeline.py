@@ -30,10 +30,12 @@ Every run and stage command keeps one order. It reads and checks every
 input but the tile file: the catalog, the truth file's header and first
 row, the training counts, the geo mask's observations and regions, and
 the priors' registry and embeddings, which it projects and clusters. It
-then streams the tile file, and writes its outputs last. In the stream it
-raises the first failure it meets and reads no further: slice by slice,
-stage by stage within a slice (grid, species index, mask apply, masked
-file, prior sums, vote), and the first tile within a stage. A priors run
+then makes ``run``'s ``--out``, streams the tile file, and writes its
+outputs last. In the stream it raises the first failure it meets and reads
+no further: slice by slice, stage by stage within a slice (grid, species
+index, mask apply, masked file, prior sums, vote), and the first tile
+within a stage. The species index is not a stage of the list: each stage
+that looks an index up calls ``check_species_indices`` first. A priors run
 adds each checked and masked slice to the per-cluster sums of
 ``PriorSums`` and holds it in a list; after the last slice it streams the
 list through the reweight and the vote, so the list holds every slice
@@ -60,7 +62,9 @@ from .batch import ImageTiles, TileBatch, as_batch, first, raise_first
 from .catalog import RegionRegistry, SpeciesCatalog, load_catalog, parse_region
 from .clustering import (
     ClusterPriors,
+    check_assignments,
     check_image_vectors,
+    check_region_map,
     dominant_cluster,
     kmeans,
     reweight_entries,
@@ -70,7 +74,6 @@ from .errors import InputError
 from .geo import (
     DEFAULT_REFERENCE_POINT,
     SpeciesMask,
-    allowed_entries,
     build_mask,
     nearest_per_species,
     renormalise,
@@ -223,14 +226,17 @@ def validate_grid(tiles: TileBatch, grid: GridSpec):
 
 
 def check_species_indices(tiles: TileBatch, n_species: int):
-    """Every dense species index must lie inside a catalog of ``n_species``."""
+    """The species-index stage: every dense index must lie in ``0..n_species - 1``,
+    the width of the table the caller looks it up in (the mask, a prior row or
+    the catalog, each one entry per catalog species). The first one outside
+    raises; a good batch passes on its ``min()`` and ``max()`` without allocating."""
     batch = as_batch(tiles)
-    j = first(batch.idx >= n_species)
-    if j is not None:
-        image_id = batch.image_ids[batch.image[batch.tile_of(j)]]
-        raise InputError(
-            f"species index {int(batch.idx[j])} in {image_id!r} exceeds catalog size {n_species}"
-        )
+    idx = batch.idx
+    if not idx.size or (idx.min() >= 0 and idx.max() < n_species):
+        return
+    j = first((idx < 0) | (idx >= n_species))
+    image_id = batch.image_ids[batch.image[batch.tile_of(j)]]
+    raise InputError(f"species index {int(idx[j])} in {image_id!r} exceeds catalog size {n_species}")
 
 
 def image_probability_vectors(tiles, n_species: int) -> Tuple[List[str], np.ndarray]:
@@ -258,15 +264,17 @@ class PriorSums:
     order (``np.add.at``; a bincount over (cluster, species) keys would
     reorder the additions), as ``estimate_priors`` adds the dense rows, so
     ``priors`` gives its bytes while only a slice's vectors are held. It is
-    built from the assignments before the tile file is read, so a ``k``
-    above their number raises first. ``add``, a stream stage, raises the
-    first failure of its slice: a species index past the catalog, then the
-    first five of its images without a cluster, then ``check_image_vectors``'.
+    built from the assignments before the tile file is read, so a ``k`` above
+    their number, then any cluster outside ``0..k-1``, raises first. ``add``,
+    a stream stage, raises the first failure of its slice: a species index
+    past the catalog, then the first five of its images without a cluster,
+    then ``check_image_vectors``'.
     """
 
     def __init__(self, cluster_of_image: Mapping[str, int], n_species: int, k: int):
         if k > len(cluster_of_image):
             raise InputError(f"cannot form {k} clusters from {len(cluster_of_image)} assigned images")
+        check_assignments(cluster_of_image.values(), k)
         self.cluster_of_image, self.k, self.n_images = cluster_of_image, k, 0
         self.sums, self.counts = np.zeros((k, n_species)), np.zeros(k, dtype=np.int64)
 
@@ -276,10 +284,9 @@ class PriorSums:
         missing = [i for i in ids if i not in self.cluster_of_image]
         if missing:
             raise InputError(f"no cluster assignment for predicted image(s): {missing[:5]}")
-        clusters = [self.cluster_of_image[i] for i in ids]
-        check_image_vectors(vectors, clusters, self.k, self.n_images)
+        check_image_vectors(vectors, self.n_images)
         self.n_images += len(ids)
-        clusters = np.array(clusters, dtype=np.int64)
+        clusters = np.array([self.cluster_of_image[i] for i in ids], dtype=np.int64)
         np.add.at(self.sums, clusters, vectors)
         self.counts += np.bincount(clusters, minlength=self.k)
 
@@ -298,21 +305,17 @@ def apply_geo_mask(tiles: TileBatch, mask: SpeciesMask) -> ImageTiles:
     """Filter every tile through the mask and renormalize; tiles losing all
     species drop out, and an image losing every tile is an input error.
 
-    The batch counts what its tiles keep and raises its first failure, an
-    index outside the mask or an image the mask empties (reported at its last
-    tile), before it hands ``TileBatch.derive`` the kept entries."""
+    The batch runs ``check_species_indices`` against the mask first, then
+    counts what its tiles keep and raises for the first image the mask
+    empties, before it hands ``TileBatch.derive`` the kept entries."""
     batch = as_batch(tiles)
+    check_species_indices(batch, mask.allowed.shape[0])
     tile = batch.tile_keys()
-    kept, outside = allowed_entries(batch.idx, tile, mask.allowed)
+    kept = mask.allowed[batch.idx]
     counts = np.bincount(tile, weights=kept, minlength=len(batch))  # exact counts
     emptied = first(np.bincount(batch.image, weights=counts, minlength=len(batch.image_ids)) == 0)
-    empty_failure = (None, None)
     if emptied is not None:
-        empty_failure = (
-            int(batch.image_offsets[emptied + 1]) - 1,
-            InputError(f"geolocation mask removed every species of every tile of {batch.image_ids[emptied]!r}"),
-        )
-    raise_first(outside, empty_failure)
+        raise InputError(f"geolocation mask removed every species of every tile of {batch.image_ids[emptied]!r}")
     prob = renormalise(batch.prob[kept], tile[kept], len(batch))
     return ImageTiles(batch.derive(counts, batch.idx[kept], prob))
 
@@ -325,24 +328,24 @@ def apply_priors(
 ) -> ImageTiles:
     """Reweight every tile by the prior of its region's dominant cluster.
 
-    The batch raises its first failure before it hands ``TileBatch.derive``
-    its entries with the new probabilities. An image without a usable
-    cluster fails at its first tile, ahead of that tile's reweight failures;
+    ``check_region_map`` and ``check_species_indices`` run first. The batch
+    then raises its first failure before it hands ``TileBatch.derive`` its
+    entries with the new probabilities. An image without a cluster in the
+    map fails at its first tile, ahead of that tile's reweight failures;
     only the images before it are reweighted, so an earlier tile's failure wins."""
     batch = as_batch(tiles)
+    check_region_map(region_map, priors.k)
+    check_species_indices(batch, priors.n_species)
     clusters, region_failure = [], (None, None)
     for i, image_id in enumerate(batch.image_ids):
         try:
             region = parse_region(image_id, registry)
             if region not in region_map:
                 raise InputError(f"region {region!r} has no dominant cluster in the map")
-            cluster = region_map[region]
-            if not 0 <= cluster < priors.k:
-                raise InputError(f"region {region!r} maps to cluster {cluster}; priors have rows 0..{priors.k - 1}")
         except InputError as exc:
             region_failure = (int(batch.image_offsets[i]), exc)
             break
-        clusters.append(cluster)
+        clusters.append(region_map[region])
     head = batch.images(0, len(clusters))  # the images ahead of the first without a cluster
     weighted, found = reweight_entries(
         head.idx, head.prob, head.tile_keys(), len(head), priors.priors,
@@ -381,20 +384,17 @@ class Vote:
         self._rows: List[SubmissionRow] = []
 
     def add(self, batch: TileBatch):
-        """Vote ``batch``, a row per image; a chosen label past the catalog
-        raises for the batch's first such image in quadrat-id order. The tally
-        and ranking hold about six int64 columns of the batch's entries, the
-        most of any pass (``test_vote_memory_is_set_by_a_slice_not_by_the_batch``)."""
+        """Vote ``batch``, a row per image, once ``check_species_indices``
+        passes it against the catalog. The tally and ranking hold about six
+        int64 columns of the batch's entries, the most of any pass
+        (``test_vote_memory_is_set_by_a_slice_not_by_the_batch``)."""
+        check_species_indices(batch, len(self.catalog))
         if not batch.image_ids:
             return
         image, idx, votes, mass = tally_batch(batch, self.k)
         chosen = rank_labels(image, idx, votes, mass, self.min_votes, self.max_labels)
         image, idx = image[chosen], idx[chosen]
         species_ids = self.catalog.species_ids
-        outside = np.flatnonzero(idx >= len(species_ids)).tolist()
-        if outside:
-            j = min(outside, key=lambda j: batch.image_ids[image[j]])  # the first such key of that image
-            self.catalog.species_id(int(idx[j]))  # raises: the label is past the catalog
         labels = [species_ids[i] for i in idx.tolist()]
         bounds = np.searchsorted(image, np.arange(len(batch.image_ids) + 1)).tolist()
         # the vote gives every image at least one key, each species once
@@ -434,11 +434,12 @@ def stream(slices, stages):
 
 
 @contextmanager
-def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path):
+def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog):
     """The submission rows of a tiling or no-tiling run, in the module
-    docstring's order: the geo mask and the priors' clusters, then the tile
-    file, then the held slices' reweight. The intermediates are written, and
-    the staged tile files committed, as the ``with`` block ends without error."""
+    docstring's order: the geo mask and the priors' clusters, then ``--out``
+    made and the tile file streamed, then the held slices' reweight. The
+    intermediates are written, and the staged tile files committed, as the
+    ``with`` block ends without error."""
     keep, geo, with_priors = config.keep_intermediates, config.geo.enabled, config.priors.enabled
     vote = Vote(catalog, config.k_per_tile, config.min_votes, config.max_labels)
     mask = compute_geo_mask(config.geo, catalog) if geo else None
@@ -449,12 +450,11 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path):
         model = kmeans(projection.points, config.priors.k, seed=config.seed)
         region_map = dominant_cluster(model.assignments, [parse_region(i, registry) for i in embeddings.image_ids])
         sums = PriorSums(dict(zip(embeddings.image_ids, model.assignments.tolist())), len(catalog), config.priors.k)
-    held = []
+    out_dir, held = _make_dir(config.out_dir), []  # --out, once every side input has passed
     with StagedTileFile(out_dir / "masked_predictions.ndjson") as masked, \
             StagedTileFile(out_dir / "reweighted_predictions.ndjson") as reweighted:
         stream(tile_slices(config.predictions_path), [
             lambda view: validate_grid(view, config.grid),
-            lambda view: check_species_indices(view, len(catalog)),
             geo and (lambda view: apply_geo_mask(view, mask).batch),
             geo and keep and masked.write,
             with_priors and sums.add,
@@ -481,7 +481,6 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog, out_dir: Path):
 
 def run(config: RunConfig) -> RunResult:
     config = config.resolved()
-    out_dir = _make_dir(config.out_dir)
     catalog = load_catalog(config.catalog_path)
     report = report_path = None
     with ExitStack() as inputs:
@@ -490,18 +489,19 @@ def run(config: RunConfig) -> RunResult:
             truth = chain([next(truth)], truth)
         if config.mode == "baseline":
             labels = tuple(naive_baseline(read_training_counts(config.training_counts_path), config.baseline_k))
+            _make_dir(config.out_dir)
             with closing(tile_slices(config.predictions_path)) as slices:
                 quadrats = sorted(image_id for view in slices for image_id in view.image_ids)
             rows = [SubmissionRow(quadrat_id=q, species_ids=labels) for q in quadrats]
         else:
-            rows = inputs.enter_context(_tiled_rows(config, catalog, out_dir))
+            rows = inputs.enter_context(_tiled_rows(config, catalog))
         if config.truth_path:
             report = score_rows({row.quadrat_id: row.species_ids for row in rows}, truth)
 
-    submission_path = out_dir / "submission.csv"
+    submission_path = Path(config.out_dir) / "submission.csv"
     write_submission(submission_path, rows)
     if report is not None:
-        report_path = out_dir / "score_report.json"
+        report_path = Path(config.out_dir) / "score_report.json"
         write_score_report(report_path, report)
 
     return RunResult(

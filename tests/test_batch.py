@@ -41,7 +41,7 @@ from floratile.pipeline import (
 )
 from floratile.synth import SynthSpec, generate, write_bundle
 from floratile.tiling import GridSpec
-from floratile.voting import VoteTally, rank_labels, select_labels, tally_batch, tally_votes
+from floratile.voting import VoteTally, check_vote_settings, rank_labels, select_labels, tally_batch, tally_votes
 
 
 # --- reference implementations (list-based) -------------------------------
@@ -105,6 +105,16 @@ def _ref_validate_grid(grouped: Mapping[str, Sequence[TilePrediction]], grid: Gr
             seen.add((t.row, t.col))
 
 
+def _ref_check_species_indices(grouped, n_species):
+    # added: the species-index stage, which every stage that looks an index
+    # up now runs over its whole input first, in place of its own range check
+    for image_id, tiles in grouped.items():
+        for t in tiles:
+            for idx, _ in t.probs:
+                if not 0 <= idx < n_species:
+                    raise InputError(f"species index {idx} in {image_id!r} exceeds catalog size {n_species}")
+
+
 def _ref_apply_mask(probs, mask: SpeciesMask, renormalize: bool = True):
     size = mask.allowed.shape[0]
     kept = []
@@ -123,6 +133,7 @@ def _ref_apply_mask(probs, mask: SpeciesMask, renormalize: bool = True):
 
 
 def _ref_apply_geo_mask(grouped, mask):
+    _ref_check_species_indices(grouped, mask.allowed.shape[0])  # added: the index check runs first
     out: Dict[str, List[TilePrediction]] = {}
     for image_id, tiles in grouped.items():
         kept: List[TilePrediction] = []
@@ -157,6 +168,7 @@ def _ref_reweight(tile_probs, prior: np.ndarray):
 
 
 def _ref_apply_priors(grouped, priors, region_map, registry):
+    _ref_check_species_indices(grouped, priors.n_species)  # added: the index check runs first
     out: Dict[str, List[TilePrediction]] = {}
     for image_id, tiles in grouped.items():
         region = parse_region(image_id, registry)
@@ -221,7 +233,10 @@ def _ref_select_labels(tally, min_votes=2, max_labels=10):
 
 
 def _ref_aggregate_predictions(grouped, catalog, k, min_votes, max_labels):
-    # the thread-pool branch is left out: results never depended on it
+    # the thread-pool branch is left out: results never depended on it; the
+    # vote settings, then every index, tallied or not, are checked first (added)
+    check_vote_settings(k, min_votes, max_labels)
+    _ref_check_species_indices(grouped, len(catalog))
     rows = []
     for image_id in sorted(grouped):
         tally = _ref_tally_votes(grouped[image_id], k)
@@ -421,27 +436,30 @@ def test_stage_errors_follow_the_per_tile_order():
     priors = ClusterPriors(np.array([[0.0, 0.5, 0.5]]))
     registry = RegionRegistry(regions=("img",))
     cases = [
-        # an index outside the prior and a zero mass in one tile: the index check ran first
+        # an index outside the prior and a zero mass in one tile: the index check runs first
         group_by_image([_tp("img0", 0, [(0, 0.5), (5, 0.5)])]),
         # a zero-mass tile ahead of an image with no region
         group_by_image([_tp("img0", 0, [(0, 0.5)]), _tp("zz1", 0, [(1, 0.5)])]),
         # an image with no region ahead of a zero-mass tile
         group_by_image([_tp("zz1", 0, [(1, 0.5)]), _tp("img0", 0, [(0, 0.5)])]),
     ]
-    for grouped in cases:
+    messages = ["species index 5 in 'img0' exceeds catalog size 3", "reweighted mass is zero",
+                "no registered region is a prefix of quadrat id 'zz1'"]
+    for grouped, message in zip(cases, messages):
         got = _outcome(apply_priors, grouped, priors, {"img": 0}, registry)
-        assert got[0] == "error"
+        assert got[0] == "error" and message in got[2]
         assert got == _outcome(_ref_apply_priors, grouped, priors, {"img": 0}, registry)
     mask = SpeciesMask(allowed=np.array([True, False]), allowed_count=1)
-    for grouped in (group_by_image([_tp("a", 0, [(1, 0.5)]), _tp("b", 0, [(4, 0.5)])]),
-                    group_by_image([_tp("a", 0, [(1, 0.5)]), _tp("a", 1, [(4, 0.5)])])):
+    # image a is emptied ahead of the index outside the mask, but the index check runs first
+    for grouped, image_id in ((group_by_image([_tp("a", 0, [(1, 0.5)]), _tp("b", 0, [(4, 0.5)])]), "b"),
+                              (group_by_image([_tp("a", 0, [(1, 0.5)]), _tp("a", 1, [(4, 0.5)])]), "a")):
         got = _outcome(apply_geo_mask, grouped, mask)
-        assert got[0] == "error"
+        assert got == ("error", "InputError", f"species index 4 in {image_id!r} exceeds catalog size 2")
         assert got == _outcome(_ref_apply_geo_mask, grouped, mask)
 
 
 @pytest.mark.parametrize("stage,first_images,message", [
-    ("geo", [_tp("img0", 0, [(1, 0.5), (7, 0.25)])], "dense index 7 outside mask"),
+    ("geo", [_tp("img0", 0, [(1, 0.5), (7, 0.25)])], "species index 7 in 'img0' exceeds catalog size 2"),
     ("geo", [_tp("img0", 0, [(0, 0.5)])], "removed every species of every tile of 'img0'"),
     ("priors", [_tp("img0", 0, [(0, 0.5)])], "reweighted mass is zero"),
     # the zero mass comes ahead of an image with no region
@@ -457,7 +475,7 @@ def test_stages_stop_at_the_first_slice_that_fails(monkeypatch, stage, first_ima
             return fn(*args)
         return call
 
-    for fn in (fpipeline.allowed_entries, fpipeline.reweight_entries):
+    for fn in (fpipeline.check_species_indices, fpipeline.reweight_entries):
         monkeypatch.setattr(fpipeline, fn.__name__, counted(fn))
     monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # one image per slice
     with pytest.raises((InputError, InvariantViolation), match=message):
@@ -466,7 +484,8 @@ def test_stages_stop_at_the_first_slice_that_fails(monkeypatch, stage, first_ima
         else:
             apply_priors(grouped, ClusterPriors(np.array([[0.0, 0.5, 0.5]])), {"img": 0},
                          RegionRegistry(regions=("img",)))
-    assert calls == ["allowed_entries" if stage == "geo" else "reweight_entries"]  # no later slice's
+    # no later slice's
+    assert calls == ["check_species_indices"] + ([] if stage == "geo" else ["reweight_entries"])
 
 
 def _voted(slices, catalog, k, min_votes, max_labels):
@@ -477,14 +496,32 @@ def _voted(slices, catalog, k, min_votes, max_labels):
     return vote.rows()
 
 
-def test_vote_names_the_first_quadrat_past_the_catalog_of_the_first_failing_slice():
+def test_vote_names_the_first_index_past_the_catalog_in_file_order():
     tiles = [_tp("b", 0, [(9, 0.5)]), _tp("c", 0, [(1, 0.5)]), _tp("a", 0, [(2, 0.5), (8, 0.25)])]
     batch = TileBatch.from_tiles(tiles)
     slices = [batch.images(i, i + 1) for i in range(len(batch.image_ids))]  # "b", "c", then "a"
-    with pytest.raises(InputError, match=r"^dense index 9 out of range 0\.\.2$"):  # "b", in the first slice
-        _voted(slices, SpeciesCatalog([10, 11, 12]), 9, 1, 10)
-    with pytest.raises(InputError, match=r"^dense index 8 out of range 0\.\.2$"):  # "a", first by quadrat id
-        _voted([batch], SpeciesCatalog([10, 11, 12]), 9, 1, 10)
+    for views in (slices, [batch]):  # "b", first in the file, whether or not it is a slice of its own
+        with pytest.raises(InputError, match=r"^species index 9 in 'b' exceeds catalog size 3$"):
+            _voted(views, SpeciesCatalog([10, 11, 12]), 9, 1, 10)
+
+
+def test_vote_rejects_an_index_past_the_catalog_that_it_does_not_choose():
+    grouped = group_by_image([_tp("a", 0, [(0, 0.5), (5, 0.25)]), _tp("a", 1, [(0, 0.5)])])
+    catalog = _catalog(3)
+    expected = ("error", "InputError", "species index 5 in 'a' exceeds catalog size 3")
+    assert _outcome(aggregate_predictions, grouped, catalog, 1, 1, 10) == expected  # k = 1: index 5 gets no vote
+    assert _outcome(_ref_aggregate_predictions, grouped, catalog, 1, 1, 10) == expected
+
+
+def test_every_stage_rejects_a_negative_index_of_a_hand_built_batch():
+    batch = TileBatch.from_columns(["a"], [0], [0], [0], [False], [2], [-1, 1], [0.5, 0.25])  # the reader rejects -1
+    message = r"^species index -1 in 'a' exceeds catalog size 3$"
+    for stage in (lambda: apply_geo_mask(batch, SpeciesMask(allowed=np.ones(3, dtype=bool), allowed_count=3)),
+                  lambda: apply_priors(batch, ClusterPriors(np.full((1, 3), 1 / 3)), {"a": 0}, RegionRegistry(("a",))),
+                  lambda: aggregate_predictions(batch, _catalog(3), 9, 1, 10),
+                  lambda: image_probability_vectors(batch, 3)):
+        with pytest.raises(InputError, match=message):
+            stage()
 
 
 def test_group_by_image_keeps_tiles_of_interleaved_images_in_order():
@@ -523,21 +560,35 @@ def _sliced_reads(path):
     return [_outcome(read_tile_predictions, path)] + [_outcome(joined, bound) for bound in SLICE_BOUNDS]
 
 
-def _sliced(fn, tiles, *args):
-    """``_outcome`` of ``fn`` on the batch of ``tiles``, then, at each of
-    ``SLICE_BOUNDS``, of ``fn`` on each slice of a tile file of them in turn,
-    as a command that walks the reader's slices calls it: the first slice's
-    failure, or the slices' image -> tiles outputs joined (None for a check)."""
-    grouped = group_by_image(tiles)
+def _ref_grouped(tiles):
+    """The list-based grouping of ``tiles``, a list of tiles or a batch."""
+    return _ref_group_by_image(list(tiles))
+
+
+def _sliced(fn, tiles, *args, group=group_by_image):
+    """``_outcome`` of ``fn`` on ``group(tiles)``, then, at each of
+    ``SLICE_BOUNDS``, of ``fn`` on ``group`` of each slice of a tile file of
+    them in turn, as a command that walks the reader's slices calls it: the
+    first slice's failure, or the slices' image -> tiles outputs joined (None
+    for a check). ``group=_ref_grouped`` runs a list-based reference on the
+    same slices."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "tiles.ndjson"
-        write_tile_predictions(path, grouped.batch)
+        write_tile_predictions(path, group_by_image(tiles).batch)
 
         def joined(bound):
-            outputs = [fn(view, *args) for view in _read_slices(path, bound)]
+            outputs = [fn(group(view), *args) for view in _read_slices(path, bound)]
             return None if outputs[0] is None else {i: t for out in outputs for i, t in out.items()}
 
-        return [_outcome(fn, grouped, *args)] + [_outcome(joined, bound) for bound in SLICE_BOUNDS]
+        return [_outcome(fn, group(tiles), *args)] + [_outcome(joined, bound) for bound in SLICE_BOUNDS]
+
+
+def _assert_sliced_like_reference(fn, ref_fn, tiles, *args):
+    """``fn`` and the list-based ``ref_fn`` give the same outcome on the
+    whole input and on each slicing of it; an index fault can win or lose by
+    slicing, as the first slice that fails is the one reported."""
+    for new, ref in zip(_sliced(fn, tiles, *args), _sliced(ref_fn, tiles, *args, group=_ref_grouped), strict=True):
+        _assert_same_tiles(new, ref)
 
 
 @st.composite
@@ -567,9 +618,7 @@ def test_geo_mask_matches_reference_property(tiles, data):
     allowed = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size), label="allowed"))
     allowed[data.draw(st.integers(0, size - 1), label="one allowed")] = True
     mask = SpeciesMask(allowed=allowed, allowed_count=int(allowed.sum()))
-    ref = _outcome(_ref_apply_geo_mask, _ref_group_by_image(tiles), mask)
-    for new in _sliced(apply_geo_mask, tiles, mask):
-        _assert_same_tiles(new, ref)
+    _assert_sliced_like_reference(apply_geo_mask, _ref_apply_geo_mask, tiles, mask)
     for t in tiles[:3]:
         assert _outcome(apply_mask, t.probs, mask) == _outcome(_ref_apply_mask, t.probs, mask)
 
@@ -586,9 +635,7 @@ def test_reweight_matches_reference_property(tiles, data):
     registry = RegionRegistry(regions=("img", "imgx"))
     regions = data.draw(st.lists(st.sampled_from(["img", "imgx"]), unique=True), label="mapped")
     region_map = {r: data.draw(st.integers(0, k - 1)) for r in regions}
-    ref = _outcome(_ref_apply_priors, _ref_group_by_image(tiles), priors, region_map, registry)
-    for new in _sliced(apply_priors, tiles, priors, region_map, registry):
-        _assert_same_tiles(new, ref)
+    _assert_sliced_like_reference(apply_priors, _ref_apply_priors, tiles, priors, region_map, registry)
     for t in tiles[:3]:
         prior = priors.priors[0]
         assert _outcome(reweight, t.probs, prior) == _outcome(_ref_reweight, t.probs, prior)
@@ -920,8 +967,8 @@ def test_validate_grid_matches_reference():
     # an index outside the mask in image c, past a slice cut; image d, emptied too, comes later
     [_tp("a", 0, [(1, 0.5), (2, 0.25)]), _tp("a", 1, [(2, 0.5)]), _tp("c", 0, [(2, 0.5), (9, 0.25)]),
      _tp("d", 0, [(0, 0.5)])],
-    # the emptied image b comes first; the outside index follows in a later slice, at a
-    # tile whose place in its slice is below b's place in the batch
+    # the emptied image b comes first and the outside index follows: the index wins in
+    # one slice, and b wins where the slices cut between them
     [_tp("a", 0, [(1, 0.5)]), _tp("a", 1, [(2, 0.5)]), _tp("b", 0, [(3, 0.5)]), _tp("b", 1, [(0, 0.5)]),
      _tp("c", 0, [(1, 0.5)]), _tp("c", 1, [(9, 0.5), (1, 0.25)])],
     # image b loses one tile of two, and every image keeps a tile
@@ -929,9 +976,7 @@ def test_validate_grid_matches_reference():
 ], ids=["emptied-own-slice", "outside-after-cut", "emptied-then-outside", "tile-dropped"])
 def test_geo_mask_at_slice_cuts_matches_reference(tiles):
     mask = SpeciesMask(allowed=np.array([False, True, True, False]), allowed_count=2)
-    ref = _outcome(_ref_apply_geo_mask, _ref_group_by_image(tiles), mask)
-    for new in _sliced(apply_geo_mask, tiles, mask):
-        _assert_same_tiles(new, ref)
+    _assert_sliced_like_reference(apply_geo_mask, _ref_apply_geo_mask, tiles, mask)
 
 
 

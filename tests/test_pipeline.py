@@ -224,11 +224,12 @@ def test_prior_sums_raise_the_first_failure_of_the_first_failing_slice(bundle, m
     ids = batch.image_ids
 
     def failures(cluster_of_image):
-        """The errors of the sums over the whole batch, then over one-image slices."""
+        """The errors of the sums built from ``cluster_of_image``, then fed the
+        whole batch, and of the same fed one-image slices."""
         seen = []
         for slices in ([batch], _sliced(batch, range(len(ids) + 1))):
-            sums = PriorSums(cluster_of_image, n_species, 2)
             with pytest.raises((InputError, InvariantViolation)) as exc:
+                sums = PriorSums(cluster_of_image, n_species, 2)
                 for view in slices:
                     sums.add(view)
             seen.append((exc.type.__name__, str(exc.value)))
@@ -237,10 +238,12 @@ def test_prior_sums_raise_the_first_failure_of_the_first_failing_slice(bundle, m
     assigned = dict.fromkeys(ids, 0)
     outside = dict(assigned, **{ids[0]: 7})
     assert failures(outside) == [("InputError", "assignment 7 outside clusters 0..1")] * 2
+    # every assignment is checked as the sums are built, ahead of the images without a cluster
     unassigned = {i: c for i, c in outside.items() if i not in ids[8:]}
-    # a batch's images without a cluster come ahead of its clusters; the slice of image 0 fails first
+    assert failures(unassigned) == [("InputError", "assignment 7 outside clusters 0..1")] * 2
+    unassigned = {i: c for i, c in assigned.items() if i not in ids[8:]}
     assert failures(unassigned) == [("InputError", f"no cluster assignment for predicted image(s): {ids[8:13]!r}"),
-                                    ("InputError", "assignment 7 outside clusters 0..1")]
+                                    ("InputError", f"no cluster assignment for predicted image(s): {ids[8:9]!r}")]
     sums = PriorSums(dict.fromkeys(ids[:8], 0), n_species, 2)
     with pytest.raises(InputError, match=r"^no cluster assignment for predicted image\(s\): ") as exc:
         for view in _sliced(batch, [0, 10, len(ids)]):
@@ -255,10 +258,8 @@ def test_prior_sums_raise_the_first_failure_of_the_first_failing_slice(bundle, m
     monkeypatch.setattr(pipeline, "image_probability_vectors", skewed)
     for kind, message in failures(assigned):
         assert kind == "InvariantViolation" and message.startswith("image vector 9 sums to ")
-    # the whole batch checks its clusters first; slice 9 fails before the slice of the last image
-    (whole_kind, whole), (sliced_kind, sliced) = failures(dict(assigned, **{ids[-1]: -1}))
-    assert (whole_kind, whole) == ("InputError", "assignment -1 outside clusters 0..1")
-    assert sliced_kind == "InvariantViolation" and sliced.startswith("image vector 9 sums to ")
+    # the last image's cluster is checked before any slice is added
+    assert failures(dict(assigned, **{ids[-1]: -1})) == [("InputError", "assignment -1 outside clusters 0..1")] * 2
 
 
 def test_prior_sums_memory_is_set_by_k_species_and_a_slice():
@@ -307,17 +308,21 @@ def test_apply_geo_mask_all_tiles_empty_is_fatal():
         apply_geo_mask(grouped, _mask_of(2, [0]))
 
 
-def test_apply_priors_cluster_outside_priors_follows_the_per_tile_order():
+def test_apply_priors_checks_the_region_map_before_any_tile():
     priors = ClusterPriors(np.array([[0.0, 0.5, 0.5]]))
     registry = RegionRegistry(regions=("a", "b"))
     tiles = [_tp("a0", 0, 0, [(0, 0.5)]), _tp("b1", 0, 0, [(1, 0.5)])]
-    # a zero-mass tile of image a0 comes before image b1, whose region names cluster 3
-    with pytest.raises(InvariantViolation, match="reweighted mass is zero"):
-        apply_priors(group_by_image(tiles), priors, {"a": 0, "b": 3}, registry)
-    with pytest.raises(InputError, match=r"^region 'b' maps to cluster 3; priors have rows 0\.\.0$"):
-        apply_priors(group_by_image(tiles[::-1]), priors, {"a": 0, "b": 3}, registry)
+    # a zero-mass tile of image a0, before or after image b1, whose region names cluster 3
+    for ordered in (tiles, tiles[::-1]):
+        with pytest.raises(InputError, match=r"^region 'b' maps to cluster 3; priors have rows 0\.\.0$"):
+            apply_priors(group_by_image(ordered), priors, {"a": 0, "b": 3}, registry)
     with pytest.raises(InputError, match=r"^region 'b' maps to cluster -1; priors have rows 0\.\.0$"):
         apply_priors(group_by_image(tiles[1:]), priors, {"b": -1}, registry)
+    # and a region of the map that no image of the batch is in
+    with pytest.raises(InputError, match=r"^region 'b' maps to cluster 3; priors have rows 0\.\.0$"):
+        apply_priors(group_by_image([_tp("a0", 0, 0, [(1, 0.5)])]), priors, {"a": 0, "b": 3}, registry)
+    with pytest.raises(InvariantViolation, match="reweighted mass is zero"):
+        apply_priors(group_by_image(tiles[:1]), priors, {"a": 0, "b": 0}, registry)
 
 
 def test_aggregate_thread_count_invariance(bundle):

@@ -35,7 +35,14 @@ from floratile import batch as fbatch
 from floratile import io as fio
 from floratile import pipeline
 from floratile.catalog import load_catalog, parse_region
-from floratile.clustering import ClusterPriors, dominant_cluster, estimate_priors, kmeans
+from floratile.clustering import (
+    ClusterPriors,
+    check_assignments,
+    check_region_map,
+    dominant_cluster,
+    estimate_priors,
+    kmeans,
+)
 from floratile.cli import build_parser, main
 from floratile.errors import FloratileError, InputError, InvariantViolation
 from floratile.io import (
@@ -134,9 +141,9 @@ def _scored_and_written(config: RunConfig, catalog, side, rows, masked=None, rew
 def _whole_batch_run(config: RunConfig):
     """``run`` as the whole-batch chain of the public stage functions."""
     config = config.resolved()
-    _make_dir(config.out_dir)
     catalog = load_catalog(config.catalog_path)
     side = _side_inputs(config, catalog)
+    _make_dir(config.out_dir)
     tiles = read_tile_predictions(config.predictions_path)
     if config.mode == "baseline":
         rows = [SubmissionRow(quadrat_id=q, species_ids=side.labels) for q in sorted(tiles.image_ids)]
@@ -161,9 +168,10 @@ def _joined(views):
 def _first_fault_run(config: RunConfig):
     """``run`` as the first-fault rule states it, with the public stage functions.
 
-    Every side input is read first. Then each slice of the tile file goes
-    through the grid and species checks, the geo mask, the priors' checks
-    and the vote (or is held, with priors) before the next slice is read.
+    Every side input is read first, and then ``--out`` made. Then each
+    slice of the tile file goes through the grid and species checks, the geo
+    mask, the priors' checks and the vote (or is held, with priors) before
+    the next slice is read.
     The held slices then go one by one through the reweight and the vote.
     The first failure met is raised. The rows are scored, and only then is
     any file written.
@@ -171,9 +179,9 @@ def _first_fault_run(config: RunConfig):
     config = config.resolved()
     if config.mode == "baseline":  # the quadrat ids are read to the end either way
         return _whole_batch_run(config)
-    _make_dir(config.out_dir)
     catalog = load_catalog(config.catalog_path)
     side = _side_inputs(config, catalog)
+    _make_dir(config.out_dir)
     views, rows = [], []
 
     def vote(view):
@@ -202,12 +210,15 @@ def _first_fault_run(config: RunConfig):
 
 
 def _outcome(fn, config):
-    """``(result, {file: sha256})``: the rows or the error, and what ``--out`` holds."""
+    """``(result, {file: sha256})``: the rows or the error, and what ``--out``
+    holds, None when the run did not make it."""
     try:
         result = ("ok", [(r.quadrat_id, r.species_ids) for r in fn(config)])
     except (InputError, InvariantViolation) as exc:
         result = ("error", type(exc).__name__, str(exc))
     out = Path(config.out_dir)
+    if not out.is_dir():
+        return result, None
     files = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(out.rglob("*")) if p.is_file()}
     shutil.rmtree(out)
@@ -527,8 +538,11 @@ def _ref_geofilter(args):
 
 
 def _reweight_side_files(args):
-    return (fio.read_priors(args.priors), fio.read_region_cluster_map(args.region_clusters),
-            read_region_registry(args.registry))
+    """`reweight`'s priors, region map and registry, the map checked against the priors."""
+    priors, region_map = fio.read_priors(args.priors), fio.read_region_cluster_map(args.region_clusters)
+    registry = read_region_registry(args.registry)
+    check_region_map(region_map, priors.k)
+    return priors, region_map, registry
 
 
 def _ref_reweight(args):
@@ -538,10 +552,12 @@ def _ref_reweight(args):
 
 
 def _assignments(args):
-    """`priors`' assignments, with as many images as ``--k`` clusters at least."""
+    """`priors`' assignments, with as many images as ``--k`` clusters at
+    least, each naming one of them."""
     cluster_of_image = fio.read_assignments(args.assignments)
     if args.k > len(cluster_of_image):
         raise InputError(f"cannot form {args.k} clusters from {len(cluster_of_image)} assigned images")
+    check_assignments(cluster_of_image.values(), args.k)
     return cluster_of_image
 
 
@@ -725,24 +741,17 @@ def test_streamed_priors_matches_its_whole_file_body_property(small_bundle, monk
             assert _command_outcome(_ref_main, argv, out) == expected
 
 
-def test_priors_reports_an_earlier_cluster_past_k_ahead_of_a_later_image_without_a_cluster(small_bundle, tmp_path,
-                                                                                            monkeypatch):
+@pytest.mark.parametrize("chunk", [1, 4096])  # every image a slice of its own, or one slice
+def test_priors_reports_a_cluster_past_k_ahead_of_an_image_without_a_cluster(small_bundle, tmp_path, monkeypatch,
+                                                                            chunk):
     bundle_dir, _ = small_bundle
     labels = fio.read_assignments(bundle_dir / "labels.csv")
     ids = list(labels)
     labels[ids[0]] = 7
     del labels[ids[-2]]
-    write_assignments(tmp_path / "assignments.csv", list(labels), list(labels.values()))
-    out = tmp_path / "out"
-    out.mkdir()
-    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
-    argv = ["priors", "--predictions", str(bundle_dir / "tile_predictions.ndjson"), "--k", "3",
-            "--assignments", str(tmp_path / "assignments.csv"), "--catalog", str(bundle_dir / "catalog.csv"),
-            "--out", str(out / "priors.ndjson")]
-    assert _command_outcome(main, argv, out) == (1, "", "floratile: error: assignment 7 outside clusters 0..2\n", {})
-    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 4096)  # one slice: its images without a cluster come first
-    message = f"floratile: error: no cluster assignment for predicted image(s): {[ids[-2]]!r}\n"
-    assert _command_outcome(main, argv, out) == (1, "", message, {})
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
+    message = "floratile: error: assignment 7 outside clusters 0..2\n"
+    assert _priors_outcome(bundle_dir, tmp_path, labels, 3) == (1, "", message, {})
 
 
 def _priors_outcome(bundle_dir, tmp_path, labels, k, lines=None):
@@ -774,18 +783,16 @@ def test_priors_reports_a_cluster_past_int64_as_outside_the_clusters(small_bundl
     assert _priors_outcome(bundle_dir, tmp_path, labels, 3) == (1, "", message, {})
 
 
-def test_priors_reports_an_earlier_cluster_past_int64_ahead_of_a_later_image_without_a_cluster(small_bundle,
-                                                                                                tmp_path, monkeypatch):
+@pytest.mark.parametrize("chunk", [1, 4096])  # every image a slice of its own, or one slice
+def test_priors_reports_a_cluster_past_int64_ahead_of_an_image_without_a_cluster(small_bundle, tmp_path,
+                                                                                 monkeypatch, chunk):
     bundle_dir, _ = small_bundle
     labels = fio.read_assignments(bundle_dir / "labels.csv")
     ids = list(labels)
     labels[ids[0]] = 10**20
     del labels[ids[-2]]
-    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
     message = f"floratile: error: assignment {10**20} outside clusters 0..2\n"
-    assert _priors_outcome(bundle_dir, tmp_path, labels, 3) == (1, "", message, {})
-    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 4096)  # one slice: its images without a cluster come first
-    message = f"floratile: error: no cluster assignment for predicted image(s): {[ids[-2]]!r}\n"
     assert _priors_outcome(bundle_dir, tmp_path, labels, 3) == (1, "", message, {})
 
 
@@ -952,6 +959,95 @@ def test_a_bad_side_input_is_reported_before_the_tile_file_is_read(small_bundle,
     assert (code, stdout, files) == (1, "", {})
     assert stderr.startswith(f"floratile: error: {bad}")
     assert reads == []
+
+
+@pytest.mark.parametrize("command", ["reweight", "priors"])
+def test_a_cluster_past_the_priors_is_reported_before_the_tile_file_is_read(small_bundle, tmp_path, monkeypatch,
+                                                                            command):
+    bundle_dir, _ = small_bundle
+    b = lambda name: str(bundle_dir / name)
+    lines = [line for line in (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
+             if json.loads(line)["image_id"].startswith("SYN-BB")]
+    predictions = tmp_path / "predictions.ndjson"  # no image of region SYN-AA
+    predictions.write_text("".join(line + "\n" for line in lines))
+    write_priors(tmp_path / "priors.ndjson", ClusterPriors(np.full((3, SPEC.n_species), 1 / SPEC.n_species)))
+    write_region_cluster_map(tmp_path / "region_clusters.csv", {"SYN-AA": 7, "SYN-BB": 0})
+    labels = dict(fio.read_assignments(bundle_dir / "labels.csv"), **{"ZZZ-EXTRA": 9})  # an image with no tile
+    write_assignments(tmp_path / "labels.csv", list(labels), list(labels.values()))
+    reads = []
+
+    def counted(path):  # a generator: the body runs when the first slice is asked for
+        reads.append(path)
+        yield from tile_slices(path)
+
+    monkeypatch.setattr(fio, "tile_slices", counted)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv, message = {
+        "reweight": (["reweight", "--priors", str(tmp_path / "priors.ndjson"), "--registry", b("regions.txt"),
+                      "--region-clusters", str(tmp_path / "region_clusters.csv"), "--out", str(out / "w.ndjson")],
+                     "region 'SYN-AA' maps to cluster 7; priors have rows 0..2"),
+        "priors": (["priors", "--assignments", str(tmp_path / "labels.csv"), "--k", "3", "--catalog", b("catalog.csv"),
+                    "--out", str(out / "priors.ndjson")],
+                   "assignment 9 outside clusters 0..2"),
+    }[command]
+    argv += ["--predictions", str(predictions)]
+    assert _command_outcome(main, argv, out) == (1, "", f"floratile: error: {message}\n", {})
+    assert reads == []
+
+
+@pytest.mark.parametrize("case", ["run", "run --geo", "run --priors", "run --geo --priors", "aggregate",
+                                  "geofilter --predictions", "priors", "reweight"])
+def test_every_command_words_an_index_past_the_catalog_alike(small_bundle, tmp_path, case):
+    bundle_dir, _ = small_bundle
+    b = lambda name: str(bundle_dir / name)
+    lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
+    at = len(lines) // 2  # a tile of a middle image
+    rec = json.loads(lines[at])
+    lines[at] = json.dumps(dict(rec, probs=[[SPEC.n_species, 0.5]], complete=False))
+    predictions = tmp_path / "predictions.ndjson"
+    predictions.write_text("".join(line + "\n" for line in lines))
+    # priors one species narrower than the index, as the catalog is
+    write_priors(tmp_path / "priors.ndjson", ClusterPriors(np.full((2, SPEC.n_species), 1 / SPEC.n_species)))
+    write_region_cluster_map(tmp_path / "region_clusters.csv", {"SYN-AA": 0, "SYN-BB": 1})
+    out = tmp_path / "out"
+    out.mkdir()
+    command, *flags = case.split()
+    argv = {
+        "run": ["run", "--mode", "tiling", "--grid", "2x3", "--registry", b("regions.txt"),
+                "--observations", b("observations.csv"), "--geo-regions", b("geo_regions.json"),
+                "--embeddings", b("embeddings.ndjson"), "--priors-k", "2", *flags, "--out", str(out)],
+        "aggregate": ["aggregate", "--grid", "2x3", "--out", str(out / "submission.csv")],
+        "geofilter": ["geofilter", "--observations", b("observations.csv"), "--regions", b("geo_regions.json"),
+                      "--out", str(out / "mask.csv"), "--out-predictions", str(out / "masked.ndjson")],
+        "priors": ["priors", "--assignments", b("labels.csv"), "--k", "2", "--out", str(out / "priors.ndjson")],
+        "reweight": ["reweight", "--priors", str(tmp_path / "priors.ndjson"), "--registry", b("regions.txt"),
+                     "--region-clusters", str(tmp_path / "region_clusters.csv"), "--out", str(out / "w.ndjson")],
+    }[command] + ["--predictions", str(predictions)] + (["--catalog", b("catalog.csv")] if command != "reweight" else [])
+    message = f"species index {SPEC.n_species} in {rec['image_id']!r} exceeds catalog size {SPEC.n_species}"
+    assert _command_outcome(main, argv, out) == (1, "", f"floratile: error: {message}\n", {})
+
+
+@pytest.mark.parametrize("missing", ["catalog.csv", "truth.csv", "observations.csv", "embeddings.ndjson",
+                                     "training_counts.csv"])
+def test_run_makes_no_out_directory_when_a_side_input_fails(small_bundle, tmp_path, missing):
+    bundle_dir, _ = small_bundle
+    for name in ("catalog.csv", "truth.csv", "observations.csv", "embeddings.ndjson", "training_counts.csv"):
+        shutil.copy(bundle_dir / name, tmp_path)
+    (tmp_path / missing).unlink()
+    t = lambda name: str(tmp_path / name)
+    b = lambda name: str(bundle_dir / name)
+    mode = ["--mode", "baseline", "--training-counts", t("training_counts.csv")] if missing == "training_counts.csv" \
+        else ["--mode", "tiling", "--grid", "2x3", "--geo", "--observations", t("observations.csv"),
+              "--geo-regions", b("geo_regions.json"), "--priors", "--embeddings", t("embeddings.ndjson"),
+              "--priors-k", "2", "--registry", b("regions.txt")]
+    argv = ["run", *mode, "--catalog", t("catalog.csv"), "--predictions", b("tile_predictions.ndjson"),
+            "--truth", t("truth.csv"), "--out", str(tmp_path / "made" / "a" / "b")]
+    stderr = StringIO()
+    with redirect_stderr(stderr):
+        assert main(argv) == 1
+    assert stderr.getvalue().startswith(f"floratile: error: {tmp_path / missing}")
+    assert not (tmp_path / "made").exists()
 
 
 def test_run_scores_before_it_writes(small_bundle, tmp_path):
