@@ -137,18 +137,6 @@ def first(flags: np.ndarray) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def raise_first(*failures):
-    """Raise the exception of the failure at the earliest tile.
-
-    Each failure is a ``(tile, exception)`` pair, ``tile`` None when its
-    check passed. On a tie the earlier-listed check wins, so callers list
-    checks in the order the per-tile loops ran them.
-    """
-    found = [(tile, i) for i, (tile, _) in enumerate(failures) if tile is not None]
-    if found:
-        raise failures[min(found)[1]][1]
-
-
 def _entry_order(tile: np.ndarray, idx: np.ndarray, prob: np.ndarray) -> Optional[np.ndarray]:
     """The permutation sorting entries by (tile, -prob, idx); None when they already are."""
     same = tile[1:] == tile[:-1]
@@ -298,15 +286,14 @@ class TileBatch:
         mass = np.bincount(tile, weights=prob, minlength=len(self))
         return bad | (self.complete & (np.abs(mass - 1.0) > _MASS_TOL)) | (mass > 1.0 + _MASS_TOL)
 
-    def prob_failure(self, prob: np.ndarray):
-        """``raise_first`` failure for the first tile whose new ``prob`` leaves (0, 1]."""
+    def check_prob(self, prob: np.ndarray):
+        """Raise ``rejection`` of the first tile whose new ``prob`` leaves (0, 1]."""
         j = first(~((prob > 0.0) & (prob <= 1.0)))
-        if j is None:
-            return None, None
-        t = self.tile_of(j)
-        lo, hi = self.offsets[t], self.offsets[t + 1]
-        entries = list(zip(self.idx[lo:hi].tolist(), prob[lo:hi].tolist()))
-        return t, rejection(self.image_ids[self.image[t]], int(self.row[t]), int(self.col[t]), entries)
+        if j is not None:
+            t = self.tile_of(j)
+            lo, hi = self.offsets[t], self.offsets[t + 1]
+            entries = list(zip(self.idx[lo:hi].tolist(), prob[lo:hi].tolist()))
+            raise rejection(self.image_ids[self.image[t]], int(self.row[t]), int(self.col[t]), entries)
 
     def derive(self, counts, idx, prob) -> "TileBatch":
         """This batch's tiles over new entries: tile ``t`` owns the next

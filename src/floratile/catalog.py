@@ -10,7 +10,7 @@ mapping overrides the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from .errors import InputError, UnknownRegionError
 
@@ -22,28 +22,17 @@ class SpeciesCatalog:
         if len(species_ids) == 0:
             raise InputError("species catalog must contain at least one species")
         self._ids: List[int] = [int(s) for s in species_ids]
-        self._index: Dict[int, int] = {}
-        for i, sid in enumerate(self._ids):
-            if sid in self._index:
+        self._known = set()
+        for sid in self._ids:
+            if sid in self._known:
                 raise InputError(f"duplicate species_id {sid} in catalog")
-            self._index[sid] = i
+            self._known.add(sid)
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def __contains__(self, species_id: int) -> bool:
-        return species_id in self._index
-
-    def dense_index(self, species_id: int) -> int:
-        try:
-            return self._index[species_id]
-        except KeyError:
-            raise InputError(f"species_id {species_id} not in catalog") from None
-
-    def species_id(self, dense_index: int) -> int:
-        if not 0 <= dense_index < len(self._ids):
-            raise InputError(f"dense index {dense_index} out of range 0..{len(self._ids) - 1}")
-        return self._ids[dense_index]
+        return species_id in self._known
 
     @property
     def species_ids(self) -> List[int]:

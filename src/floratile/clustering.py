@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
-from .batch import entry_arrays, first, raise_first
+from .batch import entry_arrays, first
 from .errors import InputError, InvariantViolation
 
 _CONVERGENCE_TOL = 1e-6
@@ -231,27 +231,23 @@ def reweight_entries(idx, prob, tile, n_tiles: int, priors: np.ndarray, cluster_
 
     Each probability is multiplied by ``priors[cluster_of_tile[tile], idx]``
     and renormalised over its tile; every index must lie inside the prior,
-    as ``pipeline.check_species_indices`` checks first. Returns ``(prob,
-    failures)``: the ``raise_first`` failures of a product of two positive
-    factors that underflows to zero (an input error, named by
-    ``tile_name(tile)``) and of a tile whose reweighted mass is zero, in the
-    order the checks run per tile.
+    as ``pipeline.check_species_indices`` checks first. Returns the new
+    probabilities. The first product of two positive factors that underflows
+    to zero raises an InputError naming ``tile_name(tile)``; then a tile whose
+    reweighted mass is zero raises an InvariantViolation, before any division.
     """
     factor = priors[cluster_of_tile[tile], idx]
     weighted = prob * factor
-    total = np.bincount(tile, weights=weighted, minlength=n_tiles)
     j = first((weighted == 0.0) & (prob > 0.0) & (factor > 0.0))
-    underflow_failure = (None, None)
     if j is not None:
-        underflow_failure = (int(tile[j]), InputError(
+        raise InputError(
             f"{tile_name(int(tile[j]))}: probability {float(prob[j])!r} of dense index {int(idx[j])} "
             f"times its prior {float(factor[j])!r} underflows to 0"
-        ))
-    zero_failure = (
-        first(total <= 0.0), InvariantViolation("reweighted mass is zero; prior must be epsilon-smoothed")
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return weighted / total[tile], (underflow_failure, zero_failure)
+        )
+    total = np.bincount(tile, weights=weighted, minlength=n_tiles)
+    if np.any(total <= 0.0):
+        raise InvariantViolation("reweighted mass is zero; prior must be epsilon-smoothed")
+    return weighted / total[tile]
 
 
 def reweight(tile_probs, prior: np.ndarray):
@@ -268,6 +264,5 @@ def reweight(tile_probs, prior: np.ndarray):
     if j is not None:
         raise InputError(f"dense index {int(idx[j])} outside prior of size {priors.shape[1]}")
     tile = np.zeros(idx.shape[0], dtype=np.int64)
-    out, failures = reweight_entries(idx, prob, tile, 1, priors, np.zeros(1, dtype=np.int64))
-    raise_first(*failures)
+    out = reweight_entries(idx, prob, tile, 1, priors, np.zeros(1, dtype=np.int64))
     return list(zip(idx.tolist(), out.tolist()))

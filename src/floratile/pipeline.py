@@ -28,17 +28,18 @@ pins it (``test_geo_run_memory_is_set_by_a_slice_not_by_the_input``,
 
 Every run and stage command keeps one order. It reads and checks every
 input but the tile file: the catalog, the truth file's header and first
-row, the training counts, the geo mask's observations and regions, and
-the priors' registry and embeddings, which it projects and clusters. It
-then makes ``run``'s ``--out``, streams the tile file, and writes its
-outputs last. In the stream it raises the first failure it meets and reads
-no further: slice by slice, stage by stage within a slice (grid, species
-index, mask apply, masked file, prior sums, vote), and the first tile
-within a stage. The species index is not a stage of the list: each stage
-that looks an index up calls ``check_species_indices`` first. A priors run
-adds each checked and masked slice to the per-cluster sums of
-``PriorSums`` and holds it in a list; after the last slice it streams the
-list through the reweight and the vote, so the list holds every slice
+row, the training counts (every species of which must be in the catalog),
+the geo mask's observations and regions, and the priors' registry and
+embeddings, which it projects and clusters. It then makes ``run``'s
+``--out``, streams the tile file, and writes its outputs last. In the
+stream it raises the first failure it meets and reads no further: slice by
+slice, stage by stage within a slice (grid, species index, mask apply,
+masked file, prior sums, vote), check by check within a stage, and the
+first tile within a check. The species index is not a stage of the list:
+each stage that looks an index up calls ``check_species_indices`` first.
+A priors run adds each checked and masked slice to the per-cluster sums
+of ``PriorSums`` and holds it in a list; after the last slice it streams
+the list through the reweight and the vote, so the list holds every slice
 until the last vote. The rows are then scored, the truth file read one
 row at a time, and only then are the intermediates, the submission and
 the score report written. A tile file is written slice by slice under a
@@ -58,7 +59,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import ImageTiles, TileBatch, as_batch, first, raise_first
+from .batch import ImageTiles, TileBatch, as_batch, first
 from .catalog import RegionRegistry, SpeciesCatalog, load_catalog, parse_region
 from .clustering import (
     ClusterPriors,
@@ -328,31 +329,26 @@ def apply_priors(
 ) -> ImageTiles:
     """Reweight every tile by the prior of its region's dominant cluster.
 
-    ``check_region_map`` and ``check_species_indices`` run first. The batch
-    then raises its first failure before it hands ``TileBatch.derive`` its
-    entries with the new probabilities. An image without a cluster in the
-    map fails at its first tile, ahead of that tile's reweight failures;
-    only the images before it are reweighted, so an earlier tile's failure wins."""
+    The checks run in turn, each raising its first failure:
+    ``check_region_map``, ``check_species_indices``, the first image whose
+    region has no cluster in the map, then ``reweight_entries``' underflow and
+    zero mass, and last ``TileBatch.check_prob`` on the new probabilities,
+    before ``TileBatch.derive`` takes them."""
     batch = as_batch(tiles)
     check_region_map(region_map, priors.k)
     check_species_indices(batch, priors.n_species)
-    clusters, region_failure = [], (None, None)
-    for i, image_id in enumerate(batch.image_ids):
-        try:
-            region = parse_region(image_id, registry)
-            if region not in region_map:
-                raise InputError(f"region {region!r} has no dominant cluster in the map")
-        except InputError as exc:
-            region_failure = (int(batch.image_offsets[i]), exc)
-            break
+    clusters = []
+    for image_id in batch.image_ids:
+        region = parse_region(image_id, registry)
+        if region not in region_map:
+            raise InputError(f"region {region!r} has no dominant cluster in the map")
         clusters.append(region_map[region])
-    head = batch.images(0, len(clusters))  # the images ahead of the first without a cluster
-    weighted, found = reweight_entries(
-        head.idx, head.prob, head.tile_keys(), len(head), priors.priors,
-        np.asarray(clusters, dtype=np.int64)[head.image],
-        lambda t: f"tile ({int(head.row[t])},{int(head.col[t])}) of {head.image_ids[head.image[t]]!r}",
+    weighted = reweight_entries(
+        batch.idx, batch.prob, batch.tile_keys(), len(batch), priors.priors,
+        np.asarray(clusters, dtype=np.int64)[batch.image],
+        lambda t: f"tile ({int(batch.row[t])},{int(batch.col[t])}) of {batch.image_ids[batch.image[t]]!r}",
     )
-    raise_first(region_failure, *found, head.prob_failure(weighted))
+    batch.check_prob(weighted)
     return ImageTiles(batch.derive(np.diff(batch.offsets), batch.idx, weighted))
 
 
@@ -488,7 +484,12 @@ def run(config: RunConfig) -> RunResult:
             truth = inputs.enter_context(closing(ground_truth_rows(config.truth_path)))
             truth = chain([next(truth)], truth)
         if config.mode == "baseline":
-            labels = tuple(naive_baseline(read_training_counts(config.training_counts_path), config.baseline_k))
+            counts = read_training_counts(config.training_counts_path)
+            unknown = next((sid for sid in counts if sid not in catalog), None)
+            if unknown is not None:
+                raise InputError(
+                    f"{config.training_counts_path}: species_id {unknown} not in catalog {config.catalog_path}")
+            labels = tuple(naive_baseline(counts, config.baseline_k))
             _make_dir(config.out_dir)
             with closing(tile_slices(config.predictions_path)) as slices:
                 quadrats = sorted(image_id for view in slices for image_id in view.image_ids)

@@ -169,15 +169,21 @@ def _ref_reweight(tile_probs, prior: np.ndarray):
 
 def _ref_apply_priors(grouped, priors, region_map, registry):
     _ref_check_species_indices(grouped, priors.n_species)  # added: the index check runs first
-    out: Dict[str, List[TilePrediction]] = {}
-    for image_id, tiles in grouped.items():
+    # added: the checks run in turn: every image's region, then every tile's
+    # reweight, then every reweighted tile
+    clusters: Dict[str, int] = {}
+    for image_id in grouped:
         region = parse_region(image_id, registry)
         if region not in region_map:
             raise InputError(f"region {region!r} has no dominant cluster in the map")
-        prior = priors.priors[region_map[region]]
+        clusters[image_id] = region_map[region]
+    weighted = {image_id: [_ref_reweight(t.probs, priors.priors[clusters[image_id]]) for t in tiles]
+                for image_id, tiles in grouped.items()}
+    out: Dict[str, List[TilePrediction]] = {}
+    for image_id, tiles in grouped.items():
         out[image_id] = [
-            TilePrediction(t.image_id, t.row, t.col, _ref_reweight(t.probs, prior), complete=False)
-            for t in tiles
+            TilePrediction(t.image_id, t.row, t.col, probs, complete=False)
+            for t, probs in zip(tiles, weighted[image_id])
         ]
     return out
 
@@ -234,15 +240,17 @@ def _ref_select_labels(tally, min_votes=2, max_labels=10):
 
 def _ref_aggregate_predictions(grouped, catalog, k, min_votes, max_labels):
     # the thread-pool branch is left out: results never depended on it; the
-    # vote settings, then every index, tallied or not, are checked first (added)
+    # vote settings, then every index, tallied or not, are checked first, and
+    # labels are looked up in ``species_ids`` (added)
     check_vote_settings(k, min_votes, max_labels)
     _ref_check_species_indices(grouped, len(catalog))
+    species_ids = catalog.species_ids
     rows = []
     for image_id in sorted(grouped):
         tally = _ref_tally_votes(grouped[image_id], k)
         labels = _ref_select_labels(tally, min_votes=min_votes, max_labels=max_labels)
         rows.append(
-            SubmissionRow(quadrat_id=image_id, species_ids=tuple(catalog.species_id(i) for i in labels))
+            SubmissionRow(quadrat_id=image_id, species_ids=tuple(species_ids[i] for i in labels))
         )
     return rows
 
@@ -432,18 +440,19 @@ def test_wrappers_match_reference_on_one_tile():
     assert select_labels(tally, 2, 1) == _ref_select_labels(ref_tally, 2, 1)
 
 
-def test_stage_errors_follow_the_per_tile_order():
+def test_stage_errors_follow_the_check_order():
     priors = ClusterPriors(np.array([[0.0, 0.5, 0.5]]))
     registry = RegionRegistry(regions=("img",))
     cases = [
         # an index outside the prior and a zero mass in one tile: the index check runs first
         group_by_image([_tp("img0", 0, [(0, 0.5), (5, 0.5)])]),
-        # a zero-mass tile ahead of an image with no region
+        # a zero-mass tile ahead of an image with no region: the region check runs first
         group_by_image([_tp("img0", 0, [(0, 0.5)]), _tp("zz1", 0, [(1, 0.5)])]),
         # an image with no region ahead of a zero-mass tile
         group_by_image([_tp("zz1", 0, [(1, 0.5)]), _tp("img0", 0, [(0, 0.5)])]),
     ]
-    messages = ["species index 5 in 'img0' exceeds catalog size 3", "reweighted mass is zero",
+    messages = ["species index 5 in 'img0' exceeds catalog size 3",
+                "no registered region is a prefix of quadrat id 'zz1'",
                 "no registered region is a prefix of quadrat id 'zz1'"]
     for grouped, message in zip(cases, messages):
         got = _outcome(apply_priors, grouped, priors, {"img": 0}, registry)
@@ -458,14 +467,15 @@ def test_stage_errors_follow_the_per_tile_order():
         assert got == _outcome(_ref_apply_geo_mask, grouped, mask)
 
 
-@pytest.mark.parametrize("stage,first_images,message", [
-    ("geo", [_tp("img0", 0, [(1, 0.5), (7, 0.25)])], "species index 7 in 'img0' exceeds catalog size 2"),
-    ("geo", [_tp("img0", 0, [(0, 0.5)])], "removed every species of every tile of 'img0'"),
-    ("priors", [_tp("img0", 0, [(0, 0.5)])], "reweighted mass is zero"),
-    # the zero mass comes ahead of an image with no region
-    ("priors", [_tp("img0", 0, [(0, 0.5)]), _tp("zz1", 0, [(1, 0.5)])], "reweighted mass is zero"),
+@pytest.mark.parametrize("stage,first_images,message,checked", [
+    ("geo", [_tp("img0", 0, [(1, 0.5), (7, 0.25)])], "species index 7 in 'img0' exceeds catalog size 2", []),
+    ("geo", [_tp("img0", 0, [(0, 0.5)])], "removed every species of every tile of 'img0'", []),
+    ("priors", [_tp("img0", 0, [(0, 0.5)])], "reweighted mass is zero", ["reweight_entries"]),
+    # the region check runs ahead of the reweight, so a later image with no region wins over the zero mass
+    ("priors", [_tp("img0", 0, [(0, 0.5)]), _tp("zz1", 0, [(1, 0.5)])],
+     "no registered region is a prefix of quadrat id 'zz1'", []),
 ], ids=["outside-mask", "emptied", "zero-mass", "zero-mass-then-region"])
-def test_stages_stop_at_the_first_slice_that_fails(monkeypatch, stage, first_images, message):
+def test_stages_stop_at_the_first_slice_that_fails(monkeypatch, stage, first_images, message, checked):
     grouped = group_by_image([*first_images, *(_tp(f"img{i}", 0, [(1, 0.5)]) for i in range(2, 7))])
     calls = []
 
@@ -485,7 +495,7 @@ def test_stages_stop_at_the_first_slice_that_fails(monkeypatch, stage, first_ima
             apply_priors(grouped, ClusterPriors(np.array([[0.0, 0.5, 0.5]])), {"img": 0},
                          RegionRegistry(regions=("img",)))
     # no later slice's
-    assert calls == ["check_species_indices"] + ([] if stage == "geo" else ["reweight_entries"])
+    assert calls == ["check_species_indices"] + checked
 
 
 def _voted(slices, catalog, k, min_votes, max_labels):
@@ -668,7 +678,8 @@ def _whole_batch_rows(batch, catalog, k, min_votes, max_labels):
     image, idx, votes, mass = tally_batch(batch, k)[:4]
     chosen = rank_labels(image, idx, votes, mass, min_votes, max_labels)
     image, idx = image[chosen], idx[chosen]
-    rows = [(image_id, tuple(catalog.species_id(int(j)) for j in idx[image == i]))
+    species_ids = catalog.species_ids
+    rows = [(image_id, tuple(species_ids[j] for j in idx[image == i].tolist()))
             for i, image_id in enumerate(batch.image_ids)]
     return sorted(rows)
 

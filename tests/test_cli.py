@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from floratile import batch as fbatch
 from floratile import cli
 from floratile.catalog import load_catalog
 from floratile.cli import main
@@ -955,6 +956,30 @@ def test_an_underflowing_reweight_is_an_input_error_at_its_tile(fixture_dir, tmp
     assert not reweighted.exists()
 
 
+@pytest.mark.parametrize("split,message", [
+    (False, "no registered region is a prefix of quadrat id 'X-2'"),
+    (True, "tile (0,0) of 'R-1': probability 1e-30 of dense index 0 times its prior 1e-300 underflows to 0"),
+], ids=["one-slice", "underflow-in-an-earlier-slice"])
+def test_reweight_raises_the_first_check_that_fails_in_the_first_slice_that_fails(
+        tmp_path, monkeypatch, capsys, split, message):
+    # R-1 underflows and X-2 has no region: within a slice the region check runs first
+    preds, priors, region_map, registry = (tmp_path / name for name in
+                                           ("preds.ndjson", "priors.ndjson", "region_clusters.csv", "regions.txt"))
+    preds.write_text(
+        json.dumps({"image_id": "R-1", "row": 0, "col": 0, "probs": [[0, 1e-30], [1, 0.2], [2, 0.2], [3, 0.2]]})
+        + "\n" + json.dumps({"image_id": "X-2", "row": 0, "col": 0, "probs": [[1, 0.5]]}) + "\n")
+    priors.write_text(json.dumps({"cluster": 0, "prior": [1e-300, 0.25, 0.25, 0.5]}) + "\n")
+    region_map.write_text("region,cluster\nR,0\n")
+    registry.write_text("R\n")
+    if split:  # R-1's four entries fill the first slice
+        monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)
+    out = tmp_path / "reweighted.ndjson"
+    assert main(["reweight", "--predictions", str(preds), "--priors", str(priors), "--region-clusters",
+                 str(region_map), "--registry", str(registry), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"floratile: error: {message}\n"
+    assert not out.exists()
+
+
 # --- flag and file errors of the stage commands --------------------------------
 
 @pytest.fixture(scope="module")
@@ -990,6 +1015,9 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
     broken_predictions.write_text("{broken\n")
     fractional_index = tmp_path / "fractional.ndjson"
     fractional_index.write_text('{"image_id": "a", "row": 0, "col": 0, "probs": [[48.5, 0.5]]}\n')
+    unknown_species = tmp_path / "tc.csv"
+    header, *counts = (fixture_dir / "training_counts.csv").read_text().splitlines()
+    unknown_species.write_text("\n".join([header, "999999,5000", *counts]) + "\n")  # a species past the catalog on top
     empty_grid_config = tmp_path / "empty_grid.json"
     empty_grid_config.write_text('{"grid": ""}')
     split = {}  # per prediction file, a copy whose first image reappears on its last line, and its error
@@ -1098,6 +1126,11 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
         "run-baseline-split-image": (
             [*split_run, str(split_path), "--mode", "baseline",
              "--training-counts", str(fixture_dir / "training_counts.csv")], split_error, [out / "submission.csv"]),
+        # the training counts are checked against the catalog before --out is made and the tile file read
+        "run-baseline-species-past-catalog": (
+            ["run", "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out), "--predictions",
+             str(broken_predictions), "--mode", "baseline", "--training-counts", str(unknown_species)],
+            f"{unknown_species}: species_id 999999 not in catalog {fixture_dir / 'catalog.csv'}", [out]),
         "aggregate-split-image": ([*aggregate, str(split_path), "--grid", "3x3"], split_error, [out]),
         "geofilter-split-image": (
             ["geofilter", "--observations", str(fixture_dir / "observations.csv"),
@@ -1157,7 +1190,8 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
                                   "run-config-empty-grid", "aggregate-empty-grid", "run-priors-k-past-images",
                                   "cluster-k-past-points", "run-split-image", "run-split-image-priors",
                                   "run-no-tiling-split-image", "run-no-tiling-split-image-priors",
-                                  "run-baseline-split-image", "aggregate-split-image", "geofilter-split-image",
+                                  "run-baseline-split-image", "run-baseline-species-past-catalog",
+                                  "aggregate-split-image", "geofilter-split-image",
                                   "priors-split-image", "reweight-split-image", "aggregate-bad-grid-before-read",
                                   "aggregate-zero-k-before-read", "priors-zero-k-before-read",
                                   "priors-zero-epsilon-before-read", "cluster-zero-k-before-read",

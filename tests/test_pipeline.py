@@ -386,11 +386,7 @@ def test_run_geo_excludes_masked_species(fixture_dir, bundle, tmp_path):
         regions_path=str(fixture_dir / "geo_regions.json"),
     )
     mask = compute_geo_mask(geo, bundle.catalog)
-    disallowed = {
-        bundle.catalog.species_id(i)
-        for i in range(len(bundle.catalog))
-        if not mask.allowed[i]
-    }
+    disallowed = {sid for sid, allowed in zip(bundle.catalog.species_ids, mask.allowed) if not allowed}
     assert disallowed, "fixture should mask out the offshore species"
 
     result = run(_tiling_config(fixture_dir, tmp_path / "geo", geo=geo))

@@ -96,13 +96,20 @@ def _dense_priors(tiles, cluster_of_image, n_species, k, epsilon):
 def _side_inputs(config: RunConfig, catalog):
     """Every input of ``run`` but the tile file, read and checked in its
     order: the truth file's header and first row, then the training counts,
-    the geo mask, and the priors' registry, embeddings, projection and clusters."""
+    each species of which must be in the catalog, the geo mask, and the
+    priors' registry, embeddings, projection and clusters."""
     side = SimpleNamespace()
     if config.truth_path:
         with closing(ground_truth_rows(config.truth_path)) as truth:
             next(truth)
     if config.mode == "baseline":
-        side.labels = tuple(naive_baseline(read_training_counts(config.training_counts_path), config.baseline_k))
+        counts = read_training_counts(config.training_counts_path)
+        known = set(catalog.species_ids)
+        for species_id in counts:
+            if species_id not in known:
+                raise InputError(f"{config.training_counts_path}: species_id {species_id} not in catalog "
+                                 f"{config.catalog_path}")
+        side.labels = tuple(naive_baseline(counts, config.baseline_k))
     if config.geo.enabled:
         side.mask = compute_geo_mask(config.geo, catalog)
     if config.priors.enabled:

@@ -84,7 +84,7 @@ def test_generate_zero_noise_is_pure():
         assert len(t.probs) == 1
         assert t.probs[0][1] == 1.0
         # the only entry is always a truth species of its image
-        assert bundle.catalog.species_id(t.probs[0][0]) in bundle.truth.truth[t.image_id]
+        assert bundle.catalog.species_ids[t.probs[0][0]] in bundle.truth.truth[t.image_id]
 
 
 def test_generate_transect_grouping():
