@@ -214,9 +214,6 @@ class TileBatch:
     def __len__(self) -> int:
         return self.row.shape[0]
 
-    def __iter__(self):
-        return self.tiles(0, len(self))
-
     def columns(self, lo: int, hi: int):
         """Tiles ``lo`` to ``hi`` as Python columns, in batch order: image ids,
         rows, cols, a generator of each tile's ``(idx, prob)`` list
@@ -230,22 +227,6 @@ class TileBatch:
             self.col[lo:hi].tolist(),
             (pairs[a:b] for a, b in zip(bounds, bounds[1:])),
             self.complete[lo:hi].tolist(),
-        )
-
-    def images(self, a: int, b: int) -> "TileBatch":
-        """Images ``a`` to ``b`` as a batch: the tile and entry columns are
-        views on these, image codes count from ``a`` and offsets from 0."""
-        lo, hi = self.image_offsets[a], self.image_offsets[b]
-        start, stop = self.offsets[lo], self.offsets[hi]
-        return TileBatch(
-            self.image_ids[a:b],
-            self.image[lo:hi] - a,
-            self.row[lo:hi],
-            self.col[lo:hi],
-            self.complete[lo:hi],
-            self.offsets[lo:hi + 1] - start,
-            self.idx[start:stop],
-            self.prob[start:stop],
         )
 
     def tiles(self, lo: int, hi: int):

@@ -154,9 +154,9 @@ def _cmd_cluster(args) -> int:
 def _cmd_priors(args) -> int:
     options = PriorsOptions(k=args.k, epsilon=args.epsilon)
     catalog = load_catalog(args.catalog)
-    sums = PriorSums(fio.read_assignments(args.assignments), len(catalog), options.k)
+    sums = PriorSums(fio.read_assignments(args.assignments), len(catalog), options.k, options.epsilon)
     stream(fio.tile_slices(args.predictions), [sums.add])
-    fio.write_priors(args.out, sums.priors(options.epsilon))
+    fio.write_priors(args.out, sums.priors())
     return 0
 
 

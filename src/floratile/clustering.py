@@ -21,6 +21,8 @@ _CONVERGENCE_TOL = 1e-6
 _MAX_LLOYD_ITERS = 300
 _PRIOR_SUM_TOL = 1e-9
 _VECTOR_SUM_TOL = 1e-6
+# a smoothed prior row sums to about 1 + S * epsilon; half the float maximum leaves room for rounding
+_MAX_SMOOTHING_MASS = np.finfo(np.float64).max / 2
 
 
 @dataclass
@@ -188,6 +190,7 @@ def estimate_priors(
         raise InputError(f"vectors have {vectors.shape[1]} species, catalog has {n_species}")
     if not 0 <= epsilon < np.inf:
         raise InputError(f"epsilon must be finite and >= 0, got {epsilon}")
+    check_smoothing(epsilon, vectors.shape[1])
     if len(assignments) != vectors.shape[0]:
         raise InputError(f"{len(assignments)} assignments for {vectors.shape[0]} vectors")
     check_assignments(assignments, k)
@@ -213,6 +216,15 @@ def check_image_vectors(vectors: np.ndarray, first_row: int = 0):
     if bad is not None:
         raise InvariantViolation(
             f"image vector {first_row + bad} sums to {sums[bad]!r}; expected 1 +/- {_VECTOR_SUM_TOL}")
+
+
+def check_smoothing(epsilon: float, n_species: int):
+    """``epsilon`` is added to each of ``n_species`` prior entries, and the
+    row's sum must stay finite: ``epsilon * n_species`` past half the float
+    maximum fails, where an overflow would zero the prior."""
+    if not epsilon * n_species < _MAX_SMOOTHING_MASS:
+        raise InputError(f"priors epsilon {epsilon!r} is too large for {n_species} species: "
+                         f"epsilon x {n_species} must stay below {_MAX_SMOOTHING_MASS:.4g}")
 
 
 def smoothed_priors(sums: np.ndarray, counts: np.ndarray, epsilon: float) -> ClusterPriors:

@@ -272,12 +272,6 @@ def ground_truth_rows(path, transect_map: Mapping[str, str] | None = None) -> It
         yield q, overrides[q] if q in overrides else (t or transect_of(q)), species
 
 
-def read_ground_truth(path, transect_map: Mapping[str, str] | None = None) -> GroundTruth:
-    """Load truth sets keyed by quadrat id, as ``ground_truth_rows`` reads them."""
-    rows = list(ground_truth_rows(path, transect_map))
-    return GroundTruth(truth={q: species for q, _, species in rows}, transects={q: t for q, t, _ in rows})
-
-
 def write_ground_truth(path, truth: GroundTruth):
     with _open_write(path) as fh:
         write_csv(fh, "ground truth", ((q, truth.transects[q], s) for q, s in truth.truth.items()))

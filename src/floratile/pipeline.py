@@ -66,6 +66,7 @@ from .clustering import (
     check_assignments,
     check_image_vectors,
     check_region_map,
+    check_smoothing,
     dominant_cluster,
     kmeans,
     reweight_entries,
@@ -265,18 +266,21 @@ class PriorSums:
     order (``np.add.at``; a bincount over (cluster, species) keys would
     reorder the additions), as ``estimate_priors`` adds the dense rows, so
     ``priors`` gives its bytes while only a slice's vectors are held. It is
-    built from the assignments before the tile file is read, so a ``k`` above
-    their number, then any cluster outside ``0..k-1``, raises first. ``add``,
+    built from the assignments and the smoothing ``epsilon`` before the tile
+    file is read, so an ``epsilon`` too large for ``n_species``, then a ``k``
+    above the assignments' number, then any cluster outside ``0..k-1``,
+    raises first. ``add``,
     a stream stage, raises the first failure of its slice: a species index
     past the catalog, then the first five of its images without a cluster,
     then ``check_image_vectors``'.
     """
 
-    def __init__(self, cluster_of_image: Mapping[str, int], n_species: int, k: int):
+    def __init__(self, cluster_of_image: Mapping[str, int], n_species: int, k: int, epsilon: float):
+        check_smoothing(epsilon, n_species)
         if k > len(cluster_of_image):
             raise InputError(f"cannot form {k} clusters from {len(cluster_of_image)} assigned images")
         check_assignments(cluster_of_image.values(), k)
-        self.cluster_of_image, self.k, self.n_images = cluster_of_image, k, 0
+        self.cluster_of_image, self.k, self.epsilon, self.n_images = cluster_of_image, k, epsilon, 0
         self.sums, self.counts = np.zeros((k, n_species)), np.zeros(k, dtype=np.int64)
 
     def add(self, tiles):
@@ -291,8 +295,8 @@ class PriorSums:
         np.add.at(self.sums, clusters, vectors)
         self.counts += np.bincount(clusters, minlength=self.k)
 
-    def priors(self, epsilon: float) -> ClusterPriors:
-        return smoothed_priors(self.sums, self.counts, epsilon)
+    def priors(self) -> ClusterPriors:
+        return smoothed_priors(self.sums, self.counts, self.epsilon)
 
 
 def compute_geo_mask(options: GeoOptions, catalog: SpeciesCatalog) -> SpeciesMask:
@@ -445,7 +449,8 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog):
         projection = fit(embeddings, ProjectorConfig(seed=config.seed))
         model = kmeans(projection.points, config.priors.k, seed=config.seed)
         region_map = dominant_cluster(model.assignments, [parse_region(i, registry) for i in embeddings.image_ids])
-        sums = PriorSums(dict(zip(embeddings.image_ids, model.assignments.tolist())), len(catalog), config.priors.k)
+        sums = PriorSums(dict(zip(embeddings.image_ids, model.assignments.tolist())), len(catalog),
+                         config.priors.k, config.priors.epsilon)
     out_dir, held = _make_dir(config.out_dir), []  # --out, once every side input has passed
     with StagedTileFile(out_dir / "masked_predictions.ndjson") as masked, \
             StagedTileFile(out_dir / "reweighted_predictions.ndjson") as reweighted:
@@ -457,7 +462,7 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog):
             held.append if with_priors else vote.add,
         ])
         if with_priors:
-            priors = sums.priors(config.priors.epsilon)
+            priors = sums.priors()
             for view in held:
                 view = apply_priors(view, priors, region_map, registry).batch
                 if keep:

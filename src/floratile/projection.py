@@ -237,12 +237,12 @@ def build_pairs(data: np.ndarray, cfg: ProjectorConfig, rng: np.random.Generator
     return PairSets(near=pairs(near_idx), mid_near=pairs(mid), further=pairs(far))
 
 
-def _objective(Y: np.ndarray, pairs: PairSets, w: Tuple[float, float, float], with_loss: bool):
-    """Gradient of the three-term pairwise objective, and its loss when asked.
+def _objective(Y: np.ndarray, pairs: PairSets, w: Tuple[float, float, float]) -> np.ndarray:
+    """Gradient of the three-term pairwise objective.
 
     One gather over all active pairs, per-term coefficients on contiguous
-    segments, and one bincount scatter per endpoint and axis. The loss sums
-    do not feed the gradient, so skipping them leaves it bit-identical.
+    segments, and one bincount scatter per endpoint and axis. The optimizer
+    steps on the gradient alone, so the loss itself is never summed.
     """
     Y = np.asarray(Y, dtype=np.float64)
     n = Y.shape[0]
@@ -252,7 +252,7 @@ def _objective(Y: np.ndarray, pairs: PairSets, w: Tuple[float, float, float], wi
     terms = [term for term in terms if term[0].shape[0] and term[1] != 0.0]
     grad = np.zeros_like(Y)
     if not terms:
-        return 0.0, grad
+        return grad
     I = np.concatenate([p[:, 0] for p, _, _ in terms])
     J = np.concatenate([p[:, 1] for p, _, _ in terms])
     dx = np.take(Y[:, 0], I) - np.take(Y[:, 0], J)
@@ -260,29 +260,19 @@ def _objective(Y: np.ndarray, pairs: PairSets, w: Tuple[float, float, float], wi
     dt = dx * dx + dy * dy + 1.0
 
     coef = np.empty_like(dt)
-    loss = 0.0
     lo = 0
     for p, weight, denom in terms:
         hi = lo + p.shape[0]
         seg = dt[lo:hi]
         if denom is None:
-            if with_loss:
-                loss += float(weight * (1.0 / (1.0 + seg)).sum())
             coef[lo:hi] = -weight * 2.0 / (1.0 + seg) ** 2
         else:
-            if with_loss:
-                loss += float(weight * (seg / (denom + seg)).sum())
             coef[lo:hi] = weight * 2.0 * denom / (denom + seg) ** 2
         lo = hi
     for axis, diff in enumerate((dx, dy)):
         contrib = coef * diff
         grad[:, axis] = np.bincount(I, contrib, minlength=n) - np.bincount(J, contrib, minlength=n)
-    return loss, grad
-
-
-def loss_and_grad(Y: np.ndarray, pairs: PairSets, w: Tuple[float, float, float]):
-    """Loss and analytic gradient of the three-term pairwise objective."""
-    return _objective(Y, pairs, w, with_loss=True)
+    return grad
 
 
 def phase_weights(t: int, cfg: ProjectorConfig) -> Tuple[float, float, float]:
@@ -324,7 +314,7 @@ def fit(X: EmbeddingMatrix, cfg: ProjectorConfig = ProjectorConfig()) -> Project
     total = sum(cfg.phase_iters)
     for t in range(total):
         w = phase_weights(t, cfg)
-        _, grad = _objective(Y, pairs, w, with_loss=False)
+        grad = _objective(Y, pairs, w)
         m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
         v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad * grad
         m_hat = m / (1.0 - _ADAM_BETA1 ** (t + 1))

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from floratile import batch as fbatch
 from floratile import io as fio
 from floratile import pipeline as fpipeline
-from floratile.batch import TileBatch, TilePrediction, chunk_bounds
+from floratile.batch import TileBatch, TilePrediction
 from floratile.catalog import RegionRegistry, SpeciesCatalog, parse_region
 from floratile.clustering import ClusterPriors, reweight
 from floratile.errors import InputError, InvariantViolation
@@ -305,6 +305,11 @@ def _assert_same_tiles(new, ref):
         assert new == ref
 
 
+def _all_tiles(batch) -> List[TilePrediction]:
+    """Every tile of ``batch``, in batch order."""
+    return list(batch.tiles(0, len(batch)))
+
+
 def _bytes(tmp_path, name, tiles):
     path = tmp_path / name
     write_tile_predictions(path, tiles)
@@ -467,16 +472,30 @@ def test_stage_errors_follow_the_check_order():
         assert got == _outcome(_ref_apply_geo_mask, grouped, mask)
 
 
+def _four(image_id, probs):
+    """Four tiles of ``image_id`` holding ``probs``: at least four entries, so
+    with ``CHUNK_ENTRIES`` at 1 the reader cuts a slice ahead of the next image."""
+    return [_tp(image_id, col, probs) for col in range(4)]
+
+
 @pytest.mark.parametrize("stage,first_images,message,checked", [
-    ("geo", [_tp("img0", 0, [(1, 0.5), (7, 0.25)])], "species index 7 in 'img0' exceeds catalog size 2", []),
-    ("geo", [_tp("img0", 0, [(0, 0.5)])], "removed every species of every tile of 'img0'", []),
-    ("priors", [_tp("img0", 0, [(0, 0.5)])], "reweighted mass is zero", ["reweight_entries"]),
-    # the region check runs ahead of the reweight, so a later image with no region wins over the zero mass
-    ("priors", [_tp("img0", 0, [(0, 0.5)]), _tp("zz1", 0, [(1, 0.5)])],
+    ("geo", _four("img0", [(1, 0.5), (7, 0.25)]), "species index 7 in 'img0' exceeds catalog size 2", []),
+    ("geo", _four("img0", [(0, 0.5)]), "removed every species of every tile of 'img0'", []),
+    ("priors", _four("img0", [(0, 0.5)]), "reweighted mass is zero", ["reweight_entries"]),
+    # the region check runs ahead of the reweight, so a later image with no region wins over the zero mass;
+    # img0 holds one entry, so zz1 joins its slice
+    ("priors", [_tp("img0", 0, [(0, 0.5)]), *_four("zz1", [(1, 0.5)])],
      "no registered region is a prefix of quadrat id 'zz1'", []),
 ], ids=["outside-mask", "emptied", "zero-mass", "zero-mass-then-region"])
-def test_stages_stop_at_the_first_slice_that_fails(monkeypatch, stage, first_images, message, checked):
-    grouped = group_by_image([*first_images, *(_tp(f"img{i}", 0, [(1, 0.5)]) for i in range(2, 7))])
+def test_stages_stop_at_the_first_slice_that_fails(tmp_path, monkeypatch, stage, first_images, message, checked):
+    path = tmp_path / "tiles.ndjson"
+    write_tile_predictions(path, [*first_images, *(t for i in range(2, 7) for t in _four(f"img{i}", [(1, 0.5)]))])
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)
+    first_ids = list(dict.fromkeys(t.image_id for t in first_images))
+    # the first images, then one image per slice
+    assert [view.image_ids for view in tile_slices(path)] == [first_ids] + [[f"img{i}"] for i in range(2, 7)]
+    with path.open("a") as fh:  # a line the reader would reach only past every slice
+        fh.write("{unreadable\n")
     calls = []
 
     def counted(fn):
@@ -487,14 +506,15 @@ def test_stages_stop_at_the_first_slice_that_fails(monkeypatch, stage, first_ima
 
     for fn in (fpipeline.check_species_indices, fpipeline.reweight_entries):
         monkeypatch.setattr(fpipeline, fn.__name__, counted(fn))
-    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # one image per slice
+    if stage == "geo":
+        mask = SpeciesMask(allowed=np.array([False, True]), allowed_count=1)
+        run_stage = lambda view: apply_geo_mask(view, mask)
+    else:
+        priors, registry = ClusterPriors(np.array([[0.0, 0.5, 0.5]])), RegionRegistry(regions=("img",))
+        run_stage = lambda view: apply_priors(view, priors, {"img": 0}, registry)
     with pytest.raises((InputError, InvariantViolation), match=message):
-        if stage == "geo":
-            apply_geo_mask(grouped, SpeciesMask(allowed=np.array([False, True]), allowed_count=1))
-        else:
-            apply_priors(grouped, ClusterPriors(np.array([[0.0, 0.5, 0.5]])), {"img": 0},
-                         RegionRegistry(regions=("img",)))
-    # no later slice's
+        fpipeline.stream(tile_slices(path), [run_stage])
+    # the first slice's checks, no later slice's
     assert calls == ["check_species_indices"] + checked
 
 
@@ -506,10 +526,18 @@ def _voted(slices, catalog, k, min_votes, max_labels):
     return vote.rows()
 
 
+def _image_slices(batch):
+    """``batch`` cut into one slice per image, each rebuilt from its tiles: a
+    cut the reader makes only for images of at least ``4 * CHUNK_ENTRIES`` entries."""
+    bounds = batch.image_offsets.tolist()
+    return [TileBatch.from_tiles(batch.tiles(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def test_vote_names_the_first_index_past_the_catalog_in_file_order():
     tiles = [_tp("b", 0, [(9, 0.5)]), _tp("c", 0, [(1, 0.5)]), _tp("a", 0, [(2, 0.5), (8, 0.25)])]
     batch = TileBatch.from_tiles(tiles)
-    slices = [batch.images(i, i + 1) for i in range(len(batch.image_ids))]  # "b", "c", then "a"
+    slices = _image_slices(batch)  # "b", "c", then "a"
+    assert [view.image_ids for view in slices] == [["b"], ["c"], ["a"]]
     for views in (slices, [batch]):  # "b", first in the file, whether or not it is a slice of its own
         with pytest.raises(InputError, match=r"^species index 9 in 'b' exceeds catalog size 3$"):
             _voted(views, SpeciesCatalog([10, 11, 12]), 9, 1, 10)
@@ -539,7 +567,7 @@ def test_group_by_image_keeps_tiles_of_interleaved_images_in_order():
              _tp("b", 1, [(3, 0.5)]), _tp("a", 1, [(1, 0.5)])]
     batch = TileBatch.from_tiles(tiles)
     assert batch.image_ids == ["b", "a"]
-    assert [(t.image_id, t.col) for t in batch] == [("b", 0), ("b", 1), ("a", 0), ("a", 1)]
+    assert [(t.image_id, t.col) for t in _all_tiles(batch)] == [("b", 0), ("b", 1), ("a", 0), ("a", 1)]
     assert _tiles(group_by_image(tiles)) == _tiles(_ref_group_by_image(tiles))
     # columns are never regrouped: an image code that decreases is a bug in the caller
     with pytest.raises(InvariantViolation, match=r"keep each image's tiles together"):
@@ -566,13 +594,14 @@ def _read_slices(path, bound):
 def _sliced_reads(path):
     """``_outcome`` of reading ``path`` whole, then of reading its slices at
     each of ``SLICE_BOUNDS``, their tiles joined."""
-    joined = lambda bound: [t for view in _read_slices(path, bound) for t in view]
-    return [_outcome(read_tile_predictions, path)] + [_outcome(joined, bound) for bound in SLICE_BOUNDS]
+    joined = lambda bound: [t for view in _read_slices(path, bound) for t in _all_tiles(view)]
+    return [_outcome(lambda: _all_tiles(read_tile_predictions(path)))] + [
+        _outcome(joined, bound) for bound in SLICE_BOUNDS]
 
 
 def _ref_grouped(tiles):
     """The list-based grouping of ``tiles``, a list of tiles or a batch."""
-    return _ref_group_by_image(list(tiles))
+    return _ref_group_by_image(_all_tiles(tiles) if isinstance(tiles, TileBatch) else list(tiles))
 
 
 def _sliced(fn, tiles, *args, group=group_by_image):
@@ -731,7 +760,7 @@ def test_tile_writer_matches_json_dumps_property(tmp_path, monkeypatch, tiles, c
     assert _bytes(tmp_path, "iter", iter(tiles)) == ref.read_bytes()
     if tiles:
         batch = TileBatch.from_tiles(tiles)
-        _ref_write_tile_predictions(ref, batch)
+        _ref_write_tile_predictions(ref, _all_tiles(batch))
         assert _bytes(tmp_path, "batch", batch) == ref.read_bytes()
 
 
@@ -942,20 +971,6 @@ def test_tile_writer_chunks_hold_at_most_write_chunk_entries(tmp_path, monkeypat
     assert calls[-1][1] == len(batch) and all(lo < hi for lo, hi in calls)
     for lo, hi in calls:
         assert batch.offsets[hi] - batch.offsets[lo] <= max(chunk, max(widths))
-    # image-aligned: the vote's slices of a batch whose images span 3, 6, 4, 11 and 3 entries
-    many = TileBatch.from_tiles(_tp(f"m{t // 2}", t, [(i, 0.05) for i in range(w)]) for t, w in enumerate(widths))
-    for tiled in (batch, many):
-        image_entries = tiled.offsets[tiled.image_offsets]
-        slices = list(chunk_bounds(image_entries))
-        assert [a for a, _ in slices] == [0] + [b for _, b in slices[:-1]]
-        assert slices[-1][1] == len(tiled.image_ids) and all(a < b for a, b in slices)
-        views = [tiled.images(a, b) for a, b in slices]
-        assert [i for view in views for i in view.image_ids] == tiled.image_ids  # each image once
-        for view in views:
-            assert view.offsets[-1] <= chunk or len(view.image_ids) == 1
-            assert view.offsets[0] == 0 and view.image[0] == 0 and view.image[-1] == len(view.image_ids) - 1
-        for name in ("idx", "prob", "row", "col", "complete"):
-            assert np.array_equal(np.concatenate([getattr(view, name) for view in views]), getattr(tiled, name))
 
 
 def test_validate_grid_matches_reference():

@@ -712,7 +712,8 @@ def test_ids_holding_commas_pass_through_the_cluster_stage_files(tmp_path, capsy
                  "--region-clusters", str(rc), "--registry", str(registry),
                  "--out", str(tmp_path / "reweighted.ndjson")]) == 0
     assert capsys.readouterr().err == ""
-    assert [t.image_id for t in read_tile_predictions(tmp_path / "reweighted.ndjson")] == ids[:2]
+    reweighted = read_tile_predictions(tmp_path / "reweighted.ndjson")
+    assert [t.image_id for t in reweighted.tiles(0, len(reweighted))] == ids[:2]
 
 
 def test_module_entry_point_no_subcommand():
@@ -1044,6 +1045,7 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
                    "--embeddings", str(fixture_dir / "embeddings.ndjson")]
     aggregate = ["aggregate", "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out), "--predictions"]
     split_run = [*run, "--keep-intermediates", "--predictions"]
+    huge_epsilon = "priors epsilon 1e+307 is too large for 40 species: epsilon x 40 must stay below 8.988e+307"
     return {
         "plot-missing-assignment": (
             ["plot", "--projection", str(projection), "--assignments", str(assign), "--out", str(out)],
@@ -1158,6 +1160,14 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
              str(repeated_registry), "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out),
              "--epsilon", "0"],
             "priors epsilon must be positive and finite, got 0.0", [out]),
+        # 40 species times 1e307 overflows the smoothed prior's row sum: caught before the tile file is read
+        "run-priors-huge-epsilon-before-read": (
+            ["run", "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out), "--predictions",
+             str(broken_predictions), *with_priors, "--priors-epsilon", "1e307"], huge_epsilon, [out]),
+        "priors-huge-epsilon-before-read": (
+            ["priors", "--predictions", str(broken_predictions), "--assignments", str(fixture_dir / "labels.csv"),
+             "--catalog", str(fixture_dir / "catalog.csv"), "--out", str(out), "--epsilon", "1e307"],
+            huge_epsilon, [out]),
         "cluster-zero-k-before-read": (
             ["cluster", "--projection", str(broken_predictions), "--out", str(out), "--k", "0"], "k must be >= 1", [out]),
         "cluster-negative-seed-before-read": (
@@ -1194,7 +1204,8 @@ def _flag_error_cases(fixture_dir, projection, tmp_path):
                                   "aggregate-split-image", "geofilter-split-image",
                                   "priors-split-image", "reweight-split-image", "aggregate-bad-grid-before-read",
                                   "aggregate-zero-k-before-read", "priors-zero-k-before-read",
-                                  "priors-zero-epsilon-before-read", "cluster-zero-k-before-read",
+                                  "priors-zero-epsilon-before-read", "run-priors-huge-epsilon-before-read",
+                                  "priors-huge-epsilon-before-read", "cluster-zero-k-before-read",
                                   "cluster-negative-seed-before-read", "plot-zero-width-before-read",
                                   "plot-zero-height-before-read", "plot-assignments-and-registry-before-read",
                                   "geofilter-bad-reference-before-read"])

@@ -194,6 +194,17 @@ def test_estimate_priors_rejects_non_finite_epsilon(epsilon):
         estimate_priors(np.array([[0.5, 0.5]]), [0], k=1, epsilon=epsilon)
 
 
+def test_estimate_priors_rejects_an_epsilon_whose_smoothed_mass_overflows():
+    vectors = np.full((2, 200), 1 / 200)
+    # 200 x 1e307 overflows the row sum, which once zeroed the prior: an InvariantViolation
+    with pytest.raises(InputError, match=r"^priors epsilon 1e\+307 is too large for 200 species: "
+                                         r"epsilon x 200 must stay below 8\.988e\+307$"):
+        estimate_priors(vectors, [0, 0], k=1, epsilon=1e307)
+    # just below the bound the prior is uniform to rounding
+    priors = estimate_priors(vectors, [0, 0], k=1, epsilon=4e305)
+    assert np.allclose(priors.priors, 1 / 200)
+
+
 def test_cluster_priors_validation():
     with pytest.raises(InvariantViolation):
         ClusterPriors(np.array([[0.5, 0.6]]))

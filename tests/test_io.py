@@ -18,13 +18,13 @@ from floratile.io import (
     CSV_FORMATS,
     SubmissionRow,
     csv_rows,
+    ground_truth_rows,
     group_by_image,
     ndjson_records,
     read_assignments,
     read_csv,
     read_embeddings,
     read_geo_regions,
-    read_ground_truth,
     read_observations,
     read_priors,
     read_projection,
@@ -54,6 +54,12 @@ from floratile.io import (
 from floratile.metrics import GroundTruth, final_score
 from floratile.projection import EmbeddingMatrix, Projection
 from floratile.voting import TilePrediction
+
+
+def _read_truth(path, transect_map=None) -> GroundTruth:
+    """The ``GroundTruth`` of a truth file's rows, as ``ground_truth_rows`` reads them."""
+    rows = list(ground_truth_rows(path, transect_map))
+    return GroundTruth(truth={q: species for q, _, species in rows}, transects={q: t for q, t, _ in rows})
 
 
 def test_catalog_round_trip(tmp_path):
@@ -102,7 +108,7 @@ def test_tile_predictions_round_trip_exact(tmp_path):
     write_tile_predictions(path, preds)
     again = read_tile_predictions(path)
     assert len(again) == len(preds)
-    for a, b in zip(preds, again):
+    for a, b in zip(preds, again.tiles(0, len(again))):
         assert a.image_id == b.image_id
         assert (a.row, a.col) == (b.row, b.col)
         assert a.probs == b.probs  # repr round-trip keeps floats bit-exact
@@ -402,7 +408,7 @@ _PUBLIC_READERS = {
     "projection": read_projection,
     "assignment": read_assignments,
     "region cluster": read_region_cluster_map,
-    "ground truth": read_ground_truth,
+    "ground truth": _read_truth,
     "training count": read_training_counts,
 }
 _MUTATIONS = [b",", b'"', b"\n", b"\r", b"\x00", b"\xff", b"\xc3", b" ", b"-", b"nan", b"x", b"9" * 5000]
@@ -747,7 +753,7 @@ def test_ground_truth_explicit_and_heuristic_transects(tmp_path):
         "CBN-Pla-A1-20130807,,1363227 1392475\n"
         "Q2,TX,7\n"
     )
-    truth = read_ground_truth(path)
+    truth = _read_truth(path)
     assert truth.truth["CBN-Pla-A1-20130807"] == frozenset({1363227, 1392475})
     # blank transect falls back to dropping the trailing token
     assert truth.transects["CBN-Pla-A1-20130807"] == "CBN-Pla-A1"
@@ -757,7 +763,7 @@ def test_ground_truth_explicit_and_heuristic_transects(tmp_path):
 def test_ground_truth_explicit_map_overrides(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("quadrat_id,transect_id,species_ids\nQ1,TA,5\n")
-    truth = read_ground_truth(path, transect_map={"Q1": "TB"})
+    truth = _read_truth(path, transect_map={"Q1": "TB"})
     assert truth.transects["Q1"] == "TB"
 
 
@@ -765,13 +771,13 @@ def test_ground_truth_rejections(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("quadrat_id,transect_id,species_ids\nQ1,T,5\nQ1,T,6\n")
     with pytest.raises(InputError, match=r":3: duplicate"):
-        read_ground_truth(path)
+        _read_truth(path)
     path.write_text("quadrat_id,transect_id,species_ids\nQ1,T,five\n")
     with pytest.raises(InputError, match="space-separated integers"):
-        read_ground_truth(path)
+        _read_truth(path)
     path.write_text("bad,header,row\n")
     with pytest.raises(InputError, match=r":1: expected header"):
-        read_ground_truth(path)
+        _read_truth(path)
 
 
 def test_ground_truth_round_trip(tmp_path):
@@ -781,7 +787,7 @@ def test_ground_truth_round_trip(tmp_path):
         transects={"Q1": "T1", "Q2": "T2"},
     )
     write_ground_truth(path, truth)
-    again = read_ground_truth(path)
+    again = _read_truth(path)
     assert again.truth == truth.truth
     assert again.transects == truth.transects
 

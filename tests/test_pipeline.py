@@ -9,12 +9,21 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from floratile import batch as fbatch
 from floratile import pipeline
 from floratile.catalog import RegionRegistry, SpeciesCatalog
 from floratile.clustering import ClusterPriors, estimate_priors
 from floratile.errors import InputError, InvariantViolation
 from floratile.geo import SpeciesMask
-from floratile.io import SubmissionRow, group_by_image, read_ground_truth, read_submission, write_ground_truth
+from floratile.io import (
+    SubmissionRow,
+    ground_truth_rows,
+    group_by_image,
+    read_submission,
+    tile_slices,
+    write_ground_truth,
+    write_tile_predictions,
+)
 from floratile.metrics import GroundTruth, final_score, image_f1
 from floratile.pipeline import (
     DEFAULT_BASELINE_K,
@@ -177,59 +186,69 @@ def test_image_probability_vectors_rows_sum_to_one(bundle):
 
 def test_priors_stages_take_tiles_in_every_form_a_stage_takes(bundle):
     batch, n_species = bundle.tile_predictions, len(bundle.catalog)
-    tiles = list(batch)
+    tiles = list(batch.tiles(0, len(batch)))
     cluster_of_image = dict(zip(bundle.quadrat_ids, bundle.cluster_labels))
     expected_ids, expected_vectors = image_probability_vectors(batch, n_species)
     expected = estimate_priors(expected_vectors, [cluster_of_image[i] for i in expected_ids], 2)
     for form in (tiles, tuple(tiles), group_by_image(tiles)):
         ids, vectors = image_probability_vectors(form, n_species)
         assert ids == expected_ids and np.array_equal(vectors, expected_vectors)
-        sums = PriorSums(cluster_of_image, n_species, 2)
+        sums = PriorSums(cluster_of_image, n_species, 2, 1e-6)
         sums.add(form)
-        assert np.array_equal(sums.priors(1e-6).priors, expected.priors)
+        assert np.array_equal(sums.priors().priors, expected.priors)
 
 
-def test_a_stage_given_a_list_of_batches_names_what_it_got(bundle):
+def test_a_stage_given_a_list_of_batches_names_what_it_got(bundle, tmp_path):
     batch = bundle.tile_predictions
-    halves = [batch.images(0, 1), batch.images(1, len(batch.image_ids))]
+    slices = _file_slices(tmp_path / "tiles.ndjson", batch, 64)
     with pytest.raises(InvariantViolation, match=r"^stage input holds a TileBatch, not a TilePrediction$"):
         validate_grid([batch], GridSpec(3, 3))
     with pytest.raises(InvariantViolation, match=r"^stage input holds a TileBatch, not a TilePrediction$"):
-        image_probability_vectors(halves, len(bundle.catalog))
+        image_probability_vectors(slices, len(bundle.catalog))
     with pytest.raises(InvariantViolation, match=r"^stage input holds a str, not a TilePrediction$"):
-        image_probability_vectors(list(batch)[:2] + ["tile"], len(bundle.catalog))
+        image_probability_vectors(list(batch.tiles(0, 2)) + ["tile"], len(bundle.catalog))
 
 
-def _sliced(batch, bounds):
-    return [batch.images(a, b) for a, b in zip(bounds, bounds[1:])]
+def _file_slices(path, batch, chunk):
+    """``batch`` written to the tile file ``path`` and read back in the slices
+    ``io.tile_slices`` cuts with ``chunk`` as ``CHUNK_ENTRIES``. Each image of
+    ``bundle`` holds 27 entries: at 1 a slice holds one image, at 45 seven, at 64 ten."""
+    write_tile_predictions(path, batch)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
+        return list(tile_slices(path))
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])  # k=5: clusters with no image keep the uniform row
-def test_prior_sums_equal_the_dense_estimate_exactly(bundle, k):
+def test_prior_sums_equal_the_dense_estimate_exactly(bundle, tmp_path, k):
     batch, n_species = bundle.tile_predictions, len(bundle.catalog)
     n = len(batch.image_ids)
     cluster_of_image = {image_id: (c * 7 + n) % min(k, 3) for n, (image_id, c) in
                         enumerate(zip(bundle.quadrat_ids, bundle.cluster_labels))}
     ids, vectors = image_probability_vectors(batch, n_species)
     expected = estimate_priors(vectors, [cluster_of_image[i] for i in ids], k, epsilon=1e-6, n_species=n_species)
-    for slices in ([batch], _sliced(batch, [0, 7, n]), _sliced(batch, range(n + 1))):
-        sums = PriorSums(cluster_of_image, n_species, k)
+    sevens, singles = (_file_slices(tmp_path / "tiles.ndjson", batch, chunk) for chunk in (45, 1))
+    assert [len(view.image_ids) for view in sevens] == [7, 7, n - 14] and len(singles) == n
+    for slices in ([batch], sevens, singles):
+        sums = PriorSums(cluster_of_image, n_species, k, 1e-6)
         for view in slices:
             sums.add(view)
-        assert np.array_equal(sums.priors(1e-6).priors, expected.priors)
+        assert np.array_equal(sums.priors().priors, expected.priors)
 
 
-def test_prior_sums_raise_the_first_failure_of_the_first_failing_slice(bundle, monkeypatch):
+def test_prior_sums_raise_the_first_failure_of_the_first_failing_slice(bundle, tmp_path, monkeypatch):
     batch, n_species = bundle.tile_predictions, len(bundle.catalog)
     ids = batch.image_ids
+    singles, tens = (_file_slices(tmp_path / "tiles.ndjson", batch, chunk) for chunk in (1, 64))
+    assert len(singles) == len(ids) and [view.image_ids for view in tens] == [ids[:10], ids[10:]]
 
     def failures(cluster_of_image):
         """The errors of the sums built from ``cluster_of_image``, then fed the
         whole batch, and of the same fed one-image slices."""
         seen = []
-        for slices in ([batch], _sliced(batch, range(len(ids) + 1))):
+        for slices in ([batch], singles):
             with pytest.raises((InputError, InvariantViolation)) as exc:
-                sums = PriorSums(cluster_of_image, n_species, 2)
+                sums = PriorSums(cluster_of_image, n_species, 2, 1e-6)
                 for view in slices:
                     sums.add(view)
             seen.append((exc.type.__name__, str(exc.value)))
@@ -244,9 +263,9 @@ def test_prior_sums_raise_the_first_failure_of_the_first_failing_slice(bundle, m
     unassigned = {i: c for i, c in assigned.items() if i not in ids[8:]}
     assert failures(unassigned) == [("InputError", f"no cluster assignment for predicted image(s): {ids[8:13]!r}"),
                                     ("InputError", f"no cluster assignment for predicted image(s): {ids[8:9]!r}")]
-    sums = PriorSums(dict.fromkeys(ids[:8], 0), n_species, 2)
+    sums = PriorSums(dict.fromkeys(ids[:8], 0), n_species, 2, 1e-6)
     with pytest.raises(InputError, match=r"^no cluster assignment for predicted image\(s\): ") as exc:
-        for view in _sliced(batch, [0, 10, len(ids)]):
+        for view in tens:
             sums.add(view)
     assert str(exc.value).endswith(f": {ids[8:10]!r}")  # the failing slice's images only
 
@@ -262,17 +281,18 @@ def test_prior_sums_raise_the_first_failure_of_the_first_failing_slice(bundle, m
     assert failures(dict(assigned, **{ids[-1]: -1})) == [("InputError", "assignment -1 outside clusters 0..1")] * 2
 
 
-def test_prior_sums_memory_is_set_by_k_species_and_a_slice():
+def test_prior_sums_memory_is_set_by_k_species_and_a_slice(tmp_path):
     batch = generate(SynthSpec(n_images=120, n_species=4000), seed=5).tile_predictions
     k, n_species = 3, 4000
     cluster_of_image = {image_id: n % k for n, image_id in enumerate(batch.image_ids)}
-    slices = _sliced(batch, range(len(batch.image_ids) + 1))
+    slices = _file_slices(tmp_path / "tiles.ndjson", batch, 1)  # one image per slice: each holds >= 48 entries
+    assert len(slices) == len(batch.image_ids)
     tracemalloc.start()
     try:
-        sums = PriorSums(cluster_of_image, n_species, k)
+        sums = PriorSums(cluster_of_image, n_species, k, 1e-6)
         for view in slices:
             sums.add(view)
-        sums.priors(1e-6)
+        sums.priors()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -461,14 +481,17 @@ _QUADRATS = st.text(alphabet="ab-1", min_size=1, max_size=4)
 )
 def test_streamed_score_equals_final_score_of_the_read_truth(tmp_path, truth, predicted, overrides):
     """Empty transect fields, overrides, missing and unknown quadrats score
-    the same streamed from the file as through ``read_ground_truth``."""
+    the same streamed from the file as scored whole, as a ``GroundTruth``
+    of the file's rows."""
     path = tmp_path / "truth.csv"
     write_ground_truth(path, GroundTruth(
         truth={q: species for q, (_, species) in truth.items()},
         transects={q: transect for q, (transect, _) in truth.items()},
     ))
     rows = [SubmissionRow(q, tuple(sorted(species))) for q, species in predicted.items()]
-    predictions, read_truth = {r.quadrat_id: r.species_ids for r in rows}, read_ground_truth(path, overrides)
+    predictions, truth_rows = {r.quadrat_id: r.species_ids for r in rows}, list(ground_truth_rows(path, overrides))
+    read_truth = GroundTruth(truth={q: species for q, _, species in truth_rows},
+                             transects={q: t for q, t, _ in truth_rows})
     streamed, streamed_warnings = _warned(score_submission, rows, str(path), overrides)
     expected, expected_warnings = _warned(final_score, predictions, read_truth)
     assert (list(streamed.per_image.items()), list(streamed.per_transect.items()), streamed.final) == (

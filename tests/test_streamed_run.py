@@ -169,7 +169,7 @@ def _whole_batch_run(config: RunConfig):
 
 def _joined(views):
     """The tiles of ``views`` as one stage input."""
-    return [tile for view in views for tile in view]
+    return [tile for view in views for tile in view.tiles(0, len(view))]
 
 
 def _first_fault_run(config: RunConfig):
@@ -210,7 +210,7 @@ def _first_fault_run(config: RunConfig):
         side.priors = side.dense(masked)
         for view in views:
             view = apply_priors(view, side.priors, side.region_map, side.registry).batch
-            reweighted.extend(view)
+            reweighted.extend(view.tiles(0, len(view)))
             vote(view)
     rows.sort(key=attrgetter("quadrat_id"))
     return _scored_and_written(config, catalog, side, rows, masked, reweighted)
@@ -447,15 +447,19 @@ def test_run_rejects_a_file_whose_image_reappears(small_bundle, tmp_path, monkey
         assert _outcome(_whole_batch_run, config) == outcome
 
 
-def test_staged_tile_file_moves_into_place_only_on_commit(tmp_path):
-    batch = read_tile_predictions(_lines_file(tmp_path, [_record("a", 0), _record("b", 0)]))
+def test_staged_tile_file_moves_into_place_only_on_commit(tmp_path, monkeypatch):
+    path = _lines_file(tmp_path, [_record("a", 0, width=4), _record("b", 0, width=4)])
+    batch = read_tile_predictions(path)
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # the reader cuts ahead of "b", past 4 entries
+    slices = _slices(path)
+    assert [view.image_ids for view in slices] == [["a"], ["b"]]
     (tmp_path / "kept.ndjson").write_text("earlier run\n")
     with StagedTileFile(tmp_path / "kept.ndjson") as staged:
         staged.write(batch)
     assert (tmp_path / "kept.ndjson").read_text() == "earlier run\n"  # discarded: untouched
     with StagedTileFile(tmp_path / "kept.ndjson") as staged:
-        staged.write(batch.images(0, 1))
-        staged.write(batch.images(1, 2))
+        for view in slices:
+            staged.write(view)
         staged.commit()
     write_tile_predictions(tmp_path / "whole.ndjson", batch)
     assert (tmp_path / "kept.ndjson").read_bytes() == (tmp_path / "whole.ndjson").read_bytes()

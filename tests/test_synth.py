@@ -10,8 +10,8 @@ from floratile import synth
 from floratile.batch import TilePrediction
 from floratile.errors import InputError, InvariantViolation
 from floratile.io import (
+    ground_truth_rows,
     read_embeddings,
-    read_ground_truth,
     read_observations,
     read_tile_predictions,
 )
@@ -21,6 +21,11 @@ from floratile.synth import SynthSpec, generate, write_bundle
 SMALL = SynthSpec(n_images=12, grid_rows=3, grid_cols=3, n_species=40, n_clusters=2, noise=0.5)
 
 
+def _all_tiles(batch):
+    """Every tile of ``batch``, in batch order."""
+    return batch.tiles(0, len(batch))
+
+
 def test_generate_is_deterministic():
     a = generate(SMALL, seed=7)
     b = generate(SMALL, seed=7)
@@ -28,7 +33,7 @@ def test_generate_is_deterministic():
     assert a.cluster_labels == b.cluster_labels
     assert np.array_equal(a.embeddings.data, b.embeddings.data)
     assert len(a.tile_predictions) == len(b.tile_predictions)
-    for x, y in zip(a.tile_predictions, b.tile_predictions):
+    for x, y in zip(_all_tiles(a.tile_predictions), _all_tiles(b.tile_predictions)):
         assert (x.image_id, x.row, x.col, x.probs) == (y.image_id, y.row, y.col, y.probs)
     assert a.truth.truth == b.truth.truth
 
@@ -53,7 +58,7 @@ def test_generate_structure_invariants():
     assert bundle.embeddings.data.shape == (spec.n_images, spec.embed_dim)
 
     per_image = {}
-    for t in bundle.tile_predictions:
+    for t in _all_tiles(bundle.tile_predictions):
         per_image.setdefault(t.image_id, []).append(t)
     assert set(per_image) == set(bundle.quadrat_ids)
     for qid, tiles in per_image.items():
@@ -69,9 +74,9 @@ def test_generate_structure_invariants():
         assert all(s in bundle.catalog for s in species)
 
     # one-tile image records exist for every image and are incomplete top-20
-    img_ids = {t.image_id for t in bundle.image_predictions}
+    img_ids = {t.image_id for t in _all_tiles(bundle.image_predictions)}
     assert img_ids == set(bundle.quadrat_ids)
-    for t in bundle.image_predictions:
+    for t in _all_tiles(bundle.image_predictions):
         assert (t.row, t.col) == (0, 0)
         assert not t.complete
         assert len(t.probs) <= 20
@@ -80,7 +85,7 @@ def test_generate_structure_invariants():
 def test_generate_zero_noise_is_pure():
     spec = SynthSpec(n_images=8, grid_rows=3, grid_cols=3, n_species=40, n_clusters=2, noise=0.0)
     bundle = generate(spec, seed=5)
-    for t in bundle.tile_predictions:
+    for t in _all_tiles(bundle.tile_predictions):
         assert len(t.probs) == 1
         assert t.probs[0][1] == 1.0
         # the only entry is always a truth species of its image
@@ -143,14 +148,13 @@ def test_write_bundle_round_trips_through_readers(tmp_path):
 
     tiles = read_tile_predictions(out / "tile_predictions.ndjson")
     assert len(tiles) == len(bundle.tile_predictions)
-    for a, b in zip(tiles, bundle.tile_predictions):
+    for a, b in zip(_all_tiles(tiles), _all_tiles(bundle.tile_predictions)):
         assert a.probs == b.probs
 
     emb = read_embeddings(out / "embeddings.ndjson")
     assert np.array_equal(emb.data, bundle.embeddings.data)
 
-    truth = read_ground_truth(out / "truth.csv")
-    assert truth.truth == bundle.truth.truth
+    assert {q: species for q, _, species in ground_truth_rows(out / "truth.csv")} == bundle.truth.truth
 
     obs = read_observations(out / "observations.csv")
     assert obs == bundle.observations
