@@ -29,9 +29,10 @@ pins it (``test_geo_run_memory_is_set_by_a_slice_not_by_the_input``,
 Every run and stage command keeps one order. It reads and checks every
 input but the tile file: the catalog, the truth file's header and first
 row, the training counts (every species of which must be in the catalog),
-the geo mask's observations and regions, and the priors' registry and
-embeddings, which it projects and clusters. It then makes ``run``'s
-``--out``, streams the tile file, and writes its outputs last. In the
+the priors' smoothing epsilon against the catalog's size, the geo mask's
+observations and regions, and the priors' registry and embeddings, which
+it projects and clusters. It then makes ``run``'s ``--out``, streams the
+tile file, and writes its outputs last. In the
 stream it raises the first failure it meets and reads no further: slice by
 slice, stage by stage within a slice (grid, species index, mask apply,
 masked file, prior sums, vote), check by check within a stage, and the
@@ -442,6 +443,8 @@ def _tiled_rows(config: RunConfig, catalog: SpeciesCatalog):
     ``with`` block ends without error."""
     keep, geo, with_priors = config.keep_intermediates, config.geo.enabled, config.priors.enabled
     vote = Vote(catalog, config.k_per_tile, config.min_votes, config.max_labels)
+    if with_priors:  # a flag checked against the catalog, before any side input is read
+        check_smoothing(config.priors.epsilon, len(catalog))
     mask = compute_geo_mask(config.geo, catalog) if geo else None
     if with_priors:
         registry = read_region_registry(config.registry_path)

@@ -18,12 +18,22 @@ summed over the respective pair sets, using adaptive-moment gradient
 descent under a three-phase weight schedule: the mid-near weight anneals
 1000 -> 3 in phase one, holds at 3 in phase two, and drops to 0 in phase
 three while the near weight relaxes from 2 to 1.
+
+Each optimizer step runs on a pair index cached on the ``PairSets``, built
+once per set of active terms: phases one and two use all three pair sets,
+phase three drops the mid-near pairs. The index holds the concatenated
+pair endpoints, each term's segment of them, each endpoint's stable sort
+order with the start of every point's run in it, and a preallocated
+workspace, so a step allocates nothing pair-sized. A point's gradient is
+the segment sum of its runs (``np.add.reduceat``), which adds its pairs'
+contributions in another order than the earlier bincount scatter did: the
+layout can differ from that scatter's in the last bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -73,18 +83,24 @@ class EmbeddingMatrix:
             raise InputError("embedding data contains non-finite values")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairSets:
-    """Index pairs (i, j) for the three loss terms, shape (m, 2) each."""
+    """Index pairs (i, j) for the three loss terms, shape (m, 2) each.
+
+    Frozen, with read-only arrays: ``_objective`` caches the pair index it
+    builds from them in ``_index``.
+    """
 
     near: np.ndarray
     mid_near: np.ndarray
     further: np.ndarray
+    _index: Optional[_PairIndex] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("near", "mid_near", "further"):
             arr = np.asarray(getattr(self, name), dtype=np.int64).reshape(-1, 2)
-            setattr(self, name, arr)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -237,41 +253,110 @@ def build_pairs(data: np.ndarray, cfg: ProjectorConfig, rng: np.random.Generator
     return PairSets(near=pairs(near_idx), mid_near=pairs(mid), further=pairs(far))
 
 
+# (pair-set field, denominator) per loss term, in weight order; denominator
+# None marks the repulsive term
+_TERMS = (("near", 10.0), ("mid_near", 10000.0), ("further", None))
+
+
+class _Endpoint:
+    """One endpoint's segment sums: the pairs in stable order of that endpoint,
+    and where each point's run of pairs starts in that order.
+
+    Only the points with at least one pair get a start (``points``), so the
+    starts strictly increase and each ``np.add.reduceat`` segment is one
+    point's whole run: an empty segment would return its first element, not
+    0, and a start at the end of the array would be out of range.
+    """
+
+    def __init__(self, ends: np.ndarray, n: int):
+        self.order = np.argsort(ends, kind="stable")
+        counts = np.bincount(ends, minlength=n)
+        self.points = np.flatnonzero(counts)
+        self.starts = (np.cumsum(counts) - counts)[self.points]
+
+
+class _PairIndex:
+    """The pairs of one set of active terms, laid out for the optimizer step.
+
+    ``I`` and ``J`` concatenate the active terms' endpoints, and ``segments``
+    holds each term's (lo, hi, term position) within them. The workspace
+    arrays are pair-sized and reused by every step.
+    """
+
+    def __init__(self, pairs: PairSets, n: int, active: Tuple[bool, bool, bool]):
+        sets = [getattr(pairs, name) for (name, _), on in zip(_TERMS, active) if on]
+        self.key = (n, active)
+        self.I = np.concatenate([p[:, 0] for p in sets])
+        self.J = np.concatenate([p[:, 1] for p in sets])
+        m = self.I.size
+        if min(self.I.min(), self.J.min()) < 0 or max(self.I.max(), self.J.max()) >= n:
+            raise InputError(f"pair indices must lie in [0, {n})")
+        bounds = np.cumsum([0] + [p.shape[0] for p in sets])
+        positions = [t for t, on in enumerate(active) if on]
+        self.segments = list(zip(bounds[:-1], bounds[1:], positions))
+        self.ends = (_Endpoint(self.I, n), _Endpoint(self.J, n))
+        self.diff = np.empty(m, dtype=np.complex128)
+        self.gathered = np.empty(m, dtype=np.complex128)
+        self.scale = np.zeros(m, dtype=np.complex128)  # coefficients; imaginary part stays 0
+        self.dt = np.empty(m)
+        self.sums = np.empty(n, dtype=np.complex128)
+
+
 def _objective(Y: np.ndarray, pairs: PairSets, w: Tuple[float, float, float]) -> np.ndarray:
     """Gradient of the three-term pairwise objective.
 
-    One gather over all active pairs, per-term coefficients on contiguous
-    segments, and one bincount scatter per endpoint and axis. The optimizer
-    steps on the gradient alone, so the loss itself is never summed.
+    A term is active when it has pairs and a nonzero weight. The first call
+    for each set of active terms builds the ``_PairIndex`` cached on
+    ``pairs``; later calls allocate nothing pair-sized. Each 2-D point is
+    one complex128 value, so every gather and arithmetic pass covers both
+    axes. Each endpoint's sum is one ``np.take`` into the workspace plus one
+    ``np.add.reduceat`` over that endpoint's runs, which adds a point's
+    contributions in another order than the bincount scatter it replaced:
+    the gradient can differ from that scatter's in the last bits. The
+    optimizer steps on the gradient alone, so the loss itself is never
+    summed.
     """
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
     n = Y.shape[0]
-    w_nb, w_mn, w_fp = w
-    # (pairs, weight, denominator); denominator None marks the repulsive term
-    terms = ((pairs.near, w_nb, 10.0), (pairs.mid_near, w_mn, 10000.0), (pairs.further, w_fp, None))
-    terms = [term for term in terms if term[0].shape[0] and term[1] != 0.0]
     grad = np.zeros_like(Y)
-    if not terms:
+    active = tuple(
+        getattr(pairs, name).shape[0] > 0 and weight != 0.0 for (name, _), weight in zip(_TERMS, w)
+    )
+    if not any(active):
         return grad
-    I = np.concatenate([p[:, 0] for p, _, _ in terms])
-    J = np.concatenate([p[:, 1] for p, _, _ in terms])
-    dx = np.take(Y[:, 0], I) - np.take(Y[:, 0], J)
-    dy = np.take(Y[:, 1], I) - np.take(Y[:, 1], J)
-    dt = dx * dx + dy * dy + 1.0
+    if pairs._index is None or pairs._index.key != (n, active):
+        object.__setattr__(pairs, "_index", None)  # frees the old workspace before the new one is made
+        object.__setattr__(pairs, "_index", _PairIndex(pairs, n, active))
+    index = pairs._index
+    z, g = Y.view(np.complex128)[:, 0], grad.view(np.complex128)[:, 0]
+    diff, gathered, dt = index.diff, index.gathered, index.dt
+    # mode="clip" skips the buffered bounds check; _PairIndex checked the indices
+    np.take(z, index.I, out=diff, mode="clip")
+    np.take(z, index.J, out=gathered, mode="clip")
+    diff -= gathered
+    squares = gathered.view(np.float64)
+    np.square(diff.view(np.float64), out=squares)
+    np.add(squares[0::2], squares[1::2], out=dt)
+    dt += 1.0
 
-    coef = np.empty_like(dt)
-    lo = 0
-    for p, weight, denom in terms:
-        hi = lo + p.shape[0]
-        seg = dt[lo:hi]
+    # squares is spent; its front is the contiguous scratch for the coefficients
+    for lo, hi, term in index.segments:
+        weight, denom = w[term], _TERMS[term][1]
+        tmp = squares[lo:hi]
         if denom is None:
-            coef[lo:hi] = -weight * 2.0 / (1.0 + seg) ** 2
+            np.add(dt[lo:hi], 1.0, out=tmp)
+            numerator = -weight * 2.0
         else:
-            coef[lo:hi] = weight * 2.0 * denom / (denom + seg) ** 2
-        lo = hi
-    for axis, diff in enumerate((dx, dy)):
-        contrib = coef * diff
-        grad[:, axis] = np.bincount(I, contrib, minlength=n) - np.bincount(J, contrib, minlength=n)
+            np.add(dt[lo:hi], denom, out=tmp)
+            numerator = weight * 2.0 * denom
+        np.square(tmp, out=tmp)
+        np.divide(numerator, tmp, out=index.scale.real[lo:hi])
+    diff *= index.scale
+
+    for end, add in zip(index.ends, (np.add, np.subtract)):
+        np.take(diff, end.order, out=gathered, mode="clip")
+        sums = np.add.reduceat(gathered, end.starts, out=index.sums[: end.starts.size])
+        g[end.points] = add(g[end.points], sums)
     return grad
 
 

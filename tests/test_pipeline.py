@@ -432,6 +432,24 @@ def test_run_priors_with_intermediates(fixture_dir, tmp_path):
     assert result.report.final > 0.5
 
 
+def test_run_priors_checks_epsilon_before_any_side_input(fixture_dir, tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("read or projected before the epsilon check")
+
+    for name in ("read_region_registry", "read_embeddings", "fit", "compute_geo_mask"):
+        monkeypatch.setattr(pipeline, name, never)
+    geo = GeoOptions(enabled=True, observations_path=str(fixture_dir / "observations.csv"),
+                     regions_path=str(fixture_dir / "geo_regions.json"))
+    cfg = _tiling_config(
+        fixture_dir, tmp_path / "eps", geo=geo, registry_path=str(fixture_dir / "regions.txt"),
+        priors=PriorsOptions(enabled=True, k=2, embeddings_path=str(fixture_dir / "embeddings.ndjson"),
+                             epsilon=1e307),
+    )
+    with pytest.raises(InputError, match=r"^priors epsilon 1e\+307 is too large for 40 species"):
+        run(cfg)
+    assert not (tmp_path / "eps").exists()
+
+
 def test_score_submission_matches_direct_call(fixture_dir, tmp_path):
     result = run(_tiling_config(fixture_dir, tmp_path / "s"))
     report = score_submission(result.submission, str(fixture_dir / "truth.csv"))

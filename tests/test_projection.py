@@ -526,6 +526,40 @@ def test_gradient_matches_reference_property(data):
     _assert_matches_reference(Y, _pairsets(near=near, mid=mid, far=far), w)
 
 
+def test_cached_pair_index_matches_reference_across_layouts_and_phases():
+    """One PairSets serves every call, as in ``fit``: the index cached on it
+    and its workspace must not carry one call's state into the next, and a
+    point with no pair in a term must get no segment sum from it."""
+    rng = np.random.default_rng(62)
+    n = 10
+    # point 4 and the highest index are in no pair; point 7 only ever as J,
+    # point 2 only ever as I, so each endpoint has empty runs in mid-order and at the end
+    near = [(0, 1), (1, 0), (2, 3), (3, 7), (5, 6), (0, 7)]
+    mid = [(2, 8), (8, 1), (6, 5)]
+    far = [(2, 0), (5, 7), (8, 3), (1, 6), (3, 5)]
+    cases = [_pairsets(near=near, mid=mid, far=far), _pairsets(near=near, far=far), _pairsets(mid=mid)]
+    # phase 3 drops the mid-near term, so the active terms shrink and grow again
+    schedule = [phase_weights(t, ProjectorConfig()) for t in (300, 0, 50, 150, 320, 99)]
+    assert [w[1] == 0.0 for w in schedule] == [True, False, False, False, True, False]
+    for pairs in cases:
+        for w in schedule + [(0.0, 2.0, 0.0), (3.0, 0.0, 0.0), (2.0, 3.0, 1.0)]:
+            for _ in range(2):
+                _assert_matches_reference(rng.normal(size=(n, 2)) * 3.0, pairs, w)
+
+
+def test_pair_index_rejects_pairs_outside_the_layout():
+    with pytest.raises(InputError, match=r"pair indices must lie in \[0, 3\)"):
+        projection._objective(np.zeros((3, 2)), _pairsets(near=[(0, 3)]), (1.0, 0.0, 0.0))
+    with pytest.raises(InputError):
+        projection._objective(np.zeros((3, 2)), _pairsets(far=[(-1, 2)]), (0.0, 0.0, 1.0))
+    # the cached index assumes the pairs never change
+    pairs = _pairsets(near=[(0, 1)])
+    with pytest.raises(ValueError):
+        pairs.near[0, 1] = 2
+    with pytest.raises(AttributeError):
+        pairs.near = np.array([[0, 2]])
+
+
 def test_fit_matches_adam_loop_on_objective():
     """fit's layout must equal, bit for bit, the Adam steps of the projector's
     constants driven by ``_objective``'s gradient."""
@@ -567,6 +601,32 @@ def test_bench_objective(benchmark, priors_sized):
     grad = benchmark.pedantic(projection._objective, args=(Y, pairs, (2.0, 3.0, 1.0)),
                               rounds=20, iterations=5)
     assert grad.shape == (600, 2) and np.all(np.isfinite(grad))
+
+
+def test_objective_allocates_nothing_pair_sized_after_the_first_call(priors_sized):
+    """The first call builds the pair index and its workspace; later steps
+    reuse them, so no step allocates an array as long as the pair list."""
+    _, _, pairs = priors_sized
+    Y = np.random.default_rng(2).normal(size=(600, 2))
+    projection._objective(Y, pairs, (2.0, 3.0, 1.0))
+    tracemalloc.start()
+    try:
+        for t in range(12):
+            grad = projection._objective(Y + t, pairs, (2.0, 3.0 + t, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(grad))
+    assert peak < 8 * 21000  # one float64 value per pair
+
+
+def test_bench_fit(benchmark, priors_sized):
+    """The whole projection at the priors workload's size: preprocessing,
+    pair building and the 450 optimizer steps."""
+    data, cfg, _ = priors_sized
+    X = _matrix(data)
+    proj = benchmark.pedantic(fit, args=(X, cfg), rounds=3, iterations=1)
+    assert proj.points.shape == (600, 2) and np.all(np.isfinite(proj.points))
 
 
 def test_bench_build_pairs(benchmark, priors_sized):
