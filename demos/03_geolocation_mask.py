@@ -6,17 +6,20 @@ A species is admissible when its geotagged observation nearest to the
 survey reference point falls inside one of the survey polygons. Distance
 is squared-degree Euclidean; containment is ray casting with boundary
 points counting as inside. Masked tiles drop the excluded species and
-renormalize.
+renormalize; the tile here goes through the same stage, over the same
+columnar batch, as every slice of a ``run --geo`` tile file.
 """
 
 from floratile import (
     GeoRegion,
     Observation,
     SpeciesCatalog,
-    apply_mask,
+    TileBatch,
+    TilePrediction,
     build_mask,
     nearest_per_species,
 )
+from floratile.pipeline import apply_geo_mask
 
 catalog = SpeciesCatalog([101, 102, 103, 104])
 
@@ -47,6 +50,7 @@ print("masked out:", [
 # a tile that mixes admissible and masked species: the masked entry
 # vanishes and the rest renormalize to unit mass
 tile = [(0, 0.5), (2, 0.3), (1, 0.2)]  # dense indices of 101, 103, 102
-filtered = apply_mask(tile, mask)
+batch = TileBatch.from_tiles([TilePrediction("Q1", 0, 0, tile)])
+filtered = apply_geo_mask(batch, mask).batch
 print("\ntile before:", tile)
-print("tile after: ", [(i, round(p, 4)) for i, p in filtered])
+print("tile after: ", [(i, round(p, 4)) for i, p in zip(filtered.idx.tolist(), filtered.prob.tolist())])

@@ -34,7 +34,6 @@ from .geo import (
     GeoRegion,
     Observation,
     SpeciesMask,
-    apply_mask,
     build_mask,
     contains,
     nearest_per_species,
@@ -88,7 +87,6 @@ __all__ = [
     "TileRect",
     "UnknownRegionError",
     "VoteTally",
-    "apply_mask",
     "build_mask",
     "contains",
     "dominant_cluster",

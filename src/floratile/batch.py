@@ -328,9 +328,3 @@ def as_batch(tiles) -> TileBatch:
             raise InvariantViolation(f"stage input holds a {type(tile).__name__}, not a TilePrediction")
     return TileBatch.from_tiles(tiles)
 
-
-def entry_arrays(probs) -> Tuple[np.ndarray, np.ndarray]:
-    """Index and probability arrays of a sparse vector."""
-    pairs = [(int(i), float(p)) for i, p in probs]
-    idx = np.array([i for i, _ in pairs], dtype=np.int64)
-    return idx, np.array([p for _, p in pairs], dtype=np.float64)

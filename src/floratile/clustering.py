@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
-from .batch import entry_arrays, first
+from .batch import first
 from .errors import InputError, InvariantViolation
 
 _CONVERGENCE_TOL = 1e-6
@@ -271,7 +271,8 @@ def reweight(tile_probs, prior: np.ndarray):
     priors = ClusterPriors([prior]).priors
     if not tile_probs:
         return []
-    idx, prob = entry_arrays(tile_probs)
+    idx = np.array([int(i) for i, _ in tile_probs], dtype=np.int64)
+    prob = np.array([float(p) for _, p in tile_probs], dtype=np.float64)
     j = first((idx < 0) | (idx >= priors.shape[1]))
     if j is not None:
         raise InputError(f"dense index {int(idx[j])} outside prior of size {priors.shape[1]}")

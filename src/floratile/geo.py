@@ -15,7 +15,6 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .batch import entry_arrays, first
 from .catalog import SpeciesCatalog
 from .errors import InputError, InvariantViolation
 
@@ -109,16 +108,10 @@ class SpeciesMask:
     """Boolean admissibility per dense index."""
 
     allowed: np.ndarray
-    allowed_count: int
 
     def __post_init__(self):
         self.allowed = np.asarray(self.allowed, dtype=bool)
-        count = int(self.allowed.sum())
-        if count != self.allowed_count:
-            raise InvariantViolation(
-                f"allowed_count {self.allowed_count} does not match mask ({count} true entries)"
-            )
-        if count < 1:
+        if not self.allowed.any():
             raise InvariantViolation("species mask must allow at least one species")
 
 
@@ -175,10 +168,9 @@ def build_mask(
             continue
         point = (obs.lat, obs.lon)
         allowed[i] = any(contains(region, point) for region in regions)
-    count = int(allowed.sum())
-    if count < 1:
+    if not allowed.any():
         raise InputError("geolocation mask would disallow every species; check regions file")
-    return SpeciesMask(allowed=allowed, allowed_count=count)
+    return SpeciesMask(allowed=allowed)
 
 
 def renormalise(prob, tile, n_tiles: int):
@@ -188,17 +180,3 @@ def renormalise(prob, tile, n_tiles: int):
     np.divide(prob, total, out=prob, where=total > 0.0)
     return prob
 
-
-def apply_mask(probs, mask: SpeciesMask):
-    """Drop masked-out entries from a sparse vector and renormalize the rest.
-
-    Returns an empty vector when nothing survives. ``apply_geo_mask`` drops
-    such a tile, and rejects an image that loses every tile.
-    """
-    idx, prob = entry_arrays(probs)
-    j = first((idx < 0) | (idx >= mask.allowed.shape[0]))
-    if j is not None:
-        raise InputError(f"dense index {int(idx[j])} outside mask of size {mask.allowed.shape[0]}")
-    keep = mask.allowed[idx]
-    tile = np.zeros(np.count_nonzero(keep), dtype=np.int64)
-    return list(zip(idx[keep].tolist(), renormalise(prob[keep], tile, 1).tolist()))

@@ -672,6 +672,12 @@ class SubmissionRow:
         return row
 
 
+def check_quadrat_id(q: str):
+    """Reject an id that an unquoted submission row would not read back."""
+    if ";" in q or "\n" in q or "\r" in q:
+        raise InputError(f"quadrat_id {q!r} holds ';' or a line break, which a submission cannot hold")
+
+
 def write_submission(path, rows: Sequence[SubmissionRow]):
     if not rows:
         raise InputError("submission must contain at least one row")
@@ -680,8 +686,7 @@ def write_submission(path, rows: Sequence[SubmissionRow]):
         q = row.quadrat_id
         if q in seen:
             raise InputError(f"duplicate quadrat_id {q!r} in submission")
-        if ";" in q or "\n" in q or "\r" in q:  # the unquoted row would not read back
-            raise InputError(f"quadrat_id {q!r} holds ';' or a line break, which a submission cannot hold")
+        check_quadrat_id(q)
         seen.add(q)
     with _open_write(path) as fh:
         fh.write("quadrat_id;species_ids\n")

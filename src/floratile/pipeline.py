@@ -38,8 +38,11 @@ slice, stage by stage within a slice (grid, species index, mask apply,
 masked file, prior sums, vote), check by check within a stage, and the
 first tile within a check. The species index is not a stage of the list:
 each stage that looks an index up calls ``check_species_indices`` first.
-A priors run adds each checked and masked slice to the per-cluster sums
-of ``PriorSums`` and holds it in a list; after the last slice it streams
+The vote runs two checks in turn: ``check_species_indices`` against the
+catalog, then ``io.check_quadrat_id`` on each image id in file order, so an
+id no submission row can hold fails in the stream, not at the write. A
+priors run adds each checked and masked slice to the per-cluster sums of
+``PriorSums`` and holds it in a list; after the last slice it streams
 the list through the reweight and the vote, so the list holds every slice
 until the last vote. The rows are then scored, the truth file read one
 row at a time, and only then are the intermediates, the submission and
@@ -85,6 +88,7 @@ from .io import (
     StagedTileFile,
     SubmissionRow,
     _make_dir,
+    check_quadrat_id,
     ground_truth_rows,
     read_embeddings,
     read_geo_regions,
@@ -386,10 +390,13 @@ class Vote:
 
     def add(self, batch: TileBatch):
         """Vote ``batch``, a row per image, once ``check_species_indices``
-        passes it against the catalog. The tally and ranking hold about six
-        int64 columns of the batch's entries, the most of any pass
+        passes it against the catalog and ``check_quadrat_id`` each image id.
+        The tally and ranking hold about six int64 columns of the batch's
+        entries, the most of any pass
         (``test_vote_memory_is_set_by_a_slice_not_by_the_batch``)."""
         check_species_indices(batch, len(self.catalog))
+        for q in batch.image_ids:
+            check_quadrat_id(q)
         if not batch.image_ids:
             return
         image, idx, votes, mass = tally_batch(batch, self.k)

@@ -28,7 +28,7 @@ from floratile.batch import TileBatch, TilePrediction
 from floratile.catalog import RegionRegistry, SpeciesCatalog, parse_region
 from floratile.clustering import ClusterPriors, reweight
 from floratile.errors import InputError, InvariantViolation
-from floratile.geo import DEFAULT_REFERENCE_POINT, SpeciesMask, apply_mask, build_mask, nearest_per_species
+from floratile.geo import DEFAULT_REFERENCE_POINT, SpeciesMask, build_mask, nearest_per_species
 from floratile.io import SubmissionRow, group_by_image, read_tile_predictions, tile_slices, write_tile_predictions
 from floratile.metrics import image_f1
 from floratile.pipeline import (
@@ -115,20 +115,12 @@ def _ref_check_species_indices(grouped, n_species):
                     raise InputError(f"species index {idx} in {image_id!r} exceeds catalog size {n_species}")
 
 
-def _ref_apply_mask(probs, mask: SpeciesMask, renormalize: bool = True):
-    size = mask.allowed.shape[0]
-    kept = []
-    for idx, prob in probs:
-        if not 0 <= idx < size:
-            raise InputError(f"dense index {idx} outside mask of size {size}")
-        if mask.allowed[idx]:
-            kept.append((int(idx), float(prob)))
-    if not kept:
-        return []
-    if renormalize:
-        total = sum(p for _, p in kept)
-        if total > 0.0:
-            kept = [(idx, p / total) for idx, p in kept]
+def _ref_apply_mask(probs, mask: SpeciesMask):
+    # one tile's kept entries, renormalized; its indices passed the species-index check
+    kept = [(int(idx), float(prob)) for idx, prob in probs if mask.allowed[idx]]
+    total = sum(p for _, p in kept)
+    if total > 0.0:
+        kept = [(idx, p / total) for idx, p in kept]
     return kept
 
 
@@ -138,7 +130,7 @@ def _ref_apply_geo_mask(grouped, mask):
     for image_id, tiles in grouped.items():
         kept: List[TilePrediction] = []
         for t in tiles:
-            filtered = _ref_apply_mask(t.probs, mask, renormalize=True)
+            filtered = _ref_apply_mask(t.probs, mask)
             if filtered:
                 kept.append(TilePrediction(t.image_id, t.row, t.col, filtered, complete=False))
         if not kept:
@@ -412,7 +404,7 @@ def test_probabilities_that_tie_only_after_renormalisation(tmp_path):
     assert p1 > p2 and p1 / total == p2 / total  # distinct before, equal after dividing
     grouped = group_by_image([_tp("c", 0, [(5, p1), (2, p2), (8, q), (9, 0.1)]),
                               _tp("c", 1, [(5, 0.6), (2, 0.3)])])
-    mask = SpeciesMask(allowed=np.arange(10) != 9, allowed_count=9)
+    mask = SpeciesMask(allowed=np.arange(10) != 9)
     masked, ref_masked = apply_geo_mask(grouped, mask), _ref_apply_geo_mask(grouped, mask)
     assert [i for i, _ in masked["c"][0].probs] == [2, 5, 8]  # the tie re-sorts by index
     assert _tiles(masked) == _tiles(ref_masked)
@@ -434,8 +426,6 @@ def test_probabilities_that_tie_only_after_renormalisation(tmp_path):
 
 def test_wrappers_match_reference_on_one_tile():
     probs = [(3, 0.5), (1, 0.3), (2, 0.2)]
-    mask = SpeciesMask(allowed=np.array([True, False, True, True]), allowed_count=3)
-    assert apply_mask(probs, mask) == _ref_apply_mask(probs, mask)
     prior = np.array([0.1, 0.2, 0.3, 0.4])
     assert reweight(probs, prior) == _ref_reweight(probs, prior)
     tiles = [_tp("d", c, probs) for c in range(3)]
@@ -463,7 +453,7 @@ def test_stage_errors_follow_the_check_order():
         got = _outcome(apply_priors, grouped, priors, {"img": 0}, registry)
         assert got[0] == "error" and message in got[2]
         assert got == _outcome(_ref_apply_priors, grouped, priors, {"img": 0}, registry)
-    mask = SpeciesMask(allowed=np.array([True, False]), allowed_count=1)
+    mask = SpeciesMask(allowed=np.array([True, False]))
     # image a is emptied ahead of the index outside the mask, but the index check runs first
     for grouped, image_id in ((group_by_image([_tp("a", 0, [(1, 0.5)]), _tp("b", 0, [(4, 0.5)])]), "b"),
                               (group_by_image([_tp("a", 0, [(1, 0.5)]), _tp("a", 1, [(4, 0.5)])]), "a")):
@@ -507,7 +497,7 @@ def test_stages_stop_at_the_first_slice_that_fails(tmp_path, monkeypatch, stage,
     for fn in (fpipeline.check_species_indices, fpipeline.reweight_entries):
         monkeypatch.setattr(fpipeline, fn.__name__, counted(fn))
     if stage == "geo":
-        mask = SpeciesMask(allowed=np.array([False, True]), allowed_count=1)
+        mask = SpeciesMask(allowed=np.array([False, True]))
         run_stage = lambda view: apply_geo_mask(view, mask)
     else:
         priors, registry = ClusterPriors(np.array([[0.0, 0.5, 0.5]])), RegionRegistry(regions=("img",))
@@ -554,7 +544,7 @@ def test_vote_rejects_an_index_past_the_catalog_that_it_does_not_choose():
 def test_every_stage_rejects_a_negative_index_of_a_hand_built_batch():
     batch = TileBatch.from_columns(["a"], [0], [0], [0], [False], [2], [-1, 1], [0.5, 0.25])  # the reader rejects -1
     message = r"^species index -1 in 'a' exceeds catalog size 3$"
-    for stage in (lambda: apply_geo_mask(batch, SpeciesMask(allowed=np.ones(3, dtype=bool), allowed_count=3)),
+    for stage in (lambda: apply_geo_mask(batch, SpeciesMask(allowed=np.ones(3, dtype=bool))),
                   lambda: apply_priors(batch, ClusterPriors(np.full((1, 3), 1 / 3)), {"a": 0}, RegionRegistry(("a",))),
                   lambda: aggregate_predictions(batch, _catalog(3), 9, 1, 10),
                   lambda: image_probability_vectors(batch, 3)):
@@ -656,10 +646,8 @@ def test_geo_mask_matches_reference_property(tiles, data):
     size = data.draw(st.integers(1, N_SPECIES), label="mask size")
     allowed = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size), label="allowed"))
     allowed[data.draw(st.integers(0, size - 1), label="one allowed")] = True
-    mask = SpeciesMask(allowed=allowed, allowed_count=int(allowed.sum()))
+    mask = SpeciesMask(allowed=allowed)
     _assert_sliced_like_reference(apply_geo_mask, _ref_apply_geo_mask, tiles, mask)
-    for t in tiles[:3]:
-        assert _outcome(apply_mask, t.probs, mask) == _outcome(_ref_apply_mask, t.probs, mask)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1001,7 +989,7 @@ def test_validate_grid_matches_reference():
     [_tp("a", 0, [(1, 0.5), (2, 0.25)]), _tp("b", 0, [(3, 0.5)]), _tp("b", 1, [(2, 0.3), (1, 0.2), (0, 0.1)])],
 ], ids=["emptied-own-slice", "outside-after-cut", "emptied-then-outside", "tile-dropped"])
 def test_geo_mask_at_slice_cuts_matches_reference(tiles):
-    mask = SpeciesMask(allowed=np.array([False, True, True, False]), allowed_count=2)
+    mask = SpeciesMask(allowed=np.array([False, True, True, False]))
     _assert_sliced_like_reference(apply_geo_mask, _ref_apply_geo_mask, tiles, mask)
 
 
@@ -1010,13 +998,13 @@ def test_a_stage_that_drops_no_tile_shares_the_tile_columns():
     grouped = group_by_image([_tp("img0", 0, [(1, 0.5), (0, 0.25)]), _tp("img0", 1, [(2, 0.5)]),
                               _tp("img1", 0, [(1, 0.5), (3, 0.25)])])
     batch = grouped.batch
-    masked = apply_geo_mask(grouped, SpeciesMask(allowed=np.array([False, True, True, False]), allowed_count=2)).batch
+    masked = apply_geo_mask(grouped, SpeciesMask(allowed=np.array([False, True, True, False]))).batch
     assert (len(masked), masked.idx.shape[0]) == (3, 3)  # two entries dropped, no tile
     weighted = apply_priors(grouped, ClusterPriors(np.full((1, 4), 0.25)), {"img": 0},
                             RegionRegistry(regions=("img",))).batch
     for derived in (masked, weighted):
         assert derived.image is batch.image and derived.row is batch.row and derived.col is batch.col
-    dropped = apply_geo_mask(grouped, SpeciesMask(allowed=np.array([False, True, False, False]), allowed_count=1)).batch
+    dropped = apply_geo_mask(grouped, SpeciesMask(allowed=np.array([False, True, False, False]))).batch
     assert len(dropped) == 2  # img0's second tile keeps nothing
     assert dropped.image is not batch.image and dropped.row is not batch.row and dropped.col is not batch.col
 

@@ -886,18 +886,28 @@ def test_project_rejects_unusable_settings(fixture_dir, tmp_path, capsys, flags)
 
 
 @pytest.mark.parametrize("quadrat_id", ["Q;1", "Q\n1", "Q\r1"], ids=["semicolon", "lf", "cr"])
-@pytest.mark.parametrize("mode", ["tiling", "baseline"])
-def test_run_rejects_an_image_id_a_submission_cannot_hold(fixture_dir, tmp_path, capsys, mode, quadrat_id):
+@pytest.mark.parametrize("mode, geo", [("tiling", False), ("baseline", False), ("tiling", True)],
+                         ids=["tiling", "baseline", "tiling-geo-keep"])
+def test_run_rejects_an_image_id_a_submission_cannot_hold(fixture_dir, tmp_path, capsys, mode, geo, quadrat_id):
+    flags, probs = [], [[1, 0.6], [2, 0.4]]
+    if geo:  # the intermediates a kept geo run would write come before the submission
+        options = GeoOptions(enabled=True, observations_path=str(fixture_dir / "observations.csv"),
+                             regions_path=str(fixture_dir / "geo_regions.json"))
+        allowed = np.flatnonzero(compute_geo_mask(options, load_catalog(fixture_dir / "catalog.csv")).allowed)
+        assert allowed.size >= 2
+        probs = [[int(allowed[0]), 0.6], [int(allowed[1]), 0.4]]
+        flags = ["--geo", "--keep-intermediates", "--observations", options.observations_path,
+                 "--geo-regions", options.regions_path]
     preds = tmp_path / "preds.ndjson"
-    preds.write_text(json.dumps({"image_id": quadrat_id, "row": 0, "col": 0, "probs": [[1, 0.6], [2, 0.4]]}) + "\n")
+    preds.write_text(json.dumps({"image_id": quadrat_id, "row": 0, "col": 0, "probs": probs}) + "\n")
     out = tmp_path / "out"
     assert main(["run", "--mode", mode, "--grid", "1x1", "--catalog", str(fixture_dir / "catalog.csv"),
                  "--predictions", str(preds), "--training-counts", str(fixture_dir / "training_counts.csv"),
-                 "--out", str(out)]) == 1
+                 "--out", str(out), *flags]) == 1
     assert capsys.readouterr().err == (
         f"floratile: error: quadrat_id {quadrat_id!r} holds ';' or a line break, which a submission cannot hold\n"
     )
-    assert not (out / "submission.csv").exists()
+    assert not out.exists() or not any(out.iterdir())
 
 
 # --- priors runs that fail in the reweight ------------------------------------

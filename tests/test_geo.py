@@ -12,7 +12,6 @@ from floratile.geo import (
     GeoRegion,
     Observation,
     SpeciesMask,
-    apply_mask,
     build_mask,
     contains,
     nearest_per_species,
@@ -232,7 +231,6 @@ def test_build_mask_examples():
     }
     mask = build_mask(nearest, [UNIT_SQUARE], catalog)
     assert mask.allowed.tolist() == [True, False, True, False]
-    assert mask.allowed_count == 2
 
 
 def test_build_mask_union_of_regions():
@@ -280,63 +278,8 @@ def test_adding_region_never_shrinks_mask():
             continue
         wider = build_mask(nearest, [UNIT_SQUARE, extra], catalog)
         assert np.all(wider.allowed >= base.allowed)
-        assert wider.allowed_count >= base.allowed_count
 
 
 def test_species_mask_count_checked():
     with pytest.raises(InvariantViolation):
-        SpeciesMask(allowed=np.array([True, False]), allowed_count=2)
-    with pytest.raises(InvariantViolation):
-        SpeciesMask(allowed=np.array([False, False]), allowed_count=0)
-
-
-def _mask(bits):
-    arr = np.asarray(bits, dtype=bool)
-    return SpeciesMask(allowed=arr, allowed_count=int(arr.sum()))
-
-
-def test_apply_mask_identity_when_all_allowed():
-    probs = [(0, 0.5), (2, 0.3), (3, 0.2)]
-    out = apply_mask(probs, _mask([True] * 4))
-    assert out == [(0, 0.5), (2, 0.3), (3, 0.2)]
-
-
-def test_apply_mask_renormalizes_to_unit_mass():
-    probs = [(0, 0.5), (1, 0.3), (2, 0.2)]
-    out = apply_mask(probs, _mask([True, False, True]))
-    assert [i for i, _ in out] == [0, 2]
-    assert sum(p for _, p in out) == pytest.approx(1.0, abs=1e-9)
-    assert out[0][1] == pytest.approx(0.5 / 0.7, abs=1e-12)
-
-
-def test_apply_mask_annihilation_returns_empty():
-    probs = [(1, 0.7), (2, 0.3)]
-    assert apply_mask(probs, _mask([True, False, False])) == []
-
-
-def test_apply_mask_rejects_out_of_range_index():
-    with pytest.raises(InputError):
-        apply_mask([(5, 1.0)], _mask([True, True]))
-
-
-def test_apply_mask_preserves_relative_order():
-    rng = np.random.default_rng(311)
-    for _ in range(200):
-        size = int(rng.integers(2, 20))
-        support = int(rng.integers(1, size + 1))
-        idxs = rng.choice(size, size=support, replace=False)
-        raw = rng.random(support) + 1e-3
-        raw = raw / raw.sum()
-        probs = [(int(i), float(p)) for i, p in zip(idxs, raw)]
-        bits = rng.random(size) < 0.6
-        if not bits.any():
-            bits[int(rng.integers(0, size))] = True
-        out = apply_mask(probs, _mask(bits))
-        kept_in = [e for e in probs if bits[e[0]]]
-        assert [i for i, _ in out] == [i for i, _ in kept_in]
-        # renormalization is order-preserving: argsort by mass unchanged
-        before = sorted(range(len(kept_in)), key=lambda j: -kept_in[j][1])
-        after = sorted(range(len(out)), key=lambda j: -out[j][1])
-        assert before == after
-        if out:
-            assert sum(p for _, p in out) == pytest.approx(1.0, abs=1e-9)
+        SpeciesMask(allowed=np.array([False, False]))

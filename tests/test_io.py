@@ -349,7 +349,7 @@ _WRITER_BYTES = {
         b"species_id,lat,lon\n7,44.123456789,4.0\n9,-3.5,170.25\n",
     ),
     "species mask": (
-        lambda p: write_species_mask(p, SpeciesMask(np.array([True, False, True]), 2), _CATALOG),
+        lambda p: write_species_mask(p, SpeciesMask(np.array([True, False, True])), _CATALOG),
         b"species_id,allowed\n10,1\n20,0\n30,1\n",
     ),
     "projection": (

@@ -309,7 +309,7 @@ def test_image_probability_vectors_index_bound():
 def _mask_of(size, allowed_idx):
     bits = np.zeros(size, dtype=bool)
     bits[list(allowed_idx)] = True
-    return SpeciesMask(allowed=bits, allowed_count=len(allowed_idx))
+    return SpeciesMask(allowed=bits)
 
 
 def test_apply_geo_mask_drops_emptied_tiles():

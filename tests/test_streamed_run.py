@@ -1075,6 +1075,51 @@ def test_run_scores_before_it_writes(small_bundle, tmp_path):
     assert list(out.iterdir()) == []  # no submission, mask or masked file
 
 
+# each fault, and a part of the one error line it must give
+LAST_IMAGE_FAULTS = {"off-grid tile": "outside 2x3 grid", "index past catalog": "exceeds catalog size",
+                     "probability above 1": "outside (0, 1]", "masked-out image": "geolocation mask removed",
+                     "quadrat id with ';'": "which a submission cannot hold", "malformed last truth row": "truth.csv:"}
+
+
+@pytest.mark.parametrize("fault", list(LAST_IMAGE_FAULTS))
+def test_a_run_that_fails_on_an_input_writes_nothing(small_bundle, tmp_path, monkeypatch, fault):
+    bundle_dir, dropped = small_bundle
+    lines = (bundle_dir / "tile_predictions.ndjson").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    last = records[-1]["image_id"]
+    at = next(n for n, rec in enumerate(records) if rec["image_id"] == last)  # the last image's first tile
+    truth = (bundle_dir / "truth.csv").read_text()
+    if fault == "off-grid tile":
+        records[at]["row"] = 7
+    elif fault == "index past catalog":
+        records[at].update(probs=[[SPEC.n_species + 3, 0.5]], complete=False)
+    elif fault == "probability above 1":
+        records[at]["probs"] = [[1, 1.5]]
+    elif fault == "masked-out image":
+        assert dropped is not None
+        for rec in records[at:]:
+            rec.update(probs=[[dropped, 0.5]], complete=False)
+    elif fault == "quadrat id with ';'":
+        for rec in records[at:]:
+            rec["image_id"] = last + ";x"
+    else:
+        truth += "SYN-AA-T99-Q9999,T99,not-a-species\n"
+    (tmp_path / "predictions.ndjson").write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    (tmp_path / "truth.csv").write_text(truth)
+    monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", 1)  # every image a slice of its own
+    out = tmp_path / "out"
+    argv = ["run", "--mode", "tiling", "--grid", "2x3", "--geo", "--keep-intermediates",
+            "--catalog", str(bundle_dir / "catalog.csv"), "--predictions", str(tmp_path / "predictions.ndjson"),
+            "--observations", str(bundle_dir / "observations.csv"),
+            "--geo-regions", str(bundle_dir / "geo_regions.json"),
+            "--truth", str(tmp_path / "truth.csv"), "--out", str(out)]
+    stderr = StringIO()
+    with redirect_stderr(stderr):
+        assert main(argv) == 1
+    assert stderr.getvalue().startswith("floratile: error: ") and LAST_IMAGE_FAULTS[fault] in stderr.getvalue()
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["geofilter", "reweight"])
 def test_stage_commands_write_their_tile_file_in_place(small_bundle, tmp_path, monkeypatch, command):
     bundle_dir, _ = small_bundle
