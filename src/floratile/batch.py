@@ -214,24 +214,18 @@ class TileBatch:
     def __len__(self) -> int:
         return self.row.shape[0]
 
-    def columns(self, lo: int, hi: int):
-        """Tiles ``lo`` to ``hi`` as Python columns, in batch order: image ids,
-        rows, cols, a generator of each tile's ``(idx, prob)`` list
-        and the ``complete`` flags."""
+    def tiles(self, lo: int, hi: int):
+        """Tiles ``lo`` to ``hi`` as ``TilePrediction`` objects, in batch order."""
         start, stop = self.offsets[lo], self.offsets[hi]
         pairs = list(zip(self.idx[start:stop].tolist(), self.prob[start:stop].tolist()))
         bounds = (self.offsets[lo:hi + 1] - start).tolist()
-        return (
+        for fields in zip(
             [self.image_ids[i] for i in self.image[lo:hi].tolist()],
             self.row[lo:hi].tolist(),
             self.col[lo:hi].tolist(),
             (pairs[a:b] for a, b in zip(bounds, bounds[1:])),
             self.complete[lo:hi].tolist(),
-        )
-
-    def tiles(self, lo: int, hi: int):
-        """Tiles ``lo`` to ``hi`` as ``TilePrediction`` objects, in batch order."""
-        for fields in zip(*self.columns(lo, hi)):
+        ):
             yield TilePrediction._trusted(*fields)
 
     @cached_property
@@ -328,3 +322,16 @@ def as_batch(tiles) -> TileBatch:
             raise InvariantViolation(f"stage input holds a {type(tile).__name__}, not a TilePrediction")
     return TileBatch.from_tiles(tiles)
 
+
+def check_species_indices(tiles: TileBatch, n_species: int):
+    """The species-index stage: every dense index must lie in ``0..n_species - 1``,
+    the width of the table the caller looks it up in (the mask, a prior row or
+    the catalog, each one entry per catalog species). The first one outside
+    raises; a good batch passes on its ``min()`` and ``max()`` without allocating."""
+    batch = as_batch(tiles)
+    idx = batch.idx
+    if not idx.size or (idx.min() >= 0 and idx.max() < n_species):
+        return
+    j = first((idx < 0) | (idx >= n_species))
+    image_id = batch.image_ids[batch.image[batch.tile_of(j)]]
+    raise InputError(f"species index {int(idx[j])} in {image_id!r} exceeds catalog size {n_species}")

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
-from .batch import first
+from .batch import TileBatch, check_species_indices, first
 from .errors import InputError, InvariantViolation
 
 _CONVERGENCE_TOL = 1e-6
@@ -243,7 +243,7 @@ def reweight_entries(idx, prob, tile, n_tiles: int, priors: np.ndarray, cluster_
 
     Each probability is multiplied by ``priors[cluster_of_tile[tile], idx]``
     and renormalised over its tile; every index must lie inside the prior,
-    as ``pipeline.check_species_indices`` checks first. Returns the new
+    as ``batch.check_species_indices`` checks first. Returns the new
     probabilities. The first product of two positive factors that underflows
     to zero raises an InputError naming ``tile_name(tile)``; then a tile whose
     reweighted mass is zero raises an InvariantViolation, before any division.
@@ -266,16 +266,16 @@ def reweight(tile_probs, prior: np.ndarray):
     """Multiply sparse tile probabilities by the prior and renormalize.
 
     The output keeps the input entry order and support; smoothing in the
-    prior guarantees a non-empty result.
+    prior guarantees a non-empty result. The entries are checked as one
+    tile named ``'tile'`` by ``check_species_indices``.
     """
     priors = ClusterPriors([prior]).priors
     if not tile_probs:
         return []
     idx = np.array([int(i) for i, _ in tile_probs], dtype=np.int64)
     prob = np.array([float(p) for _, p in tile_probs], dtype=np.float64)
-    j = first((idx < 0) | (idx >= priors.shape[1]))
-    if j is not None:
-        raise InputError(f"dense index {int(idx[j])} outside prior of size {priors.shape[1]}")
-    tile = np.zeros(idx.shape[0], dtype=np.int64)
-    out = reweight_entries(idx, prob, tile, 1, priors, np.zeros(1, dtype=np.int64))
+    one = np.zeros(1, dtype=np.int64)
+    check_species_indices(TileBatch(["tile"], one, one, one, one.astype(bool), np.array([0, idx.shape[0]]), idx, prob),
+                          priors.shape[1])
+    out = reweight_entries(idx, prob, np.zeros(idx.shape[0], dtype=np.int64), 1, priors, one)
     return list(zip(idx.tolist(), out.tolist()))

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple
 import numpy as np
 
 from . import batch as _batch
-from .batch import ImageTiles, TileBatch, TilePrediction, as_batch, chunk_bounds, rejection
+from .batch import ImageTiles, TileBatch, TilePrediction, as_batch, chunk_bounds, first, rejection
 from .catalog import RegionRegistry, SpeciesCatalog, transect_of
 from .errors import InputError, InvariantViolation
 from .geo import GeoRegion, Observation, SpeciesMask
@@ -471,13 +471,40 @@ _COMPLETE = ', "complete": true'
 
 
 def _tile_lines(tiles) -> str:
-    """NDJSON lines of ``(image_id, row, col, probs, complete)`` tuples, each
-    byte for byte ``json.dumps`` of the record ``write_tile_predictions`` documents."""
+    """NDJSON lines of ``(image, row, col, entries, complete)`` tuples, each
+    byte for byte ``json.dumps`` of the record ``write_tile_predictions``
+    documents; ``image`` is the id's JSON text and ``entries`` the text
+    ``i, p], [i, p`` of the tile's ``probs`` pairs."""
     return "".join(
-        f'{{"image_id": {json.dumps(image)}, "row": {row}, "col": {col}, '
-        f'"probs": [[{"], [".join([f"{i}, {p!r}" for i, p in pairs])}]]'
+        f'{{"image_id": {image}, "row": {row}, "col": {col}, "probs": [[{entries}]]'
         f'{_COMPLETE if complete else ""}}}\n'
-        for image, row, col, pairs, complete in tiles
+        for image, row, col, entries, complete in tiles
+    )
+
+
+def _texts(values: np.ndarray, text) -> List[str]:
+    """``text`` of each value, computed once per distinct value; values that
+    compare equal must share a text, as no -0.0 sits beside a 0.0 here."""
+    distinct, code = np.unique(values, return_inverse=True)
+    return np.array(list(map(text, distinct.tolist())), dtype=object)[code].tolist()
+
+
+def _batch_fields(batch: TileBatch, lo: int, hi: int):
+    """The ``_tile_lines`` tuples of tiles ``lo`` to ``hi``: each image id is
+    encoded once, and the entries' text comes from one pass over the flat
+    columns, sliced per tile."""
+    start, stop = batch.offsets[lo], batch.offsets[hi]
+    codes = batch.image[lo:hi].tolist()
+    base = codes[0]
+    images = [json.dumps(image_id) for image_id in batch.image_ids[base:codes[-1] + 1]]
+    entries = list(map(", ".join, zip(_texts(batch.idx[start:stop], str), _texts(batch.prob[start:stop], repr))))
+    bounds = (batch.offsets[lo:hi + 1] - start).tolist()
+    return zip(
+        [images[c - base] for c in codes],
+        batch.row[lo:hi].tolist(),
+        batch.col[lo:hi].tolist(),
+        ["], [".join(entries[a:b]) for a, b in zip(bounds, bounds[1:])],
+        batch.complete[lo:hi].tolist(),
     )
 
 
@@ -496,9 +523,10 @@ def write_tile_predictions(path, preds: Iterable[TilePrediction]):
 
 def _write_tiles(fh, preds):
     if isinstance(preds, TileBatch):
-        chunks = (zip(*preds.columns(lo, hi)) for lo, hi in chunk_bounds(preds.offsets))
+        chunks = (_batch_fields(preds, lo, hi) for lo, hi in chunk_bounds(preds.offsets))
     else:
-        tiles = ((t.image_id, t.row, t.col, t.probs, t.complete) for t in preds)
+        tiles = ((json.dumps(t.image_id), t.row, t.col, "], [".join([f"{i}, {p!r}" for i, p in t.probs]), t.complete)
+                 for t in preds)
         chunks = iter(lambda: list(islice(tiles, _batch.CHUNK_ENTRIES)), [])
     for chunk in chunks:
         fh.write(_tile_lines(chunk))
@@ -604,16 +632,21 @@ def read_embeddings(path) -> EmbeddingMatrix:
 
 def write_embeddings(path, emb: EmbeddingMatrix):
     with _open_write(path) as fh:
-        for image_id, row in zip(emb.image_ids, emb.data):
-            fh.write(json.dumps({"image_id": image_id, "vector": [float(x) for x in row]}) + "\n")
+        for image_id, row in zip(emb.image_ids, emb.data.tolist()):
+            fh.write(json.dumps({"image_id": image_id, "vector": row}) + "\n")
 
 
 # --- cluster priors ----------------------------------------------------
 
 def write_priors(path, priors: ClusterPriors):
+    """One record per cluster; a row that ``read_priors`` would reject (an
+    entry that is not > 0) is an InputError naming it, before any write."""
+    c = first(~np.all(priors.priors > 0.0, axis=1))
+    if c is not None:
+        raise InputError(f"{path}: cluster {c}: prior entries must be finite and > 0")
     with _open_write(path) as fh:
-        for c in range(priors.k):
-            fh.write(json.dumps({"cluster": c, "prior": [float(x) for x in priors.priors[c]]}) + "\n")
+        for c, row in enumerate(priors.priors.tolist()):
+            fh.write(json.dumps({"cluster": c, "prior": row}) + "\n")
 
 
 def read_priors(path) -> ClusterPriors:

@@ -63,7 +63,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import ImageTiles, TileBatch, as_batch, first
+from .batch import ImageTiles, TileBatch, as_batch, check_species_indices, first
 from .catalog import RegionRegistry, SpeciesCatalog, load_catalog, parse_region
 from .clustering import (
     ClusterPriors,
@@ -230,20 +230,6 @@ def validate_grid(tiles: TileBatch, grid: GridSpec):
     if outside[t]:
         raise InputError(f"tile ({row},{col}) of {image_id!r} outside {grid.rows}x{grid.cols} grid")
     raise InputError(f"duplicate tile ({row},{col}) for {image_id!r}")
-
-
-def check_species_indices(tiles: TileBatch, n_species: int):
-    """The species-index stage: every dense index must lie in ``0..n_species - 1``,
-    the width of the table the caller looks it up in (the mask, a prior row or
-    the catalog, each one entry per catalog species). The first one outside
-    raises; a good batch passes on its ``min()`` and ``max()`` without allocating."""
-    batch = as_batch(tiles)
-    idx = batch.idx
-    if not idx.size or (idx.min() >= 0 and idx.max() < n_species):
-        return
-    j = first((idx < 0) | (idx >= n_species))
-    image_id = batch.image_ids[batch.image[batch.tile_of(j)]]
-    raise InputError(f"species index {int(idx[j])} in {image_id!r} exceeds catalog size {n_species}")
 
 
 def image_probability_vectors(tiles, n_species: int) -> Tuple[List[str], np.ndarray]:

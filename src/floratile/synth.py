@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import asdict, dataclass, field
+from itertools import filterfalse
 from pathlib import Path
 from typing import Dict, List
 
@@ -210,6 +211,8 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
 
     lo = spec.min_truth_species
     hi = spec.max_truth_species
+    # the truth and junk Dirichlet concentrations of the full-image vector, by truth-set size
+    alphas = {n: (np.full(n, 8.0), np.full(min(25, spec.n_species - n), 1.5)) for n in range(lo, hi + 1)}
     for i in range(spec.n_images):
         c = i % spec.n_clusters
         transect = f"{region_names[c]}-T{i // spec.n_clusters // spec.transect_size:02d}"
@@ -242,7 +245,7 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
                 flip_tiles[tile] = confusers[pos % n_confusers]
 
         blocked = set(truth).union(confusers)
-        junk = iter([s for s in rng.permutation(spec.n_species).tolist() if s not in blocked]).__next__
+        junk = filterfalse(blocked.__contains__, rng.permutation(spec.n_species).tolist()).__next__
 
         for tile, dom in enumerate(dominants):
             if smear == 0.0:
@@ -253,10 +256,10 @@ def generate(spec: SynthSpec, seed: int) -> SynthBundle:
                 tile_idx += (dom, junk(), junk())
 
         truth_share = IMG_TRUTH_BASE - IMG_TRUTH_DROP * spec.noise
-        truth_w = truth_share * rng.dirichlet(np.full(n_truth, 8.0))
-        n_junk_img = min(25, spec.n_species - n_truth)
-        junk_species = rng.choice(np.flatnonzero(free), size=n_junk_img, replace=False)
-        junk_w = (1.0 - truth_share) * rng.dirichlet(np.full(n_junk_img, 1.5))
+        truth_alpha, junk_alpha = alphas[n_truth]
+        truth_w = truth_share * rng.dirichlet(truth_alpha)
+        junk_species = rng.choice(np.flatnonzero(free), size=junk_alpha.shape[0], replace=False)
+        junk_w = (1.0 - truth_share) * rng.dirichlet(junk_alpha)
         idx = np.concatenate((truth_dense, junk_species))
         prob = np.concatenate((truth_w, junk_w))
         top = np.lexsort((idx, -prob))[:IMG_SUPPORT]

@@ -151,7 +151,7 @@ def _ref_reweight(tile_probs, prior: np.ndarray):
     weighted = []
     for idx, prob in tile_probs:
         if not 0 <= idx < prior.shape[0]:
-            raise InputError(f"dense index {idx} outside prior of size {prior.shape[0]}")
+            raise InputError(f"species index {idx} in 'tile' exceeds catalog size {prior.shape[0]}")
         weighted.append((int(idx), float(prob) * float(prior[idx])))
     total = sum(wp for _, wp in weighted)
     if total <= 0.0:
@@ -946,13 +946,13 @@ def test_reader_reports_a_64_bit_overflow_at_its_line(tmp_path, field):
 def test_tile_writer_chunks_hold_at_most_write_chunk_entries(tmp_path, monkeypatch, chunk):
     widths = [1, 2, 5, 1, 1, 3, 9, 2, 2, 1]
     batch = TileBatch.from_tiles(_tp(f"i{t % 3}", t, [(i, 0.05) for i in range(w)]) for t, w in enumerate(widths))
-    calls, columns = [], TileBatch.columns
+    calls, fields = [], fio._batch_fields
 
-    def recorded(self, lo, hi):
+    def recorded(tiles, lo, hi):
         calls.append((lo, hi))
-        return columns(self, lo, hi)
+        return fields(tiles, lo, hi)
 
-    monkeypatch.setattr(TileBatch, "columns", recorded)
+    monkeypatch.setattr(fio, "_batch_fields", recorded)
     monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
     write_tile_predictions(tmp_path / "out.ndjson", batch)
     assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]

@@ -272,6 +272,11 @@ def test_reweight_empty_input():
     assert reweight([], np.array([1.0])) == []
 
 
+def test_reweight_words_an_index_past_the_prior_as_every_stage_does():
+    with pytest.raises(InputError, match=r"^species index 5 in 'tile' exceeds catalog size 4$"):
+        reweight([(5, 1.0)], np.full(4, 0.25))
+
+
 def test_reweight_rejects_bad_prior():
     with pytest.raises(InvariantViolation):
         reweight([(0, 1.0)], np.array([0.5, 0.6]))

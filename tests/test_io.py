@@ -1,6 +1,7 @@
 """File format round-trips and diagnostics."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from floratile.catalog import RegionRegistry, SpeciesCatalog, load_catalog
-from floratile.clustering import ClusterPriors
+from floratile.clustering import ClusterPriors, estimate_priors
 from floratile.errors import InputError
 from floratile.geo import GeoRegion, Observation, SpeciesMask
 from floratile.pipeline import RunConfig
@@ -489,6 +490,25 @@ def test_embeddings_round_trip(tmp_path):
     assert np.array_equal(again.data, emb.data)
 
 
+_AWKWARD_FLOATS = st.sampled_from([5e-324, 1e-05, 1e300, -0.0, 2.0])
+_ESCAPED_IDS = st.sampled_from(["a", "é", 'q"t', "back\\slash", "\u2603\U0001f33f", "tab\tx", "\x01", "two\nlines"])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_embedding_writer_matches_json_dumps_property(tmp_path, data):
+    ids = data.draw(st.lists(_ESCAPED_IDS, min_size=2, max_size=5, unique=True), label="ids")
+    width = data.draw(st.integers(1, 4), label="width")
+    values = _AWKWARD_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+    rows = data.draw(st.lists(st.lists(values, min_size=width, max_size=width), min_size=len(ids), max_size=len(ids)))
+    emb = EmbeddingMatrix(ids, np.array(rows))
+    path = tmp_path / "emb.ndjson"
+    write_embeddings(path, emb)
+    expected = "".join(json.dumps({"image_id": i, "vector": [float(x) for x in row]}) + "\n"
+                       for i, row in zip(ids, emb.data))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_embeddings_width_mismatch(tmp_path):
     path = tmp_path / "emb.ndjson"
     path.write_text(
@@ -676,6 +696,39 @@ def test_priors_round_trip_and_contiguity(tmp_path):
     )
     with pytest.raises(InputError, match=r":3: duplicate cluster 1"):
         read_priors(path)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_prior_writer_matches_json_dumps_property(tmp_path, data):
+    """Rows of tiny awkward entries and a head that brings the sum to one."""
+    small = st.sampled_from([5e-324, 1e-05, 1e-300, 2.5e-10]) | st.floats(5e-324, 1e-3)
+    k = data.draw(st.integers(1, 3), label="k")
+    width = data.draw(st.integers(1, 5), label="width")
+    rows = []
+    for _ in range(k):
+        tail = data.draw(st.lists(small, min_size=width - 1, max_size=width - 1))
+        rows.append([1.0 - math.fsum(tail), *tail])
+    priors = ClusterPriors(np.array(rows))
+    path = tmp_path / "priors.ndjson"
+    write_priors(path, priors)
+    expected = "".join(json.dumps({"cluster": c, "prior": [float(x) for x in priors.priors[c]]}) + "\n"
+                       for c in range(priors.k))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_write_priors_rejects_a_row_read_priors_would_reject(tmp_path):
+    path = tmp_path / "priors.ndjson"
+    zero = estimate_priors(np.array([[1.0, 0.0]]), [0], k=1, epsilon=0.0)
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: cluster 0: prior entries must be finite and > 0$"):
+        write_priors(path, zero)
+    assert not path.exists()
+    with pytest.raises(InputError, match=r": cluster 1: prior entries must be finite and > 0$"):
+        write_priors(path, ClusterPriors(np.array([[0.5, 0.5], [1.0, 0.0]])))
+    assert not path.exists()
+    smoothed = estimate_priors(np.array([[1.0, 0.0]]), [0], k=1, epsilon=1e-6)
+    write_priors(path, smoothed)
+    assert np.array_equal(read_priors(path).priors, smoothed.priors)
 
 
 @pytest.mark.parametrize("rows,where,message", [
