@@ -63,10 +63,17 @@ def encodable(text: str) -> bool:
     return True
 
 
+def _int64(value) -> bool:
+    """Whether an int64 column keeps ``value``: a Python or numpy integer of 64 bits, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and -2**63 <= value < 2**63
+
+
 @dataclass
 class TilePrediction:
     """Sparse class-probability vector for one tile of one image.
 
+    Row, col and dense indices are 64-bit integers and probabilities real
+    numbers, Python or numpy but not bools, so batch columns keep them.
     ``probs`` is kept sorted by descending probability (ties by lower dense
     index). A record flagged ``complete`` carries a full distribution and
     must sum to one.
@@ -83,13 +90,16 @@ class TilePrediction:
             raise InputError("tile prediction must carry a non-empty string image_id")
         if not encodable(self.image_id):
             raise InputError(f"tile prediction image_id {self.image_id!r} is not encodable as UTF-8")
+        if not (_int64(self.row) and _int64(self.col)):
+            raise InputError(f"tile ({self.row!r}, {self.col!r}) of {self.image_id!r}: row and col must be int64")
+        self.row, self.col = int(self.row), int(self.col)
         if self.row < 0 or self.col < 0:
             raise InputError(f"tile ({self.row}, {self.col}) of {self.image_id!r}: negative grid coordinates")
-        entries = [(int(idx), float(prob)) for idx, prob in self.probs]
-        if not entries:
-            raise InputError(f"tile of {self.image_id!r} carries no probability entries")
-        seen = set()
-        for idx, prob in entries:
+        entries, seen = [], set()
+        for idx, prob in self.probs:
+            if not _int64(idx) or isinstance(prob, bool) or not isinstance(prob, (int, float, np.integer, np.floating)):
+                raise InputError(
+                    f"tile of {self.image_id!r}: entry ({idx!r}, {prob!r}) needs an int64 index and a real probability")
             if idx < 0:
                 raise InputError(f"tile of {self.image_id!r}: negative dense index {idx}")
             if idx in seen:
@@ -97,6 +107,9 @@ class TilePrediction:
             seen.add(idx)
             if not 0.0 < prob <= 1.0:
                 raise InputError(f"tile of {self.image_id!r}: probability {prob} outside (0, 1]")
+            entries.append((int(idx), float(prob)))
+        if not entries:
+            raise InputError(f"tile of {self.image_id!r} carries no probability entries")
         entries.sort(key=lambda e: (-e[1], e[0]))
         mass = sum(p for _, p in entries)
         if self.complete and abs(mass - 1.0) > _MASS_TOL:

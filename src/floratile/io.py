@@ -15,14 +15,13 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from io import StringIO
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import batch as _batch
-from .batch import ImageTiles, TileBatch, TilePrediction, as_batch, chunk_bounds, first, rejection
+from .batch import ImageTiles, TileBatch, as_batch, chunk_bounds, first, rejection
 from .catalog import RegionRegistry, SpeciesCatalog, transect_of
 from .errors import InputError, InvariantViolation
 from .geo import GeoRegion, Observation, SpeciesMask
@@ -470,18 +469,6 @@ def _checked_batch(path, ids, image, rows, cols, completes, counts, lines, idxs,
 _COMPLETE = ', "complete": true'
 
 
-def _tile_lines(tiles) -> str:
-    """NDJSON lines of ``(image, row, col, entries, complete)`` tuples, each
-    byte for byte ``json.dumps`` of the record ``write_tile_predictions``
-    documents; ``image`` is the id's JSON text and ``entries`` the text
-    ``i, p], [i, p`` of the tile's ``probs`` pairs."""
-    return "".join(
-        f'{{"image_id": {image}, "row": {row}, "col": {col}, "probs": [[{entries}]]'
-        f'{_COMPLETE if complete else ""}}}\n'
-        for image, row, col, entries, complete in tiles
-    )
-
-
 def _texts(values: np.ndarray, text) -> List[str]:
     """``text`` of each value, computed once per distinct value; values that
     compare equal must share a text, as no -0.0 sits beside a 0.0 here."""
@@ -489,8 +476,9 @@ def _texts(values: np.ndarray, text) -> List[str]:
     return np.array(list(map(text, distinct.tolist())), dtype=object)[code].tolist()
 
 
-def _batch_fields(batch: TileBatch, lo: int, hi: int):
-    """The ``_tile_lines`` tuples of tiles ``lo`` to ``hi``: each image id is
+def _tile_lines(batch: TileBatch, lo: int, hi: int) -> str:
+    """NDJSON lines of tiles ``lo`` to ``hi``, each byte for byte ``json.dumps``
+    of the record ``write_tile_predictions`` documents: each image id is
     encoded once, and the entries' text comes from one pass over the flat
     columns, sliced per tile."""
     start, stop = batch.offsets[lo], batch.offsets[hi]
@@ -499,37 +487,32 @@ def _batch_fields(batch: TileBatch, lo: int, hi: int):
     images = [json.dumps(image_id) for image_id in batch.image_ids[base:codes[-1] + 1]]
     entries = list(map(", ".join, zip(_texts(batch.idx[start:stop], str), _texts(batch.prob[start:stop], repr))))
     bounds = (batch.offsets[lo:hi + 1] - start).tolist()
-    return zip(
-        [images[c - base] for c in codes],
-        batch.row[lo:hi].tolist(),
-        batch.col[lo:hi].tolist(),
-        ["], [".join(entries[a:b]) for a, b in zip(bounds, bounds[1:])],
-        batch.complete[lo:hi].tolist(),
+    return "".join(
+        f'{{"image_id": {images[code - base]}, "row": {row}, "col": {col}, "probs": [[{"], [".join(entries[a:b])}]]'
+        f'{_COMPLETE if complete else ""}}}\n'
+        for code, row, col, a, b, complete in zip(
+            codes, batch.row[lo:hi].tolist(), batch.col[lo:hi].tolist(), bounds, bounds[1:],
+            batch.complete[lo:hi].tolist(),
+        )
     )
 
 
-def write_tile_predictions(path, preds: Iterable[TilePrediction]):
-    """Write one record per tile, in iteration order; ``preds`` may be a ``TileBatch``.
+def write_tile_predictions(path, preds):
+    """Write one record per tile of ``preds``, a stage input (see ``as_batch``), in batch order,
+    so a list whose images interleave is written grouped and reads back.
 
     Each line is ``json.dumps`` of ``{"image_id", "row", "col", "probs"}``
-    plus ``"complete": true`` on a complete tile. A batch is read by columns,
-    never as ``TilePrediction``s, in tile-aligned ``chunk_bounds``; other
-    tiles are formatted ``CHUNK_ENTRIES`` tiles at a time, and must keep each
-    image's tiles together for the file to read back.
+    plus ``"complete": true`` on a complete tile, formatted from the batch's
+    columns in tile-aligned ``chunk_bounds``.
     """
+    batch = as_batch(preds)
     with _open_write(path) as fh:
-        _write_tiles(fh, preds)
+        _write_tiles(fh, batch)
 
 
-def _write_tiles(fh, preds):
-    if isinstance(preds, TileBatch):
-        chunks = (_batch_fields(preds, lo, hi) for lo, hi in chunk_bounds(preds.offsets))
-    else:
-        tiles = ((json.dumps(t.image_id), t.row, t.col, "], [".join([f"{i}, {p!r}" for i, p in t.probs]), t.complete)
-                 for t in preds)
-        chunks = iter(lambda: list(islice(tiles, _batch.CHUNK_ENTRIES)), [])
-    for chunk in chunks:
-        fh.write(_tile_lines(chunk))
+def _write_tiles(fh, batch: TileBatch):
+    for lo, hi in chunk_bounds(batch.offsets):
+        fh.write(_tile_lines(batch, lo, hi))
 
 
 class StagedTileFile:

@@ -92,6 +92,8 @@ class SynthSpec:
             raise InputError("grid must be at least 1x1")
         if not (0.0 <= self.noise <= 1.0):
             raise InputError(f"noise must lie in [0, 1], got {self.noise}")
+        if not np.isfinite(self.separation):
+            raise InputError(f"separation must be finite, got {self.separation}")
         if self.n_clusters < 1 or self.n_clusters > 26:
             raise InputError("n_clusters must lie in 1..26")
         if self.n_clusters > self.embed_dim:

@@ -743,13 +743,14 @@ def written_tiles(draw):
 def test_tile_writer_matches_json_dumps_property(tmp_path, monkeypatch, tiles, chunk):
     monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
     ref = tmp_path / "ref.ndjson"
-    _ref_write_tile_predictions(ref, tiles)
+    batch = TileBatch.from_tiles(tiles)
+    _ref_write_tile_predictions(ref, _all_tiles(batch))  # every input is written grouped, in batch order
+    assert _bytes(tmp_path, "batch", batch) == ref.read_bytes()
+    assert _bytes(tmp_path, "grouped", _all_tiles(batch)) == ref.read_bytes()
     assert _bytes(tmp_path, "list", tiles) == ref.read_bytes()
     assert _bytes(tmp_path, "iter", iter(tiles)) == ref.read_bytes()
-    if tiles:
-        batch = TileBatch.from_tiles(tiles)
-        _ref_write_tile_predictions(ref, _all_tiles(batch))
-        assert _bytes(tmp_path, "batch", batch) == ref.read_bytes()
+    if tiles:  # so a list whose images interleave reads back as its batch
+        assert _all_tiles(read_tile_predictions(tmp_path / "list")) == _all_tiles(batch)
 
 
 @settings(max_examples=300, deadline=None)
@@ -942,17 +943,63 @@ def test_reader_reports_a_64_bit_overflow_at_its_line(tmp_path, field):
         read_tile_predictions(path)
 
 
+@pytest.mark.parametrize("value", [1.5, True, "3", 2**63])
+@pytest.mark.parametrize("field", ["row", "col", "index"])
+def test_tile_prediction_takes_only_64_bit_integers_as_row_col_and_index(field, value):
+    fields = {"row": 0, "col": 0, "probs": [(1, 0.5)]}
+    fields.update({"probs": [(value, 0.5)]} if field == "index" else {field: value})
+    with pytest.raises(InputError, match=r"^tile .*of 'a': (row and col must be int64$|entry .* needs an int64 index)"):
+        TilePrediction("a", **fields)
+
+
+@pytest.mark.parametrize("prob", ["0.5", True])
+def test_tile_prediction_takes_only_real_probabilities(prob):
+    with pytest.raises(InputError, match=r"^tile of 'a': entry \(1, .*\) needs an int64 index and a real probability$"):
+        TilePrediction("a", 0, 0, [(1, prob)])
+
+
+def test_tile_prediction_takes_numpy_numbers_as_the_python_numbers_they_hold(tmp_path):
+    tile = TilePrediction("a", np.int64(1), np.uint8(2), [(np.int32(3), np.float32(0.5)), (np.int64(4), np.float64(0.25))])
+    assert (tile.row, tile.col, tile.probs) == (1, 2, [(3, 0.5), (4, 0.25)])
+    assert {type(tile.row), type(tile.col)} == {int} and {type(v) for e in tile.probs for v in e} == {int, float}
+    write_tile_predictions(tmp_path / "t.ndjson", [tile])
+    assert _all_tiles(read_tile_predictions(tmp_path / "t.ndjson")) == [tile]
+
+
+@pytest.mark.parametrize("record,message", [
+    ({"image_id": ""}, "tile prediction must carry a non-empty string image_id"),
+    ({"image_id": "\ud800"}, "tile prediction image_id '\\ud800' is not encodable as UTF-8"),
+    ({"col": -1}, "tile (0, -1) of 'a': negative grid coordinates"),
+    ({"probs": []}, "tile of 'a' carries no probability entries"),
+    ({"probs": [[-1, 0.5]]}, "tile of 'a': negative dense index -1"),
+    ({"probs": [[1, float("nan")]]}, "tile of 'a': probability nan outside (0, 1]"),
+    ({"probs": [[1, 0.5], [1, 0.25]]}, "tile of 'a': duplicate dense index 1"),
+    ({"probs": [[1, 0.5]], "complete": True}, "tile of 'a' declared complete but probabilities sum to 0.5"),
+    ({"probs": [[1, 0.75], [2, 0.5]]}, "tile of 'a': probability mass 1.25 exceeds 1"),
+], ids=["empty-id", "surrogate-id", "negative-col", "no-entries", "negative-index", "nan", "duplicate",
+        "complete-mass", "mass"])
+def test_rejection_words_every_invalid_tiles_flag(tmp_path, record, message):
+    # the reader finds the record with ``invalid_tiles`` and words it with ``rejection``, passing the typed
+    # arrays' values: Python ints and floats, and ``complete`` as an int
+    good = {"image_id": "a", "row": 0, "col": 0, "probs": [[1, 0.5]]}
+    path = tmp_path / "preds.ndjson"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **record)) + "\n")
+    with pytest.raises(InputError) as info:
+        read_tile_predictions(path)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 4, 7, 100])
 def test_tile_writer_chunks_hold_at_most_write_chunk_entries(tmp_path, monkeypatch, chunk):
     widths = [1, 2, 5, 1, 1, 3, 9, 2, 2, 1]
     batch = TileBatch.from_tiles(_tp(f"i{t % 3}", t, [(i, 0.05) for i in range(w)]) for t, w in enumerate(widths))
-    calls, fields = [], fio._batch_fields
+    calls, lines = [], fio._tile_lines
 
     def recorded(tiles, lo, hi):
         calls.append((lo, hi))
-        return fields(tiles, lo, hi)
+        return lines(tiles, lo, hi)
 
-    monkeypatch.setattr(fio, "_batch_fields", recorded)
+    monkeypatch.setattr(fio, "_tile_lines", recorded)
     monkeypatch.setattr(fbatch, "CHUNK_ENTRIES", chunk)
     write_tile_predictions(tmp_path / "out.ndjson", batch)
     assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]

@@ -122,6 +122,9 @@ def test_spec_validation():
         SynthSpec(n_images=1)  # the projection needs two embeddings
     with pytest.raises(InputError):
         SynthSpec(noise=1.5)
+    for separation in (float("nan"), float("inf"), -float("inf")):  # else the bundle is built, then refused
+        with pytest.raises(InputError, match=rf"^separation must be finite, got {separation}$"):
+            SynthSpec(separation=separation)
     with pytest.raises(InputError):
         SynthSpec(grid_rows=1, grid_cols=2)  # fewer than 6 tiles
     with pytest.raises(InputError):
