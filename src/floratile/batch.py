@@ -1,16 +1,17 @@
 """Tile predictions: one record per tile, and the columnar batch every stage runs on.
 
-``TilePrediction`` is one tile's sparse class-probability vector, the
-record the tests write by hand and the one wording of record errors.
-``TileBatch`` holds many tiles in flat arrays. Per tile: the image code (an
-index into ``image_ids``), grid row and col, and the ``complete`` flag.
-Tile ``t`` owns the entries ``offsets[t]:offsets[t + 1]`` of ``idx`` (dense
-species index) and ``prob``. Two invariants hold:
+``TilePrediction`` is one tile's sparse class-probability vector, a typed
+record that the tests and library callers write by hand. ``TileBatch``
+holds many tiles in flat arrays, and its ``_checks`` are the one check and
+wording of a tile's values. Per tile: the image code (an index into
+``image_ids``), grid row and col, and the ``complete`` flag. Tile ``t``
+owns the entries ``offsets[t]:offsets[t + 1]`` of ``idx`` (dense species
+index) and ``prob``. Two invariants hold:
 
 * each image's tiles are contiguous, images in first-appearance order and
   tiles in input order within an image;
-* within a tile, entries are sorted by (-prob, idx), as in
-  ``TilePrediction.probs``.
+* within a tile, entries are sorted by (-prob, idx), NaN last: the stored
+  order, whatever order the tile's entries were given in.
 
 A batch is its columns and the per-image ``image_offsets``; it caches no
 per-entry array. Each per-entry pass works on the batch it is given in one
@@ -68,15 +69,18 @@ def _int64(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and -2**63 <= value < 2**63
 
 
+# for an empty image id in a batch, and a non-string in TilePrediction and the reader
+NO_IMAGE_ID = "tile prediction must carry a non-empty string image_id"
+
+
 @dataclass
 class TilePrediction:
-    """Sparse class-probability vector for one tile of one image.
-
-    Row, col and dense indices are 64-bit integers and probabilities real
-    numbers, Python or numpy but not bools, so batch columns keep them.
-    ``probs`` is kept sorted by descending probability (ties by lower dense
-    index). A record flagged ``complete`` carries a full distribution and
-    must sum to one.
+    """Sparse class-probability vector for one tile of one image, a typed record:
+    a string image id, 64-bit integer row, col and dense indices, float or
+    64-bit integer probabilities and a bool ``complete``, Python or numpy, or
+    an InputError. Numpy numbers are stored as Python ones, and ``probs`` in
+    the order given. ``TileBatch.from_tiles``, which every stage input goes
+    through, checks the values, and a ``complete`` tile's must sum to one.
     """
 
     image_id: str
@@ -86,62 +90,27 @@ class TilePrediction:
     complete: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.image_id, str) or not self.image_id:
-            raise InputError("tile prediction must carry a non-empty string image_id")
-        if not encodable(self.image_id):
-            raise InputError(f"tile prediction image_id {self.image_id!r} is not encodable as UTF-8")
+        if not isinstance(self.image_id, str):
+            raise InputError(NO_IMAGE_ID)
         if not (_int64(self.row) and _int64(self.col)):
             raise InputError(f"tile ({self.row!r}, {self.col!r}) of {self.image_id!r}: row and col must be int64")
         self.row, self.col = int(self.row), int(self.col)
-        if self.row < 0 or self.col < 0:
-            raise InputError(f"tile ({self.row}, {self.col}) of {self.image_id!r}: negative grid coordinates")
-        entries, seen = [], set()
+        entries = []
         for idx, prob in self.probs:
-            if not _int64(idx) or isinstance(prob, bool) or not isinstance(prob, (int, float, np.integer, np.floating)):
+            if not (_int64(idx) and (isinstance(prob, (float, np.floating)) or _int64(prob))):
                 raise InputError(
                     f"tile of {self.image_id!r}: entry ({idx!r}, {prob!r}) needs an int64 index and a real probability")
-            if idx < 0:
-                raise InputError(f"tile of {self.image_id!r}: negative dense index {idx}")
-            if idx in seen:
-                raise InputError(f"tile of {self.image_id!r}: duplicate dense index {idx}")
-            seen.add(idx)
-            if not 0.0 < prob <= 1.0:
-                raise InputError(f"tile of {self.image_id!r}: probability {prob} outside (0, 1]")
             entries.append((int(idx), float(prob)))
-        if not entries:
-            raise InputError(f"tile of {self.image_id!r} carries no probability entries")
-        entries.sort(key=lambda e: (-e[1], e[0]))
-        mass = sum(p for _, p in entries)
-        if self.complete and abs(mass - 1.0) > _MASS_TOL:
-            raise InputError(
-                f"tile of {self.image_id!r} declared complete but probabilities sum to {mass!r}"
-            )
-        if mass > 1.0 + _MASS_TOL:
-            raise InputError(f"tile of {self.image_id!r}: probability mass {mass!r} exceeds 1")
-        self.probs = entries
+        if not isinstance(self.complete, (bool, np.bool_)):
+            raise InputError(f"tile of {self.image_id!r}: complete must be a bool, not {self.complete!r}")
+        self.probs, self.complete = entries, bool(self.complete)
 
     @classmethod
     def _trusted(cls, image_id, row, col, probs, complete):
-        """A tile built from batch columns that already passed the checks."""
+        """A tile built from batch columns, which hold only what the class keeps."""
         tile = object.__new__(cls)
         tile.__dict__.update(image_id=image_id, row=row, col=col, probs=probs, complete=complete)
         return tile
-
-
-def rejection(image_id, row, col, entries, complete=False) -> InputError:
-    """The error ``TilePrediction`` raises for these fields.
-
-    The vectorised checks only find the failing tile; its message comes from
-    here, so there is one wording. A tile the vectorised checks flag but
-    ``TilePrediction`` accepts is a bug in the checks.
-    """
-    try:
-        TilePrediction(image_id, row, col, entries, complete)
-    except InputError as exc:
-        return exc
-    raise InvariantViolation(
-        f"tile ({row}, {col}) of {image_id!r} passes TilePrediction but not the batch checks"
-    )
 
 
 def first(flags: np.ndarray) -> Optional[int]:
@@ -151,10 +120,12 @@ def first(flags: np.ndarray) -> Optional[int]:
 
 
 def _entry_order(tile: np.ndarray, idx: np.ndarray, prob: np.ndarray) -> Optional[np.ndarray]:
-    """The permutation sorting entries by (tile, -prob, idx); None when they already are."""
+    """The permutation sorting entries by (tile, -prob, idx), NaN last as
+    ``np.lexsort`` puts it; None when they already are. A NaN is in order
+    beside no entry, so a tile holding one is always sorted."""
     same = tile[1:] == tile[:-1]
-    swapped = (prob[1:] > prob[:-1]) | ((prob[1:] == prob[:-1]) & (idx[1:] < idx[:-1]))
-    if not np.any(same & swapped):
+    in_order = (prob[:-1] > prob[1:]) | ((prob[:-1] == prob[1:]) & (idx[:-1] <= idx[1:]))
+    if not np.any(same > in_order):
         return None
     return np.lexsort((idx, -prob, tile))
 
@@ -209,11 +180,13 @@ class TileBatch:
 
     @classmethod
     def from_tiles(cls, tiles: Iterable[TilePrediction]) -> "TileBatch":
-        """Batch already-checked tiles, grouped by image id."""
+        """Batch tiles, grouped by image id, and check their values: the first
+        tile, in the order given, that a check hits raises its ``fault``."""
         tiles = list(tiles)
         codes = {image_id: c for c, image_id in enumerate(dict.fromkeys(t.image_id for t in tiles))}
-        tiles.sort(key=lambda t: codes[t.image_id])  # stable: an image's tiles keep their order
-        return cls.from_columns(
+        order = sorted(range(len(tiles)), key=lambda t: codes[tiles[t].image_id])  # stable: tiles keep their order
+        tiles = [tiles[t] for t in order]
+        batch = cls.from_columns(
             list(codes),
             [codes[t.image_id] for t in tiles],
             [t.row for t in tiles],
@@ -223,6 +196,10 @@ class TileBatch:
             [i for t in tiles for i, _ in t.probs],
             [p for t in tiles for _, p in t.probs],
         )
+        bad = np.flatnonzero(batch.invalid_tiles()).tolist()
+        if bad:
+            raise InputError(batch.fault(min(bad, key=order.__getitem__)))
+        return batch
 
     def __len__(self) -> int:
         return self.row.shape[0]
@@ -250,9 +227,9 @@ class TileBatch:
         """The tile of each entry; a per-entry array, built per call and never cached."""
         return np.repeat(np.arange(len(self)), np.diff(self.offsets))
 
-    def tile_of(self, j: int) -> int:
-        """The tile that owns entry ``j``."""
-        return int(np.searchsorted(self.offsets, j, side="right")) - 1
+    def tile_of(self, j):
+        """The tile that owns entry ``j``, or each entry of an array ``j``."""
+        return np.searchsorted(self.offsets, j, side="right") - 1
 
     def _entries_sorted(self) -> "TileBatch":
         """This batch with each tile's entries sorted by (-prob, idx); ``idx``
@@ -260,28 +237,63 @@ class TileBatch:
         order = _entry_order(self.tile_keys(), self.idx, self.prob)
         return self if order is None else replace(self, idx=self.idx[order], prob=self.prob[order])
 
-    def invalid_tiles(self) -> np.ndarray:
-        """Per tile, whether ``TilePrediction`` would reject it: a bad image id
-        or cell, no entries, an index or probability it rejects, a repeated
-        index, or a bad mass."""
-        bad = np.array([not (isinstance(i, str) and i and encodable(i)) for i in self.image_ids], dtype=bool)
-        bad = bad[self.image]
-        bad |= (self.row < 0) | (self.col < 0) | (self.offsets[1:] == self.offsets[:-1])
+    def _checks(self) -> Tuple[np.ndarray, list]:
+        """Each tile's mass, summed in stored order, and the value checks in the
+        order that words a tile's fault, each ``(on_entries, hits, template)``:
+        hits per entry, or else per tile, and a message that ``str.format``
+        fills with the tile's ``id``, ``row``, ``col`` and ``mass`` and the
+        ``idx`` and ``prob`` of the first entry hit in stored order. So a tile
+        with several faults is worded by its first check, then its first entry:
+        entries ``(1, 2.0), (-1, 0.5)`` read "negative dense index -1"."""
         tile, idx, prob = self.tile_keys(), self.idx, self.prob
-        bad[tile[(idx < 0) | ~((prob > 0.0) & (prob <= 1.0))]] = True
-        idx = idx[np.lexsort((idx, tile))]  # tile keys ascend, so the sort leaves them as they are
-        bad[tile[1:][(tile[1:] == tile[:-1]) & (idx[1:] == idx[:-1])]] = True
         mass = np.bincount(tile, weights=prob, minlength=len(self))
-        return bad | (self.complete & (np.abs(mass - 1.0) > _MASS_TOL)) | (mass > 1.0 + _MASS_TOL)
+        same_tile = tile[1:] == tile[:-1]
+        by_index = np.lexsort((idx, tile))  # stable, and tile keys ascend, so they stay as they are
+        del tile  # at most two int64 arrays of the entries are held at once
+        sorted_idx = idx[by_index]
+        repeats = np.zeros(idx.shape[0], dtype=bool)  # an index met before in its tile's stored order
+        repeats[by_index[1:][same_tile & (sorted_idx[1:] == sorted_idx[:-1])]] = True
+        del by_index, sorted_idx
+        ids = self.image_ids  # strings: the reader and TilePrediction take no other id
+        return mass, [
+            (False, np.array([not i for i in ids], dtype=bool)[self.image], NO_IMAGE_ID),
+            (False, np.array([not encodable(i) for i in ids], dtype=bool)[self.image],
+             "tile prediction image_id {id!r} is not encodable as UTF-8"),
+            (False, (self.row < 0) | (self.col < 0), "tile ({row}, {col}) of {id!r}: negative grid coordinates"),
+            (False, self.offsets[1:] == self.offsets[:-1], "tile of {id!r} carries no probability entries"),
+            (True, idx < 0, "tile of {id!r}: negative dense index {idx}"),
+            (True, repeats, "tile of {id!r}: duplicate dense index {idx}"),
+            (True, ~((prob > 0.0) & (prob <= 1.0)), "tile of {id!r}: probability {prob} outside (0, 1]"),
+            (False, self.complete & (np.abs(mass - 1.0) > _MASS_TOL),
+             "tile of {id!r} declared complete but probabilities sum to {mass!r}"),
+            (False, mass > 1.0 + _MASS_TOL, "tile of {id!r}: probability mass {mass!r} exceeds 1"),
+        ]
+
+    def invalid_tiles(self) -> np.ndarray:
+        """Per tile, whether any of ``_checks`` hits it."""
+        checks = self._checks()[1]
+        bad = np.logical_or.reduce([hits for on_entries, hits, _ in checks if not on_entries])
+        entries = np.logical_or.reduce([hits for on_entries, hits, _ in checks if on_entries])
+        bad[self.tile_of(np.flatnonzero(entries))] = True
+        return bad
+
+    def fault(self, t: int) -> Optional[str]:
+        """The message of the first of ``_checks`` that hits tile ``t``; None when none does."""
+        mass, checks = self._checks()
+        lo, hi = self.offsets[t], self.offsets[t + 1]
+        fields = dict(id=self.image_ids[self.image[t]], row=self.row[t], col=self.col[t], mass=float(mass[t]))
+        for on_entries, hits, template in checks:
+            j = first(hits[lo:hi] if on_entries else hits[t:t + 1])
+            if j is not None:
+                entry = dict(idx=int(self.idx[lo + j]), prob=float(self.prob[lo + j])) if on_entries else {}
+                return template.format(**fields, **entry)
+        return None
 
     def check_prob(self, prob: np.ndarray):
-        """Raise ``rejection`` of the first tile whose new ``prob`` leaves (0, 1]."""
+        """Raise the ``fault`` of the first tile whose new ``prob`` leaves (0, 1]."""
         j = first(~((prob > 0.0) & (prob <= 1.0)))
         if j is not None:
-            t = self.tile_of(j)
-            lo, hi = self.offsets[t], self.offsets[t + 1]
-            entries = list(zip(self.idx[lo:hi].tolist(), prob[lo:hi].tolist()))
-            raise rejection(self.image_ids[self.image[t]], int(self.row[t]), int(self.col[t]), entries)
+            raise InputError(replace(self, prob=prob).fault(self.tile_of(j)))
 
     def derive(self, counts, idx, prob) -> "TileBatch":
         """This batch's tiles over new entries: tile ``t`` owns the next

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple
 import numpy as np
 
 from . import batch as _batch
-from .batch import ImageTiles, TileBatch, as_batch, chunk_bounds, first, rejection
+from .batch import NO_IMAGE_ID, ImageTiles, TileBatch, as_batch, chunk_bounds, first
 from .catalog import RegionRegistry, SpeciesCatalog, transect_of
 from .errors import InputError, InvariantViolation
 from .geo import GeoRegion, Observation, SpeciesMask
@@ -367,8 +367,8 @@ def tile_slices(path) -> Iterator[TileBatch]:
 def read_tile_predictions(path) -> TileBatch:
     """Read tile prediction records into one batch.
 
-    Every record is checked as ``TilePrediction`` checks it, by vectorised
-    tests over the whole file; the first bad record in file order is
+    Every record is checked by the batch's tile checks, vectorised over the
+    whole file, as a hand-built tile is; the first bad record in file order is
     reported with ``path:line``, ahead of any later unreadable line.
     Columns are typed arrays from the start, so no entry is held as a
     Python object. Values are not converted: a row, col or index that is not
@@ -428,7 +428,7 @@ def _tile_batches(path, limit) -> Iterator[TileBatch]:
                 if complete.__class__ is not bool:
                     raise TypeError(f"complete must be true or false, not {json.dumps(complete)}")
                 if not isinstance(key, str):
-                    failure = InputError(f"{path}:{lineno}: {rejection(key, row, col, (), complete)}")
+                    failure = InputError(f"{path}:{lineno}: {NO_IMAGE_ID}")
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 failure = InputError(f"{path}:{lineno}: bad tile prediction record ({exc})")
             if failure is not None:  # drop what this record appended
@@ -453,16 +453,12 @@ def _tile_batches(path, limit) -> Iterator[TileBatch]:
 
 
 def _checked_batch(path, ids, image, rows, cols, completes, counts, lines, idxs, probs) -> TileBatch:
-    """The batch of these record columns; the first record ``TilePrediction``
-    rejects, in file order, is an InputError at its ``path:line``."""
+    """The batch of these record columns; the first record a tile check hits,
+    in file order, is an InputError at its ``path:line``, worded by ``TileBatch.fault``."""
     batch = TileBatch.from_columns(ids, image, rows, cols, completes, counts, idxs, probs)
-    bad = np.flatnonzero(batch.invalid_tiles())
-    if bad.size:
-        r = int(bad[0])  # tiles are in record order
-        start = sum(counts[:r])
-        entries = list(zip(idxs[start:start + counts[r]], probs[start:start + counts[r]]))
-        exc = rejection(ids[image[r]], rows[r], cols[r], entries, completes[r])
-        raise InputError(f"{path}:{lines[r]}: {exc}")
+    r = first(batch.invalid_tiles())  # tiles are in record order
+    if r is not None:
+        raise InputError(f"{path}:{lines[r]}: {batch.fault(r)}")
     return batch
 
 

@@ -32,15 +32,20 @@ layout can differ from that scatter's in the last bits.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .batch import encodable
+from .batch import encodable, first
 from .errors import InputError
 
 _SIGMA_FLOOR = 1e-10
+# ``_block_sq_dists`` takes |a|^2 + |b|^2 - 2 a.b over mean-centred rows x_c:
+# each term and partial sum is at most 4 * max |x_c|^2 in size. Centring at
+# most doubles the largest row norm M, so that is at most 16 M^2, kept finite.
+MAX_SQ_NORM = float(np.finfo(np.float64).max) / 16
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-7
@@ -79,8 +84,12 @@ class EmbeddingMatrix:
             raise InputError(f"image id {bad!r} is not encodable as UTF-8")
         if len(set(self.image_ids)) != n:
             raise InputError("image ids must be unique")
-        if not np.all(np.isfinite(self.data)):
-            raise InputError("embedding data contains non-finite values")
+        with np.errstate(over="ignore"):
+            sq = np.einsum("ij,ij->i", self.data, self.data)
+        r = first(~(sq <= MAX_SQ_NORM))  # a NaN or an inf too
+        if r is not None:
+            raise InputError(f"embedding vector of {self.image_ids[r]!r} has squared norm {float(sq[r]):.4g}; "
+                             f"it must be finite and at most {MAX_SQ_NORM:.4g}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,9 @@ def preprocess(X: EmbeddingMatrix) -> EmbeddingMatrix:
         # economy SVD of the centered matrix == eigendecomposition of the covariance
         _, _, vt = np.linalg.svd(data, full_matrices=False)
         data = data @ vt[:_PCA_TARGET_DIM].T
-    return EmbeddingMatrix(list(X.image_ids), data)
+    prepped = copy.copy(X)  # not checked again: a centred row can lie twice as far out as ``MAX_SQ_NORM`` lets a row
+    prepped.data = data
+    return prepped
 
 
 def _round_half_up(x: float) -> int:

@@ -32,12 +32,12 @@ from typing import Dict, List
 
 import numpy as np
 
-from .batch import TileBatch, first, rejection
+from .batch import TileBatch, first
 from .catalog import RegionRegistry, SpeciesCatalog
 from .errors import InputError, InvariantViolation
 from .geo import DEFAULT_REFERENCE_POINT, GeoRegion, Observation
 from .metrics import GroundTruth
-from .projection import EmbeddingMatrix
+from .projection import MAX_SQ_NORM, EmbeddingMatrix
 from . import io as fio
 
 # Mass kept by a tile's dominant species is 1 - SMEAR_SCALE * noise.
@@ -53,6 +53,8 @@ IMG_TRUTH_BASE = 0.55
 IMG_TRUTH_DROP = 0.25
 # Sparse support of the full-image record.
 IMG_SUPPORT = 20
+# Half the largest row norm EmbeddingMatrix takes; a row's unit-variance noise needs far less than the other half.
+_MAX_SEPARATION = MAX_SQ_NORM ** 0.5 / 2
 
 _LAND_POLYGON = ((42.0, 0.0), (47.0, 0.0), (47.0, 8.0), (42.0, 8.0))
 
@@ -94,6 +96,8 @@ class SynthSpec:
             raise InputError(f"noise must lie in [0, 1], got {self.noise}")
         if not np.isfinite(self.separation):
             raise InputError(f"separation must be finite, got {self.separation}")
+        if abs(self.separation) > _MAX_SEPARATION:
+            raise InputError(f"separation must lie within +/-{_MAX_SEPARATION:.4g}, got {self.separation}")
         if self.n_clusters < 1 or self.n_clusters > 26:
             raise InputError("n_clusters must lie in 1..26")
         if self.n_clusters > self.embed_dim:
@@ -167,12 +171,10 @@ def _allocate_tiles(rng, n_tiles: int, truth: List[int], missed: int | None) -> 
 
 
 def _checked(batch: TileBatch) -> TileBatch:
-    """``batch``, after proving that ``TilePrediction`` accepts every tile."""
+    """``batch``, after proving that no tile check hits a tile of it."""
     t = first(batch.invalid_tiles())
     if t is not None:
-        tile = next(batch.tiles(t, t + 1))
-        exc = rejection(tile.image_id, tile.row, tile.col, tile.probs, tile.complete)
-        raise InvariantViolation(f"synth built an invalid tile: {exc}")
+        raise InvariantViolation(f"synth built an invalid tile: {batch.fault(t)}")
     return batch
 
 

@@ -11,6 +11,7 @@ message.
 
 import dataclasses
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -59,18 +60,57 @@ def _ref_ndjson_records(path):
             yield lineno, record
 
 
+def _ref_checked(tile: TilePrediction) -> TilePrediction:
+    # added: the value checks ``TilePrediction`` made before the batch made
+    # them, in scalar code, as the oracle of the batch's checks. They run in
+    # the batch's order: the first check that fails words the tile, and an
+    # entry check names the first entry it hits in stored order, (-prob, idx)
+    # with NaN last. Returns the tile with its entries in that order.
+    image_id, row, col = tile.image_id, tile.row, tile.col
+    if not image_id:
+        raise InputError("tile prediction must carry a non-empty string image_id")
+    try:
+        image_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InputError(f"tile prediction image_id {image_id!r} is not encodable as UTF-8") from None
+    if row < 0 or col < 0:
+        raise InputError(f"tile ({row}, {col}) of {image_id!r}: negative grid coordinates")
+    if not tile.probs:
+        raise InputError(f"tile of {image_id!r} carries no probability entries")
+    entries = sorted(tile.probs, key=lambda e: (math.isnan(e[1]), 0.0 if math.isnan(e[1]) else -e[1], e[0]))
+    for idx, _ in entries:
+        if idx < 0:
+            raise InputError(f"tile of {image_id!r}: negative dense index {idx}")
+    seen = set()
+    for idx, _ in entries:
+        if idx in seen:
+            raise InputError(f"tile of {image_id!r}: duplicate dense index {idx}")
+        seen.add(idx)
+    for _, prob in entries:
+        if not 0.0 < prob <= 1.0:
+            raise InputError(f"tile of {image_id!r}: probability {prob} outside (0, 1]")
+    mass = 0.0
+    for _, prob in entries:  # one add at a time, in stored order; from Python 3.12, sum() of floats is compensated
+        mass += prob
+    if tile.complete and abs(mass - 1.0) > 1e-6:
+        raise InputError(f"tile of {image_id!r} declared complete but probabilities sum to {mass!r}")
+    if mass > 1.0 + 1e-6:
+        raise InputError(f"tile of {image_id!r}: probability mass {mass!r} exceeds 1")
+    return TilePrediction(image_id, row, col, entries, tile.complete)
+
+
 def _ref_read_tile_predictions(path) -> List[TilePrediction]:
     preds: List[TilePrediction] = []
     for lineno, rec in _ref_ndjson_records(path):
         try:
-            preds.append(
-                TilePrediction(
+            preds.append(  # changed: the record's values are checked by ``_ref_checked``
+                _ref_checked(TilePrediction(
                     image_id=rec["image_id"],
                     row=int(rec["row"]),
                     col=int(rec["col"]),
                     probs=[(int(i), float(p)) for i, p in rec["probs"]],
                     complete=bool(rec.get("complete", False)),
-                )
+                ))
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{path}:{lineno}: bad tile prediction record ({exc})") from None
@@ -131,8 +171,8 @@ def _ref_apply_geo_mask(grouped, mask):
         kept: List[TilePrediction] = []
         for t in tiles:
             filtered = _ref_apply_mask(t.probs, mask)
-            if filtered:
-                kept.append(TilePrediction(t.image_id, t.row, t.col, filtered, complete=False))
+            if filtered:  # changed: checked by ``_ref_checked``
+                kept.append(_ref_checked(TilePrediction(t.image_id, t.row, t.col, filtered, complete=False)))
         if not kept:
             # InvariantViolation before an all-masked image became an input error
             raise InputError(
@@ -173,8 +213,8 @@ def _ref_apply_priors(grouped, priors, region_map, registry):
                 for image_id, tiles in grouped.items()}
     out: Dict[str, List[TilePrediction]] = {}
     for image_id, tiles in grouped.items():
-        out[image_id] = [
-            TilePrediction(t.image_id, t.row, t.col, probs, complete=False)
+        out[image_id] = [  # changed: checked by ``_ref_checked``
+            _ref_checked(TilePrediction(t.image_id, t.row, t.col, probs, complete=False))
             for t, probs in zip(tiles, weighted[image_id])
         ]
     return out
@@ -622,7 +662,8 @@ def _assert_sliced_like_reference(fn, ref_fn, tiles, *args):
 
 @st.composite
 def tile_lists(draw, prefixes=("img",), max_images=4):
-    """Tiles of a few images, interleaved, with coarse (tie-prone) or fine probabilities."""
+    """Tiles of a few images, interleaved, with coarse (tie-prone) or fine
+    probabilities, each in stored order, as the list references take them."""
     tiles = []
     for i in range(draw(st.integers(1, max_images))):
         image_id = f"{draw(st.sampled_from(prefixes))}{i}"
@@ -636,7 +677,7 @@ def tile_lists(draw, prefixes=("img",), max_images=4):
                 raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=support, max_size=support))
                 scale = draw(st.floats(0.05, 1.0)) / sum(raw)
                 probs = [min(r * scale, 1.0) for r in raw]
-            tiles.append(TilePrediction(image_id, t // 2, t % 2, list(zip(idxs, probs))))
+            tiles.append(_ref_checked(TilePrediction(image_id, t // 2, t % 2, list(zip(idxs, probs)))))
     return draw(st.permutations(tiles))
 
 
@@ -976,17 +1017,94 @@ def test_tile_prediction_takes_numpy_numbers_as_the_python_numbers_they_hold(tmp
     ({"probs": [[1, 0.5], [1, 0.25]]}, "tile of 'a': duplicate dense index 1"),
     ({"probs": [[1, 0.5]], "complete": True}, "tile of 'a' declared complete but probabilities sum to 0.5"),
     ({"probs": [[1, 0.75], [2, 0.5]]}, "tile of 'a': probability mass 1.25 exceeds 1"),
+    # several faults: the first check that hits, then its first entry in stored (-prob, idx) order
+    ({"probs": [[1, 2.0], [-1, 0.5]]}, "tile of 'a': negative dense index -1"),
+    ({"probs": [[5, 0.4], [3, 0.3], [3, 0.2], [5, 0.1]]}, "tile of 'a': duplicate dense index 3"),
+    ({"probs": [[1, float("nan")], [2, 2.0]]}, "tile of 'a': probability 2.0 outside (0, 1]"),
+    ({"image_id": "", "col": -1}, "tile prediction must carry a non-empty string image_id"),
 ], ids=["empty-id", "surrogate-id", "negative-col", "no-entries", "negative-index", "nan", "duplicate",
-        "complete-mass", "mass"])
-def test_rejection_words_every_invalid_tiles_flag(tmp_path, record, message):
-    # the reader finds the record with ``invalid_tiles`` and words it with ``rejection``, passing the typed
-    # arrays' values: Python ints and floats, and ``complete`` as an int
+        "complete-mass", "mass", "index-before-probability", "first-repeat", "nan-last", "id-before-cell"])
+def test_reader_and_batch_word_every_tile_check(tmp_path, record, message):
+    # the reader and ``from_tiles`` find the tile with ``invalid_tiles`` and word it with ``fault``
     good = {"image_id": "a", "row": 0, "col": 0, "probs": [[1, 0.5]]}
     path = tmp_path / "preds.ndjson"
     path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **record)) + "\n")
     with pytest.raises(InputError) as info:
         read_tile_predictions(path)
     assert str(info.value) == f"{path}:2: {message}"
+    bad = dict(good, **record)
+    tiles = [TilePrediction("a", 0, 0, [(1, 0.5)]),
+             TilePrediction(bad["image_id"], bad["row"], bad["col"], [tuple(e) for e in bad["probs"]],
+                            bad.get("complete", False))]
+    for call in (TileBatch.from_tiles, fbatch.as_batch, lambda tiles: write_tile_predictions(tmp_path / "w", tiles)):
+        with pytest.raises(InputError) as info:
+            call(tiles)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("complete", ["0", 2, [1], None, 1, np.int64(1), 1.0])
+def test_tile_prediction_takes_only_a_bool_as_complete(complete):
+    with pytest.raises(InputError, match=r"^tile of 'a': complete must be a bool, not "):
+        TilePrediction("a", 0, 0, [(1, 1.0)], complete=complete)
+
+
+def test_tile_prediction_stores_a_numpy_bool_as_a_bool():
+    for value in (np.bool_(True), np.bool_(False)):
+        tile = TilePrediction("a", 0, 0, [(1, 1.0)], complete=value)
+        assert tile.complete is bool(value)
+
+
+def test_tiles_raise_the_first_fault_in_the_order_given():
+    # "b" is batched ahead of "a", but "a"'s bad tile was given first
+    tiles = [TilePrediction("b", 0, 0, [(1, 0.5)]), TilePrediction("a", 0, 0, [(1, 1.5)]),
+             TilePrediction("b", 0, 1, [(-1, 0.5)])]
+    with pytest.raises(InputError, match=r"^tile of 'a': probability 1\.5 outside \(0, 1\]$"):
+        TileBatch.from_tiles(tiles)
+
+
+_HAND_IDS = _often(st.sampled_from(["a", "b", "é"]), ["", "\ud800"])
+_HAND_CELLS = _often(st.sampled_from([0, 1, np.int64(2), np.uint8(1)]), [-1, np.int32(-1)])
+_HAND_INDEX = _often(st.integers(0, 3) | st.integers(0, 3).map(np.int64) | st.just(np.uint16(2)), [-1, np.int8(-3)])
+_HAND_PROB = (
+    st.sampled_from([0.125, 0.25, 0.5, 1.0, 0.0, -0.0, 1.5, 1, 0, 2, 5e-324,
+                     float("nan"), float("inf"), -float("inf")])
+    | st.floats(-0.25, 1.25)
+    | st.sampled_from([0.25, 0.5, 1.0, 1.5, -0.0, float("nan")]).map(np.float64)
+    | st.sampled_from([0.25, 0.5, 0.75]).map(np.float32)
+    | st.sampled_from([0, 1]).map(np.int64)
+)
+_HAND_COMPLETE = st.sampled_from([False, True, np.bool_(False), np.bool_(True)])
+
+
+@st.composite
+def _near_one(draw):
+    """Probabilities whose sum in stored order is exactly 1 or 1 -/+ 1e-6, or one
+    ulp to either side: ``mass - 0.5`` and each partial sum are exact."""
+    edge = draw(st.sampled_from([1.0 - 1e-6, 1.0, 1.0 + 1e-6]))
+    mass = float(draw(st.sampled_from([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)])))
+    return [mass - 0.5, *draw(st.sampled_from([[0.5], [0.25, 0.25]]))]
+
+
+@st.composite
+def hand_built_tiles(draw):
+    """A hand-built tile's fields, Python or numpy, often with a fault and
+    sometimes with several, with duplicate indices in any position."""
+    probs = draw(st.lists(_HAND_PROB, max_size=6) | _near_one())
+    idxs = draw(st.lists(_HAND_INDEX, min_size=len(probs), max_size=len(probs)))
+    return draw(_HAND_IDS), draw(_HAND_CELLS), draw(_HAND_CELLS), list(zip(idxs, probs)), draw(_HAND_COMPLETE)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fields=st.lists(hand_built_tiles(), min_size=1, max_size=4))
+def test_batched_tiles_are_checked_as_the_scalar_oracle_checks_them_property(fields):
+    tiles = [TilePrediction(*f) for f in fields]
+    expected = _outcome(lambda: [_ref_checked(t) for t in tiles])
+    got = _outcome(TileBatch.from_tiles, tiles)
+    if expected[0] == "ok":
+        assert got[0] == "ok"
+        assert _tiles(group_by_image(got[1])) == _tiles(_ref_group_by_image(expected[1]))
+    else:
+        assert got == expected
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 4, 7, 100])
@@ -1171,6 +1289,14 @@ def test_bench_aggregate(benchmark, bench_bundle):
     slices = list(tile_slices(path))  # as `aggregate` votes them
     rows = benchmark.pedantic(lambda: _voted(slices, catalog, 9, 2, 10), rounds=20)
     assert len(rows) == 500
+
+
+def test_bench_build_and_batch_tiles(benchmark):
+    fields = [(f"img{t // 16}", t % 16 // 4, t % 4, [(t % 7, 0.5), (t % 7 + 7, 0.25), (t % 7 + 14, 0.125)])
+              for t in range(10_000)]
+    build_and_batch = lambda: TileBatch.from_tiles([TilePrediction(*f) for f in fields])
+    batch = benchmark.pedantic(build_and_batch, rounds=7)
+    assert len(batch) == 10_000
 
 
 def test_bench_write_tile_predictions(benchmark, bench_bundle, tmp_path):

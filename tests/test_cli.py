@@ -423,6 +423,27 @@ def test_empty_embedding_vectors_exit_1_naming_the_file(fixture_dir, tmp_path, c
     assert not (out / "submission.csv").exists()
 
 
+def test_a_huge_embedding_vector_exits_1_naming_the_file(tmp_path, capsys):
+    # one component of a 20-image bundle's embeddings set to 1e200, by hand: synth refuses such a separation
+    bundle = write_bundle(generate(SynthSpec(n_images=20), seed=42), tmp_path / "bundle")
+    lines = (bundle / "embeddings.ndjson").read_text().splitlines()
+    record = json.loads(lines[2])
+    record["vector"][0] = 1e200
+    lines[2] = json.dumps(record)
+    emb = tmp_path / "huge.ndjson"
+    emb.write_text("\n".join(lines) + "\n")
+    shown = (f"floratile: error: {emb}: embedding vector of {record['image_id']!r} has squared norm inf; "
+             "it must be finite and at most 1.124e+307\n")
+    assert main(["project", "--embeddings", str(emb), "--out", str(tmp_path / "proj.csv")]) == 1
+    assert capsys.readouterr().err == shown
+    out = tmp_path / "out"
+    assert main(["run", "--catalog", str(bundle / "catalog.csv"),
+                 "--predictions", str(bundle / "tile_predictions.ndjson"), "--registry", str(bundle / "regions.txt"),
+                 "--out", str(out), "--priors", "--embeddings", str(emb)]) == 1
+    assert capsys.readouterr().err == shown
+    assert not out.exists()
+
+
 def test_run_bad_config_json_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from floratile import projection
 from floratile.errors import InputError
 from floratile.projection import (
+    MAX_SQ_NORM,
     EmbeddingMatrix,
     PairSets,
     Projection,
@@ -37,6 +38,30 @@ def test_embedding_matrix_validation():
         EmbeddingMatrix(["a", "b"], np.array([[0.0, np.nan], [1.0, 2.0]]))
     with pytest.raises(InputError):
         EmbeddingMatrix(["a", "b"], np.zeros(2))  # not 2-D
+
+
+def test_embedding_matrix_bounds_each_vector_s_squared_norm():
+    data = np.zeros((4, 2))
+    data[1, 0] = 1e153
+    EmbeddingMatrix(list("abcd"), data)
+    for value, shown in ((1e154, "1e\\+308"), (1e200, "inf"), (np.inf, "inf"), (np.nan, "nan")):
+        data[1, 0] = value
+        with pytest.raises(InputError, match=rf"^embedding vector of 'b' has squared norm {shown}; "
+                                             r"it must be finite and at most 1\.124e\+307$"):
+            EmbeddingMatrix(list("abcd"), data)
+
+
+def test_squared_distances_stay_finite_at_the_embedding_bound():
+    # one row at +m and seven at -m, m just inside the bound: centring takes the first to 1.75 m,
+    # and the squared distances and each term of |a|^2 + |b|^2 - 2 a.b stay finite (an overflow
+    # warning is an error here); preprocess does not refuse its centred rows
+    m = np.sqrt(MAX_SQ_NORM) * (1 - 1e-12)
+    data = np.zeros((8, 2))
+    data[0, 0], data[1:, 0], data[:, 1] = m, -m, np.arange(8)
+    prepped = preprocess(_matrix(data)).data
+    assert (prepped[0] ** 2).sum() > 3 * MAX_SQ_NORM
+    d2 = projection._block_sq_dists(prepped, (prepped * prepped).sum(axis=1), 0, 8)
+    assert np.isfinite(d2[0, 1]) and d2[0, 1] > 3.9 * MAX_SQ_NORM
 
 
 def test_embedding_matrix_rejects_zero_width():

@@ -125,6 +125,9 @@ def test_spec_validation():
     for separation in (float("nan"), float("inf"), -float("inf")):  # else the bundle is built, then refused
         with pytest.raises(InputError, match=rf"^separation must be finite, got {separation}$"):
             SynthSpec(separation=separation)
+    for separation in (1e200, -1e154):  # the embeddings would be refused
+        with pytest.raises(InputError, match=r"^separation must lie within \+/-1\.676e\+153, got -?1e\+(200|154)$"):
+            SynthSpec(separation=separation)
     with pytest.raises(InputError):
         SynthSpec(grid_rows=1, grid_cols=2)  # fewer than 6 tiles
     with pytest.raises(InputError):

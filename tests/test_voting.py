@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from floratile.batch import TileBatch
 from floratile.errors import InputError, InvariantViolation
 from floratile.voting import (
     TilePrediction,
@@ -198,33 +199,39 @@ def test_vote_settings_below_one_are_input_errors():
         naive_baseline({1: 2}, 0)
 
 
+def batched(*tiles):
+    """The tiles' batch; a tile's values are checked when it is batched."""
+    return TileBatch.from_tiles(tiles)
+
+
 def test_tile_prediction_validation():
     with pytest.raises(InputError):
-        tile([(1, 0.0)])
+        batched(tile([(1, 0.0)]))
     with pytest.raises(InputError):
-        tile([(1, 1.2)])
+        batched(tile([(1, 1.2)]))
     with pytest.raises(InputError):
-        tile([(1, 0.5), (1, 0.4)])
+        batched(tile([(1, 0.5), (1, 0.4)]))
     with pytest.raises(InputError):
-        tile([(-1, 0.5)])
+        batched(tile([(-1, 0.5)]))
     with pytest.raises(InputError):
-        tile([], complete=False)
+        batched(tile([], complete=False))
 
 
 @pytest.mark.parametrize("image_id", ["", 7, 1.5, True, None, ("a",)])
 def test_tile_prediction_requires_a_non_empty_string_image_id(image_id):
     with pytest.raises(InputError, match="^tile prediction must carry a non-empty string image_id$"):
-        tile([(1, 0.5)], image_id=image_id)
+        batched(tile([(1, 0.5)], image_id=image_id))
 
 
 def test_tile_prediction_complete_mass_check():
-    tile([(1, 0.6), (2, 0.4)], complete=True)
+    batched(tile([(1, 0.6), (2, 0.4)], complete=True))
     with pytest.raises(InputError):
-        tile([(1, 0.6), (2, 0.3)], complete=True)
+        batched(tile([(1, 0.6), (2, 0.3)], complete=True))
     with pytest.raises(InputError):
-        tile([(1, 0.7), (2, 0.7)], complete=False)
+        batched(tile([(1, 0.7), (2, 0.7)], complete=False))
 
 
-def test_tile_prediction_sorts_entries():
+def test_tile_prediction_keeps_its_entries_and_the_batch_sorts_them():
     pred = tile([(2, 0.2), (3, 0.5), (1, 0.3)])
-    assert pred.probs == [(3, 0.5), (1, 0.3), (2, 0.2)]
+    assert pred.probs == [(2, 0.2), (3, 0.5), (1, 0.3)]
+    assert next(batched(pred).tiles(0, 1)).probs == [(3, 0.5), (1, 0.3), (2, 0.2)]
